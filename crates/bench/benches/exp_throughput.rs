@@ -143,14 +143,8 @@ fn measure(
         }
         "scenario" => match mode {
             ExecMode::Sequential => {
-                let (out, t) = run_scenario_sequential_timed(
-                    params,
-                    population,
-                    seed,
-                    scenario,
-                    AccumulatorKind::Dense,
-                    schema,
-                );
+                let (out, t) =
+                    run_scenario_sequential_timed(params, population, seed, scenario, schema);
                 stages = Some(t);
                 RunValues {
                     estimates: out.estimates,
@@ -208,14 +202,7 @@ fn measure_live(
 ) -> (Measurement, RunValues) {
     let config = LiveConfig::new(workers);
     let start = Instant::now();
-    let (out, _stats) = run_event_driven_live_schema(
-        params,
-        population,
-        seed,
-        &config,
-        AccumulatorKind::Dense,
-        schema,
-    );
+    let (out, _stats) = run_event_driven_live_schema(params, population, seed, &config, schema);
     let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
     let reports = out.wire.payload_bits;
     (

@@ -13,14 +13,13 @@
 //! frontier — the order-`h` member of `C(t)` is always the most recently
 //! completed order-`h` interval.
 //!
-//! The per-report accumulation state lives in a mergeable, pluggable
-//! storage backend ([`AnyAccumulator`], selected by [`AccumulatorKind`] /
-//! the `RTF_BACKEND` env var — see [`crate::accumulator`]); the server
-//! itself is a thin checked-ingestion/finalisation facade over it. Worker
-//! shards built by the parallel runtime accumulate independently on the
-//! same backend and are folded in via [`Server::absorb_shard`] —
-//! value-for-value identical to sequential ingestion because report sums
-//! are integer-valued and every backend stores them exactly.
+//! The per-report accumulation state lives in a mergeable accumulator
+//! ([`AnyAccumulator`], see [`crate::accumulator`]); the server itself is
+//! a thin checked-ingestion/finalisation facade over it. Worker shards
+//! built by the parallel runtime accumulate independently and are folded
+//! in via [`Server::absorb_shard`] — value-for-value identical to
+//! sequential ingestion because report sums are integer-valued and the
+//! accumulator stores them exactly.
 
 use crate::accumulator::{Accumulator, AccumulatorError, AccumulatorKind, AnyAccumulator};
 use crate::params::ProtocolParams;
@@ -109,7 +108,6 @@ pub struct Server {
     group_sizes: Vec<usize>,
     /// Mergeable accumulation state: per-order running sums of report
     /// bits for the currently open intervals, plus the report counter.
-    /// The storage layout is the pluggable backend axis.
     acc: AnyAccumulator,
     frontier: Frontier<f64>,
     estimates: Vec<f64>,
@@ -132,24 +130,28 @@ pub struct Server {
 
 impl Server {
     /// Builds a server from explicit per-order preservation gaps
-    /// `c_gap(h)` (index `h ∈ [0..log d]`), on the accumulator backend
-    /// selected by `RTF_BACKEND` ([`AccumulatorKind::from_env`]; default
-    /// dense). The gaps must match the clients' randomizers or estimates
-    /// will be biased.
+    /// `c_gap(h)` (index `h ∈ [0..log d]`). The gaps must match the
+    /// clients' randomizers or estimates will be biased.
     ///
     /// # Panics
     /// Panics if the gap vector has the wrong length or a non-positive
-    /// entry.
+    /// entry, or if `RTF_BACKEND` names a removed accumulator layout
+    /// ([`AccumulatorKind::from_env`]).
     pub fn new(params: ProtocolParams, c_gaps: &[f64]) -> Self {
-        Self::with_backend(params, c_gaps, AccumulatorKind::from_env())
+        Self::build(
+            params,
+            c_gaps,
+            AccumulatorKind::from_env(),
+            SeedSchema::from_env(),
+        )
     }
 
-    /// [`new`](Self::new) on an explicit storage backend.
-    ///
-    /// # Panics
-    /// Panics if the gap vector has the wrong length or a non-positive
-    /// entry.
-    pub fn with_backend(params: ProtocolParams, c_gaps: &[f64], backend: AccumulatorKind) -> Self {
+    fn build(
+        params: ProtocolParams,
+        c_gaps: &[f64],
+        backend: AccumulatorKind,
+        seed_schema: SeedSchema,
+    ) -> Self {
         let orders = params.num_orders() as usize;
         assert_eq!(
             c_gaps.len(),
@@ -169,7 +171,7 @@ impl Server {
             params,
             scale,
             group_sizes: vec![0; orders],
-            acc: backend.accumulator_for(&params),
+            acc: backend.new_accumulator(orders),
             frontier: Frontier::new(params.horizon()),
             estimates: Vec::with_capacity(params.d() as usize),
             current_t: 0,
@@ -177,7 +179,7 @@ impl Server {
             roster: HashMap::new(),
             current_delivery: PeriodDelivery::default(),
             delivery_log: Vec::new(),
-            seed_schema: SeedSchema::from_env(),
+            seed_schema,
         }
     }
 
@@ -200,35 +202,28 @@ impl Server {
 
     /// Builds a server whose per-order gaps are the exact `c_gap` of the
     /// protocol's FutureRand configuration (`k_eff = max(1, min(k, L))`,
-    /// `ε̃ = ε/(5√k_eff)`), on the `RTF_BACKEND`-selected backend.
+    /// `ε̃ = ε/(5√k_eff)`), under the `RTF_SEED_SCHEMA` client randomness
+    /// schema.
     pub fn for_future_rand(params: ProtocolParams) -> Self {
-        Self::for_future_rand_with(params, AccumulatorKind::from_env())
+        Self::for_future_rand_schema(params, AccumulatorKind::from_env(), SeedSchema::from_env())
     }
 
-    /// [`for_future_rand`](Self::for_future_rand) on an explicit storage
-    /// backend.
-    pub fn for_future_rand_with(params: ProtocolParams, backend: AccumulatorKind) -> Self {
+    /// [`for_future_rand`](Self::for_future_rand) with an explicit
+    /// accumulator layout and client randomness schema. Server math is
+    /// schema-independent; the schema is stamped into snapshot headers so
+    /// state never resumes under another one.
+    pub fn for_future_rand_schema(
+        params: ProtocolParams,
+        backend: AccumulatorKind,
+        schema: SeedSchema,
+    ) -> Self {
         let gaps: Vec<f64> = (0..params.num_orders())
             .map(|h| {
                 crate::gap::WeightClassLaw::for_protocol(params.k_for_order(h), params.epsilon())
                     .c_gap()
             })
             .collect();
-        Self::with_backend(params, &gaps, backend)
-    }
-
-    /// [`for_future_rand_with`](Self::for_future_rand_with) under an
-    /// explicit client randomness schema (instead of `RTF_SEED_SCHEMA`).
-    /// Server math is schema-independent; the schema is stamped into
-    /// snapshot headers so state never resumes under another one.
-    pub fn for_future_rand_schema(
-        params: ProtocolParams,
-        backend: AccumulatorKind,
-        schema: SeedSchema,
-    ) -> Self {
-        let mut server = Self::for_future_rand_with(params, backend);
-        server.seed_schema = schema;
-        server
+        Self::build(params, &gaps, backend, schema)
     }
 
     /// The client randomness schema of the run this server belongs to.
@@ -269,23 +264,23 @@ impl Server {
         self.acc.record(h, bit);
     }
 
-    /// An empty accumulator of this server's shape **and backend**, for a
-    /// worker shard to fill independently and hand back via
+    /// An empty accumulator of this server's shape, for a worker shard to
+    /// fill independently and hand back via
     /// [`absorb_shard`](Self::absorb_shard).
     pub fn new_shard(&self) -> AnyAccumulator {
-        self.acc.fresh_like()
+        AnyAccumulator::new(self.acc.orders())
     }
 
     /// Merges a worker shard's accumulated reports into the live
     /// accumulation state — equivalent, report for report, to having
     /// called [`ingest`](Self::ingest) for each of the shard's bits
     /// (exactly: the sums are integer-valued, so addition order cannot
-    /// matter on any backend).
+    /// matter).
     ///
     /// # Errors
     /// Returns [`AccumulatorError`] — not a debug assertion — when the
-    /// shard's order count or storage backend differs from this server's,
-    /// so a backend-mixing bug fails loudly in release builds too.
+    /// shard's order count differs from this server's, so a shape-mixing
+    /// bug fails loudly in release builds too.
     pub fn absorb_shard(&mut self, shard: &AnyAccumulator) -> Result<(), AccumulatorError> {
         self.acc.try_merge(shard)
     }
@@ -514,7 +509,7 @@ impl Server {
     ///
     /// A failed shard merge aborts *before* any state change of the
     /// remaining shards or the period close, so the caller can surface a
-    /// backend/shape mixing bug without the server advancing past it.
+    /// shape mixing bug without the server advancing past it.
     ///
     /// # Errors
     /// Returns the first [`AccumulatorError`] of a mismatched shard.
@@ -551,11 +546,6 @@ impl Server {
         &self.acc
     }
 
-    /// The storage backend this server accumulates on.
-    pub fn backend(&self) -> AccumulatorKind {
-        self.acc.kind()
-    }
-
     /// The protocol parameters.
     pub fn params(&self) -> &ProtocolParams {
         &self.params
@@ -567,9 +557,7 @@ impl Server {
     }
 
     /// Checks that a worker shard could merge into this server — same
-    /// backend, same shape — **without** mutating anything. The error
-    /// order matches [`absorb_shard`](Self::absorb_shard): backend
-    /// first, then shape.
+    /// shape — **without** mutating anything.
     ///
     /// This is what lets a streaming front validate *every* shard of a
     /// period before committing *any* of them, keeping its close-path
@@ -578,12 +566,6 @@ impl Server {
     /// # Errors
     /// The same [`AccumulatorError`] the merge would have returned.
     pub fn validate_shard(&self, shard: &AnyAccumulator) -> Result<(), AccumulatorError> {
-        if shard.kind() != self.acc.kind() {
-            return Err(AccumulatorError::BackendMismatch {
-                expected: self.acc.kind(),
-                got: shard.kind(),
-            });
-        }
         if shard.orders() != self.acc.orders() {
             return Err(AccumulatorError::ShapeMismatch {
                 expected: self.acc.orders(),
@@ -1155,68 +1137,21 @@ mod tests {
         }
         assert_eq!(split.reports_ingested(), hooked.reports_ingested());
 
-        // A mismatched shard aborts before the period close: the horizon
-        // position is unchanged and the period can still be closed. The
-        // server backend is pinned so the mismatch holds under any
-        // RTF_BACKEND (the CI backend matrix replays this test).
-        let foreign = AccumulatorKind::Fixed.new_accumulator(4);
-        let mut fresh = Server::with_backend(p, &[1.0; 4], AccumulatorKind::Dense);
+        // A misshapen shard aborts before the period close: the horizon
+        // position is unchanged and the period can still be closed.
+        let foreign = AnyAccumulator::new(9);
+        let mut fresh = Server::new(p, &[1.0; 4]);
         assert!(fresh.close_period_with_shards(1, [&foreign]).is_err());
         assert_eq!(fresh.estimates().len(), 0, "no period closed on error");
         assert!(fresh.close_period_with_shards(1, []).is_ok());
     }
 
     #[test]
-    fn every_backend_reproduces_the_dense_estimates() {
-        // Identical report streams through servers on all four storage
-        // backends: the estimates must agree exactly, per period.
-        use crate::accumulator::AccumulatorKind;
-        let p = params();
-        let mut servers: Vec<Server> = AccumulatorKind::ALL
-            .iter()
-            .map(|&k| Server::for_future_rand_with(p, k))
-            .collect();
-        for s in &mut servers {
-            s.register_user(0);
-            s.register_user(1);
-        }
-        let bits = [Sign::Plus, Sign::Minus, Sign::Minus, Sign::Plus];
-        for t in 1..=8u64 {
-            let mut row = Vec::new();
-            for s in &mut servers {
-                s.ingest(0, bits[(t % 4) as usize]);
-                if t % 2 == 0 {
-                    s.ingest(1, bits[(t % 3) as usize]);
-                }
-                row.push(s.end_of_period(t));
-            }
-            assert!(
-                row.iter().all(|&e| e == row[0]),
-                "t={t}: backends diverge: {row:?}"
-            );
-        }
-        for (s, kind) in servers.iter().zip(AccumulatorKind::ALL) {
-            assert_eq!(s.backend(), kind);
-            assert_eq!(s.reports_ingested(), 8 + 4);
-        }
-    }
-
-    #[test]
     fn absorb_shard_rejects_mismatches_with_typed_errors() {
-        use crate::accumulator::{AccumulatorError, AccumulatorKind};
-        let p = params();
-        let mut server = Server::for_future_rand_with(p, AccumulatorKind::Dense);
-        // Wrong backend: a fixed-point shard against a dense server.
-        let foreign = AccumulatorKind::Fixed.new_accumulator(4);
-        assert_eq!(
-            server.absorb_shard(&foreign),
-            Err(AccumulatorError::BackendMismatch {
-                expected: AccumulatorKind::Dense,
-                got: AccumulatorKind::Fixed
-            })
-        );
+        let mut server = Server::for_future_rand(params());
         // Wrong shape: a shard sized for a different horizon.
-        let misshapen = AccumulatorKind::Dense.new_accumulator(9);
+        let mut misshapen = AnyAccumulator::new(9);
+        misshapen.record(0, Sign::Plus);
         assert_eq!(
             server.absorb_shard(&misshapen),
             Err(AccumulatorError::ShapeMismatch {
@@ -1224,7 +1159,7 @@ mod tests {
                 got: 9
             })
         );
-        // Neither failed merge touched the live state.
+        // The failed merge did not touch the live state.
         assert_eq!(server.reports_ingested(), 0);
         // A well-formed shard still merges.
         let mut ok = server.new_shard();
@@ -1247,17 +1182,9 @@ mod tests {
 
     #[test]
     fn validate_shard_mirrors_absorb_without_mutating() {
-        use crate::accumulator::{AccumulatorError, AccumulatorKind};
-        let server = Server::for_future_rand_with(params(), AccumulatorKind::Dense);
+        let server = Server::for_future_rand(params());
         assert_eq!(
-            server.validate_shard(&AccumulatorKind::Fixed.new_accumulator(4)),
-            Err(AccumulatorError::BackendMismatch {
-                expected: AccumulatorKind::Dense,
-                got: AccumulatorKind::Fixed
-            })
-        );
-        assert_eq!(
-            server.validate_shard(&AccumulatorKind::Dense.new_accumulator(9)),
+            server.validate_shard(&AnyAccumulator::new(9)),
             Err(AccumulatorError::ShapeMismatch {
                 expected: 4,
                 got: 9
@@ -1272,60 +1199,56 @@ mod tests {
     /// plus field-level equality of everything observable.
     #[test]
     fn server_snapshot_roundtrips_mid_horizon_on_every_backend() {
-        use crate::accumulator::AccumulatorKind;
         use crate::snapshot::{SnapReader, SnapWriter};
-        for backend in AccumulatorKind::ALL {
-            let mut server = Server::for_future_rand_with(params(), backend);
-            server.enable_store();
-            for u in 0..12u32 {
-                assert!(server.register_client(u, u % 3));
-            }
-            for t in 1..=5u64 {
-                for u in 0..12u32 {
-                    let h = u % 3;
-                    if t % (1 << h) == 0 {
-                        let bit = if (u + t as u32) % 3 == 0 {
-                            Sign::Minus
-                        } else {
-                            Sign::Plus
-                        };
-                        server.ingest_checked(u, t, bit);
-                    }
-                }
-                let _ = server.end_of_period(t);
-            }
-            // Half-fill period 6 so open-interval state is live too.
-            for u in 0..6u32 {
-                if u % 3 == 0 {
-                    server.ingest_checked(u, 6, Sign::Plus);
-                }
-            }
-            let mut w = SnapWriter::new();
-            server.write_snapshot(&mut w);
-            let bytes = w.finish();
-            let mut r = SnapReader::new(&bytes).unwrap();
-            let back = Server::read_snapshot(&mut r).unwrap();
-            r.finish().unwrap();
-            let mut w2 = SnapWriter::new();
-            back.write_snapshot(&mut w2);
-            assert_eq!(w2.finish(), bytes, "{backend}: re-snapshot differs");
-            assert_eq!(back.estimates(), server.estimates(), "{backend}");
-            assert_eq!(back.delivery_log(), server.delivery_log(), "{backend}");
-            assert_eq!(back.group_sizes(), server.group_sizes(), "{backend}");
-            assert_eq!(back.reports_ingested(), server.reports_ingested());
-            assert_eq!(back.backend(), backend);
-            // Both copies must close the remaining horizon identically.
-            let mut live = server.clone();
-            let mut restored = back;
-            for t in 6..=8u64 {
-                assert_eq!(
-                    live.end_of_period(t).to_bits(),
-                    restored.end_of_period(t).to_bits(),
-                    "{backend}: t={t}"
-                );
-            }
-            assert_eq!(live.delivery_log(), restored.delivery_log(), "{backend}");
+        let mut server = Server::for_future_rand(params());
+        server.enable_store();
+        for u in 0..12u32 {
+            assert!(server.register_client(u, u % 3));
         }
+        for t in 1..=5u64 {
+            for u in 0..12u32 {
+                let h = u % 3;
+                if t % (1 << h) == 0 {
+                    let bit = if (u + t as u32) % 3 == 0 {
+                        Sign::Minus
+                    } else {
+                        Sign::Plus
+                    };
+                    server.ingest_checked(u, t, bit);
+                }
+            }
+            let _ = server.end_of_period(t);
+        }
+        // Half-fill period 6 so open-interval state is live too.
+        for u in 0..6u32 {
+            if u % 3 == 0 {
+                server.ingest_checked(u, 6, Sign::Plus);
+            }
+        }
+        let mut w = SnapWriter::new();
+        server.write_snapshot(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let back = Server::read_snapshot(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut w2 = SnapWriter::new();
+        back.write_snapshot(&mut w2);
+        assert_eq!(w2.finish(), bytes, "re-snapshot differs");
+        assert_eq!(back.estimates(), server.estimates());
+        assert_eq!(back.delivery_log(), server.delivery_log());
+        assert_eq!(back.group_sizes(), server.group_sizes());
+        assert_eq!(back.reports_ingested(), server.reports_ingested());
+        // Both copies must close the remaining horizon identically.
+        let mut live = server.clone();
+        let mut restored = back;
+        for t in 6..=8u64 {
+            assert_eq!(
+                live.end_of_period(t).to_bits(),
+                restored.end_of_period(t).to_bits(),
+                "t={t}"
+            );
+        }
+        assert_eq!(live.delivery_log(), restored.delivery_log());
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //!   schedule-independent;
 //! * [`batch`] — columnar `{user, order, sign}` report batches that
 //!   replace per-report `Bytes` frames on the hot path, folding straight
-//!   into mergeable shard accumulators of any storage backend
-//!   ([`AccumulatorKind`], re-exported from `rtf_core::accumulator`;
-//!   `RTF_BACKEND` selects the default next to `RTF_WORKERS`);
+//!   into mergeable shard accumulators;
 //! * [`persistent`] — [`PersistentPool`]: long-lived worker threads
 //!   shared across `run_trials` executions, so repeated small maps pay
 //!   the thread-spawn cost once per process instead of once per call;
@@ -56,9 +54,7 @@ pub use ingest::{
 pub use mode::ExecMode;
 pub use persistent::{shared_pool, PersistentPool};
 pub use pool::{partition, shard_of, Shard, WorkerPool};
-// The storage-backend selector lives with the accumulators in rtf-core;
+// The seed schema lives with the client randomness in rtf-primitives;
 // re-exported here so runtime configuration (`RTF_WORKERS` → ExecMode,
-// `RTF_BACKEND` → AccumulatorKind, `RTF_SEED_SCHEMA` → SeedSchema) is
-// importable from one place.
-pub use rtf_core::accumulator::AccumulatorKind;
+// `RTF_SEED_SCHEMA` → SeedSchema) is importable from one place.
 pub use rtf_primitives::fastseed::SeedSchema;

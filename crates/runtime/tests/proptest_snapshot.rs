@@ -1,7 +1,7 @@
 //! Property tests for the whole-service snapshot format.
 //!
-//! Over random protocol shapes `(n, d, k, ε)`, storage backends, worker
-//! counts, and snapshot points (mid-period with journals full vs
+//! Over random protocol shapes `(n, d, k, ε)`, worker counts, and
+//! snapshot points (mid-period with journals full vs
 //! between periods with journals empty):
 //!
 //! * snapshot → restore → re-snapshot is **byte-identical** (restore is
@@ -13,7 +13,6 @@
 //!   misparse.
 
 use proptest::prelude::*;
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
 use rtf_core::server::Server;
 use rtf_core::snapshot::SnapshotError;
@@ -22,8 +21,8 @@ use rtf_runtime::ingest::IngestService;
 use rtf_runtime::ReportBatch;
 
 /// A server with `users` order-0 clients registered.
-fn trusted_server(params: ProtocolParams, users: u32, backend: AccumulatorKind) -> Server {
-    let mut server = Server::for_future_rand_with(params, backend);
+fn trusted_server(params: ProtocolParams, users: u32) -> Server {
+    let mut server = Server::for_future_rand(params);
     for _ in 0..users {
         server.register_user(0);
     }
@@ -77,7 +76,6 @@ proptest! {
         k in 1usize..3,
         eps_hundredths in 30u64..=100,
         seed in 0u64..10_000,
-        backend_idx in 0usize..4,
         workers in 1usize..5,
         snap_frac in 0u64..100,
         mid_period in proptest::bool::ANY,
@@ -85,12 +83,11 @@ proptest! {
         let d = 1u64 << d_exp;
         let eps = eps_hundredths as f64 / 100.0;
         let params = ProtocolParams::new(users as usize + 1, d, k, eps, 0.05).unwrap();
-        let backend = AccumulatorKind::ALL[backend_idx];
         let snap_t = 1 + snap_frac * (d - 1) / 100;
 
         // Control: the same traffic, never crashed.
         let mut control = IngestService::new(
-            trusted_server(params, users, backend), workers, 2);
+            trusted_server(params, users), workers, 2);
         let mut expect = Vec::new();
         for t in 1..=d {
             submit_period(&mut control, t, users, seed);
@@ -102,7 +99,7 @@ proptest! {
         // journals, close not yet done; else: just after the close),
         // drop the process, restore from bytes.
         let mut svc = IngestService::new(
-            trusted_server(params, users, backend), workers, 2);
+            trusted_server(params, users), workers, 2);
         let mut estimates = Vec::new();
         let mut bytes = Vec::new();
         for t in 1..=snap_t {
@@ -122,8 +119,8 @@ proptest! {
         prop_assert_eq!(
             restored.snapshot(), bytes.clone(),
             "re-snapshot after restore must be byte-identical \
-             ({}, {} workers, snap at t={}, mid={})",
-            backend, workers, snap_t, mid_period
+             ({} workers, snap at t={}, mid={})",
+            workers, snap_t, mid_period
         );
         let resume_from = if mid_period { snap_t } else { snap_t + 1 };
         for t in resume_from..=d {
@@ -134,8 +131,8 @@ proptest! {
         }
         prop_assert_eq!(
             estimates, expect,
-            "restored horizon diverges ({}, {} workers, snap at t={}, mid={})",
-            backend, workers, snap_t, mid_period
+            "restored horizon diverges ({} workers, snap at t={}, mid={})",
+            workers, snap_t, mid_period
         );
         let (server, stats) = restored.finish();
         prop_assert_eq!(server.reports_ingested(), control_server.reports_ingested());
@@ -152,15 +149,13 @@ proptest! {
     fn malformed_snapshots_are_rejected_not_misparsed(
         users in 4u32..24,
         seed in 0u64..10_000,
-        backend_idx in 0usize..4,
         flip_pos_frac in 0u64..100,
         flip_bit in 0u32..8,
         version in 2u32..u32::MAX,
     ) {
         let params = ProtocolParams::new(users as usize + 1, 8, 1, 1.0, 0.05).unwrap();
-        let backend = AccumulatorKind::ALL[backend_idx];
         let mut svc = IngestService::new(
-            trusted_server(params, users, backend), 2, 2);
+            trusted_server(params, users), 2, 2);
         for t in 1..=3u64 {
             submit_period(&mut svc, t, users, seed);
             svc.close_period(t).unwrap();

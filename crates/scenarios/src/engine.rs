@@ -175,9 +175,8 @@ pub fn run_scenario(
     run_scenario_with(params, population, seed, scenario, ExecMode::from_env())
 }
 
-/// Runs the fault-injected engine in an explicit [`ExecMode`], on the
-/// accumulator backend selected by `RTF_BACKEND`
-/// ([`AccumulatorKind::from_env`]; default dense). Every outcome field —
+/// Runs the fault-injected engine in an explicit [`ExecMode`], under the
+/// `RTF_SEED_SCHEMA` client randomness schema. Every outcome field —
 /// estimates, delivery log, wire stats, fault counts — is
 /// value-for-value identical across modes and worker counts.
 pub fn run_scenario_with(
@@ -187,41 +186,19 @@ pub fn run_scenario_with(
     scenario: &Scenario,
     mode: ExecMode,
 ) -> ScenarioOutcome {
-    run_scenario_with_backend(
-        params,
-        population,
-        seed,
-        scenario,
-        mode,
-        AccumulatorKind::from_env(),
-    )
-}
-
-/// Runs the fault-injected engine in an explicit [`ExecMode`] on an
-/// explicit accumulator backend. The backend is invisible in every
-/// outcome field (integer-exact storage), which
-/// [`crate::oracle::assert_backend_agreement`] proves.
-pub fn run_scenario_with_backend(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-    mode: ExecMode,
-    backend: AccumulatorKind,
-) -> ScenarioOutcome {
     run_scenario_schema(
         params,
         population,
         seed,
         scenario,
         mode,
-        backend,
+        AccumulatorKind::from_env(),
         SeedSchema::from_env(),
     )
 }
 
-/// [`run_scenario_with_backend`] under an explicit client randomness
-/// schema (instead of `RTF_SEED_SCHEMA`). Fault decisions come from the
+/// [`run_scenario_with`] on an explicit accumulator layout and under an
+/// explicit client randomness schema. Fault decisions come from the
 /// disjoint `FAULT_STREAM` either way — the schema changes only where
 /// honest clients' zero-slot report bits come from.
 pub fn run_scenario_schema(
@@ -233,15 +210,8 @@ pub fn run_scenario_schema(
     backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> ScenarioOutcome {
-    run_scenario_timeline(
-        params,
-        population,
-        seed,
-        &FaultTimeline::constant(*scenario),
-        mode,
-        backend,
-        schema,
-    )
+    let timeline = FaultTimeline::constant(*scenario);
+    run_timeline(params, population, seed, &timeline, mode, backend, schema).0
 }
 
 /// Runs a [`FaultTimeline`] — a possibly per-period fault schedule —
@@ -252,7 +222,7 @@ pub fn run_scenario_schema(
 /// storms — the DSL's workload layer compiles to exactly this call).
 ///
 /// Every outcome field is value-for-value identical across execution
-/// modes, worker counts, backends, and the live runner
+/// modes, worker counts, and the live runner
 /// ([`crate::live::run_scenario_live_timeline`]).
 pub fn run_scenario_timeline(
     params: &ProtocolParams,
@@ -260,10 +230,9 @@ pub fn run_scenario_timeline(
     seed: u64,
     timeline: &FaultTimeline,
     mode: ExecMode,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> ScenarioOutcome {
-    run_scenario_timeline_digest(params, population, seed, timeline, mode, backend, schema).0
+    run_scenario_timeline_digest(params, population, seed, timeline, mode, schema).0
 }
 
 /// [`run_scenario_schema`] additionally returning the **residual
@@ -274,33 +243,35 @@ pub fn run_scenario_timeline(
 /// every fault draw stream-for-stream — a strictly stronger check than
 /// outcome equality (a path that skipped one draw and compensated with
 /// another could still agree on every observable field).
-#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_schema_digest(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     scenario: &Scenario,
     mode: ExecMode,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, u64) {
-    run_scenario_timeline_digest(
-        params,
-        population,
-        seed,
-        &FaultTimeline::constant(*scenario),
-        mode,
-        backend,
-        schema,
-    )
+    let timeline = FaultTimeline::constant(*scenario);
+    run_scenario_timeline_digest(params, population, seed, &timeline, mode, schema)
 }
 
 /// [`run_scenario_timeline`] additionally returning the residual
 /// fault-stream digest (see [`run_scenario_schema_digest`] — the digest
 /// contract is identical for shaped timelines, because the per-period
 /// schedule changes *which* coins are flipped, never who flips them).
-#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_timeline_digest(
+    params: &ProtocolParams,
+    population: &Population,
+    seed: u64,
+    timeline: &FaultTimeline,
+    mode: ExecMode,
+    schema: SeedSchema,
+) -> (ScenarioOutcome, u64) {
+    let backend = AccumulatorKind::from_env();
+    run_timeline(params, population, seed, timeline, mode, backend, schema)
+}
+
+fn run_timeline(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
@@ -566,7 +537,6 @@ pub fn run_scenario_sequential_timed(
     population: &Population,
     seed: u64,
     scenario: &Scenario,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
     let timeline = FaultTimeline::constant(*scenario);
@@ -574,6 +544,7 @@ pub fn run_scenario_sequential_timed(
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
+    let backend = AccumulatorKind::from_env();
     let (out, timings, _) =
         run_scenario_sequential_impl(params, population, seed, &timeline, backend, schema);
     (out, timings)
@@ -1412,24 +1383,10 @@ mod tests {
             .with_byzantine(0.15);
         let timeline = FaultTimeline::constant(scenario);
         for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
-            let (a, da) = run_scenario_schema_digest(
-                &params,
-                &pop,
-                19,
-                &scenario,
-                mode,
-                AccumulatorKind::Dense,
-                SeedSchema::V1Std,
-            );
-            let (b, db) = run_scenario_timeline_digest(
-                &params,
-                &pop,
-                19,
-                &timeline,
-                mode,
-                AccumulatorKind::Dense,
-                SeedSchema::V1Std,
-            );
+            let (a, da) =
+                run_scenario_schema_digest(&params, &pop, 19, &scenario, mode, SeedSchema::V1Std);
+            let (b, db) =
+                run_scenario_timeline_digest(&params, &pop, 19, &timeline, mode, SeedSchema::V1Std);
             assert_eq!(a.estimates, b.estimates);
             assert_eq!(a.delivery, b.delivery);
             assert_eq!(a.faults, b.faults);
@@ -1467,7 +1424,6 @@ mod tests {
             23,
             &timeline,
             ExecMode::Sequential,
-            AccumulatorKind::Dense,
             SeedSchema::V1Std,
         );
         assert!(seq.faults.dropped > 0, "the pulse must fire");
@@ -1480,7 +1436,6 @@ mod tests {
                 23,
                 &timeline,
                 ExecMode::Parallel(w),
-                AccumulatorKind::Dense,
                 SeedSchema::V1Std,
             );
             assert_eq!(par.estimates, seq.estimates, "{w} workers");
@@ -1517,7 +1472,6 @@ mod tests {
             31,
             &timeline,
             ExecMode::Sequential,
-            AccumulatorKind::Dense,
             SeedSchema::V1Std,
         );
         assert!(out.faults.dropped > 0);

@@ -227,8 +227,8 @@ proptest! {
     }
 
     /// Random *valid* specs — random population, random shaped fault
-    /// mix — agree value-for-value across sequential ≡ batched ≡ live on
-    /// every backend. The DSL compiles to the same engines it found.
+    /// mix — agree value-for-value across sequential ≡ batched ≡ live.
+    /// The DSL compiles to the same engines it found.
     #[test]
     fn compiled_specs_agree_across_engines(
         n in 40usize..120,
@@ -270,7 +270,7 @@ proptest! {
             });
         }
         let schema = [SeedSchema::V1Std, SeedSchema::V2Fast][schema_sel % 2];
-        // Panics on any cross-engine or cross-backend divergence.
+        // Panics on any cross-engine divergence.
         assert_spec_agreement(&spec, schema);
     }
 }

@@ -13,7 +13,6 @@
 //! cancel").
 
 use proptest::prelude::*;
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::seeding::SeedSequence;
@@ -66,7 +65,6 @@ proptest! {
                 seed ^ 0x5BA7,
                 &scenario,
                 ExecMode::Sequential,
-                AccumulatorKind::Dense,
                 schema,
             );
             for w in [1usize, 2, 8] {
@@ -76,7 +74,6 @@ proptest! {
                     seed ^ 0x5BA7,
                     &scenario,
                     ExecMode::Parallel(w),
-                    AccumulatorKind::Dense,
                     schema,
                 );
                 prop_assert_eq!(

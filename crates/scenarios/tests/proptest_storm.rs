@@ -1,14 +1,14 @@
 //! Duplicate-storm value-identity property tests.
 //!
-//! The period-close pre-dedupe filter
-//! (`rtf_runtime::replay_frames_checked`) engages only when a delivery
-//! period's merged mailbox holds more frames than are due — which is
-//! exactly what retransmission storms, straggler pile-ups, and Byzantine
-//! spam produce. The sequential engine never uses the filter, so
-//! sequential ≡ batched ≡ live agreement under a random storm *is* the
-//! proof the filter changes no observable: estimates, every
-//! `PeriodDelivery` row (accepted/duplicate/late/…), wire totals, and
-//! fault counts, for every worker count.
+//! Retransmission storms, straggler pile-ups, and Byzantine spam fill a
+//! delivery period's merged mailbox with more frames than are due. The
+//! live service classifies them at period close
+//! (`rtf_runtime::replay_frames_checked`) and the batched engine in its
+//! floor-checked residue replay, so sequential ≡ batched ≡ live
+//! agreement under a random storm pins duplicate classification on both
+//! against the sequential reference: estimates, every `PeriodDelivery`
+//! row (accepted/duplicate/late/…), wire totals, and fault counts, for
+//! every worker count.
 
 use proptest::prelude::*;
 use rtf_core::params::ProtocolParams;
@@ -21,8 +21,8 @@ use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 
 /// A deterministic heavy storm that provably oversubscribes periods, so
-/// the pre-dedupe filter is known to engage on the batched/live paths —
-/// and the paths still agree with the unfiltered sequential reference.
+/// the checked path's duplicate filter is known to engage — and the
+/// batched and live paths still agree with the sequential reference.
 #[test]
 fn heavy_storm_engages_the_filter_and_stays_identical() {
     let params = ProtocolParams::new(200, 32, 3, 1.0, 0.05).unwrap();
@@ -50,9 +50,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random storm intensity (duplicates, stragglers, Byzantine spam,
-    /// in-flight corruption) over random protocol shapes: the filtered
-    /// batched and streaming paths agree with the unfiltered sequential
-    /// reference on every outcome field.
+    /// in-flight corruption) over random protocol shapes: the batched and
+    /// streaming paths agree with the sequential reference on every
+    /// outcome field.
     #[test]
     fn duplicate_storms_are_value_identical_across_paths(
         n in 60usize..160,

@@ -19,7 +19,6 @@
 //! of magnitude cheaper than event-driven at `d = 1024` — which is what
 //! makes the million-user experiments in EXPERIMENTS.md tractable.
 
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::client::Client;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
@@ -75,23 +74,11 @@ pub fn run_future_rand_aggregate(
     population: &Population,
     seed: u64,
 ) -> ProtocolOutcome {
-    run_future_rand_aggregate_with_backend(params, population, seed, AccumulatorKind::from_env())
-}
-
-/// [`run_future_rand_aggregate`] on an explicit accumulator backend
-/// (instead of the `RTF_BACKEND` default). Batch sums are
-/// integer-valued, so every backend produces identical estimates.
-pub fn run_future_rand_aggregate_with_backend(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    backend: AccumulatorKind,
-) -> ProtocolOutcome {
     let composed: Vec<ComposedRandomizer> = (0..params.num_orders())
         .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
         .collect();
     let gaps: Vec<f64> = composed.iter().map(ComposedRandomizer::c_gap).collect();
-    aggregate_impl(params, population, seed, &composed, &gaps, backend)
+    aggregate_impl(params, population, seed, &composed, &gaps)
 }
 
 /// Runs the **audit-calibrated** FutureRand protocol through the
@@ -112,14 +99,7 @@ pub fn run_calibrated_aggregate(
             cal.eps_tilde,
         ));
     }
-    aggregate_impl(
-        params,
-        population,
-        seed,
-        &composed,
-        &gaps,
-        AccumulatorKind::from_env(),
-    )
+    aggregate_impl(params, population, seed, &composed, &gaps)
 }
 
 fn aggregate_impl(
@@ -128,13 +108,12 @@ fn aggregate_impl(
     seed: u64,
     composed: &[ComposedRandomizer],
     gaps: &[f64],
-    backend: AccumulatorKind,
 ) -> ProtocolOutcome {
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
 
-    let mut server = Server::with_backend(*params, gaps, backend);
+    let mut server = Server::new(*params, gaps);
     let root = SeedSequence::new(seed);
 
     // Per-order accumulators over interval indices (1-based j).

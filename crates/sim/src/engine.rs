@@ -54,9 +54,8 @@ pub struct EventDrivenOutcome {
     /// Wire accounting (announcements + reports, bytes and bits).
     pub wire: WireStats,
     /// Heap bytes held by the run's accumulation state — in batched mode
-    /// the sum over every per-period shard accumulator (the quantity the
-    /// storage backends trade against time in `exp_backends`); in
-    /// sequential mode just the server's single live accumulator.
+    /// the sum over every per-period shard accumulator; in sequential
+    /// mode just the server's single live accumulator.
     pub acc_bytes: u64,
 }
 
@@ -78,40 +77,26 @@ pub fn run_event_driven(
 }
 
 /// Runs the FutureRand protocol through the message-level engine in an
-/// explicit [`ExecMode`], on the accumulator backend selected by
-/// `RTF_BACKEND` ([`AccumulatorKind::from_env`]; default dense).
+/// explicit [`ExecMode`], under the `RTF_SEED_SCHEMA` client randomness
+/// schema.
 pub fn run_event_driven_with(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     mode: ExecMode,
 ) -> EventDrivenOutcome {
-    run_event_driven_with_backend(params, population, seed, mode, AccumulatorKind::from_env())
-}
-
-/// Runs the FutureRand protocol through the message-level engine in an
-/// explicit [`ExecMode`] on an explicit accumulator backend. Every
-/// mode × backend combination is value-for-value identical (asserted by
-/// `rtf_scenarios::oracle::assert_backend_agreement`).
-pub fn run_event_driven_with_backend(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    mode: ExecMode,
-    backend: AccumulatorKind,
-) -> EventDrivenOutcome {
     run_event_driven_schema(
         params,
         population,
         seed,
         mode,
-        backend,
+        AccumulatorKind::from_env(),
         SeedSchema::from_env(),
     )
 }
 
-/// [`run_event_driven_with_backend`] under an explicit client randomness
-/// schema (instead of `RTF_SEED_SCHEMA`). Under [`SeedSchema::V2Fast`]
+/// [`run_event_driven_with`] on an explicit accumulator layout and under
+/// an explicit client randomness schema. Under [`SeedSchema::V2Fast`]
 /// the batched pipeline emits whole span words straight from the
 /// counter-based generator into the packed report lanes — no per-report
 /// `Sign` materialisation — and stays value-for-value identical to the
@@ -395,15 +380,14 @@ fn run_sequential(
 }
 
 /// One worker's whole-horizon contribution: a mergeable accumulator per
-/// period (on the selected storage backend), plus the shard's share of
-/// the registration/wire accounting.
+/// period, plus the shard's share of the registration/wire accounting.
 struct ShardRun {
     /// `per_period[t-1]` holds the shard's report sums for period `t`.
     per_period: Vec<AnyAccumulator>,
     group_sizes: Vec<usize>,
     wire: WireStats,
     /// Heap bytes of this shard's per-period accumulators after the
-    /// horizon completed — the backend memory footprint.
+    /// horizon completed.
     acc_bytes: u64,
 }
 
@@ -451,8 +435,8 @@ fn run_batched(
                 // constant-order run by construction, so there is no
                 // batch to materialise and re-scan: the per-order totals
                 // are exactly what `ReportBatch::fold_into` would hand
-                // over (one `record_counts` per order, ascending), and
-                // all backends are exact, so the sums are identical.
+                // over (one `record_counts` per order, ascending), so the
+                // sums are identical.
                 group.emit_span(t);
                 let len = group.len() as u64;
                 let plus = group.signs.count_plus(0..group.len());
@@ -490,7 +474,7 @@ fn run_batched(
         for shard in &shards {
             server
                 .absorb_shard(&shard.per_period[(t - 1) as usize])
-                .expect("shard accumulators share the server's backend and shape");
+                .expect("shard accumulators share the server's shape");
         }
         estimates.push(server.end_of_period(t));
     }
@@ -586,57 +570,6 @@ mod tests {
         assert_eq!(v1.group_sizes, seq.group_sizes);
         assert_eq!(v1.wire, seq.wire);
         assert_ne!(v1.estimates, seq.estimates, "schemas are distinct streams");
-    }
-
-    #[test]
-    fn backends_agree_on_the_event_driven_engine() {
-        // The storage-engine claim at unit scale: every backend × mode
-        // combination reproduces the dense sequential estimates exactly.
-        let (params, pop) = setup(150, 32, 3, 45);
-        let baseline = run_event_driven_with_backend(
-            &params,
-            &pop,
-            33,
-            ExecMode::Sequential,
-            AccumulatorKind::Dense,
-        );
-        for kind in AccumulatorKind::ALL {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
-                let out = run_event_driven_with_backend(&params, &pop, 33, mode, kind);
-                assert_eq!(out.estimates, baseline.estimates, "{kind} {mode}");
-                assert_eq!(out.group_sizes, baseline.group_sizes, "{kind} {mode}");
-                assert_eq!(out.wire, baseline.wire, "{kind} {mode}");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_backend_is_smaller_at_large_log_d() {
-        // The memory story behind the sparse backend: per-period shard
-        // accumulators touch ~2 orders on average, while dense always
-        // carries 1 + log d lanes.
-        let (params, pop) = setup(60, 64, 3, 46);
-        let dense = run_event_driven_with_backend(
-            &params,
-            &pop,
-            9,
-            ExecMode::Parallel(1),
-            AccumulatorKind::Dense,
-        );
-        let sparse = run_event_driven_with_backend(
-            &params,
-            &pop,
-            9,
-            ExecMode::Parallel(1),
-            AccumulatorKind::Sparse,
-        );
-        assert_eq!(sparse.estimates, dense.estimates);
-        assert!(
-            sparse.acc_bytes < dense.acc_bytes,
-            "sparse {} bytes vs dense {} bytes",
-            sparse.acc_bytes,
-            dense.acc_bytes
-        );
     }
 
     #[test]

@@ -32,9 +32,8 @@ use rtf_runtime::ReportBatch;
 use rtf_streams::population::Population;
 
 /// Runs the honest schedule through the streaming ingestion service with
-/// `workers` ingestion workers, on the `RTF_BACKEND`-selected
-/// accumulator backend and the `RTF_MAILBOX_CAP`-selected mailbox
-/// capacity. Value-for-value identical to
+/// `workers` ingestion workers and the `RTF_MAILBOX_CAP`-selected
+/// mailbox capacity. Value-for-value identical to
 /// [`run_event_driven`](crate::engine::run_event_driven) in every mode.
 pub fn run_event_driven_live(
     params: &ProtocolParams,
@@ -42,19 +41,12 @@ pub fn run_event_driven_live(
     seed: u64,
     workers: usize,
 ) -> EventDrivenOutcome {
-    run_event_driven_live_with(
-        params,
-        population,
-        seed,
-        &LiveConfig::new(workers),
-        AccumulatorKind::from_env(),
-    )
-    .0
+    run_event_driven_live_with(params, population, seed, &LiveConfig::new(workers)).0
 }
 
 /// [`run_event_driven_live`] under an explicit [`LiveConfig`] (mailbox
 /// capacity, chunk size, injected worker kills and whole-service
-/// restarts) and storage backend. Also returns the service's
+/// restarts). Also returns the service's
 /// [`IngestStats`] — periods, batches, recoveries, restarts, replays,
 /// flushed accumulator bytes.
 ///
@@ -67,16 +59,8 @@ pub fn run_event_driven_live_with(
     population: &Population,
     seed: u64,
     config: &LiveConfig,
-    backend: AccumulatorKind,
 ) -> (EventDrivenOutcome, IngestStats) {
-    run_event_driven_live_schema(
-        params,
-        population,
-        seed,
-        config,
-        backend,
-        SeedSchema::from_env(),
-    )
+    run_event_driven_live_schema(params, population, seed, config, SeedSchema::from_env())
 }
 
 /// [`run_event_driven_live_with`] under an explicit client randomness
@@ -89,7 +73,6 @@ pub fn run_event_driven_live_schema(
     population: &Population,
     seed: u64,
     config: &LiveConfig,
-    backend: AccumulatorKind,
     schema: SeedSchema,
 ) -> (EventDrivenOutcome, IngestStats) {
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
@@ -104,7 +87,7 @@ pub fn run_event_driven_live_schema(
     let chunk = config.chunk_rows.max(1);
     let shards = partition(params.n(), workers);
 
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, AccumulatorKind::from_env(), schema);
     let mut wire = WireStats::default();
 
     // Per worker shard, clients grouped by order (the one shared
@@ -171,7 +154,7 @@ pub fn run_event_driven_live_schema(
         service = config.apply_pre_close(service, t);
         let close = service
             .close_period(t)
-            .expect("service shards share the server's backend and shape");
+            .expect("service shards share the server's shape");
         estimates.push(close.estimate);
         service = config.apply_post_close(service, t);
     }
@@ -222,8 +205,7 @@ mod tests {
             let cfg = LiveConfig::new(3)
                 .with_mailbox_cap(cap)
                 .with_chunk_rows(chunk);
-            let (live, stats) =
-                run_event_driven_live_with(&params, &pop, 5, &cfg, AccumulatorKind::Dense);
+            let (live, stats) = run_event_driven_live_with(&params, &pop, 5, &cfg);
             assert_eq!(live.estimates, seq.estimates, "cap {cap}, chunk {chunk}");
             assert_eq!(live.wire, seq.wire, "cap {cap}, chunk {chunk}");
             assert_eq!(stats.periods, 16);
@@ -240,8 +222,7 @@ mod tests {
                 .with_mailbox_cap(2)
                 .with_chunk_rows(5)
                 .with_kill(workers.saturating_sub(1), 16);
-            let (live, stats) =
-                run_event_driven_live_with(&params, &pop, 23, &cfg, AccumulatorKind::Dense);
+            let (live, stats) = run_event_driven_live_with(&params, &pop, 23, &cfg);
             assert_eq!(live.estimates, seq.estimates, "{workers} workers");
             assert_eq!(live.wire, seq.wire, "{workers} workers");
             assert_eq!(stats.recoveries, 1, "{workers} workers");
@@ -263,8 +244,7 @@ mod tests {
                 .with_restart(16)
                 .with_kill(workers + 1, 20)
                 .with_restart_after(24);
-            let (live, stats) =
-                run_event_driven_live_with(&params, &pop, 29, &cfg, AccumulatorKind::Dense);
+            let (live, stats) = run_event_driven_live_with(&params, &pop, 29, &cfg);
             assert_eq!(live.estimates, seq.estimates, "{workers} workers");
             assert_eq!(live.wire, seq.wire, "{workers} workers");
             assert_eq!(stats.restarts, 2, "{workers} workers: both restarts fired");
@@ -301,7 +281,6 @@ mod tests {
                 &pop,
                 37,
                 &cfg,
-                AccumulatorKind::Dense,
                 rtf_runtime::SeedSchema::V2Fast,
             );
             assert_eq!(live.estimates, seq.estimates, "{workers} workers");
@@ -315,21 +294,8 @@ mod tests {
     fn off_horizon_fault_config_is_rejected() {
         let (params, pop) = setup(60, 8, 2, 95);
         let cfg = LiveConfig::new(2).with_restart(9);
-        let caught = std::panic::catch_unwind(|| {
-            run_event_driven_live_with(&params, &pop, 1, &cfg, AccumulatorKind::Dense)
-        });
+        let caught =
+            std::panic::catch_unwind(|| run_event_driven_live_with(&params, &pop, 1, &cfg));
         assert!(caught.is_err(), "a fault that can never fire must panic");
-    }
-
-    #[test]
-    fn every_backend_agrees_live() {
-        let (params, pop) = setup(90, 16, 2, 93);
-        let seq = run_event_driven_with(&params, &pop, 31, ExecMode::Sequential);
-        for backend in AccumulatorKind::ALL {
-            let cfg = LiveConfig::new(2).with_chunk_rows(9);
-            let (live, _) = run_event_driven_live_with(&params, &pop, 31, &cfg, backend);
-            assert_eq!(live.estimates, seq.estimates, "{backend}");
-            assert_eq!(live.wire, seq.wire, "{backend}");
-        }
     }
 }

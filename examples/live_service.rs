@@ -19,13 +19,13 @@
 //!
 //! ```text
 //! cargo run --release --example live_service
-//! # knobs: RTF_WORKERS=8 RTF_MAILBOX_CAP=4 RTF_BACKEND=sparse ...
+//! # knobs: RTF_WORKERS=8 RTF_MAILBOX_CAP=4 ...
 //! ```
 
 use randomize_future::prelude::*;
 use randomize_future::runtime::ingest::LiveConfig;
 use randomize_future::scenarios::oracle::{assert_within_band, tolerance_band};
-use randomize_future::sim::engine::run_event_driven_with_backend;
+use randomize_future::sim::engine::run_event_driven_with;
 use randomize_future::sim::live::run_event_driven_live_with;
 use std::time::Instant;
 
@@ -35,14 +35,13 @@ fn main() {
     let k = 4usize;
     let params = ProtocolParams::new(n, d, k, 1.0, 0.05).expect("valid parameters");
     let workers = ExecMode::from_env_or_parallel().workers();
-    let backend = AccumulatorKind::from_env();
     let kill_at = d / 2;
     // LiveConfig::new already reads RTF_MAILBOX_CAP for the mailboxes.
     let config = LiveConfig::new(workers).with_kill(workers - 1, kill_at);
 
     println!(
         "live service: n={n}, d={d}, k={k}, eps=1.0, workers={workers}, \
-         mailbox cap {} x {} rows/batch, backend {backend}",
+         mailbox cap {} x {} rows/batch",
         config.mailbox_cap, config.chunk_rows
     );
     let t0 = Instant::now();
@@ -54,7 +53,7 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let (live, stats) = run_event_driven_live_with(&params, &population, 4242, &config, backend);
+    let (live, stats) = run_event_driven_live_with(&params, &population, 4242, &config);
     let elapsed = t1.elapsed().as_secs_f64();
     let reports = live.wire.payload_bits;
     println!(
@@ -74,13 +73,7 @@ fn main() {
 
     // Proof 1: the streamed run is the batched run, value for value —
     // crash and recovery included.
-    let offline = run_event_driven_with_backend(
-        &params,
-        &population,
-        4242,
-        ExecMode::Parallel(workers),
-        backend,
-    );
+    let offline = run_event_driven_with(&params, &population, 4242, ExecMode::Parallel(workers));
     assert_eq!(
         live.estimates, offline.estimates,
         "streaming must be bit-identical to the offline pipeline"

@@ -14,15 +14,12 @@
 //!   direct path to a `.toml` spec. Repeatable.
 //! * `--all` — run every committed workload in the directory.
 //! * `--engine seq|batched|live|all` — which engine(s) to run (default
-//!   `all`: the full differential oracle, sequential ≡ batched ≡ live
-//!   on all four backends, plus the expectation with the live ledger).
-//! * `--backend dense|fixed|sparse|soa` — accumulator backend for the
-//!   single-engine modes (default dense).
+//!   `all`: the full differential oracle, sequential ≡ batched ≡ live,
+//!   plus the expectation with the live ledger).
 //! * `--workers <w>` — worker count for batched/live (default 3).
 //! * `--schema v1|v2` — client seed schema (default v1).
 //! * `--list` — list the workload directory and exit.
 
-use randomize_future::core::accumulator::AccumulatorKind;
 use randomize_future::primitives::fastseed::SeedSchema;
 use randomize_future::runtime::ExecMode;
 use randomize_future::scenarios::dsl::{
@@ -45,7 +42,6 @@ struct Args {
     specs: Vec<String>,
     all: bool,
     engine: Engine,
-    backend: AccumulatorKind,
     workers: usize,
     schema: SeedSchema,
     list: bool,
@@ -56,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         specs: Vec::new(),
         all: false,
         engine: Engine::All,
-        backend: AccumulatorKind::Dense,
         workers: 3,
         schema: SeedSchema::V1Std,
         list: false,
@@ -75,15 +70,6 @@ fn parse_args() -> Result<Args, String> {
                     "live" => Engine::Live,
                     "all" => Engine::All,
                     other => return Err(format!("unknown engine `{other}`")),
-                }
-            }
-            "--backend" => {
-                args.backend = match value("--backend")?.as_str() {
-                    "dense" => AccumulatorKind::Dense,
-                    "fixed" => AccumulatorKind::Fixed,
-                    "sparse" => AccumulatorKind::Sparse,
-                    "soa" => AccumulatorKind::Soa,
-                    other => return Err(format!("unknown backend `{other}`")),
                 }
             }
             "--workers" => {
@@ -123,7 +109,6 @@ fn run_one(spec: &ScenarioSpec, args: &Args) -> ExpectationReport {
                 compiled.seed,
                 &compiled.timeline,
                 mode,
-                args.backend,
                 args.schema,
             );
             check_expectation(&compiled, &population, &outcome, args.schema, None)
@@ -141,7 +126,6 @@ fn run_one(spec: &ScenarioSpec, args: &Args) -> ExpectationReport {
                 compiled.seed,
                 &compiled.timeline,
                 &config,
-                args.backend,
                 args.schema,
             );
             check_expectation(

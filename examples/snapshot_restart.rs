@@ -18,14 +18,14 @@
 //!
 //! ```text
 //! cargo run --release --example snapshot_restart
-//! # knobs: RTF_WORKERS=8 RTF_BACKEND=sparse RTF_SNAPSHOT_DIR=/tmp/rtf ...
+//! # knobs: RTF_WORKERS=8 RTF_SNAPSHOT_DIR=/tmp/rtf ...
 //! ```
 
 use randomize_future::core::server::Server;
 use randomize_future::prelude::*;
 use randomize_future::runtime::ingest::{IngestService, LiveConfig};
 use randomize_future::runtime::ReportBatch;
-use randomize_future::sim::engine::run_event_driven_with_backend;
+use randomize_future::sim::engine::run_event_driven_with;
 use randomize_future::sim::live::run_event_driven_live_with;
 use rtf_primitives::sign::Sign;
 use std::time::Instant;
@@ -36,7 +36,6 @@ fn main() {
     let k = 3usize;
     let params = ProtocolParams::new(n, d, k, 1.0, 0.05).expect("valid parameters");
     let workers = ExecMode::from_env_or_parallel().workers();
-    let backend = AccumulatorKind::from_env();
     let restart_at = d / 2;
     let later = d * 3 / 4;
     let config = LiveConfig::new(workers)
@@ -45,7 +44,7 @@ fn main() {
         .with_restart_after(later);
 
     println!(
-        "snapshot/restart: n={n}, d={d}, k={k}, workers={workers}, backend {backend} — \
+        "snapshot/restart: n={n}, d={d}, k={k}, workers={workers} — \
          service restarted mid-period t={restart_at} (plus a worker kill), \
          clean restart after t={later}"
     );
@@ -60,7 +59,7 @@ fn main() {
     // Proof 1: the twice-restarted, once-killed streaming run is the
     // offline batched run, value for value.
     let t1 = Instant::now();
-    let (live, stats) = run_event_driven_live_with(&params, &population, 7171, &config, backend);
+    let (live, stats) = run_event_driven_live_with(&params, &population, 7171, &config);
     println!(
         "  horizon served across 2 process generations in {:.2}s — {} restarts, \
          {} worker recovery, {} journalled batches replayed",
@@ -69,13 +68,7 @@ fn main() {
         stats.recoveries,
         stats.replayed_batches,
     );
-    let offline = run_event_driven_with_backend(
-        &params,
-        &population,
-        7171,
-        ExecMode::Parallel(workers),
-        backend,
-    );
+    let offline = run_event_driven_with(&params, &population, 7171, ExecMode::Parallel(workers));
     assert_eq!(
         live.estimates, offline.estimates,
         "restarted streaming must be bit-identical to the offline pipeline"
@@ -90,7 +83,7 @@ fn main() {
     // end of the horizon.
     let users = 64u32;
     let small = ProtocolParams::new(users as usize + 1, 8, 1, 1.0, 0.05).unwrap();
-    let mut server = Server::for_future_rand_with(small, backend);
+    let mut server = Server::for_future_rand(small);
     for _ in 0..users {
         server.register_user(0);
     }

@@ -3,15 +3,12 @@
 
 use proptest::prelude::*;
 use randomize_future::analysis::metrics::{l1_error, l2_error, linf_error};
-use randomize_future::core::accumulator::AccumulatorKind;
 use randomize_future::core::params::ProtocolParams;
 use randomize_future::primitives::seeding::SeedSequence;
 use randomize_future::runtime::ExecMode;
-use randomize_future::scenarios::{run_scenario_with, run_scenario_with_backend, Scenario};
+use randomize_future::scenarios::{run_scenario_with, Scenario};
 use randomize_future::sim::aggregate::run_future_rand_aggregate;
-use randomize_future::sim::engine::{
-    run_event_driven, run_event_driven_with, run_event_driven_with_backend,
-};
+use randomize_future::sim::engine::{run_event_driven, run_event_driven_with};
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
 
@@ -96,58 +93,6 @@ proptest! {
             prop_assert_eq!(&sc.delivery, &sc_seq.delivery, "faulty, {} workers", w);
             prop_assert_eq!(sc.wire, sc_seq.wire, "faulty, {} workers", w);
             prop_assert_eq!(&sc.faults, &sc_seq.faults, "faulty, {} workers", w);
-        }
-    }
-
-    /// Accumulator backends are interchangeable on arbitrary instances:
-    /// for random `(n, d, k, ε)` grids and every worker count in
-    /// {1, 2, 8}, the fixed-point, sparse, and SoA storage engines
-    /// reproduce the dense engine's estimates, group sizes, wire stats,
-    /// and (under faults) delivery log exactly — the same strategy as
-    /// the worker-invariance property, with the backend as the axis.
-    #[test]
-    fn accumulator_backends_are_interchangeable(
-        n in 20usize..150,
-        log_d in 2u32..6,
-        k_raw in 1usize..5,
-        eps in 0.25f64..=1.0,
-        seed in 0u64..500,
-    ) {
-        let d = 1u64 << log_d;
-        let k = k_raw.min(d as usize);
-        let params = ProtocolParams::new(n, d, k, eps, 0.05).unwrap();
-        let mut rng = SeedSequence::new(seed).rng();
-        let pop = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
-
-        let ev_ref = run_event_driven_with_backend(
-            &params, &pop, seed, ExecMode::Sequential, AccumulatorKind::Dense);
-        let storm = Scenario::honest()
-            .with_dropout(0.05)
-            .with_stragglers(0.1, 2)
-            .with_duplicates(0.05)
-            .with_byzantine(0.1);
-        let sc_ref = run_scenario_with_backend(
-            &params, &pop, seed, &storm, ExecMode::Sequential, AccumulatorKind::Dense);
-        for backend in AccumulatorKind::ALL {
-            for w in [1usize, 2, 8] {
-                let ev = run_event_driven_with_backend(
-                    &params, &pop, seed, ExecMode::Parallel(w), backend);
-                prop_assert_eq!(&ev.estimates, &ev_ref.estimates,
-                    "honest, {} backend, {} workers", backend, w);
-                prop_assert_eq!(&ev.group_sizes, &ev_ref.group_sizes,
-                    "honest, {} backend, {} workers", backend, w);
-                prop_assert_eq!(ev.wire, ev_ref.wire,
-                    "honest, {} backend, {} workers", backend, w);
-
-                let sc = run_scenario_with_backend(
-                    &params, &pop, seed, &storm, ExecMode::Parallel(w), backend);
-                prop_assert_eq!(&sc.estimates, &sc_ref.estimates,
-                    "faulty, {} backend, {} workers", backend, w);
-                prop_assert_eq!(&sc.delivery, &sc_ref.delivery,
-                    "faulty, {} backend, {} workers", backend, w);
-                prop_assert_eq!(&sc.faults, &sc_ref.faults,
-                    "faulty, {} backend, {} workers", backend, w);
-            }
         }
     }
 
