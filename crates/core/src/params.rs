@@ -2,13 +2,25 @@
 
 use rtf_dyadic::interval::Horizon;
 
+/// The most users a protocol can address: wire ids are `u32`, so ids
+/// `0..n` need `n ≤ 2^32`.
+pub const MAX_USERS: u64 = 1 << 32;
+
+/// The longest horizon a protocol can address: wire periods are `u32`, and
+/// `2^31` is the largest power of two whose periods `1..=d` all fit.
+pub const MAX_HORIZON: u64 = 1 << 31;
+
 /// Why a parameter set was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamsError {
     /// `n` must be at least 1.
     NoUsers,
+    /// `n` must not exceed [`MAX_USERS`].
+    TooManyUsers(usize),
     /// `d` must be a power of two, at least 1.
     BadHorizon(u64),
+    /// `d` must not exceed [`MAX_HORIZON`].
+    HorizonTooLong(u64),
     /// `k` must satisfy `1 ≤ k ≤ d`.
     BadChangeBound {
         /// The offending `k`.
@@ -26,8 +38,14 @@ impl std::fmt::Display for ParamsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParamsError::NoUsers => write!(f, "protocol needs at least one user"),
+            ParamsError::TooManyUsers(n) => {
+                write!(f, "n = {n} users exceed the u32 wire-id space (n ≤ 2^32)")
+            }
             ParamsError::BadHorizon(d) => {
                 write!(f, "horizon d = {d} must be a power of two ≥ 1")
+            }
+            ParamsError::HorizonTooLong(d) => {
+                write!(f, "horizon d = {d} exceeds the u32 wire periods (d ≤ 2^31)")
             }
             ParamsError::BadChangeBound { k, d } => {
                 write!(f, "change bound k = {k} must satisfy 1 ≤ k ≤ d = {d}")
@@ -62,13 +80,21 @@ impl ProtocolParams {
         ProtocolParamsBuilder::default()
     }
 
-    /// Validates and constructs a parameter set.
+    /// Validates and constructs a parameter set. User ids and periods
+    /// travel as `u32` on the wire, so `n ≤ 2^32` ([`MAX_USERS`]) and
+    /// `d ≤ 2^31` ([`MAX_HORIZON`]).
     pub fn new(n: usize, d: u64, k: usize, epsilon: f64, beta: f64) -> Result<Self, ParamsError> {
         if n == 0 {
             return Err(ParamsError::NoUsers);
         }
+        if n as u64 > MAX_USERS {
+            return Err(ParamsError::TooManyUsers(n));
+        }
         if d == 0 || !d.is_power_of_two() {
             return Err(ParamsError::BadHorizon(d));
+        }
+        if d > MAX_HORIZON {
+            return Err(ParamsError::HorizonTooLong(d));
         }
         if k == 0 || k as u64 > d {
             return Err(ParamsError::BadChangeBound { k, d });
@@ -290,6 +316,29 @@ mod tests {
             ProtocolParams::new(10, 256, 8, 1.0, 1.0).unwrap_err(),
             ParamsError::BadBeta(_)
         ));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn user_count_capped_at_the_u32_id_space() {
+        let max = MAX_USERS as usize;
+        assert!(ProtocolParams::new(max, 256, 8, 1.0, 0.05).is_ok());
+        assert_eq!(
+            ProtocolParams::new(max + 1, 256, 8, 1.0, 0.05).unwrap_err(),
+            ParamsError::TooManyUsers(max + 1)
+        );
+    }
+
+    #[test]
+    fn horizon_capped_at_the_u32_periods() {
+        let p = ProtocolParams::new(10, MAX_HORIZON, 8, 1.0, 0.05).unwrap();
+        assert_eq!(p.log_d(), 31);
+        assert_eq!(
+            ProtocolParams::new(10, 1 << 32, 8, 1.0, 0.05).unwrap_err(),
+            ParamsError::HorizonTooLong(1 << 32)
+        );
+        let msg = ParamsError::HorizonTooLong(1 << 32).to_string();
+        assert!(msg.contains("2^31"), "{msg}");
     }
 
     #[test]

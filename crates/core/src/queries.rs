@@ -130,7 +130,8 @@ impl EstimateStore {
     ///
     /// # Errors
     /// Typed [`SnapshotError`] on truncation or a `finalized_through`
-    /// beyond the horizon.
+    /// beyond the horizon. The `2d − 1` tree is allocated only once the
+    /// payload is known to hold all of it.
     pub fn read_state(
         params: &ProtocolParams,
         r: &mut SnapReader<'_>,
@@ -141,6 +142,7 @@ impl EstimateStore {
                 "estimate store finalized beyond the horizon",
             ));
         }
+        r.room_for(2 * params.d() - 1, 8)?;
         let hz = params.horizon();
         let mut tree = DyadicTree::new(hz);
         for h in 0..hz.num_orders() {

@@ -29,7 +29,6 @@ use rtf_dyadic::frontier::Frontier;
 use rtf_dyadic::interval::DyadicInterval;
 use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::sign::Sign;
-use std::collections::HashMap;
 
 /// The fate of one report submitted through the checked ingestion path
 /// ([`Server::ingest_checked`]).
@@ -90,12 +89,26 @@ impl PeriodDelivery {
     }
 }
 
-/// Per-user state of the checked ingestion path.
+/// One wire id's slot in the checked ingestion path's roster.
 #[derive(Debug, Clone, Copy)]
 struct RosterEntry {
+    /// The announced order, or `u32::MAX` for an id that never registered.
     order: u32,
-    /// Boundary of the most recently accepted report (0 = none yet).
-    last_accepted: u64,
+    /// Boundary of the most recently accepted report (0 = none yet). A
+    /// period fits `u32` because `ProtocolParams` caps `d` at `2^31`.
+    last_accepted: u32,
+}
+
+impl RosterEntry {
+    /// The slot of an id that never registered.
+    const VACANT: RosterEntry = RosterEntry {
+        order: u32::MAX,
+        last_accepted: 0,
+    };
+
+    fn is_registered(&self) -> bool {
+        self.order != u32::MAX
+    }
 }
 
 /// The streaming server of Algorithm 2.
@@ -114,9 +127,10 @@ pub struct Server {
     current_t: u64,
     /// Optional full-tree retention of every `Ŝ(I)` for window queries.
     store: Option<EstimateStore>,
-    /// Announced users, keyed by wire id — populated only by
-    /// [`register_client`](Self::register_client) (the checked path).
-    roster: HashMap<u32, RosterEntry>,
+    /// Announced users, indexed by wire id: empty until the first
+    /// successful [`register_client`](Self::register_client) (the checked
+    /// path), then one slot per id in `0..n`.
+    roster: Vec<RosterEntry>,
     /// Accounting for the period currently being filled.
     current_delivery: PeriodDelivery,
     /// One finalised accounting row per closed period (checked path only).
@@ -176,7 +190,7 @@ impl Server {
             estimates: Vec::with_capacity(params.d() as usize),
             current_t: 0,
             store: None,
-            roster: HashMap::new(),
+            roster: Vec::new(),
             current_delivery: PeriodDelivery::default(),
             delivery_log: Vec::new(),
             seed_schema,
@@ -307,32 +321,43 @@ impl Server {
     }
 
     /// Registers a user *by wire id* for the checked ingestion path.
+    /// Wire ids must be `< n`: the roster is a dense array indexed by id.
     ///
     /// Unlike [`register_user`](Self::register_user) this never panics on
     /// adversarial input: it returns `false` (and registers nothing) for a
-    /// duplicate id, an order beyond `log d`, or a registration after
-    /// period 1 — the graceful behaviours an untrusted deployment needs.
+    /// duplicate id, an id `≥ n`, an order beyond `log d`, or a
+    /// registration after period 1 — the graceful behaviours an untrusted
+    /// deployment needs.
+    ///
+    /// The first successful call allocates the roster, 8 bytes for each of
+    /// the `n` ids; the trusted paths never do.
     pub fn register_client(&mut self, user: u32, h: u32) -> bool {
-        if self.current_t != 0 || h > self.params.log_d() || self.roster.contains_key(&user) {
+        let n = self.params.n();
+        if self.current_t != 0 || h > self.params.log_d() || user as usize >= n {
             return false;
         }
-        self.roster.insert(
-            user,
-            RosterEntry {
-                order: h,
-                last_accepted: 0,
-            },
-        );
+        if self.roster.is_empty() {
+            self.roster = vec![RosterEntry::VACANT; n];
+        }
+        let slot = &mut self.roster[user as usize];
+        if slot.is_registered() {
+            return false;
+        }
+        *slot = RosterEntry {
+            order: h,
+            last_accepted: 0,
+        };
         self.group_sizes[h as usize] += 1;
         true
     }
 
     /// Ingests one report through the *checked* path: the sender must be
-    /// registered via [`register_client`](Self::register_client), `t` must
-    /// be the boundary of the sender's currently open interval, and each
-    /// `(user, period)` pair is counted at most once. Anything else is
-    /// classified and dropped — never a panic, whatever a Byzantine client
-    /// puts in a well-formed message.
+    /// registered via [`register_client`](Self::register_client) (so its
+    /// wire id is `< n`), `t` must be the boundary of the sender's
+    /// currently open interval, and each `(user, period)` pair is counted
+    /// at most once. Anything else is classified and dropped — never a
+    /// panic, whatever a Byzantine client puts in a well-formed message; an
+    /// id `≥ n` is an [`UnknownUser`](Delivery::UnknownUser).
     ///
     /// Per-period tallies are finalised by
     /// [`end_of_period`](Self::end_of_period) into
@@ -362,7 +387,11 @@ impl Server {
         bit: Sign,
         floor: u64,
     ) -> Delivery {
-        let Some(entry) = self.roster.get_mut(&user) else {
+        let Some(entry) = self
+            .roster
+            .get_mut(user as usize)
+            .filter(|e| e.is_registered())
+        else {
             self.current_delivery.unknown_user += 1;
             return Delivery::UnknownUser;
         };
@@ -372,7 +401,7 @@ impl Server {
             self.current_delivery.invalid_period += 1;
             return Delivery::InvalidPeriod;
         }
-        if t == entry.last_accepted.max(floor) {
+        if t == u64::from(entry.last_accepted).max(floor) {
             self.current_delivery.duplicate += 1;
             return Delivery::Duplicate;
         }
@@ -390,7 +419,8 @@ impl Server {
             self.current_delivery.premature += 1;
             return Delivery::Premature;
         }
-        entry.last_accepted = t;
+        // t ≤ d ≤ 2^31 (checked above), so the boundary fits the slot.
+        entry.last_accepted = t as u32;
         self.acc.record(h, bit);
         self.current_delivery.accepted += 1;
         Delivery::Accepted
@@ -577,8 +607,8 @@ impl Server {
 
     /// Serializes the complete server state — parameters, scales, group
     /// sizes, accumulator lanes, frontier, estimates, retained store,
-    /// roster (sorted by wire id so snapshots of equal state are
-    /// byte-identical), and delivery accounting — into `w`.
+    /// registered roster entries (in wire-id order, so snapshots of equal
+    /// state are byte-identical), and delivery accounting — into `w`.
     ///
     /// # Panics
     /// Panics if the writer's header schema differs from this server's —
@@ -623,16 +653,15 @@ impl Server {
                 store.write_state(w);
             }
         }
-        // HashMap iteration order is nondeterministic; sort by wire id so
-        // equal servers always serialize to equal bytes.
-        let mut users: Vec<u32> = self.roster.keys().copied().collect();
-        users.sort_unstable();
-        w.usize(users.len());
-        for user in users {
-            let entry = self.roster[&user];
-            w.u32(user);
-            w.u32(entry.order);
-            w.u64(entry.last_accepted);
+        w.usize(self.roster.iter().filter(|e| e.is_registered()).count());
+        // Slot order is wire-id order; the roster has n ≤ 2^32 slots, so
+        // every slot index fits a u32 id.
+        for (user, entry) in self.roster.iter().enumerate() {
+            if entry.is_registered() {
+                w.u32(user as u32);
+                w.u32(entry.order);
+                w.u64(u64::from(entry.last_accepted));
+            }
         }
         write_delivery(w, &self.current_delivery);
         w.usize(self.delivery_log.len());
@@ -644,12 +673,15 @@ impl Server {
     /// Rebuilds a server from bytes written by
     /// [`write_snapshot`](Self::write_snapshot). Every field is
     /// validated against the protocol invariants (parameter validity,
-    /// per-order shape, frontier indices on the horizon, roster orders
-    /// within `log d`, estimate count equal to the closed-period count).
+    /// per-order shape, frontier indices on the horizon, roster ids below
+    /// `n` with orders within `log d`, estimate count equal to the
+    /// closed-period count), and every allocation is bounded by the
+    /// remaining payload or reserved fallibly.
     ///
     /// # Errors
-    /// A typed [`SnapshotError`]; malformed bytes never panic and never
-    /// produce a structurally invalid server.
+    /// A typed [`SnapshotError`]; malformed bytes never panic, never abort
+    /// on a header-sized allocation, and never produce a structurally
+    /// invalid server.
     pub fn read_snapshot(r: &mut SnapReader<'_>) -> Result<Server, SnapshotError> {
         let n = r.usize()?;
         let d = r.u64()?;
@@ -689,7 +721,7 @@ impl Server {
         if current_t > d {
             return Err(SnapshotError::Corrupt("current period beyond the horizon"));
         }
-        let mut estimates = Vec::with_capacity(current_t as usize);
+        let mut estimates = Vec::with_capacity(r.room_for(current_t, 8)?);
         for _ in 0..current_t {
             estimates.push(r.f64()?);
         }
@@ -699,7 +731,13 @@ impl Server {
             None
         };
         let roster_len = r.len(16)?;
-        let mut roster = HashMap::with_capacity(roster_len);
+        let mut roster = Vec::new();
+        if roster_len > 0 {
+            roster
+                .try_reserve_exact(n)
+                .map_err(|_| SnapshotError::Corrupt("roster of n ids does not fit in memory"))?;
+            roster.resize(n, RosterEntry::VACANT);
+        }
         let mut prev_user: Option<u32> = None;
         for _ in 0..roster_len {
             let user = r.u32()?;
@@ -707,6 +745,9 @@ impl Server {
                 return Err(SnapshotError::Corrupt("roster not sorted by wire id"));
             }
             prev_user = Some(user);
+            if user as usize >= n {
+                return Err(SnapshotError::Corrupt("roster id not below n"));
+            }
             let order = r.u32()?;
             if order > params.log_d() {
                 return Err(SnapshotError::Corrupt("roster order beyond log d"));
@@ -715,13 +756,11 @@ impl Server {
             if last_accepted > d {
                 return Err(SnapshotError::Corrupt("roster acceptance beyond horizon"));
             }
-            roster.insert(
-                user,
-                RosterEntry {
-                    order,
-                    last_accepted,
-                },
-            );
+            // last_accepted ≤ d ≤ 2^31, so it fits the slot.
+            roster[user as usize] = RosterEntry {
+                order,
+                last_accepted: last_accepted as u32,
+            };
         }
         let current_delivery = read_delivery(r)?;
         let log_len = r.len(64)?;
@@ -779,6 +818,7 @@ fn read_delivery(r: &mut SnapReader<'_>) -> Result<PeriodDelivery, SnapshotError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 
     fn params() -> ProtocolParams {
         ProtocolParams::new(100, 8, 2, 1.0, 0.05).unwrap()
@@ -1178,6 +1218,7 @@ mod tests {
             let _ = server.end_of_period(t);
         }
         assert!(server.delivery_log().is_empty());
+        assert_eq!(server.roster.capacity(), 0, "no roster allocated");
     }
 
     #[test]
@@ -1199,7 +1240,6 @@ mod tests {
     /// plus field-level equality of everything observable.
     #[test]
     fn server_snapshot_roundtrips_mid_horizon_on_every_backend() {
-        use crate::snapshot::{SnapReader, SnapWriter};
         let mut server = Server::for_future_rand(params());
         server.enable_store();
         for u in 0..12u32 {
@@ -1253,7 +1293,6 @@ mod tests {
 
     #[test]
     fn server_snapshot_rejects_inconsistent_fields() {
-        use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
         let server = Server::for_future_rand(params());
         // A wrong parameter quintuple (d not a power of two) is Corrupt.
         let mut w = SnapWriter::new();
@@ -1273,6 +1312,195 @@ mod tests {
         server.write_snapshot(&mut w);
         let bytes = w.finish();
         assert!(SnapReader::new(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    /// A checked-path server mid-period 4 with a gappy roster (ids
+    /// {3, 7, 8, 41} of n = 100, registered out of id order), exact
+    /// power-of-two gaps and an explicit schema, so its bytes depend on
+    /// nothing ambient.
+    fn gappy_checked_server() -> Server {
+        let mut server = Server::build(
+            params(),
+            &[0.5, 0.25, 0.125, 0.0625],
+            AccumulatorKind::Dense,
+            SeedSchema::V1Std,
+        );
+        for (user, h) in [(41, 1), (3, 0), (8, 2), (7, 0)] {
+            assert!(server.register_client(user, h));
+        }
+        for t in 1..=3u64 {
+            // On-time, off-stride, premature and unknown (id 5) reports,
+            // then a duplicate.
+            for user in [3u32, 7, 8, 41, 5] {
+                let bit = if (u64::from(user) + t) % 3 == 0 {
+                    Sign::Minus
+                } else {
+                    Sign::Plus
+                };
+                let _ = server.ingest_checked(user, t, bit);
+            }
+            let _ = server.ingest_checked(3, t, Sign::Plus);
+            let _ = server.end_of_period(t);
+        }
+        let _ = server.ingest_checked(3, 4, Sign::Minus);
+        let _ = server.ingest_checked(8, 4, Sign::Plus);
+        let _ = server.ingest_checked(7, 2, Sign::Plus);
+        server
+    }
+
+    /// The snapshot of [`gappy_checked_server`], generated before the
+    /// roster became a dense array: the wire format must not move with
+    /// the in-memory layout.
+    const GAPPY_ROSTER_SNAPSHOT: &str = concat!(
+        "525446534e415000020000000164000000000000000800000000000000020000",
+        "0000000000000000000000f03f9a9999999999a93f0000000000002040000000",
+        "0000003040000000000000404000000000000050400200000000000000010000",
+        "0000000000010000000000000000000000000000000004000000000000000000",
+        "00000000f0bf0000000000000000000000000000f03f00000000000000000900",
+        "0000000000000103000000000000000000000000000000010100000000000000",
+        "0000000000003040000003000000000000000000000000003040000000000000",
+        "3040000000000000304000040000000000000003000000000000000400000000",
+        "0000000700000000000000030000000000000008000000020000000400000000",
+        "0000002900000001000000020000000000000000000000000000000000000000",
+        "0000000200000000000000000000000000000001000000000000000000000000",
+        "0000000000000000000000000000000000000003000000000000000100000000",
+        "0000000200000000000000020000000000000001000000000000000000000000",
+        "0000000100000000000000020000000000000000000000000000000200000000",
+        "0000000300000000000000030000000000000001000000000000000000000000",
+        "0000000100000000000000010000000000000000000000000000000300000000",
+        "0000000200000000000000020000000000000001000000000000000000000000",
+        "000000010000000000000002000000000000000000000000000000b075c5f007",
+        "bb066c",
+    );
+
+    fn snapshot_bytes(server: &Server) -> Vec<u8> {
+        let mut w = SnapWriter::for_schema(server.seed_schema());
+        server.write_snapshot(&mut w);
+        w.finish()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<Server, SnapshotError> {
+        let mut r = SnapReader::new(bytes)?;
+        let server = Server::read_snapshot(&mut r)?;
+        r.finish()?;
+        Ok(server)
+    }
+
+    /// `bytes` with the header's `n` rewritten and the checksum resealed.
+    fn with_n(bytes: &[u8], n: u64) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[13..21].copy_from_slice(&n.to_le_bytes());
+        let end = out.len() - 8;
+        let sum = crate::snapshot::fnv1a64(&out[..end]);
+        out[end..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn gappy_roster_snapshot_bytes_are_pinned() {
+        let bytes = snapshot_bytes(&gappy_checked_server());
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GAPPY_ROSTER_SNAPSHOT);
+        let back = restore(&bytes).unwrap();
+        assert_eq!(snapshot_bytes(&back), bytes, "re-snapshot differs");
+    }
+
+    #[test]
+    fn roster_is_dense_over_ids_below_n() {
+        let mut server = Server::new(params(), &[1.0; 4]);
+        // Trusted registration and refused checked ones allocate nothing.
+        server.register_user(0);
+        assert!(!server.register_client(100, 0), "id = n");
+        assert!(!server.register_client(u32::MAX, 0));
+        assert!(!server.register_client(3, 4), "order beyond log d");
+        assert_eq!(server.roster.capacity(), 0);
+        assert!(server.register_client(99, 1), "id = n − 1");
+        assert!(!server.register_client(99, 0), "repeat");
+        assert_eq!(server.roster.len(), 100);
+        assert_eq!(server.group_sizes(), &[1, 1, 0, 0]);
+        for user in [100, u32::MAX, 98] {
+            assert_eq!(
+                server.ingest_checked(user, 1, Sign::Plus),
+                Delivery::UnknownUser,
+                "id {user}"
+            );
+        }
+        assert_eq!(
+            server.ingest_checked(99, 2, Sign::Plus),
+            Delivery::Premature
+        );
+        let _ = server.end_of_period(1);
+        assert_eq!(server.ingest_checked(99, 2, Sign::Plus), Delivery::Accepted);
+        assert_eq!(server.delivery_log()[0].unknown_user, 3);
+    }
+
+    #[test]
+    fn roster_ids_at_or_above_n_are_corrupt() {
+        let bytes = snapshot_bytes(&gappy_checked_server());
+        // Id 41 is not below n = 41; n = 42 still holds every id.
+        assert_eq!(
+            restore(&with_n(&bytes, 41)).unwrap_err(),
+            SnapshotError::Corrupt("roster id not below n")
+        );
+        let back = restore(&with_n(&bytes, 42)).unwrap();
+        assert_eq!(back.roster.len(), 42);
+        // An n beyond the u32 id space is rejected with the parameters.
+        assert_eq!(
+            restore(&with_n(&bytes, crate::params::MAX_USERS + 1)).unwrap_err(),
+            SnapshotError::Corrupt("invalid protocol parameters")
+        );
+    }
+
+    /// Valid snapshot bytes through the period counter whose `current_t`
+    /// (and, with `store`, the store flag) promise more data than
+    /// follows. Sizing the `current_t` estimates or the `2d − 1` store
+    /// tree from these headers alone would abort the process.
+    fn crafted_header(d: u64, current_t: u64, store: bool) -> Vec<u8> {
+        let orders = d.trailing_zeros() as usize + 1;
+        let mut w = SnapWriter::for_schema(SeedSchema::V1Std);
+        w.usize(100);
+        w.u64(d);
+        w.usize(1);
+        w.f64(1.0);
+        w.f64(0.05);
+        for _ in 0..orders {
+            w.f64(1.0);
+        }
+        for _ in 0..orders {
+            w.usize(0);
+        }
+        AnyAccumulator::new(orders).write_state(&mut w);
+        for _ in 0..orders {
+            w.bool(false);
+        }
+        w.u64(current_t);
+        if store {
+            w.bool(true);
+            w.u64(0);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn crafted_headers_are_typed_errors_not_aborts() {
+        let cap = crate::params::MAX_HORIZON;
+        for (d, current_t, store) in [(1 << 40, 1 << 40, false), (1 << 40, 0, true)] {
+            assert_eq!(
+                restore(&crafted_header(d, current_t, store)).unwrap_err(),
+                SnapshotError::Corrupt("invalid protocol parameters"),
+                "d = 2^40"
+            );
+        }
+        // At the horizon cap the parameters are valid, so the payload
+        // guards are what refuse the 16 GiB estimate vector and the
+        // 32 GiB store tree.
+        for (current_t, store) in [(cap, false), (0, true)] {
+            assert_eq!(
+                restore(&crafted_header(cap, current_t, store)).unwrap_err(),
+                SnapshotError::Truncated,
+                "current_t = {current_t}, store = {store}"
+            );
+        }
     }
 
     #[test]

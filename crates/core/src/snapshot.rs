@@ -349,13 +349,23 @@ impl<'a> SnapReader<'a> {
     /// hand-crafted input.
     pub fn len(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
         let len = self.usize()?;
-        let remaining = self.buf.len() - self.pos;
-        if len.checked_mul(min_elem_bytes.max(1)).is_none()
-            || len * min_elem_bytes.max(1) > remaining
-        {
-            return Err(SnapshotError::Truncated);
+        self.room_for(len as u64, min_elem_bytes)
+    }
+
+    /// Checks that the remaining payload can hold `count` elements of at
+    /// least `min_elem_bytes` each and returns `count` — the same
+    /// allocation guard as [`len`](Self::len), for a count that is not a
+    /// length prefix (a period counter, a tree sized by the horizon).
+    ///
+    /// # Errors
+    /// [`SnapshotError::Truncated`] if the payload is too short.
+    pub fn room_for(&self, count: u64, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
+        let remaining = (self.buf.len() - self.pos) as u64;
+        match count.checked_mul(min_elem_bytes.max(1) as u64) {
+            // count ≤ remaining bytes ≤ usize::MAX, so the cast is lossless.
+            Some(bytes) if bytes <= remaining => Ok(count as usize),
+            _ => Err(SnapshotError::Truncated),
         }
-        Ok(len)
     }
 
     /// Asserts the payload was consumed exactly.
@@ -556,6 +566,21 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes).unwrap();
         assert_eq!(r.len(8).unwrap_err(), SnapshotError::Truncated);
+    }
+
+    #[test]
+    fn room_for_bounds_counts_by_the_remaining_payload() {
+        let mut w = SnapWriter::new();
+        w.u64(1);
+        w.u64(2);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(r.room_for(2, 8), Ok(2));
+        assert_eq!(r.room_for(3, 8), Err(SnapshotError::Truncated));
+        assert_eq!(r.room_for(u64::MAX, 8), Err(SnapshotError::Truncated));
+        r.u64().unwrap();
+        assert_eq!(r.room_for(2, 8), Err(SnapshotError::Truncated));
+        assert_eq!(r.room_for(1, 8), Ok(1));
     }
 
     #[test]

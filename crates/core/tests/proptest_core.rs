@@ -1,4 +1,5 @@
-//! Property-based tests for the core randomizer mathematics.
+//! Property-based tests for the core randomizer mathematics and the
+//! server's checked ingestion ladder.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -8,7 +9,10 @@ use rtf_core::composed::ComposedRandomizer;
 use rtf_core::gap::WeightClassLaw;
 use rtf_core::params::ProtocolParams;
 use rtf_core::randomizer::{FutureRand, IndependentRand, LocalRandomizer};
+use rtf_core::server::{Delivery, PeriodDelivery, Server};
+use rtf_core::snapshot::{SnapReader, SnapWriter};
 use rtf_primitives::sign::{Sign, Ternary};
+use std::collections::BTreeMap;
 
 proptest! {
     /// The annulus always satisfies 0 ≤ LB ≤ UB < k, and inside/outside
@@ -282,5 +286,181 @@ proptest! {
                 "lane {} RNG diverged", i
             );
         }
+    }
+}
+
+/// The checked ingestion ladder restated over a `BTreeMap` roster: the
+/// reference the server's dense wire-id roster must match verdict for
+/// verdict.
+struct LadderModel {
+    n: u64,
+    d: u64,
+    log_d: u32,
+    /// Wire id → (announced order, last accepted boundary).
+    roster: BTreeMap<u32, (u32, u64)>,
+    group_sizes: Vec<u64>,
+    current_t: u64,
+    tally: PeriodDelivery,
+    log: Vec<PeriodDelivery>,
+    reports: u64,
+}
+
+impl LadderModel {
+    fn new(params: &ProtocolParams) -> Self {
+        LadderModel {
+            n: params.n() as u64,
+            d: params.d(),
+            log_d: params.log_d(),
+            roster: BTreeMap::new(),
+            group_sizes: vec![0; params.num_orders() as usize],
+            current_t: 0,
+            tally: PeriodDelivery::default(),
+            log: Vec::new(),
+            reports: 0,
+        }
+    }
+
+    fn register(&mut self, user: u32, h: u32) -> bool {
+        if self.current_t != 0
+            || h > self.log_d
+            || u64::from(user) >= self.n
+            || self.roster.contains_key(&user)
+        {
+            return false;
+        }
+        self.roster.insert(user, (h, 0));
+        self.group_sizes[h as usize] += 1;
+        true
+    }
+
+    fn ingest(&mut self, user: u32, t: u64, floor: u64) -> Delivery {
+        let verdict = match self.roster.get(&user) {
+            None => Delivery::UnknownUser,
+            Some(&(h, _)) if t == 0 || t > self.d || t % (1u64 << h) != 0 => {
+                Delivery::InvalidPeriod
+            }
+            Some(&(_, last)) if t == last.max(floor) => Delivery::Duplicate,
+            Some(_) if t <= self.current_t => Delivery::Late,
+            Some(_) if t != self.current_t + 1 => Delivery::Premature,
+            Some(_) => Delivery::Accepted,
+        };
+        let row = &mut self.tally;
+        match verdict {
+            Delivery::Accepted => {
+                self.roster.get_mut(&user).expect("registered").1 = t;
+                self.reports += 1;
+                row.accepted += 1;
+            }
+            Delivery::Duplicate => row.duplicate += 1,
+            Delivery::Late => row.late += 1,
+            Delivery::UnknownUser => row.unknown_user += 1,
+            Delivery::InvalidPeriod => row.invalid_period += 1,
+            Delivery::Premature => row.premature += 1,
+        }
+        verdict
+    }
+
+    fn close(&mut self) {
+        let t = self.current_t + 1;
+        if !self.roster.is_empty() {
+            let mut row = std::mem::take(&mut self.tally);
+            row.t = t;
+            row.due = (0..=t.trailing_zeros().min(self.log_d))
+                .map(|h| self.group_sizes[h as usize])
+                .sum();
+            self.log.push(row);
+        }
+        self.current_t = t;
+    }
+}
+
+fn snapshot_bytes(server: &Server) -> Vec<u8> {
+    let mut w = SnapWriter::for_schema(server.seed_schema());
+    server.write_snapshot(&mut w);
+    w.finish()
+}
+
+proptest! {
+    /// The server's checked ladder against [`LadderModel`] over random
+    /// registrations (gappy ids, repeats, ids ≥ n, orders above log d,
+    /// registrations after period 1) and random frames (unknown,
+    /// off-stride, duplicate, late, premature and on-time, with random
+    /// floors): equal verdicts, delivery rows and report counts, and every
+    /// snapshot → restore → re-snapshot byte-identical, with the restored
+    /// server carrying on.
+    #[test]
+    fn checked_ladder_matches_btreemap_model(
+        n in 1usize..64,
+        log_d in 0u32..5,
+        regs in prop::collection::vec((0u32..80, 0u32..7), 0..60),
+        ops in prop::collection::vec((0u8..20, 0u32..80, 0u8..8, 0u64..1_000), 0..300),
+    ) {
+        let params = ProtocolParams::new(n, 1 << log_d, 1, 1.0, 0.05).unwrap();
+        let mut server = Server::new(params, &vec![1.0; params.num_orders() as usize]);
+        let mut model = LadderModel::new(&params);
+        for &(user, h) in &regs {
+            prop_assert_eq!(server.register_client(user, h), model.register(user, h));
+        }
+        for &(kind, raw_user, t_kind, raw) in &ops {
+            let now = model.current_t;
+            match kind {
+                0..=16 => {
+                    // Three frames in four come from a registered sender.
+                    let known = model.roster.len();
+                    let user = if raw_user % 4 == 0 || known == 0 {
+                        raw_user
+                    } else {
+                        *model.roster.keys().nth(raw_user as usize % known).unwrap()
+                    };
+                    let (order, last) = model.roster.get(&user).copied().unwrap_or((0, 0));
+                    let stride = 1u64 << order;
+                    let t = match t_kind {
+                        0 | 1 => now + 1,
+                        2 => now,
+                        3 => now + 2,
+                        4 => raw % (model.d + 3),
+                        5 => last,
+                        _ => (now / stride + 1) * stride,
+                    };
+                    let floor = if raw % 3 == 0 { 0 } else { raw % (now + 2) };
+                    let bit = if raw % 2 == 0 { Sign::Plus } else { Sign::Minus };
+                    prop_assert_eq!(
+                        server.ingest_checked_with_floor(user, t, bit, floor),
+                        model.ingest(user, t, floor),
+                        "user {} t {} floor {} at period {}", user, t, floor, now + 1
+                    );
+                }
+                17 => {
+                    let h = (raw % 7) as u32;
+                    prop_assert_eq!(
+                        server.register_client(raw_user, h),
+                        model.register(raw_user, h)
+                    );
+                }
+                18 if now < model.d => {
+                    let _ = server.end_of_period(now + 1);
+                    model.close();
+                    prop_assert_eq!(server.delivery_log(), &model.log[..]);
+                }
+                19 => {
+                    let bytes = snapshot_bytes(&server);
+                    let mut r = SnapReader::new(&bytes).unwrap();
+                    let back = Server::read_snapshot(&mut r).unwrap();
+                    r.finish().unwrap();
+                    prop_assert_eq!(snapshot_bytes(&back), bytes, "re-snapshot differs");
+                    server = back;
+                }
+                _ => {}
+            }
+            prop_assert_eq!(server.reports_ingested(), model.reports);
+        }
+        while model.current_t < model.d {
+            let _ = server.end_of_period(model.current_t + 1);
+            model.close();
+        }
+        prop_assert_eq!(server.delivery_log(), &model.log[..]);
+        prop_assert_eq!(server.reports_ingested(), model.reports);
+        let sizes: Vec<u64> = server.group_sizes().iter().map(|&g| g as u64).collect();
+        prop_assert_eq!(sizes, model.group_sizes);
     }
 }
