@@ -15,14 +15,6 @@
 //! engine's sequential baseline before its timing is accepted — a
 //! throughput number for a wrong answer is worthless.
 //!
-//! Both engines are measured under **both seed schemas** (`v1` the
-//! frozen per-report `StdRng` baseline, `v2` the counter-based fast
-//! seeds — see README's seed schema versioning policy); each schema
-//! differences against its own sequential baseline, and every JSON row
-//! carries a `seed_schema` field so the perf gate keys them apart. The
-//! scenario engine rides the same span-native fast path as the event
-//! engine now, so the v2 schema matters there too.
-//!
 //! Every scenario row — sequential included — decomposes into per-stage
 //! wall clock (`stage_emit_s` / `stage_merge_s` / `stage_ingest_s`, via
 //! `run_scenario_sequential_timed` / `run_scenario_batched_timed`;
@@ -71,18 +63,14 @@ use rtf_scenarios::config::Scenario;
 use rtf_scenarios::engine::{
     run_scenario_batched_timed, run_scenario_sequential_timed, ScenarioStageTimings,
 };
-use rtf_sim::engine::run_event_driven_schema;
-use rtf_sim::live::run_event_driven_live_schema;
+use rtf_sim::engine::run_event_driven_with;
+use rtf_sim::live::run_event_driven_live_with;
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 use std::time::Instant;
 
 /// Worker counts the parallel pipeline is measured at.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The seed schemas the event engine is measured under: the v1 per-report
-/// `StdRng` baseline and the v2 counter-based fast path.
-const SCHEMAS: [SeedSchema; 2] = [SeedSchema::V1Std, SeedSchema::V2Fast];
 
 struct Measurement {
     engine: &'static str,
@@ -92,8 +80,6 @@ struct Measurement {
     mode: &'static str,
     /// Worker count (0 for the sequential reference).
     workers: usize,
-    /// Seed schema label: `v1` or `v2`.
-    seed_schema: SeedSchema,
     elapsed_s: f64,
     reports: u64,
     reports_per_s: f64,
@@ -111,9 +97,8 @@ struct RunValues {
     wire: rtf_sim::message::WireStats,
 }
 
-/// Times one engine × mode × schema run, returning the measurement plus
-/// the values the caller differences against the same-schema sequential
-/// baseline. Both scenario modes run through their timed variants, so
+/// Times one engine × mode run, returning the measurement plus the
+/// values the caller differences against the sequential baseline. Both scenario modes run through their timed variants, so
 /// every scenario row carries the per-stage decomposition.
 fn measure(
     engine: &'static str,
@@ -122,20 +107,12 @@ fn measure(
     seed: u64,
     mode: ExecMode,
     scenario: &Scenario,
-    schema: SeedSchema,
 ) -> (Measurement, RunValues) {
     let start = Instant::now();
     let mut stages = None;
     let values = match engine {
         "event" => {
-            let out = run_event_driven_schema(
-                params,
-                population,
-                seed,
-                mode,
-                AccumulatorKind::Dense,
-                schema,
-            );
+            let out = run_event_driven_with(params, population, seed, mode);
             RunValues {
                 estimates: out.estimates,
                 wire: out.wire,
@@ -143,8 +120,7 @@ fn measure(
         }
         "scenario" => match mode {
             ExecMode::Sequential => {
-                let (out, t) =
-                    run_scenario_sequential_timed(params, population, seed, scenario, schema);
+                let (out, t) = run_scenario_sequential_timed(params, population, seed, scenario);
                 stages = Some(t);
                 RunValues {
                     estimates: out.estimates,
@@ -159,7 +135,7 @@ fn measure(
                     scenario,
                     w,
                     AccumulatorKind::Dense,
-                    schema,
+                    SeedSchema::V2Fast,
                 );
                 stages = Some(t);
                 RunValues {
@@ -180,7 +156,6 @@ fn measure(
             d: params.d(),
             mode,
             workers,
-            seed_schema: schema,
             elapsed_s,
             reports,
             reports_per_s: reports as f64 / elapsed_s,
@@ -198,11 +173,10 @@ fn measure_live(
     population: &Population,
     seed: u64,
     workers: usize,
-    schema: SeedSchema,
 ) -> (Measurement, RunValues) {
     let config = LiveConfig::new(workers);
     let start = Instant::now();
-    let (out, _stats) = run_event_driven_live_schema(params, population, seed, &config, schema);
+    let (out, _stats) = run_event_driven_live_with(params, population, seed, &config);
     let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
     let reports = out.wire.payload_bits;
     (
@@ -212,7 +186,6 @@ fn measure_live(
             d: params.d(),
             mode: "live",
             workers,
-            seed_schema: schema,
             elapsed_s,
             reports,
             reports_per_s: reports as f64 / elapsed_s,
@@ -299,7 +272,6 @@ fn main() {
     let table = Table::new(&[
         ("engine", 9),
         ("n", 9),
-        ("schema", 7),
         ("mode", 12),
         ("wall s", 9),
         ("reports", 10),
@@ -312,7 +284,6 @@ fn main() {
         table.row(&[
             m.engine.into(),
             format!("{}", m.n),
-            format!("{}", m.seed_schema),
             if m.workers == 0 {
                 m.mode.to_string()
             } else {
@@ -329,111 +300,98 @@ fn main() {
         let mut rng = SeedSequence::new(7_000 + n as u64).rng();
         let population = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
 
-        // The honest event-driven engine under both seed schemas: the v2
-        // rows are the tentpole claim (counter-based word-at-a-time
-        // randomness lifting the batched/live paths toward the fold
-        // ceiling). Each schema differences against its own sequential
-        // baseline — the schemas are distinct randomness streams.
-        for schema in SCHEMAS {
-            let (seq, baseline) = measure(
+        // The honest event-driven engine: the batched and live paths
+        // emit whole counter words straight into packed report lanes.
+        let (seq, baseline) = measure(
+            "event",
+            &params,
+            &population,
+            42,
+            ExecMode::Sequential,
+            &storm,
+        );
+        let seq_rate = seq.reports_per_s;
+        print_row(&seq, 1.0);
+        rows.push((seq, 1.0));
+
+        for w in WORKER_COUNTS {
+            let (m, values) = measure(
                 "event",
                 &params,
                 &population,
                 42,
-                ExecMode::Sequential,
+                ExecMode::Parallel(w),
                 &storm,
-                schema,
             );
-            let seq_rate = seq.reports_per_s;
-            print_row(&seq, 1.0);
-            rows.push((seq, 1.0));
-
-            for w in WORKER_COUNTS {
-                let (m, values) = measure(
-                    "event",
-                    &params,
-                    &population,
-                    42,
-                    ExecMode::Parallel(w),
-                    &storm,
-                    schema,
-                );
-                assert_eq!(
-                    values, baseline,
-                    "event parallel({w})/{schema} must match sequential (estimates + wire \
-                     stats) before its timing counts"
-                );
-                let speedup = m.reports_per_s / seq_rate;
-                print_row(&m, speedup);
-                rows.push((m, speedup));
-            }
-
-            // The streaming ingestion service on the same schedule: what
-            // per-period mailbox intake + period-close flushes cost over
-            // the offline batched fold.
-            for w in WORKER_COUNTS {
-                let (m, values) = measure_live(&params, &population, 42, w, schema);
-                assert_eq!(
-                    values, baseline,
-                    "live({w})/{schema} must match sequential (estimates + wire stats) \
-                     before its timing counts"
-                );
-                let speedup = m.reports_per_s / seq_rate;
-                print_row(&m, speedup);
-                rows.push((m, speedup));
-            }
+            assert_eq!(
+                values, baseline,
+                "event parallel({w}) must match sequential (estimates + wire stats) before its \
+                 timing counts"
+            );
+            let speedup = m.reports_per_s / seq_rate;
+            print_row(&m, speedup);
+            rows.push((m, speedup));
         }
 
-        // The fault-injected engine under both seed schemas: its batched
-        // path now rides the same span-native packed-word emission as the
-        // event engine, so the v2 counter-based randomness shows up here
-        // too. Every row (sequential included) carries the per-stage
-        // decomposition.
-        for schema in SCHEMAS {
-            let (seq, baseline) = measure(
+        // The streaming ingestion service on the same schedule: what
+        // per-period mailbox intake + period-close flushes cost over the
+        // offline batched fold.
+        for w in WORKER_COUNTS {
+            let (m, values) = measure_live(&params, &population, 42, w);
+            assert_eq!(
+                values, baseline,
+                "live({w}) must match sequential (estimates + wire stats) before its timing \
+                 counts"
+            );
+            let speedup = m.reports_per_s / seq_rate;
+            print_row(&m, speedup);
+            rows.push((m, speedup));
+        }
+
+        // The fault-injected engine: its batched path rides the same
+        // span-native packed-word emission as the event engine. Every row
+        // (sequential included) carries the per-stage decomposition.
+        let (seq, baseline) = measure(
+            "scenario",
+            &params,
+            &population,
+            42,
+            ExecMode::Sequential,
+            &storm,
+        );
+        let seq_rate = seq.reports_per_s;
+        print_row(&seq, 1.0);
+        if let Some(s) = &seq.stages {
+            println!(
+                "    stages: emission {:.2}s, merge {:.2}s, ingest {:.2}s",
+                s.emission_s, s.merge_s, s.ingest_s
+            );
+        }
+        rows.push((seq, 1.0));
+
+        for w in WORKER_COUNTS {
+            let (m, values) = measure(
                 "scenario",
                 &params,
                 &population,
                 42,
-                ExecMode::Sequential,
+                ExecMode::Parallel(w),
                 &storm,
-                schema,
             );
-            let seq_rate = seq.reports_per_s;
-            print_row(&seq, 1.0);
-            if let Some(s) = &seq.stages {
+            assert_eq!(
+                values, baseline,
+                "scenario parallel({w}) must match sequential (estimates + wire stats) before \
+                 its timing counts"
+            );
+            let speedup = m.reports_per_s / seq_rate;
+            print_row(&m, speedup);
+            if let Some(s) = &m.stages {
                 println!(
                     "    stages: emission {:.2}s, merge {:.2}s, ingest {:.2}s",
                     s.emission_s, s.merge_s, s.ingest_s
                 );
             }
-            rows.push((seq, 1.0));
-
-            for w in WORKER_COUNTS {
-                let (m, values) = measure(
-                    "scenario",
-                    &params,
-                    &population,
-                    42,
-                    ExecMode::Parallel(w),
-                    &storm,
-                    schema,
-                );
-                assert_eq!(
-                    values, baseline,
-                    "scenario parallel({w})/{schema} must match sequential (estimates + wire \
-                     stats) before its timing counts"
-                );
-                let speedup = m.reports_per_s / seq_rate;
-                print_row(&m, speedup);
-                if let Some(s) = &m.stages {
-                    println!(
-                        "    stages: emission {:.2}s, merge {:.2}s, ingest {:.2}s",
-                        s.emission_s, s.merge_s, s.ingest_s
-                    );
-                }
-                rows.push((m, speedup));
-            }
+            rows.push((m, speedup));
         }
     }
 
@@ -473,14 +431,13 @@ fn main() {
         };
         json.push_str(&format!(
             "    {{\"engine\": \"{}\", \"n\": {}, \"d\": {}, \"mode\": \"{}\", \"workers\": {}, \
-             \"seed_schema\": \"{}\", \"elapsed_s\": {:.6}, \"reports\": {}, \
-             \"reports_per_s\": {:.1}, \"speedup_vs_sequential\": {:.4}{}}}{}\n",
+             \"elapsed_s\": {:.6}, \"reports\": {}, \"reports_per_s\": {:.1}, \
+             \"speedup_vs_sequential\": {:.4}{}}}{}\n",
             m.engine,
             m.n,
             m.d,
             m.mode,
             m.workers,
-            m.seed_schema,
             m.elapsed_s,
             m.reports,
             m.reports_per_s,

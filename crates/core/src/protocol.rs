@@ -16,7 +16,7 @@ use crate::composed::ComposedRandomizer;
 use crate::params::ProtocolParams;
 use crate::randomizer::FutureRand;
 use crate::server::Server;
-use rtf_primitives::fastseed::{self, SeedSchema};
+use rtf_primitives::fastseed;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_streams::population::Population;
 
@@ -65,18 +65,7 @@ pub fn run_in_memory(
     population: &Population,
     seed: u64,
 ) -> ProtocolOutcome {
-    run_in_memory_impl(params, population, seed, false, SeedSchema::from_env()).0
-}
-
-/// [`run_in_memory`] under an explicit client randomness schema
-/// (instead of `RTF_SEED_SCHEMA`).
-pub fn run_in_memory_schema(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    schema: SeedSchema,
-) -> ProtocolOutcome {
-    run_in_memory_impl(params, population, seed, false, schema).0
+    run_in_memory_impl(params, population, seed, false).0
 }
 
 /// Like [`run_in_memory`], but additionally retains the full tree of
@@ -87,8 +76,7 @@ pub fn run_in_memory_with_store(
     population: &Population,
     seed: u64,
 ) -> (ProtocolOutcome, crate::queries::EstimateStore) {
-    let (outcome, store) =
-        run_in_memory_impl(params, population, seed, true, SeedSchema::from_env());
+    let (outcome, store) = run_in_memory_impl(params, population, seed, true);
     (outcome, store.expect("store was requested"))
 }
 
@@ -97,7 +85,6 @@ fn run_in_memory_impl(
     population: &Population,
     seed: u64,
     with_store: bool,
-    schema: SeedSchema,
 ) -> (ProtocolOutcome, Option<crate::queries::EstimateStore>) {
     assert_eq!(
         population.n(),
@@ -120,11 +107,7 @@ fn run_in_memory_impl(
         .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
         .collect();
 
-    let mut server = Server::for_future_rand_schema(
-        *params,
-        crate::accumulator::AccumulatorKind::from_env(),
-        schema,
-    );
+    let mut server = Server::for_future_rand(*params);
     if with_store {
         server.enable_store();
     }
@@ -139,11 +122,10 @@ fn run_in_memory_impl(
         let mut rng = node.rng();
         let h = Client::<FutureRand>::sample_order(params, &mut rng);
         server.register_user(h);
-        let m = FutureRand::init_with_schema(
+        let m = FutureRand::init_keyed(
             params.sequence_len(h),
             &composed[h as usize],
             &mut rng,
-            schema,
             fastseed::client_key(&node),
         );
         let client = Client::new(params, h, m);

@@ -9,7 +9,7 @@
 
 use crate::composed::ComposedRandomizer;
 use rand::{Rng, RngCore};
-use rtf_primitives::fastseed::{self, SeedSchema};
+use rtf_primitives::fastseed;
 use rtf_primitives::rr::BasicRandomizer;
 use rtf_primitives::sign::{Sign, Ternary};
 
@@ -81,14 +81,12 @@ pub trait LocalRandomizer {
 /// * `v_j · b̃_nnz` when `v_j ≠ 0`, consuming the next pre-computed bit
 ///   (Section 5.3).
 ///
-/// The *source* of the zero-report uniform signs is the versioned
-/// [`SeedSchema`] axis: under [`SeedSchema::V1Std`] they come from the
-/// caller's `StdRng` stream (bit-compatible with every committed
-/// baseline), under [`SeedSchema::V2Fast`] from the stateless counter
-/// generator [`fastseed::word`] keyed by the client's private fast key —
-/// a pure function of `(key, position)`, so every execution mode derives
-/// the identical stream without consuming the `StdRng` at all. Order
-/// sampling and the `b̃` initialization draws are schema-invariant.
+/// The uniform zero-report signs come from the stateless counter
+/// generator [`fastseed::word`] keyed by the client's private key: bit
+/// `j − 1` of the key's stream for element `j`, a pure function of
+/// `(key, position)`. Every execution mode therefore derives the
+/// identical stream, and the `rng` handed to
+/// [`next`](LocalRandomizer::next) is never consumed.
 #[derive(Debug, Clone)]
 pub struct FutureRand {
     l: usize,
@@ -97,30 +95,27 @@ pub struct FutureRand {
     nnz: usize,
     position: usize,
     c_gap: f64,
-    schema: SeedSchema,
-    fast_key: u64,
+    key: u64,
 }
 
 impl FutureRand {
     /// `M.init(L, k, ε)`: draws the pre-computed vector from a shared
     /// [`ComposedRandomizer`] (one per `(k, ε̃)`, reused across users),
-    /// under the frozen v1 schema.
+    /// then the client's private counter-stream key from the same `rng`.
     pub fn init<R: Rng + ?Sized>(l: usize, composed: &ComposedRandomizer, rng: &mut R) -> Self {
-        Self::init_with_schema(l, composed, rng, SeedSchema::V1Std, 0)
+        let mut m = Self::init_keyed(l, composed, rng, 0);
+        m.key = rng.next_u64();
+        m
     }
 
-    /// [`init`](Self::init) under an explicit seed schema. `fast_key` is
-    /// the client's private counter-generator key
-    /// ([`fastseed::client_key`] of the user's seed node); it is ignored
-    /// under [`SeedSchema::V1Std`]. The `b̃` draws consume `rng`
-    /// identically for every schema, so group composition and the
-    /// correlated non-zero noise never depend on the schema.
-    pub fn init_with_schema<R: Rng + ?Sized>(
+    /// [`init`](Self::init) with a key derived elsewhere — the engines
+    /// pass [`fastseed::client_key`] of the user's seed node, so `rng`
+    /// is consumed by the `b̃` draws only.
+    pub fn init_keyed<R: Rng + ?Sized>(
         l: usize,
         composed: &ComposedRandomizer,
         rng: &mut R,
-        schema: SeedSchema,
-        fast_key: u64,
+        key: u64,
     ) -> Self {
         FutureRand {
             l,
@@ -129,8 +124,7 @@ impl FutureRand {
             nnz: 0,
             position: 0,
             c_gap: composed.c_gap(),
-            schema,
-            fast_key,
+            key,
         }
     }
 
@@ -162,17 +156,10 @@ impl FutureRand {
         &self.b_tilde
     }
 
-    /// The seed schema this randomizer draws its zero-report signs under.
+    /// The client's private counter-generator key.
     #[inline]
-    pub fn schema(&self) -> SeedSchema {
-        self.schema
-    }
-
-    /// The client's private counter-generator key (meaningful only under
-    /// [`SeedSchema::V2Fast`]).
-    #[inline]
-    pub fn fast_key(&self) -> u64 {
-        self.fast_key
+    pub fn key(&self) -> u64 {
+        self.key
     }
 }
 
@@ -189,21 +176,19 @@ impl LocalRandomizer for FutureRand {
         self.c_gap
     }
 
-    fn try_next(&mut self, v: Ternary, rng: &mut dyn RngCore) -> Result<Sign, RandomizerError> {
+    fn try_next(&mut self, v: Ternary, _rng: &mut dyn RngCore) -> Result<Sign, RandomizerError> {
         if self.position >= self.l {
             return Err(RandomizerError::SequenceExhausted { l: self.l });
         }
         self.position += 1;
         match v {
-            Ternary::Zero => Ok(match self.schema {
-                SeedSchema::V1Std => Sign::uniform(rng),
-                // Positional and rng-free: bit (position − 1) of the
-                // client's private counter stream, so sequential,
-                // batched, and live consumption cannot drift.
-                SeedSchema::V2Fast => {
-                    Sign::from_bool(fastseed::sign_at(self.fast_key, (self.position - 1) as u64))
-                }
-            }),
+            // Positional and rng-free: bit (position − 1) of the client's
+            // private counter stream, so sequential, batched, and live
+            // consumption cannot drift.
+            Ternary::Zero => Ok(Sign::from_bool(fastseed::sign_at(
+                self.key,
+                (self.position - 1) as u64,
+            ))),
             nonzero => {
                 if self.nnz >= self.k {
                     // Roll back the position so the state stays consistent
@@ -226,14 +211,13 @@ impl LocalRandomizer for FutureRand {
 /// their randomizer positions advance in lockstep: one shared `position`
 /// replaces a per-client counter, the pre-computed `b̃` vectors pack
 /// into a single `lanes × k` arena (no per-client heap allocation or
-/// pointer chase), and [`fill_span`](Self::fill_span) draws the group's
-/// whole ±1 report vector for one span in a single monomorphized pass —
-/// no per-report `dyn RngCore` dispatch.
+/// pointer chase), and [`fill_span_words`](Self::fill_span_words) draws
+/// the group's whole ±1 report vector for one span as packed sign words.
 ///
-/// **Bit-compatible with the sequential stream**: each lane consumes its
-/// own RNG exactly as `FutureRand::next` would (one uniform draw per
-/// zero partial sum, `b̃[nnz]` for non-zeros), so existing seeds
-/// reproduce — the `span_lanes_match_per_report_draws` tests and the
+/// **Bit-compatible with the per-report stream**: each lane emits
+/// exactly what `FutureRand::next` would (its counter-stream bit for a
+/// zero partial sum, `b̃[nnz]` for non-zeros) — the
+/// `span_lanes_match_per_report_draws` tests and the
 /// `proptest_randomizer` suite pin it down bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct SpanRandomizers {
@@ -246,14 +230,10 @@ pub struct SpanRandomizers {
     nnz: Vec<u32>,
     /// Packed `b̃` arena: lane `i` owns `b_tilde[i*k .. (i+1)*k]`.
     b_tilde: Vec<Sign>,
-    /// The zero-report sign source shared by every lane.
-    schema: SeedSchema,
-    /// Per-lane counter-generator keys (v2 schema only; empty bytes of
-    /// zero under v1 would also work, but the keys are pushed either way
-    /// to keep `push_lane` branch-free).
+    /// Per-lane counter-generator keys.
     keys: Vec<u64>,
-    /// Per-lane cached counter words for `cached_block` (v2 fast path):
-    /// one [`fastseed::word`] covers 64 consecutive spans per lane.
+    /// Per-lane cached counter words for `cached_block`: one
+    /// [`fastseed::word`] covers 64 consecutive spans per lane.
     words: Vec<u64>,
     /// Which 64-span counter block `words` currently holds, if any.
     cached_block: Option<u64>,
@@ -261,14 +241,8 @@ pub struct SpanRandomizers {
 
 impl SpanRandomizers {
     /// An empty group of length-`l` lanes drawing from `composed`'s
-    /// `(k, ε̃)` parameterisation, under the frozen v1 schema.
+    /// `(k, ε̃)` parameterisation.
     pub fn new(l: usize, composed: &ComposedRandomizer) -> Self {
-        Self::new_with_schema(l, composed, SeedSchema::V1Std)
-    }
-
-    /// [`new`](Self::new) under an explicit seed schema; every adopted
-    /// lane must have been initialised under the same schema.
-    pub fn new_with_schema(l: usize, composed: &ComposedRandomizer, schema: SeedSchema) -> Self {
         SpanRandomizers {
             l,
             k: composed.k(),
@@ -276,7 +250,6 @@ impl SpanRandomizers {
             position: 0,
             nnz: Vec::new(),
             b_tilde: Vec::new(),
-            schema,
             keys: Vec::new(),
             words: Vec::new(),
             cached_block: None,
@@ -284,29 +257,22 @@ impl SpanRandomizers {
     }
 
     /// Adopts one client's freshly initialised [`FutureRand`] as a lane,
-    /// copying its `b̃` into the arena and its fast key into the key
-    /// table. The randomizer must be unused (position 0), shaped like
-    /// the group, and initialised under the group's schema.
+    /// copying its `b̃` into the arena and its key into the key table.
+    /// The randomizer must be unused (position 0) and shaped like the
+    /// group.
     ///
     /// # Panics
-    /// Panics on a length/sparsity/schema mismatch or a non-fresh
-    /// randomizer.
+    /// Panics on a length/sparsity mismatch or a non-fresh randomizer.
     pub fn push_lane(&mut self, m: &FutureRand) {
         assert_eq!(m.sequence_len(), self.l, "lane length mismatch");
         assert_eq!(m.k(), self.k, "lane sparsity mismatch");
         assert_eq!(m.position(), 0, "lane must be unused");
         assert_eq!(m.nnz(), 0, "lane must be unused");
         assert_eq!(m.b_tilde().len(), self.k, "b̃ must hold k entries");
-        assert_eq!(m.schema(), self.schema, "lane schema mismatch");
         self.nnz.push(0);
         self.b_tilde.extend_from_slice(m.b_tilde());
-        self.keys.push(m.fast_key());
+        self.keys.push(m.key());
         self.cached_block = None;
-    }
-
-    /// The zero-report sign source shared by every lane.
-    pub fn schema(&self) -> SeedSchema {
-        self.schema
     }
 
     /// Number of lanes (clients) in the group.
@@ -334,79 +300,25 @@ impl SpanRandomizers {
         self.c_gap
     }
 
-    /// Draws the group's whole ±1 report vector for the next span:
-    /// `sums[i]` is lane `i`'s partial sum over the span, `rngs[i]` its
-    /// own RNG stream, and `out` receives the report signs in lane
-    /// order. Each lane's draw is bit-identical to what
-    /// `FutureRand::next(sums[i], rng)` would produce under the group's
-    /// schema — under v1 one uniform RNG draw per zero sum, under v2 the
-    /// counter bit at the shared position (the RNGs are not consumed).
+    /// Draws the group's whole ±1 report vector for the next span
+    /// directly as packed sign words: `sums[i]` is lane `i`'s partial sum
+    /// over the span, and `out` receives `(bits, count)` chunks of up to
+    /// 64 lanes, bit `i` of `bits` being lane `chunk_start + i`'s sign
+    /// (`1` ⇒ `+1`, the packed-lane convention), ready for a `SignLane`
+    /// bulk append. No per-report `Sign` materialization, no RNG draws:
+    /// zero sums read a cached [`fastseed::word`] per lane (refreshed
+    /// once every 64 spans), and non-zero sums overlay their `b̃` bit.
+    /// Value-identical to `FutureRand::next(sums[i], _)`, lane for lane.
     ///
     /// # Panics
     /// Panics on exhausted lanes (`position ≥ L`), a lane exceeding its
-    /// sparsity bound, or mismatched slice lengths — the same protocol
-    /// violations [`LocalRandomizer::next`] panics on.
-    pub fn fill_span<R, F>(&mut self, sums: &[Ternary], rngs: &mut [R], mut out: F)
-    where
-        R: Rng,
-        F: FnMut(Sign),
-    {
-        assert_eq!(sums.len(), self.nnz.len(), "one sum per lane");
-        assert_eq!(rngs.len(), self.nnz.len(), "one RNG per lane");
-        if self.position >= self.l {
-            panic!(
-                "randomizer protocol violation: {}",
-                RandomizerError::SequenceExhausted { l: self.l }
-            );
-        }
-        self.position += 1;
-        let j = (self.position - 1) as u64;
-        let k = self.k;
-        let schema = self.schema;
-        for (i, (&s, rng)) in sums.iter().zip(rngs.iter_mut()).enumerate() {
-            let bit = match s {
-                Ternary::Zero => match schema {
-                    SeedSchema::V1Std => Sign::uniform(rng),
-                    SeedSchema::V2Fast => Sign::from_bool(fastseed::sign_at(self.keys[i], j)),
-                },
-                nonzero => {
-                    let n = self.nnz[i] as usize;
-                    if n >= k {
-                        panic!(
-                            "randomizer protocol violation: {}",
-                            RandomizerError::TooManyNonZeros { k }
-                        );
-                    }
-                    self.nnz[i] = (n + 1) as u32;
-                    nonzero.mul_sign(self.b_tilde[i * k + n])
-                }
-            };
-            out(bit);
-        }
-    }
-
-    /// The v2 fast path: draws the group's whole ±1 report vector for
-    /// the next span directly as packed sign words — `out` receives
-    /// `(bits, count)` chunks of up to 64 lanes, bit `i` of `bits` being
-    /// lane `chunk_start + i`'s sign (`1` ⇒ `+1`, the packed-lane
-    /// convention), ready for a `SignLane` bulk append. No per-report
-    /// `Sign` materialization, no RNG draws: zero sums read a cached
-    /// [`fastseed::word`] per lane (refreshed once every 64 spans), and
-    /// non-zero sums overlay their `b̃` bit. Value-identical to
-    /// [`fill_span`](Self::fill_span) on a v2 group, lane for lane.
-    ///
-    /// # Panics
-    /// Panics under a non-fast schema, and on the same protocol
-    /// violations as [`fill_span`](Self::fill_span).
+    /// sparsity bound, or a `sums` length other than the lane count —
+    /// the same protocol violations [`LocalRandomizer::next`] panics on.
     pub fn fill_span_words<F>(&mut self, sums: &[Ternary], mut out: F)
     where
         F: FnMut(u64, usize),
     {
         assert_eq!(sums.len(), self.nnz.len(), "one sum per lane");
-        assert!(
-            self.schema.is_fast(),
-            "fill_span_words requires the fast (v2) seed schema"
-        );
         if self.position >= self.l {
             panic!(
                 "randomizer protocol violation: {}",
@@ -669,67 +581,90 @@ mod tests {
         );
     }
 
-    #[test]
-    fn span_lanes_match_per_report_draws() {
-        // The batched group randomizer must be bit-identical to driving
-        // each lane's FutureRand per report — outputs AND RNG streams.
-        let composed = ComposedRandomizer::for_protocol(3, 1.0);
-        let l = 6;
-        let lanes = 5;
-        let mut init_rng = StdRng::seed_from_u64(7);
-        let mut per_report: Vec<FutureRand> = (0..lanes)
-            .map(|_| FutureRand::init(l, &composed, &mut init_rng))
-            .collect();
-        let mut group = SpanRandomizers::new(l, &composed);
+    /// Drives one group through [`SpanRandomizers::fill_span_words`] and
+    /// the same lanes per report through `FutureRand::next`, span by
+    /// span, asserting identical signs; `pattern(lane, span)` must keep
+    /// every lane within its sparsity bound.
+    fn assert_span_words_match_per_report(
+        composed: &ComposedRandomizer,
+        l: usize,
+        mut per_report: Vec<FutureRand>,
+        pattern: impl Fn(usize, usize) -> Ternary,
+    ) {
+        let mut group = SpanRandomizers::new(l, composed);
         for m in &per_report {
             group.push_lane(m);
         }
-        assert_eq!(group.len(), lanes);
-
-        let mut rngs_a: Vec<StdRng> = (0..lanes)
-            .map(|i| StdRng::seed_from_u64(100 + i as u64))
-            .collect();
-        let mut rngs_b = rngs_a.clone();
-
-        // Deterministic sum pattern with ≤ k non-zeros per lane.
-        let pattern = |lane: usize, t: usize| match (lane + t) % 3 {
-            0 => Ternary::Zero,
-            1 => {
-                if t < 3 {
-                    Ternary::Plus
-                } else {
-                    Ternary::Zero
-                }
-            }
-            _ => {
-                if t < 3 {
-                    Ternary::Minus
-                } else {
-                    Ternary::Zero
-                }
-            }
-        };
-
+        assert_eq!(group.len(), per_report.len());
+        // FutureRand never draws from the per-report RNG.
+        let mut rng = StdRng::seed_from_u64(999);
         for t in 0..l {
-            let sums: Vec<Ternary> = (0..lanes).map(|i| pattern(i, t)).collect();
-            let mut batched = Vec::new();
-            group.fill_span(&sums, &mut rngs_a, |s| batched.push(s));
-            let scalar: Vec<Sign> = sums
+            let sums: Vec<Ternary> = (0..per_report.len()).map(|i| pattern(i, t)).collect();
+            let mut packed: Vec<Sign> = Vec::new();
+            group.fill_span_words(&sums, |w, count| {
+                for off in 0..count {
+                    packed.push(Sign::from_bool((w >> off) & 1 == 1));
+                }
+            });
+            let direct: Vec<Sign> = sums
                 .iter()
-                .zip(per_report.iter_mut().zip(rngs_b.iter_mut()))
-                .map(|(&s, (m, rng))| m.next(s, rng))
+                .zip(per_report.iter_mut())
+                .map(|(&s, m)| m.next(s, &mut rng))
                 .collect();
-            assert_eq!(batched, scalar, "span {t} diverged");
+            assert_eq!(packed, direct, "span {t} diverged");
         }
         assert_eq!(group.position(), l);
-        for (m, (a, b)) in per_report
-            .iter()
-            .zip(rngs_a.iter_mut().zip(rngs_b.iter_mut()))
-        {
-            assert_eq!(m.position(), l);
-            // Identical residual RNG state: same number of draws consumed.
-            assert_eq!(a.random::<u64>(), b.random::<u64>());
-        }
+        assert!(per_report.iter().all(|m| m.position() == l));
+        assert_eq!(
+            rng.random::<u64>(),
+            StdRng::seed_from_u64(999).random::<u64>()
+        );
+    }
+
+    #[test]
+    fn span_lanes_match_per_report_draws() {
+        // The batched group randomizer must be bit-identical to driving
+        // each lane's FutureRand per report.
+        let composed = ComposedRandomizer::for_protocol(3, 1.0);
+        let mut init_rng = StdRng::seed_from_u64(7);
+        let lanes: Vec<FutureRand> = (0..5)
+            .map(|_| FutureRand::init(6, &composed, &mut init_rng))
+            .collect();
+        // Deterministic sum pattern with ≤ k non-zeros per lane.
+        assert_span_words_match_per_report(&composed, 6, lanes, |lane, t| {
+            match ((lane + t) % 3, t < 3) {
+                (1, true) => Ternary::Plus,
+                (2, true) => Ternary::Minus,
+                _ => Ternary::Zero,
+            }
+        });
+    }
+
+    #[test]
+    fn fast_span_words_match_scalar_and_per_report_draws() {
+        // Across counter-block boundaries (l > 64) and for > 64 lanes
+        // (multi-word output chunks), with engine-derived keys.
+        let composed = ComposedRandomizer::for_protocol(3, 1.0);
+        let l = 130;
+        let root = rtf_primitives::seeding::SeedSequence::new(31);
+        let mut init_rng = StdRng::seed_from_u64(30);
+        let lanes: Vec<FutureRand> = (0..70)
+            .map(|i| {
+                let key = fastseed::client_key(&root.child(i as u64));
+                FutureRand::init_keyed(l, &composed, &mut init_rng, key)
+            })
+            .collect();
+        // At most two non-zeros per lane (k = 3), spread across both
+        // counter blocks.
+        assert_span_words_match_per_report(&composed, l, lanes, |lane, t| {
+            if t == lane % l {
+                Ternary::Plus
+            } else if t == (lane * 7 + 91) % l {
+                Ternary::Minus
+            } else {
+                Ternary::Zero
+            }
+        });
     }
 
     #[test]
@@ -738,10 +673,9 @@ mod tests {
         let mut group = SpanRandomizers::new(1, &composed);
         let mut init_rng = StdRng::seed_from_u64(8);
         group.push_lane(&FutureRand::init(1, &composed, &mut init_rng));
-        let mut rngs = vec![StdRng::seed_from_u64(9)];
-        group.fill_span(&[Ternary::Plus], &mut rngs, |_| {});
+        group.fill_span_words(&[Ternary::Plus], |_, _| {});
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            group.fill_span(&[Ternary::Zero], &mut rngs, |_| {});
+            group.fill_span_words(&[Ternary::Zero], |_, _| {});
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
@@ -750,10 +684,9 @@ mod tests {
         let mut group = SpanRandomizers::new(4, &composed);
         let mut init_rng = StdRng::seed_from_u64(10);
         group.push_lane(&FutureRand::init(4, &composed, &mut init_rng));
-        let mut rngs = vec![StdRng::seed_from_u64(11)];
-        group.fill_span(&[Ternary::Plus], &mut rngs, |_| {});
+        group.fill_span_words(&[Ternary::Plus], |_, _| {});
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            group.fill_span(&[Ternary::Minus], &mut rngs, |_| {});
+            group.fill_span_words(&[Ternary::Minus], |_, _| {});
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
@@ -761,18 +694,19 @@ mod tests {
     }
 
     #[test]
-    fn fast_schema_init_consumes_rng_exactly_like_v1() {
-        // Group composition and b̃ must be schema-invariant: the same
-        // rng yields the same b̃ and the same residual stream.
+    fn init_draws_its_key_after_b_tilde() {
+        // `init` consumes exactly what `init_keyed` does (the b̃ draws),
+        // then one word for the key — group composition and b̃ do not
+        // depend on where the key comes from.
         let composed = ComposedRandomizer::for_protocol(3, 1.0);
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
-        let v1 = FutureRand::init(6, &composed, &mut rng_a);
-        let v2 = FutureRand::init_with_schema(6, &composed, &mut rng_b, SeedSchema::V2Fast, 0xBEEF);
-        assert_eq!(v1.b_tilde(), v2.b_tilde());
+        let drawn = FutureRand::init(6, &composed, &mut rng_a);
+        let keyed = FutureRand::init_keyed(6, &composed, &mut rng_b, 0xBEEF);
+        assert_eq!(drawn.b_tilde(), keyed.b_tilde());
+        assert_eq!(drawn.key(), rng_b.next_u64());
         assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
-        assert_eq!(v2.schema(), SeedSchema::V2Fast);
-        assert_eq!(v2.fast_key(), 0xBEEF);
+        assert_eq!(keyed.key(), 0xBEEF);
     }
 
     #[test]
@@ -780,8 +714,7 @@ mod tests {
         let composed = ComposedRandomizer::for_protocol(2, 1.0);
         let mut init_rng = StdRng::seed_from_u64(22);
         let key = 0x1234_5678_9ABC_DEF0u64;
-        let mut m =
-            FutureRand::init_with_schema(8, &composed, &mut init_rng, SeedSchema::V2Fast, key);
+        let mut m = FutureRand::init_keyed(8, &composed, &mut init_rng, key);
         let b_tilde = m.b_tilde().to_vec();
         let mut rng = StdRng::seed_from_u64(23);
         let mut untouched = rng.clone();
@@ -799,121 +732,12 @@ mod tests {
                 assert_eq!(out, v.mul_sign(b_tilde[nz]));
                 nz += 1;
             } else {
-                let expect = Sign::from_bool(rtf_primitives::fastseed::sign_at(key, j as u64));
+                let expect = Sign::from_bool(fastseed::sign_at(key, j as u64));
                 assert_eq!(out, expect, "zero at position {j}");
             }
         }
-        // The v2 schema never touches the per-report RNG.
+        // The per-report RNG is never touched.
         assert_eq!(rng.random::<u64>(), untouched.random::<u64>());
-    }
-
-    #[test]
-    fn fast_span_words_match_scalar_and_per_report_draws() {
-        // Three representations of the same v2 group — per-report
-        // FutureRand, scalar fill_span, packed fill_span_words — must
-        // agree bit for bit, across counter-block boundaries (l > 64)
-        // and for > 64 lanes (multi-word output chunks).
-        let composed = ComposedRandomizer::for_protocol(3, 1.0);
-        let l = 130; // spans two 64-counter blocks
-        let lanes = 70; // two output words per span
-        let root = rtf_primitives::seeding::SeedSequence::new(31);
-        let mut init_rng = StdRng::seed_from_u64(30);
-        let mut per_report: Vec<FutureRand> = (0..lanes)
-            .map(|i| {
-                let key = rtf_primitives::fastseed::client_key(&root.child(i as u64));
-                FutureRand::init_with_schema(l, &composed, &mut init_rng, SeedSchema::V2Fast, key)
-            })
-            .collect();
-        let mut group_a = SpanRandomizers::new_with_schema(l, &composed, SeedSchema::V2Fast);
-        let mut group_b = group_a.clone();
-        for m in &per_report {
-            group_a.push_lane(m);
-            group_b.push_lane(m);
-        }
-
-        let mut rngs: Vec<StdRng> = (0..lanes)
-            .map(|i| StdRng::seed_from_u64(200 + i as u64))
-            .collect();
-        let mut scalar_rng = StdRng::seed_from_u64(999);
-        // At most two non-zeros per lane (k = 3), spread across both
-        // counter blocks.
-        let pattern = |lane: usize, t: usize| {
-            if t == lane % l {
-                Ternary::Plus
-            } else if t == (lane * 7 + 91) % l {
-                Ternary::Minus
-            } else {
-                Ternary::Zero
-            }
-        };
-        for t in 0..l {
-            let sums: Vec<Ternary> = (0..lanes).map(|i| pattern(i, t)).collect();
-            let mut scalar = Vec::new();
-            group_a.fill_span(&sums, &mut rngs, |s| scalar.push(s));
-            let mut packed: Vec<Sign> = Vec::new();
-            group_b.fill_span_words(&sums, |w, count| {
-                for off in 0..count {
-                    packed.push(Sign::from_bool((w >> off) & 1 == 1));
-                }
-            });
-            let direct: Vec<Sign> = sums
-                .iter()
-                .zip(per_report.iter_mut())
-                .map(|(&s, m)| m.next(s, &mut scalar_rng))
-                .collect();
-            assert_eq!(scalar, direct, "span {t}: fill_span vs per-report");
-            assert_eq!(packed, direct, "span {t}: fill_span_words vs per-report");
-        }
-        assert_eq!(group_a.position(), l);
-        assert_eq!(group_b.position(), l);
-        // No RNG was consumed anywhere on the v2 path.
-        let mut fresh = StdRng::seed_from_u64(999);
-        assert_eq!(scalar_rng.random::<u64>(), fresh.random::<u64>());
-    }
-
-    #[test]
-    fn fast_span_words_reject_protocol_violations_and_v1_groups() {
-        let composed = ComposedRandomizer::for_protocol(1, 1.0);
-        let mut init_rng = StdRng::seed_from_u64(33);
-        let mut group = SpanRandomizers::new_with_schema(1, &composed, SeedSchema::V2Fast);
-        group.push_lane(&FutureRand::init_with_schema(
-            1,
-            &composed,
-            &mut init_rng,
-            SeedSchema::V2Fast,
-            5,
-        ));
-        group.fill_span_words(&[Ternary::Zero], |_, _| {});
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            group.fill_span_words(&[Ternary::Zero], |_, _| {});
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("longer than declared L"), "{msg}");
-
-        let mut v1_group = SpanRandomizers::new(4, &composed);
-        let mut init_rng = StdRng::seed_from_u64(34);
-        v1_group.push_lane(&FutureRand::init(4, &composed, &mut init_rng));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            v1_group.fill_span_words(&[Ternary::Zero], |_, _| {});
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<&str>().unwrap();
-        assert!(msg.contains("fast (v2) seed schema"), "{msg}");
-    }
-
-    #[test]
-    fn push_lane_rejects_schema_mismatch() {
-        let composed = ComposedRandomizer::for_protocol(1, 1.0);
-        let mut init_rng = StdRng::seed_from_u64(35);
-        let mut group = SpanRandomizers::new_with_schema(4, &composed, SeedSchema::V2Fast);
-        let v1_lane = FutureRand::init(4, &composed, &mut init_rng);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            group.push_lane(&v1_lane);
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("lane schema mismatch"), "{msg}");
     }
 
     #[test]

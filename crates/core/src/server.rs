@@ -135,11 +135,6 @@ pub struct Server {
     current_delivery: PeriodDelivery,
     /// One finalised accounting row per closed period (checked path only).
     delivery_log: Vec<PeriodDelivery>,
-    /// The client randomness schema of the run this server belongs to —
-    /// provenance only (server math is schema-independent), stamped into
-    /// snapshot headers so state never silently resumes under another
-    /// schema.
-    seed_schema: SeedSchema,
 }
 
 impl Server {
@@ -149,23 +144,15 @@ impl Server {
     ///
     /// # Panics
     /// Panics if the gap vector has the wrong length or a non-positive
-    /// entry, or if `RTF_BACKEND` names a removed accumulator layout
-    /// ([`AccumulatorKind::from_env`]).
+    /// entry, or if `RTF_BACKEND` or `RTF_SEED_SCHEMA` names a removed
+    /// setting ([`AccumulatorKind::from_env`], [`SeedSchema::from_env`]).
     pub fn new(params: ProtocolParams, c_gaps: &[f64]) -> Self {
-        Self::build(
-            params,
-            c_gaps,
-            AccumulatorKind::from_env(),
-            SeedSchema::from_env(),
-        )
+        // The schema has one value; reading it makes a stale setting fail.
+        SeedSchema::from_env();
+        Self::build(params, c_gaps, AccumulatorKind::from_env())
     }
 
-    fn build(
-        params: ProtocolParams,
-        c_gaps: &[f64],
-        backend: AccumulatorKind,
-        seed_schema: SeedSchema,
-    ) -> Self {
+    fn build(params: ProtocolParams, c_gaps: &[f64], backend: AccumulatorKind) -> Self {
         let orders = params.num_orders() as usize;
         assert_eq!(
             c_gaps.len(),
@@ -187,13 +174,14 @@ impl Server {
             group_sizes: vec![0; orders],
             acc: backend.new_accumulator(orders),
             frontier: Frontier::new(params.horizon()),
-            estimates: Vec::with_capacity(params.d() as usize),
+            // Grows as periods close: reserving `d` up front would take
+            // 16 GiB at the horizon cap before a single report arrived.
+            estimates: Vec::new(),
             current_t: 0,
             store: None,
             roster: Vec::new(),
             current_delivery: PeriodDelivery::default(),
             delivery_log: Vec::new(),
-            seed_schema,
         }
     }
 
@@ -216,20 +204,23 @@ impl Server {
 
     /// Builds a server whose per-order gaps are the exact `c_gap` of the
     /// protocol's FutureRand configuration (`k_eff = max(1, min(k, L))`,
-    /// `ε̃ = ε/(5√k_eff)`), under the `RTF_SEED_SCHEMA` client randomness
-    /// schema.
+    /// `ε̃ = ε/(5√k_eff)`).
+    ///
+    /// # Panics
+    /// Panics if `RTF_BACKEND` or `RTF_SEED_SCHEMA` names a removed
+    /// setting ([`AccumulatorKind::from_env`], [`SeedSchema::from_env`]).
     pub fn for_future_rand(params: ProtocolParams) -> Self {
         Self::for_future_rand_schema(params, AccumulatorKind::from_env(), SeedSchema::from_env())
     }
 
     /// [`for_future_rand`](Self::for_future_rand) with an explicit
-    /// accumulator layout and client randomness schema. Server math is
-    /// schema-independent; the schema is stamped into snapshot headers so
-    /// state never resumes under another one.
+    /// accumulator layout. The seed schema has one value and server math
+    /// never depended on it; the parameter stays for callers that name
+    /// it.
     pub fn for_future_rand_schema(
         params: ProtocolParams,
         backend: AccumulatorKind,
-        schema: SeedSchema,
+        _schema: SeedSchema,
     ) -> Self {
         let gaps: Vec<f64> = (0..params.num_orders())
             .map(|h| {
@@ -237,12 +228,7 @@ impl Server {
                     .c_gap()
             })
             .collect();
-        Self::build(params, &gaps, backend, schema)
-    }
-
-    /// The client randomness schema of the run this server belongs to.
-    pub fn seed_schema(&self) -> SeedSchema {
-        self.seed_schema
+        Self::build(params, &gaps, backend)
     }
 
     /// Registers a user's announced order (Algorithm 2, line 1).
@@ -609,17 +595,7 @@ impl Server {
     /// sizes, accumulator lanes, frontier, estimates, retained store,
     /// registered roster entries (in wire-id order, so snapshots of equal
     /// state are byte-identical), and delivery accounting — into `w`.
-    ///
-    /// # Panics
-    /// Panics if the writer's header schema differs from this server's —
-    /// a mis-stamped header would let state resume under the wrong
-    /// client randomness schema.
     pub fn write_snapshot(&self, w: &mut SnapWriter) {
-        assert_eq!(
-            w.schema(),
-            self.seed_schema,
-            "snapshot header schema must match the server's seed schema"
-        );
         w.usize(self.params.n());
         w.u64(self.params.d());
         w.usize(self.params.k());
@@ -783,10 +759,6 @@ impl Server {
             roster,
             current_delivery,
             delivery_log,
-            // The header is authoritative: a restored server belongs to
-            // the schema its snapshot was taken under (v1 bytes:
-            // implicitly V1Std).
-            seed_schema: r.schema(),
         })
     }
 }
@@ -1315,15 +1287,13 @@ mod tests {
     }
 
     /// A checked-path server mid-period 4 with a gappy roster (ids
-    /// {3, 7, 8, 41} of n = 100, registered out of id order), exact
-    /// power-of-two gaps and an explicit schema, so its bytes depend on
-    /// nothing ambient.
+    /// {3, 7, 8, 41} of n = 100, registered out of id order) and exact
+    /// power-of-two gaps, so its bytes depend on nothing ambient.
     fn gappy_checked_server() -> Server {
         let mut server = Server::build(
             params(),
             &[0.5, 0.25, 0.125, 0.0625],
             AccumulatorKind::Dense,
-            SeedSchema::V1Std,
         );
         for (user, h) in [(41, 1), (3, 0), (8, 2), (7, 0)] {
             assert!(server.register_client(user, h));
@@ -1348,10 +1318,36 @@ mod tests {
         server
     }
 
-    /// The snapshot of [`gappy_checked_server`], generated before the
-    /// roster became a dense array: the wire format must not move with
-    /// the in-memory layout.
+    /// The snapshot of [`gappy_checked_server`]: the wire format must not
+    /// move with the in-memory layout. First pinned before the roster
+    /// became a dense array, re-stamped with schema byte 2 (byte 12 and
+    /// the checksum are all that changed) when seed schema v1 was
+    /// removed.
     const GAPPY_ROSTER_SNAPSHOT: &str = concat!(
+        "525446534e415000020000000264000000000000000800000000000000020000",
+        "0000000000000000000000f03f9a9999999999a93f0000000000002040000000",
+        "0000003040000000000000404000000000000050400200000000000000010000",
+        "0000000000010000000000000000000000000000000004000000000000000000",
+        "00000000f0bf0000000000000000000000000000f03f00000000000000000900",
+        "0000000000000103000000000000000000000000000000010100000000000000",
+        "0000000000003040000003000000000000000000000000003040000000000000",
+        "3040000000000000304000040000000000000003000000000000000400000000",
+        "0000000700000000000000030000000000000008000000020000000400000000",
+        "0000002900000001000000020000000000000000000000000000000000000000",
+        "0000000200000000000000000000000000000001000000000000000000000000",
+        "0000000000000000000000000000000000000003000000000000000100000000",
+        "0000000200000000000000020000000000000001000000000000000000000000",
+        "0000000100000000000000020000000000000000000000000000000200000000",
+        "0000000300000000000000030000000000000001000000000000000000000000",
+        "0000000100000000000000010000000000000000000000000000000300000000",
+        "0000000200000000000000020000000000000001000000000000000000000000",
+        "0000000100000000000000020000000000000000000000000000001d39add3ef",
+        "294c89",
+    );
+
+    /// The same snapshot as written under the removed seed schema v1
+    /// (header schema byte 1): restores must refuse it.
+    const GAPPY_ROSTER_SNAPSHOT_V1: &str = concat!(
         "525446534e415000020000000164000000000000000800000000000000020000",
         "0000000000000000000000f03f9a9999999999a93f0000000000002040000000",
         "0000003040000000000000404000000000000050400200000000000000010000",
@@ -1374,7 +1370,7 @@ mod tests {
     );
 
     fn snapshot_bytes(server: &Server) -> Vec<u8> {
-        let mut w = SnapWriter::for_schema(server.seed_schema());
+        let mut w = SnapWriter::new();
         server.write_snapshot(&mut w);
         w.finish()
     }
@@ -1403,6 +1399,37 @@ mod tests {
         assert_eq!(hex, GAPPY_ROSTER_SNAPSHOT);
         let back = restore(&bytes).unwrap();
         assert_eq!(snapshot_bytes(&back), bytes, "re-snapshot differs");
+    }
+
+    #[test]
+    fn removed_schema_v1_snapshot_is_refused() {
+        let bytes: Vec<u8> = (0..GAPPY_ROSTER_SNAPSHOT_V1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GAPPY_ROSTER_SNAPSHOT_V1[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(
+            restore(&bytes).unwrap_err(),
+            SnapshotError::Corrupt("seed schema v1 was removed")
+        );
+    }
+
+    #[test]
+    fn estimates_grow_as_periods_close() {
+        // At the horizon cap, reserving d estimates up front would take
+        // 16 GiB before the first period closed.
+        let cap = crate::params::MAX_HORIZON;
+        let params = ProtocolParams::new(1000, cap, 2, 1.0, 0.05).unwrap();
+        let mut server = Server::for_future_rand(params);
+        assert_eq!(server.estimates.capacity(), 0);
+        server.register_user(0);
+        server.ingest(0, Sign::Plus);
+        let _ = server.end_of_period(1);
+        assert_eq!(server.estimates().len(), 1);
+        assert!(
+            server.estimates.capacity() < 64,
+            "{}",
+            server.estimates.capacity()
+        );
     }
 
     #[test]
@@ -1457,7 +1484,7 @@ mod tests {
     /// tree from these headers alone would abort the process.
     fn crafted_header(d: u64, current_t: u64, store: bool) -> Vec<u8> {
         let orders = d.trailing_zeros() as usize + 1;
-        let mut w = SnapWriter::for_schema(SeedSchema::V1Std);
+        let mut w = SnapWriter::new();
         w.usize(100);
         w.u64(d);
         w.usize(1);

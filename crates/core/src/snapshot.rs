@@ -6,9 +6,9 @@
 //! recovery, so the serialization layer is deliberately boring and
 //! fully validated:
 //!
-//! * an 8-byte magic (`RTFSNAP\0`), a `u32` format version, and (from
-//!   version 2) a one-byte seed schema up front — foreign bytes are
-//!   [`SnapshotError::BadMagic`], bytes from a future format are
+//! * an 8-byte magic (`RTFSNAP\0`), a `u32` format version, and a
+//!   one-byte seed schema up front — foreign bytes are
+//!   [`SnapshotError::BadMagic`], bytes from another format version are
 //!   [`SnapshotError::UnsupportedVersion`], never a misparse;
 //! * little-endian fixed-width primitives with `f64` stored as raw IEEE
 //!   bits, so a restore is bit-identical, not merely close;
@@ -20,30 +20,31 @@
 //!   is a typed [`SnapshotError`], **never** a panic.
 //!
 //! **Version policy:** [`SNAPSHOT_VERSION`] is bumped on any encoding
-//! change; readers accept exactly the versions they know how to decode
-//! (currently: 1 and 2) and reject the rest loudly. Version 2 embeds
-//! the client randomness schema ([`SeedSchema`]) in the header; version
-//! 1 bytes read back as implicitly [`SeedSchema::V1Std`] — the only
-//! schema that existed when they were written. There is no other
-//! cross-version migration — a horizon lasts days, not years, so
-//! "re-run from the start of the horizon" is an acceptable upgrade
-//! story and silent misreads are not. In particular, a v1-schema
-//! snapshot must never silently resume under the v2 schema: resume
-//! paths check [`SnapReader::expect_schema`] and surface the typed
-//! [`SnapshotError::SchemaMismatch`].
+//! change; readers accept exactly the version they know how to decode
+//! (currently 2) and reject the rest loudly. There is no cross-version
+//! migration — a horizon lasts days, not years, so "re-run from the
+//! start of the horizon" is an acceptable upgrade story and silent
+//! misreads are not. The header's seed schema byte is always 2, the
+//! counter stream every client draws from: state written under the
+//! removed per-report `StdRng` schema v1 (version 1 bytes, or schema
+//! byte 1) would resume with different report bits, so
+//! [`SnapReader::new`] — and with it every restore path — refuses it.
 //!
 //! The field-by-field encodings of the domain types live next to their
 //! private fields (`Server`, `AnyAccumulator`, the runtime's batches and
 //! journals); this module only supplies the primitives: [`SnapWriter`],
 //! [`SnapReader`], and [`SnapshotError`].
 
-use rtf_primitives::fastseed::SeedSchema;
-
 /// The current snapshot format version. Bump on any encoding change.
 ///
-/// * **1** — magic + version header; predates the seed schema axis.
-/// * **2** — adds the one-byte [`SeedSchema`] to the header.
+/// * **1** — magic + version header; written under seed schema v1, no
+///   longer readable.
+/// * **2** — adds a one-byte seed schema to the header.
 pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// The header's seed schema byte: the client counter stream. Byte 1
+/// named the removed schema v1.
+const SEED_SCHEMA_BYTE: u8 = 2;
 
 /// The 8-byte magic prefix of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RTFSNAP\0";
@@ -63,16 +64,6 @@ pub enum SnapshotError {
     },
     /// The trailing FNV-1a 64 checksum does not match the content.
     ChecksumMismatch,
-    /// The snapshot was taken under a different client randomness
-    /// schema than the process resuming from it — replaying one
-    /// schema's state under another would silently change every report
-    /// bit, so resume paths refuse instead.
-    SchemaMismatch {
-        /// The schema recorded in the snapshot header.
-        found: SeedSchema,
-        /// The schema the resuming process runs under.
-        expected: SeedSchema,
-    },
     /// A field failed its validity check; the message names it.
     Corrupt(&'static str),
     /// Well-formed content followed by unconsumed bytes.
@@ -86,14 +77,9 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "not a snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported snapshot format version {found} (supported: 1..={SNAPSHOT_VERSION})"
+                "unsupported snapshot format version {found} (supported: {SNAPSHOT_VERSION})"
             ),
             SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
-            SnapshotError::SchemaMismatch { found, expected } => write!(
-                f,
-                "snapshot recorded seed schema {found}, process runs schema {expected} — \
-                 refusing to resume across schemas"
-            ),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
             SnapshotError::TrailingBytes => write!(f, "snapshot has trailing bytes"),
         }
@@ -119,31 +105,17 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[derive(Debug)]
 pub struct SnapWriter {
     buf: Vec<u8>,
-    schema: SeedSchema,
 }
 
 impl SnapWriter {
-    /// A writer primed with the magic, current format version, and the
-    /// process-wide seed schema (`RTF_SEED_SCHEMA`). Callers that know
-    /// their schema explicitly — a service snapshotting its own server —
-    /// should prefer [`for_schema`](Self::for_schema).
+    /// A writer primed with the magic, current format version, and seed
+    /// schema byte.
     pub fn new() -> Self {
-        Self::for_schema(SeedSchema::from_env())
-    }
-
-    /// A writer primed with the magic, current format version, and an
-    /// explicit seed schema stamped into the header.
-    pub fn for_schema(schema: SeedSchema) -> Self {
         let mut buf = Vec::with_capacity(256);
         buf.extend_from_slice(&SNAPSHOT_MAGIC);
         buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        buf.push(schema.as_u8());
-        SnapWriter { buf, schema }
-    }
-
-    /// The seed schema stamped into this writer's header.
-    pub fn schema(&self) -> SeedSchema {
-        self.schema
+        buf.push(SEED_SCHEMA_BYTE);
+        SnapWriter { buf }
     }
 
     /// Writes one byte.
@@ -209,22 +181,20 @@ pub struct SnapReader<'a> {
     /// The payload between the header and the checksum.
     buf: &'a [u8],
     pos: usize,
-    schema: SeedSchema,
 }
 
 impl<'a> SnapReader<'a> {
-    /// Verifies magic, version, trailing checksum, and (version ≥ 2) the
-    /// header seed schema, and positions the reader at the first payload
-    /// byte. Version 1 bytes are accepted and read as implicitly
-    /// [`SeedSchema::V1Std`] — the only schema that existed then.
+    /// Verifies magic, version, trailing checksum, and the header seed
+    /// schema, and positions the reader at the first payload byte.
     ///
     /// # Errors
     /// [`SnapshotError::Truncated`] if the bytes cannot even hold the
     /// envelope, [`BadMagic`](SnapshotError::BadMagic) /
     /// [`UnsupportedVersion`](SnapshotError::UnsupportedVersion) /
     /// [`ChecksumMismatch`](SnapshotError::ChecksumMismatch) for the
-    /// respective header failures, [`Corrupt`](SnapshotError::Corrupt)
-    /// for an unknown schema byte.
+    /// respective header failures (version 1 is unsupported),
+    /// [`Corrupt`](SnapshotError::Corrupt) for the removed schema v1's
+    /// byte or an unknown one.
     pub fn new(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
         let version_header = SNAPSHOT_MAGIC.len() + 4;
         if bytes.len() < version_header + 8 {
@@ -240,12 +210,10 @@ impl<'a> SnapReader<'a> {
             return Err(SnapshotError::BadMagic);
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        // Version 1: no schema byte. Version 2: one schema byte.
-        let header = match version {
-            1 => version_header,
-            SNAPSHOT_VERSION => version_header + 1,
-            _ => return Err(SnapshotError::UnsupportedVersion { found: version }),
-        };
+        if version != SNAPSHOT_VERSION {
+            return Err(SnapshotError::UnsupportedVersion { found: version });
+        }
+        let header = version_header + 1;
         let (content, sum_bytes) = bytes.split_at(bytes.len() - 8);
         if content.len() < header {
             return Err(SnapshotError::Truncated);
@@ -254,38 +222,15 @@ impl<'a> SnapReader<'a> {
         if fnv1a64(content) != stored {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let schema = if version == 1 {
-            SeedSchema::V1Std
-        } else {
-            SeedSchema::from_u8(content[version_header])
-                .ok_or(SnapshotError::Corrupt("unknown seed schema byte"))?
-        };
+        match content[version_header] {
+            SEED_SCHEMA_BYTE => {}
+            1 => return Err(SnapshotError::Corrupt("seed schema v1 was removed")),
+            _ => return Err(SnapshotError::Corrupt("unknown seed schema byte")),
+        }
         Ok(SnapReader {
             buf: &content[header..],
             pos: 0,
-            schema,
         })
-    }
-
-    /// The seed schema the snapshot was taken under (version 1 bytes:
-    /// implicitly [`SeedSchema::V1Std`]).
-    pub fn schema(&self) -> SeedSchema {
-        self.schema
-    }
-
-    /// Guards a resume path: errors unless the snapshot's schema is
-    /// `expected`.
-    ///
-    /// # Errors
-    /// [`SnapshotError::SchemaMismatch`] naming both schemas.
-    pub fn expect_schema(&self, expected: SeedSchema) -> Result<(), SnapshotError> {
-        if self.schema != expected {
-            return Err(SnapshotError::SchemaMismatch {
-                found: self.schema,
-                expected,
-            });
-        }
-        Ok(())
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -441,84 +386,63 @@ mod tests {
         );
     }
 
-    /// Rewrites version-2 bytes into the version-1 layout (no schema
-    /// byte in the header) with a valid checksum — what a pre-schema
-    /// release would have written for the same payload.
-    fn downgrade_to_v1(bytes: &[u8]) -> Vec<u8> {
-        let content = &bytes[..bytes.len() - 8];
-        let mut v1 = Vec::with_capacity(bytes.len() - 1);
-        v1.extend_from_slice(&SNAPSHOT_MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&content[13..]); // payload after the schema byte
-        let sum = fnv1a64(&v1);
-        v1.extend_from_slice(&sum.to_le_bytes());
-        v1
+    /// `bytes` with header byte `at` set to `value` and the checksum
+    /// resealed.
+    fn with_header_byte(bytes: &[u8], at: usize, value: u8) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[at] = value;
+        let end = out.len() - 8;
+        let sum = fnv1a64(&out[..end]);
+        out[end..].copy_from_slice(&sum.to_le_bytes());
+        out
     }
 
     #[test]
     fn header_records_the_schema_both_ways() {
-        for schema in [SeedSchema::V1Std, SeedSchema::V2Fast] {
-            let mut w = SnapWriter::for_schema(schema);
-            assert_eq!(w.schema(), schema);
-            w.u64(77);
-            let bytes = w.finish();
-            let mut r = SnapReader::new(&bytes).unwrap();
-            assert_eq!(r.schema(), schema);
-            assert_eq!(r.u64().unwrap(), 77);
-            r.finish().unwrap();
-        }
-    }
-
-    #[test]
-    fn v1_bytes_read_back_as_implicit_std_schema() {
-        let mut w = SnapWriter::for_schema(SeedSchema::V2Fast);
-        w.u64(123);
-        w.f64(0.25);
-        let v1 = downgrade_to_v1(&w.finish());
-        let mut r = SnapReader::new(&v1).unwrap();
-        assert_eq!(r.schema(), SeedSchema::V1Std, "v1 is implicitly std");
-        assert_eq!(r.u64().unwrap(), 123);
-        assert_eq!(r.f64().unwrap(), 0.25);
+        // Written: magic, version 2, schema byte 2; read back cleanly.
+        let mut w = SnapWriter::new();
+        w.u64(77);
+        let bytes = w.finish();
+        assert_eq!(&bytes[8..13], &[2, 0, 0, 0, 2]);
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(r.u64().unwrap(), 77);
         r.finish().unwrap();
     }
 
     #[test]
-    fn expect_schema_guards_both_directions() {
-        // A v1-schema snapshot must never silently resume under v2 —
-        // and vice versa.
-        let v2_bytes = SnapWriter::for_schema(SeedSchema::V2Fast).finish();
-        let v1_bytes = downgrade_to_v1(&SnapWriter::for_schema(SeedSchema::V1Std).finish());
-        let r2 = SnapReader::new(&v2_bytes).unwrap();
-        let r1 = SnapReader::new(&v1_bytes).unwrap();
-        r2.expect_schema(SeedSchema::V2Fast).unwrap();
-        r1.expect_schema(SeedSchema::V1Std).unwrap();
+    fn v1_bytes_are_an_unsupported_version() {
+        // A version-1 snapshot (no schema byte) was written under the
+        // removed schema v1: refused by version, checksum intact.
+        let mut w = SnapWriter::new();
+        w.u64(123);
+        let bytes = w.finish();
+        let content = &bytes[..bytes.len() - 8];
+        let mut v1 = Vec::with_capacity(bytes.len() - 1);
+        v1.extend_from_slice(&SNAPSHOT_MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&content[13..]);
+        let sum = fnv1a64(&v1);
+        v1.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            r1.expect_schema(SeedSchema::V2Fast).unwrap_err(),
-            SnapshotError::SchemaMismatch {
-                found: SeedSchema::V1Std,
-                expected: SeedSchema::V2Fast,
-            }
+            SnapReader::new(&v1).unwrap_err(),
+            SnapshotError::UnsupportedVersion { found: 1 }
         );
+    }
+
+    #[test]
+    fn removed_schema_byte_rejected_as_corrupt() {
+        let bytes = SnapWriter::new().finish();
         assert_eq!(
-            r2.expect_schema(SeedSchema::V1Std).unwrap_err(),
-            SnapshotError::SchemaMismatch {
-                found: SeedSchema::V2Fast,
-                expected: SeedSchema::V1Std,
-            }
+            SnapReader::new(&with_header_byte(&bytes, 12, 1)).unwrap_err(),
+            SnapshotError::Corrupt("seed schema v1 was removed")
         );
-        let msg = format!("{}", r1.expect_schema(SeedSchema::V2Fast).unwrap_err());
-        assert!(msg.contains("v1") && msg.contains("v2"), "{msg}");
     }
 
     #[test]
     fn unknown_schema_byte_rejected_as_corrupt() {
-        let mut bytes = SnapWriter::for_schema(SeedSchema::V1Std).finish();
-        let end = bytes.len() - 8;
-        bytes[12] = 9; // not a known schema
-        let sum = fnv1a64(&bytes[..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        let bytes = SnapWriter::new().finish();
         assert_eq!(
-            SnapReader::new(&bytes).unwrap_err(),
+            SnapReader::new(&with_header_byte(&bytes, 12, 9)).unwrap_err(),
             SnapshotError::Corrupt("unknown seed schema byte")
         );
     }

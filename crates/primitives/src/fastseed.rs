@@ -1,26 +1,23 @@
-//! Seed schema v2 ("fast seeds"): a counter-based, word-at-a-time
-//! client randomness generator.
+//! The client randomness generator: a counter-based, word-at-a-time
+//! source of every client's zero-report signs.
 //!
-//! Schema **v1** derives every client report bit from a hierarchical
-//! `StdRng` (ChaCha12) stream — bit-compatible with every committed
-//! baseline, but one block-cipher draw per zero report is the hot-path
-//! wall once folding runs word-at-a-time. The protocol only requires
-//! each user's future randomness to be an i.i.d. ±1 stream from a
-//! private seed; *which* PRNG produces it is an implementation degree
-//! of freedom. Schema **v2** exercises that freedom: a stateless,
-//! SplitMix64-keyed counter generator in the spirit of Philox —
-//! [`word`]`(user_key, lane, counter)` yields 64 i.i.d. sign bits per
-//! call, so a span randomizer can fill whole packed sign words without
-//! materializing per-report state.
+//! The protocol only requires each user's zero-slot reports to be
+//! uniform ±1 draws from private randomness (Property III); *which*
+//! generator produces them is an implementation degree of freedom. This
+//! module's answer is a stateless, SplitMix64-keyed counter generator in
+//! the spirit of Philox: [`word`]`(user_key, lane, counter)` yields 64
+//! i.i.d. sign bits per call, so a span randomizer fills whole packed
+//! sign words without materializing per-report state, and bit `j` of a
+//! client's stream is a pure function of its key and `j` — sequential,
+//! batched and live execution cannot drift apart.
 //!
-//! The two schemas share everything *except* the zero-report sign
-//! stream: order sampling and the pre-computed `b̃` vectors still come
-//! from the v1 hierarchical `StdRng`, so group sizes, report counts,
-//! and the correlated non-zero noise are schema-invariant. A schema is
-//! an explicit, versioned axis ([`SeedSchema`], env `RTF_SEED_SCHEMA`):
-//! v1 is frozen for replay of committed baselines, v2 carries no replay
-//! obligation, and snapshots record the schema so state never silently
-//! resumes under the wrong one.
+//! Order sampling and the pre-computed `b̃` vectors still come from each
+//! client's hierarchical `StdRng` node; only the zero-report signs come
+//! from here. The stream is frozen: a golden test over every engine
+//! (`tests/equivalence.rs`) pins its outputs bit for bit. It was once
+//! "schema v2" beside a per-report `StdRng` schema v1; v1 is gone, and
+//! [`SeedSchema`] survives only so a stale `RTF_SEED_SCHEMA=v1` setting
+//! fails loudly.
 
 use crate::seeding::{splitmix64, SeedSequence};
 
@@ -32,84 +29,43 @@ pub const SIGN_LANE: u64 = 0;
 /// node in the seed hierarchy (see [`client_key`]).
 const CLIENT_KEY_TWEAK: u64 = 0xFA57_5EED_C0DE_0001;
 
-/// The versioned client randomness schema.
-///
-/// * [`V1Std`](SeedSchema::V1Std) — one `StdRng` draw per zero report,
-///   bit-compatible with every committed baseline. Frozen: replayable
-///   forever.
-/// * [`V2Fast`](SeedSchema::V2Fast) — zero-report signs come from the
-///   stateless counter generator [`word`]; non-zero reports and all
-///   initialization draws are unchanged from v1.
-///
-/// Selected process-wide by `RTF_SEED_SCHEMA`
-/// ([`from_env`](SeedSchema::from_env)); engine entry points also accept it
-/// explicitly. Within a schema the usual determinism contract holds:
-/// sequential ≡ parallel ≡ live, value for value. Across schemas only
-/// distributional properties (unbiasedness, the variance envelope) are
-/// shared.
+/// The client randomness schema. One variant: the counter stream of
+/// this module ("v2"). Kept so `RTF_SEED_SCHEMA` settings and the
+/// run metadata that names the schema keep working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SeedSchema {
-    /// Schema v1: hierarchical `StdRng` per-report draws (default).
+    /// Zero-report signs from the counter generator [`word`].
     #[default]
-    V1Std,
-    /// Schema v2: counter-based word-at-a-time zero-report signs.
     V2Fast,
 }
 
 impl SeedSchema {
-    /// Parses a schema name: `v1`/`std` → [`V1Std`](Self::V1Std),
-    /// `v2`/`fast` → [`V2Fast`](Self::V2Fast) (case-insensitive).
-    pub fn parse(s: &str) -> Option<SeedSchema> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "v1" | "std" => Some(SeedSchema::V1Std),
-            "v2" | "fast" => Some(SeedSchema::V2Fast),
-            _ => None,
-        }
-    }
-
-    /// The schema selected by the `RTF_SEED_SCHEMA` environment
-    /// variable; unset or empty means [`V1Std`](Self::V1Std) (every
-    /// committed baseline), unknown values fail loudly.
+    /// Reads the schema from the `RTF_SEED_SCHEMA` environment variable:
+    /// unset, empty, `v2` or `fast` (any case) select
+    /// [`SeedSchema::V2Fast`].
+    ///
+    /// # Panics
+    /// Panics on any other value, so a stale script or CI setting naming
+    /// the removed v1 schema never silently runs v2.
     pub fn from_env() -> Self {
-        match std::env::var("RTF_SEED_SCHEMA") {
-            Err(_) => SeedSchema::V1Std,
-            Ok(v) if v.trim().is_empty() => SeedSchema::V1Std,
-            Ok(v) => SeedSchema::parse(&v).unwrap_or_else(|| {
-                panic!("unknown RTF_SEED_SCHEMA {v:?}; valid values: v1, std, v2, fast")
-            }),
-        }
+        Self::from_setting(&std::env::var("RTF_SEED_SCHEMA").unwrap_or_default())
     }
 
-    /// Whether this is the fast (v2) schema.
-    #[inline]
-    pub fn is_fast(self) -> bool {
-        matches!(self, SeedSchema::V2Fast)
-    }
-
-    /// The one-byte wire encoding used by snapshot headers.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            SeedSchema::V1Std => 1,
-            SeedSchema::V2Fast => 2,
+    fn from_setting(value: &str) -> Self {
+        let v = value.trim();
+        if v.is_empty() || v.eq_ignore_ascii_case("v2") || v.eq_ignore_ascii_case("fast") {
+            return SeedSchema::V2Fast;
         }
-    }
-
-    /// Decodes [`as_u8`](Self::as_u8); `None` for unknown bytes.
-    pub fn from_u8(b: u8) -> Option<SeedSchema> {
-        match b {
-            1 => Some(SeedSchema::V1Std),
-            2 => Some(SeedSchema::V2Fast),
-            _ => None,
-        }
+        panic!(
+            "unsupported RTF_SEED_SCHEMA {value:?}: v2 (fast) is the only seed schema \
+             (v1/std was removed)"
+        )
     }
 }
 
 impl std::fmt::Display for SeedSchema {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SeedSchema::V1Std => write!(f, "v1"),
-            SeedSchema::V2Fast => write!(f, "v2"),
-        }
+        f.write_str("v2")
     }
 }
 
@@ -122,8 +78,8 @@ pub fn client_key(node: &SeedSequence) -> u64 {
     splitmix64(node.seed() ^ CLIENT_KEY_TWEAK)
 }
 
-/// The stateless counter generator at the heart of schema v2: 64
-/// uniform bits as a pure function of `(user_key, lane, counter)`.
+/// The stateless counter generator: 64 uniform bits as a pure function
+/// of `(user_key, lane, counter)`.
 ///
 /// Philox in spirit — a keyed bijection of the counter, here built from
 /// two SplitMix64 finalizer rounds with the key injected between them.
@@ -280,26 +236,26 @@ mod tests {
     }
 
     #[test]
-    fn schema_parse_display_and_bytes() {
-        for (s, expect) in [
-            ("v1", SeedSchema::V1Std),
-            ("std", SeedSchema::V1Std),
-            ("V1", SeedSchema::V1Std),
-            ("v2", SeedSchema::V2Fast),
-            ("fast", SeedSchema::V2Fast),
-            (" FAST ", SeedSchema::V2Fast),
-        ] {
-            assert_eq!(SeedSchema::parse(s), Some(expect), "{s:?}");
+    fn schema_parse_and_display() {
+        for setting in ["", "  ", "v2", "V2", "fast", " FAST "] {
+            assert_eq!(
+                SeedSchema::from_setting(setting),
+                SeedSchema::V2Fast,
+                "{setting:?}"
+            );
         }
-        assert_eq!(SeedSchema::parse("v3"), None);
-        assert_eq!(SeedSchema::parse(""), None);
-        assert_eq!(SeedSchema::V1Std.to_string(), "v1");
         assert_eq!(SeedSchema::V2Fast.to_string(), "v2");
-        for schema in [SeedSchema::V1Std, SeedSchema::V2Fast] {
-            assert_eq!(SeedSchema::from_u8(schema.as_u8()), Some(schema));
+        assert_eq!(SeedSchema::default(), SeedSchema::V2Fast);
+    }
+
+    #[test]
+    fn removed_schema_settings_fail_loudly() {
+        for setting in ["v1", "std", "v3"] {
+            let msg = std::panic::catch_unwind(|| SeedSchema::from_setting(setting))
+                .unwrap_err()
+                .downcast::<String>()
+                .unwrap();
+            assert!(msg.contains("v1/std was removed"), "{setting:?}: {msg}");
         }
-        assert_eq!(SeedSchema::from_u8(0), None);
-        assert_eq!(SeedSchema::from_u8(3), None);
-        assert_eq!(SeedSchema::default(), SeedSchema::V1Std);
     }
 }

@@ -20,9 +20,8 @@
 //! * [`laplace`] — Laplace noise for the central-model baseline;
 //! * [`seeding`] — deterministic hierarchical seeding so that every
 //!   experiment in the workspace is exactly reproducible;
-//! * [`fastseed`] — the versioned client randomness schema axis
-//!   ([`SeedSchema`]) and the counter-based word generator behind seed
-//!   schema v2 ("fast seeds").
+//! * [`fastseed`] — the counter-based word generator every client's
+//!   zero-report signs come from ([`SeedSchema`] names it).
 //!
 //! # Design notes
 //!

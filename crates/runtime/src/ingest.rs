@@ -61,8 +61,8 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use rtf_core::accumulator::{Accumulator, AccumulatorError, AnyAccumulator};
 use rtf_core::server::{Delivery, Server};
 use rtf_core::snapshot::{SnapReader, SnapWriter, SnapshotError};
-use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::sign::Sign;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -489,10 +489,6 @@ impl IngestService {
         self.server.as_mut().expect("service not finished")
     }
 
-    fn server_ref(&self) -> &Server {
-        self.server.as_ref().expect("service not finished")
-    }
-
     /// Number of ingestion workers.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -670,10 +666,7 @@ impl IngestService {
     /// states produce equal bytes, and a restored service re-snapshots
     /// to exactly the bytes it was restored from.
     pub fn snapshot(&self) -> Vec<u8> {
-        // The header records the seed schema the clients that fed this
-        // server were running — resuming under a different schema is a
-        // typed error, never a silent divergence.
-        let mut w = SnapWriter::for_schema(self.server_ref().seed_schema());
+        let mut w = SnapWriter::new();
         w.usize(self.workers.len());
         w.usize(self.mailbox_cap);
         let s = &self.stats;
@@ -725,7 +718,8 @@ impl IngestService {
     /// # Errors
     /// A typed [`SnapshotError`] for anything malformed: truncated or
     /// corrupted bytes, a foreign file, an unsupported format version,
-    /// or any violated structural invariant. Never panics on bad bytes.
+    /// state written under the removed seed schema v1, or any violated
+    /// structural invariant. Never panics on bad bytes.
     pub fn restore(bytes: &[u8]) -> Result<IngestService, SnapshotError> {
         let mut r = SnapReader::new(bytes)?;
         let workers = r.usize()?;
@@ -814,12 +808,31 @@ impl IngestService {
     /// Writes [`snapshot`](Self::snapshot) bytes to `dir/name`, creating
     /// `dir` if needed, and returns the full path.
     ///
+    /// The bytes go to a temporary file in `dir`, are synced, and the
+    /// file is then renamed over `dir/name`, so a crash mid-write leaves
+    /// the previous snapshot intact instead of a torn one.
+    ///
     /// # Errors
-    /// Any I/O error from creating the directory or writing the file.
+    /// Any I/O error from creating the directory or writing, syncing or
+    /// renaming the file; the temporary file is removed on failure.
     pub fn write_snapshot_to(&self, dir: &Path, name: &str) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(name);
-        std::fs::write(&path, self.snapshot())?;
+        let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut file| {
+                file.write_all(&self.snapshot())?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+        // The rename is a directory update: sync the directory too, or a
+        // crash after this returns can still leave the previous snapshot.
+        #[cfg(unix)]
+        std::fs::File::open(dir)?.sync_all()?;
         Ok(path)
     }
 
@@ -842,14 +855,10 @@ impl IngestService {
     ///
     /// # Errors
     /// [`SnapshotFileError::Io`] if the file cannot be read,
-    /// [`SnapshotFileError::Snapshot`] if its bytes are rejected — in
-    /// particular [`SnapshotError::SchemaMismatch`] when the snapshot was
-    /// taken under a different seed schema than the one this process is
-    /// configured to run (`RTF_SEED_SCHEMA`): a v1 snapshot must never
-    /// silently resume under v2, or vice versa.
+    /// [`SnapshotFileError::Snapshot`] if its bytes are rejected (see
+    /// [`restore`](Self::restore)).
     pub fn restore_from_file(path: &Path) -> Result<IngestService, SnapshotFileError> {
         let bytes = std::fs::read(path)?;
-        SnapReader::new(&bytes)?.expect_schema(SeedSchema::from_env())?;
         Ok(IngestService::restore(&bytes)?)
     }
 
@@ -927,7 +936,7 @@ impl From<SnapshotError> for SnapshotFileError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtf_core::accumulator::{AccumulatorKind, AnyAccumulator};
+    use rtf_core::accumulator::AnyAccumulator;
     use rtf_core::params::ProtocolParams;
 
     fn params() -> ProtocolParams {
@@ -1374,38 +1383,81 @@ mod tests {
 
     #[test]
     fn service_snapshots_record_the_seed_schema_and_guard_cross_schema_resume() {
-        // The snapshot header carries the schema of the server inside the
-        // service; a resume path expecting the other schema gets a typed
-        // SchemaMismatch, never a silent continuation.
-        for (schema, other) in [
-            (SeedSchema::V1Std, SeedSchema::V2Fast),
-            (SeedSchema::V2Fast, SeedSchema::V1Std),
+        // The header carries the one seed schema; state written under the
+        // removed schema v1 is a typed error on every restore path, never
+        // a silent continuation with different report bits.
+        let mut svc = IngestService::new(trusted_server(4), 2, 2);
+        svc.submit_reports(0, batch_for(1, 0..4));
+        let bytes = svc.snapshot();
+        assert_eq!(bytes[12], 2, "schema byte");
+        let restored = IngestService::restore(&bytes).unwrap();
+        assert_eq!(restored.snapshot(), bytes);
+
+        let reseal = |mut b: Vec<u8>| {
+            let end = b.len() - 8;
+            let sum = rtf_core::snapshot::fnv1a64(&b[..end]);
+            b[end..].copy_from_slice(&sum.to_le_bytes());
+            b
+        };
+        let mut schema_v1 = bytes.clone();
+        schema_v1[12] = 1;
+        let schema_v1 = reseal(schema_v1);
+        // Version 1 bytes have no schema byte.
+        let mut version_1 = bytes[..12].to_vec();
+        version_1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        version_1.extend_from_slice(&bytes[13..]);
+        let version_1 = reseal(version_1);
+        let dir = std::env::temp_dir().join(format!("rtf-snap-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (old, expect) in [
+            (
+                schema_v1,
+                SnapshotError::Corrupt("seed schema v1 was removed"),
+            ),
+            (version_1, SnapshotError::UnsupportedVersion { found: 1 }),
         ] {
-            let mut server =
-                Server::for_future_rand_schema(params(), AccumulatorKind::Dense, schema);
-            for _ in 0..4 {
-                server.register_user(0);
+            assert_eq!(IngestService::restore(&old).err().unwrap(), expect);
+            let path = dir.join("old.rtfsnap");
+            std::fs::write(&path, &old).unwrap();
+            match IngestService::restore_from_file(&path) {
+                Err(SnapshotFileError::Snapshot(e)) => assert_eq!(e, expect),
+                other => panic!("expected {expect:?}, got {:?}", other.map(|_| ())),
             }
-            let mut svc = IngestService::new(server, 2, 2);
-            svc.submit_reports(0, batch_for(1, 0..4));
-            let bytes = svc.snapshot();
-
-            let r = SnapReader::new(&bytes).unwrap();
-            assert_eq!(r.schema(), schema);
-            assert_eq!(
-                r.expect_schema(other).err().unwrap(),
-                SnapshotError::SchemaMismatch {
-                    found: schema,
-                    expected: other,
-                }
-            );
-
-            // Schema-faithful restore: the header wins, and the restored
-            // service re-snapshots byte-identically (same header).
-            let restored = IngestService::restore(&bytes).unwrap();
-            assert_eq!(restored.server_ref().seed_schema(), schema);
-            assert_eq!(restored.snapshot(), bytes);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_files_are_replaced_not_overwritten() {
+        // A hard link keeps the previous snapshot's inode reachable: an
+        // in-place write would change the bytes behind it, a rename over
+        // the target leaves them alone.
+        let dir = std::env::temp_dir().join(format!("rtf-snap-replace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut svc = IngestService::new(trusted_server(12), 2, 2);
+        svc.submit_reports(0, batch_for(1, 0..12));
+        svc.close_period(1).unwrap();
+        let path = svc.write_snapshot_to(&dir, "svc.rtfsnap").unwrap();
+        let previous = std::fs::read(&path).unwrap();
+        std::fs::hard_link(&path, dir.join("previous.rtfsnap")).unwrap();
+
+        svc.submit_reports(1, batch_for(2, 0..12));
+        svc.close_period(2).unwrap();
+        assert_eq!(svc.write_snapshot_to(&dir, "svc.rtfsnap").unwrap(), path);
+        assert_eq!(
+            std::fs::read(dir.join("previous.rtfsnap")).unwrap(),
+            previous,
+            "the previous snapshot was overwritten in place"
+        );
+        let restored = IngestService::restore_from_file(&path).unwrap();
+        assert_eq!(restored.snapshot(), svc.snapshot());
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["previous.rtfsnap", "svc.rtfsnap"], "temp file left");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -54,7 +54,3 @@ pub use ingest::{
 pub use mode::ExecMode;
 pub use persistent::{shared_pool, PersistentPool};
 pub use pool::{partition, shard_of, Shard, WorkerPool};
-// The seed schema lives with the client randomness in rtf-primitives;
-// re-exported here so runtime configuration (`RTF_WORKERS` → ExecMode,
-// `RTF_SEED_SCHEMA` → SeedSchema) is importable from one place.
-pub use rtf_primitives::fastseed::SeedSchema;

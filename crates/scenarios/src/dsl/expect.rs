@@ -10,11 +10,9 @@ use crate::chaos::ChaosPlan;
 use crate::config::FaultTimeline;
 use crate::engine::{FaultCounts, ScenarioOutcome};
 use crate::oracle::{assert_within_band, faulty_envelope};
-use rtf_core::accumulator::AccumulatorKind;
-use rtf_primitives::fastseed::SeedSchema;
 use rtf_runtime::ingest::IngestStats;
 use rtf_runtime::ExecMode;
-use rtf_sim::engine::run_event_driven_schema;
+use rtf_sim::engine::run_event_driven_with;
 use rtf_streams::population::Population;
 
 /// One observable counter of [`FaultCounts`], addressable from a spec's
@@ -283,28 +281,23 @@ pub struct ExpectationReport {
 /// a descriptive message on any violation (test-harness style, like the
 /// oracle it wraps).
 ///
-/// `schema` must be the seed schema the outcome was produced under (the
-/// honest reference runs are replayed with it). `live` carries the live
-/// engine's ledger when a live leg ran; for a `chaos-recovery` spec
-/// checked without one, the ledger assertions are skipped and noted in
-/// the report.
+/// `live` carries the live engine's ledger when a live leg ran; for a
+/// `chaos-recovery` spec checked without one, the ledger assertions are
+/// skipped and noted in the report.
 pub fn check_expectation(
     compiled: &CompiledSpec,
     population: &Population,
     outcome: &ScenarioOutcome,
-    schema: SeedSchema,
     live: Option<(&IngestStats, &ChaosPlan)>,
 ) -> ExpectationReport {
     let mut details = Vec::new();
     let mut checks = 0usize;
     let honest_reference = || {
-        run_event_driven_schema(
+        run_event_driven_with(
             &compiled.params,
             population,
             compiled.seed,
             ExecMode::Sequential,
-            AccumulatorKind::Dense,
-            schema,
         )
     };
 

@@ -13,7 +13,6 @@ use super::expect::check_expectation;
 use super::{ScenarioSpec, SpecError, SpecErrorKind};
 use crate::engine::{run_scenario_timeline_digest, ScenarioOutcome};
 use crate::live::run_scenario_live_timeline;
-use rtf_primitives::fastseed::SeedSchema;
 use rtf_runtime::ingest::IngestStats;
 use rtf_runtime::ExecMode;
 use std::path::{Path, PathBuf};
@@ -88,10 +87,7 @@ const AGREEMENT_WORKERS: usize = 3;
 ///
 /// Panics on any divergence (test-harness style). Returns the reference
 /// outcome and the live ledger for [`check_expectation`].
-pub fn assert_spec_agreement(
-    spec: &ScenarioSpec,
-    schema: SeedSchema,
-) -> (ScenarioOutcome, IngestStats) {
+pub fn assert_spec_agreement(spec: &ScenarioSpec) -> (ScenarioOutcome, IngestStats) {
     let compiled = spec
         .compile()
         .unwrap_or_else(|e| panic!("workload `{}` failed to compile: {e}", spec.name));
@@ -100,14 +96,8 @@ pub fn assert_spec_agreement(
     let timeline = &compiled.timeline;
     let seed = compiled.seed;
 
-    let (reference, ref_digest) = run_scenario_timeline_digest(
-        params,
-        &population,
-        seed,
-        timeline,
-        ExecMode::Sequential,
-        schema,
-    );
+    let (reference, ref_digest) =
+        run_scenario_timeline_digest(params, &population, seed, timeline, ExecMode::Sequential);
 
     let (batched, batched_digest) = run_scenario_timeline_digest(
         params,
@@ -115,7 +105,6 @@ pub fn assert_spec_agreement(
         seed,
         timeline,
         ExecMode::Parallel(AGREEMENT_WORKERS),
-        schema,
     );
     assert_outcome_eq(&reference, &batched, spec, "batched");
     assert_eq!(
@@ -129,27 +118,25 @@ pub fn assert_spec_agreement(
         .configure(AGREEMENT_WORKERS)
         .with_mailbox_cap(2)
         .with_chunk_rows(7);
-    let (live, ledger) =
-        run_scenario_live_timeline(params, &population, seed, timeline, &config, schema);
+    let (live, ledger) = run_scenario_live_timeline(params, &population, seed, timeline, &config);
     assert_outcome_eq(&reference, &live, spec, "live");
 
     (reference, ledger)
 }
 
 /// Convenience wrapper: agreement plus the spec's registered
-/// expectation, under one schema. This is what the CI workload sweep
-/// runs per committed file.
-pub fn verify_workload(spec: &ScenarioSpec, schema: SeedSchema) -> super::ExpectationReport {
+/// expectation. This is what the CI workload sweep runs per committed
+/// file.
+pub fn verify_workload(spec: &ScenarioSpec) -> super::ExpectationReport {
     let compiled = spec
         .compile()
         .unwrap_or_else(|e| panic!("workload `{}` failed to compile: {e}", spec.name));
-    let (outcome, stats) = assert_spec_agreement(spec, schema);
+    let (outcome, stats) = assert_spec_agreement(spec);
     let population = compiled.population();
     check_expectation(
         &compiled,
         &population,
         &outcome,
-        schema,
         Some((&stats, &compiled.chaos)),
     )
 }

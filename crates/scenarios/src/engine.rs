@@ -175,10 +175,9 @@ pub fn run_scenario(
     run_scenario_with(params, population, seed, scenario, ExecMode::from_env())
 }
 
-/// Runs the fault-injected engine in an explicit [`ExecMode`], under the
-/// `RTF_SEED_SCHEMA` client randomness schema. Every outcome field —
-/// estimates, delivery log, wire stats, fault counts — is
-/// value-for-value identical across modes and worker counts.
+/// Runs the fault-injected engine in an explicit [`ExecMode`]. Every
+/// outcome field — estimates, delivery log, wire stats, fault counts —
+/// is value-for-value identical across modes and worker counts.
 pub fn run_scenario_with(
     params: &ProtocolParams,
     population: &Population,
@@ -197,10 +196,8 @@ pub fn run_scenario_with(
     )
 }
 
-/// [`run_scenario_with`] on an explicit accumulator layout and under an
-/// explicit client randomness schema. Fault decisions come from the
-/// disjoint `FAULT_STREAM` either way — the schema changes only where
-/// honest clients' zero-slot report bits come from.
+/// [`run_scenario_with`] on an explicit accumulator layout. The seed
+/// schema has one value; the parameter stays for callers that name it.
 pub fn run_scenario_schema(
     params: &ProtocolParams,
     population: &Population,
@@ -208,10 +205,10 @@ pub fn run_scenario_schema(
     scenario: &Scenario,
     mode: ExecMode,
     backend: AccumulatorKind,
-    schema: SeedSchema,
+    _schema: SeedSchema,
 ) -> ScenarioOutcome {
     let timeline = FaultTimeline::constant(*scenario);
-    run_timeline(params, population, seed, &timeline, mode, backend, schema).0
+    run_timeline(params, population, seed, &timeline, mode, backend).0
 }
 
 /// Runs a [`FaultTimeline`] — a possibly per-period fault schedule —
@@ -230,45 +227,30 @@ pub fn run_scenario_timeline(
     seed: u64,
     timeline: &FaultTimeline,
     mode: ExecMode,
-    schema: SeedSchema,
 ) -> ScenarioOutcome {
-    run_scenario_timeline_digest(params, population, seed, timeline, mode, schema).0
+    run_scenario_timeline_digest(params, population, seed, timeline, mode).0
 }
 
-/// [`run_scenario_schema`] additionally returning the **residual
+/// [`run_scenario_timeline`] additionally returning the **residual
 /// fault-stream digest**: after the horizon completes, every client's
 /// private fault stream is probed for one more word and the words are
 /// folded in ascending user order. Per-user fault streams are disjoint,
 /// so equal digests across execution modes prove the engines consumed
 /// every fault draw stream-for-stream — a strictly stronger check than
 /// outcome equality (a path that skipped one draw and compensated with
-/// another could still agree on every observable field).
-pub fn run_scenario_schema_digest(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-    mode: ExecMode,
-    schema: SeedSchema,
-) -> (ScenarioOutcome, u64) {
-    let timeline = FaultTimeline::constant(*scenario);
-    run_scenario_timeline_digest(params, population, seed, &timeline, mode, schema)
-}
-
-/// [`run_scenario_timeline`] additionally returning the residual
-/// fault-stream digest (see [`run_scenario_schema_digest`] — the digest
-/// contract is identical for shaped timelines, because the per-period
-/// schedule changes *which* coins are flipped, never who flips them).
+/// another could still agree on every observable field). The contract
+/// holds for shaped timelines too, because the per-period schedule
+/// changes *which* coins are flipped, never who flips them; pass
+/// `FaultTimeline::constant(s)` for a plain scenario.
 pub fn run_scenario_timeline_digest(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     timeline: &FaultTimeline,
     mode: ExecMode,
-    schema: SeedSchema,
 ) -> (ScenarioOutcome, u64) {
     let backend = AccumulatorKind::from_env();
-    run_timeline(params, population, seed, timeline, mode, backend, schema)
+    run_timeline(params, population, seed, timeline, mode, backend)
 }
 
 fn run_timeline(
@@ -278,7 +260,6 @@ fn run_timeline(
     timeline: &FaultTimeline,
     mode: ExecMode,
     backend: AccumulatorKind,
-    schema: SeedSchema,
 ) -> (ScenarioOutcome, u64) {
     timeline.validate(params.d());
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
@@ -287,19 +268,12 @@ fn run_timeline(
     match mode {
         ExecMode::Sequential => {
             let (out, _, digest) =
-                run_scenario_sequential_impl(params, population, seed, timeline, backend, schema);
+                run_scenario_sequential_impl(params, population, seed, timeline, backend);
             (out, digest)
         }
         ExecMode::Parallel(w) => {
-            let (out, _, digest) = run_scenario_batched_impl(
-                params,
-                population,
-                seed,
-                timeline,
-                w.max(1),
-                backend,
-                schema,
-            );
+            let (out, _, digest) =
+                run_scenario_batched_impl(params, population, seed, timeline, w.max(1), backend);
             (out, digest)
         }
     }
@@ -317,11 +291,10 @@ fn run_scenario_sequential_impl(
     seed: u64,
     timeline: &FaultTimeline,
     backend: AccumulatorKind,
-    schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings, u64) {
     let composed = composed_tables(params);
 
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let root = SeedSequence::new(seed);
@@ -345,11 +318,10 @@ fn run_scenario_sequential_impl(
         let registered = server.register_client(decoded.user, u32::from(decoded.order));
         assert!(registered, "simulation user ids are unique");
         wire.record_announcement();
-        let m = FutureRand::init_with_schema(
+        let m = FutureRand::init_keyed(
             params.sequence_len(h),
             &composed[h as usize],
             &mut rng,
-            schema,
             fastseed::client_key(&node),
         );
 
@@ -501,7 +473,8 @@ pub struct ScenarioStageTimings {
 
 /// [`run_scenario_schema`]'s batched pipeline with per-stage wall-clock
 /// timings. Values are identical to the untimed run (the timers only
-/// bracket existing stages).
+/// bracket existing stages). The seed schema has one value; the
+/// parameter stays for callers that name it.
 pub fn run_scenario_batched_timed(
     params: &ProtocolParams,
     population: &Population,
@@ -509,22 +482,15 @@ pub fn run_scenario_batched_timed(
     scenario: &Scenario,
     workers: usize,
     backend: AccumulatorKind,
-    schema: SeedSchema,
+    _schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
     let timeline = FaultTimeline::constant(*scenario);
     timeline.validate(params.d());
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
-    let (out, timings, _) = run_scenario_batched_impl(
-        params,
-        population,
-        seed,
-        &timeline,
-        workers.max(1),
-        backend,
-        schema,
-    );
+    let (out, timings, _) =
+        run_scenario_batched_impl(params, population, seed, &timeline, workers.max(1), backend);
     (out, timings)
 }
 
@@ -537,7 +503,6 @@ pub fn run_scenario_sequential_timed(
     population: &Population,
     seed: u64,
     scenario: &Scenario,
-    schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
     let timeline = FaultTimeline::constant(*scenario);
     timeline.validate(params.d());
@@ -546,7 +511,7 @@ pub fn run_scenario_sequential_timed(
     population.assert_k_sparse(params.k());
     let backend = AccumulatorKind::from_env();
     let (out, timings, _) =
-        run_scenario_sequential_impl(params, population, seed, &timeline, backend, schema);
+        run_scenario_sequential_impl(params, population, seed, &timeline, backend);
     (out, timings)
 }
 
@@ -639,7 +604,6 @@ fn planned_floor(shards: &[ShardEmission], n: usize, workers: usize, t: u64, fra
     0
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_scenario_batched_impl(
     params: &ProtocolParams,
     population: &Population,
@@ -647,7 +611,6 @@ fn run_scenario_batched_impl(
     timeline: &FaultTimeline,
     workers: usize,
     backend: AccumulatorKind,
-    schema: SeedSchema,
 ) -> (ScenarioOutcome, ScenarioStageTimings, u64) {
     let composed = composed_tables(params);
     let root = SeedSequence::new(seed);
@@ -661,8 +624,14 @@ fn run_scenario_batched_impl(
 
     let emission_start = std::time::Instant::now();
     let shards: Vec<ShardEmission> = pool.map_shards(n, |shard| {
-        let mut groups =
-            build_order_groups(params, population, &composed, &root, shard.range(), schema);
+        let mut groups = build_order_groups(
+            params,
+            population,
+            &composed,
+            &root,
+            shard.range(),
+            SeedSchema::V2Fast,
+        );
         let mut orders = vec![0u8; shard.len()];
         let mut lanes = vec![0u32; shard.len()];
         for (h, group) in groups.iter().enumerate() {
@@ -855,7 +824,7 @@ fn run_scenario_batched_impl(
     // replay the merged residue mailbox through the floor-checked path
     // and fold the honest span runs arithmetically.
     let register_start = std::time::Instant::now();
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let mut digest = 0u64;
@@ -1382,16 +1351,16 @@ mod tests {
             .with_duplicates(0.1)
             .with_byzantine(0.15);
         let timeline = FaultTimeline::constant(scenario);
+        let mut digests = Vec::new();
         for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
-            let (a, da) =
-                run_scenario_schema_digest(&params, &pop, 19, &scenario, mode, SeedSchema::V1Std);
-            let (b, db) =
-                run_scenario_timeline_digest(&params, &pop, 19, &timeline, mode, SeedSchema::V1Std);
+            let a = run_scenario_with(&params, &pop, 19, &scenario, mode);
+            let (b, digest) = run_scenario_timeline_digest(&params, &pop, 19, &timeline, mode);
             assert_eq!(a.estimates, b.estimates);
             assert_eq!(a.delivery, b.delivery);
             assert_eq!(a.faults, b.faults);
-            assert_eq!(da, db, "same draws, same residual digest");
+            digests.push(digest);
         }
+        assert_eq!(digests[0], digests[1], "same draws, same residual digest");
     }
 
     #[test]
@@ -1418,26 +1387,14 @@ mod tests {
         let timeline =
             FaultTimeline::shaped(base, rows).with_delay_law(DelayLaw::Zipf { alpha: 1.5 });
         timeline.validate(params.d());
-        let (seq, dseq) = run_scenario_timeline_digest(
-            &params,
-            &pop,
-            23,
-            &timeline,
-            ExecMode::Sequential,
-            SeedSchema::V1Std,
-        );
+        let (seq, dseq) =
+            run_scenario_timeline_digest(&params, &pop, 23, &timeline, ExecMode::Sequential);
         assert!(seq.faults.dropped > 0, "the pulse must fire");
         assert!(seq.faults.churned_clients > 0, "the churn storm must fire");
         assert!(seq.faults.delayed > 0, "the zipf stragglers must fire");
         for w in [1usize, 2, 3, 8] {
-            let (par, dpar) = run_scenario_timeline_digest(
-                &params,
-                &pop,
-                23,
-                &timeline,
-                ExecMode::Parallel(w),
-                SeedSchema::V1Std,
-            );
+            let (par, dpar) =
+                run_scenario_timeline_digest(&params, &pop, 23, &timeline, ExecMode::Parallel(w));
             assert_eq!(par.estimates, seq.estimates, "{w} workers");
             assert_eq!(par.delivery, seq.delivery, "{w} workers");
             assert_eq!(par.wire, seq.wire, "{w} workers");
@@ -1466,14 +1423,7 @@ mod tests {
             })
             .collect();
         let timeline = FaultTimeline::shaped(base, rows);
-        let out = run_scenario_timeline(
-            &params,
-            &pop,
-            31,
-            &timeline,
-            ExecMode::Sequential,
-            SeedSchema::V1Std,
-        );
+        let out = run_scenario_timeline(&params, &pop, 31, &timeline, ExecMode::Sequential);
         assert!(out.faults.dropped > 0);
         for (i, row) in out.delivery.iter().enumerate() {
             let t = (i + 1) as u64;

@@ -59,14 +59,12 @@ pub use chaos::{assert_chaos_recovery, ChaosPlan};
 pub use config::{DelayLaw, FaultTimeline, Scenario};
 pub use dsl::{ExpectationSpec, ScenarioSpec, SpecError};
 pub use engine::{
-    run_scenario, run_scenario_batched_timed, run_scenario_schema, run_scenario_schema_digest,
-    run_scenario_sequential_timed, run_scenario_timeline, run_scenario_timeline_digest,
-    run_scenario_with, FaultCounts, ScenarioOutcome, ScenarioStageTimings,
+    run_scenario, run_scenario_batched_timed, run_scenario_schema, run_scenario_sequential_timed,
+    run_scenario_timeline, run_scenario_timeline_digest, run_scenario_with, FaultCounts,
+    ScenarioOutcome, ScenarioStageTimings,
 };
-pub use live::{
-    run_scenario_live, run_scenario_live_schema, run_scenario_live_timeline, run_scenario_live_with,
-};
+pub use live::{run_scenario_live, run_scenario_live_timeline, run_scenario_live_with};
 pub use oracle::{
-    assert_exact_agreement, assert_live_agreement, assert_mode_agreement, assert_schema_agreement,
-    faulty_envelope, measure_aggregate_agreement, measure_aggregate_agreement_with, tolerance_band,
+    assert_exact_agreement, assert_live_agreement, assert_mode_agreement, faulty_envelope,
+    measure_aggregate_agreement, measure_aggregate_agreement_with, tolerance_band,
 };

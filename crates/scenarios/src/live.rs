@@ -35,12 +35,11 @@ use crate::engine::{
     FAULT_STREAM,
 };
 use rand::Rng;
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::client::Client;
 use rtf_core::params::ProtocolParams;
 use rtf_core::randomizer::FutureRand;
 use rtf_core::server::{Delivery, Server};
-use rtf_primitives::fastseed::{self, SeedSchema};
+use rtf_primitives::fastseed;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
 use rtf_runtime::ingest::{IngestService, IngestStats, LiveConfig};
@@ -83,33 +82,13 @@ pub fn run_scenario_live_with(
     scenario: &Scenario,
     config: &LiveConfig,
 ) -> (ScenarioOutcome, IngestStats) {
-    run_scenario_live_schema(
-        params,
-        population,
-        seed,
-        scenario,
-        config,
-        SeedSchema::from_env(),
-    )
-}
-
-/// [`run_scenario_live_with`] under an explicit client randomness schema
-/// (instead of `RTF_SEED_SCHEMA`).
-pub fn run_scenario_live_schema(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-    config: &LiveConfig,
-    schema: SeedSchema,
-) -> (ScenarioOutcome, IngestStats) {
     let timeline = FaultTimeline::constant(*scenario);
-    run_scenario_live_timeline(params, population, seed, &timeline, config, schema)
+    run_scenario_live_timeline(params, population, seed, &timeline, config)
 }
 
 /// Runs a [`FaultTimeline`] — a possibly per-period fault schedule —
 /// through the streaming ingestion service. The timeline generalisation
-/// of [`run_scenario_live_schema`]: `FaultTimeline::constant(s)`
+/// of [`run_scenario_live_with`]: `FaultTimeline::constant(s)`
 /// reproduces the scenario path bit for bit, while shaped timelines
 /// apply a different effective scenario each period. Every outcome
 /// field is value-for-value identical to
@@ -122,7 +101,6 @@ pub fn run_scenario_live_timeline(
     seed: u64,
     timeline: &FaultTimeline,
     config: &LiveConfig,
-    schema: SeedSchema,
 ) -> (ScenarioOutcome, IngestStats) {
     timeline.validate(params.d());
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
@@ -140,7 +118,7 @@ pub fn run_scenario_live_timeline(
 
     // Announce + build clients exactly like the sequential engine (same
     // RNG order), so honest bits and fault decisions are identical.
-    let mut server = Server::for_future_rand_schema(*params, AccumulatorKind::from_env(), schema);
+    let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let mut slots: Vec<ClientSlot> = Vec::with_capacity(n);
@@ -157,11 +135,10 @@ pub fn run_scenario_live_timeline(
         let registered = server.register_client(decoded.user, u32::from(decoded.order));
         assert!(registered, "simulation user ids are unique");
         wire.record_announcement();
-        let m = FutureRand::init_with_schema(
+        let m = FutureRand::init_keyed(
             params.sequence_len(h),
             &composed[h as usize],
             &mut rng,
-            schema,
             fastseed::client_key(&node),
         );
         let mut frng = fault_root.child(u as u64).rng();
@@ -409,15 +386,13 @@ mod tests {
             29,
             &timeline,
             rtf_runtime::ExecMode::Sequential,
-            SeedSchema::V1Std,
         );
         assert!(seq.faults.dropped > 0 && seq.faults.delayed > 0);
         for workers in [1usize, 2, 8] {
             let cfg = LiveConfig::new(workers)
                 .with_mailbox_cap(2)
                 .with_chunk_rows(7);
-            let (live, _) =
-                run_scenario_live_timeline(&params, &pop, 29, &timeline, &cfg, SeedSchema::V1Std);
+            let (live, _) = run_scenario_live_timeline(&params, &pop, 29, &timeline, &cfg);
             assert_outcomes_equal(&live, &seq, &format!("shaped, {workers} workers"));
         }
     }

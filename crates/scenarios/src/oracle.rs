@@ -25,22 +25,19 @@
 //! `w ∈ {1, 2, 8}` on the honest schedule **and** on arbitrary faulty
 //! scenarios (where mailbox order matters).
 
-use crate::config::Scenario;
+use crate::config::{FaultTimeline, Scenario};
 use crate::engine::{
-    run_scenario, run_scenario_schema, run_scenario_schema_digest, run_scenario_with,
-    ScenarioOutcome,
+    run_scenario, run_scenario_timeline_digest, run_scenario_with, ScenarioOutcome,
 };
-use crate::live::{run_scenario_live_schema, run_scenario_live_with};
+use crate::live::run_scenario_live_with;
 use rtf_analysis::variance::{future_rand_scales, predicted_variance};
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
-use rtf_core::protocol::{run_in_memory, run_in_memory_schema};
-use rtf_primitives::fastseed::SeedSchema;
+use rtf_core::protocol::run_in_memory;
 use rtf_runtime::ingest::LiveConfig;
 use rtf_runtime::{ExecMode, WorkerPool};
 use rtf_sim::aggregate::run_future_rand_aggregate;
-use rtf_sim::engine::{run_event_driven, run_event_driven_schema, run_event_driven_with};
-use rtf_sim::live::{run_event_driven_live_schema, run_event_driven_live_with};
+use rtf_sim::engine::{run_event_driven, run_event_driven_with};
+use rtf_sim::live::run_event_driven_live_with;
 use rtf_streams::population::Population;
 
 /// The worker counts the mode-agreement check proves equivalent to the
@@ -144,7 +141,7 @@ pub fn assert_exact_agreement(
 /// faulty scenario here proves the shard merge reconstructs the
 /// sequential mailbox order exactly — not merely that sums commute. The
 /// scenario legs also compare the **residual fault-stream digest**
-/// ([`run_scenario_schema_digest`]): the span-native fault layer must
+/// ([`run_scenario_timeline_digest`]): the span-native fault layer must
 /// leave every client's private fault RNG at the exact position the
 /// sequential drain leaves it, which outcome equality alone cannot see.
 ///
@@ -156,16 +153,10 @@ pub fn assert_mode_agreement(
     seed: u64,
     scenario: &Scenario,
 ) {
-    let schema = SeedSchema::from_env();
+    let timeline = FaultTimeline::constant(*scenario);
     let ev_seq = run_event_driven_with(params, population, seed, ExecMode::Sequential);
-    let (sc_seq, digest_seq) = run_scenario_schema_digest(
-        params,
-        population,
-        seed,
-        scenario,
-        ExecMode::Sequential,
-        schema,
-    );
+    let (sc_seq, digest_seq) =
+        run_scenario_timeline_digest(params, population, seed, &timeline, ExecMode::Sequential);
     for w in MODE_AGREEMENT_WORKERS {
         let ev = run_event_driven_with(params, population, seed, ExecMode::Parallel(w));
         assert_eq!(
@@ -175,13 +166,12 @@ pub fn assert_mode_agreement(
         assert_eq!(ev.group_sizes, ev_seq.group_sizes, "parallel({w}) groups");
         assert_eq!(ev.wire, ev_seq.wire, "parallel({w}) wire stats");
 
-        let (sc, digest) = run_scenario_schema_digest(
+        let (sc, digest) = run_scenario_timeline_digest(
             params,
             population,
             seed,
-            scenario,
+            &timeline,
             ExecMode::Parallel(w),
-            schema,
         );
         assert_eq!(
             sc.estimates, sc_seq.estimates,
@@ -308,134 +298,6 @@ pub fn assert_live_agreement(
                 "{label}: per-period Byzantine acceptance"
             );
             // No vacuous passes: every configured fault must have fired.
-            for stats in [&ev_stats, &sc_stats] {
-                assert_eq!(stats.recoveries, kills, "{label}: kills fired");
-                assert_eq!(stats.restarts, restarts, "{label}: restarts fired");
-            }
-        }
-    }
-}
-
-/// Asserts **sequential ≡ parallel(w) ≡ live**, value-for-value, under
-/// an *explicit* client randomness schema — the differential proof the
-/// fast-seeds (v2) schema rides on:
-///
-/// * the in-memory reference (`run_in_memory_schema`) and the sequential
-///   event-driven engine agree estimate-for-estimate;
-/// * the honest event-driven engine and the fault-injected engine under
-///   `scenario` agree across sequential and every worker count in
-///   [`MODE_AGREEMENT_WORKERS`];
-/// * the live streaming drivers agree too, honest and under the
-///   scenario, for every worker count — both with no faults and with a
-///   mid-period whole-service restart *plus* a worker kill in the same
-///   period (the snapshot header now carries the schema, so this also
-///   proves the schema survives snapshot/restore);
-/// * every configured kill/restart is asserted to have fired.
-///
-/// Under [`SeedSchema::V2Fast`] the batched/live paths take the packed
-/// word-at-a-time generator while the sequential paths draw per report —
-/// so agreement here pins the two implementations of the counter-based
-/// stream against each other.
-///
-/// # Panics
-/// Panics naming the first diverging path/worker count.
-pub fn assert_schema_agreement(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-    schema: SeedSchema,
-) {
-    let mem = run_in_memory_schema(params, population, seed, schema);
-    let ev_seq = run_event_driven_schema(
-        params,
-        population,
-        seed,
-        ExecMode::Sequential,
-        AccumulatorKind::Dense,
-        schema,
-    );
-    assert_eq!(
-        mem.estimates(),
-        &ev_seq.estimates[..],
-        "event-driven sequential diverges from in-memory under {schema} (seed {seed})"
-    );
-    assert_eq!(
-        mem.group_sizes(),
-        &ev_seq.group_sizes[..],
-        "{schema} groups"
-    );
-    let sc_seq = run_scenario_schema(
-        params,
-        population,
-        seed,
-        scenario,
-        ExecMode::Sequential,
-        AccumulatorKind::Dense,
-        schema,
-    );
-
-    let fault_at = (params.d() / 2).max(1);
-    let modes = std::iter::once(ExecMode::Sequential)
-        .chain(MODE_AGREEMENT_WORKERS.into_iter().map(ExecMode::Parallel));
-    for mode in modes {
-        let ev = run_event_driven_schema(
-            params,
-            population,
-            seed,
-            mode,
-            AccumulatorKind::Dense,
-            schema,
-        );
-        assert_eq!(
-            ev.estimates, ev_seq.estimates,
-            "event-driven {mode} diverges under {schema} (seed {seed})"
-        );
-        assert_eq!(ev.wire, ev_seq.wire, "{schema} {mode} wire");
-        let sc = run_scenario_schema(
-            params,
-            population,
-            seed,
-            scenario,
-            mode,
-            AccumulatorKind::Dense,
-            schema,
-        );
-        assert_eq!(
-            sc.estimates, sc_seq.estimates,
-            "scenario {mode} diverges under {schema} (seed {seed})"
-        );
-        assert_eq!(sc.delivery, sc_seq.delivery, "{schema} {mode}");
-        assert_eq!(sc.faults, sc_seq.faults, "{schema} {mode}");
-        assert_eq!(
-            sc.byzantine_accepted_by_period, sc_seq.byzantine_accepted_by_period,
-            "{schema} {mode} Byzantine acceptance"
-        );
-    }
-
-    for w in MODE_AGREEMENT_WORKERS {
-        let base = || LiveConfig::new(w).with_mailbox_cap(2).with_chunk_rows(7);
-        let victim = w.saturating_sub(1);
-        // (config, expected kills, expected restarts)
-        let plans = [
-            (base(), 0u64, 0u64),
-            (
-                base().with_restart(fault_at).with_kill(victim, fault_at),
-                1,
-                1,
-            ),
-        ];
-        for (cfg, kills, restarts) in plans {
-            let label = format!("{schema} live({w}), {kills} kill(s), {restarts} restart(s)");
-            let (ev, ev_stats) =
-                run_event_driven_live_schema(params, population, seed, &cfg, schema);
-            assert_eq!(ev.estimates, ev_seq.estimates, "{label}: event-driven");
-            assert_eq!(ev.wire, ev_seq.wire, "{label}: wire");
-            let (sc, sc_stats) =
-                run_scenario_live_schema(params, population, seed, scenario, &cfg, schema);
-            assert_eq!(sc.estimates, sc_seq.estimates, "{label}: scenario");
-            assert_eq!(sc.delivery, sc_seq.delivery, "{label}: delivery");
-            assert_eq!(sc.faults, sc_seq.faults, "{label}: faults");
             for stats in [&ev_stats, &sc_stats] {
                 assert_eq!(stats.recoveries, kills, "{label}: kills fired");
                 assert_eq!(stats.restarts, restarts, "{label}: restarts fired");

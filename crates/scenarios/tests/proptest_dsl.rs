@@ -15,7 +15,6 @@
 //!   execution path of its own.
 
 use proptest::prelude::*;
-use rtf_primitives::fastseed::SeedSchema;
 use rtf_scenarios::config::DelayLaw;
 use rtf_scenarios::dsl::{
     assert_spec_agreement, ExpectationSpec, FaultField, FaultKnob, PopulationSpec, ScenarioSpec,
@@ -240,7 +239,6 @@ proptest! {
         drop_h in 20u64..=60,
         dup_h in 0u64..=40,
         wave in prop::bool::ANY,
-        schema_sel in 0usize..2,
     ) {
         let d = 1u64 << d_exp;
         let mut spec = ScenarioSpec::new("prop-agreement")
@@ -269,9 +267,8 @@ proptest! {
                 knob: FaultKnob::Dropout, amplitude: 0.9, period: d / 2, phase: 0.0,
             });
         }
-        let schema = [SeedSchema::V1Std, SeedSchema::V2Fast][schema_sel % 2];
         // Panics on any cross-engine divergence.
-        assert_spec_agreement(&spec, schema);
+        assert_spec_agreement(&spec);
     }
 }
 

@@ -5,8 +5,8 @@
 //! sign words, and replays only the faulted residue through the
 //! floor-checked ingestion ladder. The sequential engine routes every
 //! report individually. These properties pin the two against each other
-//! over random protocol shapes × fault storms × worker counts × both
-//! seed schemas — on every observable field **and** on the residual
+//! over random protocol shapes × fault storms × worker counts — on
+//! every observable field **and** on the residual
 //! fault-RNG digest, which proves the pre-walk consumed each client's
 //! private fault stream draw-for-draw (outcome equality alone cannot
 //! distinguish "same draws" from "different draws that happened to
@@ -14,11 +14,10 @@
 
 use proptest::prelude::*;
 use rtf_core::params::ProtocolParams;
-use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_runtime::ExecMode;
-use rtf_scenarios::config::Scenario;
-use rtf_scenarios::run_scenario_schema_digest;
+use rtf_scenarios::config::{FaultTimeline, Scenario};
+use rtf_scenarios::run_scenario_timeline_digest;
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 
@@ -27,7 +26,7 @@ proptest! {
 
     /// Random `(n, d, k, ε)` × random fault storm (dropout, churn,
     /// stragglers, duplicates, Byzantine spam, in-flight corruption) ×
-    /// workers {1, 2, 8} × both seed schemas: the span-native batched
+    /// workers {1, 2, 8}: the span-native batched
     /// path equals the sequential reference on estimates, delivery log,
     /// wire stats, fault counts, per-period Byzantine acceptance — and
     /// leaves every client's fault stream at the identical residual
@@ -58,51 +57,36 @@ proptest! {
             .with_byzantine(byz)
             .with_malformed(malformed);
 
-        for schema in [SeedSchema::V1Std, SeedSchema::V2Fast] {
-            let (seq, digest_seq) = run_scenario_schema_digest(
+        let timeline = FaultTimeline::constant(scenario);
+        let (seq, digest_seq) = run_scenario_timeline_digest(
+            &params,
+            &pop,
+            seed ^ 0x5BA7,
+            &timeline,
+            ExecMode::Sequential,
+        );
+        for w in [1usize, 2, 8] {
+            let (par, digest) = run_scenario_timeline_digest(
                 &params,
                 &pop,
                 seed ^ 0x5BA7,
-                &scenario,
-                ExecMode::Sequential,
-                schema,
+                &timeline,
+                ExecMode::Parallel(w),
             );
-            for w in [1usize, 2, 8] {
-                let (par, digest) = run_scenario_schema_digest(
-                    &params,
-                    &pop,
-                    seed ^ 0x5BA7,
-                    &scenario,
-                    ExecMode::Parallel(w),
-                    schema,
-                );
-                prop_assert_eq!(
-                    &par.estimates, &seq.estimates,
-                    "{:?} parallel({}) estimates", schema, w
-                );
-                prop_assert_eq!(
-                    &par.delivery, &seq.delivery,
-                    "{:?} parallel({}) delivery", schema, w
-                );
-                prop_assert_eq!(&par.wire, &seq.wire, "{:?} parallel({}) wire", schema, w);
-                prop_assert_eq!(
-                    &par.faults, &seq.faults,
-                    "{:?} parallel({}) faults", schema, w
-                );
-                prop_assert_eq!(
-                    &par.group_sizes, &seq.group_sizes,
-                    "{:?} parallel({}) groups", schema, w
-                );
-                prop_assert_eq!(
-                    &par.byzantine_accepted_by_period,
-                    &seq.byzantine_accepted_by_period,
-                    "{:?} parallel({}) Byzantine acceptance", schema, w
-                );
-                prop_assert_eq!(
-                    digest, digest_seq,
-                    "{:?} parallel({}) residual fault-stream digest", schema, w
-                );
-            }
+            prop_assert_eq!(&par.estimates, &seq.estimates, "parallel({}) estimates", w);
+            prop_assert_eq!(&par.delivery, &seq.delivery, "parallel({}) delivery", w);
+            prop_assert_eq!(&par.wire, &seq.wire, "parallel({}) wire", w);
+            prop_assert_eq!(&par.faults, &seq.faults, "parallel({}) faults", w);
+            prop_assert_eq!(&par.group_sizes, &seq.group_sizes, "parallel({}) groups", w);
+            prop_assert_eq!(
+                &par.byzantine_accepted_by_period,
+                &seq.byzantine_accepted_by_period,
+                "parallel({}) Byzantine acceptance", w
+            );
+            prop_assert_eq!(
+                digest, digest_seq,
+                "parallel({}) residual fault-stream digest", w
+            );
         }
     }
 }

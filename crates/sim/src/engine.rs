@@ -77,8 +77,7 @@ pub fn run_event_driven(
 }
 
 /// Runs the FutureRand protocol through the message-level engine in an
-/// explicit [`ExecMode`], under the `RTF_SEED_SCHEMA` client randomness
-/// schema.
+/// explicit [`ExecMode`].
 pub fn run_event_driven_with(
     params: &ProtocolParams,
     population: &Population,
@@ -95,26 +94,26 @@ pub fn run_event_driven_with(
     )
 }
 
-/// [`run_event_driven_with`] on an explicit accumulator layout and under
-/// an explicit client randomness schema. Under [`SeedSchema::V2Fast`]
-/// the batched pipeline emits whole span words straight from the
+/// [`run_event_driven_with`] on an explicit accumulator layout. The seed
+/// schema has one value; the parameter stays for callers that name it.
+/// The batched pipeline emits whole span words straight from the
 /// counter-based generator into the packed report lanes — no per-report
 /// `Sign` materialisation — and stays value-for-value identical to the
-/// sequential schedule run under the same schema.
+/// sequential schedule.
 pub fn run_event_driven_schema(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     mode: ExecMode,
     backend: AccumulatorKind,
-    schema: SeedSchema,
+    _schema: SeedSchema,
 ) -> EventDrivenOutcome {
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
     match mode {
-        ExecMode::Sequential => run_sequential(params, population, seed, backend, schema),
-        ExecMode::Parallel(w) => run_batched(params, population, seed, w.max(1), backend, schema),
+        ExecMode::Sequential => run_sequential(params, population, seed, backend),
+        ExecMode::Parallel(w) => run_batched(params, population, seed, w.max(1), backend),
     }
 }
 
@@ -127,16 +126,15 @@ pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer
 }
 
 /// One order group's client state in the batched/streaming pipelines,
-/// struct-of-arrays: parallel lanes of user ids, RNG streams, a
-/// precomputed span-event schedule, and one shared [`SpanRandomizers`]
-/// arena.
+/// struct-of-arrays: parallel lanes of user ids, a precomputed
+/// span-event schedule, and one shared [`SpanRandomizers`] arena.
 ///
 /// The former layout held a `GroupedSlot {client, rng, cursor}` struct
 /// per user — ~150 scattered bytes plus a per-user heap `b̃` vector, a
 /// pointer chase per report. A span emission now walks each column once
 /// ([`emit_span`](Self::emit_span)): partial sums rebuilt from the
-/// precomputed span-event schedule, then one monomorphized randomizer
-/// pass filling the packed [`SignLane`] — bit-identical to per-slot
+/// precomputed span-event schedule, then one randomizer pass filling
+/// the packed [`SignLane`] word by word — bit-identical to per-slot
 /// `observe_span` calls.
 ///
 /// Public because the span-native scenario engine
@@ -150,7 +148,6 @@ pub struct SpanGroup {
     /// valid after [`emit_span`](Self::emit_span), consumed via
     /// `ReportBatch::extend_packed` or masked span folds.
     pub signs: SignLane,
-    rngs: Vec<rand::rngs::StdRng>,
     /// The group's non-zero span sums, precomputed at build: entry
     /// `span_events[t / stride − 1]` lists `(lane, ±1)` for exactly the
     /// lanes whose partial sum over the span ending at `t` is non-zero.
@@ -182,10 +179,9 @@ impl SpanGroup {
     /// Emits the whole group's reports for the span ending at period `t`
     /// into [`signs`](Self::signs): pass 1 rebuilds the per-lane partial
     /// sums (a zero-fill plus the precomputed non-zero patches for this
-    /// span), pass 2 draws every lane's report bit through the shared
-    /// randomizer arena. Lane `i`'s draw consumes `rngs[i]` exactly as
-    /// `Client::observe_span` would — the bit streams are identical
-    /// (pinned by `span_group_matches_per_slot_clients`).
+    /// span), pass 2 fills every lane's report bit from the shared
+    /// randomizer arena as whole 64-lane words, exactly the bits
+    /// `Client::observe_span` would report.
     ///
     /// # Panics
     /// Debug-asserts that `t` is the group's next span boundary — a
@@ -204,21 +200,9 @@ impl SpanGroup {
         }
         self.signs.clear();
         let SpanGroup {
-            signs,
-            rngs,
-            spans,
-            sums,
-            ..
+            signs, spans, sums, ..
         } = self;
-        if spans.schema().is_fast() {
-            // Fast schema: zero slots are a pure function of
-            // (client key, report index) — fill whole 64-lane words
-            // straight into the packed lane, no `Sign` per report and no
-            // RNG draws.
-            spans.fill_span_words(sums, |bits, count| signs.push_bits(bits, count));
-        } else {
-            spans.fill_span(sums, rngs, |s| signs.push(s));
-        }
+        spans.fill_span_words(sums, |bits, count| signs.push_bits(bits, count));
     }
 }
 
@@ -231,14 +215,16 @@ impl SpanGroup {
 /// the live streaming driver ([`crate::live`]), and the span-native
 /// scenario engine (`rtf_scenarios::engine`) — they must consume
 /// per-user RNG identically for the batched ≡ streaming ≡ sequential
-/// proofs to hold, so the construction lives in exactly one place.
+/// proofs to hold, so the construction lives in exactly one place. The
+/// seed schema has one value; the parameter stays for callers that name
+/// it.
 pub fn build_order_groups(
     params: &ProtocolParams,
     population: &Population,
     composed: &[ComposedRandomizer],
     root: &SeedSequence,
     users: std::ops::Range<usize>,
-    schema: SeedSchema,
+    _schema: SeedSchema,
 ) -> Vec<SpanGroup> {
     let orders = params.num_orders() as usize;
     let d = params.d();
@@ -246,13 +232,8 @@ pub fn build_order_groups(
         .map(|h| SpanGroup {
             users: Vec::new(),
             signs: SignLane::new(),
-            rngs: Vec::new(),
             span_events: vec![Vec::new(); params.sequence_len(h as u32)],
-            spans: SpanRandomizers::new_with_schema(
-                params.sequence_len(h as u32),
-                &composed[h],
-                schema,
-            ),
+            spans: SpanRandomizers::new(params.sequence_len(h as u32), &composed[h]),
             sums: Vec::new(),
             stride: 1u64 << h,
         })
@@ -261,18 +242,16 @@ pub fn build_order_groups(
         let node = root.child(u as u64);
         let mut rng = node.rng();
         let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        let m = FutureRand::init_with_schema(
+        let m = FutureRand::init_keyed(
             params.sequence_len(h),
             &composed[h as usize],
             &mut rng,
-            schema,
             fastseed::client_key(&node),
         );
         let group = &mut groups[h as usize];
         let lane = group.users.len() as u32;
         group.users.push(u as u32);
         group.spans.push_lane(&m);
-        group.rngs.push(rng);
         // One pass over the user's (sorted) change times builds the
         // lane's non-zero span sums: a span's sum is the parity flip of
         // the change count across it (`st(end) − st(start − 1)`, each
@@ -312,10 +291,9 @@ fn run_sequential(
     population: &Population,
     seed: u64,
     backend: AccumulatorKind,
-    schema: SeedSchema,
 ) -> EventDrivenOutcome {
     let composed = composed_tables(params);
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
     let root = SeedSequence::new(seed);
 
@@ -332,11 +310,10 @@ fn run_sequential(
         let decoded = OrderAnnouncement::decode(ann.encode());
         server.register_user(u32::from(decoded.order));
         wire.record_announcement();
-        let m = FutureRand::init_with_schema(
+        let m = FutureRand::init_keyed(
             params.sequence_len(h),
             &composed[h as usize],
             &mut rng,
-            schema,
             fastseed::client_key(&node),
         );
         clients.push((Client::new(params, h, m), rng));
@@ -399,7 +376,6 @@ fn run_batched(
     seed: u64,
     workers: usize,
     backend: AccumulatorKind,
-    schema: SeedSchema,
 ) -> EventDrivenOutcome {
     let composed = composed_tables(params);
     let root = SeedSequence::new(seed);
@@ -412,8 +388,14 @@ fn run_batched(
         for _ in shard.range() {
             wire.record_announcement();
         }
-        let mut groups =
-            build_order_groups(params, population, &composed, &root, shard.range(), schema);
+        let mut groups = build_order_groups(
+            params,
+            population,
+            &composed,
+            &root,
+            shard.range(),
+            SeedSchema::V2Fast,
+        );
         let group_sizes: Vec<usize> = groups.iter().map(SpanGroup::len).collect();
 
         let mut per_period: Vec<AnyAccumulator> =
@@ -457,7 +439,7 @@ fn run_batched(
 
     // Deterministic merge: shard-index order, exactly the order
     // `map_shards` returned.
-    let mut server = Server::for_future_rand_schema(*params, backend, schema);
+    let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
     let mut acc_bytes = 0u64;
     for shard in &shards {
@@ -501,10 +483,10 @@ mod tests {
 
     #[test]
     fn matches_in_memory_fast_path_exactly() {
-        // Same seed ⇒ identical estimates: both paths consume each user's
-        // RNG stream in the same order (order draw, b̃ draw, then one draw
-        // per zero partial sum). This pins down that the in-memory path in
-        // rtf-core really is the same protocol.
+        // Same seed ⇒ identical estimates: both paths draw each user's
+        // order and b̃ from the same RNG stream and key the same counter
+        // stream. This pins down that the in-memory path in rtf-core
+        // really is the same protocol.
         let (params, pop) = setup(150, 32, 3, 40);
         let ev = run_event_driven(&params, &pop, 99);
         let mem = rtf_core::protocol::run_in_memory(&params, &pop, 99);
@@ -525,51 +507,6 @@ mod tests {
             assert_eq!(par.group_sizes, seq.group_sizes, "{w} workers");
             assert_eq!(par.wire, seq.wire, "{w} workers");
         }
-    }
-
-    #[test]
-    fn fast_schema_is_mode_invariant_and_changes_only_zero_draws() {
-        // Under the v2 schema the batched pipeline takes the packed
-        // word-at-a-time path, the sequential schedule the per-report
-        // path — they must still agree value-for-value, and both must
-        // match the in-memory reference run under the same schema.
-        let (params, pop) = setup(157, 32, 3, 47);
-        let seq = run_event_driven_schema(
-            &params,
-            &pop,
-            23,
-            ExecMode::Sequential,
-            AccumulatorKind::Dense,
-            SeedSchema::V2Fast,
-        );
-        let mem = rtf_core::protocol::run_in_memory_schema(&params, &pop, 23, SeedSchema::V2Fast);
-        assert_eq!(seq.estimates, mem.estimates());
-        for w in [1usize, 2, 3, 8] {
-            let par = run_event_driven_schema(
-                &params,
-                &pop,
-                23,
-                ExecMode::Parallel(w),
-                AccumulatorKind::Dense,
-                SeedSchema::V2Fast,
-            );
-            assert_eq!(par.estimates, seq.estimates, "{w} workers");
-            assert_eq!(par.wire, seq.wire, "{w} workers");
-        }
-        // Order sampling and b̃ draws are schema-invariant, so the group
-        // structure (and hence report counts) match v1 exactly — only the
-        // zero-slot randomness source differs.
-        let v1 = run_event_driven_schema(
-            &params,
-            &pop,
-            23,
-            ExecMode::Sequential,
-            AccumulatorKind::Dense,
-            SeedSchema::V1Std,
-        );
-        assert_eq!(v1.group_sizes, seq.group_sizes);
-        assert_eq!(v1.wire, seq.wire);
-        assert_ne!(v1.estimates, seq.estimates, "schemas are distinct streams");
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 use crate::engine::{build_order_groups, composed_tables, EventDrivenOutcome};
 use crate::message::WireStats;
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
 use rtf_core::server::Server;
 use rtf_primitives::fastseed::SeedSchema;
@@ -60,21 +59,6 @@ pub fn run_event_driven_live_with(
     seed: u64,
     config: &LiveConfig,
 ) -> (EventDrivenOutcome, IngestStats) {
-    run_event_driven_live_schema(params, population, seed, config, SeedSchema::from_env())
-}
-
-/// [`run_event_driven_live_with`] under an explicit client randomness
-/// schema (instead of `RTF_SEED_SCHEMA`). Under [`SeedSchema::V2Fast`]
-/// span emission takes the packed word-at-a-time path, and the service's
-/// snapshots (including fault-injected restarts) carry the schema in
-/// their headers.
-pub fn run_event_driven_live_schema(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    config: &LiveConfig,
-    schema: SeedSchema,
-) -> (EventDrivenOutcome, IngestStats) {
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
@@ -87,7 +71,7 @@ pub fn run_event_driven_live_schema(
     let chunk = config.chunk_rows.max(1);
     let shards = partition(params.n(), workers);
 
-    let mut server = Server::for_future_rand_schema(*params, AccumulatorKind::from_env(), schema);
+    let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
 
     // Per worker shard, clients grouped by order (the one shared
@@ -96,7 +80,14 @@ pub fn run_event_driven_live_schema(
     let mut shard_groups: Vec<_> = shards
         .iter()
         .map(|shard| {
-            build_order_groups(params, population, &composed, &root, shard.range(), schema)
+            build_order_groups(
+                params,
+                population,
+                &composed,
+                &root,
+                shard.range(),
+                SeedSchema::V2Fast,
+            )
         })
         .collect();
     for groups in &shard_groups {
@@ -258,31 +249,17 @@ mod tests {
 
     #[test]
     fn fast_schema_live_matches_fast_schema_sequential_through_faults() {
-        use crate::engine::run_event_driven_schema;
         let (params, pop) = setup(140, 32, 3, 96);
-        let seq = run_event_driven_schema(
-            &params,
-            &pop,
-            37,
-            ExecMode::Sequential,
-            AccumulatorKind::Dense,
-            rtf_runtime::SeedSchema::V2Fast,
-        );
+        let seq = run_event_driven_with(&params, &pop, 37, ExecMode::Sequential);
         for workers in [1usize, 2, 8] {
-            // Mid-period restart + kill: the snapshot/restore cycle now
-            // also round-trips the schema header.
+            // Mid-period restart + kill: the snapshot/restore cycle
+            // carries the service across the counter stream unchanged.
             let cfg = LiveConfig::new(workers)
                 .with_mailbox_cap(2)
                 .with_chunk_rows(5)
                 .with_restart(16)
                 .with_kill(0, 20);
-            let (live, stats) = run_event_driven_live_schema(
-                &params,
-                &pop,
-                37,
-                &cfg,
-                rtf_runtime::SeedSchema::V2Fast,
-            );
+            let (live, stats) = run_event_driven_live_with(&params, &pop, 37, &cfg);
             assert_eq!(live.estimates, seq.estimates, "{workers} workers");
             assert_eq!(live.wire, seq.wire, "{workers} workers");
             assert_eq!(stats.restarts, 1, "{workers} workers");

@@ -17,10 +17,8 @@
 //!   `all`: the full differential oracle, sequential ≡ batched ≡ live,
 //!   plus the expectation with the live ledger).
 //! * `--workers <w>` — worker count for batched/live (default 3).
-//! * `--schema v1|v2` — client seed schema (default v1).
 //! * `--list` — list the workload directory and exit.
 
-use randomize_future::primitives::fastseed::SeedSchema;
 use randomize_future::runtime::ExecMode;
 use randomize_future::scenarios::dsl::{
     check_expectation, list_workloads, resolve_workload, verify_workload, workload_dir,
@@ -43,7 +41,6 @@ struct Args {
     all: bool,
     engine: Engine,
     workers: usize,
-    schema: SeedSchema,
     list: bool,
 }
 
@@ -53,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
         all: false,
         engine: Engine::All,
         workers: 3,
-        schema: SeedSchema::V1Std,
         list: false,
     };
     let mut it = std::env::args().skip(1);
@@ -77,13 +73,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?
             }
-            "--schema" => {
-                args.schema = match value("--schema")?.as_str() {
-                    "v1" => SeedSchema::V1Std,
-                    "v2" => SeedSchema::V2Fast,
-                    other => return Err(format!("unknown schema `{other}` (v1|v2)")),
-                }
-            }
             other => return Err(format!("unknown flag `{other}` (see the file header)")),
         }
     }
@@ -95,7 +84,7 @@ fn run_one(spec: &ScenarioSpec, args: &Args) -> ExpectationReport {
         .compile()
         .unwrap_or_else(|e| panic!("workload `{}` failed to compile: {e}", spec.name));
     match args.engine {
-        Engine::All => verify_workload(spec, args.schema),
+        Engine::All => verify_workload(spec),
         Engine::Seq | Engine::Batched => {
             let mode = if args.engine == Engine::Seq {
                 ExecMode::Sequential
@@ -109,9 +98,8 @@ fn run_one(spec: &ScenarioSpec, args: &Args) -> ExpectationReport {
                 compiled.seed,
                 &compiled.timeline,
                 mode,
-                args.schema,
             );
-            check_expectation(&compiled, &population, &outcome, args.schema, None)
+            check_expectation(&compiled, &population, &outcome, None)
         }
         Engine::Live => {
             let population = compiled.population();
@@ -126,13 +114,11 @@ fn run_one(spec: &ScenarioSpec, args: &Args) -> ExpectationReport {
                 compiled.seed,
                 &compiled.timeline,
                 &config,
-                args.schema,
             );
             check_expectation(
                 &compiled,
                 &population,
                 &outcome,
-                args.schema,
                 Some((&stats, &compiled.chaos)),
             )
         }

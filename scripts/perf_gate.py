@@ -3,8 +3,8 @@
 
 Compares a freshly generated bench JSON (a `--smoke` run of
 `exp_throughput` / `exp_backends`) against the committed baseline of the
-same schema. The bench box is single-core and CI hardware varies, so the
-gate splits fields by nature:
+same schema. The bench box and CI hardware differ, so the gate splits
+fields by nature:
 
 * **deterministic work counts** (`reports`) and **bytes** (`acc_bytes`)
   are pure functions of (code, n, d, k, seed) and must match the
@@ -49,11 +49,7 @@ import sys
 
 KINDS = {
     "throughput": {
-        "key": ("engine", "n", "d", "mode", "workers", "seed_schema"),
-        # Rows written before the seed-schema axis existed carry no
-        # "seed_schema" field; they are all v1 measurements, so the key
-        # defaults the field rather than KeyError-ing on old baselines.
-        "key_defaults": {"seed_schema": "v1"},
+        "key": ("engine", "n", "d", "mode", "workers"),
         "exact": ("reports",),
         "loose": ("elapsed_s",),
         "group": "engine",
@@ -67,7 +63,6 @@ KINDS = {
     },
     "backends": {
         "key": ("backend", "n", "d"),
-        "key_defaults": {},
         "exact": ("reports", "acc_bytes"),
         "loose": ("elapsed_s",),
         "group": "backend",
@@ -75,8 +70,8 @@ KINDS = {
 }
 
 
-def row_key(row, fields, defaults):
-    return tuple(row.get(f, defaults.get(f)) for f in fields)
+def row_key(row, fields):
+    return tuple(row[f] for f in fields)
 
 
 def fmt_key(key):
@@ -90,9 +85,8 @@ def compare(baseline, fresh, spec, wall_factor, wall_floor):
     rows, the number of failing comparisons, and the identity groups the
     comparison never matched (vacuous coverage).
     """
-    defaults = spec["key_defaults"]
-    base_rows = {row_key(r, spec["key"], defaults): r for r in baseline["results"]}
-    fresh_rows = {row_key(r, spec["key"], defaults): r for r in fresh["results"]}
+    base_rows = {row_key(r, spec["key"]): r for r in baseline["results"]}
+    fresh_rows = {row_key(r, spec["key"]): r for r in fresh["results"]}
 
     table = []
     regressions = 0
@@ -272,36 +266,7 @@ def self_test():
     _, _, missing = compare(base, other, spec, 10.0, 0.05)
     assert missing == {"event"}, "unmatched group must be reported vacuous"
 
-    # 6. The seed-schema axis. Old baselines carry no "seed_schema"
-    #    field: such rows must key as v1 and match a fresh row that says
-    #    "v1" explicitly — and a doctored v2 row must fire on its own
-    #    key without disturbing the v1 comparison.
-    def with_schema(data, schema):
-        for r in data["results"]:
-            r["seed_schema"] = schema
-        return data
-
-    legacy = rows(("event", 0, 100, 1.0))  # no seed_schema field at all
-    explicit_v1 = with_schema(rows(("event", 0, 100, 1.0)), "v1")
-    _, reg, missing = compare(legacy, explicit_v1, spec, 10.0, 0.05)
-    assert reg == 0 and not missing, "schema-less baseline must key as v1"
-
-    two_schema_base = rows(("event", 0, 100, 1.0))
-    two_schema_base["results"] += with_schema(rows(("event", 0, 100, 1.0)), "v2")[
-        "results"
-    ]
-    doctored_v2 = with_schema(rows(("event", 0, 100, 1.0)), "v1")
-    doctored_v2["results"] += with_schema(rows(("event", 0, 77, 1.0)), "v2")["results"]
-    table, reg, _ = compare(two_schema_base, doctored_v2, spec, 10.0, 0.05)
-    assert reg == 1, "doctored v2 reports must fire exactly once"
-    assert any(
-        "v2" in r[0] and r[5] == "EXACT-MISMATCH" for r in table
-    ), "the mismatch must sit on the v2 key"
-    assert any(
-        "v1" in r[0] and r[1] == "reports" and r[5] == "ok" for r in table
-    ), "the v1 row must still pass"
-
-    # 7. Scenario stage decomposition. A fresh scenario row must carry
+    # 6. Scenario stage decomposition. A fresh scenario row must carry
     #    all three stage fields and their sum must land within the
     #    tolerance of elapsed_s; event rows are exempt.
     def scen_rows(elapsed, emit=None, merge=None, ingest=None):
@@ -342,7 +307,7 @@ def self_test():
         r[5] == "MISSING-STAGES" for r in table
     ), "NEW scenario rows are still stage-checked"
 
-    print("self-test PASS: 7 gate-logic checks")
+    print("self-test PASS: 6 gate-logic checks")
     return 0
 
 

@@ -11,10 +11,22 @@
 //!   per-user `(h, b̃)` randomness, batched server noise with the same
 //!   conditional law — checked via mean z-scores, cross-path variance
 //!   agreement, and the closed-form variance of `rtf_analysis`.
+//!
+//! Agreement alone cannot tell whether every path changed together, so
+//! the client randomness stream is also frozen by golden hashes.
 
 use randomize_future::core::params::ProtocolParams;
+use randomize_future::core::protocol::run_in_memory;
+use randomize_future::core::snapshot::fnv1a64;
 use randomize_future::primitives::seeding::SeedSequence;
+use randomize_future::runtime::ingest::LiveConfig;
+use randomize_future::runtime::ExecMode;
+use randomize_future::scenarios::engine::{run_scenario_timeline_digest, ScenarioOutcome};
+use randomize_future::scenarios::live::run_scenario_live_with;
 use randomize_future::scenarios::oracle::{assert_exact_agreement, measure_aggregate_agreement};
+use randomize_future::scenarios::{FaultTimeline, Scenario};
+use randomize_future::sim::engine::{run_event_driven_with, EventDrivenOutcome};
+use randomize_future::sim::live::run_event_driven_live_with;
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
 
@@ -73,4 +85,136 @@ fn communication_accounting_consistent_across_paths() {
     assert_eq!(ev.wire.payload_bits, mem.reports_sent());
     // Announcements: one per user.
     assert_eq!(ev.wire.messages, mem.reports_sent() + 150);
+}
+
+/// Little-endian words hashed with FNV-1a 64.
+#[derive(Default)]
+struct Golden(Vec<u8>);
+
+impl Golden {
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn f64s(&mut self, vs: &[f64]) {
+        self.u64(vs.len() as u64);
+        for v in vs {
+            self.u64(v.to_bits());
+        }
+    }
+
+    fn sizes(&mut self, vs: &[usize]) {
+        self.u64(vs.len() as u64);
+        for &v in vs {
+            self.u64(v as u64);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        fnv1a64(&self.0)
+    }
+}
+
+fn event_hash(out: &EventDrivenOutcome) -> u64 {
+    let mut h = Golden::default();
+    h.f64s(&out.estimates);
+    h.sizes(&out.group_sizes);
+    h.u64(out.wire.messages);
+    h.u64(out.wire.wire_bytes);
+    h.u64(out.wire.payload_bits);
+    h.finish()
+}
+
+/// Estimates, groups, wire stats, delivery rows, fault counts and
+/// per-period Byzantine acceptance, then the residual fault-stream
+/// digest when the engine reports one.
+fn scenario_hash(out: &ScenarioOutcome, digest: Option<u64>) -> u64 {
+    let mut h = Golden::default();
+    h.f64s(&out.estimates);
+    h.sizes(&out.group_sizes);
+    h.u64(out.wire.messages);
+    h.u64(out.wire.wire_bytes);
+    h.u64(out.wire.payload_bits);
+    h.u64(out.delivery.len() as u64);
+    for row in &out.delivery {
+        for v in [
+            row.t,
+            row.due,
+            row.accepted,
+            row.duplicate,
+            row.late,
+            row.unknown_user,
+            row.invalid_period,
+            row.premature,
+        ] {
+            h.u64(v);
+        }
+    }
+    let f = &out.faults;
+    for v in [
+        f.dropped,
+        f.churned_clients,
+        f.lost_to_churn,
+        f.delayed,
+        f.duplicates_injected,
+        f.byzantine_messages,
+        f.byzantine_accepted,
+        f.expired,
+        f.malformed,
+    ] {
+        h.u64(v);
+    }
+    for &v in &out.byzantine_accepted_by_period {
+        h.u64(v);
+    }
+    if let Some(d) = digest {
+        h.u64(d);
+    }
+    h.finish()
+}
+
+/// The one client randomness stream, frozen: every engine's output on a
+/// small shape (d = 128, so the counter words cross a 64-span block)
+/// hashes to the values the counter stream produced when it was
+/// introduced. A change to `fastseed`, `FutureRand`, client
+/// construction or the fault layer that moves any report bit fails here
+/// even if all engines move together.
+#[test]
+fn client_stream_outputs_match_golden_hashes() {
+    const IN_MEMORY: u64 = 0xf882_5d63_76f1_5d33;
+    const EVENT: u64 = 0x2e1f_1ece_ceed_5ad3;
+    const STORM: u64 = 0x270f_51c4_13f9_e9e7;
+    const STORM_WITH_DIGEST: u64 = 0xa349_4f23_92c7_6460;
+
+    let (params, pop) = setup(150, 128, 3, 1.0, 2026);
+    let seed = 41;
+    let storm = Scenario::honest()
+        .with_dropout(0.05)
+        .with_stragglers(0.1, 3)
+        .with_duplicates(0.05)
+        .with_byzantine(0.1);
+
+    let mem = run_in_memory(&params, &pop, seed);
+    let mut h = Golden::default();
+    h.f64s(mem.estimates());
+    h.sizes(mem.group_sizes());
+    h.u64(mem.reports_sent());
+    assert_eq!(h.finish(), IN_MEMORY, "in-memory");
+
+    for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
+        let ev = run_event_driven_with(&params, &pop, seed, mode);
+        assert_eq!(event_hash(&ev), EVENT, "event {mode}");
+        let timeline = FaultTimeline::constant(storm);
+        let (sc, digest) = run_scenario_timeline_digest(&params, &pop, seed, &timeline, mode);
+        assert_eq!(scenario_hash(&sc, None), STORM, "storm {mode}");
+        assert_eq!(
+            scenario_hash(&sc, Some(digest)),
+            STORM_WITH_DIGEST,
+            "storm {mode} with residual digest"
+        );
+    }
+    let (ev, _) = run_event_driven_live_with(&params, &pop, seed, &LiveConfig::new(2));
+    assert_eq!(event_hash(&ev), EVENT, "event live(2)");
+    let (sc, _) = run_scenario_live_with(&params, &pop, seed, &storm, &LiveConfig::new(2));
+    assert_eq!(scenario_hash(&sc, None), STORM, "storm live(2)");
 }

@@ -4,9 +4,8 @@
 //! naming a registered, non-vacuous expectation), roundtrip through the
 //! emitter, match its file stem, and — the expensive part — run
 //! value-identically through sequential ≡ batched ≡ live with its
-//! expectation actually firing, under both seed schemas.
+//! expectation actually firing.
 
-use randomize_future::primitives::fastseed::SeedSchema;
 use randomize_future::scenarios::dsl::{
     list_workloads, load_workload, resolve_workload, verify_workload, ScenarioSpec,
 };
@@ -76,23 +75,13 @@ fn resolve_finds_workloads_by_name_and_by_path() {
 }
 
 /// The full differential oracle + registered expectation, per file, on
-/// the standard seed schema. This is what CI's workload sweep runs.
-#[test]
-fn every_workload_is_green_through_all_engines_v1() {
-    for path in list_workloads().expect("workloads/ exists") {
-        let spec = load_workload(&path).unwrap();
-        let report = verify_workload(&spec, SeedSchema::V1Std);
-        assert!(report.checks > 0, "{}: vacuous expectation", path.display());
-    }
-}
-
-/// Same sweep under the fast counter-based seed schema — the workload
-/// library exercises both client-randomness paths.
+/// the client counter stream (seed schema v2, the only one). This is
+/// what CI's workload sweep runs.
 #[test]
 fn every_workload_is_green_through_all_engines_v2() {
     for path in list_workloads().expect("workloads/ exists") {
         let spec = load_workload(&path).unwrap();
-        let report = verify_workload(&spec, SeedSchema::V2Fast);
+        let report = verify_workload(&spec);
         assert!(report.checks > 0, "{}: vacuous expectation", path.display());
     }
 }
