@@ -15,9 +15,10 @@
 //!   uniform string of that distance, so the laws coincide; the tests
 //!   cross-validate them.
 //!
-//! The weight-class path is what `FutureRand::init` uses: its cost is
-//! `O(k)` with *no* retry loop and it reuses the per-`(k, ε̃)` tables across
-//! all users.
+//! The weight-class path is what `FutureRand::init` and the engines' lane
+//! arena use ([`sample_for_all_ones_into`](ComposedRandomizer::sample_for_all_ones_into)):
+//! its cost is `O(k)` with *no* retry loop, it reuses the per-`(k, ε̃)`
+//! tables across all users, and for `k ≤ 64` it allocates nothing.
 
 use crate::annulus::Annulus;
 use crate::gap::WeightClassLaw;
@@ -30,6 +31,10 @@ use rtf_primitives::sign::Sign;
 use rtf_primitives::subset::flip_random_subset;
 
 /// The composed randomizer `R̃`, reusable across users for one `(k, ε̃)`.
+///
+/// [`sample_for_all_ones_into`](Self::sample_for_all_ones_into) writes a
+/// client's `b̃` into caller storage, so the engines draw every client's
+/// `b̃` straight into their lane arena without allocating.
 #[derive(Debug, Clone)]
 pub struct ComposedRandomizer {
     k: usize,
@@ -167,11 +172,24 @@ impl ComposedRandomizer {
     }
 
     /// `b̃ = R̃(1^k)` — the pre-computation of `M.init` (Algorithm 3,
-    /// line 10), via the weight-class path.
-    pub fn sample_for_all_ones<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Sign> {
+    /// line 10), via the weight-class path, written into `out` (the
+    /// lane arena of [`SpanRandomizers`](crate::randomizer::SpanRandomizers)
+    /// or a client's own vector). Allocation-free for `k ≤ 64`.
+    ///
+    /// # Panics
+    /// Panics unless `out.len() == k`.
+    pub fn sample_for_all_ones_into<R: Rng + ?Sized>(&self, out: &mut [Sign], rng: &mut R) {
+        assert_eq!(out.len(), self.k, "b̃ takes k slots");
         let w = self.sample_output_distance(rng);
+        out.fill(Sign::Plus);
+        flip_random_subset(out, w, rng);
+    }
+
+    /// [`sample_for_all_ones_into`](Self::sample_for_all_ones_into) into a
+    /// fresh vector.
+    pub fn sample_for_all_ones<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Sign> {
         let mut out = vec![Sign::Plus; self.k];
-        flip_random_subset(&mut out, w, rng);
+        self.sample_for_all_ones_into(&mut out, rng);
         out
     }
 }

@@ -209,16 +209,19 @@ impl LocalRandomizer for FutureRand {
 ///
 /// Every client in an order group reports at the same boundaries, so
 /// their randomizer positions advance in lockstep: one shared `position`
-/// replaces a per-client counter, the pre-computed `b̃` vectors pack
-/// into a single `lanes × k` arena (no per-client heap allocation or
-/// pointer chase), and [`fill_span_words`](Self::fill_span_words) draws
-/// the group's whole ±1 report vector for one span as packed sign words.
+/// replaces a per-client counter, and the pre-computed `b̃` vectors pack
+/// into a single `lanes × k` arena that [`draw_lane`](Self::draw_lane)
+/// draws straight into — no per-client `FutureRand`, heap vector or
+/// pointer chase. [`fill_span_events`](Self::fill_span_events) then
+/// emits the group's whole ±1 report vector for one span as packed sign
+/// words from the span's sparse list of non-zero partial sums.
 ///
-/// **Bit-compatible with the per-report stream**: each lane emits
-/// exactly what `FutureRand::next` would (its counter-stream bit for a
-/// zero partial sum, `b̃[nnz]` for non-zeros) — the
-/// `span_lanes_match_per_report_draws` tests and the
-/// `proptest_randomizer` suite pin it down bit-for-bit.
+/// **Bit-compatible with the per-report stream**: a lane draws exactly
+/// the `b̃` that `FutureRand::init_keyed` draws from the same rng, and
+/// emits exactly what `FutureRand::next` would (its counter-stream bit
+/// for a zero partial sum, `v · b̃[nnz]` for a non-zero `v`) — the
+/// `span_lanes_match_per_report_draws` tests and the `proptest_core`
+/// suite pin it down bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct SpanRandomizers {
     l: usize,
@@ -256,23 +259,27 @@ impl SpanRandomizers {
         }
     }
 
-    /// Adopts one client's freshly initialised [`FutureRand`] as a lane,
-    /// copying its `b̃` into the arena and its key into the key table.
-    /// The randomizer must be unused (position 0) and shaped like the
-    /// group.
+    /// Adopts one client as a new lane: draws its `b̃ = R̃(1^k)` from the
+    /// client's `rng` straight into the lane's slot of the arena — the
+    /// draws [`FutureRand::init_keyed`] makes — and records its
+    /// counter-stream `key`. `composed` is the group's `(k, ε̃)` table.
     ///
     /// # Panics
-    /// Panics on a length/sparsity mismatch or a non-fresh randomizer.
-    pub fn push_lane(&mut self, m: &FutureRand) {
-        assert_eq!(m.sequence_len(), self.l, "lane length mismatch");
-        assert_eq!(m.k(), self.k, "lane sparsity mismatch");
-        assert_eq!(m.position(), 0, "lane must be unused");
-        assert_eq!(m.nnz(), 0, "lane must be unused");
-        assert_eq!(m.b_tilde().len(), self.k, "b̃ must hold k entries");
+    /// Panics on a sparsity mismatch, or once the group has emitted a
+    /// span (lanes advance in lockstep from position 0).
+    pub fn draw_lane<R: Rng + ?Sized>(
+        &mut self,
+        composed: &ComposedRandomizer,
+        rng: &mut R,
+        key: u64,
+    ) {
+        assert_eq!(composed.k(), self.k, "lane sparsity mismatch");
+        assert_eq!(self.position, 0, "lanes join before the first span");
+        let start = self.b_tilde.len();
+        self.b_tilde.resize(start + self.k, Sign::Plus);
+        composed.sample_for_all_ones_into(&mut self.b_tilde[start..], rng);
         self.nnz.push(0);
-        self.b_tilde.extend_from_slice(m.b_tilde());
-        self.keys.push(m.key());
-        self.cached_block = None;
+        self.keys.push(key);
     }
 
     /// Number of lanes (clients) in the group.
@@ -301,24 +308,28 @@ impl SpanRandomizers {
     }
 
     /// Draws the group's whole ±1 report vector for the next span
-    /// directly as packed sign words: `sums[i]` is lane `i`'s partial sum
-    /// over the span, and `out` receives `(bits, count)` chunks of up to
-    /// 64 lanes, bit `i` of `bits` being lane `chunk_start + i`'s sign
-    /// (`1` ⇒ `+1`, the packed-lane convention), ready for a `SignLane`
-    /// bulk append. No per-report `Sign` materialization, no RNG draws:
-    /// zero sums read a cached [`fastseed::word`] per lane (refreshed
-    /// once every 64 spans), and non-zero sums overlay their `b̃` bit.
-    /// Value-identical to `FutureRand::next(sums[i], _)`, lane for lane.
+    /// directly as packed sign words. `events` lists `(lane, v)` for
+    /// exactly the lanes whose partial sum over the span is the non-zero
+    /// `v`, lanes strictly ascending; every other lane's sum is zero.
+    /// `out` receives `(bits, count)` chunks of up to 64 lanes, bit `i`
+    /// of `bits` being lane `chunk_start + i`'s sign (`1` ⇒ `+1`, the
+    /// packed-lane convention), ready for a `SignLane` bulk append.
+    ///
+    /// Each chunk takes bit `j mod 64` of its lanes' cached
+    /// [`fastseed::word`]s (refreshed once every 64 spans), then the
+    /// chunk's events overwrite their lanes' bits with `v · b̃[nnz]`. No
+    /// per-lane sum column, no per-lane branch, no RNG draws.
+    /// Value-identical to `FutureRand::next`, lane for lane.
     ///
     /// # Panics
-    /// Panics on exhausted lanes (`position ≥ L`), a lane exceeding its
-    /// sparsity bound, or a `sums` length other than the lane count —
-    /// the same protocol violations [`LocalRandomizer::next`] panics on.
-    pub fn fill_span_words<F>(&mut self, sums: &[Ternary], mut out: F)
+    /// Panics on exhausted lanes (`position ≥ L`) or a lane exceeding
+    /// its sparsity bound — the protocol violations
+    /// [`LocalRandomizer::next`] panics on — and on event lanes that are
+    /// not strictly ascending or not below the lane count.
+    pub fn fill_span_events<F>(&mut self, events: &[(u32, Sign)], mut out: F)
     where
         F: FnMut(u64, usize),
     {
-        assert_eq!(sums.len(), self.nnz.len(), "one sum per lane");
         if self.position >= self.l {
             panic!(
                 "randomizer protocol violation: {}",
@@ -338,37 +349,46 @@ impl SpanRandomizers {
             self.cached_block = Some(block);
         }
         let k = self.k;
-        let lanes = sums.len();
-        let mut start = 0usize;
-        while start < lanes {
-            let chunk = (lanes - start).min(64);
+        let mut e = 0usize;
+        // The next event's lane must be at least this.
+        let mut floor = 0usize;
+        for (c, words) in self.words.chunks(64).enumerate() {
+            let start = c * 64;
+            let end = start + words.len();
             let mut w = 0u64;
-            // Slice-zip iteration so the compiler drops the per-lane
-            // bounds checks on the sum/word columns in this hottest of
-            // loops; `nnz`/`b_tilde` are only touched on the (sparse)
-            // non-zero lanes.
-            let sums_chunk = &sums[start..start + chunk];
-            let words_chunk = &self.words[start..start + chunk];
-            for (off, (&s, &word)) in sums_chunk.iter().zip(words_chunk).enumerate() {
-                let plus = match s {
-                    Ternary::Zero => (word >> bit) & 1 == 1,
-                    nonzero => {
-                        let i = start + off;
-                        let n = self.nnz[i] as usize;
-                        if n >= k {
-                            panic!(
-                                "randomizer protocol violation: {}",
-                                RandomizerError::TooManyNonZeros { k }
-                            );
-                        }
-                        self.nnz[i] = (n + 1) as u32;
-                        nonzero.mul_sign(self.b_tilde[i * k + n]) == Sign::Plus
-                    }
-                };
-                w |= u64::from(plus) << off;
+            for (off, &word) in words.iter().enumerate() {
+                w |= ((word >> bit) & 1) << off;
             }
-            out(w, chunk);
-            start += chunk;
+            while let Some(&(lane, v)) = events.get(e) {
+                let i = lane as usize;
+                if i >= end {
+                    break;
+                }
+                assert!(i >= floor, "span event lanes must be strictly ascending");
+                floor = i + 1;
+                let n = self.nnz[i] as usize;
+                if n >= k {
+                    panic!(
+                        "randomizer protocol violation: {}",
+                        RandomizerError::TooManyNonZeros { k }
+                    );
+                }
+                self.nnz[i] = (n + 1) as u32;
+                let m = 1u64 << (i - start);
+                w = if v * self.b_tilde[i * k + n] == Sign::Plus {
+                    w | m
+                } else {
+                    w & !m
+                };
+                e += 1;
+            }
+            out(w, words.len());
+        }
+        if let Some(&(lane, _)) = events.get(e) {
+            panic!(
+                "span event lane {lane} out of range for {} lanes",
+                self.nnz.len()
+            );
         }
     }
 }
@@ -581,27 +601,40 @@ mod tests {
         );
     }
 
-    /// Drives one group through [`SpanRandomizers::fill_span_words`] and
-    /// the same lanes per report through `FutureRand::next`, span by
-    /// span, asserting identical signs; `pattern(lane, span)` must keep
-    /// every lane within its sparsity bound.
-    fn assert_span_words_match_per_report(
+    /// Builds one group lane by lane with [`SpanRandomizers::draw_lane`]
+    /// and the same clients with `FutureRand::init_keyed` on clones of
+    /// the same rngs (asserting both leave the rng in the same state),
+    /// then drives the group through
+    /// [`SpanRandomizers::fill_span_events`] and the clients per report
+    /// through `FutureRand::next`, span by span, asserting identical
+    /// signs; `pattern(lane, span)` must keep every lane within its
+    /// sparsity bound.
+    fn assert_span_events_match_per_report(
         composed: &ComposedRandomizer,
         l: usize,
-        mut per_report: Vec<FutureRand>,
+        clients: Vec<(StdRng, u64)>,
         pattern: impl Fn(usize, usize) -> Ternary,
     ) {
         let mut group = SpanRandomizers::new(l, composed);
-        for m in &per_report {
-            group.push_lane(m);
+        let mut per_report = Vec::new();
+        for (rng, key) in clients {
+            let (mut lane_rng, mut client_rng) = (rng.clone(), rng);
+            group.draw_lane(composed, &mut lane_rng, key);
+            per_report.push(FutureRand::init_keyed(l, composed, &mut client_rng, key));
+            assert_eq!(lane_rng.next_u64(), client_rng.next_u64(), "b̃ draws");
         }
         assert_eq!(group.len(), per_report.len());
         // FutureRand never draws from the per-report RNG.
         let mut rng = StdRng::seed_from_u64(999);
         for t in 0..l {
             let sums: Vec<Ternary> = (0..per_report.len()).map(|i| pattern(i, t)).collect();
+            let events: Vec<(u32, Sign)> = sums
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.sign().map(|v| (i as u32, v)))
+                .collect();
             let mut packed: Vec<Sign> = Vec::new();
-            group.fill_span_words(&sums, |w, count| {
+            group.fill_span_events(&events, |w, count| {
                 for off in 0..count {
                     packed.push(Sign::from_bool((w >> off) & 1 == 1));
                 }
@@ -626,12 +659,11 @@ mod tests {
         // The batched group randomizer must be bit-identical to driving
         // each lane's FutureRand per report.
         let composed = ComposedRandomizer::for_protocol(3, 1.0);
-        let mut init_rng = StdRng::seed_from_u64(7);
-        let lanes: Vec<FutureRand> = (0..5)
-            .map(|_| FutureRand::init(6, &composed, &mut init_rng))
+        let clients = (0..5u64)
+            .map(|i| (StdRng::seed_from_u64(7 + i), 0x1000 + i))
             .collect();
         // Deterministic sum pattern with ≤ k non-zeros per lane.
-        assert_span_words_match_per_report(&composed, 6, lanes, |lane, t| {
+        assert_span_events_match_per_report(&composed, 6, clients, |lane, t| {
             match ((lane + t) % 3, t < 3) {
                 (1, true) => Ternary::Plus,
                 (2, true) => Ternary::Minus,
@@ -641,22 +673,21 @@ mod tests {
     }
 
     #[test]
-    fn fast_span_words_match_scalar_and_per_report_draws() {
+    fn span_events_match_per_report_draws_across_blocks_and_chunks() {
         // Across counter-block boundaries (l > 64) and for > 64 lanes
-        // (multi-word output chunks), with engine-derived keys.
+        // (multi-word output chunks), with engine-derived rngs and keys.
         let composed = ComposedRandomizer::for_protocol(3, 1.0);
         let l = 130;
         let root = rtf_primitives::seeding::SeedSequence::new(31);
-        let mut init_rng = StdRng::seed_from_u64(30);
-        let lanes: Vec<FutureRand> = (0..70)
+        let clients = (0..70u64)
             .map(|i| {
-                let key = fastseed::client_key(&root.child(i as u64));
-                FutureRand::init_keyed(l, &composed, &mut init_rng, key)
+                let node = root.child(i);
+                (node.rng(), fastseed::client_key(&node))
             })
             .collect();
         // At most two non-zeros per lane (k = 3), spread across both
-        // counter blocks.
-        assert_span_words_match_per_report(&composed, l, lanes, |lane, t| {
+        // counter blocks and both output words.
+        assert_span_events_match_per_report(&composed, l, clients, |lane, t| {
             if t == lane % l {
                 Ternary::Plus
             } else if t == (lane * 7 + 91) % l {
@@ -667,30 +698,68 @@ mod tests {
         });
     }
 
+    /// One lane of length `l` at sparsity `k`.
+    fn one_lane(l: usize, k: usize, seed: u64) -> SpanRandomizers {
+        let composed = ComposedRandomizer::for_protocol(k, 1.0);
+        let mut group = SpanRandomizers::new(l, &composed);
+        group.draw_lane(&composed, &mut StdRng::seed_from_u64(seed), seed);
+        group
+    }
+
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+        match err.downcast_ref::<String>() {
+            Some(msg) => msg.clone(),
+            None => err.downcast_ref::<&str>().unwrap().to_string(),
+        }
+    }
+
     #[test]
     fn span_lanes_reject_exhaustion_and_excess_nonzeros() {
-        let composed = ComposedRandomizer::for_protocol(1, 1.0);
-        let mut group = SpanRandomizers::new(1, &composed);
-        let mut init_rng = StdRng::seed_from_u64(8);
-        group.push_lane(&FutureRand::init(1, &composed, &mut init_rng));
-        group.fill_span_words(&[Ternary::Plus], |_, _| {});
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            group.fill_span_words(&[Ternary::Zero], |_, _| {});
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
+        let mut group = one_lane(1, 1, 8);
+        group.fill_span_events(&[(0, Sign::Plus)], |_, _| {});
+        let msg = panic_message(|| group.fill_span_events(&[], |_, _| {}));
         assert!(msg.contains("longer than declared L"), "{msg}");
 
-        let mut group = SpanRandomizers::new(4, &composed);
-        let mut init_rng = StdRng::seed_from_u64(10);
-        group.push_lane(&FutureRand::init(4, &composed, &mut init_rng));
-        group.fill_span_words(&[Ternary::Plus], |_, _| {});
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            group.fill_span_words(&[Ternary::Minus], |_, _| {});
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
+        let mut group = one_lane(4, 1, 10);
+        group.fill_span_events(&[(0, Sign::Plus)], |_, _| {});
+        let msg = panic_message(|| group.fill_span_events(&[(0, Sign::Minus)], |_, _| {}));
         assert!(msg.contains("more than k"), "{msg}");
+
+        let composed = ComposedRandomizer::for_protocol(1, 1.0);
+        let mut group = one_lane(4, 1, 11);
+        group.fill_span_events(&[], |_, _| {});
+        let msg = panic_message(|| group.draw_lane(&composed, &mut StdRng::seed_from_u64(1), 1));
+        assert!(msg.contains("before the first span"), "{msg}");
+    }
+
+    #[test]
+    fn span_events_reject_unsorted_and_out_of_range_lanes() {
+        let composed = ComposedRandomizer::for_protocol(2, 1.0);
+        let group = |lanes: u64| {
+            let mut g = SpanRandomizers::new(4, &composed);
+            for i in 0..lanes {
+                g.draw_lane(&composed, &mut StdRng::seed_from_u64(i), i);
+            }
+            g
+        };
+        let ascending = "strictly ascending";
+        for (lanes, events, expect) in [
+            // Out of order within one 64-lane chunk, and across chunks.
+            (100, vec![5, 3], ascending),
+            (100, vec![70, 3], ascending),
+            // A repeated lane would spend two b̃ entries in one span.
+            (100, vec![3, 3], ascending),
+            (100, vec![100], "out of range"),
+            (65, vec![64, 70], "out of range"),
+            (3, vec![1, 64], "out of range"),
+            (0, vec![0], "out of range"),
+        ] {
+            let mut g = group(lanes);
+            let events: Vec<(u32, Sign)> = events.into_iter().map(|i| (i, Sign::Plus)).collect();
+            let msg = panic_message(|| g.fill_span_events(&events, |_, _| {}));
+            assert!(msg.contains(expect), "{lanes} lanes, {events:?}: {msg}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rtf_core::annulus::Annulus;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::gap::WeightClassLaw;
@@ -217,17 +217,19 @@ proptest! {
     }
 
     /// The batched span randomizer is bit-for-bit the per-report
-    /// randomizer: over random lane counts, sequence lengths, sparsity
-    /// budgets, privacy levels and k-sparse ternary inputs, every
-    /// emitted sign matches `FutureRand::next` draw for draw.
+    /// randomizer: over random lane counts (past one 64-lane word),
+    /// sequence lengths (past one 64-span counter block), sparsity
+    /// budgets, privacy levels and k-sparse ternary inputs, every lane
+    /// draws the `b̃` `FutureRand::init_keyed` draws and every emitted
+    /// sign matches `FutureRand::next` draw for draw.
     #[test]
     fn span_randomizers_match_future_rand_bit_for_bit(
-        lanes in 1usize..8,
-        l in 1usize..24,
+        lanes in 1usize..150,
+        l in 1usize..140,
         k in 1usize..6,
         eps in 0.05f64..=1.0,
         seed in 0u64..1_000_000,
-        data in proptest::collection::vec(0u8..3, 0..256),
+        density in 0.0f64..=0.5,
     ) {
         use rtf_core::randomizer::SpanRandomizers;
 
@@ -236,24 +238,26 @@ proptest! {
         let mut ms = Vec::with_capacity(lanes);
         let mut rng = StdRng::seed_from_u64(seed);
         for i in 0..lanes {
-            let mut init_rng =
+            let init_rng =
                 StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let m = FutureRand::init(l, &composed, &mut init_rng);
-            spans.push_lane(&m);
-            ms.push(m);
+            let key = rng.random::<u64>();
+            let (mut lane_rng, mut client_rng) = (init_rng.clone(), init_rng);
+            spans.draw_lane(&composed, &mut lane_rng, key);
+            ms.push(FutureRand::init_keyed(l, &composed, &mut client_rng, key));
+            prop_assert_eq!(lane_rng.random::<u64>(), client_rng.random::<u64>());
         }
 
-        // k-sparse ternary inputs per lane, shaped by the raw data vec.
+        // k-sparse ternary inputs per lane at the drawn density.
+        let mut data = StdRng::seed_from_u64(!seed);
         let mut nnz = vec![0usize; lanes];
         let mut inputs: Vec<Vec<Ternary>> = vec![Vec::with_capacity(l); lanes];
-        for t in 0..l {
+        for _ in 0..l {
             for (i, lane_nnz) in nnz.iter_mut().enumerate() {
-                let raw = data.get(i * l + t).copied().unwrap_or(0);
-                let x = if raw == 0 || *lane_nnz >= k {
+                let x = if *lane_nnz >= k || !data.random_bool(density) {
                     Ternary::Zero
                 } else {
                     *lane_nnz += 1;
-                    if raw == 1 { Ternary::Plus } else { Ternary::Minus }
+                    if data.random_bool(0.5) { Ternary::Plus } else { Ternary::Minus }
                 };
                 inputs[i].push(x);
             }
@@ -269,10 +273,13 @@ proptest! {
             }
         }
         let mut got = Vec::with_capacity(lanes * l);
-        #[allow(clippy::needless_range_loop)]
         for t in 0..l {
-            let sums: Vec<Ternary> = (0..lanes).map(|i| inputs[i][t]).collect();
-            spans.fill_span_words(&sums, |bits, count| {
+            let events: Vec<(u32, Sign)> = inputs
+                .iter()
+                .enumerate()
+                .filter_map(|(i, lane)| lane[t].sign().map(|v| (i as u32, v)))
+                .collect();
+            spans.fill_span_events(&events, |bits, count| {
                 got.extend((0..count).map(|off| Sign::from_bool((bits >> off) & 1 == 1)));
             });
         }

@@ -6,9 +6,47 @@
 //! [`sample_subset`] implements Floyd's algorithm: `O(w)` expected time and
 //! memory, independent of `k`, which matters because `k` may be large while
 //! the annulus keeps `w` near `k·p`.
+//!
+//! For a ground set of at most 64 elements (every client's `b̃` at
+//! `k ≤ 64`, and every population over `d ≤ 64` periods) the chosen set
+//! lives in a `u64` bitmask: the same draws in the same order, no hashing
+//! and, in [`flip_random_subset`], no allocation. Larger sets keep a
+//! `HashSet`.
 
 use rand::Rng;
 use std::collections::HashSet;
+
+/// Floyd's draws over `{0, …, n−1}` for `n ≤ 64`, the chosen set as a
+/// bitmask. Draw for draw the sequence [`sample_subset`] makes for any
+/// `n`: none when `w == 0` or `w == n`.
+fn subset_mask<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> u64 {
+    debug_assert!(n <= 64);
+    assert!(w <= n, "cannot sample {w} elements from a set of {n}");
+    if w == n {
+        return u64::MAX.checked_shr((64 - n) as u32).unwrap_or(0);
+    }
+    let mut mask = 0u64;
+    for j in (n - w)..n {
+        let t = rng.random_range(0..=j);
+        mask |= if (mask >> t) & 1 == 0 {
+            1u64 << t
+        } else {
+            1u64 << j
+        };
+    }
+    mask
+}
+
+/// The set bits of `mask`, ascending.
+fn mask_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
 
 /// Draws a uniformly random `w`-element subset of `{0, …, n−1}`.
 ///
@@ -19,6 +57,9 @@ use std::collections::HashSet;
 /// # Panics
 /// Panics if `w > n`.
 pub fn sample_subset<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> Vec<usize> {
+    if n <= 64 {
+        return mask_bits(subset_mask(n, w, rng)).collect();
+    }
     assert!(w <= n, "cannot sample {w} elements from a set of {n}");
     if w == 0 {
         return Vec::new();
@@ -42,10 +83,21 @@ pub fn sample_subset<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> Vec<us
 
 /// Flips the signs of `base` at a uniformly random `w`-subset of positions,
 /// in place. This realises "a uniform string at Hamming distance exactly `w`
-/// from `base`".
+/// from `base`". Makes exactly the draws of
+/// `sample_subset(base.len(), w, rng)`; allocation-free for
+/// `base.len() ≤ 64`.
+///
+/// # Panics
+/// Panics if `w > base.len()`.
 pub fn flip_random_subset<R: Rng + ?Sized>(base: &mut [crate::sign::Sign], w: usize, rng: &mut R) {
-    for i in sample_subset(base.len(), w, rng) {
-        base[i] = base[i].flipped();
+    if base.len() <= 64 {
+        for i in mask_bits(subset_mask(base.len(), w, rng)) {
+            base[i] = base[i].flipped();
+        }
+    } else {
+        for i in sample_subset(base.len(), w, rng) {
+            base[i] = base[i].flipped();
+        }
     }
 }
 

@@ -2,11 +2,12 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rtf_primitives::logspace::{ln_binomial, ln_factorial, log_add_exp, log_sum_exp, LogSumExp};
 use rtf_primitives::seeding::{splitmix64, SeedSequence};
 use rtf_primitives::sign::{Sign, Ternary};
-use rtf_primitives::subset::sample_subset;
+use rtf_primitives::subset::{flip_random_subset, sample_subset};
+use std::collections::HashSet;
 
 proptest! {
     /// ln n! is strictly increasing and super-additive-ish:
@@ -108,5 +109,60 @@ proptest! {
         // Not a theorem for every x, but a fixed point would be astonishing;
         // more importantly adjacent inputs must diverge.
         prop_assert_ne!(splitmix64(x), splitmix64(x ^ 1));
+    }
+}
+
+/// Floyd's algorithm over a `HashSet`, for any `n` — the reference the
+/// bitmask path of [`sample_subset`] (`n ≤ 64`) must match draw for draw.
+fn floyd_reference(n: usize, w: usize, rng: &mut StdRng) -> Vec<usize> {
+    if w == 0 {
+        return Vec::new();
+    }
+    if w == n {
+        return (0..n).collect();
+    }
+    let mut chosen = HashSet::new();
+    for j in (n - w)..n {
+        let t = rng.random_range(0..=j);
+        if !chosen.insert(t) {
+            chosen.insert(j);
+        }
+    }
+    let mut out: Vec<usize> = chosen.into_iter().collect();
+    out.sort_unstable();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// For every `n ≤ 64` and every `w ≤ n`, the bitmask subset is the
+    /// `HashSet` reference's subset and leaves the rng where the
+    /// reference leaves it; `flip_random_subset` flips exactly those
+    /// positions with the same draws.
+    #[test]
+    fn bitmask_subsets_match_the_hashset_reference(seed in 0u64..u64::MAX) {
+        for n in 0..=64usize {
+            for w in 0..=n {
+                let start = StdRng::seed_from_u64(seed ^ ((n as u64) << 8 | w as u64));
+                let mut reference = start.clone();
+                let expect = floyd_reference(n, w, &mut reference);
+                let next = reference.next_u64();
+                let mut a = start.clone();
+                prop_assert_eq!(sample_subset(n, w, &mut a), expect.clone(), "n={} w={}", n, w);
+                prop_assert_eq!(a.next_u64(), next, "rng state, n={} w={}", n, w);
+
+                let base: Vec<Sign> = (0..n).map(|i| Sign::from_bool(i % 3 == 0)).collect();
+                let mut flipped = base.clone();
+                let mut c = start;
+                flip_random_subset(&mut flipped, w, &mut c);
+                let mut want = base;
+                for i in expect {
+                    want[i] = want[i].flipped();
+                }
+                prop_assert_eq!(flipped, want, "flip, n={} w={}", n, w);
+                prop_assert_eq!(c.next_u64(), next, "flip rng state, n={} w={}", n, w);
+            }
+        }
     }
 }

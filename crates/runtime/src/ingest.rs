@@ -296,6 +296,7 @@ enum JournalEntry {
 }
 
 /// One live ingestion worker: mailbox sender, flush receiver, thread.
+/// Dropping a slot stops its worker.
 struct WorkerSlot {
     tx: Option<Sender<WorkerMsg>>,
     flushes: Receiver<ShardFlush>,
@@ -326,6 +327,12 @@ impl WorkerSlot {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
+    }
+}
+
+impl Drop for WorkerSlot {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -453,8 +460,7 @@ pub struct PeriodClose {
 /// assert_eq!(stats.recoveries, 1);
 /// ```
 pub struct IngestService {
-    /// `Some` until [`finish`](Self::finish) hands the server back.
-    server: Option<Server>,
+    server: Server,
     workers: Vec<WorkerSlot>,
     /// Per-worker delivery log of the currently open period.
     journal: Vec<Vec<JournalEntry>>,
@@ -477,16 +483,12 @@ impl IngestService {
             .map(|i| WorkerSlot::spawn(i, mailbox_cap, server.new_shard()))
             .collect();
         IngestService {
-            server: Some(server),
+            server,
             workers: slots,
             journal: vec![Vec::new(); workers],
             stats: IngestStats::default(),
             mailbox_cap,
         }
-    }
-
-    fn server_mut(&mut self) -> &mut Server {
-        self.server.as_mut().expect("service not finished")
     }
 
     /// Number of ingestion workers.
@@ -580,7 +582,7 @@ impl IngestService {
         // bad shard would abort a close that had already pushed frames
         // through the checked path and reset the workers, leaving the
         // journal claiming traffic the server half-consumed.
-        let server = self.server.as_ref().expect("service not finished");
+        let server = &self.server;
         if let Err(err) = shard_accs
             .iter()
             .try_for_each(|shard| server.validate_shard(shard))
@@ -604,7 +606,7 @@ impl IngestService {
         // Untrusted traffic first: reconstruct the sequential mailbox
         // order across shards and classify every frame.
         let frames = FrameBatch::merge_ordered(shard_frames.iter());
-        let server = self.server_mut();
+        let server = &mut self.server;
         let outcomes = replay_frames_checked(server, t, &frames);
 
         let estimate = server
@@ -639,7 +641,7 @@ impl IngestService {
     pub fn kill_worker(&mut self, worker: usize) {
         let worker = worker % self.workers.len();
         self.workers[worker].stop();
-        let template = self.server_mut().new_shard();
+        let template = self.server.new_shard();
         self.workers[worker] = WorkerSlot::spawn(worker, self.mailbox_cap, template);
         self.stats.recoveries += 1;
         // Replay the delivery log. Clones go to the mailbox; the journal
@@ -682,10 +684,7 @@ impl IngestService {
         ] {
             w.u64(v);
         }
-        self.server
-            .as_ref()
-            .expect("service not finished")
-            .write_snapshot(&mut w);
+        self.server.write_snapshot(&mut w);
         for entries in &self.journal {
             w.usize(entries.len());
             for entry in entries {
@@ -762,7 +761,7 @@ impl IngestService {
             .map(|i| WorkerSlot::spawn(i, mailbox_cap, server.new_shard()))
             .collect();
         let service = IngestService {
-            server: Some(server),
+            server,
             workers: slots,
             journal,
             stats,
@@ -864,23 +863,15 @@ impl IngestService {
 
     /// Stops every worker and hands back the server with the final
     /// accounting.
-    pub fn finish(mut self) -> (Server, IngestStats) {
-        for slot in &mut self.workers {
-            slot.stop();
-        }
-        let stats = self.stats;
-        // `self` still drops afterwards; `stop` is idempotent and the
-        // server slot is simply empty by then.
-        let server = self.server.take().expect("service finished once");
+    pub fn finish(self) -> (Server, IngestStats) {
+        let IngestService {
+            server,
+            workers,
+            stats,
+            ..
+        } = self;
+        drop(workers);
         (server, stats)
-    }
-}
-
-impl Drop for IngestService {
-    fn drop(&mut self) {
-        for slot in &mut self.workers {
-            slot.stop();
-        }
     }
 }
 
@@ -1258,7 +1249,7 @@ mod tests {
         assert_eq!(svc.journal[0].len(), 1, "journal not truncated on abort");
         assert_eq!(svc.journal[1].len(), 1, "journal not truncated on abort");
         {
-            let server = svc.server.as_ref().unwrap();
+            let server = &svc.server;
             assert!(server.estimates().is_empty(), "no period closed");
             assert_eq!(server.reports_ingested(), 0, "no frame/shard consumed");
             assert!(server.delivery_log().is_empty());

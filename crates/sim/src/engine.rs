@@ -39,7 +39,7 @@ use rtf_core::randomizer::{FutureRand, SpanRandomizers};
 use rtf_core::server::Server;
 use rtf_primitives::fastseed::{self, SeedSchema};
 use rtf_primitives::seeding::SeedSequence;
-use rtf_primitives::sign::{Sign, Ternary};
+use rtf_primitives::sign::Sign;
 use rtf_runtime::{ExecMode, SignLane, WorkerPool};
 use rtf_streams::population::Population;
 
@@ -129,13 +129,11 @@ pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer
 /// struct-of-arrays: parallel lanes of user ids, a precomputed
 /// span-event schedule, and one shared [`SpanRandomizers`] arena.
 ///
-/// The former layout held a `GroupedSlot {client, rng, cursor}` struct
-/// per user — ~150 scattered bytes plus a per-user heap `b̃` vector, a
-/// pointer chase per report. A span emission now walks each column once
-/// ([`emit_span`](Self::emit_span)): partial sums rebuilt from the
-/// precomputed span-event schedule, then one randomizer pass filling
-/// the packed [`SignLane`] word by word — bit-identical to per-slot
-/// `observe_span` calls.
+/// Construction ([`build_order_groups`]) draws every lane's `b̃` straight
+/// into the arena — no per-client `FutureRand` or heap vector. A span
+/// emission ([`emit_span`](Self::emit_span)) is one randomizer pass
+/// over the span's sparse event list, filling the packed [`SignLane`]
+/// word by word — bit-identical to per-slot `observe_span` calls.
 ///
 /// Public because the span-native scenario engine
 /// (`rtf_scenarios::engine`) drives the same groups through its fault
@@ -149,18 +147,15 @@ pub struct SpanGroup {
     /// `ReportBatch::extend_packed` or masked span folds.
     pub signs: SignLane,
     /// The group's non-zero span sums, precomputed at build: entry
-    /// `span_events[t / stride − 1]` lists `(lane, ±1)` for exactly the
-    /// lanes whose partial sum over the span ending at `t` is non-zero.
-    /// The population is static, so walking each user's change times
-    /// **once** here replaces a per-span `DerivativeCursor::sum_to` per
-    /// lane — the former hottest load in the repo: a million scattered
-    /// change arrays chased per period, for sums that are ~90% zero.
-    span_events: Vec<Vec<(u32, Ternary)>>,
+    /// `span_events[t / stride − 1]` lists `(lane, ±1)`, lanes
+    /// ascending, for exactly the lanes whose partial sum over the span
+    /// ending at `t` is non-zero. The population is static, so walking
+    /// each user's change times **once** here replaces a per-span
+    /// `DerivativeCursor::sum_to` per lane — the former hottest load in
+    /// the repo: a million scattered change arrays chased per period,
+    /// for sums that are ~90% zero.
+    span_events: Vec<Vec<(u32, Sign)>>,
     spans: SpanRandomizers,
-    /// Scratch: per-lane partial sums for the span being emitted —
-    /// refilled per span as memset-to-zero plus the sparse
-    /// [`span_events`](Self::span_events) patches.
-    sums: Vec<Ternary>,
     /// The group's reporting stride `2^h`.
     stride: u64,
 }
@@ -177,32 +172,32 @@ impl SpanGroup {
     }
 
     /// Emits the whole group's reports for the span ending at period `t`
-    /// into [`signs`](Self::signs): pass 1 rebuilds the per-lane partial
-    /// sums (a zero-fill plus the precomputed non-zero patches for this
-    /// span), pass 2 fills every lane's report bit from the shared
-    /// randomizer arena as whole 64-lane words, exactly the bits
-    /// `Client::observe_span` would report.
+    /// into [`signs`](Self::signs): every lane's counter-stream bit, 64
+    /// lanes per word, with this span's precomputed events overwritten
+    /// by their `b̃` bits — exactly the bits `Client::observe_span` would
+    /// report.
     ///
     /// # Panics
-    /// Debug-asserts that `t` is the group's next span boundary — a
+    /// Panics unless `t` is the group's next span boundary — a
     /// non-empty group must emit at **every** boundary, in order, or the
-    /// shared randomizer arena falls out of lockstep with the clients.
+    /// shared randomizer arena falls out of lockstep with the clients
+    /// (and another span's events would be emitted).
     pub fn emit_span(&mut self, t: u64) {
-        debug_assert_eq!(
+        let span = self.spans.position();
+        assert_eq!(
             t,
-            (self.spans.position() as u64 + 1) * self.stride,
+            (span as u64 + 1) * self.stride,
             "span boundary out of lockstep"
         );
-        self.sums.clear();
-        self.sums.resize(self.users.len(), Ternary::Zero);
-        for &(lane, v) in &self.span_events[(t / self.stride - 1) as usize] {
-            self.sums[lane as usize] = v;
-        }
         self.signs.clear();
         let SpanGroup {
-            signs, spans, sums, ..
+            signs,
+            spans,
+            span_events,
+            ..
         } = self;
-        spans.fill_span_words(sums, |bits, count| signs.push_bits(bits, count));
+        let events = span_events.get(span).map_or(&[][..], Vec::as_slice);
+        spans.fill_span_events(events, |bits, count| signs.push_bits(bits, count));
     }
 }
 
@@ -215,9 +210,11 @@ impl SpanGroup {
 /// the live streaming driver ([`crate::live`]), and the span-native
 /// scenario engine (`rtf_scenarios::engine`) — they must consume
 /// per-user RNG identically for the batched ≡ streaming ≡ sequential
-/// proofs to hold, so the construction lives in exactly one place. The
-/// seed schema has one value; the parameter stays for callers that name
-/// it.
+/// proofs to hold, so the construction lives in exactly one place. Each
+/// client's order and `b̃` come from its seed node's rng, in the order
+/// `FutureRand::init_keyed` draws them, with `b̃` written straight into
+/// its group's lane arena ([`SpanRandomizers::draw_lane`]). The seed
+/// schema has one value; the parameter stays for callers that name it.
 pub fn build_order_groups(
     params: &ProtocolParams,
     population: &Population,
@@ -234,30 +231,26 @@ pub fn build_order_groups(
             signs: SignLane::new(),
             span_events: vec![Vec::new(); params.sequence_len(h as u32)],
             spans: SpanRandomizers::new(params.sequence_len(h as u32), &composed[h]),
-            sums: Vec::new(),
             stride: 1u64 << h,
         })
         .collect();
     for u in users {
         let node = root.child(u as u64);
         let mut rng = node.rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        let m = FutureRand::init_keyed(
-            params.sequence_len(h),
-            &composed[h as usize],
-            &mut rng,
-            fastseed::client_key(&node),
-        );
-        let group = &mut groups[h as usize];
+        let h = Client::<FutureRand>::sample_order(params, &mut rng) as usize;
+        let group = &mut groups[h];
         let lane = group.users.len() as u32;
         group.users.push(u as u32);
-        group.spans.push_lane(&m);
+        group
+            .spans
+            .draw_lane(&composed[h], &mut rng, fastseed::client_key(&node));
         // One pass over the user's (sorted) change times builds the
         // lane's non-zero span sums: a span's sum is the parity flip of
         // the change count across it (`st(end) − st(start − 1)`, each
         // the parity of its prefix) — exactly `DerivativeCursor::sum_to`
         // called at every span boundary, computed once instead of once
-        // per period.
+        // per period. Users are walked in ascending order, so every
+        // span's event list is lane-ascending.
         let stride = group.stride;
         let stream = population.stream(u);
         let changes = stream.change_times();
@@ -272,8 +265,8 @@ pub fn build_order_groups(
             }
             let parity_after = parity_before ^ (count % 2 == 1);
             let v = match (parity_before, parity_after) {
-                (false, true) => Some(Ternary::Plus),
-                (true, false) => Some(Ternary::Minus),
+                (false, true) => Some(Sign::Plus),
+                (true, false) => Some(Sign::Minus),
                 _ => None,
             };
             if let Some(v) = v {

@@ -26,8 +26,7 @@ use rtf_core::server::Server;
 use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_runtime::ingest::{IngestService, IngestStats, LiveConfig};
-use rtf_runtime::partition;
-use rtf_runtime::ReportBatch;
+use rtf_runtime::{ReportBatch, WorkerPool};
 use rtf_streams::population::Population;
 
 /// Runs the honest schedule through the streaming ingestion service with
@@ -69,27 +68,25 @@ pub fn run_event_driven_live_with(
     config.validate_for_horizon(d);
     let workers = config.workers.max(1);
     let chunk = config.chunk_rows.max(1);
-    let shards = partition(params.n(), workers);
 
     let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
 
     // Per worker shard, clients grouped by order (the one shared
     // construction path of the batched engine — RNG consumption must be
-    // identical for the streaming ≡ batched ≡ sequential proof).
-    let mut shard_groups: Vec<_> = shards
-        .iter()
-        .map(|shard| {
-            build_order_groups(
-                params,
-                population,
-                &composed,
-                &root,
-                shard.range(),
-                SeedSchema::V2Fast,
-            )
-        })
-        .collect();
+    // identical for the streaming ≡ batched ≡ sequential proof), built
+    // on the pool exactly as `run_batched` builds them: the same
+    // partition, returned in shard order.
+    let mut shard_groups = WorkerPool::new(workers).map_shards(params.n(), |shard| {
+        build_order_groups(
+            params,
+            population,
+            &composed,
+            &root,
+            shard.range(),
+            SeedSchema::V2Fast,
+        )
+    });
     for groups in &shard_groups {
         for (h, group) in groups.iter().enumerate() {
             for _ in 0..group.len() {

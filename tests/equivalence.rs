@@ -176,7 +176,9 @@ fn scenario_hash(out: &ScenarioOutcome, digest: Option<u64>) -> u64 {
 /// The one client randomness stream, frozen: every engine's output on a
 /// small shape (d = 128, so the counter words cross a 64-span block)
 /// hashes to the values the counter stream produced when it was
-/// introduced. A change to `fastseed`, `FutureRand`, client
+/// introduced; a d = 64 shape pins the population's change times and
+/// the event engine's output as they were before subsets moved into a
+/// bitmask. A change to `fastseed`, `FutureRand`, client
 /// construction or the fault layer that moves any report bit fails here
 /// even if all engines move together.
 #[test]
@@ -217,4 +219,25 @@ fn client_stream_outputs_match_golden_hashes() {
     assert_eq!(event_hash(&ev), EVENT, "event live(2)");
     let (sc, _) = run_scenario_live_with(&params, &pop, seed, &storm, &LiveConfig::new(2));
     assert_eq!(scenario_hash(&sc, None), STORM, "storm live(2)");
+
+    // d = 64: the population's change times are drawn over a ground set
+    // of at most 64 periods too, not only every client's b̃ (k ≤ 64).
+    const POPULATION_64: u64 = 0x75b8_0207_e0f5_11fc;
+    const EVENT_64: u64 = 0x99e8_32ce_d40b_ab6b;
+    let (params, pop) = setup(150, 64, 4, 1.0, 2026);
+    let mut h = Golden::default();
+    for stream in pop.streams() {
+        let times = stream.change_times();
+        h.u64(times.len() as u64);
+        for &t in times {
+            h.u64(t);
+        }
+    }
+    assert_eq!(h.finish(), POPULATION_64, "d = 64 population");
+    for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
+        let ev = run_event_driven_with(&params, &pop, seed, mode);
+        assert_eq!(event_hash(&ev), EVENT_64, "d = 64 event {mode}");
+    }
+    let (ev, _) = run_event_driven_live_with(&params, &pop, seed, &LiveConfig::new(2));
+    assert_eq!(event_hash(&ev), EVENT_64, "d = 64 event live(2)");
 }

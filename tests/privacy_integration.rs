@@ -9,9 +9,18 @@ use randomize_future::analysis::audit::{
     erlingsson_sequence_audit, futurerand_sequence_audit, independent_sequence_audit,
     realized_epsilon_composed,
 };
-use randomize_future::analysis::distribution::composed_per_string_probs;
+use randomize_future::analysis::distribution::{composed_per_string_probs, futurerand_output_pmf};
+use randomize_future::analysis::stats::{chi_square_critical_999, chi_square_stat, tv_distance};
 use randomize_future::baselines::bun::BunRandomizer;
+use randomize_future::core::composed::ComposedRandomizer;
 use randomize_future::core::gap::WeightClassLaw;
+use randomize_future::core::params::ProtocolParams;
+use randomize_future::primitives::fastseed::SeedSchema;
+use randomize_future::primitives::seeding::SeedSequence;
+use randomize_future::primitives::sign::Sign;
+use randomize_future::sim::engine::build_order_groups;
+use randomize_future::streams::population::Population;
+use randomize_future::streams::stream::BoolStream;
 
 #[test]
 fn lemma_5_2_grid() {
@@ -94,4 +103,113 @@ fn privacy_holds_under_every_supported_epsilon_shape() {
             assert!(law.c_gap() > 0.0);
         }
     }
+}
+
+/// Gates the engines' own emission path against the exact FutureRand
+/// output law. For each `(k, change times)` case, many users share the
+/// one change pattern over `d` periods; `build_order_groups` builds them
+/// exactly as every batched engine does (order and `b̃` from each user's
+/// seed node, keys from `client_key` over neighbouring nodes, `b̃` drawn
+/// into the lane arena), and `emit_span` emits them span by span. The
+/// order-0 lanes' report strings are gated against
+/// `futurerand_output_pmf` by chi-square and total-variation distance.
+/// This ties the ε the audit certifies to the bits the engines emit.
+fn assert_emission_follows_output_law(d: u64, cases: &[(usize, &[u64])]) {
+    const LANES: usize = 100_000;
+    let epsilon = 1.0;
+    for &(k, changes) in cases {
+        let case = format!("d={d}, k={k}, changes {changes:?}");
+        // Orders are uniform over 0..=log d: ~5% headroom above LANES.
+        let n = LANES * (d.ilog2() as usize + 1) * 21 / 20;
+        let params = ProtocolParams::new(n, d, k, epsilon, 0.05).unwrap();
+        let stream = BoolStream::from_change_times(d, changes.to_vec());
+        let input = stream.derivative().to_vec();
+        let population = Population::from_streams(vec![stream; n]);
+        let composed: Vec<ComposedRandomizer> = (0..params.num_orders())
+            .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), epsilon))
+            .collect();
+        let root = SeedSequence::new(d << 32 | (k as u64) << 16 | changes.len() as u64);
+        let mut groups = build_order_groups(
+            &params,
+            &population,
+            &composed,
+            &root,
+            0..n,
+            SeedSchema::V2Fast,
+        );
+        let group = &mut groups[0];
+        let draws = group.len();
+        assert!(draws >= LANES, "{case}: {draws} order-0 lanes");
+
+        // Bit t − 1 of a lane's string is its report for period t.
+        let mut strings = vec![0usize; draws];
+        for t in 1..=d {
+            group.emit_span(t);
+            for (lane, string) in strings.iter_mut().enumerate() {
+                if group.signs.get(lane) == Sign::Plus {
+                    *string |= 1 << (t - 1);
+                }
+            }
+        }
+        let mut counts = vec![0u64; 1 << d];
+        for s in strings {
+            counts[s] += 1;
+        }
+
+        let exact = futurerand_output_pmf(d as usize, params.k_for_order(0), epsilon, &input);
+        let n_draws = draws as f64;
+        let expected: Vec<f64> = exact.iter().map(|p| p * n_draws).collect();
+        let (chi2, dof) = chi_square_stat(&counts, &expected, 5.0);
+        let critical = chi_square_critical_999(dof);
+        assert!(
+            chi2 < critical,
+            "{case}: chi2 {chi2:.1} ≥ {critical:.1} at {dof} dof"
+        );
+        // A cell's sampling error |p̂ − p| averages √(2p(1−p)/(πN)).
+        let typical_tv: f64 = exact
+            .iter()
+            .map(|p| (2.0 * p * (1.0 - p) / (std::f64::consts::PI * n_draws)).sqrt())
+            .sum::<f64>()
+            / 2.0;
+        let empirical: Vec<f64> = counts.iter().map(|&c| c as f64 / n_draws).collect();
+        let tv = tv_distance(&empirical, &exact);
+        assert!(
+            tv < 2.0 * typical_tv,
+            "{case}: TV {tv:.4} vs typical sampling TV {typical_tv:.4}"
+        );
+    }
+}
+
+/// `(k, change times)`: all zero, full support (mixed signs once
+/// k ≥ 2), and bounded support `|supp| < k`, single-signed and mixed.
+#[test]
+fn engine_emission_follows_the_exact_output_law_d4() {
+    assert_emission_follows_output_law(
+        4,
+        &[
+            (1, &[]),
+            (1, &[2]),
+            (2, &[1, 3]),
+            (2, &[3]),
+            (3, &[1, 2, 4]),
+            (3, &[2, 3]),
+        ],
+    );
+}
+
+/// As [`engine_emission_follows_the_exact_output_law_d4`], over 2⁸
+/// report strings.
+#[test]
+fn engine_emission_follows_the_exact_output_law_d8() {
+    assert_emission_follows_output_law(
+        8,
+        &[
+            (1, &[5]),
+            (2, &[]),
+            (2, &[2, 7]),
+            (3, &[3]),
+            (3, &[1, 4, 8]),
+            (3, &[6, 7]),
+        ],
+    );
 }
