@@ -20,6 +20,13 @@
 //! in via [`Server::absorb_shard`] — value-for-value identical to
 //! sequential ingestion because report sums are integer-valued and the
 //! accumulator stores them exactly.
+//!
+//! The checked ladder exists once, over one roster slot. Its one-slot
+//! form is [`Server::ingest_checked`]; [`Server::roster_shards`] lends
+//! disjoint wire-id ranges out as [`RosterShard`]s that classify on
+//! their own threads into [`CheckedTally`]s, which
+//! [`Server::absorb_checked`] adds back — exact in any order for the
+//! same integer-sum reason.
 
 use crate::accumulator::{Accumulator, AccumulatorError, AccumulatorKind, AnyAccumulator};
 use crate::params::ProtocolParams;
@@ -29,6 +36,7 @@ use rtf_dyadic::frontier::Frontier;
 use rtf_dyadic::interval::DyadicInterval;
 use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::sign::Sign;
+use std::ops::Range;
 
 /// The fate of one report submitted through the checked ingestion path
 /// ([`Server::ingest_checked`]).
@@ -108,6 +116,162 @@ impl RosterEntry {
 
     fn is_registered(&self) -> bool {
         self.order != u32::MAX
+    }
+}
+
+/// The checked ingestion ladder over one roster slot: classifies a
+/// report claiming boundary `t` from the sender whose slot is `slot`
+/// (`None` for an id outside the roster) while period `current_t + 1` is
+/// open on a horizon of `d` periods. The verdict is counted into `row`;
+/// an acceptance advances the slot's last accepted boundary. Returns the
+/// verdict and the slot's order (meaningful once the sender is known).
+///
+/// `floor` is an acceptance the caller knows of but the slot never saw
+/// (`0` = none): the span-native scenario engine folds honest on-time
+/// runs arithmetically without touching the roster, so it passes each
+/// frame the most recent folded boundary of its sender. Only the
+/// duplicate rung reads it. Accepted boundaries strictly increase per
+/// sender (acceptance requires `t == current_t + 1`), so
+/// `max(last_accepted, floor)` is exactly the sender's most recent
+/// acceptance and every verdict matches the fully sequential
+/// classification.
+#[inline]
+fn classify_slot(
+    slot: Option<&mut RosterEntry>,
+    d: u64,
+    current_t: u64,
+    t: u64,
+    floor: u64,
+    row: &mut PeriodDelivery,
+) -> (Delivery, u32) {
+    let Some(entry) = slot.filter(|e| e.is_registered()) else {
+        row.unknown_user += 1;
+        return (Delivery::UnknownUser, RosterEntry::VACANT.order);
+    };
+    let h = entry.order;
+    let stride = 1u64 << h;
+    if t == 0 || t > d || t % stride != 0 {
+        row.invalid_period += 1;
+        return (Delivery::InvalidPeriod, h);
+    }
+    if t == u64::from(entry.last_accepted).max(floor) {
+        row.duplicate += 1;
+        return (Delivery::Duplicate, h);
+    }
+    if t <= current_t {
+        row.late += 1;
+        return (Delivery::Late, h);
+    }
+    // On time means *this* period: honest clients emit at the boundary
+    // period itself, so during the period current_t + 1 only reports for
+    // exactly that boundary can be genuine. Any later boundary is a
+    // fabrication arriving before its interval closed — accepting it
+    // would also mis-attribute it to a delivery row whose `due` excludes
+    // its order.
+    if t != current_t + 1 {
+        row.premature += 1;
+        return (Delivery::Premature, h);
+    }
+    // t ≤ d ≤ 2^31 (checked above), so the boundary fits the slot.
+    entry.last_accepted = t as u32;
+    row.accepted += 1;
+    (Delivery::Accepted, h)
+}
+
+/// Verdict counts and accepted report signs of checked ingestion, held
+/// apart from the server so disjoint [`RosterShard`]s can classify on
+/// different threads. [`Server::absorb_checked`] adds a tally to the
+/// open period.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckedTally {
+    /// Verdict counts. `t` and `due` stay zero: the period close sets
+    /// them.
+    pub delivery: PeriodDelivery,
+    /// Per order `h`: the accepted reports' `(plus, minus)` counts.
+    pub signs: Vec<(u64, u64)>,
+}
+
+impl CheckedTally {
+    /// An empty tally for `orders` orders (`1 + log d`).
+    pub fn new(orders: usize) -> Self {
+        CheckedTally {
+            delivery: PeriodDelivery::default(),
+            signs: vec![(0, 0); orders],
+        }
+    }
+
+    /// Counts a run of `count` accepted order-`h` reports of which `plus`
+    /// carried `+1` — how the span-native scenario engine takes in an
+    /// honest on-time span it folded arithmetically. The roster is not
+    /// touched: the caller owns the dedupe state of folded runs (the
+    /// acceptance floor of [`RosterShard::classify`]).
+    ///
+    /// # Panics
+    /// Panics if `h` is off the tally's horizon or `plus > count`.
+    pub fn accept_run(&mut self, h: u32, plus: u64, count: u64) {
+        assert!(plus <= count, "{plus} +1 reports out of {count}");
+        let signs = &mut self.signs[h as usize];
+        signs.0 += plus;
+        signs.1 += count - plus;
+        self.delivery.accepted += count;
+    }
+}
+
+/// A contiguous slice of the checked roster, lent out by
+/// [`Server::roster_shards`]: the ladder for the wire ids it owns.
+#[derive(Debug)]
+pub struct RosterShard<'a> {
+    /// Wire ids this shard owns.
+    ids: Range<usize>,
+    /// Their slots; empty while no client is registered.
+    slots: &'a mut [RosterEntry],
+    n: usize,
+    d: u64,
+}
+
+impl RosterShard<'_> {
+    /// Runs the checked ladder for one report on this shard's slice,
+    /// while period `current_t + 1` is open, counting the verdict and an
+    /// accepted report's sign into `tally`. `floor` is an acceptance the
+    /// slot never saw (`0` = none; see [`CheckedTally::accept_run`]).
+    ///
+    /// An id `≥ n` is an [`UnknownUser`](Delivery::UnknownUser) on any
+    /// shard: its verdict reads no roster state.
+    ///
+    /// # Panics
+    /// Panics if `user < n` lies outside this shard's ids: a frame handed
+    /// to the wrong shard is a routing bug, never an unknown sender. Also
+    /// panics if `tally` is shaped for a shorter horizon.
+    pub fn classify(
+        &mut self,
+        user: u32,
+        t: u64,
+        bit: Sign,
+        floor: u64,
+        current_t: u64,
+        tally: &mut CheckedTally,
+    ) -> Delivery {
+        let id = user as usize;
+        let slot = if id < self.n {
+            assert!(
+                self.ids.contains(&id),
+                "wire id {user} routed to roster shard {:?}",
+                self.ids
+            );
+            self.slots.get_mut(id - self.ids.start)
+        } else {
+            None
+        };
+        let (verdict, h) = classify_slot(slot, self.d, current_t, t, floor, &mut tally.delivery);
+        if verdict == Delivery::Accepted {
+            let signs = &mut tally.signs[h as usize];
+            if bit == Sign::Plus {
+                signs.0 += 1;
+            } else {
+                signs.1 += 1;
+            }
+        }
+        verdict
     }
 }
 
@@ -345,119 +509,97 @@ impl Server {
     /// panic, whatever a Byzantine client puts in a well-formed message; an
     /// id `≥ n` is an [`UnknownUser`](Delivery::UnknownUser).
     ///
-    /// Per-period tallies are finalised by
-    /// [`end_of_period`](Self::end_of_period) into
-    /// [`delivery_log`](Self::delivery_log).
+    /// This is the one-slot case of the ladder [`RosterShard::classify`]
+    /// runs on a roster slice, with no acceptance floor. Per-period
+    /// tallies are finalised by [`end_of_period`](Self::end_of_period)
+    /// into [`delivery_log`](Self::delivery_log).
     pub fn ingest_checked(&mut self, user: u32, t: u64, bit: Sign) -> Delivery {
-        self.ingest_checked_with_floor(user, t, bit, 0)
-    }
-
-    /// [`ingest_checked`](Self::ingest_checked) with an externally-known
-    /// *acceptance floor*: the caller asserts that `user` already had a
-    /// report accepted for boundary `floor` (`0` = no such claim) even
-    /// though this server never saw the acceptance — the span-native
-    /// scenario engine folds honest constant-order runs arithmetically
-    /// ([`ingest_span_run`](Self::ingest_span_run)) without touching the
-    /// roster, so the dedupe state of folded acceptances lives with the
-    /// caller.
-    ///
-    /// Only the duplicate rung consults the floor: accepted boundaries
-    /// are strictly increasing within a run (acceptance requires
-    /// `t == current_t + 1`), so `max(last_accepted, floor)` is exactly
-    /// the sender's most recent acceptance and every verdict matches the
-    /// fully sequential classification bit-for-bit.
-    pub fn ingest_checked_with_floor(
-        &mut self,
-        user: u32,
-        t: u64,
-        bit: Sign,
-        floor: u64,
-    ) -> Delivery {
-        let Some(entry) = self
-            .roster
-            .get_mut(user as usize)
-            .filter(|e| e.is_registered())
-        else {
-            self.current_delivery.unknown_user += 1;
-            return Delivery::UnknownUser;
-        };
-        let h = entry.order;
-        let stride = 1u64 << h;
-        if t == 0 || t > self.params.d() || t % stride != 0 {
-            self.current_delivery.invalid_period += 1;
-            return Delivery::InvalidPeriod;
-        }
-        if t == u64::from(entry.last_accepted).max(floor) {
-            self.current_delivery.duplicate += 1;
-            return Delivery::Duplicate;
-        }
-        if t <= self.current_t {
-            self.current_delivery.late += 1;
-            return Delivery::Late;
-        }
-        // On time means *this* period: honest clients emit at the
-        // boundary period itself, so during the period current_t + 1 only
-        // reports for exactly that boundary can be genuine. Any later
-        // boundary is a fabrication arriving before its interval closed —
-        // accepting it would also mis-attribute it to a delivery row
-        // whose `due` excludes its order.
-        if t != self.current_t + 1 {
-            self.current_delivery.premature += 1;
-            return Delivery::Premature;
-        }
-        // t ≤ d ≤ 2^31 (checked above), so the boundary fits the slot.
-        entry.last_accepted = t as u32;
-        self.acc.record(h, bit);
-        self.current_delivery.accepted += 1;
-        Delivery::Accepted
-    }
-
-    /// Ingests a whole run of `count` *accepted* on-time reports of order
-    /// `h`, of which `plus` carried `+1` — the span-native scenario
-    /// engine's arithmetic replacement for `count` individual
-    /// [`ingest_checked`](Self::ingest_checked) acceptances of one
-    /// group's span. Report sums are integer-valued, so the accumulator
-    /// state and the period's `accepted` tally are exactly what the
-    /// per-report path would produce in any interleaving.
-    ///
-    /// Nothing here touches the roster — the caller owns per-user dedupe
-    /// for folded runs (see
-    /// [`ingest_checked_with_floor`](Self::ingest_checked_with_floor)) —
-    /// so snapshot bytes are unaffected.
-    ///
-    /// # Panics
-    /// Panics if `h` is off-horizon or `plus > count`.
-    pub fn ingest_span_run(&mut self, h: u32, plus: u64, count: u64) {
-        assert!(
-            h <= self.params.log_d(),
-            "order {h} exceeds log d = {}",
-            self.params.log_d()
+        let slot = self.roster.get_mut(user as usize);
+        let (verdict, h) = classify_slot(
+            slot,
+            self.params.d(),
+            self.current_t,
+            t,
+            0,
+            &mut self.current_delivery,
         );
-        assert!(plus <= count, "{plus} +1 reports out of {count}");
-        self.acc.record_counts(h, plus, count - plus);
-        self.current_delivery.accepted += count;
+        if verdict == Delivery::Accepted {
+            self.acc.record(h, bit);
+        }
+        verdict
     }
 
-    /// Records a *pre-classified rejection* in the current period's
-    /// delivery tally without re-walking the roster — the bookkeeping
-    /// half of [`ingest_checked`](Self::ingest_checked) for callers that
-    /// already know a frame's verdict (the duplicate-storm pre-filter:
-    /// a repeat of a `(user, period)` pair this period resolves to a
-    /// known rejection, and rejections mutate nothing but the tally).
+    /// Lends the checked roster out as disjoint, contiguous slices, so
+    /// each can run the ladder on its own thread
+    /// ([`RosterShard::classify`]). Shard `i` owns the wire ids
+    /// `ends[i − 1]..ends[i]` (the first starts at 0). What the shards
+    /// count comes back through [`absorb_checked`](Self::absorb_checked).
+    ///
+    /// A verdict reads only its sender's slot, the open period and the
+    /// acceptance floor, so frames to different slices classify
+    /// independently; each slice must still see its own frames in
+    /// mailbox order.
     ///
     /// # Panics
-    /// Panics on [`Delivery::Accepted`]: acceptance mutates roster and
-    /// accumulator state and must go through `ingest_checked`.
-    pub fn note_delivery(&mut self, outcome: Delivery) {
-        match outcome {
-            Delivery::Accepted => {
-                panic!("note_delivery records rejections; acceptance must be ingested")
+    /// Panics unless `ends` ascend (empty shards allowed) to exactly `n`,
+    /// so the shards cover `0..n`.
+    pub fn roster_shards(&mut self, ends: &[usize]) -> Vec<RosterShard<'_>> {
+        let n = self.params.n();
+        let d = self.params.d();
+        assert!(
+            ends.windows(2).all(|w| w[0] <= w[1]) && ends.last() == Some(&n),
+            "roster shards must cover 0..{n} in order, not end at {ends:?}"
+        );
+        // Before the first registration the roster is unallocated and
+        // every slice is empty: all senders are unknown.
+        let allocated = !self.roster.is_empty();
+        let mut rest: &mut [RosterEntry] = &mut self.roster;
+        let mut start = 0;
+        ends.iter()
+            .map(|&end| {
+                let take = if allocated { end - start } else { 0 };
+                let (slots, tail) = std::mem::take(&mut rest).split_at_mut(take);
+                rest = tail;
+                let ids = start..end;
+                start = end;
+                RosterShard { ids, slots, n, d }
+            })
+            .collect()
+    }
+
+    /// Adds a [`CheckedTally`] to the open period: its verdict counts to
+    /// the period's delivery row and its accepted signs to the
+    /// accumulator, with one `record_counts` per order. Report sums are
+    /// integers held exactly in `f64`, so absorbing tallies in any order,
+    /// or in pieces, leaves the state that classifying their reports one
+    /// by one through [`ingest_checked`](Self::ingest_checked) would.
+    ///
+    /// # Panics
+    /// Panics if the tally is shaped for another horizon, or if its
+    /// accepted count differs from its sign counts.
+    pub fn absorb_checked(&mut self, tally: &CheckedTally) {
+        assert_eq!(
+            tally.signs.len(),
+            self.acc.orders(),
+            "tally has the wrong number of orders"
+        );
+        let signed: u64 = tally.signs.iter().map(|&(plus, minus)| plus + minus).sum();
+        assert_eq!(
+            signed, tally.delivery.accepted,
+            "a tally's accepted reports are its signed ones"
+        );
+        let row = &mut self.current_delivery;
+        let add = &tally.delivery;
+        row.accepted += add.accepted;
+        row.duplicate += add.duplicate;
+        row.late += add.late;
+        row.unknown_user += add.unknown_user;
+        row.invalid_period += add.invalid_period;
+        row.premature += add.premature;
+        for (h, &(plus, minus)) in tally.signs.iter().enumerate() {
+            if plus + minus > 0 {
+                self.acc.record_counts(h as u32, plus, minus);
             }
-            Delivery::UnknownUser => self.current_delivery.unknown_user += 1,
-            Delivery::InvalidPeriod => self.current_delivery.invalid_period += 1,
-            Delivery::Duplicate => self.current_delivery.duplicate += 1,
-            Delivery::Late => self.current_delivery.late += 1,
-            Delivery::Premature => self.current_delivery.premature += 1,
         }
     }
 
@@ -925,7 +1067,7 @@ mod tests {
 
     #[test]
     fn span_run_ingest_matches_per_report_acceptance() {
-        // Folding a whole accepted span arithmetically must leave the
+        // Absorbing a whole accepted span as a tally must leave the
         // accumulator, delivery tally, and estimates exactly where the
         // per-report checked path would.
         let p = params();
@@ -937,7 +1079,9 @@ mod tests {
         }
         for t in 1..=4u64 {
             // 4 of 6 bits are +1 every period.
-            folded.ingest_span_run(0, 4, 6);
+            let mut run = CheckedTally::new(4);
+            run.accept_run(0, 4, 6);
+            folded.absorb_checked(&run);
             for u in 0..6u32 {
                 let bit = if u < 4 { Sign::Plus } else { Sign::Minus };
                 assert_eq!(perreport.ingest_checked(u, t, bit), Delivery::Accepted);
@@ -953,36 +1097,115 @@ mod tests {
         let p = params();
         let mut server = Server::new(p, &[1.0; 4]);
         assert!(server.register_client(3, 0));
+        let mut tally = CheckedTally::new(4);
         // Period 1's report was folded outside the roster; the caller
         // passes floor = 1 so a re-claim of t = 1 dedupes exactly as if
-        // the acceptance had gone through ingest_checked.
-        server.ingest_span_run(0, 1, 1);
+        // the acceptance had gone through the roster.
+        tally.accept_run(0, 1, 1);
+        let mut shards = server.roster_shards(&[100]);
+        let roster = &mut shards[0];
         assert_eq!(
-            server.ingest_checked_with_floor(3, 1, Sign::Plus, 1),
+            roster.classify(3, 1, Sign::Plus, 1, 0, &mut tally),
             Delivery::Duplicate
         );
-        let _ = server.end_of_period(1);
         // Floor below the claimed boundary changes nothing: t = 2 is the
-        // open boundary and is accepted, floor or not.
+        // open boundary of period 2 and is accepted, floor or not.
+        let mut next = CheckedTally::new(4);
         assert_eq!(
-            server.ingest_checked_with_floor(3, 2, Sign::Plus, 1),
+            roster.classify(3, 2, Sign::Plus, 1, 1, &mut next),
             Delivery::Accepted
         );
-        let _ = server.end_of_period(2);
         // A stale claim of the folded boundary is Late once the roster's
         // own acceptance (t = 2) is more recent than the floor.
+        let mut third = CheckedTally::new(4);
         assert_eq!(
-            server.ingest_checked_with_floor(3, 1, Sign::Plus, 1),
+            roster.classify(3, 1, Sign::Plus, 1, 2, &mut third),
             Delivery::Late
         );
         // Unknown users stay unknown regardless of floor.
         assert_eq!(
-            server.ingest_checked_with_floor(99, 3, Sign::Plus, 3),
+            roster.classify(99, 3, Sign::Plus, 3, 2, &mut third),
             Delivery::UnknownUser
         );
-        let log_row = server.delivery_log()[0];
-        assert_eq!(log_row.accepted, 1, "the folded report");
-        assert_eq!(log_row.duplicate, 1, "the floored re-claim");
+        for (t, tally) in [(1, &tally), (2, &next), (3, &third)] {
+            server.absorb_checked(tally);
+            let _ = server.end_of_period(t);
+        }
+        let log = server.delivery_log();
+        assert_eq!(log[0].accepted, 1, "the folded report");
+        assert_eq!(log[0].duplicate, 1, "the floored re-claim");
+        assert_eq!(log[1].accepted, 1);
+        assert_eq!((log[2].late, log[2].unknown_user), (1, 1));
+        assert_eq!(server.reports_ingested(), 2);
+    }
+
+    #[test]
+    fn roster_shards_classify_like_the_whole_roster() {
+        // Three uneven slices (one empty) against ingest_checked on a
+        // twin: same verdicts, and after absorbing the tallies in shard
+        // order the same rows, estimates and snapshot bytes.
+        let mut sharded = Server::new(params(), &[1.0; 4]);
+        let mut whole = Server::new(params(), &[1.0; 4]);
+        for (user, h) in [(2u32, 0u32), (40, 1), (41, 0), (99, 0)] {
+            assert!(sharded.register_client(user, h));
+            assert!(whole.register_client(user, h));
+        }
+        let ends = [40, 40, 100];
+        let frames = [
+            (2u32, 1u64),
+            (41, 1),
+            (40, 2),
+            (2, 1),
+            (99, 1),
+            (7, 1),
+            (150, 1),
+        ];
+        for t in 1..=2u64 {
+            let mut tallies = vec![CheckedTally::new(4); ends.len()];
+            let mut shards = sharded.roster_shards(&ends);
+            for &(user, claim) in &frames {
+                let claim = claim + t - 1;
+                let r = ends
+                    .iter()
+                    .position(|&end| (user as usize) < end)
+                    .unwrap_or(user as usize % ends.len());
+                let bit = if user % 2 == 0 {
+                    Sign::Plus
+                } else {
+                    Sign::Minus
+                };
+                assert_eq!(
+                    shards[r].classify(user, claim, bit, 0, t - 1, &mut tallies[r]),
+                    whole.ingest_checked(user, claim, bit),
+                    "user {user} claim {claim}"
+                );
+            }
+            drop(shards);
+            for tally in &tallies {
+                sharded.absorb_checked(tally);
+            }
+            assert_eq!(sharded.end_of_period(t), whole.end_of_period(t));
+        }
+        assert_eq!(sharded.delivery_log(), whole.delivery_log());
+        assert_eq!(snapshot_bytes(&sharded), snapshot_bytes(&whole));
+    }
+
+    #[test]
+    #[should_panic(expected = "routed to roster shard")]
+    fn in_range_id_on_a_foreign_shard_panics() {
+        let mut server = Server::new(params(), &[1.0; 4]);
+        assert!(server.register_client(60, 0));
+        let mut shards = server.roster_shards(&[50, 100]);
+        let mut tally = CheckedTally::new(4);
+        // Id 60 < n belongs to shard 1; shard 0 must not call it unknown.
+        let _ = shards[0].classify(60, 1, Sign::Plus, 0, 0, &mut tally);
+    }
+
+    #[test]
+    #[should_panic(expected = "must cover 0..100")]
+    fn roster_shards_must_cover_every_id() {
+        let mut server = Server::new(params(), &[1.0; 4]);
+        let _ = server.roster_shards(&[50, 99]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use rtf_core::composed::ComposedRandomizer;
 use rtf_core::gap::WeightClassLaw;
 use rtf_core::params::ProtocolParams;
 use rtf_core::randomizer::{FutureRand, IndependentRand, LocalRandomizer};
-use rtf_core::server::{Delivery, PeriodDelivery, Server};
+use rtf_core::server::{CheckedTally, Delivery, PeriodDelivery, Server};
 use rtf_core::snapshot::{SnapReader, SnapWriter};
 use rtf_primitives::sign::{Sign, Ternary};
 use std::collections::BTreeMap;
@@ -379,13 +379,14 @@ fn snapshot_bytes(server: &Server) -> Vec<u8> {
 }
 
 proptest! {
-    /// The server's checked ladder against [`LadderModel`] over random
-    /// registrations (gappy ids, repeats, ids ≥ n, orders above log d,
-    /// registrations after period 1) and random frames (unknown,
-    /// off-stride, duplicate, late, premature and on-time, with random
-    /// floors): equal verdicts, delivery rows and report counts, and every
-    /// snapshot → restore → re-snapshot byte-identical, with the restored
-    /// server carrying on.
+    /// The server's one-slot checked ladder (`ingest_checked`) against
+    /// [`LadderModel`] over random registrations (gappy ids, repeats,
+    /// ids ≥ n, orders above log d, registrations after period 1) and
+    /// random frames (unknown, off-stride, duplicate, late, premature and
+    /// on-time): equal verdicts, delivery rows and report counts, and
+    /// every snapshot → restore → re-snapshot byte-identical, with the
+    /// restored server carrying on. Acceptance floors are exercised by
+    /// `sharded_ladder_matches_btreemap_model`.
     #[test]
     fn checked_ladder_matches_btreemap_model(
         n in 1usize..64,
@@ -420,12 +421,11 @@ proptest! {
                         5 => last,
                         _ => (now / stride + 1) * stride,
                     };
-                    let floor = if raw % 3 == 0 { 0 } else { raw % (now + 2) };
                     let bit = if raw % 2 == 0 { Sign::Plus } else { Sign::Minus };
                     prop_assert_eq!(
-                        server.ingest_checked_with_floor(user, t, bit, floor),
-                        model.ingest(user, t, floor),
-                        "user {} t {} floor {} at period {}", user, t, floor, now + 1
+                        server.ingest_checked(user, t, bit),
+                        model.ingest(user, t, 0),
+                        "user {} t {} at period {}", user, t, now + 1
                     );
                 }
                 17 => {
@@ -460,5 +460,131 @@ proptest! {
         prop_assert_eq!(server.reports_ingested(), model.reports);
         let sizes: Vec<u64> = server.group_sizes().iter().map(|&g| g as u64).collect();
         prop_assert_eq!(sizes, model.group_sizes);
+    }
+
+    /// The sharded ladder against [`LadderModel`]: the generators of
+    /// `checked_ladder_matches_btreemap_model` with random acceptance
+    /// floors, over a random split of `0..n` into 1–4 contiguous roster
+    /// shards (empty ones allowed). Each frame goes to its owner's
+    /// `classify`, an id ≥ n to a random shard, and each close absorbs
+    /// the tallies in shard order. Verdicts, delivery rows, report counts
+    /// and group sizes equal the model's; snapshot bytes equal those of
+    /// an unsharded twin (one shard over `0..n`, same floors), and every
+    /// snapshot → restore → re-snapshot is byte-identical.
+    #[test]
+    fn sharded_ladder_matches_btreemap_model(
+        n in 1usize..64,
+        log_d in 0u32..5,
+        regs in prop::collection::vec((0u32..80, 0u32..7), 0..60),
+        ops in prop::collection::vec((0u8..20, 0u32..80, 0u8..8, 0u64..1_000), 0..300),
+        cuts in prop::collection::vec(0usize..64, 0..4),
+    ) {
+        let params = ProtocolParams::new(n, 1 << log_d, 1, 1.0, 0.05).unwrap();
+        let orders = params.num_orders() as usize;
+        let gaps = vec![1.0; orders];
+        let mut ends: Vec<usize> = cuts.into_iter().map(|c| c % (n + 1)).collect();
+        ends.sort_unstable();
+        ends.push(n);
+        let mut sharded = Server::new(params, &gaps);
+        let mut whole = Server::new(params, &gaps);
+        let mut model = LadderModel::new(&params);
+        let mut tallies = vec![CheckedTally::new(orders); ends.len()];
+        let mut whole_tally = vec![CheckedTally::new(orders)];
+        for &(user, h) in &regs {
+            let expect = model.register(user, h);
+            prop_assert_eq!(sharded.register_client(user, h), expect);
+            prop_assert_eq!(whole.register_client(user, h), expect);
+        }
+        for &(kind, raw_user, t_kind, raw) in &ops {
+            let now = model.current_t;
+            match kind {
+                0..=16 => {
+                    let known = model.roster.len();
+                    let user = if raw_user % 4 == 0 || known == 0 {
+                        raw_user
+                    } else {
+                        *model.roster.keys().nth(raw_user as usize % known).unwrap()
+                    };
+                    let (order, last) = model.roster.get(&user).copied().unwrap_or((0, 0));
+                    let stride = 1u64 << order;
+                    let t = match t_kind {
+                        0 | 1 => now + 1,
+                        2 => now,
+                        3 => now + 2,
+                        4 => raw % (model.d + 3),
+                        5 => last,
+                        _ => (now / stride + 1) * stride,
+                    };
+                    let floor = if raw % 3 == 0 { 0 } else { raw % (now + 2) };
+                    let bit = if raw % 2 == 0 { Sign::Plus } else { Sign::Minus };
+                    let r = match ends.iter().position(|&end| (user as usize) < end) {
+                        Some(owner) => owner,
+                        None => raw as usize % ends.len(),
+                    };
+                    let mut shards = sharded.roster_shards(&ends);
+                    let got = shards[r].classify(user, t, bit, floor, now, &mut tallies[r]);
+                    let mut one = whole.roster_shards(&[n]);
+                    let twin = one[0].classify(user, t, bit, floor, now, &mut whole_tally[0]);
+                    let expect = model.ingest(user, t, floor);
+                    prop_assert_eq!(
+                        got, expect,
+                        "user {} t {} floor {} at period {} on shard {}",
+                        user, t, floor, now + 1, r
+                    );
+                    prop_assert_eq!(twin, expect);
+                }
+                17 => {
+                    let h = (raw % 7) as u32;
+                    let expect = model.register(raw_user, h);
+                    prop_assert_eq!(sharded.register_client(raw_user, h), expect);
+                    prop_assert_eq!(whole.register_client(raw_user, h), expect);
+                }
+                18 if now < model.d => {
+                    absorb(&mut sharded, &mut tallies);
+                    absorb(&mut whole, &mut whole_tally);
+                    let _ = sharded.end_of_period(now + 1);
+                    let _ = whole.end_of_period(now + 1);
+                    model.close();
+                    prop_assert_eq!(sharded.delivery_log(), &model.log[..]);
+                    prop_assert_eq!(whole.delivery_log(), &model.log[..]);
+                }
+                19 => {
+                    // Absorbing mid-period is exact too: later tallies of
+                    // the same period add to the same open row.
+                    absorb(&mut sharded, &mut tallies);
+                    absorb(&mut whole, &mut whole_tally);
+                    let bytes = snapshot_bytes(&sharded);
+                    prop_assert_eq!(&bytes, &snapshot_bytes(&whole));
+                    let mut r = SnapReader::new(&bytes).unwrap();
+                    let back = Server::read_snapshot(&mut r).unwrap();
+                    r.finish().unwrap();
+                    prop_assert_eq!(snapshot_bytes(&back), bytes, "re-snapshot differs");
+                    sharded = back;
+                }
+                _ => {}
+            }
+            let pending: u64 = tallies.iter().map(|t| t.delivery.accepted).sum();
+            prop_assert_eq!(sharded.reports_ingested() + pending, model.reports);
+        }
+        while model.current_t < model.d {
+            absorb(&mut sharded, &mut tallies);
+            absorb(&mut whole, &mut whole_tally);
+            let _ = sharded.end_of_period(model.current_t + 1);
+            let _ = whole.end_of_period(model.current_t + 1);
+            model.close();
+        }
+        prop_assert_eq!(sharded.delivery_log(), &model.log[..]);
+        prop_assert_eq!(sharded.reports_ingested(), model.reports);
+        let sizes: Vec<u64> = sharded.group_sizes().iter().map(|&g| g as u64).collect();
+        prop_assert_eq!(sizes, model.group_sizes);
+        prop_assert_eq!(snapshot_bytes(&sharded), snapshot_bytes(&whole));
+    }
+}
+
+/// Absorbs every tally into `server` in shard order and empties it.
+fn absorb(server: &mut Server, tallies: &mut [CheckedTally]) {
+    for tally in tallies {
+        server.absorb_checked(tally);
+        *tally = CheckedTally::new(tally.signs.len());
     }
 }

@@ -503,58 +503,80 @@ impl FrameBatch {
     /// copy always lands in a different delivery period — so the order is
     /// total and independent of the shard partition.
     ///
-    /// When every shard is already in mailbox order (the common case —
-    /// workers append mailbox batches in arrival order, and arrival order
-    /// per shard is the dispatch order), the merge is a zero-copy k-way
-    /// walk over the shard *columns*: each output row is one linear-min
-    /// scan of the shard heads plus a direct column copy. No intermediate
-    /// `Vec<Frame>` is materialized and nothing is sorted. Shards that
-    /// lost the order fall back to an index sort over `(key, shard, row)`
-    /// triples — still never materializing frames before the copy.
+    /// When several shards hold frames and each is already in mailbox
+    /// order (the common case — workers append mailbox batches in arrival
+    /// order, and arrival order per shard is the dispatch order), this
+    /// collects the zero-copy k-way walk of
+    /// [`merge_sorted`](Self::merge_sorted). Otherwise the shards are
+    /// concatenated column by column and index-sorted once
+    /// ([`sort_mailbox`](Self::sort_mailbox)), which leaves a single
+    /// sorted shard as it is.
     pub fn merge_ordered<'a, I>(shards: I) -> FrameBatch
     where
         I: IntoIterator<Item = &'a FrameBatch>,
     {
-        let shards: Vec<&FrameBatch> = shards.into_iter().collect();
-        let rows: usize = shards.iter().map(|s| s.len()).sum();
+        let shards: Vec<&FrameBatch> = shards.into_iter().filter(|s| !s.is_empty()).collect();
         let mut out = FrameBatch::default();
-        out.reserve(rows);
-        if shards.iter().all(|s| s.sorted) {
-            let mut heads = vec![0usize; shards.len()];
-            for _ in 0..rows {
-                let mut best: Option<(usize, (u32, u32))> = None;
-                for (s, shard) in shards.iter().enumerate() {
-                    let i = heads[s];
-                    if i >= shard.len() {
-                        continue;
-                    }
-                    let key = (shard.emitted[i], shard.emitter[i]);
-                    let better = match best {
-                        Some((_, k)) => key < k,
-                        None => true,
-                    };
-                    if better {
-                        best = Some((s, key));
-                    }
-                }
-                let (s, _) = best.expect("rows remain in some shard head");
-                out.push(shards[s].frame(heads[s]));
-                heads[s] += 1;
+        out.reserve(shards.iter().map(|s| s.len()).sum());
+        if shards.len() > 1 && shards.iter().all(|s| s.sorted) {
+            for frame in FrameBatch::merge_sorted(shards) {
+                out.push(frame);
             }
         } else {
-            let mut idx: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(rows);
-            for (s, shard) in shards.iter().enumerate() {
-                for i in 0..shard.len() {
-                    idx.push((shard.emitted[i], shard.emitter[i], s as u32, i as u32));
-                }
+            for shard in shards {
+                out.append(shard);
             }
-            idx.sort_unstable();
-            for (_, _, s, i) in idx {
-                out.push(shards[s as usize].frame(i as usize));
-            }
+            out.sort_mailbox();
         }
         debug_assert!(out.sorted, "merged output must be in mailbox order");
         out
+    }
+
+    /// A k-way merge of batches that are each in mailbox order, yielding
+    /// their frames in ascending `(emitted, emitter)` without building a
+    /// merged batch: each step is one linear-min scan of the run heads
+    /// and a direct column read. Equal keys (never produced by the
+    /// engines) go to the earlier run.
+    ///
+    /// # Panics
+    /// Panics if a run is not in mailbox order — the merge is only
+    /// correct on sorted runs.
+    pub fn merge_sorted<'a, I>(runs: I) -> MailboxMerge<'a>
+    where
+        I: IntoIterator<Item = &'a FrameBatch>,
+    {
+        let runs = runs
+            .into_iter()
+            .filter(|run| {
+                assert!(run.sorted, "a merged run must be in mailbox order");
+                !run.is_empty()
+            })
+            .map(|run| (run, 0))
+            .collect();
+        MailboxMerge { runs }
+    }
+
+    /// Reorders the rows into mailbox order, ascending `(emitted,
+    /// emitter)` with ties kept in row order: one index sort, then one
+    /// gather per column. A batch already in order is left untouched.
+    pub fn sort_mailbox(&mut self) {
+        if self.sorted {
+            return;
+        }
+        let mut order: Vec<(u32, u32, u32)> = (0..self.len())
+            .map(|i| (self.emitted[i], self.emitter[i], i as u32))
+            .collect();
+        order.sort_unstable();
+        fn gather<T: Copy>(col: &mut Vec<T>, order: &[(u32, u32, u32)]) {
+            *col = order.iter().map(|&(_, _, i)| col[i as usize]).collect();
+        }
+        gather(&mut self.emitted, &order);
+        gather(&mut self.emitter, &order);
+        gather(&mut self.users, &order);
+        gather(&mut self.periods, &order);
+        gather(&mut self.bits, &order);
+        gather(&mut self.byzantine, &order);
+        self.sorted = true;
     }
 
     fn reserve(&mut self, rows: usize) {
@@ -631,6 +653,42 @@ impl FrameBatch {
             byzantine,
             sorted,
         })
+    }
+}
+
+/// The k-way mailbox merge of [`FrameBatch::merge_sorted`]: yields the
+/// frames of its runs in ascending `(emitted, emitter)`.
+#[derive(Debug)]
+pub struct MailboxMerge<'a> {
+    /// Runs with frames left, in the caller's order, each with its head
+    /// row.
+    runs: Vec<(&'a FrameBatch, usize)>,
+}
+
+impl Iterator for MailboxMerge<'_> {
+    type Item = Frame;
+
+    fn next(&mut self) -> Option<Frame> {
+        let mut best: Option<(usize, (u32, u32))> = None;
+        for (r, &(run, i)) in self.runs.iter().enumerate() {
+            let key = (run.emitted[i], run.emitter[i]);
+            let better = match best {
+                Some((_, k)) => key < k,
+                None => true,
+            };
+            if better {
+                best = Some((r, key));
+            }
+        }
+        let (r, _) = best?;
+        let (run, i) = &mut self.runs[r];
+        let frame = run.frame(*i);
+        *i += 1;
+        if *i == run.len() {
+            // `remove`, not `swap_remove`: the run order breaks ties.
+            self.runs.remove(r);
+        }
+        Some(frame)
     }
 }
 
@@ -840,6 +898,29 @@ mod tests {
         let fast_rows: Vec<Frame> = fast.iter().collect();
         let slow_rows: Vec<Frame> = slow.iter().collect();
         assert_eq!(fast_rows, slow_rows);
+    }
+
+    #[test]
+    fn merge_sorted_walks_runs_and_refuses_unsorted_ones() {
+        let mut a = FrameBatch::new();
+        a.push(frame(1, 2));
+        a.push(frame(3, 0));
+        let mut b = FrameBatch::new();
+        b.push(frame(1, 5));
+        b.push(frame(2, 1));
+        let keys: Vec<(u32, u32)> = FrameBatch::merge_sorted([&a, &FrameBatch::new(), &b])
+            .map(|f| (f.emitted, f.emitter))
+            .collect();
+        assert_eq!(keys, vec![(1, 2), (1, 5), (2, 1), (3, 0)]);
+
+        let mut scrambled = b.clone();
+        scrambled.push(frame(1, 0));
+        let refused = std::panic::catch_unwind(|| FrameBatch::merge_sorted([&scrambled]).count());
+        assert!(refused.is_err(), "an unsorted run must not be merged");
+        scrambled.sort_mailbox();
+        assert!(scrambled.is_sorted());
+        let sorted: Vec<(u32, u32)> = scrambled.iter().map(|f| (f.emitted, f.emitter)).collect();
+        assert_eq!(sorted, vec![(1, 0), (1, 5), (2, 1)]);
     }
 
     #[test]

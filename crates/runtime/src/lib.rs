@@ -46,7 +46,7 @@ pub mod mode;
 pub mod persistent;
 pub mod pool;
 
-pub use batch::{Frame, FrameBatch, ReportBatch, SignLane};
+pub use batch::{Frame, FrameBatch, MailboxMerge, ReportBatch, SignLane};
 pub use ingest::{
     replay_frames_checked, snapshot_dir_from_env, IngestService, IngestStats, LiveConfig,
     PeriodClose, ServiceRestart, SnapshotFileError, WorkerKill,

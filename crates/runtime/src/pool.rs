@@ -127,15 +127,34 @@ impl WorkerPool {
         F: Fn(usize) -> T + Sync,
         T: Send,
     {
+        self.map_owned((0..jobs).collect(), |i, _| map(i))
+    }
+
+    /// Maps every item through `map(index, item)`, fanning out over the
+    /// pool, and returns the results **in index order**. Items move into
+    /// their jobs through the injector channel, so each reaches exactly
+    /// one job by value — a job may own a `&mut` borrow, such as one
+    /// slice of a roster split by `rtf_core::server::Server::roster_shards`.
+    pub fn map_owned<I, T, F>(&self, items: Vec<I>, map: F) -> Vec<T>
+    where
+        F: Fn(usize, I) -> T + Sync,
+        I: Send,
+        T: Send,
+    {
+        let jobs = items.len();
         if self.workers == 1 || jobs <= 1 {
-            return (0..jobs).map(map).collect();
+            return items
+                .into_iter()
+                .enumerate()
+                .map(|(i, item)| map(i, item))
+                .collect();
         }
         let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
         slots.resize_with(jobs, || None);
         let results = Mutex::new(slots);
-        let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-        for i in 0..jobs {
-            tx.send(i).expect("receiver alive");
+        let (tx, rx) = crossbeam::channel::unbounded::<(usize, I)>();
+        for job in items.into_iter().enumerate() {
+            tx.send(job).map_err(|_| ()).expect("receiver alive");
         }
         drop(tx);
 
@@ -145,8 +164,8 @@ impl WorkerPool {
                 let results = &results;
                 let map = &map;
                 scope.spawn(move |_| {
-                    while let Ok(i) = rx.recv() {
-                        let value = map(i);
+                    while let Ok((i, item)) = rx.recv() {
+                        let value = map(i, item);
                         results.lock()[i] = Some(value);
                     }
                 });
@@ -241,6 +260,24 @@ mod tests {
             let partials = pool.map_shards(103, |s| s.range().sum::<usize>());
             assert_eq!(partials.len(), workers);
             assert_eq!(total(partials), reference, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn map_owned_hands_each_item_to_one_job_in_index_order() {
+        // Each job owns a disjoint `&mut` slice and writes through it.
+        for workers in [1usize, 2, 3, 8] {
+            let mut data = vec![0usize; 10];
+            let (a, rest) = data.split_at_mut(3);
+            let (b, c) = rest.split_at_mut(0);
+            let sums = WorkerPool::new(workers).map_owned(vec![a, b, c], |i, slice| {
+                for x in slice.iter_mut() {
+                    *x = i + 1;
+                }
+                slice.len()
+            });
+            assert_eq!(sums, vec![3, 0, 7], "{workers} workers");
+            assert_eq!(data, [1, 1, 1, 3, 3, 3, 3, 3, 3, 3]);
         }
     }
 

@@ -26,16 +26,20 @@
 //!    (consuming the identical draws in the identical order, proven by
 //!    the residual-digest oracle), honest on-time spans are folded
 //!    arithmetically as whole packed sign words, and only the faulted
-//!    residue is materialised as provenance-tagged frames. Per delivery
-//!    period, shard residue batches are merged back into exactly the
-//!    sequential mailbox order — ascending `(emission period, emitting
-//!    user)` — and replayed through the floor-checked ingestion ladder
-//!    ([`Server::ingest_checked_with_floor`]), whose verdicts are
-//!    bit-for-bit the sequential classification: an accepted Byzantine
-//!    impersonation still displaces the honest report it races (the
-//!    displaced lane is subtracted from its span's fold and recorded as
-//!    the duplicate it would have been). Every outcome field is
-//!    identical for any worker count.
+//!    residue is materialised as provenance-tagged frames. Each residue
+//!    frame goes to the roster shard of the id it claims (an id `≥ n`
+//!    stays with its emitter), already in the sequential mailbox order
+//!    of ascending `(emission period, emitting user)`. A verdict reads
+//!    only its sender's roster slot, the open period and the acceptance
+//!    floor, so one pool job per roster shard merges its own frames and
+//!    runs the checked ladder on its own slice
+//!    ([`RosterShard::classify`](rtf_core::server::RosterShard::classify)),
+//!    for the whole horizon. Its verdicts are bit-for-bit the sequential
+//!    classification: an accepted Byzantine impersonation still displaces
+//!    the honest report it races (the displaced lane leaves its span's
+//!    fold and counts as the duplicate it would have been). The tallies
+//!    and folds are integer sums, absorbed per period in shard order.
+//!    Every outcome field is identical for any worker count.
 
 use crate::config::{FaultTimeline, Scenario};
 use rand::rngs::StdRng;
@@ -45,11 +49,11 @@ use rtf_core::client::Client;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
 use rtf_core::randomizer::FutureRand;
-use rtf_core::server::{Delivery, PeriodDelivery, Server};
+use rtf_core::server::{CheckedTally, Delivery, PeriodDelivery, Server};
 use rtf_primitives::fastseed::{self, SeedSchema};
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
-use rtf_runtime::{shard_of, ExecMode, Frame, FrameBatch, SignLane, WorkerPool};
+use rtf_runtime::{partition, shard_of, ExecMode, Frame, FrameBatch, SignLane, WorkerPool};
 use rtf_sim::engine::build_order_groups;
 use rtf_sim::message::{OrderAnnouncement, ReportMsg, WireStats};
 use rtf_streams::population::Population;
@@ -449,12 +453,22 @@ fn run_scenario_sequential_impl(
     )
 }
 
-/// Wall-clock decomposition of one scenario run: where the time goes
-/// between emission (client state machines + fault layer — the whole
-/// shard fan-out in batched mode, client build + per-period emission in
-/// sequential mode), the per-period mailbox reconstruction
-/// (`FrameBatch::merge_ordered`; identically zero in sequential mode),
-/// and checked ingestion + period close.
+/// Wall-clock decomposition of one scenario run into three stages that
+/// run one after another and add up to the run's wall time.
+///
+/// In batched mode:
+/// - `emission_s` is the shard fan-out: client build, fault pre-walk,
+///   span walk, and routing each residue frame to its recipient's
+///   roster shard in mailbox order;
+/// - `merge_s` is the pool phase: one job per roster shard merges the
+///   frames addressed to it and runs the checked ladder on its slice,
+///   fused;
+/// - `ingest_s` is the serial rest: registration, then per period the
+///   absorb of every tally and span fold, and the period close.
+///
+/// In sequential mode `emission_s` is client build plus per-period
+/// emission, `merge_s` stays zero (one mailbox needs no merge), and
+/// `ingest_s` is checked ingestion plus period close.
 ///
 /// Exists to make cross-mode and cross-worker-count comparisons
 /// diagnosable — a slower parallel(2) than parallel(1) at large `n` is a
@@ -463,11 +477,14 @@ fn run_scenario_sequential_impl(
 /// the row's elapsed time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScenarioStageTimings {
-    /// Seconds in emission (client state machines + fault layer).
+    /// Seconds in emission (client state machines, fault layer, and in
+    /// batched mode the routing of residue frames to roster shards).
     pub emission_s: f64,
-    /// Seconds merging shard batches back into sequential mailbox order.
+    /// Seconds in the batched pool phase: per roster shard, merging its
+    /// frames and classifying them through the checked ladder.
     pub merge_s: f64,
-    /// Seconds in checked ingestion + period close (server side).
+    /// Seconds in registration, the serial absorb of tallies and folds,
+    /// and period close (all of checked ingestion in sequential mode).
     pub ingest_s: f64,
 }
 
@@ -522,7 +539,8 @@ pub fn run_scenario_sequential_timed(
 /// lanes the ingestion side consults to reproduce the sequential
 /// classification of the faulted residue. Only faulted deliveries (late
 /// originals, retransmitted copies, Byzantine fabrications) are
-/// materialised as frames.
+/// materialised as frames, already routed to the roster shard whose
+/// ladder classifies them and in mailbox order.
 struct ShardEmission {
     /// First global user id of the shard.
     start: usize,
@@ -543,13 +561,15 @@ struct ShardEmission {
     /// time (`Plus` = folded), span-major. [`planned_floor`] derives each
     /// residue frame's dedupe floor from these bits.
     plan: Vec<SignLane>,
-    /// `pending[t]` = residue frames the network delivers during period
-    /// `t`. Append order mixes the pre-walk (Byzantine fabrications) and
-    /// the span walk (honest late/duplicate copies), so batches are not
-    /// presorted — `FrameBatch::merge_ordered` restores exact mailbox
-    /// order from the `(emission period, emitter)` keys, which are unique
-    /// per delivery period.
-    pending: Vec<FrameBatch>,
+    /// `honest[t]`: the late and retransmitted honest copies the network
+    /// delivers during period `t`. They claim their own sender, so they
+    /// stay with this shard's roster; the span walk pushes them in
+    /// mailbox order.
+    honest: Vec<FrameBatch>,
+    /// `byzantine[r][t]`: the fabrications delivered during period `t`
+    /// whose [`recipient`] is roster shard `r`, index-sorted into mailbox
+    /// order once after the user-major pre-walk.
+    byzantine: Vec<Vec<FrameBatch>>,
     /// Emission-side fault tallies (`byzantine_accepted` stays 0 — that
     /// is decided at ingestion).
     faults: FaultCounts,
@@ -563,12 +583,25 @@ fn clear_bit(words: &mut [u64], lane: u32) {
     words[(lane / 64) as usize] &= !(1u64 << (lane % 64));
 }
 
+/// The roster shard whose ladder classifies a frame claiming sender
+/// `user`: the owner of an id below `n`, else the emitting shard — an id
+/// `≥ n` is unknown on every shard, so its verdict reads no roster state.
+fn recipient(n: usize, workers: usize, emitting: usize, user: u32) -> usize {
+    if (user as usize) < n {
+        shard_of(n, workers, user as usize)
+    } else {
+        emitting
+    }
+}
+
 /// The dedupe floor the sequential drain would have seen for a residue
-/// frame delivered at period `t`: the highest span boundary of the
-/// frame's claimed user whose report was folded arithmetically (i.e.
-/// accepted) *before this frame's position* in the sequential mailbox
-/// order. Folded accepts never touch the roster, so
-/// [`Server::ingest_checked_with_floor`] takes the max of both sources.
+/// frame delivered at period `t` whose claimed sender (an id below `n`)
+/// lives in `owner`: the highest span boundary of that sender whose
+/// report was folded arithmetically (i.e. accepted) *before this frame's
+/// position* in the sequential mailbox order. Folded accepts never touch
+/// the roster, so the ladder
+/// ([`RosterShard::classify`](rtf_core::server::RosterShard::classify))
+/// takes the max of both sources.
 ///
 /// Accepted boundaries are strictly increasing per user (acceptance
 /// requires `t == current_t + 1`), so the max over "folded before this
@@ -576,16 +609,11 @@ fn clear_bit(words: &mut [u64], lane: u32) {
 /// `t` itself only when the claimed user's own on-time report sits
 /// earlier in this period's mailbox, i.e. the frame was emitted this
 /// period by a higher user id.
-fn planned_floor(shards: &[ShardEmission], n: usize, workers: usize, t: u64, frame: &Frame) -> u64 {
-    let v = frame.user as usize;
-    if v >= n {
-        return 0;
-    }
-    let sh = &shards[shard_of(n, workers, v)];
-    let local = v - sh.start;
-    let h = sh.orders[local] as usize;
-    let lane = sh.lanes[local] as usize;
-    let glen = sh.group_len[h];
+fn planned_floor(owner: &ShardEmission, t: u64, frame: &Frame) -> u64 {
+    let local = frame.user as usize - owner.start;
+    let h = owner.orders[local] as usize;
+    let lane = owner.lanes[local] as usize;
+    let glen = owner.group_len[h];
     let stride = 1u64 << h;
     let mut b = (t / stride) * stride;
     if b == t {
@@ -596,12 +624,26 @@ fn planned_floor(shards: &[ShardEmission], n: usize, workers: usize, t: u64, fra
     }
     while b >= stride {
         let idx = (b / stride - 1) as usize * glen + lane;
-        if sh.plan[h].get(idx) == Sign::Plus {
+        if owner.plan[h].get(idx) == Sign::Plus {
             return b;
         }
         b -= stride;
     }
     0
+}
+
+/// What one roster shard's ladder produced for one period.
+struct PeriodLadder {
+    /// Verdicts and accepted signs of the frames addressed to the shard,
+    /// plus one duplicate per displaced honest report.
+    tally: CheckedTally,
+    /// Frames classified (all delivered and decoded).
+    frames: u64,
+    /// Byzantine fabrications accepted.
+    byzantine_accepted: u64,
+    /// `(order, lane)` of each folded honest report an accepted
+    /// impersonation displaced; its span fold must give it back.
+    displaced: Vec<(usize, u32)>,
 }
 
 fn run_scenario_batched_impl(
@@ -661,17 +703,20 @@ fn run_scenario_batched_impl(
             .collect();
         // clears[h][s] = lanes churn silences from span s onward;
         // dirty[h][s] = lanes excluded from span s only (drop, straggle,
-        // corruption); events[h][s] = residue deliveries (lane, period)
-        // whose frames are materialised once the span's bits exist.
+        // corruption); events[b] = residue deliveries (order, lane,
+        // period) of reports emitted at boundary b, whose frames are
+        // materialised once the span's bits exist. The pre-walk is
+        // user-major, so each events[b] is already in mailbox order.
         let mut clears: Vec<Vec<Vec<u32>>> = (0..num_orders)
             .map(|h| vec![Vec::new(); params.sequence_len(h)])
             .collect();
         let mut dirty = clears.clone();
-        let mut events: Vec<Vec<Vec<(u32, u64)>>> = (0..num_orders)
-            .map(|h| vec![Vec::new(); params.sequence_len(h)])
-            .collect();
+        let mut events: Vec<Vec<(u8, u32, u32)>> = vec![Vec::new(); d as usize + 1];
 
-        let mut pending: Vec<FrameBatch> = (0..=d as usize).map(|_| FrameBatch::new()).collect();
+        let batches =
+            || -> Vec<FrameBatch> { (0..=d as usize).map(|_| FrameBatch::new()).collect() };
+        let mut honest = batches();
+        let mut byzantine: Vec<Vec<FrameBatch>> = (0..workers).map(|_| batches()).collect();
         let mut faults = FaultCounts::default();
         let mut digest = 0u64;
 
@@ -687,14 +732,15 @@ fn run_scenario_batched_impl(
             let lane = lanes[local];
             let stride = 1u64 << h;
             let mut frng = fault_root.child(u as u64).rng();
-            let byzantine = frng.random_bool(timeline.byzantine_frac());
+            let byzantine_client = frng.random_bool(timeline.byzantine_frac());
             let churn_at = timeline.sample_churn(&mut frng);
             if churn_at <= d {
                 faults.churned_clients += 1;
             }
-            if byzantine {
+            if byzantine_client {
                 // Byzantine lanes never contribute honest folds; their
-                // fabrications are residue frames like any other fault.
+                // fabrications are residue frames like any other fault,
+                // routed straight to the roster shard of the id they claim.
                 clear_bit(&mut active[h], lane);
                 let mut t = 1u64;
                 while t <= d && t < churn_at {
@@ -708,8 +754,11 @@ fn run_scenario_batched_impl(
                         &mut frng,
                         timeline,
                         &mut faults,
-                        &mut pending,
                         d,
+                        |at, frame| {
+                            let r = recipient(n, workers, shard.index, frame.user);
+                            byzantine[r][at as usize].push(frame);
+                        },
                     );
                     t += 1;
                 }
@@ -729,13 +778,14 @@ fn run_scenario_batched_impl(
                         if routing.deliver != Some(b) {
                             dirty[h][s].push(lane);
                         }
+                        // Delivery periods are ≤ d ≤ 2^31, so they fit u32.
                         if let Some(at) = routing.deliver {
                             if at != b {
-                                events[h][s].push((lane, at));
+                                events[b as usize].push((h as u8, lane, at as u32));
                             }
                         }
                         if let Some(at) = routing.duplicate {
-                            events[h][s].push((lane, at));
+                            events[b as usize].push((h as u8, lane, at as u32));
                         }
                     }
                     b += stride;
@@ -750,6 +800,11 @@ fn run_scenario_batched_impl(
             }
             digest = digest.rotate_left(1) ^ frng.random::<u64>();
         }
+        // The pre-walk is user-major, so a delivery period's fabrications
+        // arrive out of emission order: sort each batch once.
+        for batch in byzantine.iter_mut().flatten() {
+            batch.sort_mailbox();
+        }
 
         // Phase 2 — span walk: emit every group's packed sign words in
         // horizon order. Faulted and Byzantine lanes still draw (client
@@ -763,8 +818,8 @@ fn run_scenario_batched_impl(
         let mut plan: Vec<SignLane> = (0..num_orders).map(|_| SignLane::new()).collect();
         let mut scratch: Vec<u64> = Vec::new();
         for t in 1..=d {
-            let max_h = t.trailing_zeros().min(params.log_d());
-            for h in 0..=max_h as usize {
+            let max_h = t.trailing_zeros().min(params.log_d()) as usize;
+            for h in 0..=max_h {
                 let group = &mut groups[h];
                 if group.is_empty() {
                     continue;
@@ -790,17 +845,21 @@ fn run_scenario_batched_impl(
                     plan[h].push_bits(w, take);
                     rem -= take;
                 }
-                for &(lane, at) in &events[h][s] {
-                    let user = group.users[lane as usize];
-                    pending[at as usize].push(Frame {
-                        emitted: t as u32,
-                        emitter: user,
-                        user,
-                        t: t as u32,
-                        bit: group.signs.get(lane as usize) == Sign::Plus,
-                        byzantine: false,
-                    });
-                }
+            }
+            // Every group now holds period t's bits; events[t] is in
+            // ascending user order, and periods ascend, so every batch
+            // stays in mailbox order.
+            for &(h, lane, at) in &events[t as usize] {
+                let group = &groups[h as usize];
+                let user = group.users[lane as usize];
+                honest[at as usize].push(Frame {
+                    emitted: t as u32,
+                    emitter: user,
+                    user,
+                    t: t as u32,
+                    bit: group.signs.get(lane as usize) == Sign::Plus,
+                    byzantine: false,
+                });
             }
         }
 
@@ -812,17 +871,16 @@ fn run_scenario_batched_impl(
             folds,
             horizon_signs,
             plan,
-            pending,
+            honest,
+            byzantine,
             faults,
             digest,
         }
     });
     timings.emission_s = emission_start.elapsed().as_secs_f64();
 
-    // Ingestion side: register every user in ascending id order (shards
-    // are contiguous and returned in shard-index order), then per period
-    // replay the merged residue mailbox through the floor-checked path
-    // and fold the honest span runs arithmetically.
+    // Register every user in ascending id order (shards are contiguous
+    // and returned in shard-index order).
     let register_start = std::time::Instant::now();
     let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
@@ -846,86 +904,109 @@ fn run_scenario_batched_impl(
     }
     timings.ingest_s += register_start.elapsed().as_secs_f64();
 
+    // Pool phase: one job per roster shard walks the whole horizon. A
+    // verdict reads only its sender's slot, the open period and the
+    // floor, so shard r needs only the frames addressed to it, in
+    // mailbox order, and its own emission's plan bits.
+    let ladder_start = std::time::Instant::now();
+    let ends: Vec<usize> = partition(n, workers).iter().map(|s| s.end).collect();
+    let ladders: Vec<Vec<PeriodLadder>> =
+        pool.map_owned(server.roster_shards(&ends), |r, mut roster| {
+            let own = &shards[r];
+            (1..=d)
+                .map(|t| {
+                    let mut period = PeriodLadder {
+                        tally: CheckedTally::new(num_orders as usize),
+                        frames: 0,
+                        byzantine_accepted: 0,
+                        displaced: Vec::new(),
+                    };
+                    let runs = std::iter::once(&own.honest[t as usize])
+                        .chain(shards.iter().map(|sh| &sh.byzantine[r][t as usize]));
+                    for f in FrameBatch::merge_sorted(runs) {
+                        period.frames += 1;
+                        let bit = if f.bit { Sign::Plus } else { Sign::Minus };
+                        let claim = u64::from(f.t);
+                        let floor = if (f.user as usize) < n {
+                            planned_floor(own, t, &f)
+                        } else {
+                            0
+                        };
+                        let status =
+                            roster.classify(f.user, claim, bit, floor, t - 1, &mut period.tally);
+                        if status != Delivery::Accepted {
+                            continue;
+                        }
+                        if f.byzantine {
+                            period.byzantine_accepted += 1;
+                        }
+                        // An accepted impersonation racing a folded honest
+                        // report displaces it: in the sequential drain the
+                        // honest copy, arriving later in the mailbox, would
+                        // have been the period's duplicate. At most one
+                        // displacement per (user, period) — a second
+                        // impersonation hits the roster's fresh
+                        // `last_accepted` and dedupes.
+                        let local = f.user as usize - own.start;
+                        let h = own.orders[local] as usize;
+                        let s = (claim >> h) as usize - 1;
+                        let lane = own.lanes[local];
+                        if own.plan[h].get(s * own.group_len[h] + lane as usize) == Sign::Plus {
+                            period.displaced.push((h, lane));
+                            period.tally.delivery.duplicate += 1;
+                        }
+                    }
+                    period
+                })
+                .collect()
+        });
+    timings.merge_s = ladder_start.elapsed().as_secs_f64();
+
+    // Serial rest, per period: absorb the recipient tallies in shard
+    // order, then each shard's span folds minus its displaced lanes, and
+    // close. Every sum is an integer, so the absorb order is free.
+    let close_start = std::time::Instant::now();
     let mut estimates = Vec::with_capacity(d as usize);
     let mut byz_accepted_by_period = vec![0u64; d as usize];
-    let mut displaced: Vec<(usize, usize, u32)> = Vec::new();
     for t in 1..=d {
-        let merge_start = std::time::Instant::now();
-        let mailbox = FrameBatch::merge_ordered(shards.iter().map(|s| &s.pending[t as usize]));
-        timings.merge_s += merge_start.elapsed().as_secs_f64();
-
-        let ingest_start = std::time::Instant::now();
-        let max_h = t.trailing_zeros().min(params.log_d());
-        let mut folded = 0u64;
-        for sh in &shards {
-            for h in 0..=max_h as usize {
-                if sh.group_len[h] == 0 {
-                    continue;
-                }
-                folded += sh.folds[h][((t >> h) - 1) as usize].1;
-            }
+        let ti = (t - 1) as usize;
+        let max_h = t.trailing_zeros().min(params.log_d()) as usize;
+        let mut delivered = 0u64;
+        for ladder in &ladders {
+            let period = &ladder[ti];
+            server.absorb_checked(&period.tally);
+            delivered += period.frames;
+            byz_accepted_by_period[ti] += period.byzantine_accepted;
         }
-        // Every folded report was delivered and decoded; displaced ones
-        // (below) were too — they just classify as duplicates.
-        wire.record_report_batch(mailbox.len() as u64 + folded);
-
-        displaced.clear();
-        for f in mailbox.iter() {
-            let bit = if f.bit { Sign::Plus } else { Sign::Minus };
-            let floor = planned_floor(&shards, n, workers, t, &f);
-            let status = server.ingest_checked_with_floor(f.user, u64::from(f.t), bit, floor);
-            if f.byzantine && status == Delivery::Accepted {
-                faults.byzantine_accepted += 1;
-                byz_accepted_by_period[(t - 1) as usize] += 1;
-            }
-            if status == Delivery::Accepted && (f.user as usize) < n && u64::from(f.t) == t {
-                // An accepted impersonation racing a folded honest report
-                // displaces it: in the sequential drain the honest copy,
-                // arriving later in the mailbox, would have been the
-                // period's duplicate. At most one displacement per
-                // (user, period) — a second impersonation hits the
-                // roster's fresh `last_accepted` and dedupes.
-                let si = shard_of(n, workers, f.user as usize);
-                let sh = &shards[si];
-                let local = f.user as usize - sh.start;
-                let h = sh.orders[local] as usize;
-                let stride = 1u64 << h;
-                if t % stride == 0 {
-                    let lane = sh.lanes[local];
-                    let s = (t / stride - 1) as usize;
-                    let idx = s * sh.group_len[h] + lane as usize;
-                    if sh.plan[h].get(idx) == Sign::Plus {
-                        displaced.push((si, h, lane));
-                    }
-                }
-            }
-        }
-
-        for (si, sh) in shards.iter().enumerate() {
-            for h in 0..=max_h as usize {
+        for (sh, ladder) in shards.iter().zip(&ladders) {
+            let mut folded = CheckedTally::new(num_orders as usize);
+            for h in 0..=max_h {
                 if sh.group_len[h] == 0 {
                     continue;
                 }
                 let s = ((t >> h) - 1) as usize;
                 let (mut plus, mut count) = sh.folds[h][s];
-                for &(dsi, dh, lane) in &displaced {
-                    if dsi == si && dh == h {
+                // Every folded report was delivered and decoded; displaced
+                // ones were too — they just classify as duplicates.
+                delivered += count;
+                for &(dh, lane) in &ladder[ti].displaced {
+                    if dh == h {
                         let idx = s * sh.group_len[h] + lane as usize;
                         if sh.horizon_signs[h].get(idx) == Sign::Plus {
                             plus -= 1;
                         }
                         count -= 1;
-                        server.note_delivery(Delivery::Duplicate);
                     }
                 }
-                if count > 0 {
-                    server.ingest_span_run(h as u32, plus, count);
-                }
+                folded.accept_run(h as u32, plus, count);
             }
+            server.absorb_checked(&folded);
         }
+        wire.record_report_batch(delivered);
+        faults.byzantine_accepted += byz_accepted_by_period[ti];
         estimates.push(server.end_of_period(t));
-        timings.ingest_s += ingest_start.elapsed().as_secs_f64();
     }
+    timings.ingest_s += close_start.elapsed().as_secs_f64();
 
     (
         ScenarioOutcome {
@@ -1093,9 +1174,9 @@ fn dispatch(
     }
 }
 
-/// Batched-mode dispatch: routes one message and appends columnar frame
-/// rows tagged with their emission provenance `(t, emitter)` — the key
-/// [`FrameBatch::merge_ordered`] later sorts by.
+/// Batched-mode dispatch: routes one message and hands each delivered
+/// copy to `deliver(period, frame)` as a columnar frame row tagged with
+/// its emission provenance `(t, emitter)` — the mailbox-order key.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch_frame(
     msg: ReportMsg,
@@ -1105,8 +1186,8 @@ pub(crate) fn dispatch_frame(
     frng: &mut StdRng,
     timeline: &FaultTimeline,
     faults: &mut FaultCounts,
-    pending: &mut [FrameBatch],
     d: u64,
+    mut deliver: impl FnMut(u64, Frame),
 ) {
     let routing = route(t, frng, timeline, faults, d);
     if routing.malformed {
@@ -1127,10 +1208,10 @@ pub(crate) fn dispatch_frame(
         byzantine,
     };
     if let Some(at) = routing.deliver {
-        pending[at as usize].push(frame);
+        deliver(at, frame);
     }
     if let Some(at) = routing.duplicate {
-        pending[at as usize].push(frame);
+        deliver(at, frame);
     }
 }
 
@@ -1164,29 +1245,43 @@ mod tests {
     fn batched_pipeline_is_worker_count_invariant_under_faults() {
         // The hard case for parallel determinism: Byzantine impersonation
         // races honest reports, so acceptance depends on mailbox order —
-        // which the shard merge must reconstruct exactly.
-        let (params, pop) = setup(130, 32, 3, 68);
+        // which each roster shard's merge must reconstruct exactly, with
+        // fabrications crossing shards. n = 130 splits unevenly over 3
+        // and 8 workers; n = 6 over 8 workers leaves two shards empty
+        // (run seed 31 makes one of the six clients Byzantine).
         let scenario = Scenario::honest()
             .with_dropout(0.05)
             .with_churn(0.01)
             .with_stragglers(0.15, 3)
             .with_duplicates(0.1)
             .with_byzantine(0.15);
-        let seq = run_scenario_with(&params, &pop, 19, &scenario, ExecMode::Sequential);
-        assert!(
-            seq.faults.byzantine_accepted > 0,
-            "test must exercise the order-sensitive acceptance race"
-        );
-        for w in [1usize, 2, 3, 8] {
-            let par = run_scenario_with(&params, &pop, 19, &scenario, ExecMode::Parallel(w));
-            assert_eq!(par.estimates, seq.estimates, "{w} workers");
-            assert_eq!(par.delivery, seq.delivery, "{w} workers");
-            assert_eq!(par.wire, seq.wire, "{w} workers");
-            assert_eq!(par.faults, seq.faults, "{w} workers");
-            assert_eq!(
-                par.byzantine_accepted_by_period, seq.byzantine_accepted_by_period,
-                "{w} workers"
+        let timeline = FaultTimeline::constant(scenario);
+        for (n, seed, workers) in [(130, 19, &[1usize, 2, 3, 8][..]), (6, 31, &[8][..])] {
+            let (params, pop) = setup(n, 32, 3, 68);
+            let (seq, dseq) =
+                run_scenario_timeline_digest(&params, &pop, seed, &timeline, ExecMode::Sequential);
+            assert!(
+                seq.faults.byzantine_accepted > 0,
+                "n = {n}: test must exercise the order-sensitive acceptance race"
             );
+            for &w in workers {
+                let (par, dpar) = run_scenario_timeline_digest(
+                    &params,
+                    &pop,
+                    seed,
+                    &timeline,
+                    ExecMode::Parallel(w),
+                );
+                assert_eq!(par.estimates, seq.estimates, "n = {n}, {w} workers");
+                assert_eq!(par.delivery, seq.delivery, "n = {n}, {w} workers");
+                assert_eq!(par.wire, seq.wire, "n = {n}, {w} workers");
+                assert_eq!(par.faults, seq.faults, "n = {n}, {w} workers");
+                assert_eq!(
+                    par.byzantine_accepted_by_period, seq.byzantine_accepted_by_period,
+                    "n = {n}, {w} workers"
+                );
+                assert_eq!(dpar, dseq, "n = {n}, {w} workers: residual digest");
+            }
         }
     }
 

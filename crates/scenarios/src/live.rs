@@ -188,8 +188,8 @@ pub fn run_scenario_live_timeline(
                     &mut slot.frng,
                     timeline,
                     &mut faults,
-                    &mut pending,
                     d,
+                    |at, frame| pending[at as usize].push(frame),
                 );
                 continue;
             }
@@ -207,8 +207,8 @@ pub fn run_scenario_live_timeline(
                 &mut slot.frng,
                 timeline,
                 &mut faults,
-                &mut pending,
                 d,
+                |at, frame| pending[at as usize].push(frame),
             );
         }
 
