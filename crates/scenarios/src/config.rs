@@ -2,9 +2,10 @@
 //!
 //! A [`Scenario`] is a declarative description of how a longitudinal
 //! deployment misbehaves. All rates are per-event Bernoulli probabilities
-//! drawn from a dedicated fault RNG stream (never from the clients'
-//! protocol randomness), so the honest scenario — all rates zero — leaves
-//! the wire schedule, and therefore every estimate, bit-identical to
+//! decided by the fault plan (the crate's `plan` module), keyed words in
+//! a seed subtree disjoint from the clients' protocol randomness, so the
+//! honest scenario — all rates zero — leaves the wire schedule, and
+//! therefore every estimate, bit-identical to
 //! `rtf_sim::engine::run_event_driven`.
 //!
 //! The rates also decide how much of a batched run stays on the
@@ -19,8 +20,7 @@
 //! storm touching 10% of reports still folds the other 90% as whole
 //! words.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use crate::plan::{below, open_unit};
 
 /// A fault-injection plan for one longitudinal deployment.
 ///
@@ -151,15 +151,12 @@ impl Default for Scenario {
 /// waits before delivery.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelayLaw {
-    /// Uniform in `1..=max_delay` — the historical law. Every constant
-    /// scenario uses it, and its draws are bit-identical to the pre-DSL
-    /// engine.
+    /// Uniform in `1..=max_delay` — the default law, and the one every
+    /// constant scenario uses.
     Uniform,
-    /// Heavy (Pareto/zipf) tail: `Δ = ⌊(1-u)^{-1/α}⌋` clamped to
-    /// `1..=max_delay`. Small `α` means long tails — most stragglers are
-    /// barely late, a few arrive near the horizon. Consumes exactly one
-    /// `f64` draw, like the uniform law, so switching laws never shifts
-    /// any other fault decision's position in the stream.
+    /// Heavy (Pareto/zipf) tail: `Δ = ⌊U^{-1/α}⌋` for `U ∈ (0, 1]`,
+    /// clamped to `1..=max_delay`. Small `α` means long tails — most
+    /// stragglers are barely late, a few arrive near the horizon.
     Zipf {
         /// Tail exponent; must be positive and finite.
         alpha: f64,
@@ -180,16 +177,16 @@ impl DelayLaw {
         }
     }
 
-    /// Draws one delay from the client's private fault stream. Both laws
-    /// consume exactly one draw.
-    pub(crate) fn sample(&self, frng: &mut StdRng, max_delay: u64) -> u64 {
+    /// The delay a straggler waits, read from one word `w` of its fault
+    /// plan: the uniform law maps the word into `1..=max_delay` by
+    /// multiply-shift, the zipf law inverts its CDF.
+    pub(crate) fn sample(&self, w: u64, max_delay: u64) -> u64 {
         match *self {
-            DelayLaw::Uniform => frng.random_range(1..=max_delay),
+            DelayLaw::Uniform => 1 + below(w, max_delay),
             DelayLaw::Zipf { alpha } => {
-                let u: f64 = frng.random();
                 // Inverse CDF of the Pareto tail P(Δ ≥ x) = x^{-α},
-                // truncated at max_delay. 1-u ∈ (0, 1], so raw ≥ 1.
-                let raw = (1.0 - u).powf(-1.0 / alpha);
+                // truncated at max_delay. U ∈ (0, 1], so raw ≥ 1.
+                let raw = open_unit(w).powf(-1.0 / alpha);
                 if raw >= max_delay as f64 {
                     max_delay
                 } else {
@@ -205,28 +202,22 @@ impl DelayLaw {
 /// into a *workload* — load waves, flash crowds, churn storms.
 ///
 /// A timeline is either **constant** (one [`Scenario`] for the whole
-/// horizon — exactly the pre-DSL engine, draw for draw) or **shaped**
-/// (one effective [`Scenario`] row per period `t ∈ 1..=d`). All three
-/// execution engines (sequential, span-native batched, live streaming)
-/// take the same timeline and consult it at the same `(user, period)`
-/// points, so the differential oracle's value-identity guarantee carries
-/// over unchanged.
+/// horizon) or **shaped** (one effective [`Scenario`] row per period
+/// `t ∈ 1..=d`). All three execution engines (sequential, span-native
+/// batched, live streaming) ask the same fault plan, which reads each
+/// report's rates at its emission period, so the differential oracle's
+/// value-identity guarantee carries over unchanged. A shaped timeline
+/// whose rows all equal its base is the constant timeline of that base,
+/// value for value.
 ///
 /// Two rates are special because they are per-*client*, not per-report:
 ///
 /// * `byzantine_frac` is drawn once per client before the horizon starts,
 ///   so it cannot vary per period — [`FaultTimeline::validate`] rejects
 ///   rows that disagree with the base;
-/// * `churn_prob` rows form a per-period *hazard*: the departure period is
-///   sampled by inverting the survival curve `Π_{s ≤ t}(1 - p_s)` with a
-///   single uniform draw.
-///
-/// Draw-consumption caveat: a shaped timeline always spends one churn
-/// draw per client (even with all hazards zero), while a constant
-/// scenario with `churn_prob == 0` spends none — so outcomes compare
-/// seed-for-seed *within* a timeline kind, not across kinds. Every
-/// engine agrees with every other engine on both kinds; that is the
-/// invariant the oracle pins.
+/// * `churn_prob` rows form a per-period *hazard*: the departure period
+///   is the first hit of a Bernoulli process over periods at those
+///   rates, so it follows the survival curve `Π_{s ≤ t}(1 - p_s)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultTimeline {
     base: Scenario,
@@ -235,8 +226,7 @@ pub struct FaultTimeline {
 }
 
 impl FaultTimeline {
-    /// The timeline that applies `base` every period — bit-identical to
-    /// running the pre-DSL engine on `base` directly.
+    /// The timeline that applies `base` every period.
     pub fn constant(base: Scenario) -> Self {
         FaultTimeline {
             base,
@@ -293,29 +283,12 @@ impl FaultTimeline {
         }
     }
 
-    /// Samples the client's permanent-departure period from its private
-    /// fault stream (`u64::MAX` = never departs).
-    ///
-    /// Constant timelines delegate to the geometric sampler (zero draws
-    /// when the hazard is zero — the historical layout). Shaped timelines
-    /// invert the per-period survival curve with exactly one uniform
-    /// draw, so every engine consumes the identical stream position.
-    pub(crate) fn sample_churn(&self, frng: &mut StdRng) -> u64 {
+    /// The highest value `rate` takes over the horizon: the peak rate
+    /// the fault plan samples a knob's skips at.
+    pub(crate) fn peak(&self, rate: impl Fn(&Scenario) -> f64) -> f64 {
         match &self.rows {
-            None => crate::engine::sample_churn_period(frng, self.base.churn_prob),
-            Some(rows) => {
-                // T = min { t : v > Π_{s ≤ t}(1 - p_s) } with v = 1-u,
-                // matching the geometric inversion when all p_s are equal.
-                let v: f64 = 1.0 - frng.random::<f64>();
-                let mut survival = 1.0f64;
-                for (i, row) in rows.iter().enumerate() {
-                    survival *= 1.0 - row.churn_prob;
-                    if v > survival {
-                        return (i as u64) + 1;
-                    }
-                }
-                u64::MAX
-            }
+            None => rate(&self.base),
+            Some(rows) => rows.iter().map(rate).fold(0.0, f64::max),
         }
     }
 

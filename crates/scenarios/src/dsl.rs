@@ -74,8 +74,8 @@ use std::fmt;
 
 /// Label of the population RNG stream: a spec's population is drawn from
 /// `SeedSequence(seed).child(POP_STREAM)`, disjoint from every per-user
-/// protocol stream (`u32` labels) and from the fault stream
-/// (`crate::engine::FAULT_STREAM`).
+/// protocol stream (`u32` labels) and from the fault plan's subtree
+/// (`FAULT_STREAM` in the crate's `plan` module).
 pub(crate) const POP_STREAM: u64 = 0x5EED_FACE_0000_0002;
 
 /// Where a [`SpecError`] arose, when known: the 1-based TOML line and the
@@ -206,8 +206,8 @@ pub struct ProtocolSpec {
     pub epsilon: f64,
     /// Failure probability of the utility bound.
     pub beta: f64,
-    /// Master seed: protocol randomness, fault streams, and the
-    /// population draw all derive from it (on disjoint streams).
+    /// Master seed: protocol randomness, the fault plan's keys, and the
+    /// population draw all derive from it (on disjoint subtrees).
     pub seed: u64,
 }
 

@@ -6,12 +6,11 @@
 //! their file stem: `resolve_workload("flash-crowd")` loads
 //! `<dir>/flash-crowd.toml`. [`assert_spec_agreement`] is the oracle
 //! every committed workload is pinned by in CI: one spec, one seed,
-//! sequential ≡ batched ≡ live, value-for-value — plus the residual
-//! fault-RNG digest on the offline engines.
+//! sequential ≡ batched ≡ live, value-for-value, fault counts included.
 
 use super::expect::check_expectation;
 use super::{ScenarioSpec, SpecError, SpecErrorKind};
-use crate::engine::{run_scenario_timeline_digest, ScenarioOutcome};
+use crate::engine::{run_scenario_timeline, ScenarioOutcome};
 use crate::live::run_scenario_live_timeline;
 use rtf_runtime::ingest::IngestStats;
 use rtf_runtime::ExecMode;
@@ -78,8 +77,8 @@ const AGREEMENT_WORKERS: usize = 3;
 /// engines and asserts value-for-value agreement, with the sequential run
 /// as the reference.
 ///
-/// * sequential ≡ batched, including the residual fault-RNG digest (the
-///   fault layer consumed identical randomness);
+/// * sequential ≡ batched, fault counts included (the pre-walk found
+///   exactly the faults the sequential engine met report by report);
 /// * live ≡ sequential, under a deliberately hostile ingestion shape
 ///   (mailbox capacity 2, chunked resubmission) and the spec's full
 ///   chaos plan — so for chaos specs the differential identity *is* the
@@ -96,10 +95,10 @@ pub fn assert_spec_agreement(spec: &ScenarioSpec) -> (ScenarioOutcome, IngestSta
     let timeline = &compiled.timeline;
     let seed = compiled.seed;
 
-    let (reference, ref_digest) =
-        run_scenario_timeline_digest(params, &population, seed, timeline, ExecMode::Sequential);
+    let reference =
+        run_scenario_timeline(params, &population, seed, timeline, ExecMode::Sequential);
 
-    let (batched, batched_digest) = run_scenario_timeline_digest(
+    let batched = run_scenario_timeline(
         params,
         &population,
         seed,
@@ -107,11 +106,6 @@ pub fn assert_spec_agreement(spec: &ScenarioSpec) -> (ScenarioOutcome, IngestSta
         ExecMode::Parallel(AGREEMENT_WORKERS),
     );
     assert_outcome_eq(&reference, &batched, spec, "batched");
-    assert_eq!(
-        batched_digest, ref_digest,
-        "workload `{}`: fault-RNG digest diverged on batched",
-        spec.name
-    );
 
     let config = compiled
         .chaos

@@ -10,9 +10,11 @@
 //!
 //! 1. **Client randomness is untouched.** Clients draw from the same
 //!    `SeedSequence(seed).child(user)` streams as every other execution
-//!    path, and fault decisions come from the disjoint stream
-//!    `child(FAULT_STREAM).child(user)` — so for a fixed seed, an honest
-//!    client's reported bits are identical across all scenarios.
+//!    path, and every fault decision comes from the fault plan (the
+//!    crate's `plan` module): keyed words under the disjoint subtree
+//!    `child(FAULT_STREAM).child(user)`, a pure function of (seed,
+//!    client, knob, slot) — so for a fixed seed, an honest client's
+//!    reported bits are identical across all scenarios.
 //! 2. **The honest scenario is the honest engine.** With all rates zero
 //!    every message is delivered on time exactly once, and the outcome is
 //!    value-for-value equal to `run_event_driven` (asserted by the
@@ -21,12 +23,12 @@
 //!    emission side runs on contiguous user shards through the
 //!    **span-native fault layer**: a shard's clients are the event
 //!    engine's order groups ([`rtf_sim::engine::build_order_groups`] —
-//!    the one client-construction path), each client's private fault
-//!    stream is pre-walked once to classify every reporting boundary
-//!    (consuming the identical draws in the identical order, proven by
-//!    the residual-digest oracle), honest on-time spans are folded
-//!    arithmetically as whole packed sign words, and only the faulted
-//!    residue is materialised as provenance-tagged frames. Each residue
+//!    the one client-construction path), a pre-walk jumps through each
+//!    client's fault plan from one faulted boundary to the next (the
+//!    same hits the sequential engine finds by asking the plan at every
+//!    report), honest on-time spans are folded arithmetically as whole
+//!    packed sign words, and only the faulted residue is materialised as
+//!    provenance-tagged frames. Each residue
 //!    frame goes to the roster shard of the id it claims (an id `≥ n`
 //!    stays with its emitter), already in the sequential mailbox order
 //!    of ascending `(emission period, emitting user)`. A verdict reads
@@ -42,8 +44,8 @@
 //!    Every outcome field is identical for any worker count.
 
 use crate::config::{FaultTimeline, Scenario};
+use crate::plan::{ClientPlan, FaultPlan, Routing};
 use rand::rngs::StdRng;
-use rand::Rng;
 use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::client::Client;
 use rtf_core::composed::ComposedRandomizer;
@@ -57,11 +59,6 @@ use rtf_runtime::{partition, shard_of, ExecMode, Frame, FrameBatch, SignLane, Wo
 use rtf_sim::engine::build_order_groups;
 use rtf_sim::message::{OrderAnnouncement, ReportMsg, WireStats};
 use rtf_streams::population::Population;
-
-/// Label of the dedicated fault RNG stream. Far outside the `u32` space
-/// of per-user labels and distinct from the aggregate sampler's server
-/// stream (`0x5E71`), so no protocol randomness is ever reused.
-pub(crate) const FAULT_STREAM: u64 = 0xFA17_B055_ED00_0001;
 
 /// Tallies of every fault the injection layer applied.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -145,14 +142,12 @@ impl ScenarioOutcome {
     }
 }
 
-pub(crate) struct ClientSlot {
+pub(crate) struct ClientSlot<'p> {
     pub(crate) client: Client<FutureRand>,
     pub(crate) rng: StdRng,
-    /// This client's private fault stream.
-    pub(crate) frng: StdRng,
-    pub(crate) byzantine: bool,
-    /// First period at which the client has departed (`u64::MAX` = never).
-    pub(crate) churn_at: u64,
+    /// This client's faults: Byzantine coin, churn period, and its
+    /// position in the per-report knob processes.
+    pub(crate) plan: ClientPlan<'p>,
 }
 
 /// One message on the unreliable network, with provenance for accounting.
@@ -212,7 +207,7 @@ pub fn run_scenario_schema(
     _schema: SeedSchema,
 ) -> ScenarioOutcome {
     let timeline = FaultTimeline::constant(*scenario);
-    run_timeline(params, population, seed, &timeline, mode, backend).0
+    run_timeline(params, population, seed, &timeline, mode, backend)
 }
 
 /// Runs a [`FaultTimeline`] — a possibly per-period fault schedule —
@@ -232,27 +227,6 @@ pub fn run_scenario_timeline(
     timeline: &FaultTimeline,
     mode: ExecMode,
 ) -> ScenarioOutcome {
-    run_scenario_timeline_digest(params, population, seed, timeline, mode).0
-}
-
-/// [`run_scenario_timeline`] additionally returning the **residual
-/// fault-stream digest**: after the horizon completes, every client's
-/// private fault stream is probed for one more word and the words are
-/// folded in ascending user order. Per-user fault streams are disjoint,
-/// so equal digests across execution modes prove the engines consumed
-/// every fault draw stream-for-stream — a strictly stronger check than
-/// outcome equality (a path that skipped one draw and compensated with
-/// another could still agree on every observable field). The contract
-/// holds for shaped timelines too, because the per-period schedule
-/// changes *which* coins are flipped, never who flips them; pass
-/// `FaultTimeline::constant(s)` for a plain scenario.
-pub fn run_scenario_timeline_digest(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    timeline: &FaultTimeline,
-    mode: ExecMode,
-) -> (ScenarioOutcome, u64) {
     let backend = AccumulatorKind::from_env();
     run_timeline(params, population, seed, timeline, mode, backend)
 }
@@ -264,21 +238,17 @@ fn run_timeline(
     timeline: &FaultTimeline,
     mode: ExecMode,
     backend: AccumulatorKind,
-) -> (ScenarioOutcome, u64) {
+) -> ScenarioOutcome {
     timeline.validate(params.d());
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
     match mode {
         ExecMode::Sequential => {
-            let (out, _, digest) =
-                run_scenario_sequential_impl(params, population, seed, timeline, backend);
-            (out, digest)
+            run_scenario_sequential_impl(params, population, seed, timeline, backend).0
         }
         ExecMode::Parallel(w) => {
-            let (out, _, digest) =
-                run_scenario_batched_impl(params, population, seed, timeline, w.max(1), backend);
-            (out, digest)
+            run_scenario_batched_impl(params, population, seed, timeline, w.max(1), backend).0
         }
     }
 }
@@ -295,20 +265,20 @@ fn run_scenario_sequential_impl(
     seed: u64,
     timeline: &FaultTimeline,
     backend: AccumulatorKind,
-) -> (ScenarioOutcome, ScenarioStageTimings, u64) {
+) -> (ScenarioOutcome, ScenarioStageTimings) {
     let composed = composed_tables(params);
 
     let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let root = SeedSequence::new(seed);
-    let fault_root = root.child(FAULT_STREAM);
+    let plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
     let mut timings = ScenarioStageTimings::default();
     let build_start = std::time::Instant::now();
 
     // Announce + build clients exactly like the honest engine; fault state
-    // comes from each client's private fault stream.
+    // comes from each client's fault plan.
     let mut slots: Vec<ClientSlot> = Vec::with_capacity(params.n());
     for u in 0..params.n() {
         let node = root.child(u as u64);
@@ -329,18 +299,14 @@ fn run_scenario_sequential_impl(
             fastseed::client_key(&node),
         );
 
-        let mut frng = fault_root.child(u as u64).rng();
-        let byzantine = frng.random_bool(timeline.byzantine_frac());
-        let churn_at = timeline.sample_churn(&mut frng);
-        if churn_at <= d {
+        let client_plan = plan.client(u, h as usize);
+        if client_plan.churn_at <= d {
             faults.churned_clients += 1;
         }
         slots.push(ClientSlot {
             client: Client::new(params, h, m),
             rng,
-            frng,
-            byzantine,
-            churn_at,
+            plan: client_plan,
         });
     }
 
@@ -360,29 +326,20 @@ fn run_scenario_sequential_impl(
             // scenario.
             let x = population.stream(u).derivative().at(t);
             let report = slot.client.observe(t, x, &mut slot.rng);
-            if t >= slot.churn_at {
+            if t >= slot.plan.churn_at {
                 // Churn silences everyone for good — Byzantine clients
                 // included; only due honest reports count as lost.
-                if !slot.byzantine && report.is_some() {
+                if !slot.plan.byzantine && report.is_some() {
                     faults.lost_to_churn += 1;
                 }
                 continue;
             }
-            if slot.byzantine {
+            if slot.plan.byzantine {
                 // Byzantine clients suppress honest traffic and spam one
                 // fabricated, well-formed report per period.
                 faults.byzantine_messages += 1;
-                let msg = fabricate_report(&mut slot.frng, params, u as u32);
-                dispatch(
-                    msg,
-                    t,
-                    true,
-                    &mut slot.frng,
-                    timeline,
-                    &mut faults,
-                    &mut pending,
-                    d,
-                );
+                let msg = slot.plan.fabricate(u as u32, t);
+                dispatch(msg, true, slot.plan.route(t, &mut faults), &mut pending);
                 continue;
             }
             let Some(r) = report else { continue };
@@ -391,16 +348,7 @@ fn run_scenario_sequential_impl(
                 t: t as u32,
                 bit: r.bit == Sign::Plus,
             };
-            dispatch(
-                msg,
-                t,
-                false,
-                &mut slot.frng,
-                timeline,
-                &mut faults,
-                &mut pending,
-                d,
-            );
+            dispatch(msg, false, slot.plan.route(t, &mut faults), &mut pending);
         }
 
         timings.emission_s += emit_start.elapsed().as_secs_f64();
@@ -431,14 +379,6 @@ fn run_scenario_sequential_impl(
         timings.ingest_s += ingest_start.elapsed().as_secs_f64();
     }
 
-    // Residual fault-stream digest: one more word from every client's
-    // private stream, folded in user order — the batched pipeline must
-    // land every stream at the exact same position.
-    let mut digest = 0u64;
-    for slot in &mut slots {
-        digest = digest.rotate_left(1) ^ slot.frng.random::<u64>();
-    }
-
     (
         ScenarioOutcome {
             estimates,
@@ -449,7 +389,6 @@ fn run_scenario_sequential_impl(
             byzantine_accepted_by_period: byz_accepted_by_period,
         },
         timings,
-        digest,
     )
 }
 
@@ -506,9 +445,7 @@ pub fn run_scenario_batched_timed(
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
-    let (out, timings, _) =
-        run_scenario_batched_impl(params, population, seed, &timeline, workers.max(1), backend);
-    (out, timings)
+    run_scenario_batched_impl(params, population, seed, &timeline, workers.max(1), backend)
 }
 
 /// [`run_scenario_schema`]'s sequential reference with the same
@@ -527,9 +464,7 @@ pub fn run_scenario_sequential_timed(
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
     let backend = AccumulatorKind::from_env();
-    let (out, timings, _) =
-        run_scenario_sequential_impl(params, population, seed, &timeline, backend);
-    (out, timings)
+    run_scenario_sequential_impl(params, population, seed, &timeline, backend)
 }
 
 /// One worker's span-native emission result for a contiguous user shard.
@@ -573,8 +508,6 @@ struct ShardEmission {
     /// Emission-side fault tallies (`byzantine_accepted` stays 0 — that
     /// is decided at ingestion).
     faults: FaultCounts,
-    /// Shard partial of the residual fault-stream digest.
-    digest: u64,
 }
 
 /// Clears one lane's bit in a packed membership mask.
@@ -653,10 +586,10 @@ fn run_scenario_batched_impl(
     timeline: &FaultTimeline,
     workers: usize,
     backend: AccumulatorKind,
-) -> (ScenarioOutcome, ScenarioStageTimings, u64) {
+) -> (ScenarioOutcome, ScenarioStageTimings) {
     let composed = composed_tables(params);
     let root = SeedSequence::new(seed);
-    let fault_root = root.child(FAULT_STREAM);
+    let fault_plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
     let n = params.n();
     let workers = workers.max(1);
@@ -718,26 +651,23 @@ fn run_scenario_batched_impl(
         let mut honest = batches();
         let mut byzantine: Vec<Vec<FrameBatch>> = (0..workers).map(|_| batches()).collect();
         let mut faults = FaultCounts::default();
-        let mut digest = 0u64;
 
-        // Phase 1 — fault pre-walk: classify every reporting boundary of
-        // every client by walking its private fault stream once, whole
-        // horizon per user. Per-user fault streams are disjoint, so the
-        // draws land exactly where the sequential period-major loop put
-        // them (the residual digest proves it); only the *order across
-        // users* changes, which no draw depends on.
+        // Phase 1 — fault pre-walk: classify every faulted reporting
+        // boundary of every client, whole horizon per user. Each client's
+        // fault plan is a pure function of its key, so the walk jumps from
+        // one faulted boundary to the next and visits no other: the
+        // boundaries it skips are delivered on time, exactly once.
         for u in shard.range() {
             let local = u - shard.start;
             let h = orders[local] as usize;
             let lane = lanes[local];
             let stride = 1u64 << h;
-            let mut frng = fault_root.child(u as u64).rng();
-            let byzantine_client = frng.random_bool(timeline.byzantine_frac());
-            let churn_at = timeline.sample_churn(&mut frng);
+            let mut client = fault_plan.client(u, h);
+            let churn_at = client.churn_at;
             if churn_at <= d {
                 faults.churned_clients += 1;
             }
-            if byzantine_client {
+            if client.byzantine {
                 // Byzantine lanes never contribute honest folds; their
                 // fabrications are residue frames like any other fault,
                 // routed straight to the roster shard of the id they claim.
@@ -745,28 +675,18 @@ fn run_scenario_batched_impl(
                 let mut t = 1u64;
                 while t <= d && t < churn_at {
                     faults.byzantine_messages += 1;
-                    let msg = fabricate_report(&mut frng, params, u as u32);
-                    dispatch_frame(
-                        msg,
-                        t,
-                        u as u32,
-                        true,
-                        &mut frng,
-                        timeline,
-                        &mut faults,
-                        d,
-                        |at, frame| {
-                            let r = recipient(n, workers, shard.index, frame.user);
-                            byzantine[r][at as usize].push(frame);
-                        },
-                    );
+                    let msg = client.fabricate(u as u32, t);
+                    let routing = client.route(t, &mut faults);
+                    dispatch_frame(msg, t, u as u32, true, routing, &mut faults, |at, frame| {
+                        let r = recipient(n, workers, shard.index, frame.user);
+                        byzantine[r][at as usize].push(frame);
+                    });
                     t += 1;
                 }
             } else {
-                let mut b = stride;
-                while b <= d && b < churn_at {
+                while let Some(b) = client.next_faulted(churn_at) {
                     let s = (b / stride - 1) as usize;
-                    let routing = route(b, &mut frng, timeline, &mut faults, d);
+                    let routing = client.route(b, &mut faults);
                     if routing.malformed {
                         // Same accounting as `dispatch_frame`: each
                         // delivered copy is counted where its decode
@@ -788,7 +708,6 @@ fn run_scenario_batched_impl(
                             events[b as usize].push((h as u8, lane, at as u32));
                         }
                     }
-                    b += stride;
                 }
                 if churn_at <= d {
                     let first_lost = churn_at.div_ceil(stride) * stride;
@@ -798,7 +717,6 @@ fn run_scenario_batched_impl(
                     }
                 }
             }
-            digest = digest.rotate_left(1) ^ frng.random::<u64>();
         }
         // The pre-walk is user-major, so a delivery period's fabrications
         // arrive out of emission order: sort each batch once.
@@ -874,7 +792,6 @@ fn run_scenario_batched_impl(
             honest,
             byzantine,
             faults,
-            digest,
         }
     });
     timings.emission_s = emission_start.elapsed().as_secs_f64();
@@ -885,14 +802,9 @@ fn run_scenario_batched_impl(
     let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
-    let mut digest = 0u64;
     let mut user = 0u32;
     for sh in &shards {
         faults.merge(&sh.faults);
-        // Concatenation rule for the rotate-and-xor fold: shifting a
-        // shard's partial left by the following users' count re-aligns
-        // every per-user rotation with the sequential single-pass fold.
-        digest = digest.rotate_left((sh.orders.len() % 64) as u32) ^ sh.digest;
         for &order in &sh.orders {
             let ann = OrderAnnouncement { user, order };
             let decoded = OrderAnnouncement::decode(ann.encode());
@@ -1018,135 +930,12 @@ fn run_scenario_batched_impl(
             byzantine_accepted_by_period: byz_accepted_by_period,
         },
         timings,
-        digest,
     )
 }
 
-/// First period at which the client is gone, under a per-period hazard
-/// `p` (geometric via inversion); `u64::MAX` when `p == 0`.
-pub(crate) fn sample_churn_period(rng: &mut StdRng, p: f64) -> u64 {
-    if p <= 0.0 {
-        return u64::MAX;
-    }
-    if p >= 1.0 {
-        return 1;
-    }
-    let u: f64 = rng.random();
-    // P(T > t) = (1-p)^t  ⇒  T = 1 + floor(ln(1-u)/ln(1-p)).
-    let t = 1.0 + ((1.0 - u).ln() / (1.0 - p).ln()).floor();
-    if t >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        t as u64
-    }
-}
-
-/// An arbitrary-but-well-formed report: sometimes the sender's own id
-/// (an insider lying about content/timing), sometimes a random id (an
-/// outsider or impersonator); period and bit are unconstrained.
-pub(crate) fn fabricate_report(
-    rng: &mut StdRng,
-    params: &ProtocolParams,
-    own_id: u32,
-) -> ReportMsg {
-    let user = if rng.random_bool(0.5) {
-        own_id
-    } else {
-        // Half in-range impersonations, half junk ids.
-        rng.random_range(0..(2 * params.n() as u32).max(2))
-    };
-    ReportMsg {
-        user,
-        t: rng.random_range(1..=params.d() as u32),
-        bit: rng.random::<bool>(),
-    }
-}
-
-/// The fault model's routing decision for one emitted message.
-struct Routing {
-    /// Delivery period of the original copy, if it survives the horizon.
-    deliver: Option<u64>,
-    /// Delivery period of a retransmitted copy, if any survives.
-    duplicate: Option<u64>,
-    /// Whether the frame's encoding was corrupted in flight: every
-    /// delivered copy fails `try_decode` at the server.
-    malformed: bool,
-}
-
-/// Draws one message's fate from the fault stream: dropout, delay,
-/// retransmission. Delivery periods beyond the horizon expire. Both
-/// execution modes route through this function, so they consume the
-/// per-user fault RNG in the identical order (a dropped message draws
-/// nothing further; every non-dropped message draws the duplicate coin,
-/// including originals that expired past the horizon — exactly the
-/// sequential engine's historical behaviour).
-fn route(
-    t: u64,
-    frng: &mut StdRng,
-    timeline: &FaultTimeline,
-    faults: &mut FaultCounts,
-    d: u64,
-) -> Routing {
-    // The effective rates are the emission period's row — this is the
-    // single point where a shaped timeline perturbs the fault layer, and
-    // both engines call it at the same (user, period) points.
-    let scenario = timeline.at(t);
-    // The corruption coin exists only when the scenario asks for it —
-    // `malformed_prob == 0.0` must leave every other scenario's fault
-    // stream untouched, draw for draw.
-    let malformed = scenario.malformed_prob > 0.0 && frng.random_bool(scenario.malformed_prob);
-    if frng.random_bool(scenario.drop_prob) {
-        faults.dropped += 1;
-        return Routing {
-            deliver: None,
-            duplicate: None,
-            malformed,
-        };
-    }
-    let mut deliver = t;
-    if frng.random_bool(scenario.straggle_prob) {
-        let delta = timeline.delay_law().sample(frng, scenario.max_delay);
-        faults.delayed += 1;
-        deliver = t + delta;
-    }
-    let delivered = if deliver <= d {
-        Some(deliver)
-    } else {
-        faults.expired += 1;
-        None
-    };
-    let mut duplicate = None;
-    if frng.random_bool(scenario.duplicate_prob) {
-        faults.duplicates_injected += 1;
-        // A retransmission typically lands one period after the original.
-        let dup_at = deliver + 1;
-        if dup_at <= d {
-            duplicate = Some(dup_at);
-        } else {
-            faults.expired += 1;
-        }
-    }
-    Routing {
-        deliver: delivered,
-        duplicate,
-        malformed,
-    }
-}
-
-/// Sequential-mode dispatch: routes one message and queues serialised
-/// `Bytes` frames on the pending network.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    msg: ReportMsg,
-    t: u64,
-    byzantine: bool,
-    frng: &mut StdRng,
-    timeline: &FaultTimeline,
-    faults: &mut FaultCounts,
-    pending: &mut [Vec<InFlight>],
-    d: u64,
-) {
-    let routing = route(t, frng, timeline, faults, d);
+/// Sequential-mode dispatch: queues the serialised `Bytes` frames of one
+/// routed message on the pending network.
+fn dispatch(msg: ReportMsg, byzantine: bool, routing: Routing, pending: &mut [Vec<InFlight>]) {
     let frame = if routing.deliver.is_some() || routing.duplicate.is_some() {
         let full = msg.encode();
         if routing.malformed {
@@ -1174,22 +963,19 @@ fn dispatch(
     }
 }
 
-/// Batched-mode dispatch: routes one message and hands each delivered
-/// copy to `deliver(period, frame)` as a columnar frame row tagged with
-/// its emission provenance `(t, emitter)` — the mailbox-order key.
-#[allow(clippy::too_many_arguments)]
+/// Batched- and live-mode dispatch: hands each delivered copy of one
+/// routed message to `deliver(period, frame)` as a columnar frame row
+/// tagged with its emission provenance `(t, emitter)` — the mailbox-order
+/// key.
 pub(crate) fn dispatch_frame(
     msg: ReportMsg,
     t: u64,
     emitter: u32,
     byzantine: bool,
-    frng: &mut StdRng,
-    timeline: &FaultTimeline,
+    routing: Routing,
     faults: &mut FaultCounts,
-    d: u64,
     mut deliver: impl FnMut(u64, Frame),
 ) {
-    let routing = route(t, frng, timeline, faults, d);
     if routing.malformed {
         // The sequential engine queues the corrupted bytes and counts
         // each delivered copy at the drain's failed `try_decode`; the
@@ -1248,7 +1034,7 @@ mod tests {
         // which each roster shard's merge must reconstruct exactly, with
         // fabrications crossing shards. n = 130 splits unevenly over 3
         // and 8 workers; n = 6 over 8 workers leaves two shards empty
-        // (run seed 31 makes one of the six clients Byzantine).
+        // (run seed 9 makes one of the six clients Byzantine).
         let scenario = Scenario::honest()
             .with_dropout(0.05)
             .with_churn(0.01)
@@ -1256,22 +1042,16 @@ mod tests {
             .with_duplicates(0.1)
             .with_byzantine(0.15);
         let timeline = FaultTimeline::constant(scenario);
-        for (n, seed, workers) in [(130, 19, &[1usize, 2, 3, 8][..]), (6, 31, &[8][..])] {
+        for (n, seed, workers) in [(130, 19, &[1usize, 2, 3, 8][..]), (6, 9, &[8][..])] {
             let (params, pop) = setup(n, 32, 3, 68);
-            let (seq, dseq) =
-                run_scenario_timeline_digest(&params, &pop, seed, &timeline, ExecMode::Sequential);
+            let seq = run_scenario_timeline(&params, &pop, seed, &timeline, ExecMode::Sequential);
             assert!(
                 seq.faults.byzantine_accepted > 0,
                 "n = {n}: test must exercise the order-sensitive acceptance race"
             );
             for &w in workers {
-                let (par, dpar) = run_scenario_timeline_digest(
-                    &params,
-                    &pop,
-                    seed,
-                    &timeline,
-                    ExecMode::Parallel(w),
-                );
+                let par =
+                    run_scenario_timeline(&params, &pop, seed, &timeline, ExecMode::Parallel(w));
                 assert_eq!(par.estimates, seq.estimates, "n = {n}, {w} workers");
                 assert_eq!(par.delivery, seq.delivery, "n = {n}, {w} workers");
                 assert_eq!(par.wire, seq.wire, "n = {n}, {w} workers");
@@ -1280,7 +1060,6 @@ mod tests {
                     par.byzantine_accepted_by_period, seq.byzantine_accepted_by_period,
                     "n = {n}, {w} workers"
                 );
-                assert_eq!(dpar, dseq, "n = {n}, {w} workers: residual digest");
             }
         }
     }
@@ -1424,13 +1203,20 @@ mod tests {
 
     #[test]
     fn churn_sampler_is_geometric_shaped() {
-        let mut rng = SeedSequence::new(99).rng();
-        assert_eq!(sample_churn_period(&mut rng, 0.0), u64::MAX);
-        assert_eq!(sample_churn_period(&mut rng, 1.0), 1);
-        let n = 20_000;
-        let p = 0.25f64;
+        // d = 1024 makes the horizon's truncation of the geometric law
+        // negligible at p = 1/4.
+        let params = ProtocolParams::new(20_000, 1024, 2, 1.0, 0.05).unwrap();
+        let churn_at = |p: f64, u: usize| {
+            let timeline = FaultTimeline::constant(Scenario::honest().with_churn(p));
+            FaultPlan::new(&params, 99, &timeline).client(u, 0).churn_at
+        };
+        assert_eq!(churn_at(0.0, 0), u64::MAX);
+        assert_eq!(churn_at(1.0, 0), 1);
+        let timeline = FaultTimeline::constant(Scenario::honest().with_churn(0.25));
+        let plan = FaultPlan::new(&params, 99, &timeline);
+        let n = params.n();
         let mean = (0..n)
-            .map(|_| sample_churn_period(&mut rng, p) as f64)
+            .map(|u| plan.client(u, 0).churn_at as f64)
             .sum::<f64>()
             / n as f64;
         // E[T] = 1/p = 4; Monte-Carlo tolerance.
@@ -1446,16 +1232,68 @@ mod tests {
             .with_duplicates(0.1)
             .with_byzantine(0.15);
         let timeline = FaultTimeline::constant(scenario);
-        let mut digests = Vec::new();
         for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
             let a = run_scenario_with(&params, &pop, 19, &scenario, mode);
-            let (b, digest) = run_scenario_timeline_digest(&params, &pop, 19, &timeline, mode);
+            let b = run_scenario_timeline(&params, &pop, 19, &timeline, mode);
             assert_eq!(a.estimates, b.estimates);
             assert_eq!(a.delivery, b.delivery);
             assert_eq!(a.faults, b.faults);
-            digests.push(digest);
         }
-        assert_eq!(digests[0], digests[1], "same draws, same residual digest");
+    }
+
+    #[test]
+    fn shaped_timeline_of_constant_rows_is_the_constant_timeline() {
+        // A row equal to the base runs at the knob's peak rate, so no
+        // thinning word is read and the shaped timeline is the constant
+        // one, value for value. With churn = 0 there is no churn process
+        // at all on either side; with churn > 0 both read the same words.
+        let (params, pop) = setup(140, 32, 3, 75);
+        let quiet = Scenario::honest()
+            .with_dropout(0.05)
+            .with_stragglers(0.2, 4)
+            .with_duplicates(0.1)
+            .with_byzantine(0.15);
+        for base in [quiet, quiet.with_churn(0.02)] {
+            let constant = FaultTimeline::constant(base);
+            let shaped = FaultTimeline::shaped(base, vec![base; params.d() as usize]);
+            let runs = |timeline: &FaultTimeline| {
+                let (live, _) = crate::live::run_scenario_live_timeline(
+                    &params,
+                    &pop,
+                    37,
+                    timeline,
+                    &rtf_runtime::ingest::LiveConfig::new(2),
+                );
+                [
+                    run_scenario_timeline(&params, &pop, 37, timeline, ExecMode::Sequential),
+                    run_scenario_timeline(&params, &pop, 37, timeline, ExecMode::Parallel(3)),
+                    live,
+                ]
+            };
+            let expected = runs(&constant);
+            let label = format!("churn {}", base.churn_prob);
+            assert!(expected[0].faults.byzantine_messages > 0, "{label}");
+            assert!(expected[0].faults.delayed > 0, "{label}");
+            assert!(expected[0].faults.duplicates_injected > 0, "{label}");
+            assert_eq!(
+                expected[0].faults.churned_clients > 0,
+                base.churn_prob > 0.0
+            );
+            for (engine, (a, b)) in ["sequential", "batched(3)", "live(2)"]
+                .iter()
+                .zip(expected.iter().zip(&runs(&shaped)))
+            {
+                assert_eq!(a.estimates, b.estimates, "{label}, {engine}");
+                assert_eq!(a.group_sizes, b.group_sizes, "{label}, {engine}");
+                assert_eq!(a.wire, b.wire, "{label}, {engine}");
+                assert_eq!(a.delivery, b.delivery, "{label}, {engine}");
+                assert_eq!(a.faults, b.faults, "{label}, {engine}");
+                assert_eq!(
+                    a.byzantine_accepted_by_period, b.byzantine_accepted_by_period,
+                    "{label}, {engine}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1463,8 +1301,7 @@ mod tests {
         // A pulse of dropout + duplicates mid-horizon over a Byzantine
         // base, with per-period churn hazards concentrated in a storm
         // window and a zipf delay tail: every axis the timeline adds,
-        // exercised at once, must stay worker-count invariant including
-        // the residual digest.
+        // exercised at once, must stay worker-count invariant.
         let (params, pop) = setup(140, 32, 3, 72);
         let base = Scenario::honest().with_byzantine(0.1);
         let rows: Vec<Scenario> = (1..=32u64)
@@ -1482,14 +1319,12 @@ mod tests {
         let timeline =
             FaultTimeline::shaped(base, rows).with_delay_law(DelayLaw::Zipf { alpha: 1.5 });
         timeline.validate(params.d());
-        let (seq, dseq) =
-            run_scenario_timeline_digest(&params, &pop, 23, &timeline, ExecMode::Sequential);
+        let seq = run_scenario_timeline(&params, &pop, 23, &timeline, ExecMode::Sequential);
         assert!(seq.faults.dropped > 0, "the pulse must fire");
         assert!(seq.faults.churned_clients > 0, "the churn storm must fire");
         assert!(seq.faults.delayed > 0, "the zipf stragglers must fire");
         for w in [1usize, 2, 3, 8] {
-            let (par, dpar) =
-                run_scenario_timeline_digest(&params, &pop, 23, &timeline, ExecMode::Parallel(w));
+            let par = run_scenario_timeline(&params, &pop, 23, &timeline, ExecMode::Parallel(w));
             assert_eq!(par.estimates, seq.estimates, "{w} workers");
             assert_eq!(par.delivery, seq.delivery, "{w} workers");
             assert_eq!(par.wire, seq.wire, "{w} workers");
@@ -1498,7 +1333,6 @@ mod tests {
                 par.byzantine_accepted_by_period, seq.byzantine_accepted_by_period,
                 "{w} workers"
             );
-            assert_eq!(dpar, dseq, "{w} workers: residual digest");
         }
     }
 
@@ -1532,17 +1366,18 @@ mod tests {
 
     #[test]
     fn zipf_delay_law_draws_once_and_clamps() {
-        let mut rng = SeedSequence::new(101).rng();
+        // One word per delay.
+        let key = fastseed::client_key(&SeedSequence::new(101));
         let law = DelayLaw::Zipf { alpha: 1.0 };
-        for _ in 0..10_000 {
-            let delta = law.sample(&mut rng, 5);
+        for c in 0..10_000 {
+            let delta = law.sample(fastseed::word(key, 0, c), 5);
             assert!((1..=5).contains(&delta), "delta {delta} out of range");
         }
-        // Heavy tail: with alpha=1 over a large cap, the mean should be
-        // well above the uniform law's midpoint near the origin.
+        assert_eq!(law.sample(u64::MAX, 5), 1, "U = 1 is the shortest delay");
+        assert_eq!(law.sample(0, 5), 5, "the smallest U clamps to the cap");
         let mut ones = 0usize;
-        for _ in 0..10_000 {
-            if law.sample(&mut rng, 1_000) == 1 {
+        for c in 0..10_000 {
+            if law.sample(fastseed::word(key, 1, c), 1_000) == 1 {
                 ones += 1;
             }
         }

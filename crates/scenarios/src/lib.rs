@@ -54,14 +54,14 @@ pub mod dsl;
 pub mod engine;
 pub mod live;
 pub mod oracle;
+mod plan;
 
 pub use chaos::{assert_chaos_recovery, ChaosPlan};
 pub use config::{DelayLaw, FaultTimeline, Scenario};
 pub use dsl::{ExpectationSpec, ScenarioSpec, SpecError};
 pub use engine::{
     run_scenario, run_scenario_batched_timed, run_scenario_schema, run_scenario_sequential_timed,
-    run_scenario_timeline, run_scenario_timeline_digest, run_scenario_with, FaultCounts,
-    ScenarioOutcome, ScenarioStageTimings,
+    run_scenario_timeline, run_scenario_with, FaultCounts, ScenarioOutcome, ScenarioStageTimings,
 };
 pub use live::{run_scenario_live, run_scenario_live_timeline, run_scenario_live_with};
 pub use oracle::{

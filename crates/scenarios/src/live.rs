@@ -2,14 +2,14 @@
 //!
 //! [`run_scenario`](crate::engine::run_scenario) simulates the
 //! unreliable deployment offline. This module drives the identical
-//! emission schedule — same clients, same fault streams, same routing —
-//! but delivers each period's surviving frames through the **streaming
-//! ingestion service** (`rtf_runtime::ingest`): frames are routed to the
-//! mailbox of the worker owning their *emitting* client (bounded,
-//! blocking — backpressure, never loss), buffered per worker, and at
-//! period close merged back into the exact sequential mailbox order
-//! (`FrameBatch::merge_ordered`) before the server's checked ingestion
-//! classifies every frame.
+//! emission schedule — same clients, and the same fault plan asked at
+//! the same reports — but delivers each period's surviving frames
+//! through the **streaming ingestion service** (`rtf_runtime::ingest`):
+//! frames are routed to the mailbox of the worker owning their
+//! *emitting* client (bounded, blocking — backpressure, never loss),
+//! buffered per worker, and at period close merged back into the exact
+//! sequential mailbox order (`FrameBatch::merge_ordered`) before the
+//! server's checked ingestion classifies every frame.
 //!
 //! Frame order is load-bearing under Byzantine impersonation (an
 //! accepted forgery displaces the honest report it races), so the merge
@@ -30,11 +30,8 @@
 //! sequential oracle.
 
 use crate::config::{FaultTimeline, Scenario};
-use crate::engine::{
-    composed_tables, dispatch_frame, fabricate_report, ClientSlot, FaultCounts, ScenarioOutcome,
-    FAULT_STREAM,
-};
-use rand::Rng;
+use crate::engine::{composed_tables, dispatch_frame, ClientSlot, FaultCounts, ScenarioOutcome};
+use crate::plan::FaultPlan;
 use rtf_core::client::Client;
 use rtf_core::params::ProtocolParams;
 use rtf_core::randomizer::FutureRand;
@@ -109,7 +106,7 @@ pub fn run_scenario_live_timeline(
 
     let composed = composed_tables(params);
     let root = SeedSequence::new(seed);
-    let fault_root = root.child(FAULT_STREAM);
+    let plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
     config.validate_for_horizon(d);
     let n = params.n();
@@ -117,7 +114,8 @@ pub fn run_scenario_live_timeline(
     let chunk = config.chunk_rows.max(1);
 
     // Announce + build clients exactly like the sequential engine (same
-    // RNG order), so honest bits and fault decisions are identical.
+    // RNG order, same fault plan), so honest bits and fault decisions are
+    // identical.
     let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
@@ -141,18 +139,14 @@ pub fn run_scenario_live_timeline(
             &mut rng,
             fastseed::client_key(&node),
         );
-        let mut frng = fault_root.child(u as u64).rng();
-        let byzantine = frng.random_bool(timeline.byzantine_frac());
-        let churn_at = timeline.sample_churn(&mut frng);
-        if churn_at <= d {
+        let client_plan = plan.client(u, h as usize);
+        if client_plan.churn_at <= d {
             faults.churned_clients += 1;
         }
         slots.push(ClientSlot {
             client: Client::new(params, h, m),
             rng,
-            frng,
-            byzantine,
-            churn_at,
+            plan: client_plan,
         });
         cursors.push(population.stream(u).derivative().cursor());
     }
@@ -171,43 +165,32 @@ pub fn run_scenario_live_timeline(
         for (u, slot) in slots.iter_mut().enumerate() {
             let x = cursors[u].next_at(t);
             let report = slot.client.observe(t, x, &mut slot.rng);
-            if t >= slot.churn_at {
-                if !slot.byzantine && report.is_some() {
+            if t >= slot.plan.churn_at {
+                if !slot.plan.byzantine && report.is_some() {
                     faults.lost_to_churn += 1;
                 }
                 continue;
             }
-            if slot.byzantine {
+            let (msg, byzantine) = if slot.plan.byzantine {
                 faults.byzantine_messages += 1;
-                let msg = fabricate_report(&mut slot.frng, params, u as u32);
-                dispatch_frame(
-                    msg,
-                    t,
-                    u as u32,
-                    true,
-                    &mut slot.frng,
-                    timeline,
-                    &mut faults,
-                    d,
-                    |at, frame| pending[at as usize].push(frame),
-                );
-                continue;
-            }
-            let Some(r) = report else { continue };
-            let msg = ReportMsg {
-                user: u as u32,
-                t: t as u32,
-                bit: r.bit == Sign::Plus,
+                (slot.plan.fabricate(u as u32, t), true)
+            } else {
+                let Some(r) = report else { continue };
+                let msg = ReportMsg {
+                    user: u as u32,
+                    t: t as u32,
+                    bit: r.bit == Sign::Plus,
+                };
+                (msg, false)
             };
+            let routing = slot.plan.route(t, &mut faults);
             dispatch_frame(
                 msg,
                 t,
                 u as u32,
-                false,
-                &mut slot.frng,
-                timeline,
+                byzantine,
+                routing,
                 &mut faults,
-                d,
                 |at, frame| pending[at as usize].push(frame),
             );
         }

@@ -26,9 +26,7 @@
 //! scenarios (where mailbox order matters).
 
 use crate::config::{FaultTimeline, Scenario};
-use crate::engine::{
-    run_scenario, run_scenario_timeline_digest, run_scenario_with, ScenarioOutcome,
-};
+use crate::engine::{run_scenario, run_scenario_timeline, run_scenario_with, ScenarioOutcome};
 use crate::live::run_scenario_live_with;
 use rtf_analysis::variance::{future_rand_scales, predicted_variance};
 use rtf_core::params::ProtocolParams;
@@ -140,10 +138,9 @@ pub fn assert_exact_agreement(
 /// Frame order matters under Byzantine impersonation, so passing a
 /// faulty scenario here proves the shard merge reconstructs the
 /// sequential mailbox order exactly — not merely that sums commute. The
-/// scenario legs also compare the **residual fault-stream digest**
-/// ([`run_scenario_timeline_digest`]): the span-native fault layer must
-/// leave every client's private fault RNG at the exact position the
-/// sequential drain leaves it, which outcome equality alone cannot see.
+/// fault counts are compared too: the span-native pre-walk, which visits
+/// only faulted boundaries, must find exactly the faults the sequential
+/// engine finds by asking the fault plan at every report.
 ///
 /// # Panics
 /// Panics naming the first diverging engine/worker count.
@@ -155,8 +152,7 @@ pub fn assert_mode_agreement(
 ) {
     let timeline = FaultTimeline::constant(*scenario);
     let ev_seq = run_event_driven_with(params, population, seed, ExecMode::Sequential);
-    let (sc_seq, digest_seq) =
-        run_scenario_timeline_digest(params, population, seed, &timeline, ExecMode::Sequential);
+    let sc_seq = run_scenario_timeline(params, population, seed, &timeline, ExecMode::Sequential);
     for w in MODE_AGREEMENT_WORKERS {
         let ev = run_event_driven_with(params, population, seed, ExecMode::Parallel(w));
         assert_eq!(
@@ -166,13 +162,7 @@ pub fn assert_mode_agreement(
         assert_eq!(ev.group_sizes, ev_seq.group_sizes, "parallel({w}) groups");
         assert_eq!(ev.wire, ev_seq.wire, "parallel({w}) wire stats");
 
-        let (sc, digest) = run_scenario_timeline_digest(
-            params,
-            population,
-            seed,
-            &timeline,
-            ExecMode::Parallel(w),
-        );
+        let sc = run_scenario_timeline(params, population, seed, &timeline, ExecMode::Parallel(w));
         assert_eq!(
             sc.estimates, sc_seq.estimates,
             "scenario parallel({w}) diverges from sequential (seed {seed})"
@@ -183,11 +173,6 @@ pub fn assert_mode_agreement(
         assert_eq!(
             sc.byzantine_accepted_by_period, sc_seq.byzantine_accepted_by_period,
             "parallel({w}) per-period Byzantine acceptance"
-        );
-        assert_eq!(
-            digest, digest_seq,
-            "parallel({w}) residual fault-stream digest (seed {seed}): \
-             the span-native layer consumed fault draws differently"
         );
     }
 }

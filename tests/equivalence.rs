@@ -21,10 +21,10 @@ use randomize_future::core::snapshot::fnv1a64;
 use randomize_future::primitives::seeding::SeedSequence;
 use randomize_future::runtime::ingest::LiveConfig;
 use randomize_future::runtime::ExecMode;
-use randomize_future::scenarios::engine::{run_scenario_timeline_digest, ScenarioOutcome};
+use randomize_future::scenarios::engine::{run_scenario_with, ScenarioOutcome};
 use randomize_future::scenarios::live::run_scenario_live_with;
 use randomize_future::scenarios::oracle::{assert_exact_agreement, measure_aggregate_agreement};
-use randomize_future::scenarios::{FaultTimeline, Scenario};
+use randomize_future::scenarios::Scenario;
 use randomize_future::sim::engine::{run_event_driven_with, EventDrivenOutcome};
 use randomize_future::sim::live::run_event_driven_live_with;
 use randomize_future::streams::generator::UniformChanges;
@@ -126,9 +126,8 @@ fn event_hash(out: &EventDrivenOutcome) -> u64 {
 }
 
 /// Estimates, groups, wire stats, delivery rows, fault counts and
-/// per-period Byzantine acceptance, then the residual fault-stream
-/// digest when the engine reports one.
-fn scenario_hash(out: &ScenarioOutcome, digest: Option<u64>) -> u64 {
+/// per-period Byzantine acceptance.
+fn scenario_hash(out: &ScenarioOutcome) -> u64 {
     let mut h = Golden::default();
     h.f64s(&out.estimates);
     h.sizes(&out.group_sizes);
@@ -167,9 +166,6 @@ fn scenario_hash(out: &ScenarioOutcome, digest: Option<u64>) -> u64 {
     for &v in &out.byzantine_accepted_by_period {
         h.u64(v);
     }
-    if let Some(d) = digest {
-        h.u64(d);
-    }
     h.finish()
 }
 
@@ -178,15 +174,15 @@ fn scenario_hash(out: &ScenarioOutcome, digest: Option<u64>) -> u64 {
 /// hashes to the values the counter stream produced when it was
 /// introduced; a d = 64 shape pins the population's change times and
 /// the event engine's output as they were before subsets moved into a
-/// bitmask. A change to `fastseed`, `FutureRand`, client
-/// construction or the fault layer that moves any report bit fails here
-/// even if all engines move together.
+/// bitmask. `STORM` pins the fault plan's keyed words as the sequential
+/// engine turns them into faults. A change to `fastseed`, `FutureRand`, client construction or the
+/// fault plan that moves any report bit or fault fails here even if all
+/// engines move together.
 #[test]
 fn client_stream_outputs_match_golden_hashes() {
     const IN_MEMORY: u64 = 0xf882_5d63_76f1_5d33;
     const EVENT: u64 = 0x2e1f_1ece_ceed_5ad3;
-    const STORM: u64 = 0x270f_51c4_13f9_e9e7;
-    const STORM_WITH_DIGEST: u64 = 0xa349_4f23_92c7_6460;
+    const STORM: u64 = 0x9119_2677_394e_9db8;
 
     let (params, pop) = setup(150, 128, 3, 1.0, 2026);
     let seed = 41;
@@ -206,19 +202,13 @@ fn client_stream_outputs_match_golden_hashes() {
     for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
         let ev = run_event_driven_with(&params, &pop, seed, mode);
         assert_eq!(event_hash(&ev), EVENT, "event {mode}");
-        let timeline = FaultTimeline::constant(storm);
-        let (sc, digest) = run_scenario_timeline_digest(&params, &pop, seed, &timeline, mode);
-        assert_eq!(scenario_hash(&sc, None), STORM, "storm {mode}");
-        assert_eq!(
-            scenario_hash(&sc, Some(digest)),
-            STORM_WITH_DIGEST,
-            "storm {mode} with residual digest"
-        );
+        let sc = run_scenario_with(&params, &pop, seed, &storm, mode);
+        assert_eq!(scenario_hash(&sc), STORM, "storm {mode}");
     }
     let (ev, _) = run_event_driven_live_with(&params, &pop, seed, &LiveConfig::new(2));
     assert_eq!(event_hash(&ev), EVENT, "event live(2)");
     let (sc, _) = run_scenario_live_with(&params, &pop, seed, &storm, &LiveConfig::new(2));
-    assert_eq!(scenario_hash(&sc, None), STORM, "storm live(2)");
+    assert_eq!(scenario_hash(&sc), STORM, "storm live(2)");
 
     // d = 64: the population's change times are drawn over a ground set
     // of at most 64 periods too, not only every client's b̃ (k ≤ 64).
