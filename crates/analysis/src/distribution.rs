@@ -225,7 +225,7 @@ mod tests {
             let mut m = FutureRand::init(l, &composed, &mut rng);
             let mut omega = 0u32;
             for (j, &vj) in v.iter().enumerate() {
-                if m.next(vj, &mut rng) == Sign::Plus {
+                if m.next(vj) == Sign::Plus {
                     omega |= 1 << j;
                 }
             }

@@ -7,13 +7,11 @@
 //! `c_gap` halves the estimation error — quantified in `exp_ablation`.
 
 use rtf_core::calibrate::calibrate;
-use rtf_core::client::Client;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
-use rtf_core::protocol::ProtocolOutcome;
+use rtf_core::protocol::{run_clients, ProtocolOutcome};
 use rtf_core::randomizer::FutureRand;
 use rtf_core::server::Server;
-use rtf_primitives::seeding::SeedSequence;
 use rtf_streams::population::Population;
 
 /// Runs the calibrated FutureRand protocol end to end.
@@ -22,10 +20,6 @@ pub fn run_calibrated(
     population: &Population,
     seed: u64,
 ) -> ProtocolOutcome {
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
-
     // Calibrated randomizer + matching exact gaps per order.
     let mut composed = Vec::with_capacity(params.num_orders() as usize);
     let mut gaps = Vec::with_capacity(params.num_orders() as usize);
@@ -38,46 +32,16 @@ pub fn run_calibrated(
         ));
     }
     let mut server = Server::new(*params, &gaps);
-
-    let root = SeedSequence::new(seed);
-    let mut groups: Vec<Vec<(usize, Client<FutureRand>, rand::rngs::StdRng)>> =
-        (0..params.num_orders()).map(|_| Vec::new()).collect();
-    for u in 0..params.n() {
-        let mut rng = root.child(u as u64).rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        server.register_user(h);
-        let m = FutureRand::init(params.sequence_len(h), &composed[h as usize], &mut rng);
-        groups[h as usize].push((u, Client::new(params, h, m), rng));
-    }
-
-    for t in 1..=params.d() {
-        let max_h = t.trailing_zeros().min(params.log_d());
-        for h in 0..=max_h {
-            let stride = 1u64 << h;
-            for (u, client, rng) in groups[h as usize].iter_mut() {
-                let x = population.stream(*u).derivative();
-                let mut report = None;
-                for tt in (t - stride + 1)..=t {
-                    report = client.observe(tt, x.at(tt), rng);
-                }
-                server.ingest(h, report.expect("boundary").bit);
-            }
-        }
-        let _ = server.end_of_period(t);
-    }
-
-    let reports = server.reports_ingested();
-    ProtocolOutcome::from_parts(
-        server.estimates().to_vec(),
-        server.group_sizes().to_vec(),
-        reports,
-    )
+    run_clients(params, population, seed, &mut server, |h, _, mut rng| {
+        FutureRand::init(params.sequence_len(h), &composed[h as usize], &mut rng)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rtf_analysis_free::linf;
+    use rtf_primitives::seeding::SeedSequence;
     use rtf_streams::generator::UniformChanges;
 
     /// Local ℓ∞ helper (rtf-analysis depends on this crate, so no cycle).

@@ -6,14 +6,15 @@
 //! independent basic randomized response of budget `ε/k_eff` (and zeros
 //! uniformly). Its gap is `Θ(ε/k)` instead of `Θ(ε/√k)`, so comparing the
 //! two runs isolates exactly the composed randomizer's `√k` contribution
-//! — everything else (sampling, hierarchy, estimation) is shared code.
+//! — everything else (sampling, hierarchy, estimation) is shared code:
+//! both run the same client schedule and server through
+//! `rtf_core::protocol::run_clients`, and only the randomizer factory
+//! differs.
 
-use rtf_core::client::Client;
 use rtf_core::params::ProtocolParams;
-use rtf_core::protocol::ProtocolOutcome;
-use rtf_core::randomizer::{IndependentRand, LocalRandomizer};
+use rtf_core::protocol::{run_clients, ProtocolOutcome};
+use rtf_core::randomizer::IndependentRand;
 use rtf_core::server::Server;
-use rtf_primitives::seeding::SeedSequence;
 use rtf_streams::population::Population;
 
 /// Runs the hierarchical framework with the Example 4.2 randomizer.
@@ -22,67 +23,24 @@ pub fn run_independent(
     population: &Population,
     seed: u64,
 ) -> ProtocolOutcome {
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
-
     let gaps: Vec<f64> = (0..params.num_orders())
-        .map(|h| {
-            IndependentRand::new(
-                params.sequence_len(h),
-                params.k_for_order(h),
-                params.epsilon(),
-            )
-            .c_gap()
-        })
+        .map(|h| IndependentRand::gap(params.k_for_order(h), params.epsilon()))
         .collect();
     let mut server = Server::new(*params, &gaps);
-
-    let root = SeedSequence::new(seed);
-    let mut groups: Vec<Vec<(usize, Client<IndependentRand>, rand::rngs::StdRng)>> =
-        (0..params.num_orders()).map(|_| Vec::new()).collect();
-    for u in 0..params.n() {
-        let mut rng = root.child(u as u64).rng();
-        let h = Client::<IndependentRand>::sample_order(params, &mut rng);
-        server.register_user(h);
-        let m = IndependentRand::new(
+    run_clients(params, population, seed, &mut server, |h, _, rng| {
+        IndependentRand::new(
             params.sequence_len(h),
             params.k_for_order(h),
             params.epsilon(),
-        );
-        groups[h as usize].push((u, Client::new(params, h, m), rng));
-    }
-
-    let mut reports_sent = 0u64;
-    for t in 1..=params.d() {
-        let max_h = t.trailing_zeros().min(params.log_d());
-        for h in 0..=max_h {
-            let stride = 1u64 << h;
-            for (u, client, rng) in groups[h as usize].iter_mut() {
-                let x = population.stream(*u).derivative();
-                let start = t - stride + 1;
-                let mut report = None;
-                for tt in start..=t {
-                    report = client.observe(tt, x.at(tt), rng);
-                }
-                let r = report.expect("boundary must produce a report");
-                server.ingest(h, r.bit);
-                reports_sent += 1;
-            }
-        }
-        let _ = server.end_of_period(t);
-    }
-
-    ProtocolOutcome::from_parts(
-        server.estimates().to_vec(),
-        server.group_sizes().to_vec(),
-        reports_sent,
-    )
+            rng,
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtf_primitives::seeding::SeedSequence;
     use rtf_streams::generator::UniformChanges;
 
     fn linf(a: &[f64], b: &[f64]) -> f64 {

@@ -18,11 +18,10 @@
 //! Run with `cargo bench --bench exp_ablation`.
 
 use rtf_bench::{banner, fmt, measure_linf, trials_from_env, Table};
-use rtf_core::client::Client;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::gap::WeightClassLaw;
 use rtf_core::params::ProtocolParams;
-use rtf_core::protocol::ProtocolOutcome;
+use rtf_core::protocol::{run_clients, ProtocolOutcome};
 use rtf_core::randomizer::{FutureRand, LocalRandomizer};
 use rtf_core::server::Server;
 use rtf_primitives::seeding::SeedSequence;
@@ -44,7 +43,7 @@ fn run_flat(params: &ProtocolParams, population: &Population, seed: u64) -> Prot
         let mut m = FutureRand::init(d as usize, &composed, &mut rng);
         let x = population.stream(u).derivative();
         for t in 1..=d {
-            let bit = m.next(x.at(t), &mut rng);
+            let bit = m.next(x.at(t));
             per_period[t as usize] += bit.as_f64();
         }
     }
@@ -64,36 +63,9 @@ fn run_global_k(params: &ProtocolParams, population: &Population, seed: u64) -> 
     let composed = ComposedRandomizer::for_protocol(k, params.epsilon());
     let gaps = vec![composed.c_gap(); params.num_orders() as usize];
     let mut server = Server::new(*params, &gaps);
-    let root = SeedSequence::new(seed);
-    let mut groups: Vec<Vec<(usize, Client<FutureRand>, rand::rngs::StdRng)>> =
-        (0..params.num_orders()).map(|_| Vec::new()).collect();
-    for u in 0..params.n() {
-        let mut rng = root.child(u as u64).rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        server.register_user(h);
-        let m = FutureRand::init(params.sequence_len(h), &composed, &mut rng);
-        groups[h as usize].push((u, Client::new(params, h, m), rng));
-    }
-    for t in 1..=params.d() {
-        let max_h = t.trailing_zeros().min(params.log_d());
-        for h in 0..=max_h {
-            let stride = 1u64 << h;
-            for (u, client, rng) in groups[h as usize].iter_mut() {
-                let x = population.stream(*u).derivative();
-                let mut report = None;
-                for tt in (t - stride + 1)..=t {
-                    report = client.observe(tt, x.at(tt), rng);
-                }
-                server.ingest(h, report.expect("boundary").bit);
-            }
-        }
-        let _ = server.end_of_period(t);
-    }
-    ProtocolOutcome::from_parts(
-        server.estimates().to_vec(),
-        server.group_sizes().to_vec(),
-        0,
-    )
+    run_clients(params, population, seed, &mut server, |h, _, mut rng| {
+        FutureRand::init(params.sequence_len(h), &composed, &mut rng)
+    })
 }
 
 fn main() {

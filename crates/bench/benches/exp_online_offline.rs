@@ -77,7 +77,7 @@ fn main() {
             let mut m = FutureRand::init(l, &composed, &mut rng);
             let mut omega = 0usize;
             for (j, &vj) in v.iter().enumerate() {
-                if m.next(vj, &mut rng) == Sign::Plus {
+                if m.next(vj) == Sign::Plus {
                     omega |= 1 << j;
                 }
             }
@@ -150,8 +150,8 @@ fn main() {
         let mut zero_acc = 0i64;
         for _ in 0..draws {
             let mut m = FutureRand::init(3, &composed, &mut rng);
-            let out_nz = m.next(Ternary::Minus, &mut rng);
-            let out_zero = m.next(Ternary::Zero, &mut rng);
+            let out_nz = m.next(Ternary::Minus);
+            let out_zero = m.next(Ternary::Zero);
             gap_acc += if out_nz == Sign::Minus { 1 } else { -1 };
             zero_acc += if out_zero == Sign::Plus { 1 } else { -1 };
         }

@@ -29,7 +29,7 @@ fn bench_client(c: &mut Criterion) {
             let mut acc = 0i64;
             for t in 1..=d {
                 // All-zero derivative: every period emits a uniform bit.
-                if let Some(r) = client.observe(t, Ternary::Zero, &mut rng) {
+                if let Some(r) = client.observe(t, Ternary::Zero) {
                     acc += i64::from(r.bit.value());
                 }
             }

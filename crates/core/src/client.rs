@@ -7,11 +7,19 @@
 //! derivative values since the previous boundary, always in `{−1,0,1}` by
 //! Observation 3.7), perturbs it with the sequence randomizer `M`, and
 //! reports the single resulting bit.
+//!
+//! [`Clients`] is the reference schedule of the whole population: one
+//! [`Client`] per user, built from the user's seed node and stepped one
+//! period at a time in ascending user order.
 
 use crate::params::ProtocolParams;
 use crate::randomizer::LocalRandomizer;
-use rand::{Rng, RngCore};
+use rand::rngs::StdRng;
+use rand::Rng;
+use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::{Sign, Ternary};
+use rtf_streams::population::Population;
+use rtf_streams::stream::DerivativeCursor;
 
 /// One report bit, produced when an order-`h_u` interval completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +103,7 @@ impl<M: LocalRandomizer> Client<M> {
     /// Panics if periods are delivered out of order, beyond the horizon, or
     /// if the running partial sum leaves `{−1,0,1}` (which means the input
     /// is not the derivative of a Boolean stream).
-    pub fn observe<R: RngCore>(&mut self, t: u64, x: Ternary, rng: &mut R) -> Option<ClientReport> {
+    pub fn observe(&mut self, t: u64, x: Ternary) -> Option<ClientReport> {
         assert_eq!(
             t,
             self.last_t + 1,
@@ -116,8 +124,7 @@ impl<M: LocalRandomizer> Client<M> {
         let j = t / self.stride;
         let s = Ternary::from_i8(self.running as i8);
         self.running = 0;
-        // Upcast to `&mut dyn RngCore` for the object-safe randomizer API.
-        let bit = self.randomizer.next(s, rng);
+        let bit = self.randomizer.next(s);
         Some(ClientReport { t, j, bit })
     }
 
@@ -126,34 +133,80 @@ impl<M: LocalRandomizer> Client<M> {
     pub fn total_reports(&self) -> u64 {
         self.d / self.stride
     }
+}
 
-    /// Advances the state machine over one whole order-`h_u` interval in
-    /// a single step: `s` must be the interval's partial sum
-    /// `S_u(I_{h,j})` (always in `{−1, 0, 1}` by Observation 3.7; the
-    /// `Ternary` type enforces it) and `t` the interval's ending
-    /// boundary. Equivalent to calling [`observe`](Self::observe) for
-    /// every period of the interval with the matching derivative values —
-    /// the randomizer is consulted exactly once, at the boundary, so RNG
-    /// consumption is identical. This is the batched pipeline's stepping
-    /// mode: `O(1)` per *report* instead of `O(1)` per *period*.
+/// The reference client schedule of Algorithm 1 over a whole
+/// population: user `u`'s [`Client`] is built from its seed node
+/// `SeedSequence(seed).child(u)`, and [`step`](Self::step) advances
+/// every client one period, in ascending user order, each reading its
+/// own derivative from a [`DerivativeCursor`].
+///
+/// Every per-report reference path runs this schedule: the trusted
+/// in-memory drivers ([`run_clients`](crate::protocol::run_clients))
+/// and the sequential and live message engines. The batched engines
+/// build the same clients as packed lanes instead
+/// (`rtf_sim::engine::build_order_groups`) and draw the same bits.
+pub struct Clients<'a, M: LocalRandomizer> {
+    clients: Vec<Client<M>>,
+    cursors: Vec<DerivativeCursor<'a>>,
+}
+
+impl<'a, M: LocalRandomizer> Clients<'a, M> {
+    /// Builds every user's client in ascending user order. Each seed
+    /// node's generator draws the order `h_u` first; then
+    /// `make(h_u, node, generator)` builds the randomizer for
+    /// `L = d/2^{h_u}`, drawing what it needs from the same generator
+    /// (a randomizer that draws per report keeps it).
+    pub fn new<F>(
+        params: &ProtocolParams,
+        population: &'a Population,
+        seed: u64,
+        mut make: F,
+    ) -> Self
+    where
+        F: FnMut(u32, &SeedSequence, StdRng) -> M,
+    {
+        let root = SeedSequence::new(seed);
+        let n = params.n();
+        let mut clients = Vec::with_capacity(n);
+        let mut cursors = Vec::with_capacity(n);
+        for u in 0..n {
+            let node = root.child(u as u64);
+            let mut rng = node.rng();
+            let h = Client::<M>::sample_order(params, &mut rng);
+            clients.push(Client::new(params, h, make(h, &node, rng)));
+            cursors.push(population.stream(u).derivative().cursor());
+        }
+        Clients { clients, cursors }
+    }
+
+    /// Number of clients.
+    pub fn len(&self) -> usize {
+        self.clients.len()
+    }
+
+    /// Whether the population is empty.
+    pub fn is_empty(&self) -> bool {
+        self.clients.is_empty()
+    }
+
+    /// User `u`'s announced order `h_u`.
+    pub fn order(&self, u: usize) -> u32 {
+        self.clients[u].h
+    }
+
+    /// Advances every client through period `t`, in ascending user
+    /// order: client `u` observes `X_u[t]`, and `visit(u, h_u, report)`
+    /// receives its report if an order-`h_u` interval completes at `t`,
+    /// `None` otherwise.
     ///
     /// # Panics
-    /// Panics if `t` is not the next boundary of this client's order or
-    /// is off-horizon.
-    pub fn observe_span<R: RngCore>(&mut self, t: u64, s: Ternary, rng: &mut R) -> ClientReport {
-        assert_eq!(
-            t,
-            self.last_t + self.stride,
-            "boundaries must arrive in order: expected {}, got {t}",
-            self.last_t + self.stride
-        );
-        assert!(t <= self.d, "period {t} beyond horizon d = {}", self.d);
-        debug_assert_eq!(t % self.stride, 0, "not a boundary of order {}", self.h);
-        self.last_t = t;
-        self.running = 0;
-        let j = t / self.stride;
-        let bit = self.randomizer.next(s, rng);
-        ClientReport { t, j, bit }
+    /// Panics unless `t` is the next period, like [`Client::observe`].
+    pub fn step(&mut self, t: u64, mut visit: impl FnMut(usize, u32, Option<ClientReport>)) {
+        for (u, (client, cursor)) in self.clients.iter_mut().zip(&mut self.cursors).enumerate() {
+            let report = client.observe(t, cursor.next_at(t));
+            visit(u, client.h, report);
+        }
     }
 }
 
@@ -170,22 +223,22 @@ mod tests {
         ProtocolParams::new(100, 16, 3, 1.0, 0.05).unwrap()
     }
 
-    fn make_client(p: &ProtocolParams, h: u32, seed: u64) -> (Client<FutureRand>, StdRng) {
+    fn make_client(p: &ProtocolParams, h: u32, seed: u64) -> Client<FutureRand> {
         let mut rng = StdRng::seed_from_u64(seed);
         let k_eff = p.k_for_order(h);
         let composed = ComposedRandomizer::for_protocol(k_eff, p.epsilon());
         let m = FutureRand::init(p.sequence_len(h), &composed, &mut rng);
-        (Client::new(p, h, m), rng)
+        Client::new(p, h, m)
     }
 
     #[test]
     fn reports_exactly_at_multiples_of_stride() {
         let p = params();
         for h in 0..=p.log_d() {
-            let (mut c, mut rng) = make_client(&p, h, 42 + h as u64);
+            let mut c = make_client(&p, h, 42 + h as u64);
             let mut report_times = Vec::new();
             for t in 1..=p.d() {
-                if let Some(r) = c.observe(t, Ternary::Zero, &mut rng) {
+                if let Some(r) = c.observe(t, Ternary::Zero) {
                     assert_eq!(r.t, t);
                     assert_eq!(r.j, t >> h);
                     report_times.push(t);
@@ -208,11 +261,11 @@ mod tests {
         let h = 1u32;
         let stream = BoolStream::from_change_times(16, vec![3, 7, 12]);
         let x = stream.derivative();
-        let (mut c, mut rng) = make_client(&p, h, 7);
+        let mut c = make_client(&p, h, 7);
         let b_tilde = c.randomizer().b_tilde().to_vec();
         let mut nnz = 0usize;
         for t in 1..=16u64 {
-            if let Some(r) = c.observe(t, x.at(t), &mut rng) {
+            if let Some(r) = c.observe(t, x.at(t)) {
                 let interval = rtf_dyadic::interval::DyadicInterval::new(h, r.j);
                 let s = x.partial_sum(interval);
                 if s.is_nonzero() {
@@ -225,32 +278,37 @@ mod tests {
     }
 
     #[test]
-    fn span_stepping_matches_per_period_stepping_exactly() {
-        // Same stream, same seed: observe_span at every boundary must
-        // yield the identical report sequence as observe at every period
-        // — including identical RNG consumption (the randomizer is the
-        // only consumer, once per boundary).
+    fn clients_step_in_user_order_with_their_own_draws() {
+        // Client u is built from seed node u alone, so the schedule's
+        // reports equal a lone client's built from the same node, and
+        // every period visits each user once, in ascending order.
+        use rtf_streams::generator::UniformChanges;
         let p = params();
-        let stream = BoolStream::from_change_times(16, vec![2, 9, 14]);
-        let x = stream.derivative();
-        for h in 0..=p.log_d() {
-            let (mut per_period, mut rng_a) = make_client(&p, h, 900 + u64::from(h));
-            let (mut per_span, mut rng_b) = make_client(&p, h, 900 + u64::from(h));
-            let stride = 1u64 << h;
-            let mut cursor = x.cursor();
-            for t in 1..=p.d() {
-                let report = per_period.observe(t, x.at(t), &mut rng_a);
-                if t % stride == 0 {
-                    let s = cursor.sum_to(t);
-                    let span_report = per_span.observe_span(t, s, &mut rng_b);
-                    assert_eq!(report, Some(span_report), "h={h}, t={t}");
-                } else {
-                    assert_eq!(report, None);
-                }
-            }
-            // Both RNGs consumed the same number of draws.
-            use rand::Rng;
-            assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>(), "h={h}");
+        let mut rng = SeedSequence::new(8).rng();
+        let pop = Population::generate(&UniformChanges::new(p.d(), p.k(), 0.8), p.n(), &mut rng);
+        let make = |h: u32, _: &SeedSequence, mut rng: StdRng| {
+            let composed = ComposedRandomizer::for_protocol(p.k_for_order(h), p.epsilon());
+            FutureRand::init(p.sequence_len(h), &composed, &mut rng)
+        };
+        let mut clients = Clients::new(&p, &pop, 31, make);
+        let mut lone: Vec<Client<FutureRand>> = (0..p.n())
+            .map(|u| {
+                let mut rng = SeedSequence::new(31).child(u as u64).rng();
+                let h = Client::<FutureRand>::sample_order(&p, &mut rng);
+                Client::new(&p, h, make(h, &SeedSequence::new(0), rng))
+            })
+            .collect();
+        assert_eq!(clients.len(), p.n());
+        for t in 1..=p.d() {
+            let mut next = 0;
+            clients.step(t, |u, h, report| {
+                assert_eq!(u, next, "ascending user order");
+                next += 1;
+                assert_eq!(h, lone[u].order());
+                let x = pop.stream(u).derivative().at(t);
+                assert_eq!(report, lone[u].observe(t, x), "user {u}, t = {t}");
+            });
+            assert_eq!(next, p.n());
         }
     }
 
@@ -276,19 +334,19 @@ mod tests {
     #[should_panic(expected = "periods must arrive in order")]
     fn out_of_order_periods_rejected() {
         let p = params();
-        let (mut c, mut rng) = make_client(&p, 0, 4);
-        let _ = c.observe(1, Ternary::Zero, &mut rng);
-        let _ = c.observe(3, Ternary::Zero, &mut rng);
+        let mut c = make_client(&p, 0, 4);
+        let _ = c.observe(1, Ternary::Zero);
+        let _ = c.observe(3, Ternary::Zero);
     }
 
     #[test]
     #[should_panic(expected = "not a Boolean derivative")]
     fn invalid_derivative_rejected() {
         let p = params();
-        let (mut c, mut rng) = make_client(&p, 2, 5);
+        let mut c = make_client(&p, 2, 5);
         // Two +1s without a −1 in between: running sum would hit 2.
-        let _ = c.observe(1, Ternary::Plus, &mut rng);
-        let _ = c.observe(2, Ternary::Plus, &mut rng);
+        let _ = c.observe(1, Ternary::Plus);
+        let _ = c.observe(2, Ternary::Plus);
     }
 
     #[test]

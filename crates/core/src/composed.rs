@@ -22,6 +22,7 @@
 
 use crate::annulus::Annulus;
 use crate::gap::WeightClassLaw;
+use crate::params::ProtocolParams;
 use rand::Rng;
 use rtf_primitives::alias::AliasTable;
 use rtf_primitives::binomial::BinomialSampler;
@@ -61,6 +62,15 @@ impl ComposedRandomizer {
     pub fn for_protocol(k: usize, epsilon: f64) -> Self {
         let eps_tilde = epsilon / (5.0 * (k as f64).sqrt());
         Self::new(k, eps_tilde)
+    }
+
+    /// One [`for_protocol`](Self::for_protocol) table per order `h` of
+    /// `params`, at `k_eff = k_for_order(h)` — shared by every client of
+    /// that order, since the tables cost `O(k)` to build.
+    pub fn per_order(params: &ProtocolParams) -> Vec<Self> {
+        (0..params.num_orders())
+            .map(|h| Self::for_protocol(params.k_for_order(h), params.epsilon()))
+            .collect()
     }
 
     /// Builds `R̃` with the **audit-calibrated** `ε̃` (see

@@ -19,14 +19,15 @@
 //! * [`randomizer`] — the online [`randomizer::FutureRand`]
 //!   (Algorithm 3, `M.init` / `M^{(j)}`) and the naive independent
 //!   randomizer of Example 4.2, both behind one trait;
-//! * [`client`] — Algorithm 1, the client `Aclt`;
+//! * [`client`] — Algorithm 1, the client `Aclt`, and [`Clients`], the
+//!   reference schedule of a whole population;
 //! * [`accumulator`] — the mergeable per-order accumulation monoid, the
 //!   seam along which `rtf-runtime` shards the server across workers,
 //!   stored as one dense `f64` lane per order;
 //! * [`server`] — Algorithm 2, the streaming server `Asvr`, a thin
 //!   checked-ingestion/finalisation facade over one accumulator;
-//! * [`protocol`] — an in-memory end-to-end driver (the message-level
-//!   simulation lives in `rtf-sim`);
+//! * [`protocol`] — the in-memory end-to-end driver [`run_clients`] and
+//!   FutureRand on it (the message-level simulation lives in `rtf-sim`);
 //! * [`bounds`] — the closed-form error bounds the benches print next to
 //!   measured errors (Theorem 4.1, the Erlingsson et al. bound, the lower
 //!   bound, the central-model bound).
@@ -68,11 +69,11 @@ pub use accumulator::{
 };
 pub use annulus::Annulus;
 pub use calibrate::{calibrate, Calibration};
-pub use client::Client;
+pub use client::{Client, Clients};
 pub use composed::ComposedRandomizer;
 pub use gap::WeightClassLaw;
 pub use params::{ParamsError, ProtocolParams};
-pub use protocol::{run_in_memory, ProtocolOutcome};
+pub use protocol::{run_clients, run_in_memory, ProtocolOutcome};
 pub use queries::EstimateStore;
 pub use randomizer::{FutureRand, IndependentRand, LocalRandomizer, SpanRandomizers};
 pub use server::Server;

@@ -1,21 +1,24 @@
 //! An in-memory end-to-end driver for the full protocol.
 //!
-//! Wires `n` [`Client`]s (Algorithm 1) to one [`Server`] (Algorithm 2) over
-//! direct function calls, preserving the online schedule: at each period
-//! `t` every client whose order divides `t` reports, then the server
-//! closes the period and emits `â[t]`. The message-level (serialised,
-//! byte-counted) version of the same loop lives in `rtf-sim`; this one is
-//! the fast path used by tests and error-measurement experiments.
+//! [`run_clients`] wires the reference client schedule
+//! ([`Clients`], Algorithm 1) to one trusted [`Server`] (Algorithm 2)
+//! over direct function calls, preserving the online schedule: at each
+//! period `t` every client observes its datum and those whose order
+//! divides `t` report, then the server closes the period and emits
+//! `â[t]`. [`run_in_memory`] is FutureRand on that driver; the baselines
+//! that swap the randomizer run it too. The message-level (serialised,
+//! byte-counted) version of the same loop lives in `rtf-sim`.
 //!
 //! Determinism: all randomness derives from a single `seed` via
 //! `SeedSequence` — `trial → user` for client randomness — so outcomes are
 //! reproducible across runs and thread counts.
 
-use crate::client::Client;
+use crate::client::Clients;
 use crate::composed::ComposedRandomizer;
 use crate::params::ProtocolParams;
-use crate::randomizer::FutureRand;
+use crate::randomizer::{FutureRand, LocalRandomizer};
 use crate::server::Server;
+use rand::rngs::StdRng;
 use rtf_primitives::fastseed;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_streams::population::Population;
@@ -86,6 +89,64 @@ fn run_in_memory_impl(
     seed: u64,
     with_store: bool,
 ) -> (ProtocolOutcome, Option<crate::queries::EstimateStore>) {
+    let mut server = Server::for_future_rand(*params);
+    if with_store {
+        server.enable_store();
+    }
+    let outcome = run_clients(
+        params,
+        population,
+        seed,
+        &mut server,
+        keyed_future_rand(params),
+    );
+    (outcome, server.store().cloned())
+}
+
+/// The FutureRand randomizer factory of the protocol's keyed clients,
+/// for [`Clients::new`] and [`run_clients`]: a user of order `h` draws
+/// `b̃` from its seed node's generator under the protocol's
+/// `ε̃ = ε/(5√k_eff)` and takes its counter key from the node
+/// ([`fastseed::client_key`]) — the clients `build_order_groups` packs
+/// into lanes for the batched engines.
+pub fn keyed_future_rand(
+    params: &ProtocolParams,
+) -> impl FnMut(u32, &SeedSequence, StdRng) -> FutureRand {
+    let composed = ComposedRandomizer::per_order(params);
+    let params = *params;
+    move |h, node, mut rng| {
+        FutureRand::init_keyed(
+            params.sequence_len(h),
+            &composed[h as usize],
+            &mut rng,
+            fastseed::client_key(node),
+        )
+    }
+}
+
+/// Drives a trusted `server` over the whole horizon with the reference
+/// client schedule ([`Clients`]): every user is built by `make` and
+/// registers its order, then at each period every report is ingested,
+/// in ascending user order, and the period is closed.
+///
+/// `make(h, node, rng)` builds the randomizer of a user of order `h`
+/// (see [`Clients::new`]); `server` must carry the matching gaps. Report
+/// sums are exact integers, so the ingest order cannot change a value.
+///
+/// # Panics
+/// Panics if the population does not match `params` (`n`, `d`) or
+/// violates the `k`-sparsity bound.
+pub fn run_clients<M, F>(
+    params: &ProtocolParams,
+    population: &Population,
+    seed: u64,
+    server: &mut Server,
+    make: F,
+) -> ProtocolOutcome
+where
+    M: LocalRandomizer,
+    F: FnMut(u32, &SeedSequence, StdRng) -> M,
+{
     assert_eq!(
         population.n(),
         params.n(),
@@ -102,73 +163,23 @@ fn run_in_memory_impl(
     );
     population.assert_k_sparse(params.k());
 
-    // Shared composed-randomizer tables, one per order (k_eff varies).
-    let composed: Vec<ComposedRandomizer> = (0..params.num_orders())
-        .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
-        .collect();
-
-    let mut server = Server::for_future_rand(*params);
-    if with_store {
-        server.enable_store();
+    let mut clients = Clients::new(params, population, seed, make);
+    for u in 0..clients.len() {
+        server.register_user(clients.order(u));
     }
-    let root = SeedSequence::new(seed);
-
-    // Per-user state: client machine + RNG, grouped by order for the round
-    // loop.
-    let mut groups: Vec<Vec<(usize, Client<FutureRand>, rand::rngs::StdRng)>> =
-        (0..params.num_orders()).map(|_| Vec::new()).collect();
-    for u in 0..params.n() {
-        let node = root.child(u as u64);
-        let mut rng = node.rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        server.register_user(h);
-        let m = FutureRand::init_keyed(
-            params.sequence_len(h),
-            &composed[h as usize],
-            &mut rng,
-            fastseed::client_key(&node),
-        );
-        let client = Client::new(params, h, m);
-        groups[h as usize].push((u, client, rng));
-    }
-
-    // Online round loop. Each client only *needs* its derivative at its
-    // own reporting boundaries; feeding every period keeps the client
-    // state machine honest (it checks in-order delivery and derivative
-    // validity). To keep the loop O(Σ_u d/2^{h_u}) rather than O(n·d), we
-    // feed each client only the periods of its own stride but compute the
-    // interval partial sum directly from the stream (Observation 3.7) —
-    // the two are equivalent, and the equivalence is covered by the
-    // client's own unit tests plus `rtf-sim`'s event-driven engine, which
-    // does feed every period.
-    let mut reports_sent = 0u64;
     for t in 1..=params.d() {
-        let max_h = t.trailing_zeros().min(params.log_d());
-        for h in 0..=max_h {
-            let stride = 1u64 << h;
-            for (u, client, rng) in groups[h as usize].iter_mut() {
-                let x = population.stream(*u).derivative();
-                // Drive the client through the periods of this interval.
-                let start = t - stride + 1;
-                let mut report = None;
-                for tt in start..=t {
-                    report = client.observe(tt, x.at(tt), rng);
-                }
-                let r = report.expect("interval boundary must produce a report");
+        clients.step(t, |_, h, report| {
+            if let Some(r) = report {
                 server.ingest(h, r.bit);
-                reports_sent += 1;
             }
-        }
-        let _ = server.end_of_period(t);
+        });
+        server.end_of_period(t);
     }
-
-    let outcome = ProtocolOutcome {
+    ProtocolOutcome {
         estimates: server.estimates().to_vec(),
         group_sizes: server.group_sizes().to_vec(),
-        reports_sent,
-    };
-    let store = server.store().cloned();
-    (outcome, store)
+        reports_sent: server.reports_ingested(),
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! implementation; the tests and `rtf-analysis` audits verify them.
 
 use crate::composed::ComposedRandomizer;
-use rand::{Rng, RngCore};
+use rand::rngs::StdRng;
+use rand::Rng;
 use rtf_primitives::fastseed;
 use rtf_primitives::rr::BasicRandomizer;
 use rtf_primitives::sign::{Sign, Ternary};
@@ -59,13 +60,14 @@ pub trait LocalRandomizer {
     fn c_gap(&self) -> f64;
 
     /// Perturbs the next element `v_j`, returning the report bit
-    /// `M^{(j)}(v_j)`.
-    fn try_next(&mut self, v: Ternary, rng: &mut dyn RngCore) -> Result<Sign, RandomizerError>;
+    /// `M^{(j)}(v_j)`. A randomizer that draws per report owns its
+    /// generator.
+    fn try_next(&mut self, v: Ternary) -> Result<Sign, RandomizerError>;
 
     /// Like [`try_next`](Self::try_next) but panicking on protocol
     /// violations.
-    fn next(&mut self, v: Ternary, rng: &mut dyn RngCore) -> Sign {
-        self.try_next(v, rng)
+    fn next(&mut self, v: Ternary) -> Sign {
+        self.try_next(v)
             .unwrap_or_else(|e| panic!("randomizer protocol violation: {e}"))
     }
 }
@@ -85,8 +87,7 @@ pub trait LocalRandomizer {
 /// generator [`fastseed::word`] keyed by the client's private key: bit
 /// `j − 1` of the key's stream for element `j`, a pure function of
 /// `(key, position)`. Every execution mode therefore derives the
-/// identical stream, and the `rng` handed to
-/// [`next`](LocalRandomizer::next) is never consumed.
+/// identical stream, and no generator is read after `init`.
 #[derive(Debug, Clone)]
 pub struct FutureRand {
     l: usize,
@@ -176,7 +177,7 @@ impl LocalRandomizer for FutureRand {
         self.c_gap
     }
 
-    fn try_next(&mut self, v: Ternary, _rng: &mut dyn RngCore) -> Result<Sign, RandomizerError> {
+    fn try_next(&mut self, v: Ternary) -> Result<Sign, RandomizerError> {
         if self.position >= self.l {
             return Err(RandomizerError::SequenceExhausted { l: self.l });
         }
@@ -400,6 +401,10 @@ impl SpanRandomizers {
 /// Satisfies Properties I–III with `c_gap = (e^{ε/k}−1)/(e^{ε/k}+1) ∈
 /// Θ(ε/k)` — a factor `√k` worse than FutureRand, which is exactly the gap
 /// the paper's Theorem 4.4 closes. Kept as the in-crate ablation baseline.
+///
+/// The only randomizer that draws per report: it owns the client's
+/// generator and draws every zero's uniform sign and every non-zero's
+/// response from it.
 #[derive(Debug, Clone)]
 pub struct IndependentRand {
     l: usize,
@@ -407,20 +412,32 @@ pub struct IndependentRand {
     basic: BasicRandomizer,
     nnz: usize,
     position: usize,
+    rng: StdRng,
 }
 
 impl IndependentRand {
     /// Builds the Example 4.2 randomizer for length `L`, sparsity `k`,
-    /// budget `ε` (per-element budget `ε/k`).
-    pub fn new(l: usize, k: usize, epsilon: f64) -> Self {
-        assert!(k >= 1, "k must be ≥ 1");
+    /// budget `ε` (per-element budget `ε/k`), drawing from `rng`.
+    pub fn new(l: usize, k: usize, epsilon: f64, rng: StdRng) -> Self {
         IndependentRand {
             l,
             k,
-            basic: BasicRandomizer::new(epsilon / k as f64),
+            basic: Self::basic(k, epsilon),
             nnz: 0,
             position: 0,
+            rng,
         }
+    }
+
+    /// The preservation gap of [`new`](Self::new)`(_, k, ε, _)`, for a
+    /// server built before any client.
+    pub fn gap(k: usize, epsilon: f64) -> f64 {
+        Self::basic(k, epsilon).gap()
+    }
+
+    fn basic(k: usize, epsilon: f64) -> BasicRandomizer {
+        assert!(k >= 1, "k must be ≥ 1");
+        BasicRandomizer::new(epsilon / k as f64)
     }
 }
 
@@ -437,13 +454,13 @@ impl LocalRandomizer for IndependentRand {
         self.basic.gap()
     }
 
-    fn try_next(&mut self, v: Ternary, rng: &mut dyn RngCore) -> Result<Sign, RandomizerError> {
+    fn try_next(&mut self, v: Ternary) -> Result<Sign, RandomizerError> {
         if self.position >= self.l {
             return Err(RandomizerError::SequenceExhausted { l: self.l });
         }
         self.position += 1;
         match v {
-            Ternary::Zero => Ok(Sign::uniform(rng)),
+            Ternary::Zero => Ok(Sign::uniform(&mut self.rng)),
             nonzero => {
                 if self.nnz >= self.k {
                     self.position -= 1;
@@ -451,7 +468,7 @@ impl LocalRandomizer for IndependentRand {
                 }
                 self.nnz += 1;
                 let sign = nonzero.sign().expect("non-zero");
-                Ok(self.basic.randomize(sign, rng))
+                Ok(self.basic.randomize(sign, &mut self.rng))
             }
         }
     }
@@ -460,8 +477,7 @@ impl LocalRandomizer for IndependentRand {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn future_rand_consumes_b_tilde_in_order() {
@@ -480,7 +496,7 @@ mod tests {
         ];
         let mut nz_seen = 0;
         for v in inputs {
-            let out = m.next(v, &mut rng);
+            let out = m.next(v);
             if v.is_nonzero() {
                 assert_eq!(out, v.mul_sign(b_tilde[nz_seen]));
                 nz_seen += 1;
@@ -498,7 +514,7 @@ mod tests {
         let mut plus = 0usize;
         for _ in 0..trials {
             let mut m = FutureRand::init(1, &composed, &mut rng);
-            if m.next(Ternary::Zero, &mut rng) == Sign::Plus {
+            if m.next(Ternary::Zero) == Sign::Plus {
                 plus += 1;
             }
         }
@@ -520,8 +536,8 @@ mod tests {
                 let mut m = FutureRand::init(4, &composed, &mut rng);
                 // Consume one non-zero before the measured one to test a
                 // non-first position as well.
-                let _ = m.next(Ternary::Minus, &mut rng);
-                let out = m.next(v, &mut rng);
+                let _ = m.next(Ternary::Minus);
+                let out = m.next(v);
                 acc += if out == v.mul_sign(Sign::Plus) { 1 } else { -1 };
             }
             let emp = acc as f64 / trials as f64;
@@ -538,12 +554,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let composed = ComposedRandomizer::for_protocol(2, 1.0);
         let mut m = FutureRand::init(8, &composed, &mut rng);
-        let _ = m.next(Ternary::Plus, &mut rng);
-        let _ = m.next(Ternary::Minus, &mut rng);
-        let err = m.try_next(Ternary::Plus, &mut rng).unwrap_err();
+        let _ = m.next(Ternary::Plus);
+        let _ = m.next(Ternary::Minus);
+        let err = m.try_next(Ternary::Plus).unwrap_err();
         assert_eq!(err, RandomizerError::TooManyNonZeros { k: 2 });
         // Zeros still work after the rejected call.
-        assert!(m.try_next(Ternary::Zero, &mut rng).is_ok());
+        assert!(m.try_next(Ternary::Zero).is_ok());
     }
 
     #[test]
@@ -551,10 +567,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let composed = ComposedRandomizer::for_protocol(2, 1.0);
         let mut m = FutureRand::init(2, &composed, &mut rng);
-        let _ = m.next(Ternary::Zero, &mut rng);
-        let _ = m.next(Ternary::Zero, &mut rng);
+        let _ = m.next(Ternary::Zero);
+        let _ = m.next(Ternary::Zero);
         assert_eq!(
-            m.try_next(Ternary::Zero, &mut rng).unwrap_err(),
+            m.try_next(Ternary::Zero).unwrap_err(),
             RandomizerError::SequenceExhausted { l: 2 }
         );
     }
@@ -562,7 +578,7 @@ mod tests {
     #[test]
     fn independent_rand_gap_is_theta_eps_over_k() {
         for k in [1usize, 4, 16, 64] {
-            let m = IndependentRand::new(10, k, 1.0);
+            let m = IndependentRand::new(10, k, 1.0, StdRng::seed_from_u64(0));
             let expect = (1.0f64 / k as f64 / 2.0).tanh();
             assert!((m.c_gap() - expect).abs() < 1e-12, "k={k}");
         }
@@ -573,7 +589,7 @@ mod tests {
         // The whole point of the paper: c_gap ratio grows like √k.
         for k in [16usize, 64, 256] {
             let fr = ComposedRandomizer::for_protocol(k, 1.0).c_gap();
-            let ind = IndependentRand::new(10, k, 1.0).c_gap();
+            let ind = IndependentRand::gap(k, 1.0);
             let ratio = fr / ind;
             let sqrt_k = (k as f64).sqrt();
             assert!(
@@ -585,18 +601,17 @@ mod tests {
 
     #[test]
     fn independent_rand_zeros_uniform_and_errors_match() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut m = IndependentRand::new(2, 1, 1.0);
-        let _ = m.next(Ternary::Zero, &mut rng);
-        let _ = m.next(Ternary::Plus, &mut rng);
+        let mut m = IndependentRand::new(2, 1, 1.0, StdRng::seed_from_u64(6));
+        let _ = m.next(Ternary::Zero);
+        let _ = m.next(Ternary::Plus);
         assert_eq!(
-            m.try_next(Ternary::Zero, &mut rng).unwrap_err(),
+            m.try_next(Ternary::Zero).unwrap_err(),
             RandomizerError::SequenceExhausted { l: 2 }
         );
-        let mut m2 = IndependentRand::new(8, 1, 1.0);
-        let _ = m2.next(Ternary::Plus, &mut rng);
+        let mut m2 = IndependentRand::new(8, 1, 1.0, StdRng::seed_from_u64(7));
+        let _ = m2.next(Ternary::Plus);
         assert_eq!(
-            m2.try_next(Ternary::Minus, &mut rng).unwrap_err(),
+            m2.try_next(Ternary::Minus).unwrap_err(),
             RandomizerError::TooManyNonZeros { k: 1 }
         );
     }
@@ -624,8 +639,6 @@ mod tests {
             assert_eq!(lane_rng.next_u64(), client_rng.next_u64(), "b̃ draws");
         }
         assert_eq!(group.len(), per_report.len());
-        // FutureRand never draws from the per-report RNG.
-        let mut rng = StdRng::seed_from_u64(999);
         for t in 0..l {
             let sums: Vec<Ternary> = (0..per_report.len()).map(|i| pattern(i, t)).collect();
             let events: Vec<(u32, Sign)> = sums
@@ -642,16 +655,12 @@ mod tests {
             let direct: Vec<Sign> = sums
                 .iter()
                 .zip(per_report.iter_mut())
-                .map(|(&s, m)| m.next(s, &mut rng))
+                .map(|(&s, m)| m.next(s))
                 .collect();
             assert_eq!(packed, direct, "span {t} diverged");
         }
         assert_eq!(group.position(), l);
         assert!(per_report.iter().all(|m| m.position() == l));
-        assert_eq!(
-            rng.random::<u64>(),
-            StdRng::seed_from_u64(999).random::<u64>()
-        );
     }
 
     #[test]
@@ -785,8 +794,6 @@ mod tests {
         let key = 0x1234_5678_9ABC_DEF0u64;
         let mut m = FutureRand::init_keyed(8, &composed, &mut init_rng, key);
         let b_tilde = m.b_tilde().to_vec();
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut untouched = rng.clone();
         let inputs = [
             Ternary::Zero,
             Ternary::Plus,
@@ -796,7 +803,7 @@ mod tests {
         ];
         let mut nz = 0usize;
         for (j, &v) in inputs.iter().enumerate() {
-            let out = m.next(v, &mut rng);
+            let out = m.next(v);
             if v.is_nonzero() {
                 assert_eq!(out, v.mul_sign(b_tilde[nz]));
                 nz += 1;
@@ -805,8 +812,6 @@ mod tests {
                 assert_eq!(out, expect, "zero at position {j}");
             }
         }
-        // The per-report RNG is never touched.
-        assert_eq!(rng.random::<u64>(), untouched.random::<u64>());
     }
 
     #[test]

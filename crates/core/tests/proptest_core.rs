@@ -94,7 +94,7 @@ proptest! {
         let mut accepted = 0usize;
         for &v in &inputs {
             let t = Ternary::from_i8(v);
-            match m.try_next(t, &mut rng) {
+            match m.try_next(t) {
                 Ok(_) => {
                     accepted += 1;
                     if t.is_nonzero() { fed_nonzero += 1; }
@@ -118,7 +118,7 @@ proptest! {
     /// IndependentRand's gap formula.
     #[test]
     fn independent_gap(k in 1usize..500, eps in 0.01f64..=1.0) {
-        let m = IndependentRand::new(10, k, eps);
+        let m = IndependentRand::new(10, k, eps, StdRng::seed_from_u64(0));
         let expect = (eps / k as f64 / 2.0).tanh();
         prop_assert!((m.c_gap() - expect).abs() < 1e-12);
     }
@@ -269,7 +269,7 @@ proptest! {
         #[allow(clippy::needless_range_loop)]
         for t in 0..l {
             for i in 0..lanes {
-                expect.push(ms[i].next(inputs[i][t], &mut rng));
+                expect.push(ms[i].next(inputs[i][t]));
             }
         }
         let mut got = Vec::with_capacity(lanes * l);

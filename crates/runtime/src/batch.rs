@@ -1,12 +1,12 @@
 //! Columnar (struct-of-arrays) report batches — the hot-path wire
 //! representation of the batched pipeline.
 //!
-//! The sequential engines frame every report into a heap-allocated
-//! `Bytes` message and decode it on the server side; at millions of
-//! users that allocation/decode pair dominates the run. Workers in the
-//! batched pipeline append to reusable columnar buffers instead — one
-//! `Vec` per field, no per-report allocation — and fold them straight
-//! into a shard accumulator ([`rtf_core::accumulator::AnyAccumulator`]).
+//! The sequential engines frame every report into a fixed-width byte
+//! message and decode it on the server side, one report at a time.
+//! Workers in the batched pipeline append to reusable columnar buffers
+//! instead — one `Vec` per field, no per-report framing — and fold them
+//! straight into a shard accumulator
+//! ([`rtf_core::accumulator::AnyAccumulator`]).
 //!
 //! Two batch shapes exist:
 //!

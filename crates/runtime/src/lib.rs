@@ -11,15 +11,12 @@
 //!   reference schedule) vs `Parallel(workers)` (the batched pipeline);
 //!   `RTF_WORKERS` selects the default at runtime;
 //! * [`pool`] — [`WorkerPool`]: a fixed-size pool (vendored crossbeam
-//!   channels + parking_lot) whose sharded maps return results in
+//!   channels + scoped threads) whose sharded maps return results in
 //!   shard-index order, making every downstream reduction
 //!   schedule-independent;
 //! * [`batch`] — columnar `{user, order, sign}` report batches that
-//!   replace per-report `Bytes` frames on the hot path, folding straight
+//!   replace per-report byte frames on the hot path, folding straight
 //!   into mergeable shard accumulators;
-//! * [`persistent`] — [`PersistentPool`]: long-lived worker threads
-//!   shared across `run_trials` executions, so repeated small maps pay
-//!   the thread-spawn cost once per process instead of once per call;
 //! * [`ingest`] — [`IngestService`]: the long-running streaming
 //!   ingestion front — per-period batch intake into bounded per-worker
 //!   mailboxes (backpressure blocks producers, never drops), shard
@@ -43,7 +40,6 @@
 pub mod batch;
 pub mod ingest;
 pub mod mode;
-pub mod persistent;
 pub mod pool;
 
 pub use batch::{Frame, FrameBatch, MailboxMerge, ReportBatch, SignLane};
@@ -52,5 +48,4 @@ pub use ingest::{
     PeriodClose, ServiceRestart, SnapshotFileError, WorkerKill,
 };
 pub use mode::ExecMode;
-pub use persistent::{shared_pool, PersistentPool};
 pub use pool::{partition, shard_of, Shard, WorkerPool};

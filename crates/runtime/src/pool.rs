@@ -11,12 +11,12 @@
 //!
 //! Mechanics: one shared crossbeam channel acts as the job injector
 //! (workers pull indices until it drains — dynamic load balancing for
-//! free), and a `parking_lot::Mutex<Vec<Option<T>>>` collects results by
-//! index. Workers are scoped threads, so jobs may borrow the caller's
-//! data without `Arc`.
+//! free), and a `Mutex<Vec<Option<T>>>` collects results by index.
+//! Workers are scoped threads (`std::thread::scope`), so jobs may borrow
+//! the caller's data without `Arc`.
 
 use crate::mode::ExecMode;
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// One contiguous slice of the item space, assigned to one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,23 +158,25 @@ impl WorkerPool {
         }
         drop(tx);
 
-        crossbeam::thread::scope(|scope| {
+        // A panicking job fails the caller: the scope re-raises it once
+        // every worker has joined.
+        std::thread::scope(|scope| {
             for _ in 0..self.workers.min(jobs) {
                 let rx = rx.clone();
                 let results = &results;
                 let map = &map;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     while let Ok((i, item)) = rx.recv() {
                         let value = map(i, item);
-                        results.lock()[i] = Some(value);
+                        results.lock().expect("no job panics under the lock")[i] = Some(value);
                     }
                 });
             }
-        })
-        .expect("pool worker panicked");
+        });
 
         results
             .into_inner()
+            .expect("no job panics under the lock")
             .into_iter()
             .map(|slot| slot.expect("every job completed"))
             .collect()

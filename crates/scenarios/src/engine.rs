@@ -6,6 +6,14 @@
 //! retransmission) before reaching the server, and Byzantine clients
 //! replace their honest traffic with arbitrary well-formed payloads.
 //!
+//! Under [`ExecMode::Sequential`] — the oracle reference — the engine
+//! steps the reference client schedule ([`Clients`]) and asks each
+//! client's fault plan what it sends at every period
+//! (`ClientPlan::emit`, shared with the live driver in [`crate::live`]);
+//! each routed message is queued on the simulated network as its
+//! fixed-width wire bytes and decoded at delivery. All three scenario
+//! engines register clients through one helper.
+//!
 //! Three determinism invariants hold by construction:
 //!
 //! 1. **Client randomness is untouched.** Clients draw from the same
@@ -45,14 +53,14 @@
 
 use crate::config::{FaultTimeline, Scenario};
 use crate::plan::{ClientPlan, FaultPlan, Routing};
-use rand::rngs::StdRng;
 use rtf_core::accumulator::AccumulatorKind;
-use rtf_core::client::Client;
+use rtf_core::client::Clients;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
+use rtf_core::protocol::keyed_future_rand;
 use rtf_core::randomizer::FutureRand;
 use rtf_core::server::{CheckedTally, Delivery, PeriodDelivery, Server};
-use rtf_primitives::fastseed::{self, SeedSchema};
+use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
 use rtf_runtime::{partition, shard_of, ExecMode, Frame, FrameBatch, SignLane, WorkerPool};
@@ -142,17 +150,13 @@ impl ScenarioOutcome {
     }
 }
 
-pub(crate) struct ClientSlot<'p> {
-    pub(crate) client: Client<FutureRand>,
-    pub(crate) rng: StdRng,
-    /// This client's faults: Byzantine coin, churn period, and its
-    /// position in the per-report knob processes.
-    pub(crate) plan: ClientPlan<'p>,
-}
-
-/// One message on the unreliable network, with provenance for accounting.
+/// One message on the unreliable network, with provenance for
+/// accounting: the first `len` bytes of `frame` arrive, fewer than the
+/// layout's if the frame was corrupted in flight.
+#[derive(Clone, Copy)]
 struct InFlight {
-    frame: bytes::Bytes,
+    frame: [u8; ReportMsg::WIRE_BYTES],
+    len: usize,
     byzantine: bool,
 }
 
@@ -253,10 +257,45 @@ fn run_timeline(
     }
 }
 
-pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer> {
-    (0..params.num_orders())
-        .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
-        .collect()
+/// Announces each client's order over the wire, in ascending user
+/// order, and registers it with the server — every scenario engine's
+/// registration, with its wire count.
+pub(crate) fn register_clients(
+    server: &mut Server,
+    wire: &mut WireStats,
+    orders: impl IntoIterator<Item = u32>,
+) {
+    for (user, order) in orders.into_iter().enumerate() {
+        let ann = OrderAnnouncement {
+            user: user as u32,
+            order: order as u8,
+        };
+        let decoded = OrderAnnouncement::decode(&ann.encode());
+        let registered = server.register_client(decoded.user, u32::from(decoded.order));
+        assert!(registered, "simulation user ids are unique");
+        wire.record_announcement();
+    }
+}
+
+/// The reference clients of a scenario run and their fault plans, with
+/// every client registered and every churned client counted.
+pub(crate) fn reference_clients<'a, 'p>(
+    params: &ProtocolParams,
+    population: &'a Population,
+    seed: u64,
+    plan: &'p FaultPlan<'p>,
+    server: &mut Server,
+    wire: &mut WireStats,
+    faults: &mut FaultCounts,
+) -> (Clients<'a, FutureRand>, Vec<ClientPlan<'p>>) {
+    let clients = Clients::new(params, population, seed, keyed_future_rand(params));
+    let orders = (0..clients.len()).map(|u| clients.order(u));
+    register_clients(server, wire, orders.clone());
+    let plans = orders
+        .enumerate()
+        .map(|(u, h)| plan.client(u, h as usize, faults))
+        .collect();
+    (clients, plans)
 }
 
 fn run_scenario_sequential_impl(
@@ -266,50 +305,22 @@ fn run_scenario_sequential_impl(
     timeline: &FaultTimeline,
     backend: AccumulatorKind,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
-    let composed = composed_tables(params);
-
     let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
-    let root = SeedSequence::new(seed);
     let plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
     let mut timings = ScenarioStageTimings::default();
     let build_start = std::time::Instant::now();
-
-    // Announce + build clients exactly like the honest engine; fault state
-    // comes from each client's fault plan.
-    let mut slots: Vec<ClientSlot> = Vec::with_capacity(params.n());
-    for u in 0..params.n() {
-        let node = root.child(u as u64);
-        let mut rng = node.rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        let ann = OrderAnnouncement {
-            user: u as u32,
-            order: h as u8,
-        };
-        let decoded = OrderAnnouncement::decode(ann.encode());
-        let registered = server.register_client(decoded.user, u32::from(decoded.order));
-        assert!(registered, "simulation user ids are unique");
-        wire.record_announcement();
-        let m = FutureRand::init_keyed(
-            params.sequence_len(h),
-            &composed[h as usize],
-            &mut rng,
-            fastseed::client_key(&node),
-        );
-
-        let client_plan = plan.client(u, h as usize);
-        if client_plan.churn_at <= d {
-            faults.churned_clients += 1;
-        }
-        slots.push(ClientSlot {
-            client: Client::new(params, h, m),
-            rng,
-            plan: client_plan,
-        });
-    }
-
+    let (mut clients, mut plans) = reference_clients(
+        params,
+        population,
+        seed,
+        &plan,
+        &mut server,
+        &mut wire,
+        &mut faults,
+    );
     timings.emission_s += build_start.elapsed().as_secs_f64();
 
     // pending[t] = messages the network will deliver during period t.
@@ -318,39 +329,16 @@ fn run_scenario_sequential_impl(
     let mut byz_accepted_by_period = vec![0u64; d as usize];
 
     for t in 1..=d {
+        // Every client observes its own datum every period — the online
+        // constraint is about observation, not delivery — so protocol
+        // randomness is consumed identically in every scenario.
         let emit_start = std::time::Instant::now();
-        for (u, slot) in slots.iter_mut().enumerate() {
-            // Every client observes its own datum every period — the
-            // online constraint is about observation, not delivery — so
-            // protocol randomness is consumed identically in every
-            // scenario.
-            let x = population.stream(u).derivative().at(t);
-            let report = slot.client.observe(t, x, &mut slot.rng);
-            if t >= slot.plan.churn_at {
-                // Churn silences everyone for good — Byzantine clients
-                // included; only due honest reports count as lost.
-                if !slot.plan.byzantine && report.is_some() {
-                    faults.lost_to_churn += 1;
-                }
-                continue;
+        clients.step(t, |u, _, report| {
+            if let Some((msg, byzantine, routing)) = plans[u].emit(u as u32, t, report, &mut faults)
+            {
+                dispatch(msg, byzantine, routing, &mut pending);
             }
-            if slot.plan.byzantine {
-                // Byzantine clients suppress honest traffic and spam one
-                // fabricated, well-formed report per period.
-                faults.byzantine_messages += 1;
-                let msg = slot.plan.fabricate(u as u32, t);
-                dispatch(msg, true, slot.plan.route(t, &mut faults), &mut pending);
-                continue;
-            }
-            let Some(r) = report else { continue };
-            let msg = ReportMsg {
-                user: u as u32,
-                t: t as u32,
-                bit: r.bit == Sign::Plus,
-            };
-            dispatch(msg, false, slot.plan.route(t, &mut faults), &mut pending);
-        }
-
+        });
         timings.emission_s += emit_start.elapsed().as_secs_f64();
 
         // The server drains whatever the network delivered this period —
@@ -360,7 +348,7 @@ fn run_scenario_sequential_impl(
         for inflight in pending[t as usize].drain(..) {
             // Untrusted bytes: a corrupted frame is classified and
             // counted here, never a panic, and never reaches the server.
-            let msg = match ReportMsg::try_decode(inflight.frame) {
+            let msg = match ReportMsg::try_decode(&inflight.frame[..inflight.len]) {
                 Ok(msg) => msg,
                 Err(_) => {
                     faults.malformed += 1;
@@ -587,7 +575,7 @@ fn run_scenario_batched_impl(
     workers: usize,
     backend: AccumulatorKind,
 ) -> (ScenarioOutcome, ScenarioStageTimings) {
-    let composed = composed_tables(params);
+    let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let fault_plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
@@ -662,11 +650,8 @@ fn run_scenario_batched_impl(
             let h = orders[local] as usize;
             let lane = lanes[local];
             let stride = 1u64 << h;
-            let mut client = fault_plan.client(u, h);
+            let mut client = fault_plan.client(u, h, &mut faults);
             let churn_at = client.churn_at;
-            if churn_at <= d {
-                faults.churned_clients += 1;
-            }
             if client.byzantine {
                 // Byzantine lanes never contribute honest folds; their
                 // fabrications are residue frames like any other fault,
@@ -802,18 +787,11 @@ fn run_scenario_batched_impl(
     let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
-    let mut user = 0u32;
     for sh in &shards {
         faults.merge(&sh.faults);
-        for &order in &sh.orders {
-            let ann = OrderAnnouncement { user, order };
-            let decoded = OrderAnnouncement::decode(ann.encode());
-            let registered = server.register_client(decoded.user, u32::from(decoded.order));
-            assert!(registered, "simulation user ids are unique");
-            wire.record_announcement();
-            user += 1;
-        }
     }
+    let orders = shards.iter().flat_map(|sh| &sh.orders);
+    register_clients(&mut server, &mut wire, orders.map(|&h| u32::from(h)));
     timings.ingest_s += register_start.elapsed().as_secs_f64();
 
     // Pool phase: one job per roster shard walks the whole horizon. A
@@ -933,33 +911,23 @@ fn run_scenario_batched_impl(
     )
 }
 
-/// Sequential-mode dispatch: queues the serialised `Bytes` frames of one
-/// routed message on the pending network.
+/// Sequential-mode dispatch: queues the serialised frame of one routed
+/// message on the pending network, once per delivered copy.
 fn dispatch(msg: ReportMsg, byzantine: bool, routing: Routing, pending: &mut [Vec<InFlight>]) {
-    let frame = if routing.deliver.is_some() || routing.duplicate.is_some() {
-        let full = msg.encode();
-        if routing.malformed {
-            // In-flight corruption: the frame arrives truncated below
-            // the fixed-width layout, so the drain's `try_decode` must
-            // classify it instead of panicking.
-            Some(bytes::Bytes::copy_from_slice(&full.as_slice()[..4]))
+    let inflight = InFlight {
+        frame: msg.encode(),
+        // In-flight corruption: the frame arrives truncated to its
+        // 4-byte prefix, below the fixed-width layout, so the drain's
+        // `try_decode` must classify it instead of panicking.
+        len: if routing.malformed {
+            4
         } else {
-            Some(full)
-        }
-    } else {
-        None
+            ReportMsg::WIRE_BYTES
+        },
+        byzantine,
     };
-    if let Some(at) = routing.deliver {
-        pending[at as usize].push(InFlight {
-            frame: frame.clone().expect("frame encoded"),
-            byzantine,
-        });
-    }
-    if let Some(at) = routing.duplicate {
-        pending[at as usize].push(InFlight {
-            frame: frame.expect("frame encoded"),
-            byzantine,
-        });
+    for at in [routing.deliver, routing.duplicate].into_iter().flatten() {
+        pending[at as usize].push(inflight);
     }
 }
 
@@ -1005,6 +973,7 @@ pub(crate) fn dispatch_frame(
 mod tests {
     use super::*;
     use crate::config::DelayLaw;
+    use rtf_primitives::fastseed;
     use rtf_streams::generator::UniformChanges;
 
     fn setup(n: usize, d: u64, k: usize, seed: u64) -> (ProtocolParams, Population) {
@@ -1208,7 +1177,9 @@ mod tests {
         let params = ProtocolParams::new(20_000, 1024, 2, 1.0, 0.05).unwrap();
         let churn_at = |p: f64, u: usize| {
             let timeline = FaultTimeline::constant(Scenario::honest().with_churn(p));
-            FaultPlan::new(&params, 99, &timeline).client(u, 0).churn_at
+            FaultPlan::new(&params, 99, &timeline)
+                .client(u, 0, &mut FaultCounts::default())
+                .churn_at
         };
         assert_eq!(churn_at(0.0, 0), u64::MAX);
         assert_eq!(churn_at(1.0, 0), 1);
@@ -1216,7 +1187,7 @@ mod tests {
         let plan = FaultPlan::new(&params, 99, &timeline);
         let n = params.n();
         let mean = (0..n)
-            .map(|u| plan.client(u, 0).churn_at as f64)
+            .map(|u| plan.client(u, 0, &mut FaultCounts::default()).churn_at as f64)
             .sum::<f64>()
             / n as f64;
         // E[T] = 1/p = 4; Monte-Carlo tolerance.

@@ -2,9 +2,12 @@
 //!
 //! [`run_scenario`](crate::engine::run_scenario) simulates the
 //! unreliable deployment offline. This module drives the identical
-//! emission schedule — same clients, and the same fault plan asked at
-//! the same reports — but delivers each period's surviving frames
-//! through the **streaming ingestion service** (`rtf_runtime::ingest`):
+//! emission schedule — the same reference clients
+//! ([`Clients`](rtf_core::client::Clients)) stepped in the same order,
+//! and the fault plan's `ClientPlan::emit` asked at every period, as in
+//! the sequential engine — but turns each routed message into a
+//! columnar frame and delivers each period's surviving frames through
+//! the **streaming ingestion service** (`rtf_runtime::ingest`):
 //! frames are routed to the mailbox of the worker owning their
 //! *emitting* client (bounded, blocking — backpressure, never loss),
 //! buffered per worker, and at period close merged back into the exact
@@ -30,18 +33,13 @@
 //! sequential oracle.
 
 use crate::config::{FaultTimeline, Scenario};
-use crate::engine::{composed_tables, dispatch_frame, ClientSlot, FaultCounts, ScenarioOutcome};
+use crate::engine::{dispatch_frame, reference_clients, FaultCounts, ScenarioOutcome};
 use crate::plan::FaultPlan;
-use rtf_core::client::Client;
 use rtf_core::params::ProtocolParams;
-use rtf_core::randomizer::FutureRand;
 use rtf_core::server::{Delivery, Server};
-use rtf_primitives::fastseed;
-use rtf_primitives::seeding::SeedSequence;
-use rtf_primitives::sign::Sign;
 use rtf_runtime::ingest::{IngestService, IngestStats, LiveConfig};
 use rtf_runtime::{shard_of, FrameBatch};
-use rtf_sim::message::{OrderAnnouncement, ReportMsg, WireStats};
+use rtf_sim::message::WireStats;
 use rtf_streams::population::Population;
 
 /// Runs the fault-injected schedule through the streaming ingestion
@@ -104,8 +102,6 @@ pub fn run_scenario_live_timeline(
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
 
-    let composed = composed_tables(params);
-    let root = SeedSequence::new(seed);
     let plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
     config.validate_for_horizon(d);
@@ -113,43 +109,21 @@ pub fn run_scenario_live_timeline(
     let workers = config.workers.max(1);
     let chunk = config.chunk_rows.max(1);
 
-    // Announce + build clients exactly like the sequential engine (same
+    // Build and register clients exactly like the sequential engine (same
     // RNG order, same fault plan), so honest bits and fault decisions are
     // identical.
     let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
-    let mut slots: Vec<ClientSlot> = Vec::with_capacity(n);
-    let mut cursors: Vec<rtf_streams::stream::DerivativeCursor<'_>> = Vec::with_capacity(n);
-    for u in 0..n {
-        let node = root.child(u as u64);
-        let mut rng = node.rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
-        let ann = OrderAnnouncement {
-            user: u as u32,
-            order: h as u8,
-        };
-        let decoded = OrderAnnouncement::decode(ann.encode());
-        let registered = server.register_client(decoded.user, u32::from(decoded.order));
-        assert!(registered, "simulation user ids are unique");
-        wire.record_announcement();
-        let m = FutureRand::init_keyed(
-            params.sequence_len(h),
-            &composed[h as usize],
-            &mut rng,
-            fastseed::client_key(&node),
-        );
-        let client_plan = plan.client(u, h as usize);
-        if client_plan.churn_at <= d {
-            faults.churned_clients += 1;
-        }
-        slots.push(ClientSlot {
-            client: Client::new(params, h, m),
-            rng,
-            plan: client_plan,
-        });
-        cursors.push(population.stream(u).derivative().cursor());
-    }
+    let (mut clients, mut plans) = reference_clients(
+        params,
+        population,
+        seed,
+        &plan,
+        &mut server,
+        &mut wire,
+        &mut faults,
+    );
 
     // Registration is complete; the service runs the horizon online. The
     // driver plays the network: `pending[t]` holds the frames the
@@ -162,38 +136,20 @@ pub fn run_scenario_live_timeline(
 
     for t in 1..=d {
         // Emission: identical to the sequential engine, frame for frame.
-        for (u, slot) in slots.iter_mut().enumerate() {
-            let x = cursors[u].next_at(t);
-            let report = slot.client.observe(t, x, &mut slot.rng);
-            if t >= slot.plan.churn_at {
-                if !slot.plan.byzantine && report.is_some() {
-                    faults.lost_to_churn += 1;
-                }
-                continue;
+        clients.step(t, |u, _, report| {
+            if let Some((msg, byzantine, routing)) = plans[u].emit(u as u32, t, report, &mut faults)
+            {
+                dispatch_frame(
+                    msg,
+                    t,
+                    u as u32,
+                    byzantine,
+                    routing,
+                    &mut faults,
+                    |at, frame| pending[at as usize].push(frame),
+                );
             }
-            let (msg, byzantine) = if slot.plan.byzantine {
-                faults.byzantine_messages += 1;
-                (slot.plan.fabricate(u as u32, t), true)
-            } else {
-                let Some(r) = report else { continue };
-                let msg = ReportMsg {
-                    user: u as u32,
-                    t: t as u32,
-                    bit: r.bit == Sign::Plus,
-                };
-                (msg, false)
-            };
-            let routing = slot.plan.route(t, &mut faults);
-            dispatch_frame(
-                msg,
-                t,
-                u as u32,
-                byzantine,
-                routing,
-                &mut faults,
-                |at, frame| pending[at as usize].push(frame),
-            );
-        }
+        });
 
         // Intake: stream this period's deliveries to the mailbox of the
         // worker owning each frame's *emitter*, in chunks, in one pass.
@@ -250,6 +206,7 @@ pub fn run_scenario_live_timeline(
 mod tests {
     use super::*;
     use crate::engine::run_scenario_with;
+    use rtf_primitives::seeding::SeedSequence;
     use rtf_runtime::ExecMode;
     use rtf_streams::generator::UniformChanges;
 

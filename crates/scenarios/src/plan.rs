@@ -31,14 +31,16 @@
 //! Because a client's hits depend on its key alone, the batched
 //! pre-walk jumps from one faulted slot to the next — `O(faults +
 //! clients)` per shard instead of `O(reports)` — while the sequential
-//! engine and the live driver ask the same [`ClientPlan`] at each report
-//! they emit.
+//! engine and the live driver ask the same [`ClientPlan::emit`] at every
+//! period; they differ only in how a routed message reaches the server.
 
 use crate::config::{FaultTimeline, Scenario};
 use crate::engine::FaultCounts;
+use rtf_core::client::ClientReport;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::fastseed::{client_key, word};
 use rtf_primitives::seeding::SeedSequence;
+use rtf_primitives::sign::Sign;
 use rtf_sim::message::ReportMsg;
 
 /// Label of the fault subtree: `root.child(FAULT_STREAM).child(u)` keys
@@ -228,20 +230,25 @@ impl<'a> FaultPlan<'a> {
     }
 
     /// Client `u`'s plan for the horizon; `h` is its announced order,
-    /// whose boundaries carry its reports unless it is Byzantine.
-    pub(crate) fn client(&self, u: usize, h: usize) -> ClientPlan<'_> {
+    /// whose boundaries carry its reports unless it is Byzantine. A
+    /// client that churns within the horizon is counted in `faults`.
+    pub(crate) fn client(&self, u: usize, h: usize, faults: &mut FaultCounts) -> ClientPlan<'_> {
         let key = client_key(&self.root.child(u as u64));
         let frac = self.timeline.byzantine_frac();
         let byzantine = frac > 0.0 && unit(word(key, BYZANTINE_LANE, 0)) < frac;
-        let churned = self
+        let churn_at = self
             .churn
-            .next_hit(key, self.timeline, Slots::new(self.d, 0), 0);
+            .next_hit(key, self.timeline, Slots::new(self.d, 0), 0)
+            .saturating_add(1);
+        if churn_at <= self.d {
+            faults.churned_clients += 1;
+        }
         let slots = Slots::new(self.d, if byzantine { 0 } else { h });
         ClientPlan {
             plan: self,
             key,
             byzantine,
-            churn_at: churned.saturating_add(1),
+            churn_at,
             slots,
             next: std::array::from_fn(|k| self.knobs[k].next_hit(key, self.timeline, slots, 0)),
         }
@@ -351,6 +358,44 @@ impl ClientPlan<'_> {
         }
     }
 
+    /// What client `user` sends at period `t`, given the honest `report`
+    /// its state machine produced (if one was due), with its
+    /// [`Routing`] and whether it is a Byzantine fabrication. A churned
+    /// client sends nothing, and a due honest report it would have sent
+    /// counts as lost; a Byzantine client suppresses its honest reports
+    /// and fabricates one every period; an honest client sends its due
+    /// report. Ask at every period, in order, with the faults tallied
+    /// into `faults`.
+    pub(crate) fn emit(
+        &mut self,
+        user: u32,
+        t: u64,
+        report: Option<ClientReport>,
+        faults: &mut FaultCounts,
+    ) -> Option<(ReportMsg, bool, Routing)> {
+        if t >= self.churn_at {
+            // Churn silences everyone for good — Byzantine clients
+            // included; only due honest reports count as lost.
+            if !self.byzantine && report.is_some() {
+                faults.lost_to_churn += 1;
+            }
+            return None;
+        }
+        let (msg, byzantine) = if self.byzantine {
+            faults.byzantine_messages += 1;
+            (self.fabricate(user, t), true)
+        } else {
+            let r = report?;
+            let msg = ReportMsg {
+                user,
+                t: t as u32,
+                bit: r.bit == Sign::Plus,
+            };
+            (msg, false)
+        };
+        Some((msg, byzantine, self.route(t, faults)))
+    }
+
     /// The arbitrary-but-well-formed report a Byzantine client `own_id`
     /// emits at period `t`: half the time under its own id (an insider
     /// lying about content or timing), otherwise under any id below `2n`
@@ -451,7 +496,7 @@ mod tests {
             .collect();
         for u in 0..CLIENTS {
             let h = u % orders;
-            let mut client = plan.client(u, h);
+            let mut client = plan.client(u, h, &mut FaultCounts::default());
             let mut faults = FaultCounts::default();
             let mut malformed = 0;
             for j in 1..=d >> h {
@@ -517,7 +562,7 @@ mod tests {
         let mut observed = vec![0u64; BLOCK + 1];
         for block in 0..CLIENTS / BLOCK {
             let count = (block * BLOCK..(block + 1) * BLOCK)
-                .filter(|&u| plan.client(u, u % 5).byzantine)
+                .filter(|&u| plan.client(u, u % 5, &mut FaultCounts::default()).byzantine)
                 .count();
             observed[count] += 1;
         }
@@ -537,7 +582,13 @@ mod tests {
         let plan = FaultPlan::new(&params, 11, timeline);
         let mut observed = vec![0u64; d as usize + 1];
         for u in 0..CLIENTS {
-            let churn_at = plan.client(u, u % params.num_orders() as usize).churn_at;
+            let churn_at = plan
+                .client(
+                    u,
+                    u % params.num_orders() as usize,
+                    &mut FaultCounts::default(),
+                )
+                .churn_at;
             if churn_at == u64::MAX {
                 observed[0] += 1;
             } else {
@@ -596,7 +647,7 @@ mod tests {
         let mut faults = FaultCounts::default();
         for u in 0..CLIENTS {
             let h = u % 3;
-            let mut client = plan.client(u, h);
+            let mut client = plan.client(u, h, &mut FaultCounts::default());
             while let Some(t) = client.next_faulted(d - max_delay + 1) {
                 let at = client
                     .route(t, &mut faults)
@@ -656,7 +707,7 @@ mod tests {
         let mut drops = vec![0u64; d as usize + 1];
         for u in 0..CLIENTS {
             let h = u % orders;
-            let mut client = plan.client(u, h);
+            let mut client = plan.client(u, h, &mut FaultCounts::default());
             let mut faults = FaultCounts::default();
             for j in 1..=d >> h {
                 let t = j << h;

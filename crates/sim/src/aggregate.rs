@@ -74,9 +74,7 @@ pub fn run_future_rand_aggregate(
     population: &Population,
     seed: u64,
 ) -> ProtocolOutcome {
-    let composed: Vec<ComposedRandomizer> = (0..params.num_orders())
-        .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
-        .collect();
+    let composed = ComposedRandomizer::per_order(params);
     let gaps: Vec<f64> = composed.iter().map(ComposedRandomizer::c_gap).collect();
     aggregate_impl(params, population, seed, &composed, &gaps)
 }

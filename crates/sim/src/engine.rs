@@ -10,10 +10,11 @@
 //!
 //! Two execution modes run this schedule ([`ExecMode`]):
 //!
-//! * **Sequential** — the reference implementation: every report is
-//!   *serialised into bytes* ([`ReportMsg`]), queued in the server's
-//!   mailbox, decoded and ingested, so the accounting reflects real
-//!   framing. `O(n·d)` with a per-report allocation; this is the oracle.
+//! * **Sequential** — the reference implementation: the reference client
+//!   schedule ([`Clients`]) steps every client every period, and every
+//!   report is *serialised into bytes* ([`ReportMsg`]), queued in the
+//!   server's mailbox, decoded and ingested, so the accounting reflects
+//!   real framing. `O(n·d)`; this is the oracle.
 //! * **Parallel(w)** — the batched pipeline: users are partitioned into
 //!   `w` contiguous shards, each worker runs its shard's client state
 //!   machines locally, appending reports to columnar
@@ -32,9 +33,10 @@
 
 use crate::message::{OrderAnnouncement, ReportMsg, WireStats};
 use rtf_core::accumulator::{Accumulator, AccumulatorKind, AnyAccumulator};
-use rtf_core::client::Client;
+use rtf_core::client::{Client, Clients};
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
+use rtf_core::protocol::keyed_future_rand;
 use rtf_core::randomizer::{FutureRand, SpanRandomizers};
 use rtf_core::server::Server;
 use rtf_primitives::fastseed::{self, SeedSchema};
@@ -117,14 +119,6 @@ pub fn run_event_driven_schema(
     }
 }
 
-/// One composed randomizer table per order — shared by the engine's
-/// modes and the live streaming driver ([`crate::live`]).
-pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer> {
-    (0..params.num_orders())
-        .map(|h| ComposedRandomizer::for_protocol(params.k_for_order(h), params.epsilon()))
-        .collect()
-}
-
 /// One order group's client state in the batched/streaming pipelines,
 /// struct-of-arrays: parallel lanes of user ids, a precomputed
 /// span-event schedule, and one shared [`SpanRandomizers`] arena.
@@ -133,7 +127,8 @@ pub(crate) fn composed_tables(params: &ProtocolParams) -> Vec<ComposedRandomizer
 /// into the arena — no per-client `FutureRand` or heap vector. A span
 /// emission ([`emit_span`](Self::emit_span)) is one randomizer pass
 /// over the span's sparse event list, filling the packed [`SignLane`]
-/// word by word — bit-identical to per-slot `observe_span` calls.
+/// word by word — bit-identical to stepping each lane's [`Client`] with
+/// `observe` at every period of the span.
 ///
 /// Public because the span-native scenario engine
 /// (`rtf_scenarios::engine`) drives the same groups through its fault
@@ -150,8 +145,8 @@ pub struct SpanGroup {
     /// `span_events[t / stride − 1]` lists `(lane, ±1)`, lanes
     /// ascending, for exactly the lanes whose partial sum over the span
     /// ending at `t` is non-zero. The population is static, so walking
-    /// each user's change times **once** here replaces a per-span
-    /// `DerivativeCursor::sum_to` per lane — the former hottest load in
+    /// each user's change times **once** here replaces summing each
+    /// lane's derivative over every span — the former hottest load in
     /// the repo: a million scattered change arrays chased per period,
     /// for sums that are ~90% zero.
     span_events: Vec<Vec<(u32, Sign)>>,
@@ -174,8 +169,8 @@ impl SpanGroup {
     /// Emits the whole group's reports for the span ending at period `t`
     /// into [`signs`](Self::signs): every lane's counter-stream bit, 64
     /// lanes per word, with this span's precomputed events overwritten
-    /// by their `b̃` bits — exactly the bits `Client::observe_span` would
-    /// report.
+    /// by their `b̃` bits — exactly the bits each lane's [`Client`] would
+    /// report at `t` when stepped with `observe` at every period.
     ///
     /// # Panics
     /// Panics unless `t` is the group's next span boundary — a
@@ -208,13 +203,14 @@ impl SpanGroup {
 ///
 /// This is the **one** client-construction path of the batched engine,
 /// the live streaming driver ([`crate::live`]), and the span-native
-/// scenario engine (`rtf_scenarios::engine`) — they must consume
+/// scenario engine (`rtf_scenarios::engine`); the per-report reference
+/// paths build the same clients through [`Clients`]. Both must consume
 /// per-user RNG identically for the batched ≡ streaming ≡ sequential
-/// proofs to hold, so the construction lives in exactly one place. Each
-/// client's order and `b̃` come from its seed node's rng, in the order
-/// `FutureRand::init_keyed` draws them, with `b̃` written straight into
-/// its group's lane arena ([`SpanRandomizers::draw_lane`]). The seed
-/// schema has one value; the parameter stays for callers that name it.
+/// proofs to hold: each client's order and `b̃` come from its seed
+/// node's rng, in the order `FutureRand::init_keyed` draws them, with
+/// `b̃` written straight into its group's lane arena
+/// ([`SpanRandomizers::draw_lane`]). The seed schema has one value; the
+/// parameter stays for callers that name it.
 pub fn build_order_groups(
     params: &ProtocolParams,
     population: &Population,
@@ -247,10 +243,10 @@ pub fn build_order_groups(
         // One pass over the user's (sorted) change times builds the
         // lane's non-zero span sums: a span's sum is the parity flip of
         // the change count across it (`st(end) − st(start − 1)`, each
-        // the parity of its prefix) — exactly `DerivativeCursor::sum_to`
-        // called at every span boundary, computed once instead of once
-        // per period. Users are walked in ascending order, so every
-        // span's event list is lane-ascending.
+        // the parity of its prefix) — exactly the running sum a `Client`
+        // stepped with `observe` at every period holds at each boundary,
+        // computed once instead of once per period. Users are walked in
+        // ascending order, so every span's event list is lane-ascending.
         let stride = group.stride;
         let stream = population.stream(u);
         let changes = stream.change_times();
@@ -285,41 +281,28 @@ fn run_sequential(
     seed: u64,
     backend: AccumulatorKind,
 ) -> EventDrivenOutcome {
-    let composed = composed_tables(params);
     let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
     let mut wire = WireStats::default();
-    let root = SeedSequence::new(seed);
+    let mut clients = Clients::new(params, population, seed, keyed_future_rand(params));
 
-    // Build clients; send order announcements through the wire.
-    let mut clients: Vec<(Client<FutureRand>, rand::rngs::StdRng)> = Vec::with_capacity(params.n());
-    for u in 0..params.n() {
-        let node = root.child(u as u64);
-        let mut rng = node.rng();
-        let h = Client::<FutureRand>::sample_order(params, &mut rng);
+    // Send order announcements through the wire.
+    for u in 0..clients.len() {
         let ann = OrderAnnouncement {
             user: u as u32,
-            order: h as u8,
+            order: clients.order(u) as u8,
         };
-        let decoded = OrderAnnouncement::decode(ann.encode());
+        let decoded = OrderAnnouncement::decode(&ann.encode());
         server.register_user(u32::from(decoded.order));
         wire.record_announcement();
-        let m = FutureRand::init_keyed(
-            params.sequence_len(h),
-            &composed[h as usize],
-            &mut rng,
-            fastseed::client_key(&node),
-        );
-        clients.push((Client::new(params, h, m), rng));
     }
 
     // Round loop with a real (serialised) mailbox per period.
     let mut estimates = Vec::with_capacity(params.d() as usize);
-    let mut mailbox: Vec<bytes::Bytes> = Vec::new();
+    let mut mailbox: Vec<[u8; ReportMsg::WIRE_BYTES]> = Vec::new();
     for t in 1..=params.d() {
         mailbox.clear();
-        for (u, (client, rng)) in clients.iter_mut().enumerate() {
-            let x = population.stream(u).derivative().at(t);
-            if let Some(report) = client.observe(t, x, rng) {
+        clients.step(t, |u, _, report| {
+            if let Some(report) = report {
                 let msg = ReportMsg {
                     user: u as u32,
                     t: t as u32,
@@ -327,12 +310,12 @@ fn run_sequential(
                 };
                 mailbox.push(msg.encode());
             }
-        }
+        });
         // Server drains the mailbox: decode, attribute to the sender's
         // order, ingest.
         for raw in &mailbox {
-            let msg = ReportMsg::decode(raw.clone());
-            let h = clients[msg.user as usize].0.order();
+            let msg = ReportMsg::decode(raw);
+            let h = clients.order(msg.user as usize);
             let bit = if msg.bit { Sign::Plus } else { Sign::Minus };
             server.ingest(h, bit);
             wire.record_report();
@@ -370,7 +353,7 @@ fn run_batched(
     workers: usize,
     backend: AccumulatorKind,
 ) -> EventDrivenOutcome {
-    let composed = composed_tables(params);
+    let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let d = params.d();
     let orders = params.num_orders() as usize;

@@ -19,8 +19,9 @@
 //! state exactly). The differential oracle
 //! (`rtf_scenarios::oracle::assert_live_agreement`) proves it.
 
-use crate::engine::{build_order_groups, composed_tables, EventDrivenOutcome};
+use crate::engine::{build_order_groups, EventDrivenOutcome};
 use crate::message::WireStats;
+use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
 use rtf_core::server::Server;
 use rtf_primitives::fastseed::SeedSchema;
@@ -62,7 +63,7 @@ pub fn run_event_driven_live_with(
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
 
-    let composed = composed_tables(params);
+    let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let d = params.d();
     config.validate_for_horizon(d);

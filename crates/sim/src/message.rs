@@ -8,8 +8,9 @@
 //!   *bit* each; the framing here is a compact fixed-width binary layout,
 //!   and both the framed bytes and the information-theoretic payload bits
 //!   are tracked).
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//!
+//! A frame is a fixed-width little-endian byte array; decoding reads a
+//! byte slice, so a truncated copy is a shorter slice.
 
 /// A wire frame that cannot be decoded: the typed, non-panicking verdict
 /// of [`OrderAnnouncement::try_decode`] / [`ReportMsg::try_decode`].
@@ -56,11 +57,11 @@ impl OrderAnnouncement {
     pub const WIRE_BYTES: usize = 5;
 
     /// Encodes into the compact fixed-width layout.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::WIRE_BYTES);
-        b.put_u32_le(self.user);
-        b.put_u8(self.order);
-        b.freeze()
+    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
+        let mut b = [0u8; Self::WIRE_BYTES];
+        b[..4].copy_from_slice(&self.user.to_le_bytes());
+        b[4] = self.order;
+        b
     }
 
     /// Decodes from the compact layout.
@@ -68,22 +69,18 @@ impl OrderAnnouncement {
     /// # Panics
     /// Panics if the buffer is shorter than [`Self::WIRE_BYTES`]. Only
     /// for trusted lanes; untrusted bytes go through [`Self::try_decode`].
-    pub fn decode(buf: impl Buf) -> Self {
+    pub fn decode(buf: &[u8]) -> Self {
         Self::try_decode(buf).expect("trusted announcement frame")
     }
 
     /// Fallible decode for untrusted bytes: a short buffer is a typed
-    /// [`DecodeError`], never a panic.
-    pub fn try_decode(mut buf: impl Buf) -> Result<Self, DecodeError> {
-        if buf.remaining() < Self::WIRE_BYTES {
-            return Err(DecodeError::Truncated {
-                need: Self::WIRE_BYTES,
-                got: buf.remaining(),
-            });
-        }
-        let user = buf.get_u32_le();
-        let order = buf.get_u8();
-        Ok(OrderAnnouncement { user, order })
+    /// [`DecodeError`], never a panic. Bytes past the layout are ignored.
+    pub fn try_decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        let b = fixed::<{ Self::WIRE_BYTES }>(buf)?;
+        Ok(OrderAnnouncement {
+            user: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+            order: b[4],
+        })
     }
 }
 
@@ -106,12 +103,12 @@ impl ReportMsg {
     pub const PAYLOAD_BITS: u64 = 1;
 
     /// Encodes into the compact fixed-width layout.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::WIRE_BYTES);
-        b.put_u32_le(self.user);
-        b.put_u32_le(self.t);
-        b.put_u8(u8::from(self.bit));
-        b.freeze()
+    pub fn encode(&self) -> [u8; Self::WIRE_BYTES] {
+        let mut b = [0u8; Self::WIRE_BYTES];
+        b[..4].copy_from_slice(&self.user.to_le_bytes());
+        b[4..8].copy_from_slice(&self.t.to_le_bytes());
+        b[8] = u8::from(self.bit);
+        b
     }
 
     /// Decodes from the compact layout.
@@ -119,24 +116,31 @@ impl ReportMsg {
     /// # Panics
     /// Panics if the buffer is shorter than [`Self::WIRE_BYTES`]. Only
     /// for trusted lanes; untrusted bytes go through [`Self::try_decode`].
-    pub fn decode(buf: impl Buf) -> Self {
+    pub fn decode(buf: &[u8]) -> Self {
         Self::try_decode(buf).expect("trusted report frame")
     }
 
     /// Fallible decode for untrusted bytes: a short buffer is a typed
-    /// [`DecodeError`], never a panic.
-    pub fn try_decode(mut buf: impl Buf) -> Result<Self, DecodeError> {
-        if buf.remaining() < Self::WIRE_BYTES {
-            return Err(DecodeError::Truncated {
-                need: Self::WIRE_BYTES,
-                got: buf.remaining(),
-            });
-        }
-        let user = buf.get_u32_le();
-        let t = buf.get_u32_le();
-        let bit = buf.get_u8() != 0;
-        Ok(ReportMsg { user, t, bit })
+    /// [`DecodeError`], never a panic. Bytes past the layout are ignored.
+    pub fn try_decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        let b = fixed::<{ Self::WIRE_BYTES }>(buf)?;
+        Ok(ReportMsg {
+            user: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+            t: u32::from_le_bytes([b[4], b[5], b[6], b[7]]),
+            bit: b[8] != 0,
+        })
     }
+}
+
+/// The first `N` bytes of `buf`, or [`DecodeError::Truncated`] if it is
+/// shorter.
+fn fixed<const N: usize>(buf: &[u8]) -> Result<&[u8; N], DecodeError> {
+    buf.get(..N)
+        .and_then(|b| b.try_into().ok())
+        .ok_or(DecodeError::Truncated {
+            need: N,
+            got: buf.len(),
+        })
 }
 
 /// Running communication totals for one protocol execution.
@@ -199,9 +203,7 @@ mod tests {
             user: 12345,
             order: 7,
         };
-        let bytes = a.encode();
-        assert_eq!(bytes.len(), OrderAnnouncement::WIRE_BYTES);
-        assert_eq!(OrderAnnouncement::decode(bytes), a);
+        assert_eq!(OrderAnnouncement::decode(&a.encode()), a);
     }
 
     #[test]
@@ -212,9 +214,7 @@ mod tests {
                 t: 1,
                 bit,
             };
-            let bytes = r.encode();
-            assert_eq!(bytes.len(), ReportMsg::WIRE_BYTES);
-            assert_eq!(ReportMsg::decode(bytes), r);
+            assert_eq!(ReportMsg::decode(&r.encode()), r);
         }
     }
 
@@ -224,7 +224,7 @@ mod tests {
         // a panic — the untrusted frame path depends on it.
         let ann = OrderAnnouncement { user: 7, order: 3 }.encode();
         for cut in 0..OrderAnnouncement::WIRE_BYTES {
-            let err = OrderAnnouncement::try_decode(&ann.as_slice()[..cut]).unwrap_err();
+            let err = OrderAnnouncement::try_decode(&ann[..cut]).unwrap_err();
             assert_eq!(
                 err,
                 DecodeError::Truncated {
@@ -240,7 +240,7 @@ mod tests {
         }
         .encode();
         for cut in 0..ReportMsg::WIRE_BYTES {
-            let err = ReportMsg::try_decode(&rep.as_slice()[..cut]).unwrap_err();
+            let err = ReportMsg::try_decode(&rep[..cut]).unwrap_err();
             assert_eq!(
                 err,
                 DecodeError::Truncated {
@@ -252,8 +252,8 @@ mod tests {
         }
         // Full buffers decode identically through both variants.
         assert_eq!(
-            ReportMsg::try_decode(rep.clone()).unwrap(),
-            ReportMsg::decode(rep)
+            ReportMsg::try_decode(&rep).unwrap(),
+            ReportMsg::decode(&rep)
         );
     }
 

@@ -2,21 +2,16 @@
 //!
 //! Experiments repeat a protocol execution over many trials (fresh
 //! population and fresh protocol randomness per trial) and summarise a
-//! per-trial metric. Trials are independent, so they fan out over the
-//! process-wide **persistent** worker pool
-//! (`rtf_runtime::persistent::shared_pool`): the worker threads are
-//! spawned once and reused across every `run_trials` execution, so
-//! experiments sweeping many small plans never pay the per-call thread
-//! spawn cost (the spawn-cost delta is recorded by `exp_throughput`).
-//! The injector channel load-balances while results return in trial
-//! order; determinism is preserved because trial `i` always uses seeds
-//! derived from `master_seed → child(i)`, regardless of which worker
-//! runs it.
+//! per-trial metric. Trials are independent, so they fan out over a
+//! [`WorkerPool`] of [`TrialPlan::threads`] workers. The injector
+//! channel load-balances while results return in trial order;
+//! determinism is preserved because trial `i` always uses seeds derived
+//! from `master_seed → child(i)`, regardless of which worker runs it.
 
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::ProtocolOutcome;
 use rtf_primitives::seeding::SeedSequence;
-use rtf_runtime::shared_pool;
+use rtf_runtime::WorkerPool;
 use rtf_streams::generator::StreamGenerator;
 use rtf_streams::population::Population;
 
@@ -124,9 +119,8 @@ impl TrialResults {
     }
 }
 
-/// Runs `plan.trials` independent trials in parallel over the
-/// process-wide persistent pool (threads are reused across `run_trials`
-/// executions, never re-spawned per call).
+/// Runs `plan.trials` independent trials in parallel over a
+/// [`WorkerPool`] of `plan.threads` workers (0 ⇒ available parallelism).
 ///
 /// Per trial `i`:
 /// 1. a fresh population is generated from `generator` with the seed
@@ -144,7 +138,7 @@ where
 {
     assert!(plan.trials >= 1, "need at least one trial");
     let root = SeedSequence::new(plan.master_seed);
-    let pool = shared_pool(plan.effective_threads());
+    let pool = WorkerPool::new(plan.effective_threads());
 
     let values = pool.map_indexed(plan.trials, |i| {
         let trial_seed = root.child(i as u64);

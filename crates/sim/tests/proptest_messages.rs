@@ -19,7 +19,7 @@ proptest! {
         let a = OrderAnnouncement { user, order };
         let frame = a.encode();
         prop_assert_eq!(frame.len(), OrderAnnouncement::WIRE_BYTES);
-        prop_assert_eq!(OrderAnnouncement::decode(frame), a);
+        prop_assert_eq!(OrderAnnouncement::decode(&frame), a);
     }
 
     /// `ReportMsg` encode→decode is the identity over the full field
@@ -29,7 +29,7 @@ proptest! {
         let r = ReportMsg { user, t, bit: bit_raw == 1 };
         let frame = r.encode();
         prop_assert_eq!(frame.len(), ReportMsg::WIRE_BYTES);
-        prop_assert_eq!(ReportMsg::decode(frame), r);
+        prop_assert_eq!(ReportMsg::decode(&frame), r);
     }
 
     /// Decoding ignores trailing bytes beyond the fixed-width frame — the
@@ -38,7 +38,7 @@ proptest! {
     #[test]
     fn decode_reads_exactly_the_frame(user in 0u32..=u32::MAX, t in 1u32..=u32::MAX, junk in 0u64..=u64::MAX) {
         let r = ReportMsg { user, t, bit: true };
-        let mut buf = r.encode().as_slice().to_vec();
+        let mut buf = r.encode().to_vec();
         buf.extend_from_slice(&junk.to_le_bytes());
         prop_assert_eq!(ReportMsg::decode(&buf[..]), r);
     }

@@ -208,8 +208,8 @@ impl Derivative<'_> {
 impl<'a> Derivative<'a> {
     /// A streaming cursor over this derivative: [`DerivativeCursor::next_at`]
     /// yields `X_u[t]` for ascending `t` in `O(1)` amortised, replacing
-    /// the per-period binary search of [`at`](Self::at) on hot loops that
-    /// sweep every period anyway (the batched simulation pipeline). The
+    /// the per-period binary search of [`at`](Self::at) on loops that
+    /// sweep every period anyway (the reference client schedule). The
     /// cursor borrows the underlying stream, not this (freely copyable)
     /// derivative view, so it outlives the view expression.
     pub fn cursor(&self) -> DerivativeCursor<'a> {
@@ -226,8 +226,8 @@ impl<'a> Derivative<'a> {
 ///
 /// Holds only a borrowed change-time slice and an index, so a million
 /// cursors cost a million `(&[u64], usize)` pairs and each step is a
-/// single predictable comparison — the batched pipeline keeps one per
-/// client state machine.
+/// single predictable comparison — the reference client schedule
+/// (`rtf_core::client::Clients`) keeps one per client state machine.
 #[derive(Debug, Clone)]
 pub struct DerivativeCursor<'a> {
     changes: &'a [u64],
@@ -262,36 +262,6 @@ impl DerivativeCursor<'_> {
             Ternary::Zero
         }
     }
-
-    /// The partial sum `Σ X_u[s]` over `s ∈ (last consumed period, t]`,
-    /// consuming the span — equivalent to summing [`next_at`](Self::next_at)
-    /// over every period of the span, in `O(changes inside the span)`
-    /// (zero-change spans cost one comparison). Always in `{−1, 0, 1}`
-    /// because consecutive changes alternate sign (Observation 3.7).
-    ///
-    /// Span ends must ascend and stay on the horizon; debug builds
-    /// assert it.
-    #[inline]
-    pub fn sum_to(&mut self, t: u64) -> Ternary {
-        debug_assert!(
-            t > self.last_t && t <= self.d,
-            "span end {t} must ascend past {} within d = {}",
-            self.last_t,
-            self.d
-        );
-        self.last_t = t;
-        // Parity of consumed changes before and after the span: the sum
-        // is st(t) − st(span start − 1), each the parity of its prefix.
-        let before = self.idx;
-        while self.idx < self.changes.len() && self.changes[self.idx] <= t {
-            self.idx += 1;
-        }
-        match (before % 2 == 1, self.idx % 2 == 1) {
-            (false, true) => Ternary::Plus,
-            (true, false) => Ternary::Minus,
-            _ => Ternary::Zero,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -313,34 +283,6 @@ mod tests {
             let mut cursor = x.cursor();
             for t in 1..=16u64 {
                 assert_eq!(cursor.next_at(t), x.at(t), "t={t}, changes {changes:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn cursor_span_sums_match_per_period_sums() {
-        for changes in [
-            vec![],
-            vec![1],
-            vec![16],
-            vec![1, 5, 6, 11, 16],
-            vec![2, 3, 4, 5],
-            vec![8, 9],
-        ] {
-            let s = BoolStream::from_change_times(16, changes.clone());
-            let x = s.derivative();
-            for stride in [1u64, 2, 4, 8, 16] {
-                let mut cursor = x.cursor();
-                let mut prev = 0u64;
-                for t in (stride..=16).step_by(stride as usize) {
-                    let direct: i8 = ((prev + 1)..=t).map(|s| x.at(s).value()).sum();
-                    assert_eq!(
-                        cursor.sum_to(t).value(),
-                        direct,
-                        "stride {stride}, t {t}, changes {changes:?}"
-                    );
-                    prev = t;
-                }
             }
         }
     }

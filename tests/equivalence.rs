@@ -15,8 +15,9 @@
 //! Agreement alone cannot tell whether every path changed together, so
 //! the client randomness stream is also frozen by golden hashes.
 
+use randomize_future::baselines::{run_calibrated, run_independent};
 use randomize_future::core::params::ProtocolParams;
-use randomize_future::core::protocol::run_in_memory;
+use randomize_future::core::protocol::{run_in_memory, ProtocolOutcome};
 use randomize_future::core::snapshot::fnv1a64;
 use randomize_future::primitives::seeding::SeedSequence;
 use randomize_future::runtime::ingest::LiveConfig;
@@ -115,6 +116,15 @@ impl Golden {
     }
 }
 
+/// Estimates, groups and report count of a trusted in-memory run.
+fn outcome_hash(out: &ProtocolOutcome) -> u64 {
+    let mut h = Golden::default();
+    h.f64s(out.estimates());
+    h.sizes(out.group_sizes());
+    h.u64(out.reports_sent());
+    h.finish()
+}
+
 fn event_hash(out: &EventDrivenOutcome) -> u64 {
     let mut h = Golden::default();
     h.f64s(&out.estimates);
@@ -192,12 +202,19 @@ fn client_stream_outputs_match_golden_hashes() {
         .with_duplicates(0.05)
         .with_byzantine(0.1);
 
-    let mem = run_in_memory(&params, &pop, seed);
-    let mut h = Golden::default();
-    h.f64s(mem.estimates());
-    h.sizes(mem.group_sizes());
-    h.u64(mem.reports_sent());
-    assert_eq!(h.finish(), IN_MEMORY, "in-memory");
+    assert_eq!(
+        outcome_hash(&run_in_memory(&params, &pop, seed)),
+        IN_MEMORY,
+        "in-memory"
+    );
+    // The two baselines that run Algorithm 1's client schedule with
+    // another randomizer factory.
+    const CALIBRATED: u64 = 0xba67_2f39_8e3d_4353;
+    const INDEPENDENT: u64 = 0x7efe_3408_bffd_9b44;
+    let calibrated = run_calibrated(&params, &pop, seed);
+    assert_eq!(outcome_hash(&calibrated), CALIBRATED, "calibrated");
+    let independent = run_independent(&params, &pop, seed);
+    assert_eq!(outcome_hash(&independent), INDEPENDENT, "independent");
 
     for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
         let ev = run_event_driven_with(&params, &pop, seed, mode);
