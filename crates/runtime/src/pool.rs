@@ -13,7 +13,8 @@
 //! (workers pull indices until it drains — dynamic load balancing for
 //! free), and a `Mutex<Vec<Option<T>>>` collects results by index.
 //! Workers are scoped threads (`std::thread::scope`), so jobs may borrow
-//! the caller's data without `Arc`.
+//! the caller's data without `Arc`, and each is joined by its handle, so
+//! a map returns only after its threads have exited.
 
 use crate::mode::ExecMode;
 use std::sync::Mutex;
@@ -93,8 +94,9 @@ pub fn shard_of(items: usize, shards: usize, item: usize) -> usize {
 /// A fixed-size worker pool.
 ///
 /// The pool is a lightweight handle; threads live only for the duration
-/// of each `map_*` call (scoped), so borrowed data flows into jobs
-/// without reference counting and a panicking job fails the caller.
+/// of each `map_*` call (scoped and joined, down to their exit), so
+/// borrowed data flows into jobs without reference counting and a
+/// panicking job fails the caller.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerPool {
     workers: usize,
@@ -158,19 +160,34 @@ impl WorkerPool {
         }
         drop(tx);
 
-        // A panicking job fails the caller: the scope re-raises it once
-        // every worker has joined.
+        // Every worker is joined by its handle before the call returns.
+        // The scope alone returns once the job closures finish, while their
+        // threads may still be exiting and holding their allocator arenas;
+        // the next call's workers would then start in fresh arenas, and the
+        // process would keep the freed memory of both. A panicking job
+        // fails the caller with its own payload once every worker joined.
         std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(jobs) {
-                let rx = rx.clone();
-                let results = &results;
-                let map = &map;
-                scope.spawn(move || {
-                    while let Ok((i, item)) = rx.recv() {
-                        let value = map(i, item);
-                        results.lock().expect("no job panics under the lock")[i] = Some(value);
-                    }
-                });
+            let handles: Vec<_> = (0..self.workers.min(jobs))
+                .map(|_| {
+                    let rx = rx.clone();
+                    let results = &results;
+                    let map = &map;
+                    scope.spawn(move || {
+                        while let Ok((i, item)) = rx.recv() {
+                            let value = map(i, item);
+                            results.lock().expect("no job panics under the lock")[i] = Some(value);
+                        }
+                    })
+                })
+                .collect();
+            let mut panicked = None;
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    panicked.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
             }
         });
 
@@ -293,6 +310,46 @@ mod tests {
         });
         assert_eq!(ran.load(Ordering::Relaxed), 200);
         assert_eq!(out.len(), 200);
+    }
+
+    #[test]
+    fn workers_have_exited_when_a_map_returns() {
+        // A thread's exit runs its thread-local destructors and then hands
+        // its allocator arena back; a map must not return before that.
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct SlowExit;
+        impl Drop for SlowExit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static EXIT: SlowExit = {
+            STARTED.fetch_add(1, Ordering::SeqCst);
+            SlowExit
+        });
+        for workers in [2usize, 3, 8] {
+            WorkerPool::new(workers).map_indexed(16, |i| EXIT.with(|_| i));
+            let started = STARTED.load(Ordering::SeqCst);
+            assert!(started > 0, "{workers} workers");
+            assert_eq!(EXITED.load(Ordering::SeqCst), started, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_the_caller_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            WorkerPool::new(3).map_indexed(10, |i| {
+                assert_ne!(i, 7, "job seven fails");
+                i
+            })
+        });
+        let payload = caught.expect_err("the job's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("an assert panics with a formatted message");
+        assert!(message.contains("job seven fails"), "{message}");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! the packed sign-word fold; any knob that perturbs that pair —
 //! `drop_prob`, `straggle_prob`, `duplicate_prob`, `malformed_prob` per
 //! report, `churn_prob` from the departure period onward, and
-//! `byzantine_frac` for the whole client — routes just that residue
-//! through the per-report ingestion ladder. Fast-path coverage therefore
+//! `byzantine_frac` for the whole client — takes just that residue off
+//! the fold: a late or retransmitted honest copy is counted by verdict,
+//! and a Byzantine fabrication goes through the per-report ingestion
+//! ladder. Fast-path coverage therefore
 //! degrades linearly with the configured rates, not with a cliff: a
 //! storm touching 10% of reports still folds the other 90% as whole
 //! words.

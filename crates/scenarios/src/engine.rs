@@ -32,24 +32,30 @@
 //!    **span-native fault layer**: a shard's clients are the event
 //!    engine's order groups ([`rtf_sim::engine::build_order_groups`] —
 //!    the one client-construction path), a pre-walk jumps through each
-//!    client's fault plan from one faulted boundary to the next (the
-//!    same hits the sequential engine finds by asking the plan at every
-//!    report), honest on-time spans are folded arithmetically as whole
-//!    packed sign words, and only the faulted residue is materialised as
-//!    provenance-tagged frames. Each residue
-//!    frame goes to the roster shard of the id it claims (an id `≥ n`
-//!    stays with its emitter), already in the sequential mailbox order
-//!    of ascending `(emission period, emitting user)`. A verdict reads
-//!    only its sender's roster slot, the open period and the acceptance
-//!    floor, so one pool job per roster shard merges its own frames and
-//!    runs the checked ladder on its own slice
+//!    honest client's fault plan from one faulted boundary to the next
+//!    (the same hits the sequential engine finds by asking the plan at
+//!    every report), and honest on-time spans are folded arithmetically
+//!    as whole packed sign words. The server is online: a delayed or
+//!    retransmitted honest copy arrives after its period closed, so it
+//!    is `Late` or `Duplicate` and never moves a roster slot. The
+//!    pre-walk tallies those verdicts per delivery period from the
+//!    client's own folded boundaries and frames none of them. Only
+//!    Byzantine fabrications become provenance-tagged frames: each goes
+//!    to the roster shard of the id it claims (an id `≥ n` stays with its
+//!    emitter), pushed in the sequential mailbox order of ascending
+//!    `(emission period, emitting user)`. A verdict reads only its
+//!    sender's roster slot, the open period and the acceptance floor, so
+//!    one pool job per roster shard merges its own fabrications and runs
+//!    the checked ladder on its own slice
 //!    ([`RosterShard::classify`](rtf_core::server::RosterShard::classify)),
 //!    for the whole horizon. Its verdicts are bit-for-bit the sequential
 //!    classification: an accepted Byzantine impersonation still displaces
 //!    the honest report it races (the displaced lane leaves its span's
-//!    fold and counts as the duplicate it would have been). The tallies
-//!    and folds are integer sums, absorbed per period in shard order.
-//!    Every outcome field is identical for any worker count.
+//!    fold and counts as the duplicate it would have been), and the
+//!    impersonated client's residue verdicts are recomputed with that
+//!    acceptance ahead of them. The tallies and folds are integer sums,
+//!    absorbed per period in shard order. Every outcome field is
+//!    identical for any worker count.
 
 use crate::config::{FaultTimeline, Scenario};
 use crate::plan::{ClientPlan, FaultPlan, Routing};
@@ -384,12 +390,14 @@ fn run_scenario_sequential_impl(
 /// run one after another and add up to the run's wall time.
 ///
 /// In batched mode:
-/// - `emission_s` is the shard fan-out: client build, fault pre-walk,
-///   span walk, and routing each residue frame to its recipient's
-///   roster shard in mailbox order;
+/// - `emission_s` is the shard fan-out: client build, the fault
+///   pre-walk with its tally of honest residue verdicts, routing each
+///   Byzantine fabrication to its recipient's roster shard in mailbox
+///   order, and the span walk;
 /// - `merge_s` is the pool phase: one job per roster shard merges the
-///   frames addressed to it and runs the checked ladder on its slice,
-///   fused;
+///   fabrications addressed to it and runs the checked ladder on its
+///   slice, then corrects the residue verdicts of the honest clients an
+///   accepted fabrication impersonated;
 /// - `ingest_s` is the serial rest: registration, then per period the
 ///   absorb of every tally and span fold, and the period close.
 ///
@@ -405,10 +413,12 @@ fn run_scenario_sequential_impl(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScenarioStageTimings {
     /// Seconds in emission (client state machines, fault layer, and in
-    /// batched mode the routing of residue frames to roster shards).
+    /// batched mode the residue tally and the routing of fabrications to
+    /// roster shards).
     pub emission_s: f64,
     /// Seconds in the batched pool phase: per roster shard, merging its
-    /// frames and classifying them through the checked ladder.
+    /// fabrications, classifying them through the checked ladder, and
+    /// correcting the residue verdicts of impersonated clients.
     pub merge_s: f64,
     /// Seconds in registration, the serial absorb of tallies and folds,
     /// and period close (all of checked ingestion in sequential mode).
@@ -433,7 +443,9 @@ pub fn run_scenario_batched_timed(
     assert_eq!(population.n(), params.n(), "population/params n mismatch");
     assert_eq!(population.d(), params.d(), "population/params d mismatch");
     population.assert_k_sparse(params.k());
-    run_scenario_batched_impl(params, population, seed, &timeline, workers.max(1), backend)
+    let (outcome, timings, _) =
+        run_scenario_batched_impl(params, population, seed, &timeline, workers.max(1), backend);
+    (outcome, timings)
 }
 
 /// [`run_scenario_schema`]'s sequential reference with the same
@@ -458,12 +470,11 @@ pub fn run_scenario_sequential_timed(
 /// One worker's span-native emission result for a contiguous user shard.
 ///
 /// The expensive product is *arithmetic*, not frames: per `(order, span)`
-/// the popcount fold of every honest on-time lane, plus packed plan/sign
-/// lanes the ingestion side consults to reproduce the sequential
-/// classification of the faulted residue. Only faulted deliveries (late
-/// originals, retransmitted copies, Byzantine fabrications) are
-/// materialised as frames, already routed to the roster shard whose
-/// ladder classifies them and in mailbox order.
+/// the popcount fold of every honest on-time lane, per delivery period
+/// the verdict counts of the honest residue, and packed plan/sign lanes
+/// the ingestion side consults for the fabrications that race them. Only
+/// Byzantine fabrications are materialised as frames, already routed to
+/// the roster shard whose ladder classifies them and in mailbox order.
 struct ShardEmission {
     /// First global user id of the shard.
     start: usize,
@@ -482,16 +493,16 @@ struct ShardEmission {
     horizon_signs: Vec<SignLane>,
     /// Per order `h`: whether each `(span, lane)` report was folded on
     /// time (`Plus` = folded), span-major. [`planned_floor`] derives each
-    /// residue frame's dedupe floor from these bits.
+    /// fabrication's dedupe floor from these bits.
     plan: Vec<SignLane>,
-    /// `honest[t]`: the late and retransmitted honest copies the network
-    /// delivers during period `t`. They claim their own sender, so they
-    /// stay with this shard's roster; the span walk pushes them in
-    /// mailbox order.
-    honest: Vec<FrameBatch>,
+    /// `residue[t]`: the `late` and `duplicate` verdicts of the honest
+    /// copies (delayed originals and retransmissions) the network
+    /// delivers during period `t`, as if no fabrication were accepted
+    /// ([`residue_copies`]). The pool phase corrects the copies of the
+    /// senders a fabrication impersonated ([`correct_residue`]).
+    residue: Vec<PeriodDelivery>,
     /// `byzantine[r][t]`: the fabrications delivered during period `t`
-    /// whose [`recipient`] is roster shard `r`, index-sorted into mailbox
-    /// order once after the user-major pre-walk.
+    /// whose [`recipient`] is roster shard `r`, pushed in mailbox order.
     byzantine: Vec<Vec<FrameBatch>>,
     /// Emission-side fault tallies (`byzantine_accepted` stays 0 — that
     /// is decided at ingestion).
@@ -515,9 +526,9 @@ fn recipient(n: usize, workers: usize, emitting: usize, user: u32) -> usize {
     }
 }
 
-/// The dedupe floor the sequential drain would have seen for a residue
-/// frame delivered at period `t` whose claimed sender (an id below `n`)
-/// lives in `owner`: the highest span boundary of that sender whose
+/// The dedupe floor the sequential drain would have seen for a
+/// fabrication delivered at period `t` whose claimed sender (an id below
+/// `n`) lives in `owner`: the highest span boundary of that sender whose
 /// report was folded arithmetically (i.e. accepted) *before this frame's
 /// position* in the sequential mailbox order. Folded accepts never touch
 /// the roster, so the ladder
@@ -553,12 +564,92 @@ fn planned_floor(owner: &ShardEmission, t: u64, frame: &Frame) -> u64 {
     0
 }
 
+/// Walks an honest client's faulted reports into `hits` as `(boundary,
+/// routing)`, in ascending boundary order, tallying their faults into
+/// `faults`: the pre-walk's walk, which [`correct_residue`] replays. A
+/// corrupted copy is counted where its decode would have failed, and no
+/// frame materialises.
+fn walk_faulted(
+    client: &mut ClientPlan<'_>,
+    faults: &mut FaultCounts,
+    hits: &mut Vec<(u64, Routing)>,
+) {
+    hits.clear();
+    while let Some(b) = client.next_faulted(client.churn_at) {
+        let routing = client.route(b, faults);
+        if routing.malformed {
+            faults.malformed += routing.delivered();
+        }
+        hits.push((b, routing));
+    }
+}
+
+/// Calls `copy(b, at, floor)` for every intact copy of an honest client's
+/// boundary-`b` report that arrives in a later period `at`, given the
+/// client's faulted reports `hits` (as [`walk_faulted`] leaves them), its
+/// order `h` and its churn period.
+///
+/// `floor` is the highest boundary below `at` whose report was folded on
+/// time (emitted before churn, not dropped, delayed or corrupted), or 0:
+/// the sender's last acceptance ahead of the copy in mailbox order,
+/// fabrications aside. The copy was emitted at `b < at`, so the sender's
+/// own report of boundary `at` comes after it. Every boundary the walk
+/// skipped was folded.
+fn residue_copies(
+    hits: &[(u64, Routing)],
+    h: usize,
+    churn_at: u64,
+    mut copy: impl FnMut(u64, u64, u64),
+) {
+    // The last boundary the client emits before it churns.
+    let last = (churn_at - 1) >> h << h;
+    for (i, &(b, routing)) in hits.iter().enumerate() {
+        routing.late_copies(b, |at| {
+            let mut c = ((at - 1) >> h << h).min(last);
+            // hits[..j] are the faulted boundaries at or below c; c ≥ b.
+            let mut j = i + 1;
+            while j < hits.len() && hits[j].0 <= c {
+                j += 1;
+            }
+            while c > 0 && j > 0 && hits[j - 1].0 == c && !hits[j - 1].1.on_time(c) {
+                j -= 1;
+                c -= 1 << h;
+            }
+            copy(b, at, c);
+        });
+    }
+}
+
+/// The checked ladder's verdict on a copy of boundary `b` that arrives
+/// after period `b` closed, when the sender's last acceptance ahead of it
+/// was folded at `floor` and fabricated at `last` (0 = none): a resend of
+/// the last acceptance is a duplicate, anything older is late. Such a
+/// copy is never accepted, so it never moves the roster.
+fn residue_verdict(b: u64, floor: u64, last: u64) -> Delivery {
+    if b == floor.max(last) {
+        Delivery::Duplicate
+    } else {
+        Delivery::Late
+    }
+}
+
+/// The count of `row` a [`residue_verdict`] lands in.
+fn residue_count(row: &mut PeriodDelivery, verdict: Delivery) -> &mut u64 {
+    if verdict == Delivery::Duplicate {
+        &mut row.duplicate
+    } else {
+        &mut row.late
+    }
+}
+
 /// What one roster shard's ladder produced for one period.
 struct PeriodLadder {
-    /// Verdicts and accepted signs of the frames addressed to the shard,
-    /// plus one duplicate per displaced honest report.
+    /// Verdicts and accepted signs of the fabrications addressed to the
+    /// shard, the verdicts of its honest residue copies, and one
+    /// duplicate per displaced honest report.
     tally: CheckedTally,
-    /// Frames classified (all delivered and decoded).
+    /// Frames classified (all delivered and decoded), honest residue
+    /// copies included.
     frames: u64,
     /// Byzantine fabrications accepted.
     byzantine_accepted: u64,
@@ -567,6 +658,59 @@ struct PeriodLadder {
     displaced: Vec<(usize, u32)>,
 }
 
+/// Replaces the provisional verdicts (see [`ShardEmission::residue`]) of
+/// the honest residue copies whose sender a fabrication impersonated, in
+/// the roster shard's `ladder`. `accepted` holds the in-range
+/// fabrications the shard accepted as `(delivery period, frame)`, in
+/// mailbox order; a copy's exact verdict reads the claim of the last one
+/// ahead of it, since accepted claims rise per sender. Each impersonated
+/// honest client's plan, a pure function of (seed, client), is walked
+/// again through [`walk_faulted`]. Returns how many verdicts changed.
+fn correct_residue(
+    fault_plan: &FaultPlan<'_>,
+    own: &ShardEmission,
+    accepted: &mut [(u64, Frame)],
+    ladder: &mut [PeriodLadder],
+) -> u64 {
+    // Stable, so each sender's claims stay in mailbox order.
+    accepted.sort_by_key(|&(_, f)| f.user);
+    let mut hits = Vec::new();
+    let mut changed = 0;
+    let mut rest = &accepted[..];
+    while let Some(&(_, first)) = rest.first() {
+        let (claims, tail) = rest.split_at(rest.partition_point(|&(_, f)| f.user == first.user));
+        rest = tail;
+        let v = first.user;
+        let h = own.orders[v as usize - own.start] as usize;
+        let mut scratch = FaultCounts::default();
+        let mut client = fault_plan.client(v as usize, h, &mut scratch);
+        if client.byzantine {
+            // Every report of a Byzantine sender is a fabrication.
+            continue;
+        }
+        walk_faulted(&mut client, &mut scratch, &mut hits);
+        residue_copies(&hits, h, client.churn_at, |b, at, floor| {
+            let key = (at, b, u64::from(v));
+            let last = claims
+                .iter()
+                .take_while(|&&(t, f)| (t, u64::from(f.emitted), u64::from(f.emitter)) < key)
+                .last()
+                .map_or(0, |&(_, f)| u64::from(f.t));
+            let provisional = residue_verdict(b, floor, 0);
+            let exact = residue_verdict(b, floor, last);
+            if exact != provisional {
+                let row = &mut ladder[at as usize - 1].tally.delivery;
+                *residue_count(row, provisional) -= 1;
+                *residue_count(row, exact) += 1;
+                changed += 1;
+            }
+        });
+    }
+    changed
+}
+
+/// The batched engine: the outcome, its stage timings, and how many
+/// residue verdicts [`correct_residue`] changed.
 fn run_scenario_batched_impl(
     params: &ProtocolParams,
     population: &Population,
@@ -574,7 +718,7 @@ fn run_scenario_batched_impl(
     timeline: &FaultTimeline,
     workers: usize,
     backend: AccumulatorKind,
-) -> (ScenarioOutcome, ScenarioStageTimings) {
+) -> (ScenarioOutcome, ScenarioStageTimings, u64) {
     let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let fault_plan = FaultPlan::new(params, seed, timeline);
@@ -624,96 +768,76 @@ fn run_scenario_batched_impl(
             .collect();
         // clears[h][s] = lanes churn silences from span s onward;
         // dirty[h][s] = lanes excluded from span s only (drop, straggle,
-        // corruption); events[b] = residue deliveries (order, lane,
-        // period) of reports emitted at boundary b, whose frames are
-        // materialised once the span's bits exist. The pre-walk is
-        // user-major, so each events[b] is already in mailbox order.
+        // corruption).
         let mut clears: Vec<Vec<Vec<u32>>> = (0..num_orders)
             .map(|h| vec![Vec::new(); params.sequence_len(h)])
             .collect();
         let mut dirty = clears.clone();
-        let mut events: Vec<Vec<(u8, u32, u32)>> = vec![Vec::new(); d as usize + 1];
-
-        let batches =
-            || -> Vec<FrameBatch> { (0..=d as usize).map(|_| FrameBatch::new()).collect() };
-        let mut honest = batches();
-        let mut byzantine: Vec<Vec<FrameBatch>> = (0..workers).map(|_| batches()).collect();
+        let mut residue = vec![PeriodDelivery::default(); d as usize + 1];
+        let mut byzantine: Vec<Vec<FrameBatch>> = (0..workers)
+            .map(|_| (0..=d as usize).map(|_| FrameBatch::new()).collect())
+            .collect();
         let mut faults = FaultCounts::default();
 
-        // Phase 1 — fault pre-walk: classify every faulted reporting
-        // boundary of every client, whole horizon per user. Each client's
+        // Phase 1 — fault pre-walk: every faulted reporting boundary of
+        // every honest client, whole horizon per user. Each client's
         // fault plan is a pure function of its key, so the walk jumps from
         // one faulted boundary to the next and visits no other: the
-        // boundaries it skips are delivered on time, exactly once.
+        // boundaries it skips are delivered on time, exactly once. A late
+        // or retransmitted copy arrives after its period closed, so it is
+        // classified and counted here, never framed.
+        let mut hits = Vec::new();
+        let mut fabricators: Vec<(u32, ClientPlan<'_>)> = Vec::new();
         for u in shard.range() {
             let local = u - shard.start;
             let h = orders[local] as usize;
             let lane = lanes[local];
             let stride = 1u64 << h;
             let mut client = fault_plan.client(u, h, &mut faults);
-            let churn_at = client.churn_at;
             if client.byzantine {
                 // Byzantine lanes never contribute honest folds; their
-                // fabrications are residue frames like any other fault,
-                // routed straight to the roster shard of the id they claim.
+                // fabrications are emitted in phase 2.
                 clear_bit(&mut active[h], lane);
-                let mut t = 1u64;
-                while t <= d && t < churn_at {
-                    faults.byzantine_messages += 1;
-                    let msg = client.fabricate(u as u32, t);
-                    let routing = client.route(t, &mut faults);
-                    dispatch_frame(msg, t, u as u32, true, routing, &mut faults, |at, frame| {
-                        let r = recipient(n, workers, shard.index, frame.user);
-                        byzantine[r][at as usize].push(frame);
-                    });
-                    t += 1;
+                fabricators.push((u as u32, client));
+                continue;
+            }
+            walk_faulted(&mut client, &mut faults, &mut hits);
+            for &(b, routing) in &hits {
+                if !routing.on_time(b) {
+                    dirty[h][(b / stride - 1) as usize].push(lane);
                 }
-            } else {
-                while let Some(b) = client.next_faulted(churn_at) {
-                    let s = (b / stride - 1) as usize;
-                    let routing = client.route(b, &mut faults);
-                    if routing.malformed {
-                        // Same accounting as `dispatch_frame`: each
-                        // delivered copy is counted where its decode
-                        // would have failed, and no frame materialises.
-                        faults.malformed += u64::from(routing.deliver.is_some())
-                            + u64::from(routing.duplicate.is_some());
-                        dirty[h][s].push(lane);
-                    } else {
-                        if routing.deliver != Some(b) {
-                            dirty[h][s].push(lane);
-                        }
-                        // Delivery periods are ≤ d ≤ 2^31, so they fit u32.
-                        if let Some(at) = routing.deliver {
-                            if at != b {
-                                events[b as usize].push((h as u8, lane, at as u32));
-                            }
-                        }
-                        if let Some(at) = routing.duplicate {
-                            events[b as usize].push((h as u8, lane, at as u32));
-                        }
-                    }
-                }
-                if churn_at <= d {
-                    let first_lost = churn_at.div_ceil(stride) * stride;
-                    if first_lost <= d {
-                        faults.lost_to_churn += d / stride - first_lost / stride + 1;
-                        clears[h][(first_lost / stride - 1) as usize].push(lane);
-                    }
+            }
+            residue_copies(&hits, h, client.churn_at, |b, at, floor| {
+                *residue_count(&mut residue[at as usize], residue_verdict(b, floor, 0)) += 1;
+            });
+            let churn_at = client.churn_at;
+            if churn_at <= d {
+                let first_lost = churn_at.div_ceil(stride) * stride;
+                if first_lost <= d {
+                    faults.lost_to_churn += d / stride - first_lost / stride + 1;
+                    clears[h][(first_lost / stride - 1) as usize].push(lane);
                 }
             }
         }
-        // The pre-walk is user-major, so a delivery period's fabrications
-        // arrive out of emission order: sort each batch once.
-        for batch in byzantine.iter_mut().flatten() {
-            batch.sort_mailbox();
+
+        // Phase 2 — fabrications, one period at a time and ascending user
+        // within a period, so every batch is pushed in mailbox order. Each
+        // goes to the roster shard of the id it claims.
+        for t in 1..=d {
+            for (u, client) in &mut fabricators {
+                if let Some((msg, _, routing)) = client.emit(*u, t, None, &mut faults) {
+                    dispatch_frame(msg, t, *u, true, routing, &mut faults, |at, frame| {
+                        let r = recipient(n, workers, shard.index, frame.user);
+                        byzantine[r][at as usize].push(frame);
+                    });
+                }
+            }
         }
 
-        // Phase 2 — span walk: emit every group's packed sign words in
+        // Phase 3 — span walk: emit every group's packed sign words in
         // horizon order. Faulted and Byzantine lanes still draw (client
-        // randomness is untouched by faults — invariant 1), the honest
-        // on-time majority is folded by masked popcount, and the faulted
-        // minority's frames are materialised from the bits just emitted.
+        // randomness is untouched by faults — invariant 1), and the
+        // honest on-time majority is folded by masked popcount.
         let mut folds: Vec<Vec<(u64, u64)>> = (0..num_orders)
             .map(|h| Vec::with_capacity(params.sequence_len(h)))
             .collect();
@@ -749,21 +873,6 @@ fn run_scenario_batched_impl(
                     rem -= take;
                 }
             }
-            // Every group now holds period t's bits; events[t] is in
-            // ascending user order, and periods ascend, so every batch
-            // stays in mailbox order.
-            for &(h, lane, at) in &events[t as usize] {
-                let group = &groups[h as usize];
-                let user = group.users[lane as usize];
-                honest[at as usize].push(Frame {
-                    emitted: t as u32,
-                    emitter: user,
-                    user,
-                    t: t as u32,
-                    bit: group.signs.get(lane as usize) == Sign::Plus,
-                    byzantine: false,
-                });
-            }
         }
 
         ShardEmission {
@@ -774,7 +883,7 @@ fn run_scenario_batched_impl(
             folds,
             horizon_signs,
             plan,
-            honest,
+            residue,
             byzantine,
             faults,
         }
@@ -796,23 +905,25 @@ fn run_scenario_batched_impl(
 
     // Pool phase: one job per roster shard walks the whole horizon. A
     // verdict reads only its sender's slot, the open period and the
-    // floor, so shard r needs only the frames addressed to it, in
-    // mailbox order, and its own emission's plan bits.
+    // floor, so shard r needs only the fabrications addressed to it, in
+    // mailbox order, and its own emission's plan bits and residue tally.
     let ladder_start = std::time::Instant::now();
     let ends: Vec<usize> = partition(n, workers).iter().map(|s| s.end).collect();
-    let ladders: Vec<Vec<PeriodLadder>> =
+    let ladders: Vec<(Vec<PeriodLadder>, u64)> =
         pool.map_owned(server.roster_shards(&ends), |r, mut roster| {
             let own = &shards[r];
-            (1..=d)
+            let mut accepted: Vec<(u64, Frame)> = Vec::new();
+            let mut ladder: Vec<PeriodLadder> = (1..=d)
                 .map(|t| {
+                    let residue = own.residue[t as usize];
                     let mut period = PeriodLadder {
                         tally: CheckedTally::new(num_orders as usize),
-                        frames: 0,
+                        frames: residue.late + residue.duplicate,
                         byzantine_accepted: 0,
                         displaced: Vec::new(),
                     };
-                    let runs = std::iter::once(&own.honest[t as usize])
-                        .chain(shards.iter().map(|sh| &sh.byzantine[r][t as usize]));
+                    period.tally.delivery = residue;
+                    let runs = shards.iter().map(|sh| &sh.byzantine[r][t as usize]);
                     for f in FrameBatch::merge_sorted(runs) {
                         period.frames += 1;
                         let bit = if f.bit { Sign::Plus } else { Sign::Minus };
@@ -827,9 +938,8 @@ fn run_scenario_batched_impl(
                         if status != Delivery::Accepted {
                             continue;
                         }
-                        if f.byzantine {
-                            period.byzantine_accepted += 1;
-                        }
+                        period.byzantine_accepted += 1;
+                        accepted.push((t, f));
                         // An accepted impersonation racing a folded honest
                         // report displaces it: in the sequential drain the
                         // honest copy, arriving later in the mailbox, would
@@ -848,7 +958,9 @@ fn run_scenario_batched_impl(
                     }
                     period
                 })
-                .collect()
+                .collect();
+            let corrected = correct_residue(&fault_plan, own, &mut accepted, &mut ladder);
+            (ladder, corrected)
         });
     timings.merge_s = ladder_start.elapsed().as_secs_f64();
 
@@ -862,13 +974,13 @@ fn run_scenario_batched_impl(
         let ti = (t - 1) as usize;
         let max_h = t.trailing_zeros().min(params.log_d()) as usize;
         let mut delivered = 0u64;
-        for ladder in &ladders {
+        for (ladder, _) in &ladders {
             let period = &ladder[ti];
             server.absorb_checked(&period.tally);
             delivered += period.frames;
             byz_accepted_by_period[ti] += period.byzantine_accepted;
         }
-        for (sh, ladder) in shards.iter().zip(&ladders) {
+        for (sh, (ladder, _)) in shards.iter().zip(&ladders) {
             let mut folded = CheckedTally::new(num_orders as usize);
             for h in 0..=max_h {
                 if sh.group_len[h] == 0 {
@@ -908,6 +1020,7 @@ fn run_scenario_batched_impl(
             byzantine_accepted_by_period: byz_accepted_by_period,
         },
         timings,
+        ladders.iter().map(|(_, corrected)| corrected).sum(),
     )
 }
 
@@ -949,8 +1062,7 @@ pub(crate) fn dispatch_frame(
         // each delivered copy at the drain's failed `try_decode`; the
         // columnar path never materializes an undecodable row, so it
         // counts the same delivered copies here and skips them.
-        faults.malformed +=
-            u64::from(routing.deliver.is_some()) + u64::from(routing.duplicate.is_some());
+        faults.malformed += routing.delivered();
         return;
     }
     let frame = Frame {
@@ -973,8 +1085,11 @@ pub(crate) fn dispatch_frame(
 mod tests {
     use super::*;
     use crate::config::DelayLaw;
+    use proptest::prelude::*;
+    use rand::Rng;
     use rtf_primitives::fastseed;
     use rtf_streams::generator::UniformChanges;
+    use std::collections::BTreeMap;
 
     fn setup(n: usize, d: u64, k: usize, seed: u64) -> (ProtocolParams, Population) {
         let params = ProtocolParams::new(n, d, k, 1.0, 0.05).unwrap();
@@ -1030,6 +1145,172 @@ mod tests {
                     "n = {n}, {w} workers"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn impersonated_residue_is_corrected_for_every_worker_count() {
+        // Byzantine spam over stragglers and retransmissions: fabrications
+        // accepted under honest ids land ahead of some of those clients'
+        // late copies, so their provisional verdicts are wrong and the pool
+        // phase must correct them, whatever shard holds the claimed id.
+        let (params, pop) = setup(64, 16, 2, 24);
+        let scenario = Scenario::honest()
+            .with_dropout(0.05)
+            .with_churn(0.01)
+            .with_stragglers(0.3, 3)
+            .with_duplicates(0.3)
+            .with_byzantine(0.3);
+        let timeline = FaultTimeline::constant(scenario);
+        let seq = run_scenario_timeline(&params, &pop, 24, &timeline, ExecMode::Sequential);
+        for w in [1usize, 2, 3, 8] {
+            let (par, _, corrected) =
+                run_scenario_batched_impl(&params, &pop, 24, &timeline, w, AccumulatorKind::Dense);
+            assert!(corrected > 0, "{w} workers: no verdict was corrected");
+            assert_eq!(par.estimates, seq.estimates, "{w} workers");
+            assert_eq!(par.group_sizes, seq.group_sizes, "{w} workers");
+            assert_eq!(par.wire, seq.wire, "{w} workers");
+            assert_eq!(par.delivery, seq.delivery, "{w} workers");
+            assert_eq!(par.faults, seq.faults, "{w} workers");
+            assert_eq!(
+                par.byzantine_accepted_by_period, seq.byzantine_accepted_by_period,
+                "{w} workers"
+            );
+        }
+    }
+
+    /// A mailbox position: `(delivery period, emitted, emitter)`.
+    type MailboxKey = (u64, u64, u64);
+
+    /// A message in a one-client mailbox.
+    #[derive(Clone, Copy)]
+    enum Sent {
+        /// A copy of the client's own report of this boundary.
+        Own(u64),
+        /// A fabrication claiming the client at this period.
+        Fake(u64),
+    }
+
+    /// What a one-client server made of a mailbox.
+    struct Replay {
+        /// The verdict on each own copy that arrives after its boundary,
+        /// keyed `(boundary, delivery period)`.
+        copies: BTreeMap<(u64, u64), Delivery>,
+        /// The accepted fabrications as `(key, claim)`, in mailbox order.
+        accepted: Vec<(MailboxKey, u64)>,
+    }
+
+    /// Replays `mailbox` in mailbox order through a server that holds
+    /// client 0 alone, at order `h`.
+    fn replay(d: u64, h: usize, mailbox: &BTreeMap<MailboxKey, Sent>) -> Replay {
+        let params = ProtocolParams::new(1, d, 1, 1.0, 0.05).unwrap();
+        let mut server =
+            Server::for_future_rand_schema(params, AccumulatorKind::Dense, SeedSchema::V2Fast);
+        assert!(server.register_client(0, h as u32));
+        let mut copies = BTreeMap::new();
+        let mut accepted = Vec::new();
+        let mut open = 1;
+        for (&(at, emitted, emitter), &sent) in mailbox {
+            while open < at {
+                server.end_of_period(open);
+                open += 1;
+            }
+            match sent {
+                Sent::Own(b) => {
+                    let verdict = server.ingest_checked(0, b, Sign::Plus);
+                    if at != b {
+                        copies.insert((b, at), verdict);
+                    }
+                }
+                Sent::Fake(claim) => {
+                    if server.ingest_checked(0, claim, Sign::Minus) == Delivery::Accepted {
+                        accepted.push(((at, emitted, emitter), claim));
+                    }
+                }
+            }
+        }
+        Replay { copies, accepted }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The residue verdicts against the checked ladder itself. A random
+        /// history of one client — its order, faulted and folded
+        /// boundaries, churn, delayed and retransmitted copies, and
+        /// fabrications claiming it at random mailbox keys — is replayed
+        /// through a one-client server. Each copy's verdict is what
+        /// `residue_copies` and `residue_verdict` give when handed the
+        /// fabrications the server accepted, and the server accepts the
+        /// same fabrications when the copies are left out.
+        #[test]
+        fn residue_verdicts_match_a_one_client_server(
+            log_d in 1u32..=5,
+            order in 0u32..=5,
+            history in 0u64..u64::MAX,
+        ) {
+            let d = 1u64 << log_d;
+            let h = order.min(log_d) as usize;
+            let mut rng = SeedSequence::new(history).rng();
+            let churn_at = if rng.random_bool(0.25) {
+                rng.random_range(1..=d)
+            } else {
+                u64::MAX
+            };
+            let mut hits = Vec::new();
+            let mut on_time = BTreeMap::new();
+            let mut copies = BTreeMap::new();
+            for b in (1..=d >> h).map(|j| j << h).take_while(|&b| b < churn_at) {
+                if rng.random_bool(0.5) {
+                    on_time.insert((b, b, 0), Sent::Own(b));
+                    continue;
+                }
+                let delay = if rng.random_bool(0.5) { rng.random_range(1..=3) } else { 0 };
+                let deliver = (!rng.random_bool(0.2)).then_some(b + delay);
+                let duplicate = deliver.filter(|_| rng.random_bool(0.5)).map(|at| at + 1);
+                let routing = Routing {
+                    deliver: deliver.filter(|&at| at <= d),
+                    duplicate: duplicate.filter(|&at| at <= d),
+                    malformed: rng.random_bool(0.15),
+                };
+                hits.push((b, routing));
+                if routing.malformed {
+                    continue;
+                }
+                for at in [routing.deliver, routing.duplicate].into_iter().flatten() {
+                    let inbox = if at == b { &mut on_time } else { &mut copies };
+                    inbox.insert((at, b, 0), Sent::Own(b));
+                }
+            }
+            let mut fakes = BTreeMap::new();
+            for _ in 0..rng.random_range(0..16) {
+                let at = rng.random_range(1..=d);
+                // Only a claim of the delivery period itself can be accepted.
+                let claim = if rng.random_bool(0.5) { at } else { rng.random_range(1..=d) };
+                let key = (at, rng.random_range(1..=at), rng.random_range(1..=4u64));
+                fakes.insert(key, Sent::Fake(claim));
+            }
+
+            let mut quiet = on_time;
+            quiet.extend(fakes);
+            let mut mailbox = quiet.clone();
+            mailbox.extend(copies);
+            let full = replay(d, h, &mailbox);
+            let alone = replay(d, h, &quiet);
+            prop_assert!(alone.copies.is_empty());
+            prop_assert_eq!(&full.accepted, &alone.accepted);
+
+            let mut expected = BTreeMap::new();
+            residue_copies(&hits, h, churn_at, |b, at, floor| {
+                let last = full
+                    .accepted
+                    .iter()
+                    .take_while(|&&(key, _)| key < (at, b, 0))
+                    .last()
+                    .map_or(0, |&(_, claim)| claim);
+                expected.insert((b, at), residue_verdict(b, floor, last));
+            });
+            prop_assert_eq!(expected, full.copies);
         }
     }
 

@@ -278,6 +278,7 @@ pub(crate) struct ClientPlan<'a> {
 }
 
 /// The fate of one emitted report.
+#[derive(Clone, Copy)]
 pub(crate) struct Routing {
     /// Delivery period of the original copy, if it survives the horizon.
     pub(crate) deliver: Option<u64>,
@@ -286,6 +287,34 @@ pub(crate) struct Routing {
     /// Whether the frame's encoding was corrupted in flight: every
     /// delivered copy fails `try_decode` at the server.
     pub(crate) malformed: bool,
+}
+
+impl Routing {
+    /// Copies that reach the server, each failing `try_decode` if the
+    /// frame was corrupted.
+    pub(crate) fn delivered(&self) -> u64 {
+        u64::from(self.deliver.is_some()) + u64::from(self.duplicate.is_some())
+    }
+
+    /// Whether the report emitted at `t` arrives intact in period `t`.
+    pub(crate) fn on_time(&self, t: u64) -> bool {
+        !self.malformed && self.deliver == Some(t)
+    }
+
+    /// Calls `copy(at)` with the delivery period of each intact copy of
+    /// the report emitted at `t` that arrives after period `t`: a delayed
+    /// original, then a retransmission.
+    pub(crate) fn late_copies(&self, t: u64, mut copy: impl FnMut(u64)) {
+        if self.malformed {
+            return;
+        }
+        if let Some(at) = self.deliver.filter(|&at| at != t) {
+            copy(at);
+        }
+        if let Some(at) = self.duplicate {
+            copy(at);
+        }
+    }
 }
 
 impl ClientPlan<'_> {

@@ -2,8 +2,10 @@
 //!
 //! The batched scenario engine jumps through each client's fault plan
 //! from one faulted boundary to the next, folds honest on-time spans
-//! arithmetically as packed sign words, and replays only the faulted
-//! residue through the floor-checked ingestion ladder. The sequential
+//! arithmetically as packed sign words, counts the verdicts of late and
+//! retransmitted honest copies where the pre-walk finds them, and runs
+//! only Byzantine fabrications through the floor-checked ingestion
+//! ladder. The sequential
 //! engine asks the same plan at every report and routes each one
 //! individually. These properties pin the two against each other over
 //! random protocol shapes × fault storms × worker counts, on every

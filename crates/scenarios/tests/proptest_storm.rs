@@ -3,12 +3,15 @@
 //! Retransmission storms, straggler pile-ups, and Byzantine spam fill a
 //! delivery period's merged mailbox with more frames than are due. The
 //! live service classifies them at period close
-//! (`rtf_runtime::replay_frames_checked`) and the batched engine in its
-//! floor-checked residue replay, so sequential ≡ batched ≡ live
-//! agreement under a random storm pins duplicate classification on both
-//! against the sequential reference: estimates, every `PeriodDelivery`
-//! row (accepted/duplicate/late/…), wire totals, and fault counts, for
-//! every worker count.
+//! (`rtf_runtime::replay_frames_checked`). The batched engine frames
+//! none of the honest copies: its fault pre-walk counts each one `Late`
+//! or `Duplicate` from the sender's folded boundaries, and the checked
+//! ladder runs on Byzantine fabrications only, correcting the copies of
+//! every client a fabrication impersonated. Sequential ≡ batched ≡ live
+//! agreement under a random storm therefore pins duplicate
+//! classification on both against the sequential reference: estimates,
+//! every `PeriodDelivery` row (accepted/duplicate/late/…), wire totals,
+//! and fault counts, for every worker count.
 
 use proptest::prelude::*;
 use rtf_core::params::ProtocolParams;

@@ -29,11 +29,14 @@ gate fails.
 Scenario-engine rows additionally carry a per-stage wall-clock
 decomposition (`stage_emit_s` / `stage_merge_s` / `stage_ingest_s`, on
 sequential and parallel rows alike). On parallel rows, emit is the shard
-fan-out including routing each residue frame to its recipient's roster
-shard, merge is the pool phase (per roster shard, the frame merge and
-the checked ladder, fused), and ingest is registration plus the serial
-absorb of tallies and folds and the period close; on sequential rows
-merge is zero and ingest is the whole checked ladder. Every **fresh**
+fan-out including the fault pre-walk's tally of honest residue verdicts
+and routing each Byzantine fabrication to its recipient's roster shard,
+merge is the pool phase (per roster shard, the fabrication merge and the
+checked ladder, fused, plus the residue verdict corrections of the
+clients an accepted fabrication impersonated), and ingest is
+registration plus the serial absorb of tallies and folds and the period
+close; on sequential rows merge is zero and ingest is the whole checked
+ladder. Every **fresh**
 scenario row must
 carry all three — a missing field means the bench silently stopped
 attributing time — and their sum must land within 20% of `elapsed_s`
