@@ -26,8 +26,8 @@ use rtf_core::accumulator::{Accumulator, DenseAccumulator};
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
-use rtf_runtime::{ExecMode, ReportBatch, SignLane};
-use rtf_sim::engine::run_event_driven_with;
+use rtf_runtime::{ReportBatch, SignLane};
+use rtf_scenarios::{run, Mode, RunSpec};
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 use std::time::Instant;
@@ -45,7 +45,7 @@ fn measure(params: &ProtocolParams, population: &Population, seed: u64) -> Row {
     // Parallel(1): the batched pipeline on one worker — the per-period
     // shard accumulators, with no threading noise.
     let start = Instant::now();
-    let outcome = run_event_driven_with(params, population, seed, ExecMode::Parallel(1));
+    let outcome = run(&RunSpec::new(params, population, seed, Mode::Batched(1)));
     let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
     let reports = outcome.wire.payload_bits;
     Row {

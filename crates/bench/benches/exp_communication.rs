@@ -14,7 +14,7 @@
 use rtf_bench::{banner, trials_from_env, Table};
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
-use rtf_sim::engine::run_event_driven;
+use rtf_scenarios::{run, Mode, RunSpec};
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 
@@ -47,7 +47,12 @@ fn main() {
         for s in 0..trials {
             let mut rng = SeedSequence::new(600 + s as u64).rng();
             let pop = Population::generate(&gen, n, &mut rng);
-            let out = run_event_driven(&params, &pop, 700 + s as u64);
+            let out = run(&RunSpec::new(
+                &params,
+                &pop,
+                700 + s as u64,
+                Mode::from_env(),
+            ));
             bits += out.wire.payload_bits as f64 / trials as f64;
             bytes += out.wire.wire_bytes as f64 / trials as f64;
             msgs += out.wire.messages as f64 / trials as f64;

@@ -27,7 +27,7 @@ use rtf_bench::{banner, trials_from_env, Table};
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_runtime::{ExecMode, WorkerPool};
-use rtf_scenarios::{run_scenario_with, Scenario};
+use rtf_scenarios::{run, Mode, RunSpec, Scenario};
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 
@@ -49,13 +49,8 @@ fn run_rows(
     pool.map_indexed(trials, |s| {
         let mut rng = SeedSequence::new(1_900 + s as u64).rng();
         let pop = Population::generate(gen, params.n(), &mut rng);
-        let out = run_scenario_with(
-            params,
-            &pop,
-            2_000 + s as u64,
-            scenario,
-            ExecMode::Parallel(1),
-        );
+        let spec = RunSpec::new(params, &pop, 2_000 + s as u64, Mode::Batched(1));
+        let out = run(&spec.with_scenario(scenario));
         (
             linf_error(&out.estimates, pop.true_counts()),
             out.accepted_fraction(),

@@ -11,14 +11,19 @@
 //! scenario engine (whose batched path additionally pays the
 //! frame-provenance merge).
 //!
-//! Every timed run is asserted **value-for-value identical** to its
-//! engine's sequential baseline before its timing is accepted — a
-//! throughput number for a wrong answer is worthless.
+//! Every row runs once untimed (a warm-up: page faults, allocator
+//! arenas and worker threads settle) and then [`REPEATS`] times timed,
+//! and records the median repetition — its `elapsed_s` and its stage
+//! fields together, so the stages still add up to the recorded wall
+//! time — plus `repeats` and `elapsed_spread_s` (slowest minus fastest
+//! repetition). Every run, warm-up included, is asserted
+//! **value-for-value identical** to its engine's sequential baseline
+//! before its timing is accepted — a throughput number for a wrong
+//! answer is worthless.
 //!
 //! Every scenario row — sequential included — decomposes into per-stage
-//! wall clock (`stage_emit_s` / `stage_merge_s` / `stage_ingest_s`, via
-//! `run_scenario_sequential_timed` / `run_scenario_batched_timed`;
-//! validated by `scripts/perf_gate.py`). That decomposition is what
+//! wall clock (`stage_emit_s` / `stage_merge_s` / `stage_ingest_s`, from
+//! the outcome's stage timings; validated by `scripts/perf_gate.py`). That decomposition is what
 //! attributed the historical `parallel(2)`-slower-than-`parallel(1)`
 //! anomaly at `n = 10⁶` to the emission stage: the old per-report fault
 //! layer walked every client's ~150-byte state machine every period, so
@@ -48,24 +53,21 @@
 //! comparable against the committed full-mode baseline).
 
 use rtf_bench::{banner, Table};
-use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::params::ProtocolParams;
-use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_runtime::ingest::LiveConfig;
-use rtf_runtime::ExecMode;
 use rtf_scenarios::config::Scenario;
-use rtf_scenarios::engine::{
-    run_scenario_batched_timed, run_scenario_sequential_timed, ScenarioStageTimings,
-};
-use rtf_sim::engine::run_event_driven_with;
-use rtf_sim::live::run_event_driven_live_with;
+use rtf_scenarios::{run, Mode, RunSpec};
+use rtf_sim::{Outcome, StageTimings};
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 use std::time::Instant;
 
 /// Worker counts the parallel pipeline is measured at.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Timed repetitions per row, after one untimed warm-up.
+const REPEATS: usize = 3;
 
 struct Measurement {
     engine: &'static str,
@@ -75,129 +77,64 @@ struct Measurement {
     mode: &'static str,
     /// Worker count (0 for the sequential reference).
     workers: usize,
+    /// Wall time of the median repetition.
     elapsed_s: f64,
+    /// Slowest minus fastest repetition.
+    elapsed_spread_s: f64,
     reports: u64,
     reports_per_s: f64,
-    /// Per-stage wall clock (scenario engine's batched mode only).
-    stages: Option<ScenarioStageTimings>,
+    /// Per-stage wall clock of the median repetition (checked engine's
+    /// sequential and batched modes).
+    stages: Option<StageTimings>,
 }
 
-/// Everything a timed run must reproduce identically for its timing to
-/// count: the estimates plus the full wire accounting (and, for the
-/// scenario engine, the delivery-affecting fault bookkeeping folded into
-/// `wire` by way of delivered frames).
-#[derive(PartialEq, Debug)]
-struct RunValues {
-    estimates: Vec<f64>,
-    wire: rtf_sim::message::WireStats,
-}
-
-/// Times one engine × mode run, returning the measurement plus the
-/// values the caller differences against the sequential baseline. Both scenario modes run through their timed variants, so
-/// every scenario row carries the per-stage decomposition.
+/// Times `spec` (one warm-up, then [`REPEATS`] timed runs) and returns
+/// the median repetition's measurement and outcome. Every run must equal
+/// `baseline` value for value; `None` makes the warm-up the baseline
+/// (the sequential reference row).
 fn measure(
     engine: &'static str,
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    mode: ExecMode,
-    scenario: &Scenario,
-) -> (Measurement, RunValues) {
-    let start = Instant::now();
-    let mut stages = None;
-    let values = match engine {
-        "event" => {
-            let out = run_event_driven_with(params, population, seed, mode);
-            RunValues {
-                estimates: out.estimates,
-                wire: out.wire,
-            }
-        }
-        "scenario" => match mode {
-            ExecMode::Sequential => {
-                let (out, t) = run_scenario_sequential_timed(params, population, seed, scenario);
-                stages = Some(t);
-                RunValues {
-                    estimates: out.estimates,
-                    wire: out.wire,
-                }
-            }
-            ExecMode::Parallel(w) => {
-                let (out, t) = run_scenario_batched_timed(
-                    params,
-                    population,
-                    seed,
-                    scenario,
-                    w,
-                    AccumulatorKind::Dense,
-                    SeedSchema::V2Fast,
-                );
-                stages = Some(t);
-                RunValues {
-                    estimates: out.estimates,
-                    wire: out.wire,
-                }
-            }
-        },
-        other => unreachable!("unknown engine {other}"),
+    spec: &RunSpec,
+    baseline: Option<&Outcome>,
+) -> (Measurement, Outcome) {
+    let warm = run(spec);
+    let reference = baseline.unwrap_or(&warm);
+    let label = format!(
+        "{engine} {} must match sequential before its timing counts",
+        spec.mode
+    );
+    warm.assert_values_eq(reference, &label);
+    let mut reps: Vec<(f64, Outcome)> = (0..REPEATS)
+        .map(|_| {
+            let start = Instant::now();
+            let out = run(spec);
+            let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
+            out.assert_values_eq(reference, &label);
+            (elapsed_s, out)
+        })
+        .collect();
+    reps.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let elapsed_spread_s = reps[REPEATS - 1].0 - reps[0].0;
+    let (elapsed_s, out) = reps.swap_remove(REPEATS / 2);
+    let (mode, workers) = match &spec.mode {
+        Mode::Sequential => ("sequential", 0),
+        Mode::Batched(w) => ("parallel", *w),
+        Mode::Live(config) => ("live", config.workers),
     };
-    let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
-    let reports = values.wire.payload_bits;
-    let (mode, workers) = mode_json(mode);
-    (
-        Measurement {
-            engine,
-            n: params.n(),
-            d: params.d(),
-            mode,
-            workers,
-            elapsed_s,
-            reports,
-            reports_per_s: reports as f64 / elapsed_s,
-            stages,
-        },
-        values,
-    )
-}
-
-/// Times the streaming ingestion service on the honest schedule with
-/// `workers` ingestion workers (default mailbox/chunk shape), returning
-/// the measurement plus the values for the baseline difference.
-fn measure_live(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    workers: usize,
-) -> (Measurement, RunValues) {
-    let config = LiveConfig::new(workers);
-    let start = Instant::now();
-    let (out, _stats) = run_event_driven_live_with(params, population, seed, &config);
-    let elapsed_s = start.elapsed().as_secs_f64().max(1e-9);
     let reports = out.wire.payload_bits;
-    (
-        Measurement {
-            engine: "event",
-            n: params.n(),
-            d: params.d(),
-            mode: "live",
-            workers,
-            elapsed_s,
-            reports,
-            reports_per_s: reports as f64 / elapsed_s,
-            stages: None,
-        },
-        RunValues {
-            estimates: out.estimates,
-            wire: out.wire,
-        },
-    )
-}
-
-fn mode_json(mode: ExecMode) -> (&'static str, usize) {
-    match mode {
-        ExecMode::Sequential => ("sequential", 0),
-        ExecMode::Parallel(w) => ("parallel", w),
-    }
+    let m = Measurement {
+        engine,
+        n: spec.params.n(),
+        d: spec.params.d(),
+        mode,
+        workers,
+        elapsed_s,
+        elapsed_spread_s,
+        reports,
+        reports_per_s: reports as f64 / elapsed_s,
+        stages: out.stages,
+    };
+    (m, out)
 }
 
 fn main() {
@@ -263,98 +200,38 @@ fn main() {
         let mut rng = SeedSequence::new(7_000 + n as u64).rng();
         let population = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
 
-        // The honest event-driven engine: the batched and live paths
-        // emit whole counter words straight into packed report lanes.
-        let (seq, baseline) = measure(
-            "event",
-            &params,
-            &population,
-            42,
-            ExecMode::Sequential,
-            &storm,
-        );
-        let seq_rate = seq.reports_per_s;
-        print_row(&seq, 1.0);
-        rows.push((seq, 1.0));
-
-        for w in WORKER_COUNTS {
-            let (m, values) = measure(
-                "event",
-                &params,
-                &population,
-                42,
-                ExecMode::Parallel(w),
-                &storm,
-            );
-            assert_eq!(
-                values, baseline,
-                "event parallel({w}) must match sequential (estimates + wire stats) before its \
-                 timing counts"
-            );
-            let speedup = m.reports_per_s / seq_rate;
-            print_row(&m, speedup);
-            rows.push((m, speedup));
-        }
-
-        // The streaming ingestion service on the same schedule: what
+        // The honest event engine, then the fault-injected engine: the
+        // batched and live paths emit whole counter words straight into
+        // packed report lanes, and the checked engine's batched path rides
+        // the same span-native emission. The live rows serve the event
+        // schedule through the streaming ingestion service: what
         // per-period mailbox intake + period-close flushes cost over the
-        // offline batched fold.
-        for w in WORKER_COUNTS {
-            let (m, values) = measure_live(&params, &population, 42, w);
-            assert_eq!(
-                values, baseline,
-                "live({w}) must match sequential (estimates + wire stats) before its timing \
-                 counts"
-            );
-            let speedup = m.reports_per_s / seq_rate;
-            print_row(&m, speedup);
-            rows.push((m, speedup));
-        }
-
-        // The fault-injected engine: its batched path rides the same
-        // span-native packed-word emission as the event engine. Every row
-        // (sequential included) carries the per-stage decomposition.
-        let (seq, baseline) = measure(
-            "scenario",
-            &params,
-            &population,
-            42,
-            ExecMode::Sequential,
-            &storm,
-        );
-        let seq_rate = seq.reports_per_s;
-        print_row(&seq, 1.0);
-        if let Some(s) = &seq.stages {
-            println!(
-                "    stages: emission {:.2}s, merge {:.2}s, ingest {:.2}s",
-                s.emission_s, s.merge_s, s.ingest_s
-            );
-        }
-        rows.push((seq, 1.0));
-
-        for w in WORKER_COUNTS {
-            let (m, values) = measure(
-                "scenario",
-                &params,
-                &population,
-                42,
-                ExecMode::Parallel(w),
-                &storm,
-            );
-            assert_eq!(
-                values, baseline,
-                "scenario parallel({w}) must match sequential (estimates + wire stats) before \
-                 its timing counts"
-            );
-            let speedup = m.reports_per_s / seq_rate;
-            print_row(&m, speedup);
-            if let Some(s) = &m.stages {
-                println!(
-                    "    stages: emission {:.2}s, merge {:.2}s, ingest {:.2}s",
-                    s.emission_s, s.merge_s, s.ingest_s
-                );
+        // offline batched fold. Every checked row (sequential included)
+        // carries the per-stage decomposition.
+        let event = RunSpec::new(&params, &population, 42, Mode::Sequential);
+        let checked = event.clone().with_scenario(&storm);
+        for (engine, spec, live) in [("event", event, true), ("scenario", checked, false)] {
+            let (seq, baseline) = measure(engine, &spec, None);
+            let seq_rate = seq.reports_per_s;
+            let mut record = |m: Measurement| {
+                let speedup = m.reports_per_s / seq_rate;
+                print_row(&m, speedup);
+                if let Some(s) = &m.stages {
+                    println!(
+                        "    stages: emission {:.2}s, merge {:.2}s, ingest {:.2}s",
+                        s.emission_s, s.merge_s, s.ingest_s
+                    );
+                }
+                rows.push((m, speedup));
+            };
+            record(seq);
+            let mut modes: Vec<Mode> = WORKER_COUNTS.map(Mode::Batched).to_vec();
+            if live {
+                modes.extend(WORKER_COUNTS.map(|w| Mode::Live(LiveConfig::new(w))));
             }
-            rows.push((m, speedup));
+            for mode in modes {
+                record(measure(engine, &spec.clone().with_mode(mode), Some(&baseline)).0);
+            }
         }
     }
 
@@ -381,14 +258,15 @@ fn main() {
         };
         json.push_str(&format!(
             "    {{\"engine\": \"{}\", \"n\": {}, \"d\": {}, \"mode\": \"{}\", \"workers\": {}, \
-             \"elapsed_s\": {:.6}, \"reports\": {}, \"reports_per_s\": {:.1}, \
-             \"speedup_vs_sequential\": {:.4}{}}}{}\n",
+             \"elapsed_s\": {:.6}, \"repeats\": {REPEATS}, \"elapsed_spread_s\": {:.6}, \
+             \"reports\": {}, \"reports_per_s\": {:.1}, \"speedup_vs_sequential\": {:.4}{}}}{}\n",
             m.engine,
             m.n,
             m.d,
             m.mode,
             m.workers,
             m.elapsed_s,
+            m.elapsed_spread_s,
             m.reports,
             m.reports_per_s,
             speedup,

@@ -1,15 +1,16 @@
 //! P3 — end-to-end trial wall time, across the three execution paths:
 //!
 //! * `run_in_memory` — direct function calls, walks every period;
-//! * `run_event_driven` — serialised messages, walks every period;
+//! * the event engine through `rtf_scenarios::run` — serialised
+//!   messages, walks every period;
 //! * `run_future_rand_aggregate` — batched zero-slot noise (the path
 //!   that makes million-user experiments cheap).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
+use rtf_scenarios::{run, Mode, RunSpec};
 use rtf_sim::aggregate::run_future_rand_aggregate;
-use rtf_sim::engine::run_event_driven;
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 use std::hint::black_box;
@@ -36,7 +37,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(run_event_driven(&params, &pop, seed))
+            black_box(run(&RunSpec::new(&params, &pop, seed, Mode::from_env())))
         });
     });
     group.bench_function("aggregate_n5k_d256", |b| {

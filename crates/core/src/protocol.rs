@@ -68,39 +68,35 @@ pub fn run_in_memory(
     population: &Population,
     seed: u64,
 ) -> ProtocolOutcome {
-    run_in_memory_impl(params, population, seed, false).0
-}
-
-/// Like [`run_in_memory`], but additionally retains the full tree of
-/// interval estimates so the caller can answer window-change queries
-/// (pure post-processing — no extra privacy cost).
-pub fn run_in_memory_with_store(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-) -> (ProtocolOutcome, crate::queries::EstimateStore) {
-    let (outcome, store) = run_in_memory_impl(params, population, seed, true);
-    (outcome, store.expect("store was requested"))
-}
-
-fn run_in_memory_impl(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    with_store: bool,
-) -> (ProtocolOutcome, Option<crate::queries::EstimateStore>) {
     let mut server = Server::for_future_rand(*params);
-    if with_store {
-        server.enable_store();
-    }
-    let outcome = run_clients(
+    run_clients(
         params,
         population,
         seed,
         &mut server,
         keyed_future_rand(params),
+    )
+}
+
+/// Panics unless `population` has `params`' `n` users over `params`'
+/// horizon `d`, each changing at most `k` times — the input check of
+/// every engine.
+pub fn check_population(params: &ProtocolParams, population: &Population) {
+    assert_eq!(
+        population.n(),
+        params.n(),
+        "population has {} users, params say {}",
+        population.n(),
+        params.n()
     );
-    (outcome, server.store().cloned())
+    assert_eq!(
+        population.d(),
+        params.d(),
+        "population horizon {} ≠ params d = {}",
+        population.d(),
+        params.d()
+    );
+    population.assert_k_sparse(params.k());
 }
 
 /// The FutureRand randomizer factory of the protocol's keyed clients,
@@ -147,21 +143,7 @@ where
     M: LocalRandomizer,
     F: FnMut(u32, &SeedSequence, StdRng) -> M,
 {
-    assert_eq!(
-        population.n(),
-        params.n(),
-        "population has {} users, params say {}",
-        population.n(),
-        params.n()
-    );
-    assert_eq!(
-        population.d(),
-        params.d(),
-        "population horizon {} ≠ params d = {}",
-        population.d(),
-        params.d()
-    );
-    population.assert_k_sparse(params.k());
+    check_population(params, population);
 
     let mut clients = Clients::new(params, population, seed, make);
     for u in 0..clients.len() {
@@ -295,7 +277,10 @@ mod tests {
         let params = ProtocolParams::new(2_000, 64, 4, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(14).rng();
         let pop = Population::generate(&UniformChanges::new(64, 4, 0.8), 2_000, &mut rng);
-        let (outcome, store) = run_in_memory_with_store(&params, &pop, 21);
+        let mut server = Server::for_future_rand(params);
+        server.enable_store();
+        let outcome = run_clients(&params, &pop, 21, &mut server, keyed_future_rand(&params));
+        let store = server.store().expect("store enabled");
         // Prefix queries through the store agree with the streaming
         // estimates exactly.
         for t in 1..=64u64 {

@@ -301,6 +301,16 @@ pub struct Server {
     delivery_log: Vec<PeriodDelivery>,
 }
 
+/// The one settings check: panics if `RTF_BACKEND` or `RTF_SEED_SCHEMA`
+/// names a removed accumulator layout or seed schema
+/// ([`AccumulatorKind::from_env`], [`SeedSchema::from_env`]), so a stale
+/// script never silently runs the one remaining choice. Every server
+/// constructor and every engine run calls it.
+pub fn check_settings() {
+    AccumulatorKind::from_env();
+    SeedSchema::from_env();
+}
+
 impl Server {
     /// Builds a server from explicit per-order preservation gaps
     /// `c_gap(h)` (index `h ∈ [0..log d]`). The gaps must match the
@@ -311,12 +321,11 @@ impl Server {
     /// entry, or if `RTF_BACKEND` or `RTF_SEED_SCHEMA` names a removed
     /// setting ([`AccumulatorKind::from_env`], [`SeedSchema::from_env`]).
     pub fn new(params: ProtocolParams, c_gaps: &[f64]) -> Self {
-        // The schema has one value; reading it makes a stale setting fail.
-        SeedSchema::from_env();
-        Self::build(params, c_gaps, AccumulatorKind::from_env())
+        check_settings();
+        Self::build(params, c_gaps)
     }
 
-    fn build(params: ProtocolParams, c_gaps: &[f64], backend: AccumulatorKind) -> Self {
+    fn build(params: ProtocolParams, c_gaps: &[f64]) -> Self {
         let orders = params.num_orders() as usize;
         assert_eq!(
             c_gaps.len(),
@@ -336,7 +345,7 @@ impl Server {
             params,
             scale,
             group_sizes: vec![0; orders],
-            acc: backend.new_accumulator(orders),
+            acc: AnyAccumulator::new(orders),
             frontier: Frontier::new(params.horizon()),
             // Grows as periods close: reserving `d` up front would take
             // 16 GiB at the horizon cap before a single report arrived.
@@ -374,25 +383,25 @@ impl Server {
     /// Panics if `RTF_BACKEND` or `RTF_SEED_SCHEMA` names a removed
     /// setting ([`AccumulatorKind::from_env`], [`SeedSchema::from_env`]).
     pub fn for_future_rand(params: ProtocolParams) -> Self {
-        Self::for_future_rand_schema(params, AccumulatorKind::from_env(), SeedSchema::from_env())
-    }
-
-    /// [`for_future_rand`](Self::for_future_rand) with an explicit
-    /// accumulator layout. The seed schema has one value and server math
-    /// never depended on it; the parameter stays for callers that name
-    /// it.
-    pub fn for_future_rand_schema(
-        params: ProtocolParams,
-        backend: AccumulatorKind,
-        _schema: SeedSchema,
-    ) -> Self {
+        check_settings();
         let gaps: Vec<f64> = (0..params.num_orders())
             .map(|h| {
                 crate::gap::WeightClassLaw::for_protocol(params.k_for_order(h), params.epsilon())
                     .c_gap()
             })
             .collect();
-        Self::build(params, &gaps, backend)
+        Self::build(params, &gaps)
+    }
+
+    /// [`for_future_rand`](Self::for_future_rand) under the one-value
+    /// accumulator layout and seed schema. Kept for
+    /// `examples/benchmark/src/adapter.rs`, which names both.
+    pub fn for_future_rand_schema(
+        params: ProtocolParams,
+        _backend: AccumulatorKind,
+        _schema: SeedSchema,
+    ) -> Self {
+        Self::for_future_rand(params)
     }
 
     /// Registers a user's announced order (Algorithm 2, line 1).
@@ -1513,11 +1522,7 @@ mod tests {
     /// {3, 7, 8, 41} of n = 100, registered out of id order) and exact
     /// power-of-two gaps, so its bytes depend on nothing ambient.
     fn gappy_checked_server() -> Server {
-        let mut server = Server::build(
-            params(),
-            &[0.5, 0.25, 0.125, 0.0625],
-            AccumulatorKind::Dense,
-        );
+        let mut server = Server::build(params(), &[0.5, 0.25, 0.125, 0.0625]);
         for (user, h) in [(41, 1), (3, 0), (8, 2), (7, 0)] {
             assert!(server.register_client(user, h));
         }

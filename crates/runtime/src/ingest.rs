@@ -4,9 +4,10 @@
 //! The protocol of Algorithm 2 is inherently a *service*: clients emit
 //! one report per assigned boundary forever, and the server must fold
 //! them in as they arrive, period after period, without ever seeing the
-//! whole horizon at once. The batch engines (`run_event_driven`,
-//! `run_scenario`) simulate that schedule offline over whole-horizon
-//! shards; [`IngestService`] is the online counterpart:
+//! whole horizon at once. The offline modes of `rtf_scenarios::run`
+//! (sequential and batched, on the event and the checked engine)
+//! simulate that schedule over whole-horizon shards; [`IngestService`]
+//! is the online counterpart, which `run`'s live mode drives:
 //!
 //! * **Per-period intake.** Producers stream columnar
 //!   [`ReportBatch`]es (trusted traffic, folded into shard accumulators
@@ -20,6 +21,8 @@
 //!   how far ahead producers run. Backpressure changes timing, never
 //!   values.
 //! * **Period-close flush.** [`close_period`](IngestService::close_period)
+//!   first checks that it names the open period (a misnumbered close
+//!   panics before it touches a worker, so it loses nothing), then
 //!   barriers every worker, collects its shard accumulator and buffered
 //!   frames **in worker index order**, replays the merged frame mailbox
 //!   through the server's checked path, and finalises the period via
@@ -362,12 +365,12 @@ fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<ShardFlush>, template: AnyAc
 /// `(emitted, emitter)` — see [`FrameBatch::merge_ordered`]) through the
 /// server's checked ingestion path while period `t` is open, returning
 /// one [`Delivery`] per frame.
+///
+/// # Panics
+/// Panics unless `t` is the server's open period — frames classified
+/// against another period would be absorbed into the wrong estimate.
 pub fn replay_frames_checked(server: &mut Server, t: u64, frames: &FrameBatch) -> Vec<Delivery> {
-    debug_assert_eq!(
-        t,
-        server.estimates().len() as u64 + 1,
-        "frames replay into the open period"
-    );
+    assert_open_period(server, t);
     frames
         .iter()
         .map(|frame| {
@@ -375,6 +378,12 @@ pub fn replay_frames_checked(server: &mut Server, t: u64, frames: &FrameBatch) -
             server.ingest_checked(frame.user, u64::from(frame.t), bit)
         })
         .collect()
+}
+
+/// Panics unless `t` is `server`'s open period.
+fn assert_open_period(server: &Server, t: u64) {
+    let open = server.estimates().len() as u64 + 1;
+    assert_eq!(t, open, "period {t} is not the open period {open}");
 }
 
 /// Aggregate accounting of one service lifetime.
@@ -395,7 +404,7 @@ pub struct IngestStats {
     /// journal-rebuild path of an aborted period close.
     pub replayed_batches: u64,
     /// Cumulative heap bytes of every flushed shard accumulator — the
-    /// live counterpart of `EventDrivenOutcome::acc_bytes`.
+    /// live counterpart of the event engine's `Outcome::acc_bytes`.
     pub flushed_acc_bytes: u64,
     /// Whole-service snapshot/restore restarts performed (see
     /// [`IngestService::restart`]) — the proof a configured restart
@@ -558,8 +567,11 @@ impl IngestService {
     /// journals intact, delivery log untouched, stats unadvanced.
     ///
     /// # Panics
-    /// Panics like `Server::end_of_period` if `t` is out of order.
+    /// Panics unless `t` is the open period. The check runs before the
+    /// flush barrier, so after the panic the service still holds the open
+    /// period's traffic and a correctly numbered close publishes it.
     pub fn close_period(&mut self, t: u64) -> Result<PeriodClose, AccumulatorError> {
+        assert_open_period(&self.server, t);
         // Barrier: one flush marker per mailbox. Workers drain in FIFO
         // order, so everything submitted for this period lands before the
         // marker.
@@ -1036,6 +1048,30 @@ mod tests {
         let (_, stats) = svc.finish();
         assert_eq!(stats.recoveries, 1);
         assert_eq!(stats.replayed_batches, 1, "one open-period batch replayed");
+    }
+
+    #[test]
+    fn misnumbered_close_loses_no_traffic() {
+        // Closing period 2 while period 1 is open must fail before the
+        // flush barrier: the workers keep period 1's folded rows, and the
+        // correctly numbered close publishes them.
+        let expect = reference_estimates();
+        let mut svc = IngestService::new(trusted_server(12), 2, 4);
+        let mut estimates = Vec::new();
+        for t in 1..=8u64 {
+            svc.submit_reports(0, batch_for(t, 0..6));
+            svc.submit_reports(1, batch_for(t, 6..12));
+            if t == 1 {
+                let wrong =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.close_period(2)));
+                assert!(
+                    wrong.is_err(),
+                    "closing a period that is not open must panic"
+                );
+            }
+            estimates.push(svc.close_period(t).unwrap().estimate);
+        }
+        assert_eq!(estimates, expect, "the misnumbered close lost traffic");
     }
 
     #[test]

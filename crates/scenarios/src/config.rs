@@ -5,8 +5,7 @@
 //! decided by the fault plan (the crate's `plan` module), keyed words in
 //! a seed subtree disjoint from the clients' protocol randomness, so the
 //! honest scenario — all rates zero — leaves the wire schedule, and
-//! therefore every estimate, bit-identical to
-//! `rtf_sim::engine::run_event_driven`.
+//! therefore every estimate, bit-identical to the event engine.
 //!
 //! The rates also decide how much of a batched run stays on the
 //! span-native fast path (`rtf_scenarios::engine`): a client/boundary

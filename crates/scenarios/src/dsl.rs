@@ -42,7 +42,7 @@
 //! or load them from TOML ([`ScenarioSpec::from_toml`] — the committed
 //! files under `workloads/` are the reference corpus), mutate nothing,
 //! and [`ScenarioSpec::compile`] them into the engine-level objects: a
-//! [`FaultTimeline`], a [`ChaosPlan`], and [`rtf_core::params::ProtocolParams`].
+//! [`FaultTimeline`], a live [`LiveConfig`], and [`rtf_core::params::ProtocolParams`].
 //! Every parse or validation failure is a typed [`SpecError`] carrying
 //! the line and field it arose from — specs never panic the parser.
 //!
@@ -61,11 +61,11 @@ pub use registry::{
     workload_dir, WORKLOAD_DIR_ENV,
 };
 
-use crate::chaos::ChaosPlan;
 use crate::config::{DelayLaw, FaultTimeline, Scenario};
 use rand::rngs::StdRng;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
+use rtf_runtime::ingest::LiveConfig;
 use rtf_streams::generator::{
     BurstyChanges, PeriodicToggle, StaticPopulation, UniformChanges, WaveTrend,
 };
@@ -486,10 +486,10 @@ impl ShapeSpec {
     }
 }
 
-/// Kill/restart chaos for the live engine — the spec-level mirror of
-/// [`ChaosPlan`]. Empty by default; ignored by the offline engines
-/// (recovery is exact, so chaos is invisible in every outcome field,
-/// which is precisely what the differential oracle checks).
+/// Kill/restart chaos for the live engine — the spec-level mirror of a
+/// [`LiveConfig`]'s fault lists. Empty by default; ignored by the offline
+/// engines (recovery is exact, so chaos is invisible in every outcome
+/// field, which is precisely what the differential oracle checks).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosSpec {
     /// `(worker, period)` kills: the worker dies after intake, before
@@ -507,19 +507,19 @@ impl ChaosSpec {
         self.kills.is_empty() && self.mid_restarts.is_empty() && self.between_restarts.is_empty()
     }
 
-    /// Lowers the spec to an engine-level [`ChaosPlan`].
-    pub fn to_plan(&self) -> ChaosPlan {
-        let mut plan = ChaosPlan::new();
+    /// Lowers the spec onto `config`: its kills, then its mid-period and
+    /// between-period restarts.
+    pub fn configure(&self, mut config: LiveConfig) -> LiveConfig {
         for &(worker, period) in &self.kills {
-            plan = plan.with_kill(worker, period);
+            config = config.with_kill(worker, period);
         }
         for &p in &self.mid_restarts {
-            plan = plan.with_mid_restart(p);
+            config = config.with_restart(p);
         }
         for &p in &self.between_restarts {
-            plan = plan.with_between_restart(p);
+            config = config.with_restart_after(p);
         }
-        plan
+        config
     }
 
     fn validate(&self, d: u64) -> Result<(), SpecError> {
@@ -811,7 +811,11 @@ impl ScenarioSpec {
             params,
             seed: p.seed,
             timeline,
-            chaos: self.chaos.to_plan(),
+            chaos: self.chaos.configure(
+                LiveConfig::new(registry::AGREEMENT_WORKERS)
+                    .with_mailbox_cap(2)
+                    .with_chunk_rows(7),
+            ),
             expectation: self.expectation.clone(),
             population: self.population,
         })
@@ -828,8 +832,10 @@ pub struct CompiledSpec {
     pub seed: u64,
     /// The per-period fault schedule.
     pub timeline: FaultTimeline,
-    /// The live engine's kill/restart plan (empty = no chaos).
-    pub chaos: ChaosPlan,
+    /// The live leg's service: the spec's kills and restarts on a
+    /// deliberately hostile shape (3 workers, 2-batch mailboxes, 7-row
+    /// chunks). No kill or restart = no chaos.
+    pub chaos: LiveConfig,
     /// The registered assertion to run post-run.
     pub expectation: ExpectationSpec,
     population: PopulationSpec,

@@ -6,13 +6,10 @@
 //! the spec promised actually fired. No workload can be vacuously green.
 
 use super::{CompiledSpec, FaultKnob, ScenarioSpec, SpecError};
-use crate::chaos::ChaosPlan;
 use crate::config::FaultTimeline;
-use crate::engine::{FaultCounts, ScenarioOutcome};
 use crate::oracle::{assert_within_band, faulty_envelope};
-use rtf_runtime::ingest::IngestStats;
-use rtf_runtime::ExecMode;
-use rtf_sim::engine::run_event_driven_with;
+use crate::run_spec::{run, Mode, RunSpec};
+use rtf_sim::{FaultCounts, Outcome};
 use rtf_streams::population::Population;
 
 /// One observable counter of [`FaultCounts`], addressable from a spec's
@@ -281,24 +278,24 @@ pub struct ExpectationReport {
 /// a descriptive message on any violation (test-harness style, like the
 /// oracle it wraps).
 ///
-/// `live` carries the live engine's ledger when a live leg ran; for a
-/// `chaos-recovery` spec checked without one, the ledger assertions are
-/// skipped and noted in the report.
+/// A live outcome carries the service's ledger (`Outcome::ingest`),
+/// which a `chaos-recovery` spec checks against the kills and restarts of
+/// [`CompiledSpec::chaos`]; for an offline outcome the ledger assertions
+/// are skipped and noted in the report.
 pub fn check_expectation(
     compiled: &CompiledSpec,
     population: &Population,
-    outcome: &ScenarioOutcome,
-    live: Option<(&IngestStats, &ChaosPlan)>,
+    outcome: &Outcome,
 ) -> ExpectationReport {
     let mut details = Vec::new();
     let mut checks = 0usize;
     let honest_reference = || {
-        run_event_driven_with(
+        run(&RunSpec::new(
             &compiled.params,
             population,
             compiled.seed,
-            ExecMode::Sequential,
-        )
+            Mode::Sequential,
+        ))
     };
 
     match &compiled.expectation {
@@ -363,16 +360,16 @@ pub fn check_expectation(
             checks += assert_fired(require, outcome, &mut details);
             assert_envelope(compiled, population, outcome, *z, &mut details);
             checks += 1;
-            match live {
-                Some((stats, plan)) => {
+            match &outcome.ingest {
+                Some(stats) => {
                     assert_eq!(
                         stats.recoveries,
-                        plan.expected_kills(),
+                        compiled.chaos.kills.len() as u64,
                         "chaos-recovery: not every configured kill was recovered"
                     );
                     assert_eq!(
                         stats.restarts,
-                        plan.expected_restarts(),
+                        compiled.chaos.restarts.len() as u64,
                         "chaos-recovery: not every configured restart happened"
                     );
                     checks += 2;
@@ -397,11 +394,7 @@ pub fn check_expectation(
 }
 
 /// Asserts every required counter actually fired; returns how many.
-fn assert_fired(
-    require: &[FaultField],
-    outcome: &ScenarioOutcome,
-    details: &mut Vec<String>,
-) -> usize {
+fn assert_fired(require: &[FaultField], outcome: &Outcome, details: &mut Vec<String>) -> usize {
     for field in require {
         let v = field.get(&outcome.faults);
         assert!(
@@ -418,7 +411,7 @@ fn assert_fired(
 fn assert_envelope(
     compiled: &CompiledSpec,
     population: &Population,
-    outcome: &ScenarioOutcome,
+    outcome: &Outcome,
     z: f64,
     details: &mut Vec<String>,
 ) {

@@ -10,10 +10,8 @@
 
 use super::expect::check_expectation;
 use super::{ScenarioSpec, SpecError, SpecErrorKind};
-use crate::engine::{run_scenario_timeline, ScenarioOutcome};
-use crate::live::run_scenario_live_timeline;
-use rtf_runtime::ingest::IngestStats;
-use rtf_runtime::ExecMode;
+use crate::run_spec::{run, Mode, RunSpec};
+use rtf_sim::Outcome;
 use std::path::{Path, PathBuf};
 
 /// Environment variable overriding the workload directory.
@@ -70,52 +68,42 @@ pub fn resolve_workload(name_or_path: &str) -> Result<(PathBuf, ScenarioSpec), S
     Ok((path, spec))
 }
 
-/// Worker counts exercised on the batched and live legs.
-const AGREEMENT_WORKERS: usize = 3;
+/// Worker count of the batched and live legs.
+pub(crate) const AGREEMENT_WORKERS: usize = 3;
 
 /// The spec-level differential oracle: runs the spec through all three
-/// engines and asserts value-for-value agreement, with the sequential run
-/// as the reference.
+/// modes of the checked engine and asserts value-for-value agreement,
+/// with the sequential run as the reference.
 ///
 /// * sequential ≡ batched, fault counts included (the pre-walk found
 ///   exactly the faults the sequential engine met report by report);
-/// * live ≡ sequential, under a deliberately hostile ingestion shape
-///   (mailbox capacity 2, chunked resubmission) and the spec's full
-///   chaos plan — so for chaos specs the differential identity *is* the
-///   recovery proof.
+/// * live ≡ sequential, under the spec's [`CompiledSpec::chaos`]: a
+///   deliberately hostile ingestion shape (mailbox capacity 2, chunked
+///   resubmission) and the spec's full chaos — so for chaos specs the
+///   differential identity *is* the recovery proof.
 ///
-/// Panics on any divergence (test-harness style). Returns the reference
-/// outcome and the live ledger for [`check_expectation`].
-pub fn assert_spec_agreement(spec: &ScenarioSpec) -> (ScenarioOutcome, IngestStats) {
+/// Panics on any divergence (test-harness style). Returns the live
+/// outcome, whose ledger [`check_expectation`] reads.
+///
+/// [`CompiledSpec::chaos`]: super::CompiledSpec::chaos
+pub fn assert_spec_agreement(spec: &ScenarioSpec) -> Outcome {
     let compiled = spec
         .compile()
         .unwrap_or_else(|e| panic!("workload `{}` failed to compile: {e}", spec.name));
     let population = compiled.population();
-    let params = &compiled.params;
-    let timeline = &compiled.timeline;
-    let seed = compiled.seed;
-
-    let reference =
-        run_scenario_timeline(params, &population, seed, timeline, ExecMode::Sequential);
-
-    let batched = run_scenario_timeline(
-        params,
+    let run_spec = RunSpec::new(
+        &compiled.params,
         &population,
-        seed,
-        timeline,
-        ExecMode::Parallel(AGREEMENT_WORKERS),
-    );
-    assert_outcome_eq(&reference, &batched, spec, "batched");
-
-    let config = compiled
-        .chaos
-        .configure(AGREEMENT_WORKERS)
-        .with_mailbox_cap(2)
-        .with_chunk_rows(7);
-    let (live, ledger) = run_scenario_live_timeline(params, &population, seed, timeline, &config);
-    assert_outcome_eq(&reference, &live, spec, "live");
-
-    (reference, ledger)
+        compiled.seed,
+        Mode::Sequential,
+    )
+    .with_timeline(compiled.timeline.clone());
+    let reference = run(&run_spec);
+    let batched = run(&run_spec.clone().with_mode(Mode::Batched(AGREEMENT_WORKERS)));
+    batched.assert_values_eq(&reference, &format!("workload `{}`, batched", spec.name));
+    let live = run(&run_spec.with_mode(Mode::Live(compiled.chaos.clone())));
+    live.assert_values_eq(&reference, &format!("workload `{}`, live", spec.name));
+    live
 }
 
 /// Convenience wrapper: agreement plus the spec's registered
@@ -125,41 +113,6 @@ pub fn verify_workload(spec: &ScenarioSpec) -> super::ExpectationReport {
     let compiled = spec
         .compile()
         .unwrap_or_else(|e| panic!("workload `{}` failed to compile: {e}", spec.name));
-    let (outcome, stats) = assert_spec_agreement(spec);
-    let population = compiled.population();
-    check_expectation(
-        &compiled,
-        &population,
-        &outcome,
-        Some((&stats, &compiled.chaos)),
-    )
-}
-
-/// Field-by-field equality of two outcomes, with a labelled panic.
-fn assert_outcome_eq(a: &ScenarioOutcome, b: &ScenarioOutcome, spec: &ScenarioSpec, leg: &str) {
-    let name = &spec.name;
-    assert_eq!(
-        a.estimates, b.estimates,
-        "workload `{name}`: estimates diverged on {leg}"
-    );
-    assert_eq!(
-        a.group_sizes, b.group_sizes,
-        "workload `{name}`: group sizes diverged on {leg}"
-    );
-    assert_eq!(
-        a.wire, b.wire,
-        "workload `{name}`: wire stats diverged on {leg}"
-    );
-    assert_eq!(
-        a.delivery, b.delivery,
-        "workload `{name}`: delivery rows diverged on {leg}"
-    );
-    assert_eq!(
-        a.faults, b.faults,
-        "workload `{name}`: fault counts diverged on {leg}"
-    );
-    assert_eq!(
-        a.byzantine_accepted_by_period, b.byzantine_accepted_by_period,
-        "workload `{name}`: per-period Byzantine ledger diverged on {leg}"
-    );
+    let live = assert_spec_agreement(spec);
+    check_expectation(&compiled, &compiled.population(), &live)
 }

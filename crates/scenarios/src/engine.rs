@@ -9,7 +9,7 @@
 //! Under [`ExecMode::Sequential`] — the oracle reference — the engine
 //! steps the reference client schedule ([`Clients`]) and asks each
 //! client's fault plan what it sends at every period
-//! (`ClientPlan::emit`, shared with the live driver in [`crate::live`]);
+//! (`ClientPlan::emit`, shared with the checked engine's live driver);
 //! each routed message is queued on the simulated network as its
 //! fixed-width wire bytes and decoded at delivery. All three scenario
 //! engines register clients through one helper.
@@ -25,7 +25,7 @@
 //!    reported bits are identical across all scenarios.
 //! 2. **The honest scenario is the honest engine.** With all rates zero
 //!    every message is delivered on time exactly once, and the outcome is
-//!    value-for-value equal to `run_event_driven` (asserted by the
+//!    value-for-value equal to the event engine's (asserted by the
 //!    differential oracle in [`crate::oracle`]).
 //! 3. **Worker count is invisible.** Under [`ExecMode::Parallel`] the
 //!    emission side runs on contiguous user shards through the
@@ -59,6 +59,7 @@
 
 use crate::config::{FaultTimeline, Scenario};
 use crate::plan::{ClientPlan, FaultPlan, Routing};
+use crate::run_spec::{run, Mode, RunSpec};
 use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::client::Clients;
 use rtf_core::composed::ComposedRandomizer;
@@ -72,89 +73,8 @@ use rtf_primitives::sign::Sign;
 use rtf_runtime::{partition, shard_of, ExecMode, Frame, FrameBatch, SignLane, WorkerPool};
 use rtf_sim::engine::build_order_groups;
 use rtf_sim::message::{OrderAnnouncement, ReportMsg, WireStats};
+use rtf_sim::{FaultCounts, Outcome, StageTimings};
 use rtf_streams::population::Population;
-
-/// Tallies of every fault the injection layer applied.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// Reports lost by per-report dropout.
-    pub dropped: u64,
-    /// Clients that departed permanently before the horizon ended.
-    pub churned_clients: u64,
-    /// Reports suppressed because their sender had churned.
-    pub lost_to_churn: u64,
-    /// Reports delivered late.
-    pub delayed: u64,
-    /// Extra retransmitted copies injected.
-    pub duplicates_injected: u64,
-    /// Fabricated messages emitted by Byzantine clients.
-    pub byzantine_messages: u64,
-    /// Fabricated messages the server accepted as on-time reports.
-    pub byzantine_accepted: u64,
-    /// Messages delayed past the horizon (never delivered).
-    pub expired: u64,
-    /// Delivered frames whose encoding was corrupted in flight — they
-    /// fail `ReportMsg::try_decode` and are dropped before ingestion.
-    pub malformed: u64,
-}
-
-impl FaultCounts {
-    /// Adds another shard's tallies into `self` (exact integer merge).
-    pub fn merge(&mut self, other: &FaultCounts) {
-        self.dropped += other.dropped;
-        self.churned_clients += other.churned_clients;
-        self.lost_to_churn += other.lost_to_churn;
-        self.delayed += other.delayed;
-        self.duplicates_injected += other.duplicates_injected;
-        self.byzantine_messages += other.byzantine_messages;
-        self.byzantine_accepted += other.byzantine_accepted;
-        self.expired += other.expired;
-        self.malformed += other.malformed;
-    }
-}
-
-/// Result of one fault-injected execution.
-#[derive(Debug, Clone)]
-pub struct ScenarioOutcome {
-    /// The online estimates `â[t]` the server still managed to publish.
-    pub estimates: Vec<f64>,
-    /// Per-order group sizes `|U_h|`.
-    pub group_sizes: Vec<usize>,
-    /// Accounting of *delivered* traffic (announcements + reports that
-    /// reached the server, on time or not).
-    pub wire: WireStats,
-    /// The server's per-period delivery rows (due/accepted/late/…).
-    pub delivery: Vec<PeriodDelivery>,
-    /// What the fault layer did.
-    pub faults: FaultCounts,
-    /// Per-period count of Byzantine fabrications the server accepted
-    /// (`[t-1] = count at period t`) — input to the oracle's bias bound.
-    pub byzantine_accepted_by_period: Vec<u64>,
-}
-
-impl ScenarioOutcome {
-    /// Cumulative missing reports by period: `[t-1] = Σ_{s ≤ t} missing(s)`.
-    pub fn cumulative_missing(&self) -> Vec<u64> {
-        let mut acc = 0u64;
-        self.delivery
-            .iter()
-            .map(|row| {
-                acc += row.missing();
-                acc
-            })
-            .collect()
-    }
-
-    /// Fraction of due reports that arrived on time, over the whole run.
-    pub fn accepted_fraction(&self) -> f64 {
-        let due: u64 = self.delivery.iter().map(|r| r.due).sum();
-        let acc: u64 = self.delivery.iter().map(|r| r.accepted).sum();
-        if due == 0 {
-            return 1.0;
-        }
-        acc as f64 / due as f64
-    }
-}
 
 /// One message on the unreliable network, with provenance for
 /// accounting: the first `len` bytes of `frame` arrive, fewer than the
@@ -166,101 +86,41 @@ struct InFlight {
     byzantine: bool,
 }
 
-/// Runs the FutureRand protocol through the fault-injected message
-/// engine, in the mode selected by `RTF_WORKERS`
-/// ([`ExecMode::from_env`]; default sequential).
-///
-/// Same `(params, population, seed)` contract as the other execution
-/// paths; `scenario` controls the perturbation. The server never panics on
-/// perturbed traffic: lost reports simply go missing from the period's
-/// delivery row, stragglers and duplicates are classified and dropped,
-/// Byzantine payloads are screened by the checked ingestion path.
-pub fn run_scenario(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-) -> ScenarioOutcome {
-    run_scenario_with(params, population, seed, scenario, ExecMode::from_env())
-}
-
-/// Runs the fault-injected engine in an explicit [`ExecMode`]. Every
-/// outcome field — estimates, delivery log, wire stats, fault counts —
-/// is value-for-value identical across modes and worker counts.
-pub fn run_scenario_with(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-    mode: ExecMode,
-) -> ScenarioOutcome {
-    run_scenario_schema(
-        params,
-        population,
-        seed,
-        scenario,
-        mode,
-        AccumulatorKind::from_env(),
-        SeedSchema::from_env(),
-    )
-}
-
-/// [`run_scenario_with`] on an explicit accumulator layout. The seed
-/// schema has one value; the parameter stays for callers that name it.
+/// The pinned benchmark signature of the checked engine under a
+/// constant scenario: [`crate::run`] in `mode`. Kept for
+/// `examples/benchmark/src/adapter.rs` until the benchmark moves onto
+/// `run`; the layout and schema have one value each.
 pub fn run_scenario_schema(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     scenario: &Scenario,
     mode: ExecMode,
-    backend: AccumulatorKind,
+    _backend: AccumulatorKind,
     _schema: SeedSchema,
-) -> ScenarioOutcome {
-    let timeline = FaultTimeline::constant(*scenario);
-    run_timeline(params, population, seed, &timeline, mode, backend)
+) -> Outcome {
+    run(&RunSpec::new(params, population, seed, mode.into()).with_scenario(scenario))
 }
 
-/// Runs a [`FaultTimeline`] — a possibly per-period fault schedule —
-/// through the fault-injected engine. The timeline generalisation of
-/// [`run_scenario_schema`]: `FaultTimeline::constant(s)` reproduces the
-/// scenario path bit for bit, while shaped timelines apply a different
-/// effective [`Scenario`] each period (load waves, flash crowds, churn
-/// storms — the DSL's workload layer compiles to exactly this call).
-///
-/// Every outcome field is value-for-value identical across execution
-/// modes, worker counts, and the live runner
-/// ([`crate::live::run_scenario_live_timeline`]).
-pub fn run_scenario_timeline(
+/// The pinned benchmark signature of the batched checked engine with its
+/// stage timings: [`crate::run`] in `Mode::Batched(workers)`. Kept for
+/// `examples/benchmark/src/adapter.rs` until the benchmark moves onto
+/// `run`; the layout and schema have one value each.
+pub fn run_scenario_batched_timed(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
-    timeline: &FaultTimeline,
-    mode: ExecMode,
-) -> ScenarioOutcome {
-    let backend = AccumulatorKind::from_env();
-    run_timeline(params, population, seed, timeline, mode, backend)
-}
-
-fn run_timeline(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    timeline: &FaultTimeline,
-    mode: ExecMode,
-    backend: AccumulatorKind,
-) -> ScenarioOutcome {
-    timeline.validate(params.d());
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
-    match mode {
-        ExecMode::Sequential => {
-            run_scenario_sequential_impl(params, population, seed, timeline, backend).0
-        }
-        ExecMode::Parallel(w) => {
-            run_scenario_batched_impl(params, population, seed, timeline, w.max(1), backend).0
-        }
-    }
+    scenario: &Scenario,
+    workers: usize,
+    _backend: AccumulatorKind,
+    _schema: SeedSchema,
+) -> (Outcome, StageTimings) {
+    let spec = RunSpec::new(params, population, seed, Mode::Batched(workers));
+    let outcome = run(&spec.with_scenario(scenario));
+    let stages = outcome
+        .stages
+        .expect("the batched checked engine times its stages");
+    (outcome, stages)
 }
 
 /// Announces each client's order over the wire, in ascending user
@@ -304,19 +164,20 @@ pub(crate) fn reference_clients<'a, 'p>(
     (clients, plans)
 }
 
-fn run_scenario_sequential_impl(
+/// The checked engine's sequential reference body (see the module
+/// docs). Inputs are checked by [`crate::run`].
+pub(crate) fn sequential(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     timeline: &FaultTimeline,
-    backend: AccumulatorKind,
-) -> (ScenarioOutcome, ScenarioStageTimings) {
-    let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
+) -> Outcome {
+    let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
-    let mut timings = ScenarioStageTimings::default();
+    let mut timings = StageTimings::default();
     let build_start = std::time::Instant::now();
     let (mut clients, mut plans) = reference_clients(
         params,
@@ -373,98 +234,16 @@ fn run_scenario_sequential_impl(
         timings.ingest_s += ingest_start.elapsed().as_secs_f64();
     }
 
-    (
-        ScenarioOutcome {
-            estimates,
-            group_sizes: server.group_sizes().to_vec(),
-            wire,
-            delivery: server.delivery_log().to_vec(),
-            faults,
-            byzantine_accepted_by_period: byz_accepted_by_period,
-        },
-        timings,
-    )
-}
-
-/// Wall-clock decomposition of one scenario run into three stages that
-/// run one after another and add up to the run's wall time.
-///
-/// In batched mode:
-/// - `emission_s` is the shard fan-out: client build, the fault
-///   pre-walk with its tally of honest residue verdicts, routing each
-///   Byzantine fabrication to its recipient's roster shard in mailbox
-///   order, and the span walk;
-/// - `merge_s` is the pool phase: one job per roster shard merges the
-///   fabrications addressed to it and runs the checked ladder on its
-///   slice, then corrects the residue verdicts of the honest clients an
-///   accepted fabrication impersonated;
-/// - `ingest_s` is the serial rest: registration, then per period the
-///   absorb of every tally and span fold, and the period close.
-///
-/// In sequential mode `emission_s` is client build plus per-period
-/// emission, `merge_s` stays zero (one mailbox needs no merge), and
-/// `ingest_s` is checked ingestion plus period close.
-///
-/// Exists to make cross-mode and cross-worker-count comparisons
-/// diagnosable — a slower parallel(2) than parallel(1) at large `n` is a
-/// very different bug depending on which stage grew. `scripts/perf_gate.py`
-/// checks the stages are present on every scenario bench row and sum to
-/// the row's elapsed time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScenarioStageTimings {
-    /// Seconds in emission (client state machines, fault layer, and in
-    /// batched mode the residue tally and the routing of fabrications to
-    /// roster shards).
-    pub emission_s: f64,
-    /// Seconds in the batched pool phase: per roster shard, merging its
-    /// fabrications, classifying them through the checked ladder, and
-    /// correcting the residue verdicts of impersonated clients.
-    pub merge_s: f64,
-    /// Seconds in registration, the serial absorb of tallies and folds,
-    /// and period close (all of checked ingestion in sequential mode).
-    pub ingest_s: f64,
-}
-
-/// [`run_scenario_schema`]'s batched pipeline with per-stage wall-clock
-/// timings. Values are identical to the untimed run (the timers only
-/// bracket existing stages). The seed schema has one value; the
-/// parameter stays for callers that name it.
-pub fn run_scenario_batched_timed(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-    workers: usize,
-    backend: AccumulatorKind,
-    _schema: SeedSchema,
-) -> (ScenarioOutcome, ScenarioStageTimings) {
-    let timeline = FaultTimeline::constant(*scenario);
-    timeline.validate(params.d());
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
-    let (outcome, timings, _) =
-        run_scenario_batched_impl(params, population, seed, &timeline, workers.max(1), backend);
-    (outcome, timings)
-}
-
-/// [`run_scenario_schema`]'s sequential reference with the same
-/// per-stage wall-clock decomposition the batched pipeline reports
-/// (`merge_s` stays zero — a single mailbox needs no reconstruction).
-/// Values are identical to the untimed run.
-pub fn run_scenario_sequential_timed(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    scenario: &Scenario,
-) -> (ScenarioOutcome, ScenarioStageTimings) {
-    let timeline = FaultTimeline::constant(*scenario);
-    timeline.validate(params.d());
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
-    let backend = AccumulatorKind::from_env();
-    run_scenario_sequential_impl(params, population, seed, &timeline, backend)
+    Outcome {
+        estimates,
+        group_sizes: server.group_sizes().to_vec(),
+        wire,
+        delivery: server.delivery_log().to_vec(),
+        faults,
+        byzantine_accepted_by_period: byz_accepted_by_period,
+        stages: Some(timings),
+        ..Outcome::default()
+    }
 }
 
 /// One worker's span-native emission result for a contiguous user shard.
@@ -709,16 +488,17 @@ fn correct_residue(
     changed
 }
 
-/// The batched engine: the outcome, its stage timings, and how many
-/// residue verdicts [`correct_residue`] changed.
-fn run_scenario_batched_impl(
+/// The checked engine's batched body on `workers` workers (see the
+/// module docs): the outcome with its stage timings, and how many residue
+/// verdicts [`correct_residue`] changed. Inputs are checked by
+/// [`crate::run`].
+pub(crate) fn batched(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     timeline: &FaultTimeline,
     workers: usize,
-    backend: AccumulatorKind,
-) -> (ScenarioOutcome, ScenarioStageTimings, u64) {
+) -> (Outcome, u64) {
     let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let fault_plan = FaultPlan::new(params, seed, timeline);
@@ -727,7 +507,7 @@ fn run_scenario_batched_impl(
     let workers = workers.max(1);
     let pool = WorkerPool::new(workers);
     let num_orders = params.num_orders();
-    let mut timings = ScenarioStageTimings::default();
+    let mut timings = StageTimings::default();
 
     let emission_start = std::time::Instant::now();
     let shards: Vec<ShardEmission> = pool.map_shards(n, |shard| {
@@ -893,7 +673,7 @@ fn run_scenario_batched_impl(
     // Register every user in ascending id order (shards are contiguous
     // and returned in shard-index order).
     let register_start = std::time::Instant::now();
-    let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
+    let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     for sh in &shards {
@@ -1010,16 +790,18 @@ fn run_scenario_batched_impl(
     }
     timings.ingest_s += close_start.elapsed().as_secs_f64();
 
+    let outcome = Outcome {
+        estimates,
+        group_sizes: server.group_sizes().to_vec(),
+        wire,
+        delivery: server.delivery_log().to_vec(),
+        faults,
+        byzantine_accepted_by_period: byz_accepted_by_period,
+        stages: Some(timings),
+        ..Outcome::default()
+    };
     (
-        ScenarioOutcome {
-            estimates,
-            group_sizes: server.group_sizes().to_vec(),
-            wire,
-            delivery: server.delivery_log().to_vec(),
-            faults,
-            byzantine_accepted_by_period: byz_accepted_by_period,
-        },
-        timings,
+        outcome,
         ladders.iter().map(|(_, corrected)| corrected).sum(),
     )
 }
@@ -1098,11 +880,21 @@ mod tests {
         (params, pop)
     }
 
+    /// `scenario` on the checked engine in the `RTF_WORKERS` mode.
+    fn run_env(
+        params: &ProtocolParams,
+        pop: &Population,
+        seed: u64,
+        scenario: &Scenario,
+    ) -> Outcome {
+        run(&RunSpec::new(params, pop, seed, Mode::from_env()).with_scenario(scenario))
+    }
+
     #[test]
     fn honest_scenario_matches_event_driven_exactly() {
         let (params, pop) = setup(180, 32, 3, 60);
-        let sc = run_scenario(&params, &pop, 11, &Scenario::honest());
-        let ev = rtf_sim::engine::run_event_driven(&params, &pop, 11);
+        let ev = run(&RunSpec::new(&params, &pop, 11, Mode::from_env()));
+        let sc = run_env(&params, &pop, 11, &Scenario::honest());
         assert_eq!(sc.estimates, ev.estimates);
         assert_eq!(sc.group_sizes, ev.group_sizes);
         assert_eq!(sc.wire, ev.wire);
@@ -1125,25 +917,17 @@ mod tests {
             .with_stragglers(0.15, 3)
             .with_duplicates(0.1)
             .with_byzantine(0.15);
-        let timeline = FaultTimeline::constant(scenario);
         for (n, seed, workers) in [(130, 19, &[1usize, 2, 3, 8][..]), (6, 9, &[8][..])] {
             let (params, pop) = setup(n, 32, 3, 68);
-            let seq = run_scenario_timeline(&params, &pop, seed, &timeline, ExecMode::Sequential);
+            let spec = RunSpec::new(&params, &pop, seed, Mode::Sequential).with_scenario(&scenario);
+            let seq = run(&spec);
             assert!(
                 seq.faults.byzantine_accepted > 0,
                 "n = {n}: test must exercise the order-sensitive acceptance race"
             );
             for &w in workers {
-                let par =
-                    run_scenario_timeline(&params, &pop, seed, &timeline, ExecMode::Parallel(w));
-                assert_eq!(par.estimates, seq.estimates, "n = {n}, {w} workers");
-                assert_eq!(par.delivery, seq.delivery, "n = {n}, {w} workers");
-                assert_eq!(par.wire, seq.wire, "n = {n}, {w} workers");
-                assert_eq!(par.faults, seq.faults, "n = {n}, {w} workers");
-                assert_eq!(
-                    par.byzantine_accepted_by_period, seq.byzantine_accepted_by_period,
-                    "n = {n}, {w} workers"
-                );
+                run(&spec.clone().with_mode(Mode::Batched(w)))
+                    .assert_values_eq(&seq, &format!("n = {n}, {w} workers"));
             }
         }
     }
@@ -1162,20 +946,11 @@ mod tests {
             .with_duplicates(0.3)
             .with_byzantine(0.3);
         let timeline = FaultTimeline::constant(scenario);
-        let seq = run_scenario_timeline(&params, &pop, 24, &timeline, ExecMode::Sequential);
+        let seq = sequential(&params, &pop, 24, &timeline);
         for w in [1usize, 2, 3, 8] {
-            let (par, _, corrected) =
-                run_scenario_batched_impl(&params, &pop, 24, &timeline, w, AccumulatorKind::Dense);
+            let (par, corrected) = batched(&params, &pop, 24, &timeline, w);
             assert!(corrected > 0, "{w} workers: no verdict was corrected");
-            assert_eq!(par.estimates, seq.estimates, "{w} workers");
-            assert_eq!(par.group_sizes, seq.group_sizes, "{w} workers");
-            assert_eq!(par.wire, seq.wire, "{w} workers");
-            assert_eq!(par.delivery, seq.delivery, "{w} workers");
-            assert_eq!(par.faults, seq.faults, "{w} workers");
-            assert_eq!(
-                par.byzantine_accepted_by_period, seq.byzantine_accepted_by_period,
-                "{w} workers"
-            );
+            par.assert_values_eq(&seq, &format!("{w} workers"));
         }
     }
 
@@ -1204,8 +979,7 @@ mod tests {
     /// client 0 alone, at order `h`.
     fn replay(d: u64, h: usize, mailbox: &BTreeMap<MailboxKey, Sent>) -> Replay {
         let params = ProtocolParams::new(1, d, 1, 1.0, 0.05).unwrap();
-        let mut server =
-            Server::for_future_rand_schema(params, AccumulatorKind::Dense, SeedSchema::V2Fast);
+        let mut server = Server::for_future_rand(params);
         assert!(server.register_client(0, h as u32));
         let mut copies = BTreeMap::new();
         let mut accepted = Vec::new();
@@ -1322,11 +1096,8 @@ mod tests {
             .with_stragglers(0.2, 3)
             .with_duplicates(0.1)
             .with_byzantine(0.05);
-        let a = run_scenario(&params, &pop, 7, &scenario);
-        let b = run_scenario(&params, &pop, 7, &scenario);
-        assert_eq!(a.estimates, b.estimates);
-        assert_eq!(a.delivery, b.delivery);
-        assert_eq!(a.faults, b.faults);
+        let a = run_env(&params, &pop, 7, &scenario);
+        run_env(&params, &pop, 7, &scenario).assert_values_eq(&a, "rerun");
     }
 
     #[test]
@@ -1336,8 +1107,8 @@ mod tests {
         // would have carried in the honest run, so the faulty estimates
         // differ from honest only by the missing contributions.
         let (params, pop) = setup(100, 16, 2, 62);
-        let honest = run_scenario(&params, &pop, 5, &Scenario::honest());
-        let faulty = run_scenario(&params, &pop, 5, &Scenario::honest().with_dropout(1.0));
+        let honest = run_env(&params, &pop, 5, &Scenario::honest());
+        let faulty = run_env(&params, &pop, 5, &Scenario::honest().with_dropout(1.0));
         // Everything dropped: estimates are exactly zero...
         assert!(faulty.estimates.iter().all(|&e| e == 0.0));
         assert_eq!(faulty.faults.dropped, honest.wire.payload_bits);
@@ -1348,7 +1119,7 @@ mod tests {
     #[test]
     fn dropout_shows_up_in_delivery_stats() {
         let (params, pop) = setup(300, 32, 3, 63);
-        let out = run_scenario(&params, &pop, 9, &Scenario::honest().with_dropout(0.2));
+        let out = run_env(&params, &pop, 9, &Scenario::honest().with_dropout(0.2));
         assert!(out.faults.dropped > 0);
         let missing: u64 = out.delivery.iter().map(|r| r.missing()).sum();
         assert_eq!(missing, out.faults.dropped);
@@ -1362,7 +1133,7 @@ mod tests {
     #[test]
     fn stragglers_are_classified_late_or_expire() {
         let (params, pop) = setup(200, 16, 2, 64);
-        let out = run_scenario(
+        let out = run_env(
             &params,
             &pop,
             13,
@@ -1378,8 +1149,8 @@ mod tests {
         // Duplicates alone must not change a single estimate: the checked
         // path drops every retransmitted copy.
         let (params, pop) = setup(150, 32, 3, 65);
-        let honest = run_scenario(&params, &pop, 21, &Scenario::honest());
-        let dup = run_scenario(&params, &pop, 21, &Scenario::honest().with_duplicates(0.5));
+        let honest = run_env(&params, &pop, 21, &Scenario::honest());
+        let dup = run_env(&params, &pop, 21, &Scenario::honest().with_duplicates(0.5));
         assert_eq!(dup.estimates, honest.estimates);
         assert!(dup.faults.duplicates_injected > 0);
         let deduped: u64 = dup.delivery.iter().map(|r| r.duplicate).sum();
@@ -1393,7 +1164,7 @@ mod tests {
     #[test]
     fn churn_silences_clients_permanently() {
         let (params, pop) = setup(250, 32, 3, 66);
-        let out = run_scenario(&params, &pop, 31, &Scenario::honest().with_churn(0.05));
+        let out = run_env(&params, &pop, 31, &Scenario::honest().with_churn(0.05));
         assert!(out.faults.churned_clients > 0);
         assert!(out.faults.lost_to_churn > 0);
         // Later periods lose at least as much cumulative traffic.
@@ -1404,7 +1175,7 @@ mod tests {
     #[test]
     fn byzantine_traffic_never_panics_the_server() {
         let (params, pop) = setup(200, 32, 3, 67);
-        let out = run_scenario(&params, &pop, 41, &Scenario::honest().with_byzantine(0.2));
+        let out = run_env(&params, &pop, 41, &Scenario::honest().with_byzantine(0.2));
         assert!(out.faults.byzantine_messages > 0);
         // Fabrications hit every rejection class at this scale.
         let rejected: u64 = out.delivery.iter().map(|r| r.rejected()).sum();
@@ -1433,19 +1204,17 @@ mod tests {
             .with_malformed(0.2)
             .with_duplicates(0.1)
             .with_byzantine(0.1);
-        let seq = run_scenario_with(&params, &pop, 17, &scenario, ExecMode::Sequential);
+        let spec = RunSpec::new(&params, &pop, 17, Mode::Sequential).with_scenario(&scenario);
+        let seq = run(&spec);
         assert!(seq.faults.malformed > 0, "corruption must fire at 20%");
         assert!(seq.estimates.iter().all(|e| e.is_finite()));
         for w in [1usize, 2, 8] {
-            let par = run_scenario_with(&params, &pop, 17, &scenario, ExecMode::Parallel(w));
-            assert_eq!(par.estimates, seq.estimates, "{w} workers");
-            assert_eq!(par.delivery, seq.delivery, "{w} workers");
-            assert_eq!(par.wire, seq.wire, "{w} workers");
-            assert_eq!(par.faults, seq.faults, "{w} workers");
+            run(&spec.clone().with_mode(Mode::Batched(w)))
+                .assert_values_eq(&seq, &format!("{w} workers"));
         }
         // Total corruption: every frame fails `try_decode`, so nothing
         // reaches the server and no report is ever accounted delivered.
-        let dead = run_scenario(&params, &pop, 17, &Scenario::honest().with_malformed(1.0));
+        let dead = run_env(&params, &pop, 17, &Scenario::honest().with_malformed(1.0));
         assert!(dead.estimates.iter().all(|&e| e == 0.0));
         assert_eq!(dead.wire.payload_bits, 0, "no report survives decode");
         assert!(dead.delivery.iter().all(|r| r.accepted == 0));
@@ -1477,6 +1246,8 @@ mod tests {
 
     #[test]
     fn constant_timeline_is_the_scenario_path_bit_for_bit() {
+        // The pinned scenario signatures are the seam under a constant
+        // timeline.
         let (params, pop) = setup(130, 32, 3, 68);
         let scenario = Scenario::honest()
             .with_dropout(0.05)
@@ -1484,13 +1255,19 @@ mod tests {
             .with_duplicates(0.1)
             .with_byzantine(0.15);
         let timeline = FaultTimeline::constant(scenario);
+        let (dense, v2) = (AccumulatorKind::Dense, SeedSchema::V2Fast);
         for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
-            let a = run_scenario_with(&params, &pop, 19, &scenario, mode);
-            let b = run_scenario_timeline(&params, &pop, 19, &timeline, mode);
-            assert_eq!(a.estimates, b.estimates);
-            assert_eq!(a.delivery, b.delivery);
-            assert_eq!(a.faults, b.faults);
+            let a = run_scenario_schema(&params, &pop, 19, &scenario, mode, dense, v2);
+            let spec = RunSpec::new(&params, &pop, 19, mode.into());
+            a.assert_values_eq(
+                &run(&spec.with_timeline(timeline.clone())),
+                &mode.to_string(),
+            );
         }
+        let (a, stages) = run_scenario_batched_timed(&params, &pop, 19, &scenario, 3, dense, v2);
+        assert_eq!(a.stages, Some(stages));
+        let spec = RunSpec::new(&params, &pop, 19, Mode::Batched(3));
+        a.assert_values_eq(&run(&spec.with_timeline(timeline)), "timed batched(3)");
     }
 
     #[test]
@@ -1508,19 +1285,15 @@ mod tests {
         for base in [quiet, quiet.with_churn(0.02)] {
             let constant = FaultTimeline::constant(base);
             let shaped = FaultTimeline::shaped(base, vec![base; params.d() as usize]);
+            let modes = [
+                Mode::Sequential,
+                Mode::Batched(3),
+                Mode::Live(rtf_runtime::ingest::LiveConfig::new(2)),
+            ];
             let runs = |timeline: &FaultTimeline| {
-                let (live, _) = crate::live::run_scenario_live_timeline(
-                    &params,
-                    &pop,
-                    37,
-                    timeline,
-                    &rtf_runtime::ingest::LiveConfig::new(2),
-                );
-                [
-                    run_scenario_timeline(&params, &pop, 37, timeline, ExecMode::Sequential),
-                    run_scenario_timeline(&params, &pop, 37, timeline, ExecMode::Parallel(3)),
-                    live,
-                ]
+                modes.clone().map(|mode| {
+                    run(&RunSpec::new(&params, &pop, 37, mode).with_timeline(timeline.clone()))
+                })
             };
             let expected = runs(&constant);
             let label = format!("churn {}", base.churn_prob);
@@ -1531,19 +1304,8 @@ mod tests {
                 expected[0].faults.churned_clients > 0,
                 base.churn_prob > 0.0
             );
-            for (engine, (a, b)) in ["sequential", "batched(3)", "live(2)"]
-                .iter()
-                .zip(expected.iter().zip(&runs(&shaped)))
-            {
-                assert_eq!(a.estimates, b.estimates, "{label}, {engine}");
-                assert_eq!(a.group_sizes, b.group_sizes, "{label}, {engine}");
-                assert_eq!(a.wire, b.wire, "{label}, {engine}");
-                assert_eq!(a.delivery, b.delivery, "{label}, {engine}");
-                assert_eq!(a.faults, b.faults, "{label}, {engine}");
-                assert_eq!(
-                    a.byzantine_accepted_by_period, b.byzantine_accepted_by_period,
-                    "{label}, {engine}"
-                );
+            for (mode, (a, b)) in modes.iter().zip(expected.iter().zip(&runs(&shaped))) {
+                b.assert_values_eq(a, &format!("{label}, {mode}"));
             }
         }
     }
@@ -1571,20 +1333,14 @@ mod tests {
         let timeline =
             FaultTimeline::shaped(base, rows).with_delay_law(DelayLaw::Zipf { alpha: 1.5 });
         timeline.validate(params.d());
-        let seq = run_scenario_timeline(&params, &pop, 23, &timeline, ExecMode::Sequential);
+        let spec = RunSpec::new(&params, &pop, 23, Mode::Sequential).with_timeline(timeline);
+        let seq = run(&spec);
         assert!(seq.faults.dropped > 0, "the pulse must fire");
         assert!(seq.faults.churned_clients > 0, "the churn storm must fire");
         assert!(seq.faults.delayed > 0, "the zipf stragglers must fire");
         for w in [1usize, 2, 3, 8] {
-            let par = run_scenario_timeline(&params, &pop, 23, &timeline, ExecMode::Parallel(w));
-            assert_eq!(par.estimates, seq.estimates, "{w} workers");
-            assert_eq!(par.delivery, seq.delivery, "{w} workers");
-            assert_eq!(par.wire, seq.wire, "{w} workers");
-            assert_eq!(par.faults, seq.faults, "{w} workers");
-            assert_eq!(
-                par.byzantine_accepted_by_period, seq.byzantine_accepted_by_period,
-                "{w} workers"
-            );
+            run(&spec.clone().with_mode(Mode::Batched(w)))
+                .assert_values_eq(&seq, &format!("{w} workers"));
         }
     }
 
@@ -1604,7 +1360,7 @@ mod tests {
             })
             .collect();
         let timeline = FaultTimeline::shaped(base, rows);
-        let out = run_scenario_timeline(&params, &pop, 31, &timeline, ExecMode::Sequential);
+        let out = run(&RunSpec::new(&params, &pop, 31, Mode::Sequential).with_timeline(timeline));
         assert!(out.faults.dropped > 0);
         for (i, row) in out.delivery.iter().enumerate() {
             let t = (i + 1) as u64;

@@ -4,8 +4,8 @@
 //! seed)` triple:
 //!
 //! * `rtf_core::protocol::run_in_memory` — the fast exact path;
-//! * `rtf_sim::engine::run_event_driven` — the serialised message loop;
-//! * [`crate::engine::run_scenario`] — the fault-injected message loop
+//! * [`run()`] on the event engine — the serialised message loop;
+//! * [`run()`] on the checked engine — the fault-injected message loop
 //!   (honest scenario = no faults);
 //! * `rtf_sim::aggregate::run_future_rand_aggregate` — the batched
 //!   sampler (identical per-user randomness, its own server noise
@@ -18,29 +18,44 @@
 //! oracle supplies an *envelope*: the honest band plus an exact bias
 //! allowance computed from the server's delivery log.
 //!
-//! Orthogonally to the choice of path, the engines carry an execution
-//! *mode* (`rtf_runtime::ExecMode`): the sequential reference schedule
-//! vs the batched multi-worker pipeline. [`assert_mode_agreement`]
-//! proves `sequential ≡ parallel(w)` value-for-value for
-//! `w ∈ {1, 2, 8}` on the honest schedule **and** on arbitrary faulty
+//! Orthogonally to the engine, every run carries an execution [`Mode`]:
+//! the sequential reference schedule, the batched multi-worker pipeline,
+//! or the streaming ingestion service. Each agreement check is a loop
+//! over [`RunSpec`]s of both engines, compared with the one comparator
+//! [`Outcome::assert_values_eq`]: [`assert_mode_agreement`] proves
+//! `sequential ≡ batched(w)` for `w ∈ {1, 2, 8}`, and
+//! [`assert_live_agreement`] adds the live service under worker kills and
+//! restarts, on the honest schedule **and** on arbitrary faulty
 //! scenarios (where mailbox order matters).
 
-use crate::config::{FaultTimeline, Scenario};
-use crate::engine::{run_scenario, run_scenario_timeline, run_scenario_with, ScenarioOutcome};
-use crate::live::run_scenario_live_with;
+use crate::chaos::assert_chaos_recovery;
+use crate::config::Scenario;
+use crate::run_spec::{run, Mode, RunSpec};
 use rtf_analysis::variance::{future_rand_scales, predicted_variance};
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::run_in_memory;
-use rtf_runtime::ingest::LiveConfig;
+use rtf_runtime::ingest::{ServiceRestart, WorkerKill};
 use rtf_runtime::{ExecMode, WorkerPool};
 use rtf_sim::aggregate::run_future_rand_aggregate;
-use rtf_sim::engine::{run_event_driven, run_event_driven_with};
-use rtf_sim::live::run_event_driven_live_with;
+use rtf_sim::Outcome;
 use rtf_streams::population::Population;
 
 /// The worker counts the mode-agreement check proves equivalent to the
 /// sequential schedule.
 pub const MODE_AGREEMENT_WORKERS: [usize; 3] = [1, 2, 8];
+
+/// Sequential specs of both engines — the event engine, and the checked
+/// engine under `scenario` — labelled for assertion messages.
+pub(crate) fn both_engines<'a>(
+    params: &ProtocolParams,
+    population: &'a Population,
+    seed: u64,
+    scenario: &Scenario,
+) -> [(&'static str, RunSpec<'a>); 2] {
+    let event = RunSpec::new(params, population, seed, Mode::Sequential);
+    let checked = event.clone().with_scenario(scenario);
+    [("event", event), ("checked", checked)]
+}
 
 /// The values all exact paths agreed on.
 #[derive(Debug, Clone)]
@@ -54,9 +69,10 @@ pub struct ExactAgreement {
 }
 
 /// Runs one seed through every execution path and asserts agreement:
-/// value-for-value across `run_in_memory`, `run_event_driven`, and the
-/// honest scenario engine; shared per-user randomness (group sizes,
-/// report counts) also for the aggregate sampler.
+/// value-for-value across `run_in_memory`, the event engine and the
+/// honest checked engine (both in the `RTF_WORKERS` mode); shared
+/// per-user randomness (group sizes, report counts) also for the
+/// aggregate sampler.
 ///
 /// # Examples
 ///
@@ -82,12 +98,10 @@ pub fn assert_exact_agreement(
     seed: u64,
 ) -> ExactAgreement {
     let mem = run_in_memory(params, population, seed);
-    let ev = run_event_driven(params, population, seed);
-    let sc = run_scenario(params, population, seed, &Scenario::honest());
     let agg = run_future_rand_aggregate(params, population, seed);
-
-    for (label, estimates) in [("event-driven", &ev.estimates), ("scenario", &sc.estimates)] {
-        for (t, (a, b)) in mem.estimates().iter().zip(estimates).enumerate() {
+    for (label, spec) in both_engines(params, population, seed, &Scenario::honest()) {
+        let out = run(&spec.with_mode(Mode::from_env()));
+        for (t, (a, b)) in mem.estimates().iter().zip(&out.estimates).enumerate() {
             assert!(
                 a == b,
                 "{label} diverges from in-memory at t={} ({params}, seed {seed}): {a} vs {b}",
@@ -96,23 +110,21 @@ pub fn assert_exact_agreement(
         }
         assert_eq!(
             mem.estimates().len(),
-            estimates.len(),
+            out.estimates.len(),
             "{label} produced a different horizon"
         );
-    }
-    for (label, sizes) in [
-        ("event-driven", &ev.group_sizes),
-        ("scenario", &sc.group_sizes),
-        ("aggregate", &agg.group_sizes().to_vec()),
-    ] {
         assert_eq!(
             mem.group_sizes(),
-            &sizes[..],
+            &out.group_sizes[..],
             "{label} split the population differently (seed {seed})"
         );
+        assert_eq!(mem.reports_sent(), out.wire.payload_bits, "{label} reports");
     }
-    assert_eq!(mem.reports_sent(), ev.wire.payload_bits);
-    assert_eq!(mem.reports_sent(), sc.wire.payload_bits);
+    assert_eq!(
+        mem.group_sizes(),
+        agg.group_sizes(),
+        "aggregate split the population differently (seed {seed})"
+    );
     assert_eq!(mem.reports_sent(), agg.reports_sent());
 
     // The runtime claim: the batched parallel pipeline is the sequential
@@ -126,14 +138,10 @@ pub fn assert_exact_agreement(
     }
 }
 
-/// Asserts `sequential ≡ parallel(w)` **value-for-value** for every
-/// `w ∈` [`MODE_AGREEMENT_WORKERS`], on both engines that carry an
-/// execution mode:
-///
-/// * the honest event-driven engine (estimates, group sizes, wire
-///   stats), and
-/// * the fault-injected engine under `scenario` (estimates, delivery
-///   log, wire stats, fault counts, per-period Byzantine acceptance).
+/// Asserts `sequential ≡ batched(w)` **value-for-value** for every
+/// `w ∈` [`MODE_AGREEMENT_WORKERS`], on the event engine and on the
+/// checked engine under `scenario`, comparing every value field of the
+/// [`Outcome`].
 ///
 /// Frame order matters under Byzantine impersonation, so passing a
 /// faulty scenario here proves the shard merge reconstructs the
@@ -143,66 +151,38 @@ pub fn assert_exact_agreement(
 /// engine finds by asking the fault plan at every report.
 ///
 /// # Panics
-/// Panics naming the first diverging engine/worker count.
+/// Panics naming the first diverging engine/worker count and field.
 pub fn assert_mode_agreement(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     scenario: &Scenario,
 ) {
-    let timeline = FaultTimeline::constant(*scenario);
-    let ev_seq = run_event_driven_with(params, population, seed, ExecMode::Sequential);
-    let sc_seq = run_scenario_timeline(params, population, seed, &timeline, ExecMode::Sequential);
-    for w in MODE_AGREEMENT_WORKERS {
-        let ev = run_event_driven_with(params, population, seed, ExecMode::Parallel(w));
-        assert_eq!(
-            ev.estimates, ev_seq.estimates,
-            "event-driven parallel({w}) diverges from sequential (seed {seed})"
-        );
-        assert_eq!(ev.group_sizes, ev_seq.group_sizes, "parallel({w}) groups");
-        assert_eq!(ev.wire, ev_seq.wire, "parallel({w}) wire stats");
-
-        let sc = run_scenario_timeline(params, population, seed, &timeline, ExecMode::Parallel(w));
-        assert_eq!(
-            sc.estimates, sc_seq.estimates,
-            "scenario parallel({w}) diverges from sequential (seed {seed})"
-        );
-        assert_eq!(sc.delivery, sc_seq.delivery, "parallel({w}) delivery log");
-        assert_eq!(sc.wire, sc_seq.wire, "parallel({w}) wire stats");
-        assert_eq!(sc.faults, sc_seq.faults, "parallel({w}) fault counts");
-        assert_eq!(
-            sc.byzantine_accepted_by_period, sc_seq.byzantine_accepted_by_period,
-            "parallel({w}) per-period Byzantine acceptance"
-        );
+    for (engine, spec) in both_engines(params, population, seed, scenario) {
+        let seq = run(&spec);
+        for w in MODE_AGREEMENT_WORKERS {
+            let label = format!("{engine} batched({w}) vs sequential (seed {seed})");
+            run(&spec.clone().with_mode(Mode::Batched(w))).assert_values_eq(&seq, &label);
+        }
     }
 }
 
-/// Asserts **streaming ≡ batched ≡ sequential**, value-for-value, on
-/// both engines:
-///
-/// * the honest schedule — sequential `run_event_driven` vs the batched
-///   pipeline vs the streaming ingestion service
-///   (`run_event_driven_live_with`): estimates, group sizes, wire
-///   stats;
-/// * the fault-injected schedule under `scenario` — sequential
-///   `run_scenario` vs batched vs `run_scenario_live_with`: estimates,
-///   delivery log, wire stats, fault counts, per-period Byzantine
-///   acceptance.
-///
-/// The streaming runs use a deliberately hostile service shape — a
-/// 2-batch mailbox and a small chunk size, so producers stall on
-/// backpressure and journals hold several entries — for every worker
-/// count in [`MODE_AGREEMENT_WORKERS`], each under four fault plans:
+/// Asserts **streaming ≡ batched ≡ sequential**, value-for-value, on the
+/// event engine and on the checked engine under `scenario`:
+/// [`assert_mode_agreement`], then [`assert_chaos_recovery`] under four
+/// fault plans at every worker count in [`MODE_AGREEMENT_WORKERS`], each
+/// through a deliberately hostile service shape (a 2-batch mailbox and
+/// 7-row chunks, so producers stall on backpressure and journals hold
+/// several entries):
 ///
 /// 1. no faults;
-/// 2. a worker killed mid-horizon and recovered from the journal;
+/// 2. the last worker killed mid-horizon and recovered from the journal;
 /// 3. a whole-service snapshot/restart mid-period (journals full);
 /// 4. the composition — a mid-period restart *and* a worker kill in the
 ///    same period, plus a clean between-periods restart later.
 ///
-/// Every configured fault is asserted to have actually fired (via
-/// `IngestStats::{recoveries, restarts}`), so none of these legs can
-/// pass vacuously.
+/// Every configured fault is asserted to have actually fired, so none
+/// of these legs can pass vacuously.
 ///
 /// # Panics
 /// Panics naming the first diverging engine/worker count/fault
@@ -213,81 +193,30 @@ pub fn assert_live_agreement(
     seed: u64,
     scenario: &Scenario,
 ) {
-    let ev_seq = run_event_driven_with(params, population, seed, ExecMode::Sequential);
-    let sc_seq = run_scenario_with(params, population, seed, scenario, ExecMode::Sequential);
-    // Complete the three-way claim: the batched pipeline sits between
-    // sequential and streaming.
-    let ev_bat = run_event_driven_with(params, population, seed, ExecMode::Parallel(2));
-    assert_eq!(
-        ev_bat.estimates, ev_seq.estimates,
-        "batched event-driven diverges from sequential (seed {seed})"
-    );
-    assert_eq!(ev_bat.wire, ev_seq.wire, "batched wire stats");
-    let sc_bat = run_scenario_with(params, population, seed, scenario, ExecMode::Parallel(2));
-    assert_eq!(
-        sc_bat.estimates, sc_seq.estimates,
-        "batched scenario diverges from sequential (seed {seed})"
-    );
-    assert_eq!(sc_bat.delivery, sc_seq.delivery, "batched delivery log");
-
+    assert_mode_agreement(params, population, seed, scenario);
     let fault_at = (params.d() / 2).max(1);
     let later = (params.d() * 3 / 4).max(1);
-    for w in MODE_AGREEMENT_WORKERS {
-        let base = || LiveConfig::new(w).with_mailbox_cap(2).with_chunk_rows(7);
-        let victim = w.saturating_sub(1);
-        // (config, label, expected kills fired, expected restarts fired)
-        let plans: [(LiveConfig, String, u64, u64); 4] = [
-            (base(), format!("live({w})"), 0, 0),
-            (
-                base().with_kill(victim, fault_at),
-                format!("live({w}), worker {victim} killed at t={fault_at}"),
-                1,
-                0,
-            ),
-            (
-                base().with_restart(fault_at),
-                format!("live({w}), service restarted mid-period t={fault_at}"),
-                0,
-                1,
-            ),
-            (
-                base()
-                    .with_restart(fault_at)
-                    .with_kill(victim, fault_at)
-                    .with_restart_after(later),
-                format!("live({w}), restart+kill at t={fault_at}, clean restart after t={later}"),
-                1,
-                2,
-            ),
-        ];
-        for (cfg, label, kills, restarts) in plans {
-            let (ev, ev_stats) = run_event_driven_live_with(params, population, seed, &cfg);
-            assert_eq!(
-                ev.estimates, ev_seq.estimates,
-                "{label}: event-driven estimates diverge from sequential (seed {seed})"
-            );
-            assert_eq!(ev.group_sizes, ev_seq.group_sizes, "{label}: groups");
-            assert_eq!(ev.wire, ev_seq.wire, "{label}: wire stats");
-
-            let (sc, sc_stats) = run_scenario_live_with(params, population, seed, scenario, &cfg);
-            assert_eq!(
-                sc.estimates, sc_seq.estimates,
-                "{label}: scenario estimates diverge from sequential (seed {seed})"
-            );
-            assert_eq!(sc.group_sizes, sc_seq.group_sizes, "{label}: groups");
-            assert_eq!(sc.delivery, sc_seq.delivery, "{label}: delivery log");
-            assert_eq!(sc.wire, sc_seq.wire, "{label}: wire stats");
-            assert_eq!(sc.faults, sc_seq.faults, "{label}: fault counts");
-            assert_eq!(
-                sc.byzantine_accepted_by_period, sc_seq.byzantine_accepted_by_period,
-                "{label}: per-period Byzantine acceptance"
-            );
-            // No vacuous passes: every configured fault must have fired.
-            for stats in [&ev_stats, &sc_stats] {
-                assert_eq!(stats.recoveries, kills, "{label}: kills fired");
-                assert_eq!(stats.restarts, restarts, "{label}: restarts fired");
-            }
-        }
+    // Kills take the worker index modulo the worker count, so worker 7
+    // is the last worker w − 1 for every w in MODE_AGREEMENT_WORKERS.
+    let kill = WorkerKill {
+        worker: 7,
+        period: fault_at,
+    };
+    let mid = ServiceRestart {
+        period: fault_at,
+        mid_period: true,
+    };
+    let after = ServiceRestart {
+        period: later,
+        mid_period: false,
+    };
+    for (kills, restarts) in [
+        (vec![], vec![]),
+        (vec![kill], vec![]),
+        (vec![], vec![mid]),
+        (vec![kill], vec![mid, after]),
+    ] {
+        assert_chaos_recovery(params, population, seed, scenario, &kills, &restarts);
     }
 }
 
@@ -428,7 +357,7 @@ pub fn tolerance_band(params: &ProtocolParams, population: &Population, z: f64) 
 pub fn faulty_envelope(
     params: &ProtocolParams,
     population: &Population,
-    outcome: &ScenarioOutcome,
+    outcome: &Outcome,
     z: f64,
 ) -> Vec<f64> {
     let band = tolerance_band(params, population, z);
@@ -588,7 +517,8 @@ mod tests {
     #[test]
     fn honest_runs_sit_inside_the_band() {
         let (params, pop) = setup(600, 32, 3, 82);
-        let out = run_scenario(&params, &pop, 23, &Scenario::honest());
+        let spec = RunSpec::new(&params, &pop, 23, Mode::from_env());
+        let out = run(&spec.with_scenario(&Scenario::honest()));
         let band = tolerance_band(&params, &pop, 4.5);
         assert_within_band(&out.estimates, pop.true_counts(), &band);
     }
@@ -607,8 +537,9 @@ mod tests {
     #[test]
     fn faulty_envelope_grows_with_missing_traffic() {
         let (params, pop) = setup(400, 16, 2, 83);
-        let honest = run_scenario(&params, &pop, 29, &Scenario::honest());
-        let faulty = run_scenario(&params, &pop, 29, &Scenario::honest().with_dropout(0.3));
+        let spec = RunSpec::new(&params, &pop, 29, Mode::from_env());
+        let honest = run(&spec.clone().with_scenario(&Scenario::honest()));
+        let faulty = run(&spec.with_scenario(&Scenario::honest().with_dropout(0.3)));
         let env_honest = faulty_envelope(&params, &pop, &honest, 4.0);
         let env_faulty = faulty_envelope(&params, &pop, &faulty, 4.0);
         // With no faults the envelope *is* the band.

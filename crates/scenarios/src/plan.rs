@@ -35,13 +35,13 @@
 //! period; they differ only in how a routed message reaches the server.
 
 use crate::config::{FaultTimeline, Scenario};
-use crate::engine::FaultCounts;
 use rtf_core::client::ClientReport;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::fastseed::{client_key, word};
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
 use rtf_sim::message::ReportMsg;
+use rtf_sim::FaultCounts;
 
 /// Label of the fault subtree: `root.child(FAULT_STREAM).child(u)` keys
 /// client `u`'s plan. Far outside the `u32` space of per-user labels and

@@ -1,6 +1,6 @@
 //! Crash-recovery chaos property tests.
 //!
-//! Random protocol shapes × random fault plans — worker kills,
+//! Random protocol shapes × random faults — worker kills,
 //! mid-period whole-service snapshot/restarts, between-period restarts,
 //! and their compositions (restart-then-kill in the same period, double
 //! restarts) — driven through [`rtf_scenarios::assert_chaos_recovery`]:
@@ -11,7 +11,8 @@
 use proptest::prelude::*;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
-use rtf_scenarios::chaos::{assert_chaos_recovery, ChaosPlan};
+use rtf_runtime::ingest::{ServiceRestart, WorkerKill};
+use rtf_scenarios::chaos::assert_chaos_recovery;
 use rtf_scenarios::config::Scenario;
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
@@ -27,6 +28,11 @@ fn storm() -> Scenario {
 /// Maps a `0..100` fraction onto a valid fault period `1..=d`.
 fn period_at(frac: u64, d: u64) -> u64 {
     1 + frac * (d - 1) / 100
+}
+
+/// A mid-period (`mid_period`) or between-periods restart at `period`.
+fn restart(period: u64, mid_period: bool) -> ServiceRestart {
+    ServiceRestart { period, mid_period }
 }
 
 proptest! {
@@ -50,13 +56,14 @@ proptest! {
         let population = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
         let at = period_at(frac, d);
 
-        for plan in [
-            ChaosPlan::new(),
-            ChaosPlan::new().with_kill(victim, at),
-            ChaosPlan::new().with_mid_restart(at),
-            ChaosPlan::new().with_between_restart(at),
+        let kill = WorkerKill { worker: victim, period: at };
+        for (kills, restarts) in [
+            (vec![], vec![]),
+            (vec![kill], vec![]),
+            (vec![], vec![restart(at, true)]),
+            (vec![], vec![restart(at, false)]),
         ] {
-            assert_chaos_recovery(&params, &population, seed, &storm(), &plan);
+            assert_chaos_recovery(&params, &population, seed, &storm(), &kills, &restarts);
         }
     }
 
@@ -81,20 +88,18 @@ proptest! {
         let a = period_at(frac_a, d);
         let b = period_at(frac_b, d);
 
-        for plan in [
+        let kill = WorkerKill { worker: victim, period: a };
+        for (kills, restarts) in [
             // Restart mid-period, then kill a worker in the same period:
             // the restored service must survive a second, partial loss.
-            ChaosPlan::new().with_mid_restart(a).with_kill(victim, a),
+            (vec![kill], vec![restart(a, true)]),
             // Double restart: the freshly restored service is dropped
             // and restored again before the period closes.
-            ChaosPlan::new().with_mid_restart(a).with_mid_restart(a),
+            (vec![], vec![restart(a, true), restart(a, true)]),
             // Independent placements plus a clean between-close restart.
-            ChaosPlan::new()
-                .with_kill(victim, a)
-                .with_mid_restart(b)
-                .with_between_restart(a),
+            (vec![kill], vec![restart(b, true), restart(a, false)]),
         ] {
-            assert_chaos_recovery(&params, &population, seed, &storm(), &plan);
+            assert_chaos_recovery(&params, &population, seed, &storm(), &kills, &restarts);
         }
     }
 }

@@ -11,22 +11,50 @@ use proptest::prelude::*;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_runtime::ingest::LiveConfig;
-use rtf_runtime::ExecMode;
 use rtf_scenarios::config::Scenario;
-use rtf_scenarios::engine::run_scenario_with;
-use rtf_scenarios::live::run_scenario_live_with;
-use rtf_sim::engine::run_event_driven_with;
-use rtf_sim::live::run_event_driven_live_with;
+use rtf_scenarios::{run, Engine, Mode, RunSpec};
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
+
+/// Runs `spec` live at workers {1, 2, 8} under the given service shape,
+/// with and without a kill of worker `victim(workers)` at `kill_at`, and
+/// asserts every live outcome equals the sequential one value for value,
+/// every kill fired and, on the event engine, the service took exactly
+/// one trusted row per report bit.
+fn assert_live_matches_sequential(
+    spec: &RunSpec,
+    mailbox_cap: usize,
+    chunk_rows: usize,
+    victim: impl Fn(usize) -> usize,
+    kill_at: u64,
+) {
+    let seq = run(&spec.clone().with_mode(Mode::Sequential));
+    for workers in [1usize, 2, 8] {
+        for kill in [false, true] {
+            let mut cfg = LiveConfig::new(workers)
+                .with_mailbox_cap(mailbox_cap)
+                .with_chunk_rows(chunk_rows);
+            if kill {
+                cfg = cfg.with_kill(victim(workers), kill_at);
+            }
+            let live = run(&spec.clone().with_mode(Mode::Live(cfg)));
+            let label = format!("w={workers} cap={mailbox_cap} chunk={chunk_rows} kill={kill}");
+            live.assert_values_eq(&seq, &label);
+            let stats = live.ingest.expect("live runs report their ledger");
+            assert_eq!(stats.recoveries, u64::from(kill), "{label}");
+            if let Engine::Event = spec.engine {
+                assert_eq!(stats.rows, seq.wire.payload_bits, "{label}");
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Bounded-mailbox ingest under random backpressure, with a mid-run
-    /// worker restart, produces estimates (and wire accounting)
-    /// bit-identical to `run_event_driven` — over random `(n, d, k, ε)`
-    /// and workers {1, 2, 8}.
+    /// worker restart, produces outcomes bit-identical to the sequential
+    /// event engine — over random `(n, d, k, ε)` and workers {1, 2, 8}.
     #[test]
     fn live_ingest_is_bit_identical_to_event_driven(
         n in 40usize..160,
@@ -44,33 +72,10 @@ proptest! {
         let params = ProtocolParams::new(n, d, k, eps, 0.05).unwrap();
         let mut rng = SeedSequence::new(seed ^ 0xC0FF_EE00).rng();
         let population = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
-
-        let seq = run_event_driven_with(&params, &population, seed, ExecMode::Sequential);
+        let spec = RunSpec::new(&params, &population, seed, Mode::Sequential);
         let kill_at = 1 + kill_frac * (d - 1) / 100;
-        for workers in [1usize, 2, 8] {
-            for kill in [false, true] {
-                let mut cfg = LiveConfig::new(workers)
-                    .with_mailbox_cap(mailbox_cap)
-                    .with_chunk_rows(chunk_rows);
-                if kill {
-                    cfg = cfg.with_kill(kill_worker % workers, kill_at);
-                }
-                let (live, stats) = run_event_driven_live_with(
-                    &params,
-                    &population,
-                    seed,
-                    &cfg,
-                );
-                prop_assert_eq!(
-                    &live.estimates, &seq.estimates,
-                    "w={} cap={} chunk={} kill={}", workers, mailbox_cap, chunk_rows, kill
-                );
-                prop_assert_eq!(&live.group_sizes, &seq.group_sizes);
-                prop_assert_eq!(&live.wire, &seq.wire);
-                prop_assert_eq!(stats.recoveries, u64::from(kill));
-                prop_assert_eq!(stats.rows, seq.wire.payload_bits);
-            }
-        }
+        let victim = |w| kill_worker % w;
+        assert_live_matches_sequential(&spec, mailbox_cap, chunk_rows, victim, kill_at);
     }
 
     /// The same claim for the fault-injected engine: a streaming run
@@ -95,35 +100,8 @@ proptest! {
             .with_stragglers(0.1, 3)
             .with_duplicates(0.05)
             .with_byzantine(0.1);
-
-        let seq = run_scenario_with(&params, &population, seed, &storm, ExecMode::Sequential);
+        let spec = RunSpec::new(&params, &population, seed, Mode::Sequential).with_scenario(&storm);
         let kill_at = 1 + kill_frac * (d - 1) / 100;
-        for workers in [1usize, 2, 8] {
-            for kill in [false, true] {
-                let mut cfg = LiveConfig::new(workers)
-                    .with_mailbox_cap(mailbox_cap)
-                    .with_chunk_rows(chunk_rows);
-                if kill {
-                    cfg = cfg.with_kill(workers - 1, kill_at);
-                }
-                let (live, stats) = run_scenario_live_with(
-                    &params,
-                    &population,
-                    seed,
-                    &storm,
-                    &cfg,
-                );
-                prop_assert_eq!(&live.estimates, &seq.estimates,
-                    "w={} cap={} chunk={} kill={}", workers, mailbox_cap, chunk_rows, kill);
-                prop_assert_eq!(&live.delivery, &seq.delivery);
-                prop_assert_eq!(&live.wire, &seq.wire);
-                prop_assert_eq!(&live.faults, &seq.faults);
-                prop_assert_eq!(
-                    &live.byzantine_accepted_by_period,
-                    &seq.byzantine_accepted_by_period
-                );
-                prop_assert_eq!(stats.recoveries, u64::from(kill));
-            }
-        }
+        assert_live_matches_sequential(&spec, mailbox_cap, chunk_rows, |w| w - 1, kill_at);
     }
 }

@@ -15,9 +15,8 @@
 use proptest::prelude::*;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
-use rtf_runtime::ExecMode;
-use rtf_scenarios::config::{FaultTimeline, Scenario};
-use rtf_scenarios::run_scenario_timeline;
+use rtf_scenarios::config::Scenario;
+use rtf_scenarios::{run, Mode, RunSpec};
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 
@@ -55,32 +54,12 @@ proptest! {
             .with_byzantine(byz)
             .with_malformed(malformed);
 
-        let timeline = FaultTimeline::constant(scenario);
-        let seq = run_scenario_timeline(
-            &params,
-            &pop,
-            seed ^ 0x5BA7,
-            &timeline,
-            ExecMode::Sequential,
-        );
+        let spec = RunSpec::new(&params, &pop, seed ^ 0x5BA7, Mode::Sequential)
+            .with_scenario(&scenario);
+        let seq = run(&spec);
         for w in [1usize, 2, 8] {
-            let par = run_scenario_timeline(
-                &params,
-                &pop,
-                seed ^ 0x5BA7,
-                &timeline,
-                ExecMode::Parallel(w),
-            );
-            prop_assert_eq!(&par.estimates, &seq.estimates, "parallel({}) estimates", w);
-            prop_assert_eq!(&par.delivery, &seq.delivery, "parallel({}) delivery", w);
-            prop_assert_eq!(&par.wire, &seq.wire, "parallel({}) wire", w);
-            prop_assert_eq!(&par.faults, &seq.faults, "parallel({}) faults", w);
-            prop_assert_eq!(&par.group_sizes, &seq.group_sizes, "parallel({}) groups", w);
-            prop_assert_eq!(
-                &par.byzantine_accepted_by_period,
-                &seq.byzantine_accepted_by_period,
-                "parallel({}) Byzantine acceptance", w
-            );
+            run(&spec.clone().with_mode(Mode::Batched(w)))
+                .assert_values_eq(&seq, &format!("batched({w})"));
         }
     }
 }

@@ -16,10 +16,9 @@
 use proptest::prelude::*;
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
-use rtf_runtime::ExecMode;
+use rtf_runtime::ingest::LiveConfig;
 use rtf_scenarios::config::Scenario;
-use rtf_scenarios::engine::run_scenario_with;
-use rtf_scenarios::run_scenario_live;
+use rtf_scenarios::{run, Mode, RunSpec};
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 
@@ -32,20 +31,17 @@ fn heavy_storm_engages_the_filter_and_stays_identical() {
     let mut rng = SeedSequence::new(77).rng();
     let pop = Population::generate(&UniformChanges::new(32, 3, 0.8), 200, &mut rng);
     let scenario = Scenario::honest().with_duplicates(0.9).with_byzantine(0.2);
-    let seq = run_scenario_with(&params, &pop, 177, &scenario, ExecMode::Sequential);
+    let spec = RunSpec::new(&params, &pop, 177, Mode::Sequential).with_scenario(&scenario);
+    let seq = run(&spec);
     let oversubscribed = seq.delivery.iter().any(|r| {
         r.accepted + r.duplicate + r.late + r.unknown_user + r.invalid_period + r.premature > r.due
     });
     assert!(oversubscribed, "the storm must oversubscribe some period");
     for w in [1usize, 4] {
-        let par = run_scenario_with(&params, &pop, 177, &scenario, ExecMode::Parallel(w));
-        assert_eq!(par.delivery, seq.delivery, "parallel({w})");
-        assert_eq!(par.estimates, seq.estimates, "parallel({w})");
-        assert_eq!(par.faults, seq.faults, "parallel({w})");
-        let live = run_scenario_live(&params, &pop, 177, &scenario, w);
-        assert_eq!(live.delivery, seq.delivery, "live({w})");
-        assert_eq!(live.estimates, seq.estimates, "live({w})");
-        assert_eq!(live.faults, seq.faults, "live({w})");
+        for mode in [Mode::Batched(w), Mode::Live(LiveConfig::new(w))] {
+            let label = mode.to_string();
+            run(&spec.clone().with_mode(mode)).assert_values_eq(&seq, &label);
+        }
     }
 }
 
@@ -77,22 +73,14 @@ proptest! {
             .with_byzantine(byz)
             .with_malformed(malformed);
 
-        let seq = run_scenario_with(&params, &pop, seed ^ 0xD00F, &scenario, ExecMode::Sequential);
-
-        for w in [1usize, 3, 8] {
-            let par =
-                run_scenario_with(&params, &pop, seed ^ 0xD00F, &scenario, ExecMode::Parallel(w));
-            prop_assert_eq!(&par.estimates, &seq.estimates, "parallel({}) estimates", w);
-            prop_assert_eq!(&par.delivery, &seq.delivery, "parallel({}) delivery", w);
-            prop_assert_eq!(&par.wire, &seq.wire, "parallel({}) wire", w);
-            prop_assert_eq!(&par.faults, &seq.faults, "parallel({}) faults", w);
-        }
-        for w in [1usize, 4] {
-            let live = run_scenario_live(&params, &pop, seed ^ 0xD00F, &scenario, w);
-            prop_assert_eq!(&live.estimates, &seq.estimates, "live({}) estimates", w);
-            prop_assert_eq!(&live.delivery, &seq.delivery, "live({}) delivery", w);
-            prop_assert_eq!(&live.wire, &seq.wire, "live({}) wire", w);
-            prop_assert_eq!(&live.faults, &seq.faults, "live({}) faults", w);
+        let spec = RunSpec::new(&params, &pop, seed ^ 0xD00F, Mode::Sequential)
+            .with_scenario(&scenario);
+        let seq = run(&spec);
+        let batched = [1usize, 3, 8].map(Mode::Batched);
+        let live = [1usize, 4].map(|w| Mode::Live(LiveConfig::new(w)));
+        for mode in batched.into_iter().chain(live) {
+            let label = mode.to_string();
+            run(&spec.clone().with_mode(mode)).assert_values_eq(&seq, &label);
         }
     }
 }

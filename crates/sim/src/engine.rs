@@ -27,95 +27,41 @@
 //!   Sequential for every worker count (asserted by the differential
 //!   oracle in `rtf-scenarios`).
 //!
-//! [`run_event_driven`] picks the mode from `RTF_WORKERS` (see
-//! [`ExecMode::from_env`]), so the entire test pyramid can be replayed
-//! through the parallel pipeline by exporting one variable.
+//! [`sequential`] and [`batched`] are the two bodies. Both check their
+//! inputs (the settings, and the population's shape and k-sparsity), so
+//! no caller can run a population the params do not describe; this is
+//! `O(n·k)`, negligible beside a run.
 
 use crate::message::{OrderAnnouncement, ReportMsg, WireStats};
+use crate::outcome::Outcome;
 use rtf_core::accumulator::{Accumulator, AccumulatorKind, AnyAccumulator};
 use rtf_core::client::{Client, Clients};
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
-use rtf_core::protocol::keyed_future_rand;
+use rtf_core::protocol::{check_population, keyed_future_rand};
 use rtf_core::randomizer::{FutureRand, SpanRandomizers};
-use rtf_core::server::Server;
+use rtf_core::server::{check_settings, Server};
 use rtf_primitives::fastseed::{self, SeedSchema};
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
 use rtf_runtime::{ExecMode, SignLane, WorkerPool};
 use rtf_streams::population::Population;
 
-/// Result of an event-driven execution: estimates plus exact
-/// communication accounting.
-#[derive(Debug, Clone)]
-pub struct EventDrivenOutcome {
-    /// The online estimates `â[t]`.
-    pub estimates: Vec<f64>,
-    /// Per-order group sizes `|U_h|`.
-    pub group_sizes: Vec<usize>,
-    /// Wire accounting (announcements + reports, bytes and bits).
-    pub wire: WireStats,
-    /// Heap bytes held by the run's accumulation state — in batched mode
-    /// the sum over every per-period shard accumulator; in sequential
-    /// mode just the server's single live accumulator.
-    pub acc_bytes: u64,
-}
-
-/// Runs the FutureRand protocol through the message-level engine, in the
-/// mode selected by `RTF_WORKERS` ([`ExecMode::from_env`]; default
-/// sequential).
-///
-/// Produces estimates *identical in distribution* to
-/// [`rtf_core::protocol::run_in_memory`] (and identical value-for-value
-/// given the same seed, since both derive client randomness from
-/// `SeedSequence(seed).child(user)` and consume it in the same order) —
-/// in **every** execution mode.
-pub fn run_event_driven(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-) -> EventDrivenOutcome {
-    run_event_driven_with(params, population, seed, ExecMode::from_env())
-}
-
-/// Runs the FutureRand protocol through the message-level engine in an
-/// explicit [`ExecMode`].
-pub fn run_event_driven_with(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    mode: ExecMode,
-) -> EventDrivenOutcome {
-    run_event_driven_schema(
-        params,
-        population,
-        seed,
-        mode,
-        AccumulatorKind::from_env(),
-        SeedSchema::from_env(),
-    )
-}
-
-/// [`run_event_driven_with`] on an explicit accumulator layout. The seed
-/// schema has one value; the parameter stays for callers that name it.
-/// The batched pipeline emits whole span words straight from the
-/// counter-based generator into the packed report lanes — no per-report
-/// `Sign` materialisation — and stays value-for-value identical to the
-/// sequential schedule.
+/// The pinned benchmark signature of the event engine: runs
+/// [`sequential`] or [`batched`]. Kept for
+/// `examples/benchmark/src/adapter.rs` until the benchmark moves onto
+/// `rtf_scenarios::run`; the layout and schema have one value each.
 pub fn run_event_driven_schema(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     mode: ExecMode,
-    backend: AccumulatorKind,
+    _backend: AccumulatorKind,
     _schema: SeedSchema,
-) -> EventDrivenOutcome {
-    assert_eq!(population.n(), params.n(), "population/params n mismatch");
-    assert_eq!(population.d(), params.d(), "population/params d mismatch");
-    population.assert_k_sparse(params.k());
+) -> Outcome {
     match mode {
-        ExecMode::Sequential => run_sequential(params, population, seed, backend),
-        ExecMode::Parallel(w) => run_batched(params, population, seed, w.max(1), backend),
+        ExecMode::Sequential => sequential(params, population, seed),
+        ExecMode::Parallel(w) => batched(params, population, seed, w.max(1)),
     }
 }
 
@@ -202,8 +148,8 @@ impl SpanGroup {
 /// instead of `O(users · periods)`.
 ///
 /// This is the **one** client-construction path of the batched engine,
-/// the live streaming driver ([`crate::live`]), and the span-native
-/// scenario engine (`rtf_scenarios::engine`); the per-report reference
+/// the event engine's live driver (behind `rtf_scenarios::run`), and the
+/// span-native scenario engine (`rtf_scenarios::engine`); the per-report reference
 /// paths build the same clients through [`Clients`]. Both must consume
 /// per-user RNG identically for the batched ≡ streaming ≡ sequential
 /// proofs to hold: each client's order and `b̃` come from its seed
@@ -274,14 +220,16 @@ pub fn build_order_groups(
     groups
 }
 
-/// The single-threaded reference schedule with real (serialised) framing.
-fn run_sequential(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-    backend: AccumulatorKind,
-) -> EventDrivenOutcome {
-    let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
+/// The event engine's single-threaded reference schedule with real
+/// (serialised) framing.
+///
+/// # Panics
+/// Panics if a setting names a removed value or the population does not
+/// match `params` ([`check_population`]).
+pub fn sequential(params: &ProtocolParams, population: &Population, seed: u64) -> Outcome {
+    check_settings();
+    check_population(params, population);
+    let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
     let mut clients = Clients::new(params, population, seed, keyed_future_rand(params));
 
@@ -324,11 +272,12 @@ fn run_sequential(
     }
 
     let acc_bytes = server.accumulator().heap_bytes() as u64;
-    EventDrivenOutcome {
+    Outcome {
         estimates,
         group_sizes: server.group_sizes().to_vec(),
         wire,
         acc_bytes,
+        ..Outcome::default()
     }
 }
 
@@ -344,15 +293,21 @@ struct ShardRun {
     acc_bytes: u64,
 }
 
-/// The batched multi-worker pipeline: contiguous user shards, columnar
-/// report batches, shard accumulators merged in shard-index order.
-fn run_batched(
+/// The event engine's batched multi-worker pipeline on `workers` (≥ 1)
+/// workers: contiguous user shards, columnar report batches, shard
+/// accumulators merged in shard-index order.
+///
+/// # Panics
+/// Panics if a setting names a removed value or the population does not
+/// match `params` ([`check_population`]).
+pub fn batched(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
     workers: usize,
-    backend: AccumulatorKind,
-) -> EventDrivenOutcome {
+) -> Outcome {
+    check_settings();
+    check_population(params, population);
     let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let d = params.d();
@@ -375,7 +330,7 @@ fn run_batched(
         let group_sizes: Vec<usize> = groups.iter().map(SpanGroup::len).collect();
 
         let mut per_period: Vec<AnyAccumulator> =
-            (0..d).map(|_| backend.new_accumulator(orders)).collect();
+            (0..d).map(|_| AnyAccumulator::new(orders)).collect();
         for t in 1..=d {
             let acc = &mut per_period[(t - 1) as usize];
             let max_h = t.trailing_zeros().min(params.log_d());
@@ -415,7 +370,7 @@ fn run_batched(
 
     // Deterministic merge: shard-index order, exactly the order
     // `map_shards` returned.
-    let mut server = Server::for_future_rand_schema(*params, backend, SeedSchema::V2Fast);
+    let mut server = Server::for_future_rand(*params);
     let mut wire = WireStats::default();
     let mut acc_bytes = 0u64;
     for shard in &shards {
@@ -437,11 +392,12 @@ fn run_batched(
         estimates.push(server.end_of_period(t));
     }
 
-    EventDrivenOutcome {
+    Outcome {
         estimates,
         group_sizes: server.group_sizes().to_vec(),
         wire,
         acc_bytes,
+        ..Outcome::default()
     }
 }
 
@@ -457,6 +413,14 @@ mod tests {
         (params, pop)
     }
 
+    /// The body `RTF_WORKERS` selects ([`ExecMode::from_env`]).
+    fn env_mode(params: &ProtocolParams, pop: &Population, seed: u64) -> Outcome {
+        match ExecMode::from_env() {
+            ExecMode::Sequential => sequential(params, pop, seed),
+            ExecMode::Parallel(w) => batched(params, pop, seed, w),
+        }
+    }
+
     #[test]
     fn matches_in_memory_fast_path_exactly() {
         // Same seed ⇒ identical estimates: both paths draw each user's
@@ -464,7 +428,7 @@ mod tests {
         // stream. This pins down that the in-memory path in rtf-core
         // really is the same protocol.
         let (params, pop) = setup(150, 32, 3, 40);
-        let ev = run_event_driven(&params, &pop, 99);
+        let ev = env_mode(&params, &pop, 99);
         let mem = rtf_core::protocol::run_in_memory(&params, &pop, 99);
         assert_eq!(ev.estimates, mem.estimates());
         assert_eq!(ev.group_sizes, mem.group_sizes());
@@ -476,19 +440,16 @@ mod tests {
         // parallel(w) agree value-for-value for every w, including more
         // workers than convenient shard sizes.
         let (params, pop) = setup(157, 32, 3, 44);
-        let seq = run_event_driven_with(&params, &pop, 21, ExecMode::Sequential);
+        let seq = sequential(&params, &pop, 21);
         for w in [1usize, 2, 3, 8] {
-            let par = run_event_driven_with(&params, &pop, 21, ExecMode::Parallel(w));
-            assert_eq!(par.estimates, seq.estimates, "{w} workers");
-            assert_eq!(par.group_sizes, seq.group_sizes, "{w} workers");
-            assert_eq!(par.wire, seq.wire, "{w} workers");
+            batched(&params, &pop, 21, w).assert_values_eq(&seq, &format!("{w} workers"));
         }
     }
 
     #[test]
     fn wire_accounting_matches_group_structure() {
         let (params, pop) = setup(100, 16, 2, 41);
-        let ev = run_event_driven(&params, &pop, 7);
+        let ev = env_mode(&params, &pop, 7);
         let expected_reports: u64 = ev
             .group_sizes
             .iter()
@@ -509,7 +470,7 @@ mod tests {
         // Users at order h > 0 report less than once per period, so the
         // average payload is < 1 bit/user/period (≈ 2/log d).
         let (params, pop) = setup(400, 64, 3, 42);
-        let ev = run_event_driven(&params, &pop, 8);
+        let ev = env_mode(&params, &pop, 8);
         let rate = ev.wire.bits_per_user_period(400, 64);
         assert!(rate < 1.0, "rate {rate}");
         assert!(rate > 0.1, "rate {rate} suspiciously low");
@@ -518,9 +479,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let (params, pop) = setup(80, 16, 2, 43);
-        let a = run_event_driven(&params, &pop, 5);
-        let b = run_event_driven(&params, &pop, 5);
-        assert_eq!(a.estimates, b.estimates);
-        assert_eq!(a.wire, b.wire);
+        let a = env_mode(&params, &pop, 5);
+        env_mode(&params, &pop, 5).assert_values_eq(&a, "rerun");
     }
 }

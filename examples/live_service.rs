@@ -25,8 +25,7 @@
 use randomize_future::prelude::*;
 use randomize_future::runtime::ingest::LiveConfig;
 use randomize_future::scenarios::oracle::{assert_within_band, tolerance_band};
-use randomize_future::sim::engine::run_event_driven_with;
-use randomize_future::sim::live::run_event_driven_live_with;
+use randomize_future::scenarios::{run, Mode, RunSpec};
 use std::time::Instant;
 
 fn main() {
@@ -53,7 +52,9 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let (live, stats) = run_event_driven_live_with(&params, &population, 4242, &config);
+    let spec = RunSpec::new(&params, &population, 4242, Mode::Live(config));
+    let live = run(&spec);
+    let stats = live.ingest.expect("live runs report their ledger");
     let elapsed = t1.elapsed().as_secs_f64();
     let reports = live.wire.payload_bits;
     println!(
@@ -73,12 +74,8 @@ fn main() {
 
     // Proof 1: the streamed run is the batched run, value for value —
     // crash and recovery included.
-    let offline = run_event_driven_with(&params, &population, 4242, ExecMode::Parallel(workers));
-    assert_eq!(
-        live.estimates, offline.estimates,
-        "streaming must be bit-identical to the offline pipeline"
-    );
-    assert_eq!(live.wire, offline.wire, "wire accounting must agree");
+    let offline = run(&spec.with_mode(Mode::Batched(workers)));
+    live.assert_values_eq(&offline, "streaming vs the offline pipeline");
 
     // Proof 2: the failure actually struck and was recovered from.
     assert_eq!(stats.recoveries, 1, "exactly one injected worker kill");

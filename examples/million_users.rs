@@ -18,7 +18,7 @@ use randomize_future::analysis::metrics::linf_error;
 use randomize_future::analysis::variance::predicted_variance;
 use randomize_future::prelude::*;
 use randomize_future::scenarios::oracle::{assert_within_band, tolerance_band};
-use randomize_future::sim::engine::run_event_driven_with;
+use randomize_future::scenarios::{run, Mode, RunSpec};
 use std::time::Instant;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let outcome = run_event_driven_with(&params, &population, 4242, mode);
+    let outcome = run(&RunSpec::new(&params, &population, 4242, Mode::from(mode)));
     let elapsed = t1.elapsed().as_secs_f64();
     let reports = outcome.wire.payload_bits;
     println!(

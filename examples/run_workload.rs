@@ -19,13 +19,12 @@
 //! * `--workers <w>` — worker count for batched/live (default 3).
 //! * `--list` — list the workload directory and exit.
 
-use randomize_future::runtime::ExecMode;
+use randomize_future::runtime::ingest::LiveConfig;
 use randomize_future::scenarios::dsl::{
     check_expectation, list_workloads, resolve_workload, verify_workload, workload_dir,
     ExpectationReport, ScenarioSpec,
 };
-use randomize_future::scenarios::engine::run_scenario_timeline;
-use randomize_future::scenarios::live::run_scenario_live_timeline;
+use randomize_future::scenarios::{run, Mode, RunSpec};
 use std::process::ExitCode;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -83,46 +82,19 @@ fn run_one(spec: &ScenarioSpec, args: &Args) -> ExpectationReport {
     let compiled = spec
         .compile()
         .unwrap_or_else(|e| panic!("workload `{}` failed to compile: {e}", spec.name));
-    match args.engine {
-        Engine::All => verify_workload(spec),
-        Engine::Seq | Engine::Batched => {
-            let mode = if args.engine == Engine::Seq {
-                ExecMode::Sequential
-            } else {
-                ExecMode::Parallel(args.workers)
-            };
-            let population = compiled.population();
-            let outcome = run_scenario_timeline(
-                &compiled.params,
-                &population,
-                compiled.seed,
-                &compiled.timeline,
-                mode,
-            );
-            check_expectation(&compiled, &population, &outcome, None)
-        }
-        Engine::Live => {
-            let population = compiled.population();
-            let config = compiled
-                .chaos
-                .configure(args.workers)
-                .with_mailbox_cap(2)
-                .with_chunk_rows(7);
-            let (outcome, stats) = run_scenario_live_timeline(
-                &compiled.params,
-                &population,
-                compiled.seed,
-                &compiled.timeline,
-                &config,
-            );
-            check_expectation(
-                &compiled,
-                &population,
-                &outcome,
-                Some((&stats, &compiled.chaos)),
-            )
-        }
-    }
+    let mode = match args.engine {
+        Engine::All => return verify_workload(spec),
+        Engine::Seq => Mode::Sequential,
+        Engine::Batched => Mode::Batched(args.workers),
+        Engine::Live => Mode::Live(LiveConfig {
+            workers: args.workers,
+            ..compiled.chaos.clone()
+        }),
+    };
+    let population = compiled.population();
+    let run_spec = RunSpec::new(&compiled.params, &population, compiled.seed, mode)
+        .with_timeline(compiled.timeline.clone());
+    check_expectation(&compiled, &population, &run(&run_spec))
 }
 
 fn main() -> ExitCode {

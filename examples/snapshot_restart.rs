@@ -25,8 +25,7 @@ use randomize_future::core::server::Server;
 use randomize_future::prelude::*;
 use randomize_future::runtime::ingest::{IngestService, LiveConfig};
 use randomize_future::runtime::ReportBatch;
-use randomize_future::sim::engine::run_event_driven_with;
-use randomize_future::sim::live::run_event_driven_live_with;
+use randomize_future::scenarios::{run, Mode, RunSpec};
 use rtf_primitives::sign::Sign;
 use std::time::Instant;
 
@@ -59,7 +58,9 @@ fn main() {
     // Proof 1: the twice-restarted, once-killed streaming run is the
     // offline batched run, value for value.
     let t1 = Instant::now();
-    let (live, stats) = run_event_driven_live_with(&params, &population, 7171, &config);
+    let spec = RunSpec::new(&params, &population, 7171, Mode::Live(config));
+    let live = run(&spec);
+    let stats = live.ingest.expect("live runs report their ledger");
     println!(
         "  horizon served across 2 process generations in {:.2}s — {} restarts, \
          {} worker recovery, {} journalled batches replayed",
@@ -68,12 +69,8 @@ fn main() {
         stats.recoveries,
         stats.replayed_batches,
     );
-    let offline = run_event_driven_with(&params, &population, 7171, ExecMode::Parallel(workers));
-    assert_eq!(
-        live.estimates, offline.estimates,
-        "restarted streaming must be bit-identical to the offline pipeline"
-    );
-    assert_eq!(live.wire, offline.wire, "wire accounting must agree");
+    let offline = run(&spec.with_mode(Mode::Batched(workers)));
+    live.assert_values_eq(&offline, "restarted streaming vs the offline pipeline");
     assert_eq!(stats.restarts, 2, "both configured restarts must fire");
     assert_eq!(stats.recoveries, 1, "the worker kill must fire");
     assert!(stats.replayed_batches > 0, "replay must have happened");

@@ -17,7 +17,7 @@ use randomize_future::analysis::metrics::linf_error;
 use randomize_future::core::params::ProtocolParams;
 use randomize_future::primitives::seeding::SeedSequence;
 use randomize_future::scenarios::oracle::{band_violations, faulty_envelope};
-use randomize_future::scenarios::{run_scenario, Scenario};
+use randomize_future::scenarios::{run, Mode, RunSpec, Scenario};
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
 
@@ -43,8 +43,9 @@ fn main() {
         "faults: drop 3%, straggle 5% (<=3 periods), dup 3%, churn 0.1%/period, byzantine 2%\n"
     );
 
-    let honest = run_scenario(&params, &population, 42, &Scenario::honest());
-    let faulty = run_scenario(&params, &population, 42, &scenario);
+    let spec = RunSpec::new(&params, &population, 42, Mode::from_env());
+    let honest = run(&spec.clone().with_scenario(&Scenario::honest()));
+    let faulty = run(&spec.with_scenario(&scenario));
 
     println!("period    truth  estimate  |error|     due  accepted  late  dup  rej");
     for t in (0..d as usize).step_by(4) {

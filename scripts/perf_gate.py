@@ -10,9 +10,12 @@ fields by nature:
   are pure functions of (code, n, d, k, seed) and must match the
   baseline **exactly** — any drift is a semantic change that must be
   reviewed via a baseline regeneration, not slipped in silently;
-* **wall-clock** (`elapsed_s`) is compared **loosely**: a fresh row may
-  be up to --wall-factor x slower than its baseline row before the gate
-  fires (default 10x — generous across hardware, still catches
+* **wall-clock** (`elapsed_s`) is the median of a row's three timed
+  repetitions, each a whole run after one untimed warm-up
+  (`exp_throughput` also records `repeats` and `elapsed_spread_s`, the
+  slowest minus the fastest repetition). It is compared **loosely**: a
+  fresh row may be up to --wall-factor x slower than its baseline row
+  before the gate fires (default 10x — generous across hardware, still catches
   order-of-magnitude regressions). Rows where BOTH sides sit under
   --wall-floor seconds are below the clock's useful resolution: their
   ratio is meaningless (a near-zero baseline maps any fresh value to
@@ -39,7 +42,8 @@ close; on sequential rows merge is zero and ingest is the whole checked
 ladder. Every **fresh**
 scenario row must
 carry all three — a missing field means the bench silently stopped
-attributing time — and their sum must land within 20% of `elapsed_s`
+attributing time — and their sum, taken from the same median
+repetition as `elapsed_s`, must land within 20% of `elapsed_s`
 (unattributed time hiding outside the stage timers is exactly the kind
 of regression the decomposition exists to surface). The sum check is
 skipped below --wall-floor, where the residue is clock noise; presence

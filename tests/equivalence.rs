@@ -3,9 +3,9 @@
 //!
 //! Powered by the differential oracle in `rtf_scenarios::oracle`:
 //!
-//! * `run_in_memory` (rtf-core), `run_event_driven` (rtf-sim), and the
-//!   honest scenario engine (rtf-scenarios) must be **bit-identical** for
-//!   the same seed — they consume each user's RNG stream in the same
+//! * `run_in_memory` (rtf-core), the event engine and the honest
+//!   checked engine (both through `rtf_scenarios::run`) must be
+//!   **bit-identical** for the same seed — they consume each user's RNG stream in the same
 //!   order and all arithmetic is exact;
 //! * `run_future_rand_aggregate` must be **distribution-identical**: same
 //!   per-user `(h, b̃)` randomness, batched server noise with the same
@@ -21,13 +21,9 @@ use randomize_future::core::protocol::{run_in_memory, ProtocolOutcome};
 use randomize_future::core::snapshot::fnv1a64;
 use randomize_future::primitives::seeding::SeedSequence;
 use randomize_future::runtime::ingest::LiveConfig;
-use randomize_future::runtime::ExecMode;
-use randomize_future::scenarios::engine::{run_scenario_with, ScenarioOutcome};
-use randomize_future::scenarios::live::run_scenario_live_with;
 use randomize_future::scenarios::oracle::{assert_exact_agreement, measure_aggregate_agreement};
-use randomize_future::scenarios::Scenario;
-use randomize_future::sim::engine::{run_event_driven_with, EventDrivenOutcome};
-use randomize_future::sim::live::run_event_driven_live_with;
+use randomize_future::scenarios::{run, Mode, RunSpec, Scenario};
+use randomize_future::sim::Outcome;
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
 
@@ -79,7 +75,7 @@ fn aggregate_matches_exact_paths_in_distribution_across_the_grid() {
 #[test]
 fn communication_accounting_consistent_across_paths() {
     let (params, pop) = setup(150, 64, 3, 1.0, 6);
-    let ev = randomize_future::sim::engine::run_event_driven(&params, &pop, 17);
+    let ev = run(&RunSpec::new(&params, &pop, 17, Mode::from_env()));
     let mem = randomize_future::core::protocol::run_in_memory(&params, &pop, 17);
     // Event-driven counts payload bits; in-memory counts reports — one
     // bit each, so they must match.
@@ -125,7 +121,7 @@ fn outcome_hash(out: &ProtocolOutcome) -> u64 {
     h.finish()
 }
 
-fn event_hash(out: &EventDrivenOutcome) -> u64 {
+fn event_hash(out: &Outcome) -> u64 {
     let mut h = Golden::default();
     h.f64s(&out.estimates);
     h.sizes(&out.group_sizes);
@@ -137,7 +133,7 @@ fn event_hash(out: &EventDrivenOutcome) -> u64 {
 
 /// Estimates, groups, wire stats, delivery rows, fault counts and
 /// per-period Byzantine acceptance.
-fn scenario_hash(out: &ScenarioOutcome) -> u64 {
+fn scenario_hash(out: &Outcome) -> u64 {
     let mut h = Golden::default();
     h.f64s(&out.estimates);
     h.sizes(&out.group_sizes);
@@ -216,16 +212,17 @@ fn client_stream_outputs_match_golden_hashes() {
     let independent = run_independent(&params, &pop, seed);
     assert_eq!(outcome_hash(&independent), INDEPENDENT, "independent");
 
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
-        let ev = run_event_driven_with(&params, &pop, seed, mode);
-        assert_eq!(event_hash(&ev), EVENT, "event {mode}");
-        let sc = run_scenario_with(&params, &pop, seed, &storm, mode);
+    let modes = [
+        Mode::Sequential,
+        Mode::Batched(3),
+        Mode::Live(LiveConfig::new(2)),
+    ];
+    for mode in &modes {
+        let spec = RunSpec::new(&params, &pop, seed, mode.clone());
+        assert_eq!(event_hash(&run(&spec)), EVENT, "event {mode}");
+        let sc = run(&spec.with_scenario(&storm));
         assert_eq!(scenario_hash(&sc), STORM, "storm {mode}");
     }
-    let (ev, _) = run_event_driven_live_with(&params, &pop, seed, &LiveConfig::new(2));
-    assert_eq!(event_hash(&ev), EVENT, "event live(2)");
-    let (sc, _) = run_scenario_live_with(&params, &pop, seed, &storm, &LiveConfig::new(2));
-    assert_eq!(scenario_hash(&sc), STORM, "storm live(2)");
 
     // d = 64: the population's change times are drawn over a ground set
     // of at most 64 periods too, not only every client's b̃ (k ≤ 64).
@@ -241,10 +238,12 @@ fn client_stream_outputs_match_golden_hashes() {
         }
     }
     assert_eq!(h.finish(), POPULATION_64, "d = 64 population");
-    for mode in [ExecMode::Sequential, ExecMode::Parallel(3)] {
-        let ev = run_event_driven_with(&params, &pop, seed, mode);
-        assert_eq!(event_hash(&ev), EVENT_64, "d = 64 event {mode}");
+    for mode in modes {
+        let label = format!("d = 64 event {mode}");
+        assert_eq!(
+            event_hash(&run(&RunSpec::new(&params, &pop, seed, mode))),
+            EVENT_64,
+            "{label}"
+        );
     }
-    let (ev, _) = run_event_driven_live_with(&params, &pop, seed, &LiveConfig::new(2));
-    assert_eq!(event_hash(&ev), EVENT_64, "d = 64 event live(2)");
 }

@@ -6,7 +6,8 @@ use randomize_future::analysis::postprocess::{clip, moving_average};
 use randomize_future::analysis::variance::predicted_variance;
 use randomize_future::core::calibrate::calibrate;
 use randomize_future::core::params::ProtocolParams;
-use randomize_future::core::protocol::run_in_memory_with_store;
+use randomize_future::core::protocol::{keyed_future_rand, run_clients};
+use randomize_future::core::server::Server;
 use randomize_future::domain::generator::ZipfChurn;
 use randomize_future::domain::protocol::{run_domain_tracker, DomainParams};
 use randomize_future::primitives::seeding::SeedSequence;
@@ -31,8 +32,16 @@ fn window_queries_are_unbiased_and_sharper_for_short_windows() {
     let mut var_window = 0.0;
     let mut var_prefix = 0.0;
     for s in 0..trials {
-        let (outcome, store) = run_in_memory_with_store(&params, &pop, 7_000 + s);
-        let w = store.window_change(l, r);
+        let mut server = Server::for_future_rand(params);
+        server.enable_store();
+        let outcome = run_clients(
+            &params,
+            &pop,
+            7_000 + s,
+            &mut server,
+            keyed_future_rand(&params),
+        );
+        let w = server.store().expect("store enabled").window_change(l, r);
         let p = outcome.estimates()[(r - 1) as usize] - outcome.estimates()[(l - 2) as usize];
         mean_window += w / trials as f64;
         var_window += w * w / trials as f64;

@@ -5,10 +5,8 @@ use proptest::prelude::*;
 use randomize_future::analysis::metrics::{l1_error, l2_error, linf_error};
 use randomize_future::core::params::ProtocolParams;
 use randomize_future::primitives::seeding::SeedSequence;
-use randomize_future::runtime::ExecMode;
-use randomize_future::scenarios::{run_scenario_with, Scenario};
+use randomize_future::scenarios::{assert_mode_agreement, run, Mode, RunSpec, Scenario};
 use randomize_future::sim::aggregate::run_future_rand_aggregate;
-use randomize_future::sim::engine::{run_event_driven, run_event_driven_with};
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
 
@@ -52,15 +50,15 @@ proptest! {
         let mut rng = SeedSequence::new(seed).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
         let mem = randomize_future::core::protocol::run_in_memory(&params, &pop, seed ^ 0xF0F0);
-        let ev = run_event_driven(&params, &pop, seed ^ 0xF0F0);
+        let ev = run(&RunSpec::new(&params, &pop, seed ^ 0xF0F0, Mode::from_env()));
         prop_assert_eq!(mem.estimates(), &ev.estimates[..]);
     }
 
     /// Parallel execution is worker-count-invariant on arbitrary
     /// instances: for random `(n, d, k, ε)` grids, the batched pipeline
-    /// at 1/2/8 workers reproduces the sequential engine's estimates,
-    /// delivery log, and wire stats exactly — on the honest schedule and
-    /// under a fault mix whose mailbox order is load-bearing.
+    /// at 1/2/8 workers reproduces every value field of the sequential
+    /// engine's outcome exactly — on the honest schedule and under a
+    /// fault mix whose mailbox order is load-bearing.
     #[test]
     fn parallel_execution_is_worker_count_invariant(
         n in 20usize..150,
@@ -75,25 +73,12 @@ proptest! {
         let mut rng = SeedSequence::new(seed).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
 
-        let ev_seq = run_event_driven_with(&params, &pop, seed, ExecMode::Sequential);
         let storm = Scenario::honest()
             .with_dropout(0.05)
             .with_stragglers(0.1, 2)
             .with_duplicates(0.05)
             .with_byzantine(0.1);
-        let sc_seq = run_scenario_with(&params, &pop, seed, &storm, ExecMode::Sequential);
-        for w in [1usize, 2, 8] {
-            let ev = run_event_driven_with(&params, &pop, seed, ExecMode::Parallel(w));
-            prop_assert_eq!(&ev.estimates, &ev_seq.estimates, "honest, {} workers", w);
-            prop_assert_eq!(&ev.group_sizes, &ev_seq.group_sizes, "honest, {} workers", w);
-            prop_assert_eq!(ev.wire, ev_seq.wire, "honest, {} workers", w);
-
-            let sc = run_scenario_with(&params, &pop, seed, &storm, ExecMode::Parallel(w));
-            prop_assert_eq!(&sc.estimates, &sc_seq.estimates, "faulty, {} workers", w);
-            prop_assert_eq!(&sc.delivery, &sc_seq.delivery, "faulty, {} workers", w);
-            prop_assert_eq!(sc.wire, sc_seq.wire, "faulty, {} workers", w);
-            prop_assert_eq!(&sc.faults, &sc_seq.faults, "faulty, {} workers", w);
-        }
+        assert_mode_agreement(&params, &pop, seed, &storm);
     }
 
     /// Metric sanity on arbitrary estimate/truth pairs produced by the

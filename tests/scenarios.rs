@@ -15,7 +15,8 @@ use randomize_future::scenarios::oracle::{
     assert_exact_agreement, assert_live_agreement, assert_mode_agreement, assert_within_band,
     faulty_envelope, tolerance_band, MODE_AGREEMENT_WORKERS,
 };
-use randomize_future::scenarios::{run_scenario, Scenario};
+use randomize_future::scenarios::{run, Mode, RunSpec, Scenario};
+use randomize_future::sim::Outcome;
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
 
@@ -24,6 +25,16 @@ fn setup(n: usize, d: u64, k: usize, seed: u64) -> (ProtocolParams, Population) 
     let mut rng = SeedSequence::new(seed).rng();
     let pop = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
     (params, pop)
+}
+
+/// `scenario` on the checked engine in the `RTF_WORKERS` mode.
+fn checked_run(
+    params: &ProtocolParams,
+    pop: &Population,
+    seed: u64,
+    scenario: &Scenario,
+) -> Outcome {
+    run(&RunSpec::new(params, pop, seed, Mode::from_env()).with_scenario(scenario))
 }
 
 /// The oracle's honest-scenario guarantee, at integration scale.
@@ -80,7 +91,7 @@ fn streaming_equals_batched_equals_sequential() {
 fn dropout_keeps_server_alive_and_estimates_in_envelope() {
     let (params, pop) = setup(1_200, 32, 3, 3);
     let scenario = Scenario::honest().with_dropout(0.05);
-    let out = run_scenario(&params, &pop, 101, &scenario);
+    let out = checked_run(&params, &pop, 101, &scenario);
 
     // Every period closed and published, despite missing reports.
     assert_eq!(out.estimates.len(), 32);
@@ -99,7 +110,7 @@ fn dropout_keeps_server_alive_and_estimates_in_envelope() {
 fn stragglers_are_dropped_late_not_crashed() {
     let (params, pop) = setup(1_000, 32, 3, 4);
     let scenario = Scenario::honest().with_stragglers(0.15, 4);
-    let out = run_scenario(&params, &pop, 102, &scenario);
+    let out = checked_run(&params, &pop, 102, &scenario);
 
     let late: u64 = out.delivery.iter().map(|r| r.late).sum();
     assert!(late > 0, "delays must surface as late deliveries");
@@ -114,8 +125,8 @@ fn duplicates_change_nothing() {
     // Dedupe by (user, period): a duplicate-only scenario yields the
     // exact honest estimates.
     let (params, pop) = setup(500, 64, 4, 5);
-    let honest = run_scenario(&params, &pop, 103, &Scenario::honest());
-    let dup = run_scenario(&params, &pop, 103, &Scenario::honest().with_duplicates(0.4));
+    let honest = checked_run(&params, &pop, 103, &Scenario::honest());
+    let dup = checked_run(&params, &pop, 103, &Scenario::honest().with_duplicates(0.4));
     assert_eq!(dup.estimates, honest.estimates);
     assert!(dup.faults.duplicates_injected > 0);
     let deduped: u64 = dup.delivery.iter().map(|r| r.duplicate).sum();
@@ -126,7 +137,7 @@ fn duplicates_change_nothing() {
 fn churn_degrades_gracefully() {
     let (params, pop) = setup(1_500, 32, 3, 6);
     let scenario = Scenario::honest().with_churn(0.01);
-    let out = run_scenario(&params, &pop, 104, &scenario);
+    let out = checked_run(&params, &pop, 104, &scenario);
 
     assert!(out.faults.churned_clients > 0);
     // Missing traffic only accumulates (clients never come back).
@@ -142,7 +153,7 @@ fn churn_degrades_gracefully() {
 fn byzantine_minority_cannot_break_the_pipeline() {
     let (params, pop) = setup(1_000, 32, 3, 7);
     let scenario = Scenario::honest().with_byzantine(0.05);
-    let out = run_scenario(&params, &pop, 105, &scenario);
+    let out = checked_run(&params, &pop, 105, &scenario);
 
     // The server screened every fabricated frame without panicking...
     assert!(out.faults.byzantine_messages > 0);
@@ -182,7 +193,7 @@ fn the_full_storm_survives() {
         .with_stragglers(0.05, 3)
         .with_duplicates(0.03)
         .with_byzantine(0.02);
-    let out = run_scenario(&params, &pop, 106, &scenario);
+    let out = checked_run(&params, &pop, 106, &scenario);
 
     assert_eq!(out.estimates.len(), 64);
     assert!(out.estimates.iter().all(|e| e.is_finite()));
@@ -202,18 +213,14 @@ fn scenario_runs_are_reproducible() {
         .with_dropout(0.1)
         .with_stragglers(0.1, 2)
         .with_byzantine(0.1);
-    let a = run_scenario(&params, &pop, 107, &scenario);
-    let b = run_scenario(&params, &pop, 107, &scenario);
-    assert_eq!(a.estimates, b.estimates);
-    assert_eq!(a.delivery, b.delivery);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.wire, b.wire);
+    let a = checked_run(&params, &pop, 107, &scenario);
+    checked_run(&params, &pop, 107, &scenario).assert_values_eq(&a, "rerun");
 }
 
 #[test]
 fn honest_band_is_the_zero_fault_envelope() {
     let (params, pop) = setup(800, 16, 2, 10);
-    let out = run_scenario(&params, &pop, 108, &Scenario::honest());
+    let out = checked_run(&params, &pop, 108, &Scenario::honest());
     let band = tolerance_band(&params, &pop, 4.5);
     let env = faulty_envelope(&params, &pop, &out, 4.5);
     for (b, e) in band.iter().zip(&env) {
