@@ -26,7 +26,10 @@
 //! disjoint wire-id ranges out as [`RosterShard`]s that classify on
 //! their own threads into [`CheckedTally`]s, which
 //! [`Server::absorb_checked`] adds back — exact in any order for the
-//! same integer-sum reason.
+//! same integer-sum reason. A long-lived worker instead keeps an owned
+//! [`RosterSlice`] ([`Server::roster_slice`]) across periods and hands
+//! back the ids it accepted, which [`Server::commit_accepted`] writes
+//! into the roster at the period close.
 
 use crate::accumulator::{Accumulator, AccumulatorError, AccumulatorKind, AnyAccumulator};
 use crate::params::ProtocolParams;
@@ -272,6 +275,32 @@ impl RosterShard<'_> {
             }
         }
         verdict
+    }
+}
+
+/// An owned copy of a contiguous slice of the checked roster, taken by
+/// [`Server::roster_slice`]. A worker thread keeps one across periods and
+/// lends it out as a [`RosterShard`] to classify; its acceptances reach
+/// the server only through [`Server::commit_accepted`].
+#[derive(Debug, Clone)]
+pub struct RosterSlice {
+    ids: Range<usize>,
+    /// Their slots; empty while no client is registered.
+    slots: Vec<RosterEntry>,
+    n: usize,
+    d: u64,
+}
+
+impl RosterSlice {
+    /// Lends the slice out as a [`RosterShard`], so the ladder runs on it
+    /// exactly as on a slice of the server's own roster.
+    pub fn shard(&mut self) -> RosterShard<'_> {
+        RosterShard {
+            ids: self.ids.clone(),
+            slots: &mut self.slots,
+            n: self.n,
+            d: self.d,
+        }
     }
 }
 
@@ -576,6 +605,58 @@ impl Server {
             .collect()
     }
 
+    /// Copies the checked roster's slots for the wire ids `ids` into an
+    /// owned [`RosterSlice`]: the closed-period state a worker starts
+    /// classifying from. Before the first registration the slice is empty
+    /// and every sender is unknown.
+    ///
+    /// # Panics
+    /// Panics unless `ids` lies within `0..n`.
+    pub fn roster_slice(&self, ids: Range<usize>) -> RosterSlice {
+        let n = self.params.n();
+        assert!(
+            ids.start <= ids.end && ids.end <= n,
+            "roster slice {ids:?} outside 0..{n}"
+        );
+        let slots = if self.roster.is_empty() {
+            Vec::new()
+        } else {
+            self.roster[ids.clone()].to_vec()
+        };
+        RosterSlice {
+            ids,
+            slots,
+            n,
+            d: self.params.d(),
+        }
+    }
+
+    /// Writes into the roster that each id in `accepted` had a report
+    /// accepted for the open period on a [`RosterSlice`] — the roster half
+    /// of what [`ingest_checked`](Self::ingest_checked) does on an
+    /// acceptance. [`absorb_checked`](Self::absorb_checked) takes the
+    /// verdict counts and signs.
+    ///
+    /// # Panics
+    /// Panics if an id is not registered, or already accepted a report for
+    /// the open period (or a later one).
+    pub fn commit_accepted(&mut self, accepted: &[u32]) {
+        let open = self.current_t + 1;
+        for &user in accepted {
+            let slot = self
+                .roster
+                .get_mut(user as usize)
+                .filter(|e| e.is_registered())
+                .unwrap_or_else(|| panic!("accepted wire id {user} is not registered"));
+            assert!(
+                u64::from(slot.last_accepted) < open,
+                "wire id {user} accepted period {open} twice"
+            );
+            // An acceptance needs open ≤ d ≤ 2^31, so the period fits.
+            slot.last_accepted = open as u32;
+        }
+    }
+
     /// Adds a [`CheckedTally`] to the open period: its verdict counts to
     /// the period's delivery row and its accepted signs to the
     /// accumulator, with one `record_counts` per order. Report sums are
@@ -635,17 +716,7 @@ impl Server {
     /// Must be called once per period, in order, after all of that
     /// period's reports have been ingested.
     pub fn end_of_period(&mut self, t: u64) -> f64 {
-        assert_eq!(
-            t,
-            self.current_t + 1,
-            "periods must close in order: expected {}, got {t}",
-            self.current_t + 1
-        );
-        assert!(
-            t <= self.params.d(),
-            "period {t} beyond horizon d = {}",
-            self.params.d()
-        );
+        self.assert_closes(t);
         if !self.roster.is_empty() {
             let mut row = std::mem::take(&mut self.current_delivery);
             row.t = t;
@@ -668,15 +739,29 @@ impl Server {
         estimate
     }
 
+    /// Panics unless `t` is the next period to close and on the horizon.
+    fn assert_closes(&self, t: u64) {
+        assert_eq!(
+            t,
+            self.current_t + 1,
+            "periods must close in order: expected {}, got {t}",
+            self.current_t + 1
+        );
+        assert!(
+            t <= self.params.d(),
+            "period {t} beyond horizon d = {}",
+            self.params.d()
+        );
+    }
+
     /// Period-close finalisation hook for streaming ingestion fronts:
     /// absorbs every worker shard flushed for period `t` (in the caller's
     /// iteration order — the deterministic merge order), then closes the
     /// period exactly like [`end_of_period`](Self::end_of_period) and
     /// returns `â[t]`.
     ///
-    /// A failed shard merge aborts *before* any state change of the
-    /// remaining shards or the period close, so the caller can surface a
-    /// shape mixing bug without the server advancing past it.
+    /// `t` and every shard's shape are checked before anything is
+    /// absorbed, so a failed call leaves the server as it was.
     ///
     /// # Errors
     /// Returns the first [`AccumulatorError`] of a mismatched shard.
@@ -691,6 +776,11 @@ impl Server {
     where
         I: IntoIterator<Item = &'a AnyAccumulator>,
     {
+        self.assert_closes(t);
+        let shards: Vec<&AnyAccumulator> = shards.into_iter().collect();
+        for shard in &shards {
+            self.validate_shard(shard)?;
+        }
         for shard in shards {
             self.absorb_shard(shard)?;
         }
@@ -1388,6 +1478,38 @@ mod tests {
         assert!(fresh.close_period_with_shards(1, [&foreign]).is_err());
         assert_eq!(fresh.estimates().len(), 0, "no period closed on error");
         assert!(fresh.close_period_with_shards(1, []).is_ok());
+
+        // Neither a misshapen second shard nor a misnumbered close may
+        // absorb anything: after each failure the server matches an
+        // untouched one, and the next correct close publishes the same.
+        let mut good = hooked.new_shard();
+        good.record(0, Sign::Plus);
+        good.record(1, Sign::Minus);
+        let mut untouched = Server::new(p, &[1.0; 4]);
+        let mut failed = Server::new(p, &[1.0; 4]);
+        for _ in 0..4 {
+            untouched.register_user(0);
+            failed.register_user(0);
+        }
+        assert_eq!(
+            failed.close_period_with_shards(1, [&good, &foreign]),
+            Err(AccumulatorError::ShapeMismatch {
+                expected: 4,
+                got: 9
+            })
+        );
+        assert_eq!(failed.reports_ingested(), untouched.reports_ingested());
+        let misnumbered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            failed.close_period_with_shards(2, [&good])
+        }));
+        assert!(misnumbered.is_err(), "a misnumbered close must panic");
+        assert_eq!(failed.reports_ingested(), untouched.reports_ingested());
+        assert_eq!(
+            failed.close_period_with_shards(1, [&good]).unwrap(),
+            untouched.close_period_with_shards(1, [&good]).unwrap()
+        );
+        assert_eq!(failed.reports_ingested(), untouched.reports_ingested());
+        assert_eq!(failed.accumulator(), untouched.accumulator());
     }
 
     #[test]

@@ -363,10 +363,9 @@ pub struct FrameBatch {
     /// Whether the emitting client is Byzantine (accounting only).
     byzantine: Vec<bool>,
     /// Whether rows are known ascending by `(emitted, emitter)` —
-    /// maintained on every mutation so [`merge_ordered`] can take the
-    /// zero-copy k-way path instead of materializing and sorting.
-    ///
-    /// [`merge_ordered`]: Self::merge_ordered
+    /// maintained on every mutation, so mailbox order is checked in O(1)
+    /// (the ingestion service's submit contract, the run precondition of
+    /// [`merge_sorted`](Self::merge_sorted)).
     sorted: bool,
 }
 
@@ -439,8 +438,8 @@ impl FrameBatch {
         }
     }
 
-    /// Whether rows are known ascending by `(emitted, emitter)` — the
-    /// precondition for the zero-copy merge fast path.
+    /// Whether rows are known ascending by `(emitted, emitter)`: mailbox
+    /// order, the precondition of [`merge_sorted`](Self::merge_sorted).
     pub fn is_sorted(&self) -> bool {
         self.sorted
     }
@@ -480,56 +479,9 @@ impl FrameBatch {
         self.byzantine.extend_from_slice(&other.byzantine);
     }
 
-    /// Clears all frames, keeping the allocations for reuse.
-    pub fn clear(&mut self) {
-        self.emitted.clear();
-        self.emitter.clear();
-        self.users.clear();
-        self.periods.clear();
-        self.bits.clear();
-        self.byzantine.clear();
-        self.sorted = true;
-    }
-
     /// Iterates frames in row order.
     pub fn iter(&self) -> impl Iterator<Item = Frame> + '_ {
         (0..self.len()).map(move |i| self.frame(i))
-    }
-
-    /// Merges per-shard batches for one delivery period into the exact
-    /// frame order the sequential engine's mailbox would hold: ascending
-    /// `(emission period, emitting user)`. The key is unique per frame —
-    /// a client dispatches at most once per period and a retransmitted
-    /// copy always lands in a different delivery period — so the order is
-    /// total and independent of the shard partition.
-    ///
-    /// When several shards hold frames and each is already in mailbox
-    /// order (the common case — workers append mailbox batches in arrival
-    /// order, and arrival order per shard is the dispatch order), this
-    /// collects the zero-copy k-way walk of
-    /// [`merge_sorted`](Self::merge_sorted). Otherwise the shards are
-    /// concatenated column by column and index-sorted once
-    /// ([`sort_mailbox`](Self::sort_mailbox)), which leaves a single
-    /// sorted shard as it is.
-    pub fn merge_ordered<'a, I>(shards: I) -> FrameBatch
-    where
-        I: IntoIterator<Item = &'a FrameBatch>,
-    {
-        let shards: Vec<&FrameBatch> = shards.into_iter().filter(|s| !s.is_empty()).collect();
-        let mut out = FrameBatch::default();
-        out.reserve(shards.iter().map(|s| s.len()).sum());
-        if shards.len() > 1 && shards.iter().all(|s| s.sorted) {
-            for frame in FrameBatch::merge_sorted(shards) {
-                out.push(frame);
-            }
-        } else {
-            for shard in shards {
-                out.append(shard);
-            }
-            out.sort_mailbox();
-        }
-        debug_assert!(out.sorted, "merged output must be in mailbox order");
-        out
     }
 
     /// A k-way merge of batches that are each in mailbox order, yielding
@@ -545,38 +497,15 @@ impl FrameBatch {
     where
         I: IntoIterator<Item = &'a FrameBatch>,
     {
-        let runs = runs
+        let runs: Vec<&FrameBatch> = runs
             .into_iter()
-            .filter(|run| {
-                assert!(run.sorted, "a merged run must be in mailbox order");
-                !run.is_empty()
-            })
-            .map(|run| (run, 0))
+            .inspect(|run| assert!(run.sorted, "a merged run must be in mailbox order"))
             .collect();
-        MailboxMerge { runs }
-    }
-
-    /// Reorders the rows into mailbox order, ascending `(emitted,
-    /// emitter)` with ties kept in row order: one index sort, then one
-    /// gather per column. A batch already in order is left untouched.
-    pub fn sort_mailbox(&mut self) {
-        if self.sorted {
-            return;
-        }
-        let mut order: Vec<(u32, u32, u32)> = (0..self.len())
-            .map(|i| (self.emitted[i], self.emitter[i], i as u32))
+        let heads = (0..runs.len())
+            .filter(|&r| !runs[r].is_empty())
+            .map(|r| (r, 0))
             .collect();
-        order.sort_unstable();
-        fn gather<T: Copy>(col: &mut Vec<T>, order: &[(u32, u32, u32)]) {
-            *col = order.iter().map(|&(_, _, i)| col[i as usize]).collect();
-        }
-        gather(&mut self.emitted, &order);
-        gather(&mut self.emitter, &order);
-        gather(&mut self.users, &order);
-        gather(&mut self.periods, &order);
-        gather(&mut self.bits, &order);
-        gather(&mut self.byzantine, &order);
-        self.sorted = true;
+        MailboxMerge { runs, heads }
     }
 
     fn reserve(&mut self, rows: usize) {
@@ -660,35 +589,49 @@ impl FrameBatch {
 /// frames of its runs in ascending `(emitted, emitter)`.
 #[derive(Debug)]
 pub struct MailboxMerge<'a> {
-    /// Runs with frames left, in the caller's order, each with its head
-    /// row.
-    runs: Vec<(&'a FrameBatch, usize)>,
+    /// Every run, in the caller's order.
+    runs: Vec<&'a FrameBatch>,
+    /// The runs with frames left, in the caller's order: run index and
+    /// head row.
+    heads: Vec<(usize, usize)>,
 }
 
-impl Iterator for MailboxMerge<'_> {
-    type Item = Frame;
-
-    fn next(&mut self) -> Option<Frame> {
+impl MailboxMerge<'_> {
+    /// Advances the merge and returns where its next frame sits: the
+    /// run's index in the sequence given to
+    /// [`FrameBatch::merge_sorted`], and the row within that run — so a
+    /// caller can carry per-row data of each run along.
+    pub fn next_row(&mut self) -> Option<(usize, usize)> {
         let mut best: Option<(usize, (u32, u32))> = None;
-        for (r, &(run, i)) in self.runs.iter().enumerate() {
+        for (h, &(r, i)) in self.heads.iter().enumerate() {
+            let run = self.runs[r];
             let key = (run.emitted[i], run.emitter[i]);
             let better = match best {
                 Some((_, k)) => key < k,
                 None => true,
             };
             if better {
-                best = Some((r, key));
+                best = Some((h, key));
             }
         }
-        let (r, _) = best?;
-        let (run, i) = &mut self.runs[r];
-        let frame = run.frame(*i);
+        let (h, _) = best?;
+        let (r, i) = &mut self.heads[h];
+        let at = (*r, *i);
         *i += 1;
-        if *i == run.len() {
+        if *i == self.runs[*r].len() {
             // `remove`, not `swap_remove`: the run order breaks ties.
-            self.runs.remove(r);
+            self.heads.remove(h);
         }
-        Some(frame)
+        Some(at)
+    }
+}
+
+impl Iterator for MailboxMerge<'_> {
+    type Item = Frame;
+
+    fn next(&mut self) -> Option<Frame> {
+        let (r, i) = self.next_row()?;
+        Some(self.runs[r].frame(i))
     }
 }
 
@@ -776,8 +719,6 @@ mod tests {
         a.append(&b);
         let keys: Vec<(u32, u32)> = a.iter().map(|f| (f.emitted, f.emitter)).collect();
         assert_eq!(keys, vec![(1, 0), (1, 2), (2, 1)]);
-        a.clear();
-        assert!(a.is_empty());
         assert_eq!(b.len(), 1, "append borrows, never drains");
     }
 
@@ -806,37 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_ordered_reconstructs_mailbox_order() {
-        // Shard 0 owns users 0..3, shard 1 owns users 3..6; frames from
-        // two emission periods interleave. The merged order must be
-        // (emitted, emitter) ascending — exactly the sequential mailbox.
-        let mut s0 = FrameBatch::new();
-        let mut s1 = FrameBatch::new();
-        for e in [1u32, 2] {
-            for u in 0..3u32 {
-                s0.push(frame(e, u));
-            }
-            for u in 3..6u32 {
-                s1.push(frame(e, u));
-            }
-        }
-        let merged = FrameBatch::merge_ordered(&[s0.clone(), s1.clone()]);
-        let keys: Vec<(u32, u32)> = merged.iter().map(|f| (f.emitted, f.emitter)).collect();
-        let expect: Vec<(u32, u32)> = [1u32, 2]
-            .iter()
-            .flat_map(|&e| (0..6u32).map(move |u| (e, u)))
-            .collect();
-        assert_eq!(keys, expect);
-
-        // Partition-invariance: merging in the other shard order, or as
-        // one concatenated shard, gives the identical row sequence.
-        let swapped = FrameBatch::merge_ordered(&[s1, s0]);
-        let swapped_keys: Vec<(u32, u32)> =
-            swapped.iter().map(|f| (f.emitted, f.emitter)).collect();
-        assert_eq!(swapped_keys, expect);
-    }
-
-    #[test]
     fn sorted_flag_tracks_mailbox_order() {
         let mut b = FrameBatch::new();
         assert!(b.is_sorted(), "empty is vacuously sorted");
@@ -846,8 +756,6 @@ mod tests {
         assert!(b.is_sorted());
         b.push(frame(1, 9)); // earlier emission period: order lost
         assert!(!b.is_sorted());
-        b.clear();
-        assert!(b.is_sorted(), "clear restores the vacuous order");
 
         // Append: sorted ⊕ sorted with an ascending boundary stays
         // sorted; a descending boundary or an unsorted operand does not.
@@ -864,43 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_fast_path_equals_index_sort_fallback() {
-        // The same multiset of frames through both merge paths: shard
-        // batches in mailbox order ride the k-way column walk, scrambled
-        // shards fall back to the index sort — identical output rows.
-        let rows = [
-            frame(1, 4),
-            frame(1, 7),
-            frame(2, 1),
-            frame(2, 6),
-            frame(3, 0),
-            frame(3, 9),
-        ];
-        let mut sorted_a = FrameBatch::new();
-        let mut sorted_b = FrameBatch::new();
-        for (i, f) in rows.iter().enumerate() {
-            if i % 2 == 0 {
-                sorted_a.push(*f);
-            } else {
-                sorted_b.push(*f);
-            }
-        }
-        assert!(sorted_a.is_sorted() && sorted_b.is_sorted());
-        let fast = FrameBatch::merge_ordered(&[sorted_a, sorted_b]);
-        assert!(fast.is_sorted());
-
-        let mut scrambled = FrameBatch::new();
-        for f in rows.iter().rev() {
-            scrambled.push(*f);
-        }
-        assert!(!scrambled.is_sorted());
-        let slow = FrameBatch::merge_ordered(std::iter::once(&scrambled));
-        let fast_rows: Vec<Frame> = fast.iter().collect();
-        let slow_rows: Vec<Frame> = slow.iter().collect();
-        assert_eq!(fast_rows, slow_rows);
-    }
-
-    #[test]
     fn merge_sorted_walks_runs_and_refuses_unsorted_ones() {
         let mut a = FrameBatch::new();
         a.push(frame(1, 2));
@@ -912,15 +783,15 @@ mod tests {
             .map(|f| (f.emitted, f.emitter))
             .collect();
         assert_eq!(keys, vec![(1, 2), (1, 5), (2, 1), (3, 0)]);
+        let empty = FrameBatch::new();
+        let mut merge = FrameBatch::merge_sorted([&a, &empty, &b]);
+        let rows: Vec<(usize, usize)> = std::iter::from_fn(|| merge.next_row()).collect();
+        assert_eq!(rows, vec![(0, 0), (2, 0), (2, 1), (0, 1)], "run index, row");
 
         let mut scrambled = b.clone();
         scrambled.push(frame(1, 0));
         let refused = std::panic::catch_unwind(|| FrameBatch::merge_sorted([&scrambled]).count());
         assert!(refused.is_err(), "an unsorted run must not be merged");
-        scrambled.sort_mailbox();
-        assert!(scrambled.is_sorted());
-        let sorted: Vec<(u32, u32)> = scrambled.iter().map(|f| (f.emitted, f.emitter)).collect();
-        assert_eq!(sorted, vec![(1, 0), (1, 5), (2, 1)]);
     }
 
     #[test]

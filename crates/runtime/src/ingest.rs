@@ -11,9 +11,16 @@
 //!
 //! * **Per-period intake.** Producers stream columnar
 //!   [`ReportBatch`]es (trusted traffic, folded into shard accumulators
-//!   by the owning worker) or [`FrameBatch`]es (untrusted traffic,
-//!   buffered for the period-close checked ingestion) into per-worker
-//!   mailboxes.
+//!   by the owning worker) or [`FrameBatch`]es (untrusted traffic) into
+//!   per-worker mailboxes. Worker `w` owns the wire ids
+//!   `partition(n, workers)[w]` (the split of [`shard_of`]) and an owned
+//!   copy of their roster slots ([`RosterSlice`]). It runs the checked
+//!   ladder on every frame as its batch arrives, keeping a
+//!   [`CheckedTally`], the verdicts in arrival order and the ids it
+//!   accepted, so classification is off the publish path.
+//!   [`submit_frames`](IngestService::submit_frames) checks on the
+//!   caller's thread that each frame reaches the worker owning the id it
+//!   claims, in mailbox order.
 //! * **Bounded mailboxes with backpressure.** Every mailbox is a bounded
 //!   channel of [`LiveConfig::mailbox_cap`] batches (`RTF_MAILBOX_CAP`).
 //!   A full mailbox **blocks the producer** — messages are never dropped
@@ -23,21 +30,28 @@
 //! * **Period-close flush.** [`close_period`](IngestService::close_period)
 //!   first checks that it names the open period (a misnumbered close
 //!   panics before it touches a worker, so it loses nothing), then
-//!   barriers every worker, collects its shard accumulator and buffered
-//!   frames **in worker index order**, replays the merged frame mailbox
-//!   through the server's checked path, and finalises the period via
-//!   [`Server::close_period_with_shards`] — exactly the merge order of
-//!   the offline batched pipeline, so streaming execution is
+//!   barriers every worker and collects its shard accumulator and
+//!   classified frames **in worker index order**. It only absorbs: it
+//!   validates every shard, commits each worker's accepted ids into the
+//!   server's roster, adds the tallies and finalises the period via
+//!   [`Server::close_period_with_shards`]. A verdict reads only its
+//!   sender's roster slot and the open period, and every worker sees its
+//!   own ids' frames in mailbox order, so streaming execution is
 //!   value-for-value identical to batched and sequential execution
-//!   (proven by `rtf_scenarios::oracle::assert_live_agreement`).
+//!   (proven by `rtf_scenarios::oracle::assert_live_agreement`). Between
+//!   closes the server's roster is the closed-period state.
 //! * **Restart recovery.** Every submitted batch is journalled (per
 //!   worker, per open period) before it enters a mailbox — a delivery
 //!   log. [`kill_worker`](IngestService::kill_worker) abandons a worker
 //!   thread and its entire un-flushed state mid-period, spawns a
-//!   replacement, and replays the journal into it. Folding is
+//!   replacement from the server's closed-period roster slice, and
+//!   replays the journal into it. Folding and classification are
 //!   deterministic, so the replacement's flush is bit-identical to the
 //!   one the dead worker would have produced: **recovery is exact**, and
 //!   the oracle asserts it on honest and fault-injected schedules alike.
+//! * **Worker panics.** A worker that panics fails the next call that
+//!   reaches it (a submit or a close) with its own panic payload.
+//!   Recovering from the journal after a panic is not implemented.
 //!
 //! Journals are truncated at every period close (flushed shards already
 //! live in the server), so the journal holds one open period of traffic
@@ -60,14 +74,19 @@
 //!   placements.
 
 use crate::batch::{FrameBatch, ReportBatch};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::pool::partition;
+#[cfg(doc)]
+use crate::pool::shard_of;
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use rtf_core::accumulator::{Accumulator, AccumulatorError, AnyAccumulator};
-use rtf_core::server::{Delivery, Server};
+use rtf_core::server::{CheckedTally, Delivery, RosterSlice, Server};
 use rtf_core::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use rtf_primitives::sign::Sign;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Default mailbox capacity when `RTF_MAILBOX_CAP` is unset.
 ///
@@ -77,6 +96,14 @@ use std::sync::Arc;
 /// when folded. A deep mailbox is effectively unbounded buffering: the
 /// producer runs megabytes ahead and every fold streams cold memory.
 pub const DEFAULT_MAILBOX_CAP: usize = 32;
+
+/// How long a period close polls a worker's flush, yielding its thread
+/// between polls, before it sleeps on the channel. A close waits for each
+/// worker to classify what it still has queued, typically a fraction of
+/// a millisecond; sleeping instead adds a thread wake-up to every
+/// published estimate, which a virtualised host can stretch to tens of
+/// microseconds.
+const FLUSH_POLL: Duration = Duration::from_micros(250);
 
 /// Parses a mailbox capacity: `None`/empty means
 /// [`DEFAULT_MAILBOX_CAP`]; `0` clamps to 1 (a mailbox must admit the
@@ -276,16 +303,67 @@ impl LiveConfig {
 enum WorkerMsg {
     /// Trusted rows: fold into the worker's shard accumulator.
     Reports(Arc<ReportBatch>),
-    /// Untrusted frames: buffer for the period-close checked ingestion.
+    /// Untrusted frames: classify on the worker's roster slice.
     Frames(Arc<FrameBatch>),
-    /// Period-close barrier: ship the shard state back and reset.
+    /// Period-close barrier: ship the period's state back and open the
+    /// next period.
     Flush,
+}
+
+/// The server state a worker classifies from: the closed-period roster
+/// slots of the ids it owns, and the number of closed periods.
+struct WorkerStart {
+    roster: RosterSlice,
+    closed: u64,
+}
+
+/// A worker's untrusted traffic of the open period, classified on
+/// arrival.
+struct FrameIntake {
+    /// The frames, in arrival order (mailbox order, by the submit
+    /// contract).
+    frames: FrameBatch,
+    /// One verdict per frame, parallel to `frames`.
+    outcomes: Vec<Delivery>,
+    /// Verdict counts and accepted signs, for [`Server::absorb_checked`].
+    tally: CheckedTally,
+    /// The ids whose report was accepted, for
+    /// [`Server::commit_accepted`].
+    accepted: Vec<u32>,
+}
+
+impl FrameIntake {
+    fn new(orders: usize) -> Self {
+        FrameIntake {
+            frames: FrameBatch::new(),
+            outcomes: Vec::new(),
+            tally: CheckedTally::new(orders),
+            accepted: Vec::new(),
+        }
+    }
+
+    /// Runs the checked ladder on every frame of `batch`, in order, while
+    /// period `closed + 1` is open.
+    fn classify(&mut self, roster: &mut RosterSlice, closed: u64, batch: &FrameBatch) {
+        let mut shard = roster.shard();
+        self.outcomes.reserve(batch.len());
+        for frame in batch.iter() {
+            let bit = if frame.bit { Sign::Plus } else { Sign::Minus };
+            let claim = u64::from(frame.t);
+            let verdict = shard.classify(frame.user, claim, bit, 0, closed, &mut self.tally);
+            if verdict == Delivery::Accepted {
+                self.accepted.push(frame.user);
+            }
+            self.outcomes.push(verdict);
+        }
+        self.frames.append(batch);
+    }
 }
 
 /// What a worker hands back at every flush barrier.
 struct ShardFlush {
     acc: AnyAccumulator,
-    frames: FrameBatch,
+    intake: FrameIntake,
 }
 
 /// A journalled intake batch for the currently open period. Entries
@@ -298,6 +376,54 @@ enum JournalEntry {
     Frames(Arc<FrameBatch>),
 }
 
+impl JournalEntry {
+    /// The mailbox message that replays this entry.
+    fn msg(&self) -> WorkerMsg {
+        match self {
+            JournalEntry::Reports(b) => WorkerMsg::Reports(Arc::clone(b)),
+            JournalEntry::Frames(b) => WorkerMsg::Frames(Arc::clone(b)),
+        }
+    }
+}
+
+/// Checks `batch` against the routing and order contract of
+/// [`IngestService::submit_frames`] for the worker that owns the wire ids
+/// `ids` of `0..n` and whose last frame of the period has the
+/// `(emitted, emitter)` key `last`. Returns the worker's new last key.
+fn check_route(
+    ids: &Range<usize>,
+    n: usize,
+    last: Option<(u32, u32)>,
+    batch: &FrameBatch,
+) -> Result<Option<(u32, u32)>, String> {
+    let key = |i: usize| {
+        let f = batch.frame(i);
+        (f.emitted, f.emitter)
+    };
+    let Some(end) = batch.len().checked_sub(1) else {
+        return Ok(last);
+    };
+    if !batch.is_sorted() {
+        return Err("frames are not in mailbox order".into());
+    }
+    if let Some(last) = last.filter(|&last| key(0) < last) {
+        return Err(format!(
+            "frames start at {:?}, before the worker's last frame {last:?}",
+            key(0)
+        ));
+    }
+    // A worker that owns every id takes any frame.
+    if ids.start > 0 || ids.end < n {
+        for i in 0..batch.len() {
+            let user = batch.frame(i).user as usize;
+            if user < n && !ids.contains(&user) {
+                return Err(format!("a frame claims wire id {user}, outside {ids:?}"));
+            }
+        }
+    }
+    Ok(Some(key(end)))
+}
+
 /// One live ingestion worker: mailbox sender, flush receiver, thread.
 /// Dropping a slot stops its worker.
 struct WorkerSlot {
@@ -307,18 +433,53 @@ struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    fn spawn(index: usize, mailbox_cap: usize, template: AnyAccumulator) -> Self {
+    fn spawn(
+        index: usize,
+        mailbox_cap: usize,
+        template: AnyAccumulator,
+        start: WorkerStart,
+    ) -> Self {
         let (tx, rx) = bounded::<WorkerMsg>(mailbox_cap);
         let (flush_tx, flushes) = unbounded::<ShardFlush>();
         let handle = std::thread::Builder::new()
             .name(format!("rtf-ingest-{index}"))
-            .spawn(move || worker_loop(rx, flush_tx, template))
+            .spawn(move || worker_loop(rx, flush_tx, template, start))
             .expect("spawn ingest worker");
         WorkerSlot {
             tx: Some(tx),
             flushes,
             handle: Some(handle),
         }
+    }
+
+    /// Waits for the worker's answer to a flush barrier: polls for
+    /// [`FLUSH_POLL`], then sleeps on the channel.
+    fn await_flush(&mut self, index: usize) -> ShardFlush {
+        let start = Instant::now();
+        loop {
+            match self.flushes.try_recv() {
+                Ok(flush) => return flush,
+                Err(TryRecvError::Empty) if start.elapsed() < FLUSH_POLL => {
+                    std::thread::yield_now();
+                }
+                Err(_) => break,
+            }
+        }
+        match self.flushes.recv() {
+            Ok(flush) => flush,
+            Err(_) => self.fail(index),
+        }
+    }
+
+    /// The worker hung up on its mailbox or its flush channel, which it
+    /// does only by panicking: joins it and fails the caller with the
+    /// worker's own panic payload.
+    fn fail(&mut self, index: usize) -> ! {
+        self.tx.take();
+        if let Some(Err(payload)) = self.handle.take().map(std::thread::JoinHandle::join) {
+            std::panic::resume_unwind(payload);
+        }
+        panic!("ingest worker {index} is gone");
     }
 
     /// Closes the mailbox and joins the thread. The worker drains every
@@ -339,20 +500,34 @@ impl Drop for WorkerSlot {
     }
 }
 
-/// The worker body: fold trusted rows, buffer untrusted frames, ship
-/// both back at every flush barrier.
-fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<ShardFlush>, template: AnyAccumulator) {
+/// The worker body: fold trusted rows, classify untrusted frames on the
+/// worker's roster slice as they arrive, ship both back at every flush
+/// barrier.
+fn worker_loop(
+    rx: Receiver<WorkerMsg>,
+    out: Sender<ShardFlush>,
+    template: AnyAccumulator,
+    start: WorkerStart,
+) {
+    let orders = template.orders();
+    let WorkerStart {
+        mut roster,
+        mut closed,
+    } = start;
     let mut acc = template.clone();
-    let mut frames = FrameBatch::new();
+    let mut intake = FrameIntake::new(orders);
     while let Ok(msg) = rx.recv() {
         match msg {
             WorkerMsg::Reports(batch) => batch.fold_into(&mut acc),
-            WorkerMsg::Frames(batch) => frames.append(&batch),
+            WorkerMsg::Frames(batch) => intake.classify(&mut roster, closed, &batch),
             WorkerMsg::Flush => {
                 let flush = ShardFlush {
                     acc: std::mem::replace(&mut acc, template.clone()),
-                    frames: std::mem::take(&mut frames),
+                    intake: std::mem::replace(&mut intake, FrameIntake::new(orders)),
                 };
+                // The roster slice already holds the period's acceptances,
+                // which the close commits to the server's roster.
+                closed += 1;
                 if out.send(flush).is_err() {
                     break; // service gone mid-flush: nothing left to serve
                 }
@@ -361,10 +536,11 @@ fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<ShardFlush>, template: AnyAc
     }
 }
 
-/// Replays one delivery period's merged frame stream (ascending
-/// `(emitted, emitter)` — see [`FrameBatch::merge_ordered`]) through the
-/// server's checked ingestion path while period `t` is open, returning
-/// one [`Delivery`] per frame.
+/// Replays one delivery period's frame stream in mailbox order
+/// (ascending `(emitted, emitter)`) through the server's checked
+/// ingestion path while period `t` is open, returning one [`Delivery`]
+/// per frame. The service classifies on its workers instead; this is the
+/// one-thread form of the same ladder.
 ///
 /// # Panics
 /// Panics unless `t` is the server's open period — frames classified
@@ -378,6 +554,28 @@ pub fn replay_frames_checked(server: &mut Server, t: u64, frames: &FrameBatch) -
             server.ingest_checked(frame.user, u64::from(frame.t), bit)
         })
         .collect()
+}
+
+/// One period's frames and verdicts from the workers' intakes, in worker
+/// index order: moved out when at most one worker received frames,
+/// otherwise merged into mailbox order, ascending `(emitted, emitter)`,
+/// with each verdict carried along.
+fn merge_intakes(intakes: impl Iterator<Item = FrameIntake>) -> (FrameBatch, Vec<Delivery>) {
+    let mut intakes: Vec<FrameIntake> = intakes.filter(|i| !i.frames.is_empty()).collect();
+    if intakes.len() <= 1 {
+        return intakes
+            .pop()
+            .map_or_else(Default::default, |i| (i.frames, i.outcomes));
+    }
+    let total = intakes.iter().map(|i| i.outcomes.len()).sum();
+    let mut frames = FrameBatch::new();
+    let mut outcomes = Vec::with_capacity(total);
+    let mut merge = FrameBatch::merge_sorted(intakes.iter().map(|i| &i.frames));
+    while let Some((r, row)) = merge.next_row() {
+        frames.push(intakes[r].frames.frame(row));
+        outcomes.push(intakes[r].outcomes[row]);
+    }
+    (frames, outcomes)
 }
 
 /// Panics unless `t` is `server`'s open period.
@@ -422,8 +620,9 @@ pub struct PeriodClose {
     /// The period's untrusted frames in the exact ingestion (sequential
     /// mailbox) order — empty for trusted-only intake.
     pub frames: FrameBatch,
-    /// Per-frame classification by the checked ingestion path, parallel
-    /// to [`frames`](Self::frames).
+    /// Per-frame verdicts of the checked ladder, as the owning workers
+    /// classified the frames on arrival, parallel to
+    /// [`frames`](Self::frames).
     pub outcomes: Vec<Delivery>,
 }
 
@@ -471,8 +670,13 @@ pub struct PeriodClose {
 pub struct IngestService {
     server: Server,
     workers: Vec<WorkerSlot>,
+    /// The wire ids each worker owns: `partition(n, workers)`.
+    slices: Vec<Range<usize>>,
     /// Per-worker delivery log of the currently open period.
     journal: Vec<Vec<JournalEntry>>,
+    /// Per worker, the `(emitted, emitter)` key of the last frame
+    /// submitted in the open period.
+    last_key: Vec<Option<(u32, u32)>>,
     stats: IngestStats,
     mailbox_cap: usize,
 }
@@ -481,23 +685,92 @@ impl IngestService {
     /// Starts `workers` ingestion workers (≥ 1; 0 clamps to 1) in front
     /// of `server`, with `mailbox_cap`-batch bounded mailboxes. Worker
     /// shard accumulators take the server's shape via
-    /// [`Server::new_shard`].
+    /// [`Server::new_shard`]; worker `w` takes a copy of the roster slots
+    /// of the ids `partition(n, workers)[w]`.
     ///
     /// All user registration must already have happened — the service
     /// starts at period 1.
     pub fn new(server: Server, workers: usize, mailbox_cap: usize) -> Self {
         let workers = workers.max(1);
-        let mailbox_cap = mailbox_cap.max(1);
-        let slots = (0..workers)
-            .map(|i| WorkerSlot::spawn(i, mailbox_cap, server.new_shard()))
+        let journal = vec![Vec::new(); workers];
+        IngestService::start(server, mailbox_cap.max(1), journal, IngestStats::default())
+            .expect("empty journals keep the routing contract")
+    }
+
+    /// Spawns one worker per journal from `server`'s closed-period state
+    /// and replays each open-period journal into its worker, without
+    /// counting the replay.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Corrupt`] if a journalled frame batch breaks the
+    /// routing and order contract of [`submit_frames`](Self::submit_frames).
+    fn start(
+        server: Server,
+        mailbox_cap: usize,
+        journal: Vec<Vec<JournalEntry>>,
+        stats: IngestStats,
+    ) -> Result<Self, SnapshotError> {
+        let workers = journal.len();
+        let n = server.params().n();
+        let slices: Vec<Range<usize>> = partition(n, workers)
+            .iter()
+            .map(|shard| shard.range())
             .collect();
-        IngestService {
-            server,
-            workers: slots,
-            journal: vec![Vec::new(); workers],
-            stats: IngestStats::default(),
-            mailbox_cap,
+        let mut last_key = vec![None; workers];
+        for (w, entries) in journal.iter().enumerate() {
+            for entry in entries {
+                if let JournalEntry::Frames(batch) = entry {
+                    last_key[w] = check_route(&slices[w], n, last_key[w], batch).map_err(|_| {
+                        SnapshotError::Corrupt("journalled frames break the routing contract")
+                    })?;
+                }
+            }
         }
+        let mut service = IngestService {
+            server,
+            workers: Vec::with_capacity(workers),
+            slices,
+            journal,
+            last_key,
+            stats,
+            mailbox_cap,
+        };
+        for w in 0..workers {
+            let slot = service.spawn(w);
+            service.workers.push(slot);
+            service.replay(w);
+        }
+        Ok(service)
+    }
+
+    /// What worker `w` classifies from: the server's closed-period slots
+    /// of the ids it owns.
+    fn worker_start(&self, w: usize) -> WorkerStart {
+        WorkerStart {
+            roster: self.server.roster_slice(self.slices[w].clone()),
+            closed: self.server.estimates().len() as u64,
+        }
+    }
+
+    /// A fresh worker `w` at the server's closed-period state.
+    fn spawn(&self, w: usize) -> WorkerSlot {
+        WorkerSlot::spawn(
+            w,
+            self.mailbox_cap,
+            self.server.new_shard(),
+            self.worker_start(w),
+        )
+    }
+
+    /// Replays worker `w`'s open-period journal into its mailbox and
+    /// returns the number of batches sent. The journal keeps its entries
+    /// in case the worker dies again before the period closes.
+    fn replay(&mut self, w: usize) -> u64 {
+        for i in 0..self.journal[w].len() {
+            let msg = self.journal[w][i].msg();
+            self.send(w, msg);
+        }
+        self.journal[w].len() as u64
     }
 
     /// Number of ingestion workers.
@@ -530,12 +803,27 @@ impl IngestService {
     }
 
     /// Streams one untrusted frame batch into worker `worker`'s mailbox,
-    /// journalling it first. Same blocking backpressure contract as
+    /// journalling it first; the worker classifies it on arrival. Same
+    /// blocking backpressure contract as
     /// [`submit_reports`](Self::submit_reports).
     ///
+    /// The routing and order contract, checked on the caller's thread
+    /// before anything is journalled: a frame claiming an id below `n`
+    /// goes to the worker that owns that id (`shard_of(n, workers, id)`;
+    /// ids `≥ n` may go to any worker), and each worker's frames arrive
+    /// in mailbox order, ascending `(emitted, emitter)`, within a period.
+    /// A verdict reads only its claimed sender's roster slot, so each
+    /// worker then classifies exactly as the sequential mailbox would.
+    ///
     /// # Panics
-    /// Panics if `worker` is out of range.
+    /// Panics if `worker` is out of range, if a frame claims an id another
+    /// worker owns, or if the batch is out of mailbox order (within itself
+    /// or against the worker's last frame of the period). The service is
+    /// then unchanged.
     pub fn submit_frames(&mut self, worker: usize, batch: FrameBatch) {
+        let n = self.server.params().n();
+        self.last_key[worker] = check_route(&self.slices[worker], n, self.last_key[worker], &batch)
+            .unwrap_or_else(|e| panic!("ingest worker {worker} refused a frame batch: {e}"));
         self.stats.batches += 1;
         self.stats.frames += batch.len() as u64;
         let batch = Arc::new(batch);
@@ -543,33 +831,41 @@ impl IngestService {
         self.send(worker, WorkerMsg::Frames(batch));
     }
 
-    fn send(&self, worker: usize, msg: WorkerMsg) {
-        let tx = self.workers[worker]
-            .tx
-            .as_ref()
-            .expect("worker mailbox open");
-        assert!(tx.send(msg).is_ok(), "ingest worker {worker} disconnected");
+    /// Sends `msg` to worker `worker`, failing with the worker's own
+    /// panic if it died.
+    fn send(&mut self, worker: usize, msg: WorkerMsg) {
+        let slot = &mut self.workers[worker];
+        let tx = slot.tx.as_ref().expect("worker mailbox open");
+        if tx.send(msg).is_err() {
+            slot.fail(worker);
+        }
     }
 
-    /// Closes period `t`: barriers every worker, absorbs the flushed
-    /// shard accumulators and replays the merged frame mailbox through
-    /// the checked ingestion path (both in deterministic order), then
-    /// finalises `â[t]` and truncates the journals.
+    /// Closes period `t`: barriers every worker, commits the ids each
+    /// accepted into the server's roster, absorbs the flushed tallies and
+    /// shard accumulators (in worker index order), then finalises `â[t]`
+    /// and truncates the journals. Frames were classified as they arrived,
+    /// so no frame is classified here. With one worker, the period's
+    /// frames and verdicts are returned by move; with more they are merged
+    /// into mailbox order.
     ///
     /// # Errors
     /// Returns [`AccumulatorError`] if a flushed shard does not match the
     /// server's shape (impossible unless the service is misused —
     /// shards are cut from the server itself). The failure is
-    /// **transactional**: every shard is validated *before* any frame is
-    /// classified or any accumulator merged, and the open period's
-    /// journals are replayed into the (barrier-reset) workers, so on
+    /// **transactional**: every shard is validated *before* any id is
+    /// committed or any tally or accumulator absorbed, and every worker is
+    /// then rebuilt from the server's closed-period roster and its
+    /// journal (as [`kill_worker`](Self::kill_worker) rebuilds one), so on
     /// `Err` the service is exactly where it was before the call —
-    /// journals intact, delivery log untouched, stats unadvanced.
+    /// journals intact, delivery log untouched, stats unadvanced except
+    /// [`IngestStats::replayed_batches`].
     ///
     /// # Panics
     /// Panics unless `t` is the open period. The check runs before the
     /// flush barrier, so after the panic the service still holds the open
-    /// period's traffic and a correctly numbered close publishes it.
+    /// period's traffic and a correctly numbered close publishes it. Also
+    /// fails with a worker's own panic if that worker died.
     pub fn close_period(&mut self, t: u64) -> Result<PeriodClose, AccumulatorError> {
         assert_open_period(&self.server, t);
         // Barrier: one flush marker per mailbox. Workers drain in FIFO
@@ -579,58 +875,41 @@ impl IngestService {
             self.send(w, WorkerMsg::Flush);
         }
         // Collect in worker index order — the deterministic merge order.
-        let mut shard_accs = Vec::with_capacity(self.workers.len());
-        let mut shard_frames = Vec::with_capacity(self.workers.len());
-        for slot in &self.workers {
-            let flush = slot
-                .flushes
-                .recv()
-                .expect("ingest worker answered the flush barrier");
-            shard_accs.push(flush.acc);
-            shard_frames.push(flush.frames);
-        }
+        let flushes: Vec<ShardFlush> = (0..self.workers.len())
+            .map(|w| self.workers[w].await_flush(w))
+            .collect();
 
-        // Validate every shard before mutating ANY state — otherwise a
-        // bad shard would abort a close that had already pushed frames
-        // through the checked path and reset the workers, leaving the
-        // journal claiming traffic the server half-consumed.
+        // Validate every shard before mutating ANY state, so a bad shard
+        // cannot leave the server holding part of a period the journal
+        // still claims.
         let server = &self.server;
-        if let Err(err) = shard_accs
+        if let Err(err) = flushes
             .iter()
-            .try_for_each(|shard| server.validate_shard(shard))
+            .try_for_each(|flush| server.validate_shard(&flush.acc))
         {
-            // The flush barrier already reset the workers; rebuild their
-            // open-period state from the journal (exactly the kill_worker
-            // recovery path) so the service is coherent after the abort.
+            // The barrier opened the next period in every worker; rebuild
+            // each from the server's closed-period roster and its journal.
             for w in 0..self.workers.len() {
-                for i in 0..self.journal[w].len() {
-                    self.stats.replayed_batches += 1;
-                    let msg = match &self.journal[w][i] {
-                        JournalEntry::Reports(b) => WorkerMsg::Reports(b.clone()),
-                        JournalEntry::Frames(b) => WorkerMsg::Frames(b.clone()),
-                    };
-                    self.send(w, msg);
-                }
+                self.stats.replayed_batches += self.rebuild(w);
             }
             return Err(err);
         }
 
-        // Untrusted traffic first: reconstruct the sequential mailbox
-        // order across shards and classify every frame.
-        let frames = FrameBatch::merge_ordered(shard_frames.iter());
         let server = &mut self.server;
-        let outcomes = replay_frames_checked(server, t, &frames);
-
-        let estimate = server
-            .close_period_with_shards(t, shard_accs.iter())
-            .expect("every shard validated before the merge");
-        for shard in &shard_accs {
-            self.stats.flushed_acc_bytes += shard.heap_bytes() as u64;
+        for flush in &flushes {
+            server.commit_accepted(&flush.intake.accepted);
+            server.absorb_checked(&flush.intake.tally);
+            self.stats.flushed_acc_bytes += flush.acc.heap_bytes() as u64;
         }
-        for entries in &mut self.journal {
+        let estimate = server
+            .close_period_with_shards(t, flushes.iter().map(|flush| &flush.acc))
+            .expect("every shard validated before the merge");
+        for (entries, last) in self.journal.iter_mut().zip(&mut self.last_key) {
             entries.clear();
+            *last = None;
         }
         self.stats.periods += 1;
+        let (frames, outcomes) = merge_intakes(flushes.into_iter().map(|flush| flush.intake));
         Ok(PeriodClose {
             t,
             estimate,
@@ -641,32 +920,29 @@ impl IngestService {
 
     /// Kills worker `worker % workers()` mid-period and recovers it: the
     /// thread is abandoned along with **all** of its un-flushed state
-    /// (folded accumulator, buffered frames, queued mailbox), a
-    /// replacement is spawned, and the open period's journal is replayed
-    /// into it. Folding is deterministic, so the replacement's next
-    /// flush is bit-identical to what the dead worker would have
-    /// produced.
+    /// (folded accumulator, roster slice, classified frames, queued
+    /// mailbox), a replacement is spawned from the server's closed-period
+    /// roster slice, and the open period's journal is replayed into it.
+    /// Folding and classification are deterministic, so the
+    /// replacement's next flush is bit-identical to what the dead worker
+    /// would have produced.
     ///
     /// The index is taken modulo the worker count — matching the
     /// documented [`WorkerKill`] contract, so every caller can pass a
     /// raw configured index without its own wrap-around copy.
     pub fn kill_worker(&mut self, worker: usize) {
         let worker = worker % self.workers.len();
-        self.workers[worker].stop();
-        let template = self.server.new_shard();
-        self.workers[worker] = WorkerSlot::spawn(worker, self.mailbox_cap, template);
         self.stats.recoveries += 1;
-        // Replay the delivery log. Clones go to the mailbox; the journal
-        // keeps its entries in case this worker dies again before the
-        // period closes.
-        for i in 0..self.journal[worker].len() {
-            self.stats.replayed_batches += 1;
-            let msg = match &self.journal[worker][i] {
-                JournalEntry::Reports(b) => WorkerMsg::Reports(b.clone()),
-                JournalEntry::Frames(b) => WorkerMsg::Frames(b.clone()),
-            };
-            self.send(worker, msg);
-        }
+        self.stats.replayed_batches += self.rebuild(worker);
+    }
+
+    /// Replaces worker `w` with a fresh one at the server's closed-period
+    /// state and replays its journal into it; returns the batches
+    /// replayed.
+    fn rebuild(&mut self, w: usize) -> u64 {
+        self.workers[w].stop();
+        self.workers[w] = self.spawn(w);
+        self.replay(w)
     }
 
     /// Serializes the whole service — worker count, mailbox capacity,
@@ -729,7 +1005,9 @@ impl IngestService {
     /// # Errors
     /// A typed [`SnapshotError`] for anything malformed: truncated or
     /// corrupted bytes, a foreign file, an unsupported format version,
-    /// state written under the removed seed schema v1, or any violated
+    /// state written under the removed seed schema v1, a journalled frame
+    /// batch that breaks the routing and order contract of
+    /// [`submit_frames`](Self::submit_frames), or any other violated
     /// structural invariant. Never panics on bad bytes.
     pub fn restore(bytes: &[u8]) -> Result<IngestService, SnapshotError> {
         let mut r = SnapReader::new(bytes)?;
@@ -769,29 +1047,10 @@ impl IngestService {
             journal.push(entries);
         }
         r.finish()?;
-        let slots = (0..workers)
-            .map(|i| WorkerSlot::spawn(i, mailbox_cap, server.new_shard()))
-            .collect();
-        let service = IngestService {
-            server,
-            workers: slots,
-            journal,
-            stats,
-            mailbox_cap,
-        };
-        // Rebuild the open period inside the fresh workers. The entries
-        // stay journalled (they are still un-flushed), so a later kill
-        // or second restart replays them again.
-        for (w, entries) in service.journal.iter().enumerate() {
-            for entry in entries {
-                let msg = match entry {
-                    JournalEntry::Reports(b) => WorkerMsg::Reports(b.clone()),
-                    JournalEntry::Frames(b) => WorkerMsg::Frames(b.clone()),
-                };
-                service.send(w, msg);
-            }
-        }
-        Ok(service)
+        // Rebuild the open period inside fresh workers. The entries stay
+        // journalled (they are still un-flushed), so a later kill or
+        // second restart replays them again.
+        IngestService::start(server, mailbox_cap, journal, stats)
     }
 
     /// Kills and relaunches the whole service in place:
@@ -1101,57 +1360,306 @@ mod tests {
     #[test]
     fn frame_intake_replays_the_merged_mailbox_through_the_checked_path() {
         use crate::batch::Frame;
-        // Two registered order-0 users reporting through frames; a junk
-        // frame must classify, not panic. Frames scattered across workers
-        // must ingest in (emitted, emitter) order.
+        // Two registered order-0 users, one per worker's roster slice
+        // (0..50 and 50..100), reporting through frames; junk frames must
+        // classify, not panic. Each frame goes to the worker owning the
+        // id it claims (ids ≥ n to any), and the period's frames come back
+        // in (emitted, emitter) order with their verdicts.
         let mut server = Server::for_future_rand(params());
         assert!(server.register_client(0, 0));
-        assert!(server.register_client(1, 0));
+        assert!(server.register_client(50, 0));
         let mut svc = IngestService::new(server, 2, 4);
+        let frame = |emitter: u32, user: u32, byzantine: bool| Frame {
+            emitted: 1,
+            emitter,
+            user,
+            t: 1,
+            bit: user % 2 == 0,
+            byzantine,
+        };
         let mut w0 = FrameBatch::new();
         let mut w1 = FrameBatch::new();
-        w1.push(Frame {
-            emitted: 1,
-            emitter: 1,
-            user: 1,
-            t: 1,
-            bit: false,
-            byzantine: false,
-        });
-        w0.push(Frame {
-            emitted: 1,
-            emitter: 0,
-            user: 0,
-            t: 1,
-            bit: true,
-            byzantine: false,
-        });
-        // A fabrication from an unregistered id.
-        w0.push(Frame {
-            emitted: 1,
-            emitter: 7,
-            user: 99,
-            t: 1,
-            bit: true,
-            byzantine: true,
-        });
+        w0.push(frame(0, 0, false));
+        // A fabrication claiming an id at or above n.
+        w0.push(frame(9, 1000, true));
+        // A fabrication claiming an unregistered id of worker 1's slice.
+        w1.push(frame(7, 99, true));
+        w1.push(frame(50, 50, false));
         svc.submit_frames(0, w0);
         svc.submit_frames(1, w1);
         let close = svc.close_period(1).unwrap();
         let order: Vec<u32> = close.frames.iter().map(|f| f.emitter).collect();
-        assert_eq!(order, vec![0, 1, 7], "merged mailbox order");
+        assert_eq!(order, vec![0, 7, 9, 50], "merged mailbox order");
         assert_eq!(
             close.outcomes,
             vec![
                 Delivery::Accepted,
-                Delivery::Accepted,
-                Delivery::UnknownUser
+                Delivery::UnknownUser,
+                Delivery::UnknownUser,
+                Delivery::Accepted
             ]
         );
         let (server, stats) = svc.finish();
         assert_eq!(server.delivery_log()[0].accepted, 2);
-        assert_eq!(server.delivery_log()[0].unknown_user, 1);
-        assert_eq!(stats.frames, 3);
+        assert_eq!(server.delivery_log()[0].unknown_user, 2);
+        assert_eq!(stats.frames, 4);
+    }
+
+    /// Period `t`'s frames in mailbox order for a 12-id roster where ids
+    /// 0..10 are registered at order `u % 3` (10 and 11 never register):
+    /// id 0 impersonates one registered id per period ahead of its honest
+    /// report, every third honest report of period `t − 1` is delivered
+    /// again, and emitters 30 and 31 claim an id `≥ n` and an unregistered
+    /// id below n.
+    fn checked_period(t: u64) -> Vec<crate::batch::Frame> {
+        use crate::batch::Frame;
+        let t = t as u32;
+        let frame = |emitted: u32, emitter: u32, user: u32, claim: u32, bit: bool| Frame {
+            emitted,
+            emitter,
+            user,
+            t: claim,
+            bit,
+            byzantine: emitter == 0 || emitter >= 30,
+        };
+        let due = |u: u32, at: u32| at >= 1 && at % (1 << (u % 3)) == 0;
+        let mut frames = Vec::new();
+        for u in (1..10).filter(|&u| u % 3 == 1 && due(u, t - 1)) {
+            frames.push(frame(t - 1, u, u, t - 1, (u + t) % 2 == 0));
+        }
+        frames.push(frame(t, 0, 1 + (t * 5) % 9, t, false));
+        for u in (1..10).filter(|&u| due(u, t)) {
+            frames.push(frame(t, u, u, t, (u + t) % 3 != 0));
+        }
+        frames.push(frame(t, 30, 99, t, true));
+        frames.push(frame(t, 31, 11, t, true));
+        frames
+    }
+
+    /// A checked server for [`checked_period`]'s roster.
+    fn checked_server() -> Server {
+        let mut server = Server::for_future_rand(ProtocolParams::new(12, 8, 2, 1.0, 0.05).unwrap());
+        for u in 0..10u32 {
+            assert!(server.register_client(u, u % 3));
+        }
+        server
+    }
+
+    /// Submits `frames` (in mailbox order) to the worker owning each
+    /// claimed id, ids `≥ n` to worker `emitter % workers`, in chunks of
+    /// at most `chunk`.
+    fn submit_by_recipient(svc: &mut IngestService, frames: &[crate::batch::Frame], chunk: usize) {
+        let workers = svc.workers();
+        let mut pieces: Vec<FrameBatch> = (0..workers).map(|_| FrameBatch::new()).collect();
+        for &f in frames {
+            let w = if (f.user as usize) < 12 {
+                crate::shard_of(12, workers, f.user as usize)
+            } else {
+                f.emitter as usize % workers
+            };
+            pieces[w].push(f);
+            if pieces[w].len() >= chunk {
+                svc.submit_frames(w, std::mem::take(&mut pieces[w]));
+            }
+        }
+        for (w, piece) in pieces.into_iter().enumerate() {
+            if !piece.is_empty() {
+                svc.submit_frames(w, piece);
+            }
+        }
+    }
+
+    /// Every period of [`checked_period`] through one server's checked
+    /// ladder, in mailbox order: per period the verdicts and `â[t]`, and
+    /// the delivery log.
+    fn checked_reference() -> (
+        Vec<(Vec<Delivery>, f64)>,
+        Vec<rtf_core::server::PeriodDelivery>,
+    ) {
+        let mut server = checked_server();
+        let periods = (1..=8u64)
+            .map(|t| {
+                let verdicts = checked_period(t)
+                    .iter()
+                    .map(|f| {
+                        let bit = if f.bit { Sign::Plus } else { Sign::Minus };
+                        server.ingest_checked(f.user, u64::from(f.t), bit)
+                    })
+                    .collect();
+                (verdicts, server.end_of_period(t))
+            })
+            .collect();
+        (periods, server.delivery_log().to_vec())
+    }
+
+    #[test]
+    fn checked_snapshot_bytes_match_the_golden_hashes() {
+        // Pins the snapshot format and the closed-period server state of a
+        // three-worker checked run with impersonations, duplicates and
+        // unknown senders; every close also matches the one-server ladder.
+        let (reference, delivery) = checked_reference();
+        let mut svc = IngestService::new(checked_server(), 3, 2);
+        let mut hashes = Vec::new();
+        for t in 1..=8u64 {
+            let frames = checked_period(t);
+            submit_by_recipient(&mut svc, &frames, 3);
+            let close = svc.close_period(t).unwrap();
+            assert_eq!(close.frames.iter().collect::<Vec<_>>(), frames, "t = {t}");
+            assert_eq!((close.outcomes, close.estimate), reference[t as usize - 1]);
+            if [1, 3, 8].contains(&t) {
+                hashes.push(rtf_core::snapshot::fnv1a64(&svc.snapshot()));
+            }
+        }
+        let (server, _) = svc.finish();
+        assert_eq!(server.delivery_log(), delivery);
+        let accepted: u64 = delivery.iter().map(|r| r.accepted).sum();
+        let duplicate: u64 = delivery.iter().map(|r| r.duplicate).sum();
+        assert!(accepted > 0 && duplicate > 0);
+        // Taken when the service classified each period at its close on
+        // one thread; where the ladder runs must not change the bytes.
+        assert_eq!(
+            hashes,
+            [
+                0xb1fb_6507_72f8_d9e8,
+                0x6a24_6144_0559_9ac0,
+                0x71d9_5cfc_d08b_8318
+            ]
+        );
+    }
+
+    #[test]
+    fn misrouted_and_out_of_order_frames_panic_before_journalling() {
+        // Workers own ids 0..4, 4..8 and 8..12. Period 1's frames are
+        // (emitted 1, emitter → claimed id): 0 → 6 (an impersonation),
+        // 3 → 3, 6 → 6, 9 → 9, 30 → 99 and 31 → 11.
+        let (reference, _) = checked_reference();
+        let period = checked_period(1);
+        let by = |emitter: u32| *period.iter().find(|f| f.emitter == emitter).unwrap();
+        let batch = |frames: &[crate::batch::Frame]| {
+            let mut b = FrameBatch::new();
+            for &f in frames {
+                b.push(f);
+            }
+            b
+        };
+        let mut svc = IngestService::new(checked_server(), 3, 2);
+        let refused = |svc: &mut IngestService, worker: usize, b: FrameBatch| {
+            let journals =
+                |svc: &IngestService| svc.journal.iter().map(Vec::len).collect::<Vec<_>>();
+            let before = (svc.stats(), journals(svc));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                svc.submit_frames(worker, b)
+            }));
+            assert!(
+                caught.is_err(),
+                "worker {worker} took a batch it must refuse"
+            );
+            assert_eq!(
+                (svc.stats(), journals(svc)),
+                before,
+                "a refused batch left a trace"
+            );
+        };
+        // Id 6 belongs to worker 1.
+        refused(&mut svc, 0, batch(&[by(0)]));
+        // Out of mailbox order within the batch.
+        refused(&mut svc, 1, batch(&[by(6), by(0)]));
+        // Starts before worker 2's last frame of the period, (1, 9).
+        svc.submit_frames(2, batch(&[by(9)]));
+        let mut early = by(9);
+        (early.emitter, early.user) = (8, 8);
+        refused(&mut svc, 2, batch(&[early]));
+
+        // The correct submissions still publish the reference period.
+        svc.submit_frames(0, batch(&[by(3), by(30)]));
+        svc.submit_frames(1, batch(&[by(0), by(6)]));
+        svc.submit_frames(2, batch(&[by(31)]));
+        for t in 1..=8u64 {
+            if t > 1 {
+                submit_by_recipient(&mut svc, &checked_period(t), 2);
+            }
+            let close = svc.close_period(t).unwrap();
+            assert_eq!((close.outcomes, close.estimate), reference[t as usize - 1]);
+        }
+    }
+
+    #[test]
+    fn empty_slices_and_a_killed_acceptor_reach_the_reference_verdicts() {
+        // More workers than ids: workers 12..16 own no id and take only
+        // frames claiming ids ≥ n. Every period, the worker owning the
+        // impersonated id is killed after the period's frames are in; its
+        // replacement starts from the closed-period roster and replays the
+        // journal, so it reaches the same verdicts.
+        let (reference, delivery) = checked_reference();
+        let mut svc = IngestService::new(checked_server(), 16, 2);
+        for t in 1..=8u64 {
+            let frames = checked_period(t);
+            submit_by_recipient(&mut svc, &frames, 2);
+            let victim = frames.iter().find(|f| f.emitter == 0).unwrap().user;
+            svc.kill_worker(crate::shard_of(12, 16, victim as usize));
+            let close = svc.close_period(t).unwrap();
+            assert_eq!(close.frames.iter().collect::<Vec<_>>(), frames, "t = {t}");
+            assert_eq!((close.outcomes, close.estimate), reference[t as usize - 1]);
+        }
+        let (server, stats) = svc.finish();
+        assert_eq!(server.delivery_log(), delivery);
+        assert_eq!(stats.recoveries, 8);
+        assert!(stats.replayed_batches >= 8);
+    }
+
+    /// Sends a batch claiming id 5 straight into worker 0's mailbox,
+    /// past [`IngestService::submit_frames`]' routing check, so the
+    /// worker's own ladder panics on it.
+    fn poison_worker_0(svc: &mut IngestService) {
+        let mut batch = FrameBatch::new();
+        batch.push(crate::batch::Frame {
+            emitted: 1,
+            emitter: 5,
+            user: 5,
+            t: 1,
+            bit: true,
+            byzantine: false,
+        });
+        svc.send(0, WorkerMsg::Frames(Arc::new(batch)));
+    }
+
+    /// The message of a caught panic payload.
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_its_caller_with_its_own_payload() {
+        // The close that barriers a dead worker fails with its panic.
+        let mut svc = IngestService::new(checked_server(), 3, 2);
+        poison_worker_0(&mut svc);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.close_period(1)));
+        let message = panic_message(&*caught.expect_err("the close must fail"));
+        assert!(
+            message.contains("routed to roster shard"),
+            "close failed with {message:?}"
+        );
+
+        // So does the next submit to a worker that is already gone.
+        let mut svc = IngestService::new(checked_server(), 3, 2);
+        poison_worker_0(&mut svc);
+        let dead = std::time::Instant::now();
+        while !svc.workers[0].handle.as_ref().unwrap().is_finished() {
+            assert!(dead.elapsed().as_secs() < 30, "the worker never panicked");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.submit_reports(0, batch_for(1, 0..4))
+        }));
+        let message = panic_message(&*caught.expect_err("the submit must fail"));
+        assert!(
+            message.contains("routed to roster shard"),
+            "submit failed with {message:?}"
+        );
     }
 
     #[test]
@@ -1266,7 +1774,7 @@ mod tests {
         let expect = reference_estimates();
         let server = trusted_server(12);
         let mut svc = IngestService::new(server, 2, 4);
-        svc.workers[0] = WorkerSlot::spawn(0, 4, AnyAccumulator::new(9));
+        svc.workers[0] = WorkerSlot::spawn(0, 4, AnyAccumulator::new(9), svc.worker_start(0));
         svc.submit_reports(0, batch_for(1, 0..6));
         svc.submit_reports(1, batch_for(1, 6..12));
 
@@ -1291,10 +1799,11 @@ mod tests {
             assert!(server.delivery_log().is_empty());
         }
 
-        // kill_worker replaces the poisoned worker with a proper shard
-        // and replays the journal; the close then succeeds and the whole
-        // horizon completes value-for-value with the reference.
-        svc.kill_worker(0);
+        // The abort rebuilt every worker from the server, replacing the
+        // poisoned one, and replayed both journals; the close then
+        // succeeds and the whole horizon completes value-for-value with
+        // the reference.
+        assert_eq!(svc.stats().replayed_batches, 2);
         let mut estimates = vec![svc.close_period(1).unwrap().estimate];
         for t in 2..=8u64 {
             svc.submit_reports(0, batch_for(t, 0..6));
@@ -1304,7 +1813,7 @@ mod tests {
         assert_eq!(estimates, expect, "service coherent after aborted close");
         let (_, stats) = svc.finish();
         assert_eq!(stats.periods, 8);
-        assert_eq!(stats.recoveries, 1);
+        assert_eq!(stats.recoveries, 0, "an aborted close is not a kill");
     }
 
     #[test]
@@ -1406,6 +1915,24 @@ mod tests {
         // The pristine bytes still restore.
         let restored = IngestService::restore(&bytes).unwrap();
         assert_eq!(restored.workers(), 2);
+    }
+
+    #[test]
+    fn restore_rejects_journals_that_break_the_routing_contract() {
+        // A journal can only hold what submit_frames accepted; bytes that
+        // put a frame claiming id 5 (worker 1's) in worker 0's journal
+        // are corrupt, not a worker panic waiting to happen.
+        let mut svc = IngestService::new(checked_server(), 3, 2);
+        submit_by_recipient(&mut svc, &checked_period(1), 2);
+        let bytes = svc.snapshot();
+        assert!(IngestService::restore(&bytes).is_ok());
+        let mut misrouted = FrameBatch::new();
+        misrouted.push(*checked_period(1).iter().find(|f| f.user == 6).unwrap());
+        svc.journal[0].push(JournalEntry::Frames(Arc::new(misrouted)));
+        assert_eq!(
+            IngestService::restore(&svc.snapshot()).err().unwrap(),
+            SnapshotError::Corrupt("journalled frames break the routing contract")
+        );
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   into mergeable shard accumulators;
 //! * [`ingest`] — [`IngestService`]: the long-running streaming
 //!   ingestion front — per-period batch intake into bounded per-worker
-//!   mailboxes (backpressure blocks producers, never drops), shard
-//!   accumulators flushed into the server at period close, a
+//!   mailboxes (backpressure blocks producers, never drops), untrusted
+//!   frames classified on arrival by the worker owning the claimed id,
+//!   shard accumulators and checked tallies absorbed by the server at
+//!   period close, a
 //!   delivery-log journal that replays a killed worker's open period
 //!   into its replacement exactly (`RTF_MAILBOX_CAP` sizes the
 //!   mailboxes), and whole-service snapshot/restore — a versioned,

@@ -57,7 +57,7 @@ proptest! {
         prop_assert_eq!(merged, direct);
     }
 
-    /// merge_ordered is partition-invariant: however delivered frames
+    /// The mailbox merge is partition-invariant: however delivered frames
     /// are split into contiguous emitter shards, the merged row order is
     /// the same total (emission, emitter) order.
     #[test]
@@ -72,7 +72,7 @@ proptest! {
         keyed.sort_unstable();
         keyed.dedup();
         // Shard by emitter (contiguous ranges of the emitter space).
-        let build = |workers: usize| -> FrameBatch {
+        let build = |workers: usize| -> Vec<rtf_runtime::Frame> {
             let shards: Vec<FrameBatch> = partition(64, workers)
                 .into_iter()
                 .map(|s| {
@@ -92,7 +92,7 @@ proptest! {
                     b
                 })
                 .collect();
-            FrameBatch::merge_ordered(shards.iter())
+            FrameBatch::merge_sorted(shards.iter()).collect()
         };
         let a = build(workers_a);
         let b = build(workers_b);

@@ -13,21 +13,22 @@
 //!   in the same order, and the fault plan's `ClientPlan::emit` asked at
 //!   every period, as in the sequential engine — but turns each routed
 //!   message into a columnar frame and delivers each period's surviving
-//!   frames through the service: frames are routed to the mailbox of the
-//!   worker owning their *emitting* client, buffered per worker, and at
-//!   period close merged back into the exact sequential mailbox order
-//!   (`FrameBatch::merge_ordered`) before the server's checked ingestion
-//!   classifies every frame.
+//!   frames through the service: each frame goes, in mailbox order, to
+//!   the worker owning the id it *claims* (the service's routing
+//!   contract), which classifies it on its own roster slice as it
+//!   arrives.
 //!
 //! Frame order is load-bearing under Byzantine impersonation (an
-//! accepted forgery displaces the honest report it races), so the merge
-//! is what makes the streaming outcome **value-for-value identical** to
-//! the sequential and batched engines — estimates, delivery log, wire
-//! stats, fault counts — for every worker count, mailbox capacity,
-//! chunk size, and across injected worker kills and whole-service
-//! snapshot/restarts (journal replay restores the lost buffers
-//! exactly). Proven by [`crate::oracle::assert_live_agreement`] and the
-//! [`crate::chaos`] proptest suite.
+//! accepted forgery displaces the honest report it races). A verdict
+//! reads only the claimed sender's roster slot, and every worker sees
+//! its own ids' frames in mailbox order, so the streaming outcome is
+//! **value-for-value identical** to the sequential and batched engines
+//! — estimates, delivery log, wire stats, fault counts — for every
+//! worker count, mailbox capacity, chunk size, and across injected
+//! worker kills and whole-service snapshot/restarts (journal replay
+//! restores the lost state exactly). Proven by
+//! [`crate::oracle::assert_live_agreement`] and the [`crate::chaos`]
+//! proptest suite.
 //!
 //! Unlike the batched engine's span-native layer, the checked live
 //! driver keeps the per-frame route — every report crosses the
@@ -215,15 +216,19 @@ pub(crate) fn checked(
             }
         });
 
-        // Intake: stream this period's deliveries to the mailbox of the
-        // worker owning each frame's *emitter*, in chunks, in one pass.
-        // Any split works — the period-close merge restores the total
-        // order — but emitter affinity is the deployment shape: a worker
-        // fronts its own clients.
+        // Intake: stream this period's deliveries, in mailbox order and in
+        // chunks, to the worker owning the id each frame claims, where it
+        // is classified on arrival. An id at or above n reads no roster
+        // slot, so such a frame stays with its emitter's worker.
         let delivered = std::mem::take(&mut pending[t as usize]);
         let mut pieces: Vec<FrameBatch> = (0..workers).map(|_| FrameBatch::new()).collect();
         for frame in delivered.iter() {
-            let w = shard_of(n, workers, frame.emitter as usize);
+            let owner = if (frame.user as usize) < n {
+                frame.user
+            } else {
+                frame.emitter
+            };
+            let w = shard_of(n, workers, owner as usize);
             pieces[w].push(frame);
             if pieces[w].len() >= chunk {
                 service.submit_frames(w, std::mem::take(&mut pieces[w]));

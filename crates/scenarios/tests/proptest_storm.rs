@@ -1,17 +1,19 @@
 //! Duplicate-storm value-identity property tests.
 //!
 //! Retransmission storms, straggler pile-ups, and Byzantine spam fill a
-//! delivery period's merged mailbox with more frames than are due. The
-//! live service classifies them at period close
-//! (`rtf_runtime::replay_frames_checked`). The batched engine frames
-//! none of the honest copies: its fault pre-walk counts each one `Late`
-//! or `Duplicate` from the sender's folded boundaries, and the checked
-//! ladder runs on Byzantine fabrications only, correcting the copies of
-//! every client a fabrication impersonated. Sequential ≡ batched ≡ live
-//! agreement under a random storm therefore pins duplicate
-//! classification on both against the sequential reference: estimates,
-//! every `PeriodDelivery` row (accepted/duplicate/late/…), wire totals,
-//! and fault counts, for every worker count.
+//! delivery period's mailbox with more frames than are due. The live
+//! service's workers classify them as they arrive, each worker on the
+//! roster slice of the ids it owns, so at 2, 3 and 8 workers a Byzantine
+//! impersonation lands on another worker than its emitter's. The batched
+//! engine frames none of the honest copies: its fault pre-walk counts
+//! each one `Late` or `Duplicate` from the sender's folded boundaries,
+//! and the checked ladder runs on Byzantine fabrications only,
+//! correcting the copies of every client a fabrication impersonated.
+//! Sequential ≡ batched ≡ live agreement under a random storm therefore
+//! pins duplicate classification on both against the sequential
+//! reference: estimates, every `PeriodDelivery` row
+//! (accepted/duplicate/late/…), wire totals, and fault counts, for every
+//! worker count.
 
 use proptest::prelude::*;
 use rtf_core::params::ProtocolParams;
@@ -37,11 +39,11 @@ fn heavy_storm_engages_the_filter_and_stays_identical() {
         r.accepted + r.duplicate + r.late + r.unknown_user + r.invalid_period + r.premature > r.due
     });
     assert!(oversubscribed, "the storm must oversubscribe some period");
-    for w in [1usize, 4] {
-        for mode in [Mode::Batched(w), Mode::Live(LiveConfig::new(w))] {
-            let label = mode.to_string();
-            run(&spec.clone().with_mode(mode)).assert_values_eq(&seq, &label);
-        }
+    let batched = [1usize, 4].map(Mode::Batched);
+    let live = [1usize, 2, 3, 8].map(|w| Mode::Live(LiveConfig::new(w)));
+    for mode in batched.into_iter().chain(live) {
+        let label = mode.to_string();
+        run(&spec.clone().with_mode(mode)).assert_values_eq(&seq, &label);
     }
 }
 
@@ -77,7 +79,7 @@ proptest! {
             .with_scenario(&scenario);
         let seq = run(&spec);
         let batched = [1usize, 3, 8].map(Mode::Batched);
-        let live = [1usize, 4].map(|w| Mode::Live(LiveConfig::new(w)));
+        let live = [1usize, 2, 3, 8].map(|w| Mode::Live(LiveConfig::new(w)));
         for mode in batched.into_iter().chain(live) {
             let label = mode.to_string();
             run(&spec.clone().with_mode(mode)).assert_values_eq(&seq, &label);
