@@ -221,8 +221,8 @@ mod tests {
     fn erlingsson_realizes_half_budget() {
         // As restated in Section 6, the Erlingsson client's exact LDP
         // parameter is ε/2 (one RR(ε/2) coordinate; position and value
-        // differences both bound by the same factor). Recorded in
-        // EXPERIMENTS.md as analysis slack.
+        // differences both bound by the same factor); `exp_privacy_audit`
+        // prints it as analysis slack.
         for l in [2usize, 4, 8] {
             let audit = erlingsson_sequence_audit(l, 1.0);
             assert!(
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn futurerand_slack_is_substantial() {
         // The paper's ε̃ = ε/(5√k) leaves ≈ 2× slack at moderate k: the
-        // realized ε sits near 0.47·ε (measured; see EXPERIMENTS.md).
+        // realized ε sits near 0.47·ε (`exp_privacy_audit` prints it).
         let realized = realized_epsilon_composed(64, 1.0 / (5.0 * 8.0));
         assert!(realized < 0.6, "realized {realized}");
         assert!(realized > 0.3, "realized {realized}");

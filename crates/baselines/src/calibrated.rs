@@ -4,54 +4,41 @@
 //!
 //! Same framework, same randomizer family, same server; only `ε̃`
 //! changes. The exact audit certifies `ε`-LDP, and the ~2× larger
-//! `c_gap` halves the estimation error — quantified in `exp_ablation`.
+//! `c_gap` halves the estimation error — quantified in `exp_calibrated`.
+//! Every engine runs it too, under
+//! `rtf_core::composed::RandomizerTable::Calibrated`.
 
-use rtf_core::calibrate::calibrate;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
-use rtf_core::protocol::{run_clients, ProtocolOutcome};
-use rtf_core::randomizer::FutureRand;
-use rtf_core::server::Server;
+use rtf_core::protocol::{run_in_memory, ProtocolOutcome};
 use rtf_streams::population::Population;
 
-/// Runs the calibrated FutureRand protocol end to end.
+/// Runs the calibrated FutureRand protocol end to end: the reference
+/// client schedule over the calibrated table
+/// ([`ComposedRandomizer::calibrated_per_order`]) with the keyed clients
+/// every engine runs.
 pub fn run_calibrated(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
 ) -> ProtocolOutcome {
-    // Calibrated randomizer + matching exact gaps per order.
-    let mut composed = Vec::with_capacity(params.num_orders() as usize);
-    let mut gaps = Vec::with_capacity(params.num_orders() as usize);
-    for h in 0..params.num_orders() {
-        let cal = calibrate(params.k_for_order(h), params.epsilon());
-        gaps.push(cal.law.c_gap());
-        composed.push(ComposedRandomizer::new(
-            params.k_for_order(h),
-            cal.eps_tilde,
-        ));
-    }
-    let mut server = Server::new(*params, &gaps);
-    run_clients(params, population, seed, &mut server, |h, _, mut rng| {
-        FutureRand::init(params.sequence_len(h), &composed[h as usize], &mut rng)
-    })
+    let table = ComposedRandomizer::calibrated_per_order(params);
+    run_in_memory(params, population, seed, &table)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtf_analysis_free::linf;
+    use rtf_core::calibrate::calibrate;
     use rtf_primitives::seeding::SeedSequence;
     use rtf_streams::generator::UniformChanges;
 
-    /// Local ℓ∞ helper (rtf-analysis depends on this crate, so no cycle).
-    mod rtf_analysis_free {
-        pub fn linf(a: &[f64], b: &[f64]) -> f64 {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max)
-        }
+    /// ℓ∞ distance, kept local so this crate needs no metrics dependency.
+    fn linf(a: &[f64], b: &[f64]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
     }
 
     #[test]
@@ -63,10 +50,11 @@ mod tests {
         let mut rng = SeedSequence::new(60).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 1.0), n, &mut rng);
         let trials = 6u64;
+        let paper_table = ComposedRandomizer::per_order(&params);
         let (mut cal, mut paper) = (0.0, 0.0);
         for s in 0..trials {
             let a = run_calibrated(&params, &pop, 300 + s);
-            let b = rtf_core::protocol::run_in_memory(&params, &pop, 300 + s);
+            let b = run_in_memory(&params, &pop, 300 + s, &paper_table);
             cal += linf(a.estimates(), pop.true_counts()) / trials as f64;
             paper += linf(b.estimates(), pop.true_counts()) / trials as f64;
         }
@@ -98,7 +86,7 @@ mod tests {
         let cal = calibrate(2, 1.0);
         let per_trial_sd = 5.0 / cal.law.c_gap() * (n as f64).sqrt();
         let tol = 5.0 * per_trial_sd / (trials as f64).sqrt();
-        let bias = rtf_analysis_free::linf(&mean, pop.true_counts());
+        let bias = linf(&mean, pop.true_counts());
         assert!(bias < tol, "bias {bias} vs tol {tol}");
     }
 }

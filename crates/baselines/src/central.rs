@@ -114,7 +114,8 @@ mod tests {
         let mut rng = SeedSequence::new(8).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
         let central = run_central_tree(&params, &pop, 3);
-        let local = rtf_core::protocol::run_in_memory(&params, &pop, 3);
+        let table = rtf_core::composed::ComposedRandomizer::per_order(&params);
+        let local = rtf_core::protocol::run_in_memory(&params, &pop, 3, &table);
         let err_c = linf(central.estimates(), pop.true_counts());
         let err_l = linf(local.estimates(), pop.true_counts());
         assert!(

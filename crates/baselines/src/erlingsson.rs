@@ -203,9 +203,10 @@ mod tests {
         let mut rng = SeedSequence::new(3).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 1.0), n, &mut rng);
         let trials = 6;
+        let table = rtf_core::composed::ComposedRandomizer::per_order(&params);
         let (mut ours, mut theirs) = (0.0, 0.0);
         for s in 0..trials {
-            let o1 = rtf_core::protocol::run_in_memory(&params, &pop, 50 + s);
+            let o1 = rtf_core::protocol::run_in_memory(&params, &pop, 50 + s, &table);
             let o2 = run_erlingsson(&params, &pop, 50 + s);
             ours += linf(o1.estimates(), pop.true_counts()) / trials as f64;
             theirs += linf(o2.estimates(), pop.true_counts()) / trials as f64;

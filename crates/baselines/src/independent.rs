@@ -64,8 +64,8 @@ mod tests {
     fn future_rand_beats_independent_at_large_k() {
         // The √k-vs-k ablation. With exact constants the two gaps are
         // tanh(ε/(2k)) ≈ ε/(2k) (independent) vs ≈ 0.08·ε/√k (FutureRand),
-        // so the crossover sits near k ≈ 40 at ε = 1 (recorded in
-        // EXPERIMENTS.md); by k = 256 FutureRand wins by ≈ 2.6×.
+        // so the crossover sits near k ≈ 40 at ε = 1 (the `exp_error_vs_k`
+        // bench prints both columns); by k = 256 FutureRand wins by ≈ 2.6×.
         let n = 1_000usize;
         let d = 256u64;
         let k = 256usize;
@@ -73,9 +73,10 @@ mod tests {
         let mut rng = SeedSequence::new(21).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 1.0), n, &mut rng);
         let trials = 4;
+        let table = rtf_core::composed::ComposedRandomizer::per_order(&params);
         let (mut fr, mut ind) = (0.0, 0.0);
         for s in 0..trials {
-            let a = rtf_core::protocol::run_in_memory(&params, &pop, 500 + s);
+            let a = rtf_core::protocol::run_in_memory(&params, &pop, 500 + s, &table);
             let b = run_independent(&params, &pop, 500 + s);
             fr += linf(a.estimates(), pop.true_counts()) / trials as f64;
             ind += linf(b.estimates(), pop.true_counts()) / trials as f64;

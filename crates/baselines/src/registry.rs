@@ -81,7 +81,12 @@ impl LongitudinalProtocol for ProtocolKind {
 
     fn run(&self, params: &ProtocolParams, population: &Population, seed: u64) -> ProtocolOutcome {
         match self {
-            ProtocolKind::FutureRand => rtf_core::protocol::run_in_memory(params, population, seed),
+            ProtocolKind::FutureRand => rtf_core::protocol::run_in_memory(
+                params,
+                population,
+                seed,
+                &rtf_core::composed::ComposedRandomizer::per_order(params),
+            ),
             ProtocolKind::FutureRandCalibrated => {
                 crate::calibrated::run_calibrated(params, population, seed)
             }

@@ -17,15 +17,14 @@
 //!
 //! Run with `cargo bench --bench exp_ablation`.
 
-use rtf_bench::{banner, fmt, measure_linf, trials_from_env, Table};
-use rtf_core::composed::ComposedRandomizer;
+use rtf_bench::{banner, fmt, future_rand, measure_linf, trials_from_env, Table};
+use rtf_core::composed::{ComposedRandomizer, RandomizerTable};
 use rtf_core::gap::WeightClassLaw;
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::{run_clients, ProtocolOutcome};
 use rtf_core::randomizer::{FutureRand, LocalRandomizer};
 use rtf_core::server::Server;
 use rtf_primitives::seeding::SeedSequence;
-use rtf_sim::aggregate::run_future_rand_aggregate;
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 
@@ -160,7 +159,8 @@ fn main() {
     println!(
         "\n(c) hierarchy vs flat per-period reporting (n={n}, d={d}, k={k}, {trials} trials):\n"
     );
-    let hier = measure_linf(params, &gen, trials, 0x9A, run_future_rand_aggregate);
+    let paper = future_rand(RandomizerTable::Paper);
+    let hier = measure_linf(params, &gen, trials, 0x9A, paper);
     let flat = measure_linf(params, &gen, trials, 0x9B, run_flat);
     let tc = Table::new(&[
         ("variant", 14),
@@ -190,7 +190,7 @@ fn main() {
     println!(
         "\n(d) per-order k_eff = min(k, L) vs global k (n={n2}, d={d}, k={k}, {trials} trials):\n"
     );
-    let per_order = measure_linf(params2, &gen, trials, 0x9C, run_future_rand_aggregate);
+    let per_order = measure_linf(params2, &gen, trials, 0x9C, paper);
     let global = measure_linf(params2, &gen, trials, 0x9D, run_global_k);
     let td = Table::new(&[
         ("variant", 16),

@@ -9,11 +9,11 @@
 //!
 //! Run with `cargo bench --bench exp_calibrated`.
 
-use rtf_bench::{banner, fmt, measure_linf, trials_from_env, Table};
+use rtf_bench::{banner, fmt, future_rand, measure_linf, trials_from_env, Table};
 use rtf_core::calibrate::calibrate;
+use rtf_core::composed::RandomizerTable;
 use rtf_core::gap::WeightClassLaw;
 use rtf_core::params::ProtocolParams;
-use rtf_sim::aggregate::{run_calibrated_aggregate, run_future_rand_aggregate};
 use rtf_streams::generator::UniformChanges;
 
 fn main() {
@@ -70,14 +70,14 @@ fn main() {
             &gen,
             trials,
             0x51 + k as u64,
-            run_future_rand_aggregate,
+            future_rand(RandomizerTable::Paper),
         );
         let cal = measure_linf(
             params,
             &gen,
             trials,
             0x52 + k as u64,
-            run_calibrated_aggregate,
+            future_rand(RandomizerTable::Calibrated),
         );
         tb.row(&[
             k.to_string(),

@@ -9,9 +9,9 @@
 //! Run with `cargo bench --bench exp_central_gap`.
 
 use rtf_baselines::central::run_central_tree;
-use rtf_bench::{banner, fmt, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_bench::{banner, fmt, future_rand, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_core::composed::RandomizerTable;
 use rtf_core::params::ProtocolParams;
-use rtf_sim::aggregate::run_future_rand_aggregate;
 use rtf_streams::generator::UniformChanges;
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
             &gen,
             trials,
             0x31 + n as u64,
-            run_future_rand_aggregate,
+            future_rand(RandomizerTable::Paper),
         );
         let central = measure_linf(params, &gen, trials, 0x41 + n as u64, run_central_tree);
         let ratio = local.mean() / central.mean();

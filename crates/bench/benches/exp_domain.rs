@@ -11,6 +11,7 @@
 //! Run with `cargo bench --bench exp_domain`.
 
 use rtf_bench::{banner, fmt, loglog_slope, trials_from_env, Table};
+use rtf_core::composed::RandomizerTable;
 use rtf_domain::generator::ZipfChurn;
 use rtf_domain::heavy::precision_at_r;
 use rtf_domain::protocol::{run_domain_tracker, DomainParams};
@@ -59,7 +60,7 @@ fn main() {
             domain: dom,
             epsilon: 1.0,
             beta: 0.05,
-            calibrated: false,
+            table: RandomizerTable::Paper,
         };
         let g = ZipfChurn::new(d, dom, k, 1.0);
         let mut err = 0.0;
@@ -95,7 +96,7 @@ fn main() {
             domain: dom,
             epsilon: 1.0,
             beta: 0.05,
-            calibrated: false,
+            table: RandomizerTable::Paper,
         };
         let g = ZipfChurn::new(d, dom, k, 1.8);
         let (mut p1, mut p3) = (0.0, 0.0);

@@ -8,9 +8,9 @@
 
 use rtf_baselines::erlingsson::run_erlingsson;
 use rtf_baselines::naive::run_naive_split;
-use rtf_bench::{banner, fmt, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_bench::{banner, fmt, future_rand, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_core::composed::RandomizerTable;
 use rtf_core::params::ProtocolParams;
-use rtf_sim::aggregate::run_future_rand_aggregate;
 use rtf_streams::generator::UniformChanges;
 
 fn main() {
@@ -43,7 +43,8 @@ fn main() {
     for &d in &ds {
         let params = ProtocolParams::new(n, d, k, eps, beta).unwrap();
         let gen = UniformChanges::new(d, k, 1.0);
-        let ours = measure_linf(params, &gen, trials, 0xD1 + d, run_future_rand_aggregate);
+        let paper = future_rand(RandomizerTable::Paper);
+        let ours = measure_linf(params, &gen, trials, 0xD1 + d, paper);
         let erl = measure_linf(params, &gen, trials, 0xE1 + d, run_erlingsson);
         let naive = measure_linf(params, &gen, trials, 0xF1 + d, run_naive_split);
         let log_d = (d as f64).log2();

@@ -7,9 +7,9 @@
 //! Run with `cargo bench --bench exp_error_vs_eps`.
 
 use rtf_baselines::erlingsson::run_erlingsson;
-use rtf_bench::{banner, fmt, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_bench::{banner, fmt, future_rand, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_core::composed::RandomizerTable;
 use rtf_core::params::ProtocolParams;
-use rtf_sim::aggregate::run_future_rand_aggregate;
 use rtf_streams::generator::UniformChanges;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
             &gen,
             trials,
             0x11 + (eps * 1000.0) as u64,
-            run_future_rand_aggregate,
+            future_rand(RandomizerTable::Paper),
         );
         let erl = measure_linf(
             params,

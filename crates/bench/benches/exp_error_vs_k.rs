@@ -10,10 +10,10 @@
 
 use rtf_baselines::erlingsson::run_erlingsson;
 use rtf_baselines::independent::run_independent;
-use rtf_bench::{banner, fmt, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_bench::{banner, fmt, future_rand, loglog_slope, measure_linf, trials_from_env, Table};
 use rtf_core::bounds;
+use rtf_core::composed::RandomizerTable;
 use rtf_core::params::ProtocolParams;
-use rtf_sim::aggregate::run_future_rand_aggregate;
 use rtf_streams::generator::UniformChanges;
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
             &gen,
             trials,
             0xA1 + k as u64,
-            run_future_rand_aggregate,
+            future_rand(RandomizerTable::Paper),
         );
         let erl = measure_linf(params, &gen, trials, 0xB1 + k as u64, run_erlingsson);
         let ind = measure_linf(params, &gen, trials, 0xC1 + k as u64, run_independent);

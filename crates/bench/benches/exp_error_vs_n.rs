@@ -2,14 +2,14 @@
 //!
 //! Paper claim (Theorem 4.1): absolute error grows as `√n`, i.e. the
 //! relative error shrinks as `1/√n` — local privacy is affordable only at
-//! scale. The aggregate simulation path makes the million-user points
-//! cheap.
+//! scale. Every point runs the batched event engine, one worker per
+//! trial, up to a million users.
 //!
 //! Run with `cargo bench --bench exp_error_vs_n`.
 
-use rtf_bench::{banner, fmt, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_bench::{banner, fmt, future_rand, loglog_slope, measure_linf, trials_from_env, Table};
+use rtf_core::composed::RandomizerTable;
 use rtf_core::params::ProtocolParams;
-use rtf_sim::aggregate::run_future_rand_aggregate;
 use rtf_streams::generator::UniformChanges;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
             &gen,
             trials,
             0xAB + n as u64,
-            run_future_rand_aggregate,
+            future_rand(RandomizerTable::Paper),
         );
         xs.push(n as f64);
         series.push(r.mean());

@@ -9,11 +9,11 @@
 
 use rtf_baselines::erlingsson::run_erlingsson;
 use rtf_baselines::independent::run_independent;
-use rtf_bench::{banner, trials_from_env, Table};
+use rtf_bench::{banner, future_rand, trials_from_env, Table};
+use rtf_core::composed::RandomizerTable;
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::ProtocolOutcome;
 use rtf_primitives::seeding::SeedSequence;
-use rtf_sim::aggregate::run_future_rand_aggregate;
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
 
@@ -78,7 +78,7 @@ fn main() {
     let mut all_pass = true;
     type Runner = Box<dyn Fn(&ProtocolParams, &Population, u64) -> ProtocolOutcome>;
     let cases: Vec<(&str, Runner)> = vec![
-        ("future-rand", Box::new(run_future_rand_aggregate)),
+        ("future-rand", Box::new(future_rand(RandomizerTable::Paper))),
         ("erlingsson20", Box::new(run_erlingsson)),
         ("independent", Box::new(run_independent)),
     ];

@@ -1,9 +1,11 @@
 //! Shared harness utilities for the experiment benches.
 //!
 //! Every `exp_*` bench target regenerates one of the paper's claims (the
-//! "tables and figures" of this theory paper — see EXPERIMENTS.md for the
-//! index) and prints a self-describing table: the paper's claim, the
-//! measured series, and the shape diagnostics (log-log slopes, ratios).
+//! "tables and figures" of this theory paper; each target's module doc
+//! names its claim) and prints a self-describing table: the paper's
+//! claim, the measured series, and the shape diagnostics (log-log
+//! slopes, ratios). FutureRand's trials run through [`future_rand`], on
+//! the engine the differential oracle proves.
 //!
 //! Sizing: experiment benches honour the `RTF_BENCH_TRIALS` environment
 //! variable (default per-bench) so CI can shrink or enlarge them without
@@ -12,8 +14,10 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+use rtf_core::composed::RandomizerTable;
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::ProtocolOutcome;
+use rtf_scenarios::{run, Mode, RunSpec};
 use rtf_sim::runner::{run_trials, TrialPlan, TrialResults};
 use rtf_streams::generator::StreamGenerator;
 use rtf_streams::population::Population;
@@ -39,6 +43,17 @@ pub fn banner(id: &str, title: &str, claim: &str) {
 /// The ℓ∞-error metric used by all accuracy experiments.
 pub fn linf_metric(outcome: &ProtocolOutcome, population: &Population) -> f64 {
     rtf_analysis::metrics::linf_error(outcome.estimates(), population.true_counts())
+}
+
+/// One FutureRand trial under `table`: [`run`] on the batched event
+/// engine with one worker (the trials already fill the pool).
+pub fn future_rand(
+    table: RandomizerTable,
+) -> impl Fn(&ProtocolParams, &Population, u64) -> ProtocolOutcome + Sync + Copy {
+    move |params: &ProtocolParams, population: &Population, seed: u64| {
+        let spec = RunSpec::new(params, population, seed, Mode::Batched(1));
+        run(&spec.with_table(table)).into()
+    }
 }
 
 /// Repeated-trial measurement of a protocol's mean ℓ∞ error (and its

@@ -68,14 +68,10 @@ pub trait Accumulator: Send {
     /// interval.
     fn record(&mut self, h: u32, bit: Sign);
 
-    /// Records a pre-summed batch of `count` report bits totalling `sum`
-    /// (integer-valued for ±1 bits).
-    fn record_batch(&mut self, h: u32, sum: f64, count: u64);
-
     /// Records a batch given as separate `+1`/`−1` counts — the shape the
-    /// packed sign lanes produce from masked popcounts. Equivalent by
-    /// definition to `record_batch(h, (plus − minus) as f64,
-    /// plus + minus)`.
+    /// packed sign lanes produce from masked popcounts: `plus − minus`
+    /// joins the order's sum and `plus + minus` its report count, exactly
+    /// as that many [`record`](Self::record) calls would.
     fn record_counts(&mut self, h: u32, plus: u64, minus: u64);
 
     /// Adds another shard of the same shape into `self`, rejecting
@@ -193,15 +189,9 @@ impl Accumulator for DenseAccumulator {
     }
 
     #[inline]
-    fn record_batch(&mut self, h: u32, sum: f64, count: u64) {
-        self.sums[h as usize] += sum;
-        self.reports += count;
-    }
-
-    #[inline]
     fn record_counts(&mut self, h: u32, plus: u64, minus: u64) {
         // Integer difference first, one exact f64 add after — identical
-        // value to record_batch (the difference is integral and small).
+        // value to per-bit records (the difference is integral and small).
         self.sums[h as usize] += (plus as i64 - minus as i64) as f64;
         self.reports += plus + minus;
     }
@@ -302,14 +292,10 @@ mod tests {
                 };
                 acc.record(h, bit);
             } else {
-                // Integer-valued batch totals, like ingest_aggregate sees.
+                // Integer batch totals, as the packed span folds record.
                 let count = rng.random_range(0..50u64);
-                let sum = if count == 0 {
-                    0.0
-                } else {
-                    rng.random_range(-(count as i64)..=count as i64) as f64
-                };
-                acc.record_batch(h, sum, count);
+                let plus = rng.random_range(0..=count);
+                acc.record_counts(h, plus, count - plus);
             }
         }
         acc
@@ -444,29 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn record_counts_equals_record_batch_on_every_backend() {
-        // The packed-lane entry point must be value-identical to the
-        // sum/count form it restates.
-        let mut rng = SeedSequence::new(777).rng();
-        let orders = 6usize;
-        let batches: Vec<(u32, u64, u64)> = (0..60)
-            .map(|_| {
-                let h = rng.random_range(0..orders) as u32;
-                let plus = rng.random_range(0..100u64);
-                let minus = rng.random_range(0..100u64);
-                (h, plus, minus)
-            })
-            .collect();
-        let mut via_counts = DenseAccumulator::new(orders);
-        let mut via_batch = DenseAccumulator::new(orders);
-        for &(h, plus, minus) in &batches {
-            via_counts.record_counts(h, plus, minus);
-            via_batch.record_batch(h, (plus as i64 - minus as i64) as f64, plus + minus);
-        }
-        assert_eq!(via_counts, via_batch);
-    }
-
-    #[test]
     fn kind_parsing_and_construction() {
         for setting in ["", "  ", "dense", "DENSE", " Dense "] {
             assert_eq!(
@@ -493,7 +456,7 @@ mod tests {
         acc.record(0, Sign::Plus);
         acc.record(0, Sign::Plus);
         acc.record(2, Sign::Minus);
-        acc.record_batch(1, 3.0, 5);
+        acc.record_counts(1, 4, 1);
         let mut w = SnapWriter::new();
         acc.write_state(&mut w);
         let bytes = w.finish();

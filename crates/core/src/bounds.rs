@@ -3,7 +3,7 @@
 //!
 //! Each function returns the expression inside the `O(·)`/`Ω(·)` with
 //! constant 1; the benches report measured-to-bound ratios, so only the
-//! *shape* matters (see EXPERIMENTS.md).
+//! *shape* matters (`exp_error_vs_k` prints them).
 
 /// Theorem 4.1 — this paper's protocol:
 /// `(log d / ε) · √(k · n · ln(d/β))`.

@@ -31,6 +31,30 @@ use rtf_primitives::rr::BasicRandomizer;
 use rtf_primitives::sign::Sign;
 use rtf_primitives::subset::flip_random_subset;
 
+/// Which `ε̃` a per-order randomizer table uses — the one choice that
+/// fixes every order's `c_gap`, so the clients' randomizers and the
+/// server's gaps always come from the same table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum RandomizerTable {
+    /// The paper's `ε̃ = ε/(5√k_eff)` (Lemma 5.2):
+    /// [`ComposedRandomizer::per_order`].
+    #[default]
+    Paper,
+    /// The audit-calibrated `ε̃` (an extension, [`mod@crate::calibrate`]):
+    /// [`ComposedRandomizer::calibrated_per_order`].
+    Calibrated,
+}
+
+impl RandomizerTable {
+    /// One composed randomizer per order of `params`.
+    pub fn build(self, params: &ProtocolParams) -> Vec<ComposedRandomizer> {
+        match self {
+            RandomizerTable::Paper => ComposedRandomizer::per_order(params),
+            RandomizerTable::Calibrated => ComposedRandomizer::calibrated_per_order(params),
+        }
+    }
+}
+
 /// The composed randomizer `R̃`, reusable across users for one `(k, ε̃)`.
 ///
 /// [`sample_for_all_ones_into`](Self::sample_for_all_ones_into) writes a
@@ -64,12 +88,22 @@ impl ComposedRandomizer {
         Self::new(k, eps_tilde)
     }
 
-    /// One [`for_protocol`](Self::for_protocol) table per order `h` of
-    /// `params`, at `k_eff = k_for_order(h)` — shared by every client of
-    /// that order, since the tables cost `O(k)` to build.
+    /// The paper's randomizer table: one [`for_protocol`](Self::for_protocol)
+    /// randomizer per order `h` of `params`, at `k_eff = k_for_order(h)` —
+    /// shared by every client of that order, since the tables cost `O(k)`
+    /// to build.
     pub fn per_order(params: &ProtocolParams) -> Vec<Self> {
         (0..params.num_orders())
             .map(|h| Self::for_protocol(params.k_for_order(h), params.epsilon()))
+            .collect()
+    }
+
+    /// The audit-calibrated randomizer table: one
+    /// [`calibrated`](Self::calibrated) randomizer per order `h` of
+    /// `params`, at `k_eff = k_for_order(h)`.
+    pub fn calibrated_per_order(params: &ProtocolParams) -> Vec<Self> {
+        (0..params.num_orders())
+            .map(|h| Self::calibrated(params.k_for_order(h), params.epsilon()))
             .collect()
     }
 

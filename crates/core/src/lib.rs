@@ -70,7 +70,7 @@ pub use accumulator::{
 pub use annulus::Annulus;
 pub use calibrate::{calibrate, Calibration};
 pub use client::{Client, Clients};
-pub use composed::ComposedRandomizer;
+pub use composed::{ComposedRandomizer, RandomizerTable};
 pub use gap::WeightClassLaw;
 pub use params::{ParamsError, ProtocolParams};
 pub use protocol::{run_clients, run_in_memory, ProtocolOutcome};

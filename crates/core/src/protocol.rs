@@ -5,8 +5,9 @@
 //! over direct function calls, preserving the online schedule: at each
 //! period `t` every client observes its datum and those whose order
 //! divides `t` report, then the server closes the period and emits
-//! `â[t]`. [`run_in_memory`] is FutureRand on that driver; the baselines
-//! that swap the randomizer run it too. The message-level (serialised,
+//! `â[t]`. [`run_in_memory`] is FutureRand on that driver, under the
+//! per-order randomizer table its caller passes; the baselines that swap
+//! the randomizer run the driver too. The message-level (serialised,
 //! byte-counted) version of the same loop lives in `rtf-sim`.
 //!
 //! Determinism: all randomness derives from a single `seed` via
@@ -58,23 +59,27 @@ impl ProtocolOutcome {
     }
 }
 
-/// Runs the full FutureRand protocol in memory over a concrete population.
+/// Runs the full FutureRand protocol in memory over a concrete
+/// population, with one composed randomizer per order from `table`
+/// ([`RandomizerTable::build`](crate::composed::RandomizerTable::build))
+/// and the server's gaps from the same table.
 ///
 /// # Panics
 /// Panics if the population does not match `params` (`n`, `d`) or violates
-/// the `k`-sparsity bound.
+/// the `k`-sparsity bound, or if the table has the wrong length.
 pub fn run_in_memory(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
+    table: &[ComposedRandomizer],
 ) -> ProtocolOutcome {
-    let mut server = Server::for_future_rand(*params);
+    let mut server = Server::for_table(*params, table);
     run_clients(
         params,
         population,
         seed,
         &mut server,
-        keyed_future_rand(params),
+        keyed_future_rand(params, table),
     )
 }
 
@@ -101,19 +106,18 @@ pub fn check_population(params: &ProtocolParams, population: &Population) {
 
 /// The FutureRand randomizer factory of the protocol's keyed clients,
 /// for [`Clients::new`] and [`run_clients`]: a user of order `h` draws
-/// `b̃` from its seed node's generator under the protocol's
-/// `ε̃ = ε/(5√k_eff)` and takes its counter key from the node
-/// ([`fastseed::client_key`]) — the clients `build_order_groups` packs
-/// into lanes for the batched engines.
-pub fn keyed_future_rand(
+/// `b̃` from its seed node's generator through `table[h]` and takes its
+/// counter key from the node ([`fastseed::client_key`]) — the clients
+/// `build_order_groups` packs into lanes for the batched engines.
+pub fn keyed_future_rand<'t>(
     params: &ProtocolParams,
-) -> impl FnMut(u32, &SeedSequence, StdRng) -> FutureRand {
-    let composed = ComposedRandomizer::per_order(params);
+    table: &'t [ComposedRandomizer],
+) -> impl FnMut(u32, &SeedSequence, StdRng) -> FutureRand + 't {
     let params = *params;
     move |h, node, mut rng| {
         FutureRand::init_keyed(
             params.sequence_len(h),
-            &composed[h as usize],
+            &table[h as usize],
             &mut rng,
             fastseed::client_key(node),
         )
@@ -169,6 +173,11 @@ mod tests {
     use super::*;
     use rtf_streams::generator::{StaticPopulation, UniformChanges};
 
+    /// FutureRand under the paper's table.
+    fn run_paper(params: &ProtocolParams, pop: &Population, seed: u64) -> ProtocolOutcome {
+        run_in_memory(params, pop, seed, &ComposedRandomizer::per_order(params))
+    }
+
     fn linf(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
             .zip(b)
@@ -200,13 +209,13 @@ mod tests {
         let params = ProtocolParams::new(500, 32, 4, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(9).rng();
         let pop = Population::generate(&UniformChanges::new(32, 4, 0.7), 500, &mut rng);
-        let o1 = run_in_memory(&params, &pop, 1234);
-        let o2 = run_in_memory(&params, &pop, 1234);
+        let o1 = run_paper(&params, &pop, 1234);
+        let o2 = run_paper(&params, &pop, 1234);
         assert_eq!(o1.estimates(), o2.estimates(), "same seed ⇒ same run");
         assert_eq!(o1.estimates().len(), 32);
         assert_eq!(o1.group_sizes().iter().sum::<usize>(), 500);
         assert!(o1.reports_sent() > 0);
-        let o3 = run_in_memory(&params, &pop, 9999);
+        let o3 = run_paper(&params, &pop, 9999);
         assert_ne!(
             o1.estimates(),
             o3.estimates(),
@@ -222,7 +231,7 @@ mod tests {
         let params = ProtocolParams::new(4_000, 64, 4, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(10).rng();
         let pop = Population::generate(&UniformChanges::new(64, 4, 0.8), 4_000, &mut rng);
-        let outcome = run_in_memory(&params, &pop, 77);
+        let outcome = run_paper(&params, &pop, 77);
         let err = linf(outcome.estimates(), pop.true_counts());
         let envelope = exact_envelope(&params);
         assert!(err < envelope, "ℓ∞ error {err} vs envelope {envelope}");
@@ -240,7 +249,7 @@ mod tests {
         let params = ProtocolParams::new(n, 64, 1, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(11).rng();
         let pop = Population::generate(&StaticPopulation::new(64, 0.3), n, &mut rng);
-        let outcome = run_in_memory(&params, &pop, 3);
+        let outcome = run_paper(&params, &pop, 3);
         let truth = pop.true_counts();
         let err = linf(outcome.estimates(), truth);
         let envelope = exact_envelope(&params);
@@ -253,7 +262,7 @@ mod tests {
         let params = ProtocolParams::new(300, 16, 2, 0.5, 0.1).unwrap();
         let mut rng = SeedSequence::new(12).rng();
         let pop = Population::generate(&UniformChanges::new(16, 2, 0.5), 300, &mut rng);
-        let outcome = run_in_memory(&params, &pop, 5);
+        let outcome = run_paper(&params, &pop, 5);
         let expect: u64 = outcome
             .group_sizes()
             .iter()
@@ -269,7 +278,7 @@ mod tests {
         let params = ProtocolParams::new(10, 16, 2, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(13).rng();
         let pop = Population::generate(&UniformChanges::new(16, 2, 0.5), 5, &mut rng);
-        let _ = run_in_memory(&params, &pop, 1);
+        let _ = run_paper(&params, &pop, 1);
     }
 
     #[test]
@@ -277,9 +286,16 @@ mod tests {
         let params = ProtocolParams::new(2_000, 64, 4, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(14).rng();
         let pop = Population::generate(&UniformChanges::new(64, 4, 0.8), 2_000, &mut rng);
-        let mut server = Server::for_future_rand(params);
+        let table = ComposedRandomizer::per_order(&params);
+        let mut server = Server::for_table(params, &table);
         server.enable_store();
-        let outcome = run_clients(&params, &pop, 21, &mut server, keyed_future_rand(&params));
+        let outcome = run_clients(
+            &params,
+            &pop,
+            21,
+            &mut server,
+            keyed_future_rand(&params, &table),
+        );
         let store = server.store().expect("store enabled");
         // Prefix queries through the store agree with the streaming
         // estimates exactly.
@@ -304,6 +320,6 @@ mod tests {
             .map(|_| rtf_streams::stream::BoolStream::from_change_times(16, vec![1, 2]))
             .collect();
         let pop = Population::from_streams(streams);
-        let _ = run_in_memory(&params, &pop, 1);
+        let _ = run_paper(&params, &pop, 1);
     }
 }

@@ -32,6 +32,7 @@
 //! into the roster at the period close.
 
 use crate::accumulator::{Accumulator, AccumulatorError, AccumulatorKind, AnyAccumulator};
+use crate::composed::ComposedRandomizer;
 use crate::params::ProtocolParams;
 use crate::queries::EstimateStore;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
@@ -404,22 +405,28 @@ impl Server {
         self.store.as_ref()
     }
 
-    /// Builds a server whose per-order gaps are the exact `c_gap` of the
-    /// protocol's FutureRand configuration (`k_eff = max(1, min(k, L))`,
+    /// Builds a server whose per-order gaps are the exact `c_gap`s of the
+    /// clients' randomizer table (one [`ComposedRandomizer`] per order,
+    /// [`RandomizerTable::build`](crate::composed::RandomizerTable::build)).
+    ///
+    /// # Panics
+    /// Panics if the table has the wrong length, or if `RTF_BACKEND` or
+    /// `RTF_SEED_SCHEMA` names a removed setting
+    /// ([`AccumulatorKind::from_env`], [`SeedSchema::from_env`]).
+    pub fn for_table(params: ProtocolParams, table: &[ComposedRandomizer]) -> Self {
+        let gaps: Vec<f64> = table.iter().map(ComposedRandomizer::c_gap).collect();
+        Self::new(params, &gaps)
+    }
+
+    /// [`for_table`](Self::for_table) over the paper's table
+    /// ([`ComposedRandomizer::per_order`]: `k_eff = max(1, min(k, L))`,
     /// `ε̃ = ε/(5√k_eff)`).
     ///
     /// # Panics
     /// Panics if `RTF_BACKEND` or `RTF_SEED_SCHEMA` names a removed
     /// setting ([`AccumulatorKind::from_env`], [`SeedSchema::from_env`]).
     pub fn for_future_rand(params: ProtocolParams) -> Self {
-        check_settings();
-        let gaps: Vec<f64> = (0..params.num_orders())
-            .map(|h| {
-                crate::gap::WeightClassLaw::for_protocol(params.k_for_order(h), params.epsilon())
-                    .c_gap()
-            })
-            .collect();
-        Self::build(params, &gaps)
+        Self::for_table(params, &ComposedRandomizer::per_order(&params))
     }
 
     /// [`for_future_rand`](Self::for_future_rand) under the one-value
@@ -485,27 +492,6 @@ impl Server {
     /// bug fails loudly in release builds too.
     pub fn absorb_shard(&mut self, shard: &AnyAccumulator) -> Result<(), AccumulatorError> {
         self.acc.try_merge(shard)
-    }
-
-    /// Ingests a pre-summed batch of `count` report bits whose ±1 values
-    /// total `sum` — the entry point of the aggregate simulation path in
-    /// `rtf-sim`, which samples the batch total directly instead of
-    /// drawing each bit.
-    ///
-    /// # Panics
-    /// Panics if `|sum| > count` (impossible for ±1 bits) or `h` is
-    /// off-horizon.
-    pub fn ingest_aggregate(&mut self, h: u32, sum: f64, count: u64) {
-        assert!(
-            h <= self.params.log_d(),
-            "order {h} exceeds log d = {}",
-            self.params.log_d()
-        );
-        assert!(
-            sum.abs() <= count as f64 + 1e-9,
-            "batch sum {sum} inconsistent with {count} ±1 reports"
-        );
-        self.acc.record_batch(h, sum, count);
     }
 
     /// Registers a user *by wire id* for the checked ingestion path.
@@ -696,7 +682,7 @@ impl Server {
     /// One finalised [`PeriodDelivery`] row per closed period, in period
     /// order. Only populated when the checked path is in use (at least one
     /// [`register_client`](Self::register_client) call); the trusted
-    /// `ingest`/`ingest_aggregate` paths keep it empty.
+    /// `ingest`/`absorb_shard` paths keep it empty.
     pub fn delivery_log(&self) -> &[PeriodDelivery] {
         &self.delivery_log
     }

@@ -194,9 +194,10 @@ proptest! {
             .collect();
 
         let trials = 40u64;
+        let table = ComposedRandomizer::per_order(&params);
         let mut mean = vec![0.0f64; d as usize];
         for s in 0..trials {
-            let o = run_in_memory(&params, &pop, 100_000 + run_seed * trials + s);
+            let o = run_in_memory(&params, &pop, 100_000 + run_seed * trials + s, &table);
             for (slot, e) in mean.iter_mut().zip(o.estimates()) {
                 *slot += e / trials as f64;
             }

@@ -61,6 +61,7 @@ mod tests {
     use super::*;
     use crate::generator::ZipfChurn;
     use crate::protocol::{run_domain_tracker, DomainParams};
+    use rtf_core::composed::RandomizerTable;
     use rtf_primitives::seeding::SeedSequence;
 
     #[test]
@@ -77,7 +78,7 @@ mod tests {
             domain,
             epsilon: 1.0,
             beta: 0.05,
-            calibrated: false,
+            table: RandomizerTable::Paper,
         };
         let g = ZipfChurn::new(d, domain, 1, 2.0);
         let mut rng = SeedSequence::new(42).rng();
@@ -100,7 +101,7 @@ mod tests {
             domain: 6,
             epsilon: 1.0,
             beta: 0.05,
-            calibrated: false,
+            table: RandomizerTable::Paper,
         };
         let g = ZipfChurn::new(d, 6, 2, 1.0);
         let mut rng = SeedSequence::new(1).rng();

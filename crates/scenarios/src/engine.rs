@@ -143,51 +143,42 @@ pub(crate) fn register_clients(
     }
 }
 
-/// The reference clients of a scenario run and their fault plans, with
-/// every client registered and every churned client counted.
-pub(crate) fn reference_clients<'a, 'p>(
-    params: &ProtocolParams,
-    population: &'a Population,
-    seed: u64,
+/// The fault plans of a scenario run's reference `clients`, with every
+/// client registered and every churned client counted.
+pub(crate) fn client_plans<'p>(
+    clients: &Clients<'_, FutureRand>,
     plan: &'p FaultPlan<'p>,
     server: &mut Server,
     wire: &mut WireStats,
     faults: &mut FaultCounts,
-) -> (Clients<'a, FutureRand>, Vec<ClientPlan<'p>>) {
-    let clients = Clients::new(params, population, seed, keyed_future_rand(params));
+) -> Vec<ClientPlan<'p>> {
     let orders = (0..clients.len()).map(|u| clients.order(u));
     register_clients(server, wire, orders.clone());
-    let plans = orders
+    orders
         .enumerate()
         .map(|(u, h)| plan.client(u, h as usize, faults))
-        .collect();
-    (clients, plans)
+        .collect()
 }
 
-/// The checked engine's sequential reference body (see the module
-/// docs). Inputs are checked by [`crate::run`].
+/// The checked engine's sequential reference body under the per-order
+/// randomizer `table` (see the module docs). Inputs are checked by
+/// [`crate::run`].
 pub(crate) fn sequential(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
+    table: &[ComposedRandomizer],
     timeline: &FaultTimeline,
 ) -> Outcome {
-    let mut server = Server::for_future_rand(*params);
+    let mut server = Server::for_table(*params, table);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     let plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
     let mut timings = StageTimings::default();
     let build_start = std::time::Instant::now();
-    let (mut clients, mut plans) = reference_clients(
-        params,
-        population,
-        seed,
-        &plan,
-        &mut server,
-        &mut wire,
-        &mut faults,
-    );
+    let mut clients = Clients::new(params, population, seed, keyed_future_rand(params, table));
+    let mut plans = client_plans(&clients, &plan, &mut server, &mut wire, &mut faults);
     timings.emission_s += build_start.elapsed().as_secs_f64();
 
     // pending[t] = messages the network will deliver during period t.
@@ -488,18 +479,18 @@ fn correct_residue(
     changed
 }
 
-/// The checked engine's batched body on `workers` workers (see the
-/// module docs): the outcome with its stage timings, and how many residue
-/// verdicts [`correct_residue`] changed. Inputs are checked by
-/// [`crate::run`].
+/// The checked engine's batched body on `workers` workers under the
+/// per-order randomizer `table` (see the module docs): the outcome with
+/// its stage timings, and how many residue verdicts [`correct_residue`]
+/// changed. Inputs are checked by [`crate::run`].
 pub(crate) fn batched(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
+    table: &[ComposedRandomizer],
     timeline: &FaultTimeline,
     workers: usize,
 ) -> (Outcome, u64) {
-    let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let fault_plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
@@ -514,7 +505,7 @@ pub(crate) fn batched(
         let mut groups = build_order_groups(
             params,
             population,
-            &composed,
+            table,
             &root,
             shard.range(),
             SeedSchema::V2Fast,
@@ -673,7 +664,7 @@ pub(crate) fn batched(
     // Register every user in ascending id order (shards are contiguous
     // and returned in shard-index order).
     let register_start = std::time::Instant::now();
-    let mut server = Server::for_future_rand(*params);
+    let mut server = Server::for_table(*params, table);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
     for sh in &shards {
@@ -946,9 +937,10 @@ mod tests {
             .with_duplicates(0.3)
             .with_byzantine(0.3);
         let timeline = FaultTimeline::constant(scenario);
-        let seq = sequential(&params, &pop, 24, &timeline);
+        let table = ComposedRandomizer::per_order(&params);
+        let seq = sequential(&params, &pop, 24, &table, &timeline);
         for w in [1usize, 2, 3, 8] {
-            let (par, corrected) = batched(&params, &pop, 24, &timeline, w);
+            let (par, corrected) = batched(&params, &pop, 24, &table, &timeline, w);
             assert!(corrected > 0, "{w} workers: no verdict was corrected");
             par.assert_values_eq(&seq, &format!("{w} workers"));
         }

@@ -10,13 +10,14 @@
 //!   per-period permanent churn, straggler delays `Δ`, retransmitted
 //!   duplicates, and a Byzantine client fraction;
 //! * [`run()`] — the one run seam: a [`RunSpec`] names params,
-//!   population, seed, an [`Engine`] (the trusted event engine, or the
-//!   checked engine under a [`FaultTimeline`]) and a [`Mode`]
+//!   population, seed, a per-order randomizer table (the paper's `ε̃`, or
+//!   the audit-calibrated one), an [`Engine`] (the trusted event engine,
+//!   or the checked engine under a [`FaultTimeline`]) and a [`Mode`]
 //!   (sequential, batched over `w` workers, or live through the
 //!   streaming ingestion service under a `LiveConfig`). `run` checks the
-//!   inputs, calls the one engine body the spec names and returns
-//!   one `rtf_sim::Outcome`, whose value fields are identical across
-//!   modes. [`Mode::from_env`] reads `RTF_WORKERS`;
+//!   inputs, builds the table once, calls the one engine body the spec
+//!   names and returns one `rtf_sim::Outcome`, whose value fields are
+//!   identical across modes. [`Mode::from_env`] reads `RTF_WORKERS`;
 //! * [`engine`] — the checked engine's bodies: the message-level round
 //!   loop of `rtf_sim::engine` wrapped in a seeded fault layer. Client
 //!   protocol randomness is never touched, so the honest scenario is
@@ -30,9 +31,8 @@
 //! * [`oracle`] — the differential oracle: asserts exact agreement of the
 //!   exact paths under one seed (including
 //!   [`oracle::assert_live_agreement`]: streaming ≡ batched ≡
-//!   sequential), distributional agreement (tolerance bands from
-//!   `rtf_analysis::variance`) for the aggregate sampler, and
-//!   bias-aware envelopes for faulty runs;
+//!   sequential), and bias-aware envelopes (tolerance bands from
+//!   `rtf_analysis::variance`) for faulty runs;
 //! * [`chaos`] — the crash-recovery harness:
 //!   [`chaos::assert_chaos_recovery`] runs lists of worker kills,
 //!   mid-period whole-service snapshot/restarts and between-period
@@ -49,7 +49,7 @@
 //!
 //! Entry points: [`run()`] for one execution,
 //! [`oracle::assert_exact_agreement`] /
-//! [`oracle::measure_aggregate_agreement`] for differential checks,
+//! [`oracle::assert_live_agreement`] for differential checks,
 //! [`dsl::verify_workload`] for a declarative spec end to end.
 
 #![deny(missing_docs)]
@@ -69,6 +69,7 @@ pub use config::{DelayLaw, FaultTimeline, Scenario};
 pub use dsl::{ExpectationSpec, ScenarioSpec, SpecError};
 pub use oracle::{
     assert_exact_agreement, assert_live_agreement, assert_mode_agreement, faulty_envelope,
-    measure_aggregate_agreement, measure_aggregate_agreement_with, tolerance_band,
+    tolerance_band,
 };
+pub use rtf_core::composed::RandomizerTable;
 pub use run_spec::{run, Engine, Mode, RunSpec};

@@ -42,10 +42,12 @@
 //! (population shape, timeline, fault periods) before calling them.
 
 use crate::config::FaultTimeline;
-use crate::engine::{dispatch_frame, reference_clients};
+use crate::engine::{client_plans, dispatch_frame};
 use crate::plan::FaultPlan;
+use rtf_core::client::Clients;
 use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
+use rtf_core::protocol::keyed_future_rand;
 use rtf_core::server::{Delivery, Server};
 use rtf_primitives::fastseed::SeedSchema;
 use rtf_primitives::seeding::SeedSequence;
@@ -56,21 +58,21 @@ use rtf_sim::message::WireStats;
 use rtf_sim::{FaultCounts, Outcome};
 use rtf_streams::population::Population;
 
-/// The event engine's schedule through the streaming ingestion service
-/// configured by `config`.
+/// The event engine's schedule under the per-order randomizer `table`
+/// through the streaming ingestion service configured by `config`.
 pub(crate) fn event(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
+    table: &[ComposedRandomizer],
     config: &LiveConfig,
 ) -> Outcome {
-    let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let d = params.d();
     let workers = config.workers.max(1);
     let chunk = config.chunk_rows.max(1);
 
-    let mut server = Server::for_future_rand(*params);
+    let mut server = Server::for_table(*params, table);
     let mut wire = WireStats::default();
 
     // Per worker shard, clients grouped by order (the one shared
@@ -82,7 +84,7 @@ pub(crate) fn event(
         build_order_groups(
             params,
             population,
-            &composed,
+            table,
             &root,
             shard.range(),
             SeedSchema::V2Fast,
@@ -159,12 +161,14 @@ pub(crate) fn event(
     }
 }
 
-/// The checked engine's schedule under `timeline` through the streaming
-/// ingestion service configured by `config`.
+/// The checked engine's schedule under `timeline` and the per-order
+/// randomizer `table` through the streaming ingestion service configured
+/// by `config`.
 pub(crate) fn checked(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
+    table: &[ComposedRandomizer],
     timeline: &FaultTimeline,
     config: &LiveConfig,
 ) -> Outcome {
@@ -177,18 +181,11 @@ pub(crate) fn checked(
     // Build and register clients exactly like the sequential engine (same
     // RNG order, same fault plan), so honest bits and fault decisions are
     // identical.
-    let mut server = Server::for_future_rand(*params);
+    let mut server = Server::for_table(*params, table);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
-    let (mut clients, mut plans) = reference_clients(
-        params,
-        population,
-        seed,
-        &plan,
-        &mut server,
-        &mut wire,
-        &mut faults,
-    );
+    let mut clients = Clients::new(params, population, seed, keyed_future_rand(params, table));
+    let mut plans = client_plans(&clients, &plan, &mut server, &mut wire, &mut faults);
 
     // Registration is complete; the service runs the horizon online. The
     // driver plays the network: `pending[t]` holds the frames the

@@ -1,22 +1,19 @@
 //! The differential oracle over the execution paths.
 //!
-//! The repo has four ways to execute the same `(params, population,
+//! The repo has three ways to execute the same `(params, population,
 //! seed)` triple:
 //!
 //! * `rtf_core::protocol::run_in_memory` — the fast exact path;
 //! * [`run()`] on the event engine — the serialised message loop;
 //! * [`run()`] on the checked engine — the fault-injected message loop
-//!   (honest scenario = no faults);
-//! * `rtf_sim::aggregate::run_future_rand_aggregate` — the batched
-//!   sampler (identical per-user randomness, its own server noise
-//!   stream).
+//!   (honest scenario = no faults).
 //!
-//! The first three consume identical randomness and must agree
-//! **value-for-value**; the aggregate path is identical **in
-//! distribution**, which the oracle checks with mean/variance tolerance
-//! bands derived from `rtf_analysis::variance`. For faulty scenarios the
-//! oracle supplies an *envelope*: the honest band plus an exact bias
-//! allowance computed from the server's delivery log.
+//! All three consume identical randomness and must agree
+//! **value-for-value**, under the paper's randomizer table and the
+//! audit-calibrated one alike. For faulty scenarios the oracle supplies
+//! an *envelope*: the honest tolerance band (from
+//! `rtf_analysis::variance`) plus an exact bias allowance computed from
+//! the server's delivery log.
 //!
 //! Orthogonally to the engine, every run carries an execution [`Mode`]:
 //! the sequential reference schedule, the batched multi-worker pipeline,
@@ -32,11 +29,10 @@ use crate::chaos::assert_chaos_recovery;
 use crate::config::Scenario;
 use crate::run_spec::{run, Mode, RunSpec};
 use rtf_analysis::variance::{future_rand_scales, predicted_variance};
+use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::run_in_memory;
 use rtf_runtime::ingest::{ServiceRestart, WorkerKill};
-use rtf_runtime::{ExecMode, WorkerPool};
-use rtf_sim::aggregate::run_future_rand_aggregate;
 use rtf_sim::Outcome;
 use rtf_streams::population::Population;
 
@@ -70,9 +66,8 @@ pub struct ExactAgreement {
 
 /// Runs one seed through every execution path and asserts agreement:
 /// value-for-value across `run_in_memory`, the event engine and the
-/// honest checked engine (both in the `RTF_WORKERS` mode); shared
-/// per-user randomness (group sizes, report counts) also for the
-/// aggregate sampler.
+/// honest checked engine (both in the `RTF_WORKERS` mode), under the
+/// paper's randomizer table.
 ///
 /// # Examples
 ///
@@ -97,8 +92,12 @@ pub fn assert_exact_agreement(
     population: &Population,
     seed: u64,
 ) -> ExactAgreement {
-    let mem = run_in_memory(params, population, seed);
-    let agg = run_future_rand_aggregate(params, population, seed);
+    let mem = run_in_memory(
+        params,
+        population,
+        seed,
+        &ComposedRandomizer::per_order(params),
+    );
     for (label, spec) in both_engines(params, population, seed, &Scenario::honest()) {
         let out = run(&spec.with_mode(Mode::from_env()));
         for (t, (a, b)) in mem.estimates().iter().zip(&out.estimates).enumerate() {
@@ -120,13 +119,6 @@ pub fn assert_exact_agreement(
         );
         assert_eq!(mem.reports_sent(), out.wire.payload_bits, "{label} reports");
     }
-    assert_eq!(
-        mem.group_sizes(),
-        agg.group_sizes(),
-        "aggregate split the population differently (seed {seed})"
-    );
-    assert_eq!(mem.reports_sent(), agg.reports_sent());
-
     // The runtime claim: the batched parallel pipeline is the sequential
     // schedule, value-for-value, for every worker count.
     assert_mode_agreement(params, population, seed, &Scenario::honest());
@@ -217,113 +209,6 @@ pub fn assert_live_agreement(
         (vec![kill], vec![mid, after]),
     ] {
         assert_chaos_recovery(params, population, seed, scenario, &kills, &restarts);
-    }
-}
-
-/// Distributional distance between the aggregate sampler and the exact
-/// path, measured over repeated seeds.
-#[derive(Debug, Clone, Copy)]
-pub struct DistributionalAgreement {
-    /// Number of paired runs.
-    pub trials: u64,
-    /// Max over `t` of `|mean_agg − mean_exact| / SE` (z-score units).
-    pub max_mean_z: f64,
-    /// Max over `t` of the relative variance mismatch between paths.
-    pub max_var_rel_diff: f64,
-    /// Max over `t` and both paths of the relative error of the
-    /// empirical variance against `rtf_analysis`'s closed form.
-    pub max_pred_rel_err: f64,
-}
-
-impl DistributionalAgreement {
-    /// Asserts every measured distance is inside its tolerance.
-    ///
-    /// # Panics
-    /// Panics naming the offending statistic.
-    pub fn assert_within(&self, mean_z: f64, var_rel: f64, pred_rel: f64) {
-        assert!(
-            self.max_mean_z <= mean_z,
-            "aggregate/exact mean z-score {} exceeds {mean_z}",
-            self.max_mean_z
-        );
-        assert!(
-            self.max_var_rel_diff <= var_rel,
-            "aggregate/exact variance mismatch {} exceeds {var_rel}",
-            self.max_var_rel_diff
-        );
-        assert!(
-            self.max_pred_rel_err <= pred_rel,
-            "empirical variance off the closed form by {} (> {pred_rel})",
-            self.max_pred_rel_err
-        );
-    }
-}
-
-/// Runs `trials` paired executions (seeds `base_seed..base_seed+trials`)
-/// of the aggregate sampler and `run_in_memory` and measures their
-/// distributional agreement per period. Trials fan out over the worker
-/// pool selected by `RTF_WORKERS` ([`ExecMode::from_env`]).
-pub fn measure_aggregate_agreement(
-    params: &ProtocolParams,
-    population: &Population,
-    base_seed: u64,
-    trials: u64,
-) -> DistributionalAgreement {
-    measure_aggregate_agreement_with(params, population, base_seed, trials, ExecMode::from_env())
-}
-
-/// [`measure_aggregate_agreement`] on an explicit [`ExecMode`]'s pool.
-///
-/// The paired runs are embarrassingly parallel (one seed each); the
-/// moment sums are folded afterwards **in trial order**, so the measured
-/// statistics are bit-identical to the sequential loop for any worker
-/// count — floating-point accumulation order never depends on
-/// scheduling.
-pub fn measure_aggregate_agreement_with(
-    params: &ProtocolParams,
-    population: &Population,
-    base_seed: u64,
-    trials: u64,
-    mode: ExecMode,
-) -> DistributionalAgreement {
-    assert!(trials >= 2, "need at least two trials");
-    let d = params.d() as usize;
-    let pool = WorkerPool::for_mode(mode);
-    let per_trial: Vec<(Vec<f64>, Vec<f64>)> = pool.map_indexed(trials as usize, |s| {
-        let seed = base_seed + s as u64;
-        let a = run_future_rand_aggregate(params, population, seed);
-        let e = run_in_memory(params, population, seed);
-        (a.estimates().to_vec(), e.estimates().to_vec())
-    });
-    let (mut sum_a, mut sum_e) = (vec![0.0; d], vec![0.0; d]);
-    let (mut sq_a, mut sq_e) = (vec![0.0; d], vec![0.0; d]);
-    for (a, e) in &per_trial {
-        for t in 0..d {
-            sum_a[t] += a[t];
-            sum_e[t] += e[t];
-            sq_a[t] += a[t].powi(2);
-            sq_e[t] += e[t].powi(2);
-        }
-    }
-    let predicted = predicted_variance(params, population);
-    let n = trials as f64;
-    let (mut max_mean_z, mut max_var_rel, mut max_pred_rel) = (0.0f64, 0.0f64, 0.0f64);
-    for t in 0..d {
-        let (ma, me) = (sum_a[t] / n, sum_e[t] / n);
-        let va = (sq_a[t] / n - ma * ma).max(0.0);
-        let ve = (sq_e[t] / n - me * me).max(0.0);
-        let se = ((va + ve) / n).sqrt().max(1e-12);
-        max_mean_z = max_mean_z.max((ma - me).abs() / se);
-        max_var_rel = max_var_rel.max((va - ve).abs() / va.max(ve).max(1e-12));
-        for v in [va, ve] {
-            max_pred_rel = max_pred_rel.max((v - predicted[t]).abs() / predicted[t]);
-        }
-    }
-    DistributionalAgreement {
-        trials,
-        max_mean_z,
-        max_var_rel_diff: max_var_rel,
-        max_pred_rel_err: max_pred_rel,
     }
 }
 
@@ -421,7 +306,9 @@ pub fn assert_within_band(estimates: &[f64], truth: &[f64], bounds: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtf_core::composed::RandomizerTable;
     use rtf_primitives::seeding::SeedSequence;
+    use rtf_runtime::ingest::LiveConfig;
     use rtf_streams::generator::UniformChanges;
 
     fn setup(n: usize, d: u64, k: usize, seed: u64) -> (ProtocolParams, Population) {
@@ -438,37 +325,6 @@ mod tests {
         assert_eq!(agreed.estimates.len(), 32);
         assert_eq!(agreed.group_sizes.iter().sum::<usize>(), 140);
         assert!(agreed.reports > 0);
-    }
-
-    #[test]
-    fn distributional_agreement_is_tight_for_true_pairs() {
-        let (params, pop) = setup(250, 16, 3, 81);
-        let m = measure_aggregate_agreement(&params, &pop, 4_000, 250);
-        m.assert_within(6.0, 0.5, 0.35);
-    }
-
-    #[test]
-    fn pooled_aggregate_sampling_matches_sequential_bitwise() {
-        // The parallel fan-out folds moment sums in trial order, so the
-        // measured statistics must be bit-identical for any pool size.
-        let (params, pop) = setup(120, 16, 2, 85);
-        let seq = measure_aggregate_agreement_with(&params, &pop, 9_000, 40, ExecMode::Sequential);
-        for w in [1usize, 3, 8] {
-            let par =
-                measure_aggregate_agreement_with(&params, &pop, 9_000, 40, ExecMode::Parallel(w));
-            assert_eq!(par.trials, seq.trials);
-            assert_eq!(par.max_mean_z.to_bits(), seq.max_mean_z.to_bits(), "{w}");
-            assert_eq!(
-                par.max_var_rel_diff.to_bits(),
-                seq.max_var_rel_diff.to_bits(),
-                "{w}"
-            );
-            assert_eq!(
-                par.max_pred_rel_err.to_bits(),
-                seq.max_pred_rel_err.to_bits(),
-                "{w}"
-            );
-        }
     }
 
     #[test]
@@ -501,17 +357,35 @@ mod tests {
     }
 
     #[test]
-    fn distributional_check_catches_a_wrong_scale() {
-        // Sanity that the oracle has teeth: doubling every estimate of one
-        // path must blow the variance tolerance.
-        let (params, pop) = setup(250, 16, 3, 81);
-        let m = measure_aggregate_agreement(&params, &pop, 4_000, 250);
-        let broken = DistributionalAgreement {
-            max_var_rel_diff: 3.0, // what a 2× scale bug produces (4× var)
-            ..m
-        };
-        let caught = std::panic::catch_unwind(|| broken.assert_within(6.0, 0.5, 0.35));
-        assert!(caught.is_err());
+    fn calibrated_table_agrees_on_every_engine_and_mode() {
+        // The audit-calibrated table reaches every engine body: sequential
+        // ≡ batched(w) ≡ live(2), plain and through a worker kill composed
+        // with a mid-period restart, on the event engine and on the
+        // checked engine under a storm.
+        let (params, pop) = setup(120, 16, 3, 89);
+        let storm = Scenario::honest()
+            .with_dropout(0.05)
+            .with_stragglers(0.1, 3)
+            .with_duplicates(0.05)
+            .with_byzantine(0.1);
+        for (engine, spec) in both_engines(&params, &pop, 61, &storm) {
+            let paper = run(&spec);
+            let spec = spec.with_table(RandomizerTable::Calibrated);
+            let seq = run(&spec);
+            assert_eq!(seq.group_sizes, paper.group_sizes, "{engine}: orders");
+            assert_ne!(seq.estimates, paper.estimates, "{engine}: table ignored");
+            let modes = MODE_AGREEMENT_WORKERS
+                .map(Mode::Batched)
+                .into_iter()
+                .chain([
+                    Mode::Live(LiveConfig::new(2)),
+                    Mode::Live(LiveConfig::new(2).with_kill(1, 8).with_restart(8)),
+                ]);
+            for mode in modes {
+                let label = format!("calibrated {engine} {mode} vs sequential");
+                run(&spec.clone().with_mode(mode)).assert_values_eq(&seq, &label);
+            }
+        }
     }
 
     #[test]

@@ -44,9 +44,8 @@ use rtf_sim::message::ReportMsg;
 use rtf_sim::FaultCounts;
 
 /// Label of the fault subtree: `root.child(FAULT_STREAM).child(u)` keys
-/// client `u`'s plan. Far outside the `u32` space of per-user labels and
-/// distinct from the aggregate sampler's server stream (`0x5E71`), so no
-/// protocol randomness is ever reused.
+/// client `u`'s plan. Far outside the `u32` space of per-user labels, so
+/// no protocol randomness is ever reused.
 pub(crate) const FAULT_STREAM: u64 = 0xFA17_B055_ED00_0001;
 
 /// The one word deciding whether a client is Byzantine.

@@ -1,16 +1,20 @@
 //! The one run seam: [`run`] executes a [`RunSpec`] — params,
-//! population, seed, an [`Engine`] and a [`Mode`] — and returns one
-//! [`Outcome`].
+//! population, seed, a [`RandomizerTable`], an [`Engine`] and a [`Mode`]
+//! — and returns one [`Outcome`].
 //!
 //! Every engine body sits behind this seam: the event engine's
 //! sequential and batched bodies (`rtf_sim::engine`), the checked
-//! engine's (`crate::engine`) and both live drivers (`crate::live`). The
-//! grid of engine × mode is enumerable, so every agreement check of the
-//! [`oracle`](crate::oracle) is a loop over specs compared with
-//! [`Outcome::assert_values_eq`].
+//! engine's (`crate::engine`) and both live drivers (`crate::live`).
+//! `run` builds the per-order randomizer table once and hands it to the
+//! body, which takes its clients' randomizers and its server's gaps from
+//! it, so the paper's and the audit-calibrated protocol run on every
+//! engine and mode alike. The grid of engine × mode is enumerable, so
+//! every agreement check of the [`oracle`](crate::oracle) is a loop over
+//! specs compared with [`Outcome::assert_values_eq`].
 
 use crate::config::{FaultTimeline, Scenario};
 use crate::{engine, live};
+use rtf_core::composed::RandomizerTable;
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::check_population;
 use rtf_core::server::check_settings;
@@ -80,6 +84,8 @@ pub struct RunSpec<'a> {
     pub population: &'a Population,
     /// The master seed of all client and fault randomness.
     pub seed: u64,
+    /// Which `ε̃` the per-order randomizers use; the paper's by default.
+    pub table: RandomizerTable,
     /// The engine.
     pub engine: Engine,
     /// The execution mode.
@@ -87,15 +93,23 @@ pub struct RunSpec<'a> {
 }
 
 impl<'a> RunSpec<'a> {
-    /// The event engine on `population` under `seed`, in `mode`.
+    /// The event engine on `population` under `seed` and the paper's
+    /// table, in `mode`.
     pub fn new(params: &ProtocolParams, population: &'a Population, seed: u64, mode: Mode) -> Self {
         RunSpec {
             params: *params,
             population,
             seed,
+            table: RandomizerTable::Paper,
             engine: Engine::Event,
             mode,
         }
+    }
+
+    /// The same run under `table`.
+    pub fn with_table(mut self, table: RandomizerTable) -> Self {
+        self.table = table;
+        self
     }
 
     /// The same run on the checked engine under `timeline`.
@@ -117,11 +131,12 @@ impl<'a> RunSpec<'a> {
     }
 }
 
-/// Runs `spec`: checks its inputs, then calls the one engine body it
-/// names (the event engine's two bodies are public and repeat the
-/// settings and population checks). Every [`Outcome`] value field is identical across the modes
-/// of one engine, for every worker count, mailbox capacity, chunk size
-/// and injected kill or restart.
+/// Runs `spec`: checks its inputs, builds its randomizer table, then
+/// calls the one engine body it names (the event engine's two bodies are
+/// public and repeat the settings and population checks). Every
+/// [`Outcome`] value field is identical across the modes of one engine
+/// and table, for every worker count, mailbox capacity, chunk size and
+/// injected kill or restart.
 ///
 /// # Panics
 /// Panics if `RTF_BACKEND` or `RTF_SEED_SCHEMA` names a removed setting,
@@ -138,20 +153,23 @@ pub fn run(spec: &RunSpec) -> Outcome {
     if let Mode::Live(config) = &spec.mode {
         config.validate_for_horizon(params.d());
     }
+    let table = &spec.table.build(params);
     match (&spec.engine, &spec.mode) {
-        (Engine::Event, Mode::Sequential) => rtf_sim::engine::sequential(params, population, seed),
-        (Engine::Event, Mode::Batched(w)) => {
-            rtf_sim::engine::batched(params, population, seed, (*w).max(1))
+        (Engine::Event, Mode::Sequential) => {
+            rtf_sim::engine::sequential(params, population, seed, table)
         }
-        (Engine::Event, Mode::Live(config)) => live::event(params, population, seed, config),
+        (Engine::Event, Mode::Batched(w)) => {
+            rtf_sim::engine::batched(params, population, seed, table, (*w).max(1))
+        }
+        (Engine::Event, Mode::Live(config)) => live::event(params, population, seed, table, config),
         (Engine::Checked(timeline), Mode::Sequential) => {
-            engine::sequential(params, population, seed, timeline)
+            engine::sequential(params, population, seed, table, timeline)
         }
         (Engine::Checked(timeline), Mode::Batched(w)) => {
-            engine::batched(params, population, seed, timeline, (*w).max(1)).0
+            engine::batched(params, population, seed, table, timeline, (*w).max(1)).0
         }
         (Engine::Checked(timeline), Mode::Live(config)) => {
-            live::checked(params, population, seed, timeline, config)
+            live::checked(params, population, seed, table, timeline, config)
         }
     }
 }

@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 use rtf_analysis::variance::predicted_variance;
+use rtf_core::composed::ComposedRandomizer;
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::run_in_memory;
 use rtf_primitives::seeding::SeedSequence;
@@ -59,15 +60,15 @@ fn fast_schema_estimator_is_unbiased_within_variance() {
     // Repeated independent deployments (fresh seed ⇒ fresh client keys ⇒
     // fresh counter streams): the per-period mean error must sit inside a
     // z-band of the standard error, and the empirical variance must match
-    // the closed form — the tolerances of the aggregate-vs-exact
-    // distributional oracle.
+    // the closed form, within 6 standard errors and 35%.
     let (params, pop) = setup(250, 16, 3, 203);
+    let table = ComposedRandomizer::per_order(&params);
     let trials = 250u64;
     let d = params.d() as usize;
     let truth = pop.true_counts();
     let (mut sum, mut sq) = (vec![0.0f64; d], vec![0.0f64; d]);
     for s in 0..trials {
-        let out = run_in_memory(&params, &pop, 5_000 + s);
+        let out = run_in_memory(&params, &pop, 5_000 + s, &table);
         for (t, &e) in out.estimates().iter().enumerate() {
             sum[t] += e;
             sq[t] += e * e;
@@ -107,7 +108,8 @@ proptest! {
         let params = ProtocolParams::new(n, d, k, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(seed).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
-        let out = run_in_memory(&params, &pop, seed ^ 0xFA57);
+        let table = ComposedRandomizer::per_order(&params);
+        let out = run_in_memory(&params, &pop, seed ^ 0xFA57, &table);
         let band = tolerance_band(&params, &pop, 5.5);
         let truth = pop.true_counts();
         for (t, ((e, a), b)) in out.estimates().iter().zip(truth).zip(&band).enumerate() {

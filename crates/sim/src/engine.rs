@@ -27,10 +27,12 @@
 //!   Sequential for every worker count (asserted by the differential
 //!   oracle in `rtf-scenarios`).
 //!
-//! [`sequential`] and [`batched`] are the two bodies. Both check their
-//! inputs (the settings, and the population's shape and k-sparsity), so
-//! no caller can run a population the params do not describe; this is
-//! `O(n·k)`, negligible beside a run.
+//! [`sequential`] and [`batched`] are the two bodies. Both take the
+//! per-order randomizer table (`rtf_core::composed::RandomizerTable`),
+//! which fixes the clients' randomizers and the server's gaps together,
+//! and both check their inputs (the settings, and the population's shape
+//! and k-sparsity), so no caller can run a population the params do not
+//! describe; this is `O(n·k)`, negligible beside a run.
 
 use crate::message::{OrderAnnouncement, ReportMsg, WireStats};
 use crate::outcome::Outcome;
@@ -48,7 +50,7 @@ use rtf_runtime::{ExecMode, SignLane, WorkerPool};
 use rtf_streams::population::Population;
 
 /// The pinned benchmark signature of the event engine: runs
-/// [`sequential`] or [`batched`]. Kept for
+/// [`sequential`] or [`batched`] under the paper's table. Kept for
 /// `examples/benchmark/src/adapter.rs` until the benchmark moves onto
 /// `rtf_scenarios::run`; the layout and schema have one value each.
 pub fn run_event_driven_schema(
@@ -59,9 +61,10 @@ pub fn run_event_driven_schema(
     _backend: AccumulatorKind,
     _schema: SeedSchema,
 ) -> Outcome {
+    let table = ComposedRandomizer::per_order(params);
     match mode {
-        ExecMode::Sequential => sequential(params, population, seed),
-        ExecMode::Parallel(w) => batched(params, population, seed, w.max(1)),
+        ExecMode::Sequential => sequential(params, population, seed, &table),
+        ExecMode::Parallel(w) => batched(params, population, seed, &table, w.max(1)),
     }
 }
 
@@ -221,17 +224,23 @@ pub fn build_order_groups(
 }
 
 /// The event engine's single-threaded reference schedule with real
-/// (serialised) framing.
+/// (serialised) framing, under the per-order randomizer `table`.
 ///
 /// # Panics
-/// Panics if a setting names a removed value or the population does not
-/// match `params` ([`check_population`]).
-pub fn sequential(params: &ProtocolParams, population: &Population, seed: u64) -> Outcome {
+/// Panics if a setting names a removed value, the population does not
+/// match `params` ([`check_population`]), or the table has the wrong
+/// length.
+pub fn sequential(
+    params: &ProtocolParams,
+    population: &Population,
+    seed: u64,
+    table: &[ComposedRandomizer],
+) -> Outcome {
     check_settings();
     check_population(params, population);
-    let mut server = Server::for_future_rand(*params);
+    let mut server = Server::for_table(*params, table);
     let mut wire = WireStats::default();
-    let mut clients = Clients::new(params, population, seed, keyed_future_rand(params));
+    let mut clients = Clients::new(params, population, seed, keyed_future_rand(params, table));
 
     // Send order announcements through the wire.
     for u in 0..clients.len() {
@@ -294,21 +303,23 @@ struct ShardRun {
 }
 
 /// The event engine's batched multi-worker pipeline on `workers` (≥ 1)
-/// workers: contiguous user shards, columnar report batches, shard
-/// accumulators merged in shard-index order.
+/// workers, under the per-order randomizer `table`: contiguous user
+/// shards, columnar report batches, shard accumulators merged in
+/// shard-index order.
 ///
 /// # Panics
-/// Panics if a setting names a removed value or the population does not
-/// match `params` ([`check_population`]).
+/// Panics if a setting names a removed value, the population does not
+/// match `params` ([`check_population`]), or the table has the wrong
+/// length.
 pub fn batched(
     params: &ProtocolParams,
     population: &Population,
     seed: u64,
+    table: &[ComposedRandomizer],
     workers: usize,
 ) -> Outcome {
     check_settings();
     check_population(params, population);
-    let composed = ComposedRandomizer::per_order(params);
     let root = SeedSequence::new(seed);
     let d = params.d();
     let orders = params.num_orders() as usize;
@@ -322,7 +333,7 @@ pub fn batched(
         let mut groups = build_order_groups(
             params,
             population,
-            &composed,
+            table,
             &root,
             shard.range(),
             SeedSchema::V2Fast,
@@ -370,7 +381,7 @@ pub fn batched(
 
     // Deterministic merge: shard-index order, exactly the order
     // `map_shards` returned.
-    let mut server = Server::for_future_rand(*params);
+    let mut server = Server::for_table(*params, table);
     let mut wire = WireStats::default();
     let mut acc_bytes = 0u64;
     for shard in &shards {
@@ -413,11 +424,13 @@ mod tests {
         (params, pop)
     }
 
-    /// The body `RTF_WORKERS` selects ([`ExecMode::from_env`]).
+    /// The body `RTF_WORKERS` selects ([`ExecMode::from_env`]), under
+    /// the paper's table.
     fn env_mode(params: &ProtocolParams, pop: &Population, seed: u64) -> Outcome {
+        let table = ComposedRandomizer::per_order(params);
         match ExecMode::from_env() {
-            ExecMode::Sequential => sequential(params, pop, seed),
-            ExecMode::Parallel(w) => batched(params, pop, seed, w),
+            ExecMode::Sequential => sequential(params, pop, seed, &table),
+            ExecMode::Parallel(w) => batched(params, pop, seed, &table, w),
         }
     }
 
@@ -429,7 +442,8 @@ mod tests {
         // really is the same protocol.
         let (params, pop) = setup(150, 32, 3, 40);
         let ev = env_mode(&params, &pop, 99);
-        let mem = rtf_core::protocol::run_in_memory(&params, &pop, 99);
+        let table = ComposedRandomizer::per_order(&params);
+        let mem = rtf_core::protocol::run_in_memory(&params, &pop, 99, &table);
         assert_eq!(ev.estimates, mem.estimates());
         assert_eq!(ev.group_sizes, mem.group_sizes());
     }
@@ -440,9 +454,10 @@ mod tests {
         // parallel(w) agree value-for-value for every w, including more
         // workers than convenient shard sizes.
         let (params, pop) = setup(157, 32, 3, 44);
-        let seq = sequential(&params, &pop, 21);
+        let table = ComposedRandomizer::per_order(&params);
+        let seq = sequential(&params, &pop, 21, &table);
         for w in [1usize, 2, 3, 8] {
-            batched(&params, &pop, 21, w).assert_values_eq(&seq, &format!("{w} workers"));
+            batched(&params, &pop, 21, &table, w).assert_values_eq(&seq, &format!("{w} workers"));
         }
     }
 

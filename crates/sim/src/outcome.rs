@@ -9,6 +9,7 @@
 //! compared.
 
 use crate::message::WireStats;
+use rtf_core::protocol::ProtocolOutcome;
 use rtf_core::server::PeriodDelivery;
 use rtf_runtime::ingest::IngestStats;
 
@@ -163,5 +164,19 @@ impl Outcome {
             self.byzantine_accepted_by_period, other.byzantine_accepted_by_period,
             "{label}: per-period Byzantine acceptance"
         );
+    }
+}
+
+/// An engine run as the trusted drivers' result type, so the trial
+/// runner and the metrics take any engine's run: the estimates, the
+/// group sizes, and the delivered report bits (`wire.payload_bits`; on
+/// the event engine every report sent).
+impl From<Outcome> for ProtocolOutcome {
+    fn from(outcome: Outcome) -> Self {
+        ProtocolOutcome::from_parts(
+            outcome.estimates,
+            outcome.group_sizes,
+            outcome.wire.payload_bits,
+        )
     }
 }

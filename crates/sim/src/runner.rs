@@ -7,6 +7,10 @@
 //! channel load-balances while results return in trial order;
 //! determinism is preserved because trial `i` always uses seeds derived
 //! from `master_seed → child(i)`, regardless of which worker runs it.
+//! The trials already fill the pool, so each one runs its engine on one
+//! worker: `rtf_scenarios::run` in `Mode::Batched(1)`, or
+//! [`engine::batched`](crate::engine::batched) with one worker in the
+//! crates below `rtf-scenarios`, its outcome converted by `into()`.
 
 use rtf_core::params::ProtocolParams;
 use rtf_core::protocol::ProtocolOutcome;
@@ -14,17 +18,6 @@ use rtf_primitives::seeding::SeedSequence;
 use rtf_runtime::WorkerPool;
 use rtf_streams::generator::StreamGenerator;
 use rtf_streams::population::Population;
-
-/// The default execution path for applications: the aggregate sampler
-/// (distribution-identical to the event-driven engine, two orders of
-/// magnitude faster; see `rtf_sim::aggregate`).
-pub fn run_future_rand(
-    params: &ProtocolParams,
-    population: &Population,
-    seed: u64,
-) -> ProtocolOutcome {
-    crate::aggregate::run_future_rand_aggregate(params, population, seed)
-}
 
 /// A repeated-trials experiment plan.
 #[derive(Debug, Clone, Copy)]
@@ -153,7 +146,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtf_core::composed::ComposedRandomizer;
     use rtf_streams::generator::UniformChanges;
+
+    /// One trial: the batched event engine on one worker, paper table.
+    fn future_rand(params: &ProtocolParams, pop: &Population, seed: u64) -> ProtocolOutcome {
+        let table = ComposedRandomizer::per_order(params);
+        crate::engine::batched(params, pop, seed, &table, 1).into()
+    }
 
     fn linf(outcome: &ProtocolOutcome, pop: &Population) -> f64 {
         outcome
@@ -170,9 +170,9 @@ mod tests {
         let gen = UniformChanges::new(16, 2, 0.7);
         let mut plan = TrialPlan::new(params, 12, 777);
         plan.threads = 4;
-        let a = run_trials(&plan, &gen, run_future_rand, linf);
+        let a = run_trials(&plan, &gen, future_rand, linf);
         plan.threads = 1;
-        let b = run_trials(&plan, &gen, run_future_rand, linf);
+        let b = run_trials(&plan, &gen, future_rand, linf);
         assert_eq!(a.values(), b.values(), "thread count must not matter");
     }
 
@@ -197,7 +197,7 @@ mod tests {
         let params = ProtocolParams::new(200, 16, 2, 1.0, 0.05).unwrap();
         let gen = UniformChanges::new(16, 2, 0.7);
         let plan = TrialPlan::new(params, 8, 1);
-        let r = run_trials(&plan, &gen, run_future_rand, linf);
+        let r = run_trials(&plan, &gen, future_rand, linf);
         let first = r.values()[0];
         assert!(
             r.values().iter().any(|&v| (v - first).abs() > 1e-9),
@@ -212,6 +212,6 @@ mod tests {
         let params = ProtocolParams::new(10, 8, 1, 1.0, 0.05).unwrap();
         let gen = UniformChanges::new(8, 1, 0.5);
         let plan = TrialPlan::new(params, 0, 1);
-        let _ = run_trials(&plan, &gen, run_future_rand, |_, _| 0.0);
+        let _ = run_trials(&plan, &gen, future_rand, |_, _| 0.0);
     }
 }

@@ -15,7 +15,8 @@ use randomize_future::analysis::metrics::linf_error;
 use randomize_future::core::gap::WeightClassLaw;
 use randomize_future::core::params::ProtocolParams;
 use randomize_future::primitives::seeding::SeedSequence;
-use randomize_future::sim::runner::run_future_rand;
+use randomize_future::runtime::ExecMode;
+use randomize_future::scenarios::{run, Mode, RunSpec};
 use randomize_future::streams::generator::BurstyChanges;
 use randomize_future::streams::population::Population;
 
@@ -31,8 +32,9 @@ fn main() {
     let population = Population::generate(&generator, n, &mut rng);
     let truth = population.true_counts();
 
-    let outcome = run_future_rand(&params, &population, 7);
-    let estimates = outcome.estimates();
+    let mode = Mode::from(ExecMode::from_env_or_parallel());
+    let outcome = run(&RunSpec::new(&params, &population, 7, mode));
+    let estimates = &outcome.estimates;
 
     println!("health surveillance: n={n}, d={d}, k={k}, eps={eps}\n");
     println!("hour    truth  estimate  |error|");
@@ -60,10 +62,11 @@ fn main() {
     println!("\nmax error (measured)     = {err:12.0}");
     println!("error envelope (1-beta)  = {envelope:12.0}");
     println!("relative error at peak   = {:12.4}", err / n as f64);
+    let reports = outcome.wire.payload_bits as f64;
     println!(
         "\nper-device communication  = {:.1} bits total ({:.3} bits/hour)",
-        outcome.reports_sent() as f64 / n as f64,
-        outcome.reports_sent() as f64 / (n as f64 * d as f64),
+        reports / n as f64,
+        reports / (n as f64 * d as f64),
     );
     println!(
         "privacy: every device is eps-LDP across ALL {d} reports (no decay; \

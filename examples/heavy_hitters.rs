@@ -11,6 +11,7 @@
 //! cargo run --release --example heavy_hitters
 //! ```
 
+use randomize_future::core::composed::RandomizerTable;
 use randomize_future::domain::generator::{TrendingItem, ZipfChurn};
 use randomize_future::domain::heavy::{top_r, true_top_r};
 use randomize_future::domain::protocol::{run_domain_tracker, DomainParams};
@@ -30,7 +31,7 @@ fn main() {
         epsilon: 1.0,
         beta: 0.05,
         // Audit-calibrated ε̃: certified the same ε-LDP, ≈ 2× accuracy.
-        calibrated: true,
+        table: RandomizerTable::Calibrated,
     };
 
     let base = ZipfChurn::new(d, domain, k, 1.4);

@@ -3,9 +3,10 @@
 //!
 //! Local privacy is expensive: any ε-LDP longitudinal protocol pays
 //! `Ω(√(k·n))/ε` absolute error, so meaningful accuracy needs a large
-//! population. This example uses `n = 2·10⁶` users (the aggregate
-//! simulation path makes this cheap) and reports both absolute and
-//! relative error next to the rigorous error envelope.
+//! population. This example runs `n = 2·10⁶` users through the batched
+//! event engine (one worker per hardware thread unless `RTF_WORKERS`
+//! says otherwise) and reports both absolute and relative error next to
+//! the rigorous error envelope.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -15,7 +16,8 @@ use randomize_future::analysis::metrics::linf_error;
 use randomize_future::core::gap::WeightClassLaw;
 use randomize_future::core::params::ProtocolParams;
 use randomize_future::primitives::seeding::SeedSequence;
-use randomize_future::sim::runner::run_future_rand;
+use randomize_future::runtime::ExecMode;
+use randomize_future::scenarios::{run, Mode, RunSpec};
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
 
@@ -45,11 +47,12 @@ fn main() {
 
     // Run the full online protocol (clients perturb locally; the server
     // never sees raw data).
-    let outcome = run_future_rand(&params, &population, 42);
+    let mode = Mode::from(ExecMode::from_env_or_parallel());
+    let outcome = run(&RunSpec::new(&params, &population, 42, mode));
 
     // Compare the private estimates against the ground truth.
     let truth = population.true_counts();
-    let estimates = outcome.estimates();
+    let estimates = &outcome.estimates;
     println!("\n  t      truth    estimate   |error|   rel. to n");
     for t in (0..params.d() as usize).step_by(8) {
         let err = (estimates[t] - truth[t]).abs();
@@ -84,10 +87,10 @@ fn main() {
         "Theorem 4.1 shape      = {:11.0}  (constant-free)",
         params.error_bound_theorem_4_1()
     );
+    let reports = outcome.wire.payload_bits;
     println!(
-        "total report bits      = {} ({:.2} bits/user/period)",
-        outcome.reports_sent(),
-        outcome.reports_sent() as f64 / (params.n() as f64 * params.d() as f64)
+        "total report bits      = {reports} ({:.2} bits/user/period)",
+        reports as f64 / (params.n() as f64 * params.d() as f64)
     );
     println!(
         "\nprivacy: each user is {} -LDP over ALL {} periods — no decay.",

@@ -19,8 +19,8 @@
 //! * [`baselines`] (`rtf-baselines`) — Erlingsson et al. 2020, the
 //!   Bun–Nelson–Stemmer composed randomizer, naive repeated randomized
 //!   response, and the central-model binary tree mechanism;
-//! * [`sim`] (`rtf-sim`) — deterministic message-passing simulation and the
-//!   parallel trial runner;
+//! * [`sim`] (`rtf-sim`) — the event engine's message-passing bodies, the
+//!   one engine result type, and the parallel trial runner;
 //! * [`runtime`] (`rtf-runtime`) — the deterministic parallel runtime:
 //!   execution modes, the sharded worker pool, and the columnar report
 //!   batches the engines run on;
@@ -29,9 +29,11 @@
 //! * [`domain`] (`rtf-domain`) — categorical-domain frequency tracking and
 //!   heavy hitters via element sampling (the paper's "richer domains"
 //!   adaptation);
-//! * [`scenarios`] (`rtf-scenarios`) — fault-injected longitudinal
-//!   workloads (dropout, churn, stragglers, duplicates, Byzantine
-//!   clients) and the differential oracle over the execution paths.
+//! * [`scenarios`] (`rtf-scenarios`) — the one run seam (`run` over a
+//!   `RunSpec`: engine, execution mode and randomizer table),
+//!   fault-injected longitudinal workloads (dropout, churn, stragglers,
+//!   duplicates, Byzantine clients) and the differential oracle over the
+//!   execution paths.
 //!
 //! ## Quickstart
 //!
@@ -58,10 +60,11 @@
 //!     &mut rng,
 //! );
 //!
-//! // 3. Run the full online protocol and compare with the ground truth.
-//! let outcome = run_future_rand(&params, &population, 42);
-//! assert_eq!(outcome.estimates().len(), 64);
-//! let err = linf_error(outcome.estimates(), population.true_counts());
+//! // 3. Run the full online protocol on the batched event engine (one
+//! //    worker) and compare with the ground truth.
+//! let outcome = run(&RunSpec::new(&params, &population, 42, Mode::Batched(1)));
+//! assert_eq!(outcome.estimates.len(), 64);
+//! let err = linf_error(&outcome.estimates, population.true_counts());
 //! assert!(err.is_finite());
 //! ```
 
@@ -85,7 +88,7 @@ pub mod prelude {
     pub use rtf_core::randomizer::FutureRand;
     pub use rtf_primitives::seeding::SeedSequence;
     pub use rtf_runtime::{ExecMode, WorkerPool};
-    pub use rtf_sim::runner::run_future_rand;
+    pub use rtf_scenarios::{run, Mode, RandomizerTable, RunSpec};
     pub use rtf_streams::generator::UniformChanges;
     pub use rtf_streams::population::Population;
 }

@@ -4,10 +4,16 @@ use randomize_future::analysis::metrics::linf_error;
 use randomize_future::baselines::registry::{LongitudinalProtocol, ProtocolKind};
 use randomize_future::core::gap::WeightClassLaw;
 use randomize_future::core::params::ProtocolParams;
+use randomize_future::core::protocol::ProtocolOutcome;
 use randomize_future::primitives::seeding::SeedSequence;
-use randomize_future::sim::aggregate::run_future_rand_aggregate;
+use randomize_future::scenarios::{run, Mode, RunSpec};
 use randomize_future::streams::generator::{StreamGenerator, UniformChanges};
 use randomize_future::streams::population::Population;
+
+/// FutureRand on the batched event engine with one worker.
+fn future_rand(params: &ProtocolParams, pop: &Population, seed: u64) -> ProtocolOutcome {
+    run(&RunSpec::new(params, pop, seed, Mode::Batched(1))).into()
+}
 
 fn setup(n: usize, d: u64, k: usize, seed: u64) -> (ProtocolParams, Population) {
     let params = ProtocolParams::new(n, d, k, 1.0, 0.05).unwrap();
@@ -30,7 +36,7 @@ fn exact_envelope(params: &ProtocolParams) -> f64 {
 #[test]
 fn full_pipeline_error_within_envelope() {
     let (params, pop) = setup(30_000, 128, 4, 1);
-    let outcome = run_future_rand_aggregate(&params, &pop, 11);
+    let outcome = future_rand(&params, &pop, 11);
     let err = linf_error(outcome.estimates(), pop.true_counts());
     let envelope = exact_envelope(&params);
     assert!(err < envelope, "err {err} vs envelope {envelope}");
@@ -64,12 +70,12 @@ fn every_protocol_full_run_is_deterministic() {
 fn headline_comparison_future_rand_wins_at_high_churn() {
     // The paper's main claim, end to end: at large k the √k protocol
     // beats the k-linear one. (Constants put the crossover near k ≈ 10
-    // vs Erlingsson at ε = 1; see EXPERIMENTS.md.)
+    // vs Erlingsson at ε = 1; `exp_error_vs_k` prints the sweep.)
     let (params, pop) = setup(2_000, 128, 64, 3);
     let trials = 5u64;
     let (mut ours, mut erl) = (0.0, 0.0);
     for s in 0..trials {
-        let a = run_future_rand_aggregate(&params, &pop, 100 + s);
+        let a = future_rand(&params, &pop, 100 + s);
         let b = ProtocolKind::Erlingsson.run(&params, &pop, 100 + s);
         ours += linf_error(a.estimates(), pop.true_counts()) / trials as f64;
         erl += linf_error(b.estimates(), pop.true_counts()) / trials as f64;
@@ -106,7 +112,7 @@ fn extreme_populations_run_cleanly() {
             })
             .collect(),
     );
-    let o = run_future_rand_aggregate(&params, &busy, 1);
+    let o = future_rand(&params, &busy, 1);
     assert_eq!(o.estimates().len(), 32);
     // Nobody ever changes.
     let silent = Population::from_streams(
@@ -114,14 +120,14 @@ fn extreme_populations_run_cleanly() {
             .map(|_| randomize_future::streams::stream::BoolStream::all_zero(d))
             .collect(),
     );
-    let o2 = run_future_rand_aggregate(&params, &silent, 1);
+    let o2 = future_rand(&params, &silent, 1);
     assert!(o2.estimates().iter().all(|e| e.is_finite()));
 }
 
 #[test]
 fn group_sizes_partition_population_across_protocols() {
     let (params, pop) = setup(3_333, 64, 4, 6);
-    let o = run_future_rand_aggregate(&params, &pop, 9);
+    let o = future_rand(&params, &pop, 9);
     assert_eq!(o.group_sizes().iter().sum::<usize>(), 3_333);
     assert_eq!(o.group_sizes().len(), 7); // 1 + log2(64)
 
@@ -142,6 +148,6 @@ fn generator_contract_respected_by_pipeline() {
     let pop = Population::generate(&gen, 100, &mut rng);
     assert_eq!(gen.k(), 4);
     let tight = ProtocolParams::new(100, d, 3, 1.0, 0.05).unwrap();
-    let result = std::panic::catch_unwind(|| run_future_rand_aggregate(&tight, &pop, 1));
+    let result = std::panic::catch_unwind(|| future_rand(&tight, &pop, 1));
     assert!(result.is_err(), "k-sparsity violation must be rejected");
 }

@@ -5,23 +5,21 @@
 //!
 //! * `run_in_memory` (rtf-core), the event engine and the honest
 //!   checked engine (both through `rtf_scenarios::run`) must be
-//!   **bit-identical** for the same seed — they consume each user's RNG stream in the same
-//!   order and all arithmetic is exact;
-//! * `run_future_rand_aggregate` must be **distribution-identical**: same
-//!   per-user `(h, b̃)` randomness, batched server noise with the same
-//!   conditional law — checked via mean z-scores, cross-path variance
-//!   agreement, and the closed-form variance of `rtf_analysis`.
+//!   **bit-identical** for the same seed — they consume each user's RNG
+//!   stream in the same order and all arithmetic is exact.
 //!
 //! Agreement alone cannot tell whether every path changed together, so
-//! the client randomness stream is also frozen by golden hashes.
+//! the client randomness stream is also frozen by golden hashes, under
+//! the paper's randomizer table and the audit-calibrated one.
 
 use randomize_future::baselines::{run_calibrated, run_independent};
+use randomize_future::core::composed::{ComposedRandomizer, RandomizerTable};
 use randomize_future::core::params::ProtocolParams;
 use randomize_future::core::protocol::{run_in_memory, ProtocolOutcome};
 use randomize_future::core::snapshot::fnv1a64;
 use randomize_future::primitives::seeding::SeedSequence;
 use randomize_future::runtime::ingest::LiveConfig;
-use randomize_future::scenarios::oracle::{assert_exact_agreement, measure_aggregate_agreement};
+use randomize_future::scenarios::oracle::assert_exact_agreement;
 use randomize_future::scenarios::{run, Mode, RunSpec, Scenario};
 use randomize_future::sim::Outcome;
 use randomize_future::streams::generator::UniformChanges;
@@ -58,25 +56,10 @@ fn exact_paths_agree_value_for_value_across_the_grid() {
 }
 
 #[test]
-fn aggregate_matches_exact_paths_in_distribution_across_the_grid() {
-    // Smaller grid — this one runs paired trials. Tolerances match the
-    // Monte-Carlo error at 300 trials: 6σ means, 50% variance agreement,
-    // 35% against the closed form.
-    for (i, &(n, d, k, eps)) in [(300usize, 16u64, 3usize, 1.0f64), (150, 32, 2, 0.5)]
-        .iter()
-        .enumerate()
-    {
-        let (params, pop) = setup(n, d, k, eps, 40 + i as u64);
-        let m = measure_aggregate_agreement(&params, &pop, 1_000, 300);
-        m.assert_within(6.0, 0.5, 0.35);
-    }
-}
-
-#[test]
 fn communication_accounting_consistent_across_paths() {
     let (params, pop) = setup(150, 64, 3, 1.0, 6);
     let ev = run(&RunSpec::new(&params, &pop, 17, Mode::from_env()));
-    let mem = randomize_future::core::protocol::run_in_memory(&params, &pop, 17);
+    let mem = run_in_memory(&params, &pop, 17, &ComposedRandomizer::per_order(&params));
     // Event-driven counts payload bits; in-memory counts reports — one
     // bit each, so they must match.
     assert_eq!(ev.wire.payload_bits, mem.reports_sent());
@@ -181,9 +164,11 @@ fn scenario_hash(out: &Outcome) -> u64 {
 /// introduced; a d = 64 shape pins the population's change times and
 /// the event engine's output as they were before subsets moved into a
 /// bitmask. `STORM` pins the fault plan's keyed words as the sequential
-/// engine turns them into faults. A change to `fastseed`, `FutureRand`, client construction or the
-/// fault plan that moves any report bit or fault fails here even if all
-/// engines move together.
+/// engine turns them into faults, and `CALIBRATED` the audit-calibrated
+/// table's keyed clients, on the reference schedule and on every engine
+/// mode. A change to `fastseed`, `FutureRand`, client construction, the
+/// randomizer tables or the fault plan that moves any report bit or
+/// fault fails here even if all engines move together.
 #[test]
 fn client_stream_outputs_match_golden_hashes() {
     const IN_MEMORY: u64 = 0xf882_5d63_76f1_5d33;
@@ -198,14 +183,15 @@ fn client_stream_outputs_match_golden_hashes() {
         .with_duplicates(0.05)
         .with_byzantine(0.1);
 
+    let paper = ComposedRandomizer::per_order(&params);
     assert_eq!(
-        outcome_hash(&run_in_memory(&params, &pop, seed)),
+        outcome_hash(&run_in_memory(&params, &pop, seed, &paper)),
         IN_MEMORY,
         "in-memory"
     );
     // The two baselines that run Algorithm 1's client schedule with
-    // another randomizer factory.
-    const CALIBRATED: u64 = 0xba67_2f39_8e3d_4353;
+    // another randomizer table or factory.
+    const CALIBRATED: u64 = 0x2c8d_bb49_dd82_7c9d;
     const INDEPENDENT: u64 = 0x7efe_3408_bffd_9b44;
     let calibrated = run_calibrated(&params, &pop, seed);
     assert_eq!(outcome_hash(&calibrated), CALIBRATED, "calibrated");
@@ -220,6 +206,8 @@ fn client_stream_outputs_match_golden_hashes() {
     for mode in &modes {
         let spec = RunSpec::new(&params, &pop, seed, mode.clone());
         assert_eq!(event_hash(&run(&spec)), EVENT, "event {mode}");
+        let cal = run(&spec.clone().with_table(RandomizerTable::Calibrated));
+        assert_eq!(outcome_hash(&cal.into()), CALIBRATED, "calibrated {mode}");
         let sc = run(&spec.with_scenario(&storm));
         assert_eq!(scenario_hash(&sc), STORM, "storm {mode}");
     }

@@ -5,15 +5,22 @@ use randomize_future::analysis::metrics::linf_error;
 use randomize_future::analysis::postprocess::{clip, moving_average};
 use randomize_future::analysis::variance::predicted_variance;
 use randomize_future::core::calibrate::calibrate;
+use randomize_future::core::composed::{ComposedRandomizer, RandomizerTable};
 use randomize_future::core::params::ProtocolParams;
 use randomize_future::core::protocol::{keyed_future_rand, run_clients};
 use randomize_future::core::server::Server;
 use randomize_future::domain::generator::ZipfChurn;
 use randomize_future::domain::protocol::{run_domain_tracker, DomainParams};
 use randomize_future::primitives::seeding::SeedSequence;
-use randomize_future::sim::aggregate::{run_calibrated_aggregate, run_future_rand_aggregate};
+use randomize_future::scenarios::{run, Mode, RunSpec};
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
+
+/// One run of the batched event engine on one worker under `table`.
+fn exact(params: &ProtocolParams, pop: &Population, seed: u64, table: RandomizerTable) -> Vec<f64> {
+    let spec = RunSpec::new(params, pop, seed, Mode::Batched(1)).with_table(table);
+    run(&spec).estimates
+}
 
 #[test]
 fn window_queries_are_unbiased_and_sharper_for_short_windows() {
@@ -31,15 +38,16 @@ fn window_queries_are_unbiased_and_sharper_for_short_windows() {
     let mut mean_window = 0.0;
     let mut var_window = 0.0;
     let mut var_prefix = 0.0;
+    let table = ComposedRandomizer::per_order(&params);
     for s in 0..trials {
-        let mut server = Server::for_future_rand(params);
+        let mut server = Server::for_table(params, &table);
         server.enable_store();
         let outcome = run_clients(
             &params,
             &pop,
             7_000 + s,
             &mut server,
-            keyed_future_rand(&params),
+            keyed_future_rand(&params, &table),
         );
         let w = server.store().expect("store enabled").window_change(l, r);
         let p = outcome.estimates()[(r - 1) as usize] - outcome.estimates()[(l - 2) as usize];
@@ -74,10 +82,10 @@ fn calibration_end_to_end_improvement_with_certified_privacy() {
     let trials = 8u64;
     let (mut cal_err, mut paper_err) = (0.0, 0.0);
     for s in 0..trials {
-        let a = run_calibrated_aggregate(&params, &pop, 600 + s);
-        let b = run_future_rand_aggregate(&params, &pop, 600 + s);
-        cal_err += linf_error(a.estimates(), pop.true_counts()) / trials as f64;
-        paper_err += linf_error(b.estimates(), pop.true_counts()) / trials as f64;
+        let a = exact(&params, &pop, 600 + s, RandomizerTable::Calibrated);
+        let b = exact(&params, &pop, 600 + s, RandomizerTable::Paper);
+        cal_err += linf_error(&a, pop.true_counts()) / trials as f64;
+        paper_err += linf_error(&b, pop.true_counts()) / trials as f64;
     }
     assert!(
         cal_err < 0.8 * paper_err,
@@ -92,8 +100,7 @@ fn postprocessing_never_hurts_and_often_helps() {
     let params = ProtocolParams::new(n, d, 2, 1.0, 0.05).unwrap();
     let mut rng = SeedSequence::new(82).rng();
     let pop = Population::generate(&UniformChanges::new(d, 2, 0.6), n, &mut rng);
-    let outcome = run_future_rand_aggregate(&params, &pop, 5);
-    let raw = outcome.estimates();
+    let raw = &exact(&params, &pop, 5, RandomizerTable::Paper);
     let clipped = clip(raw, n);
     assert!(linf_error(&clipped, pop.true_counts()) <= linf_error(raw, pop.true_counts()) + 1e-9);
     // Smoothing: k ≪ d means counts drift slowly, so a modest window
@@ -104,8 +111,9 @@ fn postprocessing_never_hurts_and_often_helps() {
 
 #[test]
 fn variance_prediction_spans_crates() {
-    // predicted_variance (analysis) vs the aggregate simulator (sim) on a
-    // population (streams) under core params: the cross-crate contract.
+    // predicted_variance (analysis) vs the event engine (sim, through
+    // scenarios' run seam) on a population (streams) under core params:
+    // the cross-crate contract.
     let n = 300usize;
     let d = 8u64;
     let params = ProtocolParams::new(n, d, 2, 1.0, 0.05).unwrap();
@@ -116,8 +124,8 @@ fn variance_prediction_spans_crates() {
     let mut mean = vec![0.0f64; d as usize];
     let mut m2 = vec![0.0f64; d as usize];
     for s in 0..trials {
-        let o = run_future_rand_aggregate(&params, &pop, 20_000 + s);
-        for (t, &e) in o.estimates().iter().enumerate() {
+        let o = exact(&params, &pop, 20_000 + s, RandomizerTable::Paper);
+        for (t, &e) in o.iter().enumerate() {
             mean[t] += e;
             m2[t] += e * e;
         }
@@ -140,7 +148,7 @@ fn domain_tracker_composes_with_calibration() {
         domain: 4,
         epsilon: 1.0,
         beta: 0.05,
-        calibrated: true,
+        table: RandomizerTable::Calibrated,
     };
     let g = ZipfChurn::new(d, 4, 2, 1.2);
     let mut rng = SeedSequence::new(84).rng();
@@ -155,7 +163,7 @@ fn domain_tracker_composes_with_calibration() {
     assert_eq!(a.estimates().len(), 4);
     // Calibrated variant differs from the uncalibrated one (different ε̃).
     let mut params_uncal = params;
-    params_uncal.calibrated = false;
+    params_uncal.table = RandomizerTable::Paper;
     let c = run_domain_tracker(&params_uncal, &pop, 1);
     assert_ne!(a.estimates(), c.estimates());
 }

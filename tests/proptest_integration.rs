@@ -3,12 +3,18 @@
 
 use proptest::prelude::*;
 use randomize_future::analysis::metrics::{l1_error, l2_error, linf_error};
+use randomize_future::core::composed::ComposedRandomizer;
 use randomize_future::core::params::ProtocolParams;
+use randomize_future::core::protocol::ProtocolOutcome;
 use randomize_future::primitives::seeding::SeedSequence;
 use randomize_future::scenarios::{assert_mode_agreement, run, Mode, RunSpec, Scenario};
-use randomize_future::sim::aggregate::run_future_rand_aggregate;
 use randomize_future::streams::generator::UniformChanges;
 use randomize_future::streams::population::Population;
+
+/// FutureRand on the batched event engine with one worker.
+fn future_rand(params: &ProtocolParams, pop: &Population, seed: u64) -> ProtocolOutcome {
+    run(&RunSpec::new(params, pop, seed, Mode::Batched(1))).into()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -28,10 +34,10 @@ proptest! {
         let params = ProtocolParams::new(n, d, k, eps, 0.05).unwrap();
         let mut rng = SeedSequence::new(seed).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
-        let a = run_future_rand_aggregate(&params, &pop, seed);
+        let a = future_rand(&params, &pop, seed);
         prop_assert_eq!(a.estimates().len(), d as usize);
         prop_assert!(a.estimates().iter().all(|e| e.is_finite()));
-        let b = run_future_rand_aggregate(&params, &pop, seed);
+        let b = future_rand(&params, &pop, seed);
         prop_assert_eq!(a.estimates(), b.estimates());
     }
 
@@ -49,7 +55,8 @@ proptest! {
         let params = ProtocolParams::new(n, d, k, 0.9, 0.05).unwrap();
         let mut rng = SeedSequence::new(seed).rng();
         let pop = Population::generate(&UniformChanges::new(d, k, 0.8), n, &mut rng);
-        let mem = randomize_future::core::protocol::run_in_memory(&params, &pop, seed ^ 0xF0F0);
+        let table = ComposedRandomizer::per_order(&params);
+        let mem = randomize_future::core::protocol::run_in_memory(&params, &pop, seed ^ 0xF0F0, &table);
         let ev = run(&RunSpec::new(&params, &pop, seed ^ 0xF0F0, Mode::from_env()));
         prop_assert_eq!(mem.estimates(), &ev.estimates[..]);
     }
@@ -92,7 +99,7 @@ proptest! {
         let params = ProtocolParams::new(n, d, 2, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(seed).rng();
         let pop = Population::generate(&UniformChanges::new(d, 2, 0.8), n, &mut rng);
-        let o = run_future_rand_aggregate(&params, &pop, seed);
+        let o = future_rand(&params, &pop, seed);
         let (est, truth) = (o.estimates(), pop.true_counts());
         let (inf, two, one) = (
             linf_error(est, truth),
@@ -116,7 +123,7 @@ proptest! {
         let params = ProtocolParams::new(n, d, 1, 1.0, 0.05).unwrap();
         let mut rng = SeedSequence::new(seed).rng();
         let pop = Population::generate(&UniformChanges::new(d, 1, 0.5), n, &mut rng);
-        let o = run_future_rand_aggregate(&params, &pop, seed);
+        let o = future_rand(&params, &pop, seed);
         let expect: u64 = o
             .group_sizes()
             .iter()

@@ -28,11 +28,11 @@ fn prelude_end_to_end_path() {
         &mut rng,
     );
 
-    let outcome = run_future_rand(&params, &population, 42);
-    assert_eq!(outcome.estimates().len(), 32);
-    assert!(outcome.estimates().iter().all(|e| e.is_finite()));
+    let outcome = run(&RunSpec::new(&params, &population, 42, Mode::Batched(1)));
+    assert_eq!(outcome.estimates.len(), 32);
+    assert!(outcome.estimates.iter().all(|e| e.is_finite()));
 
-    let err = linf_error(outcome.estimates(), population.true_counts());
+    let err = linf_error(&outcome.estimates, population.true_counts());
     assert!(err.is_finite());
     assert!(err >= 0.0);
 }
@@ -51,9 +51,9 @@ fn same_seed_same_estimates() {
     assert_eq!(pop_a.true_counts(), pop_b.true_counts());
 
     // …and identical estimates from identical protocol seed.
-    let out_a = run_future_rand(&params, &pop_a, 1234);
-    let out_b = run_future_rand(&params, &pop_b, 1234);
-    assert_eq!(out_a.estimates(), out_b.estimates());
+    let out_a = run(&RunSpec::new(&params, &pop_a, 1234, Mode::Batched(1)));
+    let out_b = run(&RunSpec::new(&params, &pop_b, 1234, Mode::Batched(1)));
+    assert_eq!(out_a.estimates, out_b.estimates);
 }
 
 #[test]
@@ -66,11 +66,10 @@ fn different_seeds_differ() {
         &mut rng,
     );
 
-    let out_a = run_future_rand(&params, &population, 1);
-    let out_b = run_future_rand(&params, &population, 2);
+    let out_a = run(&RunSpec::new(&params, &population, 1, Mode::Batched(1)));
+    let out_b = run(&RunSpec::new(&params, &population, 2, Mode::Batched(1)));
     assert_ne!(
-        out_a.estimates(),
-        out_b.estimates(),
+        out_a.estimates, out_b.estimates,
         "independent protocol seeds must produce different noise"
     );
 }
