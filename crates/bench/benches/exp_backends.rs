@@ -157,6 +157,9 @@ fn main() {
     );
 
     // Machine-readable output at the repository root.
+    let hardware_threads = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"exp_backends\",\n");
@@ -164,6 +167,7 @@ fn main() {
         "  \"mode\": \"{}\",\n",
         if smoke { "smoke" } else { "full" }
     ));
+    json.push_str(&format!("  \"hardware_threads\": {hardware_threads},\n"));
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

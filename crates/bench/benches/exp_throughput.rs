@@ -23,7 +23,10 @@
 //!
 //! Every scenario row — sequential included — decomposes into per-stage
 //! wall clock (`stage_emit_s` / `stage_merge_s` / `stage_ingest_s`, from
-//! the outcome's stage timings; validated by `scripts/perf_gate.py`). That decomposition is what
+//! the outcome's stage timings; validated by `scripts/perf_gate.py`), and
+//! the emission stage into the sub-stages of the shard that finished it
+//! last (`stage_build_s` / `stage_prewalk_s` / `stage_fabricate_s` /
+//! `stage_span_walk_s`; zero on the sequential row). That decomposition is what
 //! attributed the historical `parallel(2)`-slower-than-`parallel(1)`
 //! anomaly at `n = 10⁶` to the emission stage: the old per-report fault
 //! layer walked every client's ~150-byte state machine every period, so
@@ -218,8 +221,15 @@ fn main() {
                 print_row(&m, speedup);
                 if let Some(s) = &m.stages {
                     println!(
-                        "    stages: emission {:.2}s, merge {:.2}s, ingest {:.2}s",
-                        s.emission_s, s.merge_s, s.ingest_s
+                        "    stages: emission {:.2}s (build {:.2}s, pre-walk {:.2}s, fabricate {:.2}s, \
+                         span walk {:.2}s), merge {:.2}s, ingest {:.2}s",
+                        s.emission_s,
+                        s.build_s,
+                        s.prewalk_s,
+                        s.fabricate_s,
+                        s.span_walk_s,
+                        s.merge_s,
+                        s.ingest_s
                     );
                 }
                 rows.push((m, speedup));
@@ -251,8 +261,16 @@ fn main() {
     for (i, (m, speedup)) in rows.iter().enumerate() {
         let stage_fields = match &m.stages {
             Some(s) => format!(
-                ", \"stage_emit_s\": {:.6}, \"stage_merge_s\": {:.6}, \"stage_ingest_s\": {:.6}",
-                s.emission_s, s.merge_s, s.ingest_s
+                ", \"stage_emit_s\": {:.6}, \"stage_merge_s\": {:.6}, \"stage_ingest_s\": {:.6}, \
+                 \"stage_build_s\": {:.6}, \"stage_prewalk_s\": {:.6}, \
+                 \"stage_fabricate_s\": {:.6}, \"stage_span_walk_s\": {:.6}",
+                s.emission_s,
+                s.merge_s,
+                s.ingest_s,
+                s.build_s,
+                s.prewalk_s,
+                s.fabricate_s,
+                s.span_walk_s
             ),
             None => String::new(),
         };

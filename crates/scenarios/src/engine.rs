@@ -31,22 +31,24 @@
 //!    emission side runs on contiguous user shards through the
 //!    **span-native fault layer**: a shard's clients are the event
 //!    engine's order groups ([`rtf_sim::engine::build_order_groups`] —
-//!    the one client-construction path), a pre-walk jumps through each
-//!    honest client's fault plan from one faulted boundary to the next
-//!    (the same hits the sequential engine finds by asking the plan at
-//!    every report), and honest on-time spans are folded arithmetically
-//!    as whole packed sign words. The server is online: a delayed or
-//!    retransmitted honest copy arrives after its period closed, so it
-//!    is `Late` or `Duplicate` and never moves a roster slot. The
-//!    pre-walk tallies those verdicts per delivery period from the
-//!    client's own folded boundaries and frames none of them. Only
-//!    Byzantine fabrications become provenance-tagged frames: each goes
-//!    to the roster shard of the id it claims (an id `≥ n` stays with its
-//!    emitter), pushed in the sequential mailbox order of ascending
-//!    `(emission period, emitting user)`. A verdict reads only its
-//!    sender's roster slot, the open period and the acceptance floor, so
-//!    one pool job per roster shard merges its own fabrications and runs
-//!    the checked ladder on its own slice
+//!    the one client-construction path), a pre-walk runs each client's
+//!    whole fault plan at once as slot bitmasks (the plan's mask walk,
+//!    which reads the same words and finds the same hits the sequential
+//!    engine finds by asking the plan at every report) and clears, in a
+//!    per-order span-major on-time bitmap, the bit of every report that
+//!    is not delivered on time; honest on-time spans are then folded
+//!    arithmetically as whole packed sign words masked by that bitmap's
+//!    rows. The server is online: a delayed or retransmitted honest copy
+//!    arrives after its period closed, so it is `Late` or `Duplicate`
+//!    and never moves a roster slot. The pre-walk tallies those verdicts
+//!    per delivery period from the client's own on-time bits and frames
+//!    none of them. Only Byzantine fabrications become provenance-tagged
+//!    frames: each goes to the roster shard of the id it claims (an id
+//!    `≥ n` stays with its emitter), pushed in the sequential mailbox
+//!    order of ascending `(emission period, emitting user)`. A verdict
+//!    reads only its sender's roster slot, the open period and the
+//!    acceptance floor, so one pool job per roster shard merges its own
+//!    fabrications and runs the checked ladder on its own slice
 //!    ([`RosterShard::classify`](rtf_core::server::RosterShard::classify)),
 //!    for the whole horizon. Its verdicts are bit-for-bit the sequential
 //!    classification: an accepted Byzantine impersonation still displaces
@@ -58,7 +60,7 @@
 //!    identical for any worker count.
 
 use crate::config::{FaultTimeline, Scenario};
-use crate::plan::{ClientPlan, FaultPlan, Routing};
+use crate::plan::{Client, ClientPlan, FaultPlan, Routing, SlotMasks};
 use crate::run_spec::{run, Mode, RunSpec};
 use rtf_core::accumulator::AccumulatorKind;
 use rtf_core::client::Clients;
@@ -75,6 +77,7 @@ use rtf_sim::engine::build_order_groups;
 use rtf_sim::message::{OrderAnnouncement, ReportMsg, WireStats};
 use rtf_sim::{FaultCounts, Outcome, StageTimings};
 use rtf_streams::population::Population;
+use std::time::Instant;
 
 /// One message on the unreliable network, with provenance for
 /// accounting: the first `len` bytes of `frame` arrive, fewer than the
@@ -176,7 +179,7 @@ pub(crate) fn sequential(
     let plan = FaultPlan::new(params, seed, timeline);
     let d = params.d();
     let mut timings = StageTimings::default();
-    let build_start = std::time::Instant::now();
+    let build_start = Instant::now();
     let mut clients = Clients::new(params, population, seed, keyed_future_rand(params, table));
     let mut plans = client_plans(&clients, &plan, &mut server, &mut wire, &mut faults);
     timings.emission_s += build_start.elapsed().as_secs_f64();
@@ -190,7 +193,7 @@ pub(crate) fn sequential(
         // Every client observes its own datum every period — the online
         // constraint is about observation, not delivery — so protocol
         // randomness is consumed identically in every scenario.
-        let emit_start = std::time::Instant::now();
+        let emit_start = Instant::now();
         clients.step(t, |u, _, report| {
             if let Some((msg, byzantine, routing)) = plans[u].emit(u as u32, t, report, &mut faults)
             {
@@ -202,7 +205,7 @@ pub(crate) fn sequential(
         // The server drains whatever the network delivered this period —
         // original, late, duplicated, or fabricated — and classifies every
         // frame through the checked ingestion path.
-        let ingest_start = std::time::Instant::now();
+        let ingest_start = Instant::now();
         for inflight in pending[t as usize].drain(..) {
             // Untrusted bytes: a corrupted frame is classified and
             // counted here, never a panic, and never reaches the server.
@@ -241,8 +244,9 @@ pub(crate) fn sequential(
 ///
 /// The expensive product is *arithmetic*, not frames: per `(order, span)`
 /// the popcount fold of every honest on-time lane, per delivery period
-/// the verdict counts of the honest residue, and packed plan/sign lanes
-/// the ingestion side consults for the fabrications that race them. Only
+/// the verdict counts of the honest residue, and the on-time bitmap and
+/// packed sign lanes the ingestion side consults for the fabrications
+/// that race them. Only
 /// Byzantine fabrications are materialised as frames, already routed to
 /// the roster shard whose ladder classifies them and in mailbox order.
 struct ShardEmission {
@@ -261,15 +265,15 @@ struct ShardEmission {
     /// (`s * group_len[h] + lane`) — consulted when an accepted Byzantine
     /// impersonation displaces a folded honest report.
     horizon_signs: Vec<SignLane>,
-    /// Per order `h`: whether each `(span, lane)` report was folded on
-    /// time (`Plus` = folded), span-major. [`planned_floor`] derives each
+    /// Per order `h`: which `(span, lane)` reports were folded on time,
+    /// as the pre-walk left them. [`planned_floor`] derives each
     /// fabrication's dedupe floor from these bits.
-    plan: Vec<SignLane>,
+    on_time: Vec<OnTime>,
     /// `residue[t]`: the `late` and `duplicate` verdicts of the honest
     /// copies (delayed originals and retransmissions) the network
     /// delivers during period `t`, as if no fabrication were accepted
-    /// ([`residue_copies`]). The pool phase corrects the copies of the
-    /// senders a fabrication impersonated ([`correct_residue`]).
+    /// (the mask walk's copies). The pool phase corrects the copies of
+    /// the senders a fabrication impersonated ([`correct_residue`]).
     residue: Vec<PeriodDelivery>,
     /// `byzantine[r][t]`: the fabrications delivered during period `t`
     /// whose [`recipient`] is roster shard `r`, pushed in mailbox order.
@@ -277,12 +281,48 @@ struct ShardEmission {
     /// Emission-side fault tallies (`byzantine_accepted` stays 0 — that
     /// is decided at ingestion).
     faults: FaultCounts,
+    /// The shard's emission sub-stages (`build_s`, `prewalk_s`,
+    /// `fabricate_s`, `span_walk_s`; the rest stay zero).
+    stages: StageTimings,
+    /// When the shard's emission finished.
+    finished: Instant,
 }
 
-/// Clears one lane's bit in a packed membership mask.
-#[inline]
-fn clear_bit(words: &mut [u64], lane: u32) {
-    words[(lane / 64) as usize] &= !(1u64 << (lane % 64));
+/// One order's on-time bitmap, span-major: bit `lane` of row `s` is set
+/// iff that lane's report of span `s` is folded on time — emitted by an
+/// honest client before it churns, and neither dropped, delayed nor
+/// corrupted. Rows are whole words, so a row is its span fold's mask.
+struct OnTime {
+    /// Words per row: `⌈lanes / 64⌉`.
+    row_words: usize,
+    words: Vec<u64>,
+}
+
+impl OnTime {
+    /// `spans` rows with every one of `lanes` lanes on time.
+    fn new(lanes: usize, spans: usize) -> Self {
+        let row_words = lanes.div_ceil(64);
+        let mut row = vec![u64::MAX; row_words];
+        if lanes % 64 != 0 {
+            row[row_words - 1] = (1u64 << (lanes % 64)) - 1;
+        }
+        OnTime {
+            row_words,
+            words: row.repeat(spans),
+        }
+    }
+
+    fn row(&self, s: usize) -> &[u64] {
+        &self.words[s * self.row_words..(s + 1) * self.row_words]
+    }
+
+    fn get(&self, s: usize, lane: u32) -> bool {
+        self.words[s * self.row_words + lane as usize / 64] >> (lane % 64) & 1 == 1
+    }
+
+    fn clear(&mut self, s: usize, lane: u32) {
+        self.words[s * self.row_words + lane as usize / 64] &= !(1u64 << (lane % 64));
+    }
 }
 
 /// The roster shard whose ladder classifies a frame claiming sender
@@ -307,15 +347,14 @@ fn recipient(n: usize, workers: usize, emitting: usize, user: u32) -> usize {
 ///
 /// Accepted boundaries are strictly increasing per user (acceptance
 /// requires `t == current_t + 1`), so the max over "folded before this
-/// frame" is the first set plan bit scanning down from `t` — including
+/// frame" is the first on-time bit scanning down from `t` — including
 /// `t` itself only when the claimed user's own on-time report sits
 /// earlier in this period's mailbox, i.e. the frame was emitted this
 /// period by a higher user id.
 fn planned_floor(owner: &ShardEmission, t: u64, frame: &Frame) -> u64 {
     let local = frame.user as usize - owner.start;
     let h = owner.orders[local] as usize;
-    let lane = owner.lanes[local] as usize;
-    let glen = owner.group_len[h];
+    let lane = owner.lanes[local];
     let stride = 1u64 << h;
     let mut b = (t / stride) * stride;
     if b == t {
@@ -325,69 +364,12 @@ fn planned_floor(owner: &ShardEmission, t: u64, frame: &Frame) -> u64 {
         }
     }
     while b >= stride {
-        let idx = (b / stride - 1) as usize * glen + lane;
-        if owner.plan[h].get(idx) == Sign::Plus {
+        if owner.on_time[h].get((b / stride - 1) as usize, lane) {
             return b;
         }
         b -= stride;
     }
     0
-}
-
-/// Walks an honest client's faulted reports into `hits` as `(boundary,
-/// routing)`, in ascending boundary order, tallying their faults into
-/// `faults`: the pre-walk's walk, which [`correct_residue`] replays. A
-/// corrupted copy is counted where its decode would have failed, and no
-/// frame materialises.
-fn walk_faulted(
-    client: &mut ClientPlan<'_>,
-    faults: &mut FaultCounts,
-    hits: &mut Vec<(u64, Routing)>,
-) {
-    hits.clear();
-    while let Some(b) = client.next_faulted(client.churn_at) {
-        let routing = client.route(b, faults);
-        if routing.malformed {
-            faults.malformed += routing.delivered();
-        }
-        hits.push((b, routing));
-    }
-}
-
-/// Calls `copy(b, at, floor)` for every intact copy of an honest client's
-/// boundary-`b` report that arrives in a later period `at`, given the
-/// client's faulted reports `hits` (as [`walk_faulted`] leaves them), its
-/// order `h` and its churn period.
-///
-/// `floor` is the highest boundary below `at` whose report was folded on
-/// time (emitted before churn, not dropped, delayed or corrupted), or 0:
-/// the sender's last acceptance ahead of the copy in mailbox order,
-/// fabrications aside. The copy was emitted at `b < at`, so the sender's
-/// own report of boundary `at` comes after it. Every boundary the walk
-/// skipped was folded.
-fn residue_copies(
-    hits: &[(u64, Routing)],
-    h: usize,
-    churn_at: u64,
-    mut copy: impl FnMut(u64, u64, u64),
-) {
-    // The last boundary the client emits before it churns.
-    let last = (churn_at - 1) >> h << h;
-    for (i, &(b, routing)) in hits.iter().enumerate() {
-        routing.late_copies(b, |at| {
-            let mut c = ((at - 1) >> h << h).min(last);
-            // hits[..j] are the faulted boundaries at or below c; c ≥ b.
-            let mut j = i + 1;
-            while j < hits.len() && hits[j].0 <= c {
-                j += 1;
-            }
-            while c > 0 && j > 0 && hits[j - 1].0 == c && !hits[j - 1].1.on_time(c) {
-                j -= 1;
-                c -= 1 << h;
-            }
-            copy(b, at, c);
-        });
-    }
 }
 
 /// The checked ladder's verdict on a copy of boundary `b` that arrives
@@ -435,7 +417,7 @@ struct PeriodLadder {
 /// mailbox order; a copy's exact verdict reads the claim of the last one
 /// ahead of it, since accepted claims rise per sender. Each impersonated
 /// honest client's plan, a pure function of (seed, client), is walked
-/// again through [`walk_faulted`]. Returns how many verdicts changed.
+/// again through the same mask walk. Returns how many verdicts changed.
 fn correct_residue(
     fault_plan: &FaultPlan<'_>,
     own: &ShardEmission,
@@ -444,7 +426,7 @@ fn correct_residue(
 ) -> u64 {
     // Stable, so each sender's claims stay in mailbox order.
     accepted.sort_by_key(|&(_, f)| f.user);
-    let mut hits = Vec::new();
+    let mut masks = SlotMasks::default();
     let mut changed = 0;
     let mut rest = &accepted[..];
     while let Some(&(_, first)) = rest.first() {
@@ -453,13 +435,12 @@ fn correct_residue(
         let v = first.user;
         let h = own.orders[v as usize - own.start] as usize;
         let mut scratch = FaultCounts::default();
-        let mut client = fault_plan.client(v as usize, h, &mut scratch);
+        let client = fault_plan.header(v as usize, h, &mut scratch);
         if client.byzantine {
             // Every report of a Byzantine sender is a fabrication.
             continue;
         }
-        walk_faulted(&mut client, &mut scratch, &mut hits);
-        residue_copies(&hits, h, client.churn_at, |b, at, floor| {
+        fault_plan.walk(&client, &mut masks, &mut scratch, |b, at, floor| {
             let key = (at, b, u64::from(v));
             let last = claims
                 .iter()
@@ -500,8 +481,10 @@ pub(crate) fn batched(
     let num_orders = params.num_orders();
     let mut timings = StageTimings::default();
 
-    let emission_start = std::time::Instant::now();
+    let emission_start = Instant::now();
     let shards: Vec<ShardEmission> = pool.map_shards(n, |shard| {
+        let mut stages = StageTimings::default();
+        let build_start = Instant::now();
         let mut groups = build_order_groups(
             params,
             population,
@@ -519,102 +502,86 @@ pub(crate) fn batched(
             }
         }
         let group_len: Vec<usize> = groups.iter().map(|g| g.len()).collect();
+        stages.build_s = build_start.elapsed().as_secs_f64();
 
-        // Per order: the honest on-time membership mask, narrowed as the
-        // pre-walk classifies lanes — Byzantine lanes leave for good,
-        // churned lanes leave from their first silenced span on, and
-        // faulted boundaries leave for exactly one span.
-        let mut active: Vec<Vec<u64>> = group_len
-            .iter()
-            .map(|&len| {
-                let mut words = vec![u64::MAX; len.div_ceil(64)];
-                let tail = len % 64;
-                if tail != 0 {
-                    if let Some(last) = words.last_mut() {
-                        *last = (1u64 << tail) - 1;
-                    }
-                }
-                words
-            })
+        // Phase 1 — fault pre-walk: every client's whole horizon, one
+        // mask walk per client (the plan module's). Each client's fault
+        // plan is a pure function of its key, so its knob hits become slot
+        // masks and its reports are routed by bit algebra, visiting only
+        // the delayed and retransmitted ones. Every report not delivered
+        // on time — faulted, silenced by churn, or a Byzantine lane's —
+        // leaves its span's fold: its on-time bit is cleared. A late or
+        // retransmitted honest copy arrives after its period closed, so
+        // it is classified and counted here, never framed.
+        let prewalk_start = Instant::now();
+        let mut on_time: Vec<OnTime> = (0..num_orders)
+            .map(|h| OnTime::new(group_len[h as usize], params.sequence_len(h)))
             .collect();
-        // clears[h][s] = lanes churn silences from span s onward;
-        // dirty[h][s] = lanes excluded from span s only (drop, straggle,
-        // corruption).
-        let mut clears: Vec<Vec<Vec<u32>>> = (0..num_orders)
-            .map(|h| vec![Vec::new(); params.sequence_len(h)])
-            .collect();
-        let mut dirty = clears.clone();
         let mut residue = vec![PeriodDelivery::default(); d as usize + 1];
-        let mut byzantine: Vec<Vec<FrameBatch>> = (0..workers)
-            .map(|_| (0..=d as usize).map(|_| FrameBatch::new()).collect())
-            .collect();
         let mut faults = FaultCounts::default();
-
-        // Phase 1 — fault pre-walk: every faulted reporting boundary of
-        // every honest client, whole horizon per user. Each client's
-        // fault plan is a pure function of its key, so the walk jumps from
-        // one faulted boundary to the next and visits no other: the
-        // boundaries it skips are delivered on time, exactly once. A late
-        // or retransmitted copy arrives after its period closed, so it is
-        // classified and counted here, never framed.
-        let mut hits = Vec::new();
-        let mut fabricators: Vec<(u32, ClientPlan<'_>)> = Vec::new();
+        let mut masks = SlotMasks::default();
+        // The Byzantine clients with the knob hits of their order-0
+        // slots, for phase 2.
+        let mut fabricators: Vec<(u32, Client, Vec<u64>)> = Vec::new();
         for u in shard.range() {
             let local = u - shard.start;
             let h = orders[local] as usize;
             let lane = lanes[local];
-            let stride = 1u64 << h;
-            let mut client = fault_plan.client(u, h, &mut faults);
+            let client = fault_plan.header(u, h, &mut faults);
+            fault_plan.walk(&client, &mut masks, &mut faults, |b, at, floor| {
+                *residue_count(&mut residue[at as usize], residue_verdict(b, floor, 0)) += 1;
+            });
             if client.byzantine {
                 // Byzantine lanes never contribute honest folds; their
                 // fabrications are emitted in phase 2.
-                clear_bit(&mut active[h], lane);
-                fabricators.push((u as u32, client));
+                for s in 0..params.sequence_len(h as u32) {
+                    on_time[h].clear(s, lane);
+                }
+                fabricators.push((u as u32, client, masks.hits().to_vec()));
                 continue;
             }
-            walk_faulted(&mut client, &mut faults, &mut hits);
-            for &(b, routing) in &hits {
-                if !routing.on_time(b) {
-                    dirty[h][(b / stride - 1) as usize].push(lane);
-                }
-            }
-            residue_copies(&hits, h, client.churn_at, |b, at, floor| {
-                *residue_count(&mut residue[at as usize], residue_verdict(b, floor, 0)) += 1;
-            });
-            let churn_at = client.churn_at;
-            if churn_at <= d {
-                let first_lost = churn_at.div_ceil(stride) * stride;
-                if first_lost <= d {
-                    faults.lost_to_churn += d / stride - first_lost / stride + 1;
-                    clears[h][(first_lost / stride - 1) as usize].push(lane);
-                }
+            for s in masks.missed() {
+                on_time[h].clear(s as usize, lane);
             }
         }
+        stages.prewalk_s = prewalk_start.elapsed().as_secs_f64();
 
         // Phase 2 — fabrications, one period at a time and ascending user
         // within a period, so every batch is pushed in mailbox order. Each
-        // goes to the roster shard of the id it claims.
+        // is routed from its walked masks and goes to the roster shard of
+        // the id it claims.
+        let fabricate_start = Instant::now();
+        let mut byzantine: Vec<Vec<FrameBatch>> = (0..workers)
+            .map(|_| (0..=d as usize).map(|_| FrameBatch::new()).collect())
+            .collect();
         for t in 1..=d {
-            for (u, client) in &mut fabricators {
-                if let Some((msg, _, routing)) = client.emit(*u, t, None, &mut faults) {
-                    dispatch_frame(msg, t, *u, true, routing, &mut faults, |at, frame| {
+            for (u, client, hits) in &fabricators {
+                if t >= client.churn_at {
+                    continue;
+                }
+                let msg = fault_plan.fabricate(client, *u, t);
+                let routing = fault_plan.routing(client, hits, t - 1);
+                // The walk counted a corrupted fabrication's copies.
+                if !routing.malformed {
+                    deliver_copies(msg, t, *u, true, routing, |at, frame| {
                         let r = recipient(n, workers, shard.index, frame.user);
                         byzantine[r][at as usize].push(frame);
                     });
                 }
             }
         }
+        stages.fabricate_s = fabricate_start.elapsed().as_secs_f64();
 
         // Phase 3 — span walk: emit every group's packed sign words in
         // horizon order. Faulted and Byzantine lanes still draw (client
         // randomness is untouched by faults — invariant 1), and the
-        // honest on-time majority is folded by masked popcount.
+        // honest on-time majority is folded by a popcount masked with the
+        // span's on-time row.
+        let span_walk_start = Instant::now();
         let mut folds: Vec<Vec<(u64, u64)>> = (0..num_orders)
             .map(|h| Vec::with_capacity(params.sequence_len(h)))
             .collect();
         let mut horizon_signs: Vec<SignLane> = (0..num_orders).map(|_| SignLane::new()).collect();
-        let mut plan: Vec<SignLane> = (0..num_orders).map(|_| SignLane::new()).collect();
-        let mut scratch: Vec<u64> = Vec::new();
         for t in 1..=d {
             let max_h = t.trailing_zeros().min(params.log_d()) as usize;
             for h in 0..=max_h {
@@ -624,27 +591,14 @@ pub(crate) fn batched(
                 }
                 let s = ((t >> h) - 1) as usize;
                 group.emit_span(t);
-                for &lane in &clears[h][s] {
-                    clear_bit(&mut active[h], lane);
-                }
-                scratch.clear();
-                scratch.extend_from_slice(&active[h]);
-                for &lane in &dirty[h][s] {
-                    clear_bit(&mut scratch, lane);
-                }
-                let plus = group.signs.count_plus_masked(&scratch);
-                let count: u64 = scratch.iter().map(|w| u64::from(w.count_ones())).sum();
+                let row = on_time[h].row(s);
+                let plus = group.signs.count_plus_masked(row);
+                let count = row.iter().map(|w| u64::from(w.count_ones())).sum();
                 folds[h].push((plus, count));
-                let len = group.len();
-                horizon_signs[h].extend_from_range(&group.signs, 0..len);
-                let mut rem = len;
-                for &w in &scratch {
-                    let take = rem.min(64);
-                    plan[h].push_bits(w, take);
-                    rem -= take;
-                }
+                horizon_signs[h].extend_from_range(&group.signs, 0..group.len());
             }
         }
+        stages.span_walk_s = span_walk_start.elapsed().as_secs_f64();
 
         ShardEmission {
             start: shard.start,
@@ -653,17 +607,27 @@ pub(crate) fn batched(
             group_len,
             folds,
             horizon_signs,
-            plan,
+            on_time,
             residue,
             byzantine,
             faults,
+            stages,
+            finished: Instant::now(),
         }
     });
     timings.emission_s = emission_start.elapsed().as_secs_f64();
+    // The emission sub-stages of the shard that finished last: the
+    // fan-out's critical path.
+    if let Some(last) = shards.iter().max_by_key(|sh| sh.finished) {
+        timings.build_s = last.stages.build_s;
+        timings.prewalk_s = last.stages.prewalk_s;
+        timings.fabricate_s = last.stages.fabricate_s;
+        timings.span_walk_s = last.stages.span_walk_s;
+    }
 
     // Register every user in ascending id order (shards are contiguous
     // and returned in shard-index order).
-    let register_start = std::time::Instant::now();
+    let register_start = Instant::now();
     let mut server = Server::for_table(*params, table);
     let mut wire = WireStats::default();
     let mut faults = FaultCounts::default();
@@ -678,7 +642,7 @@ pub(crate) fn batched(
     // verdict reads only its sender's slot, the open period and the
     // floor, so shard r needs only the fabrications addressed to it, in
     // mailbox order, and its own emission's plan bits and residue tally.
-    let ladder_start = std::time::Instant::now();
+    let ladder_start = Instant::now();
     let ends: Vec<usize> = partition(n, workers).iter().map(|s| s.end).collect();
     let ladders: Vec<(Vec<PeriodLadder>, u64)> =
         pool.map_owned(server.roster_shards(&ends), |r, mut roster| {
@@ -722,7 +686,7 @@ pub(crate) fn batched(
                         let h = own.orders[local] as usize;
                         let s = (claim >> h) as usize - 1;
                         let lane = own.lanes[local];
-                        if own.plan[h].get(s * own.group_len[h] + lane as usize) == Sign::Plus {
+                        if own.on_time[h].get(s, lane) {
                             period.displaced.push((h, lane));
                             period.tally.delivery.duplicate += 1;
                         }
@@ -738,7 +702,7 @@ pub(crate) fn batched(
     // Serial rest, per period: absorb the recipient tallies in shard
     // order, then each shard's span folds minus its displaced lanes, and
     // close. Every sum is an integer, so the absorb order is free.
-    let close_start = std::time::Instant::now();
+    let close_start = Instant::now();
     let mut estimates = Vec::with_capacity(d as usize);
     let mut byz_accepted_by_period = vec![0u64; d as usize];
     for t in 1..=d {
@@ -828,7 +792,7 @@ pub(crate) fn dispatch_frame(
     byzantine: bool,
     routing: Routing,
     faults: &mut FaultCounts,
-    mut deliver: impl FnMut(u64, Frame),
+    deliver: impl FnMut(u64, Frame),
 ) {
     if routing.malformed {
         // The sequential engine queues the corrupted bytes and counts
@@ -838,6 +802,19 @@ pub(crate) fn dispatch_frame(
         faults.malformed += routing.delivered();
         return;
     }
+    deliver_copies(msg, t, emitter, byzantine, routing, deliver);
+}
+
+/// Hands each delivered copy of one intact routed message to
+/// `deliver(period, frame)`, tagged as [`dispatch_frame`] tags it.
+fn deliver_copies(
+    msg: ReportMsg,
+    t: u64,
+    emitter: u32,
+    byzantine: bool,
+    routing: Routing,
+    mut deliver: impl FnMut(u64, Frame),
+) {
     let frame = Frame {
         emitted: t as u32,
         emitter,
@@ -858,6 +835,7 @@ pub(crate) fn dispatch_frame(
 mod tests {
     use super::*;
     use crate::config::DelayLaw;
+    use crate::plan::floor_before;
     use proptest::prelude::*;
     use rand::Rng;
     use rtf_primitives::fastseed;
@@ -1006,9 +984,10 @@ mod tests {
         /// boundaries, churn, delayed and retransmitted copies, and
         /// fabrications claiming it at random mailbox keys — is replayed
         /// through a one-client server. Each copy's verdict is what
-        /// `residue_copies` and `residue_verdict` give when handed the
-        /// fabrications the server accepted, and the server accepts the
-        /// same fabrications when the copies are left out.
+        /// `residue_verdict` gives, at the floor `floor_before` reads from
+        /// the client's on-time bits, when handed the fabrications the
+        /// server accepted, and the server accepts the same fabrications
+        /// when the copies are left out.
         #[test]
         fn residue_verdicts_match_a_one_client_server(
             log_d in 1u32..=5,
@@ -1026,9 +1005,16 @@ mod tests {
             let mut hits = Vec::new();
             let mut on_time = BTreeMap::new();
             let mut copies = BTreeMap::new();
+            // The client's on-time bits, slot j for boundary (j + 1)·2^h.
+            let mut folded = vec![0u64; (d >> h).div_ceil(64) as usize];
+            let mut fold = |b: u64| {
+                let j = (b >> h) - 1;
+                folded[(j / 64) as usize] |= 1 << (j % 64);
+            };
             for b in (1..=d >> h).map(|j| j << h).take_while(|&b| b < churn_at) {
                 if rng.random_bool(0.5) {
                     on_time.insert((b, b, 0), Sent::Own(b));
+                    fold(b);
                     continue;
                 }
                 let delay = if rng.random_bool(0.5) { rng.random_range(1..=3) } else { 0 };
@@ -1040,6 +1026,9 @@ mod tests {
                     malformed: rng.random_bool(0.15),
                 };
                 hits.push((b, routing));
+                if routing.on_time(b) {
+                    fold(b);
+                }
                 if routing.malformed {
                     continue;
                 }
@@ -1067,15 +1056,18 @@ mod tests {
             prop_assert_eq!(&full.accepted, &alone.accepted);
 
             let mut expected = BTreeMap::new();
-            residue_copies(&hits, h, churn_at, |b, at, floor| {
-                let last = full
-                    .accepted
-                    .iter()
-                    .take_while(|&&(key, _)| key < (at, b, 0))
-                    .last()
-                    .map_or(0, |&(_, claim)| claim);
-                expected.insert((b, at), residue_verdict(b, floor, last));
-            });
+            for &(b, routing) in &hits {
+                routing.late_copies(b, |at| {
+                    let floor = floor_before(&folded, h, at);
+                    let last = full
+                        .accepted
+                        .iter()
+                        .take_while(|&&(key, _)| key < (at, b, 0))
+                        .last()
+                        .map_or(0, |&(_, claim)| claim);
+                    expected.insert((b, at), residue_verdict(b, floor, last));
+                });
+            }
             prop_assert_eq!(expected, full.copies);
         }
     }

@@ -138,9 +138,10 @@ pub fn assert_exact_agreement(
 /// Frame order matters under Byzantine impersonation, so passing a
 /// faulty scenario here proves the shard merge reconstructs the
 /// sequential mailbox order exactly — not merely that sums commute. The
-/// fault counts are compared too: the span-native pre-walk, which visits
-/// only faulted boundaries, must find exactly the faults the sequential
-/// engine finds by asking the fault plan at every report.
+/// fault counts are compared too: the span-native pre-walk, which walks
+/// each client's whole horizon at once as slot masks, must find exactly
+/// the faults the sequential engine finds by asking the fault plan at
+/// every report.
 ///
 /// # Panics
 /// Panics naming the first diverging engine/worker count and field.

@@ -28,11 +28,25 @@
 //! for a constant timeline, the survival curve `Π_{s ≤ t}(1 − p_s)` for
 //! a shaped one.
 //!
-//! Because a client's hits depend on its key alone, the batched
-//! pre-walk jumps from one faulted slot to the next — `O(faults +
-//! clients)` per shard instead of `O(reports)` — while the sequential
-//! engine and the live driver ask the same [`ClientPlan::emit`] at every
-//! period; they differ only in how a routed message reaches the server.
+//! The skip takes no logarithm when it is short. `⌊ln U / ln(1 − p̂)⌋`
+//! only falls as `U` rises, so each knob keeps a **gap table**: for every
+//! gap `g` below `min(d, 256)`, the least 53-bit word value whose skip is
+//! at most `g`, found once per plan by bisecting that same expression. A
+//! word's skip is then the number of table entries above it, and a word
+//! below the whole table skips past any horizon the table covers; only a
+//! longer skip inside a longer horizon evaluates the logarithm. The
+//! table is exact, not an approximation: it returns the expression's
+//! own value for every word.
+//!
+//! Because a client's hits depend on its key alone, the batched engine
+//! walks each client's whole horizon at once — the **mask walk**
+//! ([`FaultPlan::walk`]): every knob's hits become a slot bitmask, the
+//! routing precedence becomes bit algebra over those masks, and the
+//! tallies become popcounts, so a client costs its hits and a few word
+//! operations, never a visit per report. The sequential engine and the
+//! live driver ask the same plan one report at a time
+//! ([`ClientPlan::emit`]); they differ only in how a routed message
+//! reaches the server.
 
 use crate::config::{FaultTimeline, Scenario};
 use rtf_core::client::ClientReport;
@@ -42,6 +56,7 @@ use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
 use rtf_sim::message::ReportMsg;
 use rtf_sim::FaultCounts;
+use std::ops::Deref;
 
 /// Label of the fault subtree: `root.child(FAULT_STREAM).child(u)` keys
 /// client `u`'s plan. Far outside the `u32` space of per-user labels, so
@@ -83,6 +98,17 @@ const DROP: usize = 1;
 const STRAGGLE: usize = 2;
 const DUPLICATE: usize = 3;
 
+/// The longest gap table a knob keeps: horizons up to this many slots
+/// never take a logarithm.
+const MAX_STEPS: u64 = 256;
+
+/// A gap table's lookup starts from the skip at the top of the word's
+/// bucket: one of `2^BUCKET_BITS` equal ranges of 53-bit word values.
+const BUCKET_BITS: u32 = 10;
+
+/// `2^53`: a 53-bit word value `m` is the uniform `(m + 1) / 2^53`.
+const TWO_53: f64 = (1u64 << 53) as f64;
+
 /// Uniform in `[0, 1)` from the top 53 bits of a word.
 #[inline]
 fn unit(w: u64) -> f64 {
@@ -100,6 +126,16 @@ pub(crate) fn open_unit(w: u64) -> f64 {
 #[inline]
 pub(crate) fn below(w: u64, bound: u64) -> u64 {
     ((u128::from(w) * u128::from(bound)) >> 64) as u64
+}
+
+/// The low `n` bits set, for `n` of any size.
+#[inline]
+fn low_bits(n: u64) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
 }
 
 /// The slots a process runs over: slot `j` is emitted at period
@@ -133,12 +169,25 @@ struct Knob {
     rate: fn(&Scenario) -> f64,
     /// Peak rate `p̂` over the timeline.
     peak: f64,
+    /// Whether some period's rate sits below the peak. If none does,
+    /// every candidate slot is a hit and no thinning word is read.
+    thinned: bool,
     /// `1 / ln(1 − p̂)`, negative for `0 < p̂ < 1`.
     inv_log: f64,
-    /// `[h]` = `(1 − p̂)^(d >> h)`: the chance that a search from slot 0
-    /// over `d >> h` slots finds nothing, so a client the knob never hits
-    /// costs one word and one compare.
-    miss: Vec<f64>,
+    /// `[h]` = `⌊(1 − p̂)^(d >> h) · 2^53⌋`: a search from slot 0 over
+    /// `d >> h` slots whose word's top 53 bits fall below it finds
+    /// nothing (the integer form of `U ≤ (1 − p̂)^(d >> h)`), so a client
+    /// the knob never hits costs one word and one compare.
+    miss: Vec<u64>,
+    /// The gap table (module docs): `steps[g]` is the least 53-bit word
+    /// value whose skip is at most `g`, for each `g` below
+    /// `min(d, MAX_STEPS)`; non-increasing in `g`. Empty unless
+    /// `0 < p̂ < 1`.
+    steps: Vec<u64>,
+    /// `[b]`: the entries of `steps` above every word value of bucket
+    /// `b` — the skip of the bucket's top word, where a lookup in the
+    /// bucket starts counting.
+    buckets: Vec<u16>,
 }
 
 impl Knob {
@@ -151,33 +200,140 @@ impl Knob {
     ) -> Self {
         let peak = timeline.peak(rate);
         let log = (-peak).ln_1p();
-        Knob {
+        let mut knob = Knob {
             lane,
             rate,
             peak,
+            thinned: (1..=d).any(|t| rate(timeline.at(t)) < peak),
             inv_log: 1.0 / log,
-            miss: (0..orders).map(|h| (log * (d >> h) as f64).exp()).collect(),
+            miss: (0..orders)
+                .map(|h| ((log * (d >> h) as f64).exp() * TWO_53) as u64)
+                .collect(),
+            steps: Vec::new(),
+            buckets: Vec::new(),
+        };
+        if peak > 0.0 && peak < 1.0 {
+            knob.steps = knob.gap_steps(d.min(MAX_STEPS));
+            knob.buckets = (1..=1u64 << BUCKET_BITS)
+                .map(|b| {
+                    let top = (b << (53 - BUCKET_BITS)) - 1;
+                    knob.steps.partition_point(|&s| s > top) as u16
+                })
+                .collect();
         }
+        knob
     }
 
-    /// The first slot in `start..slots.count` the knob fires at, or
-    /// [`NEVER`].
-    fn next_hit(&self, key: u64, timeline: &FaultTimeline, slots: Slots, mut start: u64) -> u64 {
+    /// The skip `⌊ln U / ln(1 − p̂)⌋` of a word whose top 53 bits are
+    /// `m`, by its logarithm: the expression the gap table tabulates.
+    fn ln_gap(&self, m: u64) -> u64 {
+        (open_unit(m << 11).ln() * self.inv_log) as u64
+    }
+
+    /// The first `len` entries of the gap table, each bisected over the
+    /// word values at or below the previous entry.
+    fn gap_steps(&self, len: u64) -> Vec<u64> {
+        let mut steps = Vec::with_capacity(len as usize);
+        // U = 1 skips nothing, so the top word value bounds every entry.
+        let mut hi = (1u64 << 53) - 1;
+        for g in 0..len {
+            if self.ln_gap(0) <= g {
+                // Every word skips at most g, so every later entry is 0.
+                steps.resize(len as usize, 0);
+                break;
+            }
+            // Invariant: ln_gap(lo) > g ≥ ln_gap(hi).
+            let mut lo = 0;
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if self.ln_gap(mid) <= g {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            steps.push(hi);
+        }
+        steps
+    }
+
+    /// The skip of word `w` by the gap table, or `None` if it is at least
+    /// the table's length: the entries above the word's 53 bits, counted
+    /// up from its bucket's.
+    #[inline(always)]
+    fn table_gap(&self, w: u64) -> Option<u64> {
+        let m = w >> 11;
+        let mut g = usize::from(*self.buckets.get((m >> (53 - BUCKET_BITS)) as usize)?);
+        while g < self.steps.len() && self.steps[g] > m {
+            g += 1;
+        }
+        (g < self.steps.len()).then_some(g as u64)
+    }
+
+    /// The slot a search from `start` reading word `w` lands on, if it is
+    /// below `end`.
+    #[inline(always)]
+    fn land(&self, w: u64, start: u64, end: u64) -> Option<u64> {
+        let within = end - start;
+        let gap = match self.table_gap(w) {
+            Some(gap) => gap,
+            // A skip past the table is at least its length.
+            None if self.steps.len() as u64 >= within => return None,
+            None => self.ln_gap(w >> 11),
+        };
+        (gap < within).then_some(start + gap)
+    }
+
+    /// The first slot in `start..end` the knob fires at, or [`NEVER`].
+    /// `end` is at most `slots.count`; a search stopped early finds the
+    /// same hits below `end` as one run to the last slot.
+    fn next_hit(
+        &self,
+        key: u64,
+        timeline: &FaultTimeline,
+        slots: Slots,
+        start: u64,
+        end: u64,
+    ) -> u64 {
+        self.search(
+            key,
+            timeline,
+            slots,
+            start,
+            end,
+            word(key, self.lane, start),
+        )
+    }
+
+    /// [`Knob::next_hit`] given `w`, the word at counter `start`, so a
+    /// caller can read the first words of several knobs at once.
+    #[inline(always)]
+    fn search(
+        &self,
+        key: u64,
+        timeline: &FaultTimeline,
+        slots: Slots,
+        mut start: u64,
+        end: u64,
+        mut w: u64,
+    ) -> u64 {
         if self.peak <= 0.0 {
             return NEVER;
         }
-        while start < slots.count {
+        while start < end {
             let candidate = if self.peak >= 1.0 {
                 start
             } else {
-                let u = open_unit(word(key, self.lane, start));
-                if start == 0 && u <= self.miss[slots.order] {
+                if start == 0 && w >> 11 < self.miss[slots.order] {
                     return NEVER;
                 }
-                start.saturating_add((u.ln() * self.inv_log) as u64)
+                match self.land(w, start, end) {
+                    Some(candidate) => candidate,
+                    None => return NEVER,
+                }
             };
-            if candidate >= slots.count {
-                return NEVER;
+            if !self.thinned {
+                return candidate;
             }
             let p = (self.rate)(timeline.at(slots.period(candidate)));
             if p >= self.peak
@@ -186,6 +342,7 @@ impl Knob {
                 return candidate;
             }
             start = candidate + 1;
+            w = word(key, self.lane, start);
         }
         NEVER
     }
@@ -205,6 +362,31 @@ pub(crate) struct FaultPlan<'a> {
     /// Malformed, drop, straggle and duplicate, indexed by [`MALFORMED`],
     /// [`DROP`], [`STRAGGLE`] and [`DUPLICATE`].
     knobs: [Knob; 4],
+}
+
+/// What a client's plan fixes before its first report: its key, its
+/// Byzantine coin, its churn period and the slots it reports in.
+#[derive(Clone, Copy)]
+pub(crate) struct Client {
+    key: u64,
+    /// Whether the client is Byzantine: it suppresses its honest reports
+    /// and fabricates one per period.
+    pub(crate) byzantine: bool,
+    /// First period at which the client has departed (`u64::MAX` =
+    /// never).
+    pub(crate) churn_at: u64,
+    /// Every period for a Byzantine client, its order's boundaries
+    /// otherwise.
+    slots: Slots,
+}
+
+impl Client {
+    /// How many of its slots the client emits before it churns.
+    fn live_slots(&self) -> u64 {
+        self.slots
+            .count
+            .min((self.churn_at - 1) >> self.slots.order)
+    }
 }
 
 impl<'a> FaultPlan<'a> {
@@ -228,56 +410,295 @@ impl<'a> FaultPlan<'a> {
         }
     }
 
-    /// Client `u`'s plan for the horizon; `h` is its announced order,
-    /// whose boundaries carry its reports unless it is Byzantine. A
-    /// client that churns within the horizon is counted in `faults`.
-    pub(crate) fn client(&self, u: usize, h: usize, faults: &mut FaultCounts) -> ClientPlan<'_> {
+    /// Client `u`'s per-client draws; `h` is its announced order, whose
+    /// boundaries carry its reports unless it is Byzantine. A client that
+    /// churns within the horizon is counted in `faults`.
+    pub(crate) fn header(&self, u: usize, h: usize, faults: &mut FaultCounts) -> Client {
         let key = client_key(&self.root.child(u as u64));
         let frac = self.timeline.byzantine_frac();
         let byzantine = frac > 0.0 && unit(word(key, BYZANTINE_LANE, 0)) < frac;
+        let churn_slots = Slots::new(self.d, 0);
         let churn_at = self
             .churn
-            .next_hit(key, self.timeline, Slots::new(self.d, 0), 0)
+            .next_hit(key, self.timeline, churn_slots, 0, churn_slots.count)
             .saturating_add(1);
         if churn_at <= self.d {
             faults.churned_clients += 1;
         }
-        let slots = Slots::new(self.d, if byzantine { 0 } else { h });
-        ClientPlan {
-            plan: self,
+        Client {
             key,
             byzantine,
             churn_at,
-            slots,
-            next: std::array::from_fn(|k| self.knobs[k].next_hit(key, self.timeline, slots, 0)),
+            slots: Slots::new(self.d, if byzantine { 0 } else { h }),
+        }
+    }
+
+    /// Client `u`'s plan for the horizon, asked one report at a time:
+    /// [`FaultPlan::header`] plus each knob's first hit.
+    pub(crate) fn client(&self, u: usize, h: usize, faults: &mut FaultCounts) -> ClientPlan<'_> {
+        let client = self.header(u, h, faults);
+        let slots = client.slots;
+        ClientPlan {
+            plan: self,
+            client,
+            next: std::array::from_fn(|k| {
+                self.knobs[k].next_hit(client.key, self.timeline, slots, 0, slots.count)
+            }),
+        }
+    }
+
+    /// The fate of `client`'s slot-`j` report, given which knobs hit it:
+    /// [`ClientPlan::route`]'s precedence, tallying nothing.
+    fn fate(&self, client: &Client, j: u64, hit: [bool; 4]) -> Routing {
+        let malformed = hit[MALFORMED];
+        if hit[DROP] {
+            return Routing {
+                deliver: None,
+                duplicate: None,
+                malformed,
+            };
+        }
+        let t = client.slots.period(j);
+        let mut deliver = t;
+        if hit[STRAGGLE] {
+            let w = word(client.key, DELAY_LANE, j);
+            deliver += self
+                .timeline
+                .delay_law()
+                .sample(w, self.timeline.at(t).max_delay);
+        }
+        Routing {
+            deliver: (deliver <= self.d).then_some(deliver),
+            duplicate: (hit[DUPLICATE] && deliver < self.d).then_some(deliver + 1),
+            malformed,
+        }
+    }
+
+    /// The mask walk: `client`'s whole horizon at once, into the
+    /// per-worker scratch `masks`.
+    ///
+    /// Each knob's chain of hits ([`Knob::next_hit`], the same words
+    /// [`ClientPlan::route`] reads) runs over the slots the client emits
+    /// before it churns into a slot bitmask. Routing is then bit algebra
+    /// in `route`'s precedence — drop wins, and straggle and duplicate
+    /// apply to undropped slots only — with the drop, delay and
+    /// retransmission tallies taken as popcounts; only a delayed or
+    /// retransmitted slot is visited, for its delay word and its copies.
+    /// `faults` gains exactly what the per-period path tallies for these
+    /// reports: `route`'s counts, each corrupted copy that fails decode,
+    /// an honest client's reports lost to churn and a Byzantine client's
+    /// fabrications.
+    ///
+    /// Leaves the knob hits in [`SlotMasks::hits`] and, for an honest
+    /// client, the slots delivered intact in their own period in
+    /// [`SlotMasks::on_time`]; and calls `copy(b, at, floor)` for every
+    /// intact copy of an honest client's boundary-`b` report that arrives
+    /// in a later period `at` — a delayed original, then a
+    /// retransmission, in ascending `b` — with `floor` the client's last
+    /// on-time boundary before `at` ([`floor_before`]).
+    pub(crate) fn walk(
+        &self,
+        client: &Client,
+        masks: &mut SlotMasks,
+        faults: &mut FaultCounts,
+        mut copy: impl FnMut(u64, u64, u64),
+    ) {
+        let slots = client.slots;
+        let live = client.live_slots();
+        let words = slots.count.div_ceil(64) as usize;
+        masks.count = slots.count;
+        masks.hits.clear();
+        masks.hits.resize(4 * words, 0);
+        masks.on_time.clear();
+        masks.on_time.resize(words, 0);
+        // The four searches from slot 0 read their words side by side.
+        let first: [u64; 4] = std::array::from_fn(|k| word(client.key, self.knobs[k].lane, 0));
+        for ((mask, knob), mut w) in masks
+            .hits
+            .chunks_exact_mut(words)
+            .zip(&self.knobs)
+            .zip(first)
+        {
+            let mut start = 0;
+            loop {
+                let j = knob.search(client.key, self.timeline, slots, start, live, w);
+                if j >= live {
+                    break;
+                }
+                mask[(j / 64) as usize] |= 1 << (j % 64);
+                start = j + 1;
+                w = word(client.key, knob.lane, start);
+            }
+        }
+        let word_of = |k: usize, wi: usize| masks.hits[k * words + wi];
+        for wi in 0..words {
+            let sent = low_bits(live.saturating_sub(64 * wi as u64));
+            let [malformed, drop, straggle, duplicate] = [0, 1, 2, 3].map(|k| word_of(k, wi));
+            let kept = sent & !drop;
+            faults.dropped += u64::from(drop.count_ones());
+            faults.delayed += u64::from((straggle & kept).count_ones());
+            faults.duplicates_injected += u64::from((duplicate & kept).count_ones());
+            // A corrupted report delivered once, on time, fails decode once.
+            faults.malformed +=
+                u64::from((malformed & kept & !(straggle | duplicate)).count_ones());
+            if !client.byzantine {
+                masks.on_time[wi] = kept & !(straggle | malformed);
+            }
+        }
+        let on_time = &masks.on_time;
+        for wi in 0..words {
+            let [malformed, drop, straggle, duplicate] = [0, 1, 2, 3].map(|k| word_of(k, wi));
+            let mut late = (straggle | duplicate) & !drop;
+            while late != 0 {
+                let bit = late & late.wrapping_neg();
+                late ^= bit;
+                let j = 64 * wi as u64 + u64::from(bit.trailing_zeros());
+                let hit = [malformed, 0, straggle, duplicate].map(|w| w & bit != 0);
+                let routing = self.fate(client, j, hit);
+                faults.expired += u64::from(routing.deliver.is_none())
+                    + u64::from(hit[DUPLICATE] && routing.duplicate.is_none());
+                if routing.malformed {
+                    faults.malformed += routing.delivered();
+                } else if !client.byzantine {
+                    let b = slots.period(j);
+                    routing
+                        .late_copies(b, |at| copy(b, at, floor_before(on_time, slots.order, at)));
+                }
+            }
+        }
+        if client.byzantine {
+            faults.byzantine_messages += live;
+        } else {
+            faults.lost_to_churn += slots.count - live;
+        }
+    }
+
+    /// The routing of slot `j` of a client whose knob hits the mask walk
+    /// left in `hits` (a copy of [`SlotMasks::hits`]), tallying nothing:
+    /// the walk did.
+    pub(crate) fn routing(&self, client: &Client, hits: &[u64], j: u64) -> Routing {
+        let words = hits.len() / 4;
+        let (wi, bit) = ((j / 64) as usize, 1u64 << (j % 64));
+        self.fate(
+            client,
+            j,
+            std::array::from_fn(|k| hits[k * words + wi] & bit != 0),
+        )
+    }
+
+    /// The arbitrary-but-well-formed report a Byzantine client `own_id`
+    /// emits at period `t`: half the time under its own id (an insider
+    /// lying about content or timing), otherwise under any id below `2n`
+    /// (half in-range impersonations, half junk ids); the claimed period
+    /// and bit are unconstrained.
+    pub(crate) fn fabricate(&self, client: &Client, own_id: u32, t: u64) -> ReportMsg {
+        let id = word(client.key, CLAIMED_ID_LANE, t);
+        // The top bit picks the sender; the other 63 pick a foreign id.
+        let user = if id >> 63 == 0 {
+            own_id
+        } else {
+            below(id << 1, self.id_bound) as u32
+        };
+        ReportMsg {
+            user,
+            t: 1 + below(word(client.key, CLAIMED_PERIOD_LANE, t), self.d) as u32,
+            bit: word(client.key, CLAIMED_BIT_LANE, t) >> 63 == 1,
         }
     }
 }
 
-/// One client's faults over the horizon: its Byzantine coin, its churn
-/// period, and its position in the four per-report knob processes.
-///
-/// Ask [`ClientPlan::route`] for the reports the client emits, in
-/// ascending period order, or jump between the faulted ones with
-/// [`ClientPlan::next_faulted`]; both see the same hits.
+/// The last boundary before period `at` whose report a client of order
+/// `order` delivered on time, from its [`SlotMasks::on_time`] bits, or 0:
+/// one leading-zeros count, scanning down a word only past a
+/// 64-slot run of faulted reports.
+pub(crate) fn floor_before(on_time: &[u64], order: usize, at: u64) -> u64 {
+    // Slot j's boundary (j + 1)·2^order is before `at` iff j < end.
+    let end = (at - 1) >> order;
+    let mut wi = (end / 64) as usize;
+    let mut w = if end % 64 == 0 {
+        0
+    } else {
+        on_time[wi] & low_bits(end % 64)
+    };
+    loop {
+        if w != 0 {
+            let j = 64 * wi as u64 + 63 - u64::from(w.leading_zeros());
+            return (j + 1) << order;
+        }
+        if wi == 0 {
+            return 0;
+        }
+        wi -= 1;
+        w = on_time[wi];
+    }
+}
+
+/// Per-worker scratch of the mask walk: one client's knob hits and
+/// on-time reports as slot bitmasks, bit `j % 64` of word `j / 64` for
+/// slot `j`, `⌈slots / 64⌉` words each, reused from client to client.
+#[derive(Default)]
+pub(crate) struct SlotMasks {
+    /// Slots of the client walked last.
+    count: u64,
+    /// Knob `k`'s hits in `hits[k * words..(k + 1) * words]`, indexed
+    /// like [`FaultPlan::knobs`], among the slots the client emits
+    /// before it churns.
+    hits: Vec<u64>,
+    /// The slots whose report arrives intact in its own period (none for
+    /// a Byzantine client).
+    on_time: Vec<u64>,
+}
+
+impl SlotMasks {
+    /// The knob hits of the client walked last, for
+    /// [`FaultPlan::routing`].
+    pub(crate) fn hits(&self) -> &[u64] {
+        &self.hits
+    }
+
+    /// The on-time slots of the client walked last.
+    #[cfg(test)]
+    pub(crate) fn on_time(&self) -> &[u64] {
+        &self.on_time
+    }
+
+    /// The slots of the honest client walked last whose report is not
+    /// delivered on time: faulted, or never sent because it churned.
+    pub(crate) fn missed(&self) -> impl Iterator<Item = u64> + '_ {
+        self.on_time.iter().enumerate().flat_map(move |(wi, &w)| {
+            let base = 64 * wi as u64;
+            let mut off = !w & low_bits(self.count - base);
+            std::iter::from_fn(move || {
+                (off != 0).then(|| {
+                    let j = base + u64::from(off.trailing_zeros());
+                    off &= off - 1;
+                    j
+                })
+            })
+        })
+    }
+}
+
+/// One client's faults over the horizon, asked one report at a time:
+/// its [`Client`] draws and its position in the four per-report knob
+/// processes.
 pub(crate) struct ClientPlan<'a> {
     plan: &'a FaultPlan<'a>,
-    key: u64,
-    /// Whether the client is Byzantine: it suppresses its honest reports
-    /// and fabricates one per period.
-    pub(crate) byzantine: bool,
-    /// First period at which the client has departed (`u64::MAX` =
-    /// never).
-    pub(crate) churn_at: u64,
-    /// Every period for a Byzantine client, its order's boundaries
-    /// otherwise.
-    slots: Slots,
+    client: Client,
     /// Next slot each knob fires at, indexed like [`FaultPlan::knobs`].
     next: [u64; 4],
 }
 
+impl Deref for ClientPlan<'_> {
+    type Target = Client;
+
+    fn deref(&self) -> &Client {
+        &self.client
+    }
+}
+
 /// The fate of one emitted report.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Routing {
     /// Delivery period of the original copy, if it survives the horizon.
     pub(crate) deliver: Option<u64>,
@@ -296,6 +717,7 @@ impl Routing {
     }
 
     /// Whether the report emitted at `t` arrives intact in period `t`.
+    #[cfg(test)]
     pub(crate) fn on_time(&self, t: u64) -> bool {
         !self.malformed && self.deliver == Some(t)
     }
@@ -317,18 +739,6 @@ impl Routing {
 }
 
 impl ClientPlan<'_> {
-    /// The emission period of the next report some knob fires at, if it
-    /// comes before period `before`. A report this skips is delivered on
-    /// time, exactly once, intact.
-    pub(crate) fn next_faulted(&self, before: u64) -> Option<u64> {
-        let slot = self.next.iter().copied().min().unwrap_or(NEVER);
-        if slot == NEVER {
-            return None;
-        }
-        let t = self.slots.period(slot);
-        (t < before).then_some(t)
-    }
-
     /// The fate of the report emitted at period `t`, tallied into
     /// `faults`. Reports are asked in ascending period order, each once.
     ///
@@ -339,51 +749,27 @@ impl ClientPlan<'_> {
     /// horizon expires.
     pub(crate) fn route(&mut self, t: u64, faults: &mut FaultCounts) -> Routing {
         let plan = self.plan;
-        let slot = (t >> self.slots.order) - 1;
+        let slots = self.client.slots;
+        let slot = (t >> slots.order) - 1;
         let mut hit = [false; 4];
         for (k, knob) in plan.knobs.iter().enumerate() {
             debug_assert!(self.next[k] >= slot, "reports are routed in period order");
             if self.next[k] == slot {
                 hit[k] = true;
-                self.next[k] = knob.next_hit(self.key, plan.timeline, self.slots, slot + 1);
+                self.next[k] =
+                    knob.next_hit(self.client.key, plan.timeline, slots, slot + 1, slots.count);
             }
         }
-        let malformed = hit[MALFORMED];
+        let routing = plan.fate(&self.client, slot, hit);
         if hit[DROP] {
             faults.dropped += 1;
-            return Routing {
-                deliver: None,
-                duplicate: None,
-                malformed,
-            };
+            return routing;
         }
-        let mut deliver = t;
-        if hit[STRAGGLE] {
-            let max_delay = plan.timeline.at(t).max_delay;
-            let w = word(self.key, DELAY_LANE, slot);
-            deliver += plan.timeline.delay_law().sample(w, max_delay);
-            faults.delayed += 1;
-        }
-        let delivered = if deliver <= plan.d {
-            Some(deliver)
-        } else {
-            faults.expired += 1;
-            None
-        };
-        let mut duplicate = None;
-        if hit[DUPLICATE] {
-            faults.duplicates_injected += 1;
-            if deliver < plan.d {
-                duplicate = Some(deliver + 1);
-            } else {
-                faults.expired += 1;
-            }
-        }
-        Routing {
-            deliver: delivered,
-            duplicate,
-            malformed,
-        }
+        faults.delayed += u64::from(hit[STRAGGLE]);
+        faults.duplicates_injected += u64::from(hit[DUPLICATE]);
+        faults.expired += u64::from(routing.deliver.is_none())
+            + u64::from(hit[DUPLICATE] && routing.duplicate.is_none());
+        routing
     }
 
     /// What client `user` sends at period `t`, given the honest `report`
@@ -411,7 +797,7 @@ impl ClientPlan<'_> {
         }
         let (msg, byzantine) = if self.byzantine {
             faults.byzantine_messages += 1;
-            (self.fabricate(user, t), true)
+            (self.plan.fabricate(&self.client, user, t), true)
         } else {
             let r = report?;
             let msg = ReportMsg {
@@ -423,26 +809,6 @@ impl ClientPlan<'_> {
         };
         Some((msg, byzantine, self.route(t, faults)))
     }
-
-    /// The arbitrary-but-well-formed report a Byzantine client `own_id`
-    /// emits at period `t`: half the time under its own id (an insider
-    /// lying about content or timing), otherwise under any id below `2n`
-    /// (half in-range impersonations, half junk ids); the claimed period
-    /// and bit are unconstrained.
-    pub(crate) fn fabricate(&self, own_id: u32, t: u64) -> ReportMsg {
-        let id = word(self.key, CLAIMED_ID_LANE, t);
-        // The top bit picks the sender; the other 63 pick a foreign id.
-        let user = if id >> 63 == 0 {
-            own_id
-        } else {
-            below(id << 1, self.plan.id_bound) as u32
-        };
-        ReportMsg {
-            user,
-            t: 1 + below(word(self.key, CLAIMED_PERIOD_LANE, t), self.plan.d) as u32,
-            bit: word(self.key, CLAIMED_BIT_LANE, t) >> 63 == 1,
-        }
-    }
 }
 
 /// Law tests: the plan's tallies against the laws the knobs define, over
@@ -453,6 +819,7 @@ impl ClientPlan<'_> {
 mod tests {
     use super::*;
     use crate::config::DelayLaw;
+    use proptest::prelude::*;
     use rtf_analysis::distribution::binomial_row;
     use rtf_analysis::stats::{chi_square_critical_999, chi_square_stat};
 
@@ -673,16 +1040,17 @@ mod tests {
         let plan = FaultPlan::new(&params, 13, &timeline);
         let mut observed = vec![0u64; max_delay as usize];
         let mut faults = FaultCounts::default();
+        let mut masks = SlotMasks::default();
         for u in 0..CLIENTS {
             let h = u % 3;
-            let mut client = plan.client(u, h, &mut FaultCounts::default());
-            while let Some(t) = client.next_faulted(d - max_delay + 1) {
-                let at = client
-                    .route(t, &mut faults)
-                    .deliver
-                    .expect("inside the horizon");
-                observed[(at - t - 1) as usize] += 1;
-            }
+            let client = plan.header(u, h, &mut FaultCounts::default());
+            // Stragglers are the only fault, so every late copy is a
+            // delayed original.
+            plan.walk(&client, &mut masks, &mut faults, |t, at, _| {
+                if t < d - max_delay + 1 {
+                    observed[(at - t - 1) as usize] += 1;
+                }
+            });
         }
         observed
     }
@@ -755,5 +1123,171 @@ mod tests {
             tables.push((vec![k, n - k], vec![n as f64 * p, n as f64 * (1.0 - p)]));
         }
         assert_fits("per-period drops", &tables);
+    }
+
+    #[test]
+    fn gap_table_is_the_logarithm_at_every_step() {
+        // Each table entry, both its neighbours and 10⁶ words spread over
+        // all 53 bits: the table's skip is the logarithm's, and a word
+        // below the table skips at least its length. The miss shortcut's
+        // integer compare is the float compare it replaced.
+        let d = 256u64;
+        let params = params(d);
+        for p in [1e-4, 0.02, 0.05, 0.2, 0.5, 0.9] {
+            let timeline = FaultTimeline::constant(Scenario::honest().with_dropout(p));
+            let plan = FaultPlan::new(&params, 1, &timeline);
+            let knob = &plan.knobs[DROP];
+            let len = knob.steps.len() as u64;
+            assert_eq!(len, d.min(MAX_STEPS), "p̂ = {p}");
+            let log = (-p).ln_1p();
+            let inv_log = 1.0 / log;
+            let skip = |w: u64| (open_unit(w).ln() * inv_log) as u64;
+            let neighbours = |m: u64| [m.wrapping_sub(1), m, m + 1].into_iter();
+            let random = (0..1_000_000).map(|i| word(0x6A9, 0, i) >> 11);
+            let words = knob.steps.iter().flat_map(|&m| neighbours(m)).chain(random);
+            for m in words.filter(|&m| m < 1 << 53) {
+                // The low 11 bits never matter.
+                let w = m << 11 | (m & 0x7FF);
+                match knob.table_gap(w) {
+                    Some(gap) => assert_eq!(gap, skip(w), "p̂ = {p}, word {m}"),
+                    None => assert!(skip(w) >= len, "p̂ = {p}, word {m}"),
+                }
+            }
+            for (h, &miss) in knob.miss.iter().enumerate() {
+                let exact = (log * (d >> h) as f64).exp();
+                let random = (0..1_000).map(|i| word(0x6A9, 1, i) >> 11);
+                for m in neighbours(miss).chain(random).filter(|&m| m < 1 << 53) {
+                    let w = m << 11;
+                    assert_eq!(m < miss, open_unit(w) <= exact, "p̂ = {p}, h = {h}");
+                }
+            }
+            // A horizon longer than the table: where a search lands, past
+            // the table by the logarithm, is where the expression lands.
+            let long = FaultPlan::new(&self::params(4 * d), 1, &timeline);
+            let knob = &long.knobs[DROP];
+            for i in 0..100_000 {
+                let (w, start) = (word(0x6A9, 2, i), i % (4 * d));
+                let lands = start.saturating_add(skip(w));
+                assert_eq!(knob.land(w, start, 4 * d), (lands < 4 * d).then_some(lands));
+            }
+        }
+    }
+
+    /// The four knob rates a property case draws from.
+    const RATES: [f64; 4] = [0.0, 0.03, 0.5, 1.0];
+
+    /// A timeline of `base` whose rows scale each rate by 1, ½ or 0,
+    /// picked per period and knob by a word of `seed`.
+    fn shaped(base: Scenario, d: u64, seed: u64) -> FaultTimeline {
+        let rows = (1..=d)
+            .map(|t| {
+                let scale =
+                    |lane: u64, p: f64| p * [1.0, 0.5, 0.0][(word(seed, lane, t) % 3) as usize];
+                Scenario {
+                    churn_prob: scale(0, base.churn_prob),
+                    malformed_prob: scale(1, base.malformed_prob),
+                    drop_prob: scale(2, base.drop_prob),
+                    straggle_prob: scale(3, base.straggle_prob),
+                    duplicate_prob: scale(4, base.duplicate_prob),
+                    ..base
+                }
+            })
+            .collect();
+        FaultTimeline::shaped(base, rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The mask walk against `ClientPlan::route` asked at every
+        /// boundary, for clients of every order: each routed slot's
+        /// `Routing`, the fault counts (with what `emit` and the drain add:
+        /// churn losses, fabrications and failed decodes), the on-time
+        /// bits, and every late copy with its floor — which fix the
+        /// residue rows. Each knob runs at 0, a small rate, ½ or 1, under
+        /// churn, Byzantine clients, a shaped timeline and both delay
+        /// laws; d runs from 2 to 256, so masks span up to four words.
+        #[test]
+        fn mask_walk_matches_route_at_every_boundary(
+            log_d in 1u32..=8,
+            malformed in 0usize..4,
+            drop in 0usize..4,
+            straggle in 0usize..4,
+            duplicate in 0usize..4,
+            churn in 0usize..3,
+            byzantine in proptest::bool::ANY,
+            shape in proptest::bool::ANY,
+            zipf in proptest::bool::ANY,
+            max_delay in 1u64..=4,
+            seed in 0u64..1_000_000,
+        ) {
+            let d = 1u64 << log_d;
+            let params = params(d);
+            let base = Scenario::honest()
+                .with_malformed(RATES[malformed])
+                .with_dropout(RATES[drop])
+                .with_stragglers(RATES[straggle], max_delay)
+                .with_duplicates(RATES[duplicate])
+                .with_churn([0.0, 0.02, 0.3][churn])
+                .with_byzantine(if byzantine { 0.3 } else { 0.0 });
+            let timeline = if shape { shaped(base, d, seed) } else { FaultTimeline::constant(base) };
+            let law = if zipf { DelayLaw::Zipf { alpha: 1.2 } } else { DelayLaw::Uniform };
+            let timeline = timeline.with_delay_law(law);
+            timeline.validate(d);
+            let plan = FaultPlan::new(&params, seed, &timeline);
+            let mut masks = SlotMasks::default();
+            for u in 0..16 {
+                for h in 0..params.num_orders() as usize {
+                    let mut expected = FaultCounts::default();
+                    let mut client = plan.client(u, h, &mut expected);
+                    let order = if client.byzantine { 0 } else { h };
+                    let count = d >> order;
+                    let mut routed = Vec::new();
+                    let mut on_time = vec![false; count as usize];
+                    for j in 0..count {
+                        let t = (j + 1) << order;
+                        if t >= client.churn_at {
+                            expected.lost_to_churn += u64::from(!client.byzantine);
+                            continue;
+                        }
+                        expected.byzantine_messages += u64::from(client.byzantine);
+                        let routing = client.route(t, &mut expected);
+                        if routing.malformed {
+                            expected.malformed += routing.delivered();
+                        }
+                        on_time[j as usize] = !client.byzantine && routing.on_time(t);
+                        routed.push((j, routing));
+                    }
+                    let mut copies = Vec::new();
+                    for &(j, routing) in routed.iter().filter(|_| !client.byzantine) {
+                        let b = (j + 1) << order;
+                        routing.late_copies(b, |at| {
+                            let floor = (0..count)
+                                .rev()
+                                .find(|&i| on_time[i as usize] && (i + 1) << order < at)
+                                .map_or(0, |i| (i + 1) << order);
+                            copies.push((b, at, floor));
+                        });
+                    }
+
+                    let mut faults = FaultCounts::default();
+                    let header = plan.header(u, h, &mut faults);
+                    let mut walked = Vec::new();
+                    plan.walk(&header, &mut masks, &mut faults, |b, at, floor| {
+                        walked.push((b, at, floor));
+                    });
+                    let label = format!("client {u}, order {h}");
+                    prop_assert_eq!(&faults, &expected, "{}", label);
+                    for &(j, routing) in &routed {
+                        prop_assert_eq!(plan.routing(&header, masks.hits(), j), routing, "{} slot {}", label, j);
+                    }
+                    let bits: Vec<bool> = (0..count)
+                        .map(|j| masks.on_time()[(j / 64) as usize] >> (j % 64) & 1 == 1)
+                        .collect();
+                    prop_assert_eq!(bits, on_time, "{}", label);
+                    prop_assert_eq!(walked, copies, "{}", label);
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Span-native fault-layer value-identity property tests.
 //!
-//! The batched scenario engine jumps through each client's fault plan
-//! from one faulted boundary to the next, folds honest on-time spans
+//! The batched scenario engine walks each client's whole fault plan at
+//! once as slot bitmasks (the plan's mask walk), folds honest on-time spans
 //! arithmetically as packed sign words, counts the verdicts of late and
 //! retransmitted honest copies where the pre-walk finds them, and runs
 //! only Byzantine fabrications through the floor-checked ingestion

@@ -67,9 +67,14 @@ impl FaultCounts {
 /// - `ingest_s` is the serial rest: registration, then per period the
 ///   absorb of every tally and span fold, and the period close.
 ///
+/// The four emission sub-stages (`build_s`, `prewalk_s`, `fabricate_s`,
+/// `span_walk_s`) come from the shard whose emission finished last, so
+/// they sum to at most `emission_s`: what is left is that shard's wait
+/// for a pool thread and the fan-out's own overhead.
+///
 /// In sequential mode `emission_s` is client build plus per-period
-/// emission, `merge_s` stays zero (one mailbox needs no merge), and
-/// `ingest_s` is checked ingestion plus period close.
+/// emission, `merge_s` stays zero (one mailbox needs no merge), `ingest_s`
+/// is checked ingestion plus period close, and the sub-stages stay zero.
 ///
 /// Exists to make cross-mode and cross-worker-count comparisons
 /// diagnosable — a slower parallel(2) than parallel(1) at large `n` is a
@@ -89,6 +94,18 @@ pub struct StageTimings {
     /// Seconds in registration, the serial absorb of tallies and folds,
     /// and period close (all of checked ingestion in sequential mode).
     pub ingest_s: f64,
+    /// Batched emission sub-stage, from the shard whose emission finished
+    /// last: building its clients' order groups.
+    pub build_s: f64,
+    /// Batched emission sub-stage, same shard: the fault pre-walk (one
+    /// mask walk per client, the on-time bitmap and the residue tally).
+    pub prewalk_s: f64,
+    /// Batched emission sub-stage, same shard: fabricating, routing and
+    /// addressing the Byzantine frames.
+    pub fabricate_s: f64,
+    /// Batched emission sub-stage, same shard: the span walk (packed sign
+    /// words and their masked folds).
+    pub span_walk_s: f64,
 }
 
 /// The result of one engine run.

@@ -49,6 +49,14 @@ of regression the decomposition exists to surface). The sum check is
 skipped below --wall-floor, where the residue is clock noise; presence
 is still required.
 
+Fresh **batched** scenario rows (`mode` parallel) further split the
+emission stage into the sub-stages of the shard whose emission finished
+last: `stage_build_s` (client build), `stage_prewalk_s` (the fault
+pre-walk), `stage_fabricate_s` (Byzantine fabrications) and
+`stage_span_walk_s` (the span walk). All four must be present, and
+since they time part of the emission stage, their sum must not exceed
+`stage_emit_s` by more than the same 20% (skipped below --wall-floor).
+
 `--self-test` runs the built-in unit checks (including the wall-clock
 floor) on synthetic data and exits; CI runs it before trusting the gate.
 
@@ -72,6 +80,16 @@ KINDS = {
             "group_value": "scenario",
             "fields": ("stage_emit_s", "stage_merge_s", "stage_ingest_s"),
             "tolerance": 0.20,
+            # Batched rows split emission further; the parts sum to at
+            # most the emission stage.
+            "parts_of": "stage_emit_s",
+            "parts": (
+                "stage_build_s",
+                "stage_prewalk_s",
+                "stage_fabricate_s",
+                "stage_span_walk_s",
+            ),
+            "parts_mode": "parallel",
         },
     },
     "backends": {
@@ -156,6 +174,8 @@ def compare(baseline, fresh, spec, wall_factor, wall_floor):
                             status,
                         )
                     )
+            if frow.get("mode") == stages["parts_mode"]:
+                regressions += check_parts(table, key, frow, stages, wall_floor)
 
         brow = base_rows.get(key)
         if brow is None:
@@ -202,6 +222,38 @@ def compare(baseline, fresh, spec, wall_factor, wall_floor):
     groups = {r[spec["group"]] for r in baseline["results"]}
     missing_groups = groups - matched_groups
     return table, regressions, missing_groups
+
+
+def check_parts(table, key, frow, stages, wall_floor):
+    """Checks a batched scenario row's emission sub-stages: all present,
+    and summing to at most the emission stage plus the tolerance.
+    Appends to `table` and returns the number of regressions."""
+    absent = [f for f in stages["parts"] if f not in frow]
+    if absent:
+        table.append(
+            (fmt_key(key), "sub-stages", "-", "absent: " + ",".join(absent), "-", "MISSING-STAGES")
+        )
+        return 1
+    whole = frow.get(stages["parts_of"], 0.0)
+    total = sum(frow[f] for f in stages["parts"])
+    if frow["elapsed_s"] < wall_floor:
+        table.append(
+            (fmt_key(key), "sub-stages", f"{whole:.4f}", f"{total:.4f}", "-", "ok (sub-floor)")
+        )
+        return 0
+    excess = (total - whole) / whole if whole > 0 else float("inf")
+    failed = excess > stages["tolerance"]
+    table.append(
+        (
+            fmt_key(key),
+            "sub-stages",
+            f"{whole:.4f}",
+            f"{total:.4f}",
+            f"{excess * 100:+.1f}%",
+            "SUBSTAGE-SUM-EXCEEDS" if failed else "ok",
+        )
+    )
+    return int(failed)
 
 
 def print_table(table):
@@ -320,7 +372,39 @@ def self_test():
         r[5] == "MISSING-STAGES" for r in table
     ), "NEW scenario rows are still stage-checked"
 
-    print("self-test PASS: 6 gate-logic checks")
+    # 7. Emission sub-stages on batched (parallel) scenario rows: all
+    #    four present, summing to at most stage_emit_s plus the
+    #    tolerance. Sequential rows carry none and need none.
+    def batched(elapsed, parts):
+        data = scen_rows(elapsed, emit=0.5, merge=0.1, ingest=0.38)
+        r = data["results"][0]
+        r["mode"] = "parallel"
+        names = ("stage_build_s", "stage_prewalk_s", "stage_fabricate_s", "stage_span_walk_s")
+        for name, value in zip(names, parts):
+            r[name] = value
+        return data
+
+    split = batched(1.0, (0.2, 0.2, 0.0, 0.08))  # 0.48 of 0.5
+    table, reg, _ = compare(split, split, spec, 10.0, 0.05)
+    assert reg == 0, "sub-stages within the emission stage must pass"
+
+    unsplit = batched(1.0, (0.2, 0.2))  # fabricate and span walk absent
+    table, reg, _ = compare(split, unsplit, spec, 10.0, 0.05)
+    assert reg == 1 and any(
+        r[5] == "MISSING-STAGES" and r[1] == "sub-stages" for r in table
+    ), "a batched row missing emission sub-stages must fire"
+
+    overfull = batched(1.0, (0.3, 0.3, 0.0, 0.1))  # 0.7 of 0.5: +40%
+    table, reg, _ = compare(split, overfull, spec, 10.0, 0.05)
+    assert reg == 1 and any(
+        r[5] == "SUBSTAGE-SUM-EXCEEDS" for r in table
+    ), "sub-stages exceeding the emission stage by more than 20% must fire"
+
+    near = batched(1.0, (0.3, 0.2, 0.0, 0.08))  # 0.58 of 0.5: +16%
+    _, reg, _ = compare(split, near, spec, 10.0, 0.05)
+    assert reg == 0, "sub-stages within the tolerance must pass"
+
+    print("self-test PASS: 7 gate-logic checks")
     return 0
 
 
