@@ -21,12 +21,15 @@
 //! before its timing is accepted — a throughput number for a wrong
 //! answer is worthless.
 //!
-//! Every scenario row — sequential included — decomposes into per-stage
-//! wall clock (`stage_emit_s` / `stage_merge_s` / `stage_ingest_s`, from
-//! the outcome's stage timings; validated by `scripts/perf_gate.py`), and
-//! the emission stage into the sub-stages of the shard that finished it
-//! last (`stage_build_s` / `stage_prewalk_s` / `stage_fabricate_s` /
-//! `stage_span_walk_s`; zero on the sequential row). That decomposition is what
+//! Every scenario row — sequential included — and every batched event
+//! row decomposes into per-stage wall clock (`stage_emit_s` /
+//! `stage_merge_s` / `stage_ingest_s`, from the outcome's stage timings;
+//! validated by `scripts/perf_gate.py`), and the emission stage into the
+//! sub-stages of the shard that finished it last (`stage_build_s` /
+//! `stage_prewalk_s` / `stage_fabricate_s` / `stage_span_walk_s`; zero on
+//! the sequential scenario row). On batched event rows the merge,
+//! pre-walk and fabrication stages are zero; sequential and live event
+//! rows carry no stage fields. That decomposition is what
 //! attributed the historical `parallel(2)`-slower-than-`parallel(1)`
 //! anomaly at `n = 10⁶` to the emission stage: the old per-report fault
 //! layer walked every client's ~150-byte state machine every period, so
@@ -87,7 +90,7 @@ struct Measurement {
     reports: u64,
     reports_per_s: f64,
     /// Per-stage wall clock of the median repetition (checked engine's
-    /// sequential and batched modes).
+    /// sequential and batched modes, event engine's batched mode).
     stages: Option<StageTimings>,
 }
 
@@ -210,7 +213,8 @@ fn main() {
         // schedule through the streaming ingestion service: what
         // per-period mailbox intake + period-close flushes cost over the
         // offline batched fold. Every checked row (sequential included)
-        // carries the per-stage decomposition.
+        // and every batched event row carries the per-stage
+        // decomposition.
         let event = RunSpec::new(&params, &population, 42, Mode::Sequential);
         let checked = event.clone().with_scenario(&storm);
         for (engine, spec, live) in [("event", event, true), ("scenario", checked, false)] {

@@ -15,8 +15,8 @@
 //!   uniform string of that distance, so the laws coincide; the tests
 //!   cross-validate them.
 //!
-//! The weight-class path is what `FutureRand::init` and the engines' lane
-//! arena use ([`sample_for_all_ones_into`](ComposedRandomizer::sample_for_all_ones_into)):
+//! The weight-class path is what `FutureRand::init` and the engines' span
+//! randomizer use ([`sample_for_all_ones_into`](ComposedRandomizer::sample_for_all_ones_into)):
 //! its cost is `O(k)` with *no* retry loop, it reuses the per-`(k, ε̃)`
 //! tables across all users, and for `k ≤ 64` it allocates nothing.
 
@@ -59,7 +59,7 @@ impl RandomizerTable {
 ///
 /// [`sample_for_all_ones_into`](Self::sample_for_all_ones_into) writes a
 /// client's `b̃` into caller storage, so the engines draw every client's
-/// `b̃` straight into their lane arena without allocating.
+/// `b̃` into one reused scratch buffer without allocating.
 #[derive(Debug, Clone)]
 pub struct ComposedRandomizer {
     k: usize,
@@ -217,7 +217,7 @@ impl ComposedRandomizer {
 
     /// `b̃ = R̃(1^k)` — the pre-computation of `M.init` (Algorithm 3,
     /// line 10), via the weight-class path, written into `out` (the
-    /// lane arena of [`SpanRandomizers`](crate::randomizer::SpanRandomizers)
+    /// scratch of [`SpanRandomizers`](crate::randomizer::SpanRandomizers)
     /// or a client's own vector). Allocation-free for `k ≤ 64`.
     ///
     /// # Panics

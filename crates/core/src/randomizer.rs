@@ -205,22 +205,29 @@ impl LocalRandomizer for FutureRand {
     }
 }
 
-/// A whole order group's [`FutureRand`] lanes in one contiguous arena —
-/// the batched client-side randomizer of the hot pipelines.
+/// A whole order group's [`FutureRand`] lanes, struct-of-arrays — the
+/// batched client-side randomizer of the hot pipelines.
 ///
 /// Every client in an order group reports at the same boundaries, so
 /// their randomizer positions advance in lockstep: one shared `position`
-/// replaces a per-client counter, and the pre-computed `b̃` vectors pack
-/// into a single `lanes × k` arena that [`draw_lane`](Self::draw_lane)
-/// draws straight into — no per-client `FutureRand`, heap vector or
-/// pointer chase. [`fill_span_events`](Self::fill_span_events) then
-/// emits the group's whole ±1 report vector for one span as packed sign
-/// words from the span's sparse list of non-zero partial sums.
+/// replaces a per-client counter. The engines' population is static, so
+/// each lane arrives with its whole list of non-zero span sums, and
+/// [`draw_lane`](Self::draw_lane) resolves the `j`-th of them against
+/// `b̃[j]` as soon as `b̃` is drawn: what is kept is the bit the lane will
+/// send, in a lane-major event table (one offsets column, one
+/// `span << 1 | bit` entry per non-zero span). No `b̃` and no per-lane
+/// non-zero counter survive the draw.
 ///
-/// **Bit-compatible with the per-report stream**: a lane draws exactly
-/// the `b̃` that `FutureRand::init_keyed` draws from the same rng, and
+/// [`fill_span`](Self::fill_span) then emits the group's whole ±1 report
+/// vector for one span as packed sign words. At each 64-span block every
+/// lane's counter word is computed and that lane's events for the block
+/// are patched in; each 64-lane chunk is then transposed, so a span's
+/// packed signs are one row copy per chunk.
+///
+/// **Bit-compatible with the per-report stream**: a lane makes exactly
+/// the `b̃` draws `FutureRand::init_keyed` makes from the same rng, and
 /// emits exactly what `FutureRand::next` would (its counter-stream bit
-/// for a zero partial sum, `v · b̃[nnz]` for a non-zero `v`) — the
+/// for a zero partial sum, `v · b̃[j]` for the `j`-th non-zero `v`) — the
 /// `span_lanes_match_per_report_draws` tests and the `proptest_core`
 /// suite pin it down bit-for-bit.
 #[derive(Debug, Clone)]
@@ -230,67 +237,105 @@ pub struct SpanRandomizers {
     c_gap: f64,
     /// Shared position: every lane has consumed this many elements.
     position: usize,
-    /// Per-lane non-zero count (`nnz < k` or the protocol was violated).
-    nnz: Vec<u32>,
-    /// Packed `b̃` arena: lane `i` owns `b_tilde[i*k .. (i+1)*k]`.
-    b_tilde: Vec<Sign>,
     /// Per-lane counter-generator keys.
     keys: Vec<u64>,
-    /// Per-lane cached counter words for `cached_block`: one
-    /// [`fastseed::word`] covers 64 consecutive spans per lane.
-    words: Vec<u64>,
-    /// Which 64-span counter block `words` currently holds, if any.
-    cached_block: Option<u64>,
+    /// Lane `i`'s events are `events[offsets[i] .. offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// One entry per non-zero span sum, spans ascending within a lane:
+    /// `span << 1 | bit`, bit `1` ⇔ the lane sends `+1` there.
+    events: Vec<u32>,
+    /// The `k` slots each new lane's `b̃` is drawn into, reused across lanes.
+    scratch: Vec<Sign>,
+    /// The current 64-span block, transposed per 64-lane chunk: with
+    /// `height` the block's spans below `L` (at most 64), word
+    /// `height·c + s` holds chunk `c`'s signs at span `64·block + s`, bit
+    /// `i` for lane `64·c + i` (zero past the last lane).
+    rows: Vec<u64>,
 }
 
 impl SpanRandomizers {
     /// An empty group of length-`l` lanes drawing from `composed`'s
     /// `(k, ε̃)` parameterisation.
+    ///
+    /// # Panics
+    /// Panics if `l > 2^31` (spans are stored as `u32` with the sent bit).
     pub fn new(l: usize, composed: &ComposedRandomizer) -> Self {
+        assert!(l <= 1 << 31, "sequence length {l} exceeds the span table");
         SpanRandomizers {
             l,
             k: composed.k(),
             c_gap: composed.c_gap(),
             position: 0,
-            nnz: Vec::new(),
-            b_tilde: Vec::new(),
             keys: Vec::new(),
-            words: Vec::new(),
-            cached_block: None,
+            offsets: vec![0],
+            events: Vec::new(),
+            scratch: vec![Sign::Plus; composed.k()],
+            rows: Vec::new(),
         }
     }
 
+    /// Reserves room for `lanes` more lanes holding `events` more
+    /// non-zero span sums between them.
+    pub fn reserve(&mut self, lanes: usize, events: usize) {
+        self.keys.reserve(lanes);
+        self.offsets.reserve(lanes);
+        self.events.reserve(events);
+    }
+
     /// Adopts one client as a new lane: draws its `b̃ = R̃(1^k)` from the
-    /// client's `rng` straight into the lane's slot of the arena — the
-    /// draws [`FutureRand::init_keyed`] makes — and records its
-    /// counter-stream `key`. `composed` is the group's `(k, ε̃)` table.
+    /// client's `rng` — the draws [`FutureRand::init_keyed`] makes — and
+    /// resolves each of its non-zero span sums against it, recording the
+    /// bit the lane sends there. `sums` lists `(span, v)`, spans strictly
+    /// ascending and below `L`, for exactly the spans whose partial sum is
+    /// the non-zero `v`; the `j`-th sends `v · b̃[j]`. `key` is the lane's
+    /// counter-stream key and `composed` the group's `(k, ε̃)` table.
     ///
     /// # Panics
-    /// Panics on a sparsity mismatch, or once the group has emitted a
-    /// span (lanes advance in lockstep from position 0).
+    /// Panics on a sparsity mismatch, once the group has emitted a span
+    /// (lanes advance in lockstep from position 0), and — before any draw
+    /// — on the protocol violations [`LocalRandomizer::next`] panics on:
+    /// more than `k` sums, or a span at or past `L`; also on spans that
+    /// are not strictly ascending.
     pub fn draw_lane<R: Rng + ?Sized>(
         &mut self,
         composed: &ComposedRandomizer,
         rng: &mut R,
         key: u64,
+        sums: &[(u32, Sign)],
     ) {
         assert_eq!(composed.k(), self.k, "lane sparsity mismatch");
         assert_eq!(self.position, 0, "lanes join before the first span");
-        let start = self.b_tilde.len();
-        self.b_tilde.resize(start + self.k, Sign::Plus);
-        composed.sample_for_all_ones_into(&mut self.b_tilde[start..], rng);
-        self.nnz.push(0);
+        if sums.len() > self.k {
+            protocol_violation(RandomizerError::TooManyNonZeros { k: self.k });
+        }
+        let mut floor = 0usize;
+        for &(span, _) in sums {
+            let span = span as usize;
+            assert!(span >= floor, "span sums must be strictly ascending");
+            if span >= self.l {
+                protocol_violation(RandomizerError::SequenceExhausted { l: self.l });
+            }
+            floor = span + 1;
+        }
+        composed.sample_for_all_ones_into(&mut self.scratch, rng);
+        self.events.extend(
+            sums.iter()
+                .zip(&self.scratch)
+                .map(|(&(span, v), &b)| span << 1 | u32::from(v * b == Sign::Plus)),
+        );
+        let end = u32::try_from(self.events.len()).expect("span event table exceeds u32 offsets");
+        self.offsets.push(end);
         self.keys.push(key);
     }
 
     /// Number of lanes (clients) in the group.
     pub fn len(&self) -> usize {
-        self.nnz.len()
+        self.keys.len()
     }
 
     /// Whether the group holds no lanes.
     pub fn is_empty(&self) -> bool {
-        self.nnz.is_empty()
+        self.keys.is_empty()
     }
 
     /// The shared lane position — how many spans every lane has emitted.
@@ -308,89 +353,92 @@ impl SpanRandomizers {
         self.c_gap
     }
 
-    /// Draws the group's whole ±1 report vector for the next span
-    /// directly as packed sign words. `events` lists `(lane, v)` for
-    /// exactly the lanes whose partial sum over the span is the non-zero
-    /// `v`, lanes strictly ascending; every other lane's sum is zero.
-    /// `out` receives `(bits, count)` chunks of up to 64 lanes, bit `i`
-    /// of `bits` being lane `chunk_start + i`'s sign (`1` ⇒ `+1`, the
-    /// packed-lane convention), ready for a `SignLane` bulk append.
+    /// Emits the group's whole ±1 report vector for the next span as
+    /// packed sign words: `out` receives `(bits, count)` chunks of up to
+    /// 64 lanes, bit `i` of `bits` being lane `chunk_start + i`'s sign
+    /// (`1` ⇒ `+1`, the packed-lane convention), ready for a `SignLane`
+    /// bulk append.
     ///
-    /// Each chunk takes bit `j mod 64` of its lanes' cached
-    /// [`fastseed::word`]s (refreshed once every 64 spans), then the
-    /// chunk's events overwrite their lanes' bits with `v · b̃[nnz]`. No
-    /// per-lane sum column, no per-lane branch, no RNG draws.
-    /// Value-identical to `FutureRand::next`, lane for lane.
+    /// Every 64 spans, one [`fastseed::word`] per lane covers the block,
+    /// with the lane's sent bits for the block patched in, and each
+    /// 64-lane chunk is transposed; each span in the block is then one
+    /// row per chunk. No RNG draws. Value-identical to
+    /// `FutureRand::next`, lane for lane.
     ///
     /// # Panics
-    /// Panics on exhausted lanes (`position ≥ L`) or a lane exceeding
-    /// its sparsity bound — the protocol violations
-    /// [`LocalRandomizer::next`] panics on — and on event lanes that are
-    /// not strictly ascending or not below the lane count.
-    pub fn fill_span_events<F>(&mut self, events: &[(u32, Sign)], mut out: F)
+    /// Panics on exhausted lanes (`position ≥ L`), the protocol violation
+    /// [`LocalRandomizer::next`] panics on.
+    pub fn fill_span<F>(&mut self, mut out: F)
     where
         F: FnMut(u64, usize),
     {
         if self.position >= self.l {
-            panic!(
-                "randomizer protocol violation: {}",
-                RandomizerError::SequenceExhausted { l: self.l }
-            );
+            protocol_violation(RandomizerError::SequenceExhausted { l: self.l });
         }
+        let j = self.position;
         self.position += 1;
-        let j = (self.position - 1) as u64;
-        let (block, bit) = (j >> 6, (j & 63) as u32);
-        if self.cached_block != Some(block) {
-            self.words.clear();
-            self.words.extend(
-                self.keys
-                    .iter()
-                    .map(|&key| fastseed::word(key, fastseed::SIGN_LANE, block)),
-            );
-            self.cached_block = Some(block);
+        let height = (self.l - j / 64 * 64).min(64);
+        if j % 64 == 0 {
+            self.load_block((j / 64) as u64, height);
         }
-        let k = self.k;
-        let mut e = 0usize;
-        // The next event's lane must be at least this.
-        let mut floor = 0usize;
-        for (c, words) in self.words.chunks(64).enumerate() {
-            let start = c * 64;
-            let end = start + words.len();
-            let mut w = 0u64;
-            for (off, &word) in words.iter().enumerate() {
-                w |= ((word >> bit) & 1) << off;
-            }
-            while let Some(&(lane, v)) = events.get(e) {
-                let i = lane as usize;
-                if i >= end {
-                    break;
+        let lanes = self.keys.len();
+        for (c, rows) in self.rows.chunks_exact(height).enumerate() {
+            out(rows[j % 64], (lanes - 64 * c).min(64));
+        }
+    }
+
+    /// Fills `rows` with the `height` spans of 64-span
+    /// block `block`: per 64-lane chunk, each lane's counter word with its
+    /// events in the block patched in, transposed, keeping the rows of
+    /// spans below `L`.
+    fn load_block(&mut self, block: u64, height: usize) {
+        // The block's entries: spans 64·block .. 64·block + 64.
+        let entries = (block << 7)..((block + 1) << 7);
+        self.rows.clear();
+        let mut chunk = [0u64; 64];
+        for (c, keys) in self.keys.chunks(64).enumerate() {
+            for (i, &key) in keys.iter().enumerate() {
+                let lane = 64 * c + i;
+                let events =
+                    &self.events[self.offsets[lane] as usize..self.offsets[lane + 1] as usize];
+                let mut word = fastseed::word(key, fastseed::SIGN_LANE, block);
+                for &e in events {
+                    if entries.contains(&u64::from(e)) {
+                        let at = (e >> 1) & 63;
+                        word = (word & !(1 << at)) | (u64::from(e & 1) << at);
+                    }
                 }
-                assert!(i >= floor, "span event lanes must be strictly ascending");
-                floor = i + 1;
-                let n = self.nnz[i] as usize;
-                if n >= k {
-                    panic!(
-                        "randomizer protocol violation: {}",
-                        RandomizerError::TooManyNonZeros { k }
-                    );
-                }
-                self.nnz[i] = (n + 1) as u32;
-                let m = 1u64 << (i - start);
-                w = if v * self.b_tilde[i * k + n] == Sign::Plus {
-                    w | m
-                } else {
-                    w & !m
-                };
-                e += 1;
+                chunk[i] = word;
             }
-            out(w, words.len());
+            chunk[keys.len()..].fill(0);
+            transpose64(&mut chunk);
+            self.rows.extend_from_slice(&chunk[..height]);
         }
-        if let Some(&(lane, _)) = events.get(e) {
-            panic!(
-                "span event lane {lane} out of range for {} lanes",
-                self.nnz.len()
-            );
+    }
+}
+
+/// Panics with `err` as the protocol violation [`LocalRandomizer::next`]
+/// reports.
+fn protocol_violation(err: RandomizerError) -> ! {
+    panic!("randomizer protocol violation: {err}")
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `i` of `a[j]`
+/// is what bit `j` of `a[i]` was. Six rounds of block swaps, halving the
+/// block width each round.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        for base in (0..64).step_by(2 * width) {
+            for i in base..base + width {
+                let t = ((a[i] >> width) ^ a[i + width]) & mask;
+                a[i] ^= t << width;
+                a[i + width] ^= t;
+            }
         }
+        width >>= 1;
+        mask ^= mask << width;
     }
 }
 
@@ -616,14 +664,23 @@ mod tests {
         );
     }
 
+    /// The non-zero span sums of a lane whose ternary inputs are
+    /// `inputs`, in [`SpanRandomizers::draw_lane`]'s form.
+    fn lane_sums(inputs: impl IntoIterator<Item = Ternary>) -> Vec<(u32, Sign)> {
+        inputs
+            .into_iter()
+            .enumerate()
+            .filter_map(|(t, x)| x.sign().map(|v| (t as u32, v)))
+            .collect()
+    }
+
     /// Builds one group lane by lane with [`SpanRandomizers::draw_lane`]
     /// and the same clients with `FutureRand::init_keyed` on clones of
     /// the same rngs (asserting both leave the rng in the same state),
-    /// then drives the group through
-    /// [`SpanRandomizers::fill_span_events`] and the clients per report
-    /// through `FutureRand::next`, span by span, asserting identical
-    /// signs; `pattern(lane, span)` must keep every lane within its
-    /// sparsity bound.
+    /// then drives the group through [`SpanRandomizers::fill_span`] and
+    /// the clients per report through `FutureRand::next`, span by span,
+    /// asserting identical signs; `pattern(lane, span)` must keep every
+    /// lane within its sparsity bound.
     fn assert_span_events_match_per_report(
         composed: &ComposedRandomizer,
         l: usize,
@@ -632,30 +689,24 @@ mod tests {
     ) {
         let mut group = SpanRandomizers::new(l, composed);
         let mut per_report = Vec::new();
-        for (rng, key) in clients {
+        for (i, (rng, key)) in clients.into_iter().enumerate() {
             let (mut lane_rng, mut client_rng) = (rng.clone(), rng);
-            group.draw_lane(composed, &mut lane_rng, key);
+            let sums = lane_sums((0..l).map(|t| pattern(i, t)));
+            group.draw_lane(composed, &mut lane_rng, key, &sums);
             per_report.push(FutureRand::init_keyed(l, composed, &mut client_rng, key));
             assert_eq!(lane_rng.next_u64(), client_rng.next_u64(), "b̃ draws");
         }
         assert_eq!(group.len(), per_report.len());
         for t in 0..l {
-            let sums: Vec<Ternary> = (0..per_report.len()).map(|i| pattern(i, t)).collect();
-            let events: Vec<(u32, Sign)> = sums
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.sign().map(|v| (i as u32, v)))
-                .collect();
             let mut packed: Vec<Sign> = Vec::new();
-            group.fill_span_events(&events, |w, count| {
-                for off in 0..count {
-                    packed.push(Sign::from_bool((w >> off) & 1 == 1));
-                }
+            group.fill_span(|w, count| {
+                assert!(count == 64 || w >> count == 0, "bits past the chunk");
+                packed.extend((0..count).map(|off| Sign::from_bool((w >> off) & 1 == 1)));
             });
-            let direct: Vec<Sign> = sums
-                .iter()
-                .zip(per_report.iter_mut())
-                .map(|(&s, m)| m.next(s))
+            let direct: Vec<Sign> = per_report
+                .iter_mut()
+                .enumerate()
+                .map(|(i, m)| m.next(pattern(i, t)))
                 .collect();
             assert_eq!(packed, direct, "span {t} diverged");
         }
@@ -679,12 +730,26 @@ mod tests {
                 _ => Ternary::Zero,
             }
         });
+        // At k > 64 a lane's 65th and later non-zeros spend b̃[64..]:
+        // lane i is non-zero at its first 68 + i spans (k = 70).
+        let composed = ComposedRandomizer::for_protocol(70, 1.0);
+        let clients = (0..3u64)
+            .map(|i| (StdRng::seed_from_u64(70 + i), 0x7000 + i))
+            .collect();
+        assert_span_events_match_per_report(&composed, 100, clients, |lane, t| {
+            match (t < 68 + lane, t % 2) {
+                (false, _) => Ternary::Zero,
+                (true, 0) => Ternary::Plus,
+                (true, _) => Ternary::Minus,
+            }
+        });
     }
 
     #[test]
     fn span_events_match_per_report_draws_across_blocks_and_chunks() {
         // Across counter-block boundaries (l > 64) and for > 64 lanes
-        // (multi-word output chunks), with engine-derived rngs and keys.
+        // (multi-word output chunks, a partial last chunk), with
+        // engine-derived rngs and keys.
         let composed = ComposedRandomizer::for_protocol(3, 1.0);
         let l = 130;
         let root = rtf_primitives::seeding::SeedSequence::new(31);
@@ -707,11 +772,55 @@ mod tests {
         });
     }
 
-    /// One lane of length `l` at sparsity `k`.
-    fn one_lane(l: usize, k: usize, seed: u64) -> SpanRandomizers {
+    #[test]
+    fn transpose64_matches_its_bit_by_bit_definition() {
+        let transposed = |a: [u64; 64]| {
+            let mut b = a;
+            transpose64(&mut b);
+            b
+        };
+        let check = |a: [u64; 64], label: &str| {
+            let b = transposed(a);
+            for (i, &row) in a.iter().enumerate() {
+                for (j, &col) in b.iter().enumerate() {
+                    assert_eq!((col >> i) & 1, (row >> j) & 1, "{label}: a[{i}] bit {j}");
+                }
+            }
+            assert_eq!(transposed(b), a, "{label}: transposing twice");
+        };
+        let mut rng = StdRng::seed_from_u64(64);
+        for trial in 0..8 {
+            check(
+                std::array::from_fn(|_| rng.next_u64()),
+                &format!("random {trial}"),
+            );
+        }
+        for (i, j) in [(0, 0), (0, 63), (63, 0), (17, 42), (63, 63)] {
+            let mut a = [0u64; 64];
+            a[i] = 1 << j;
+            let b = transposed(a);
+            let mut expect = [0u64; 64];
+            expect[j] = 1 << i;
+            assert_eq!(b, expect, "single bit at a[{i}] bit {j}");
+        }
+        assert_eq!(transposed([u64::MAX; 64]), [u64::MAX; 64], "all ones");
+        // A partial last chunk: rows past the lane count are zero, so
+        // every transposed row has no bit at or past it.
+        for lanes in [1usize, 6, 63] {
+            let a: [u64; 64] = std::array::from_fn(|i| if i < lanes { rng.next_u64() } else { 0 });
+            check(a, &format!("{lanes} lanes"));
+            assert!(
+                transposed(a).iter().all(|&row| row >> lanes == 0),
+                "{lanes} lanes"
+            );
+        }
+    }
+
+    /// One lane of length `l` at sparsity `k` with non-zero sums `sums`.
+    fn one_lane(l: usize, k: usize, seed: u64, sums: &[(u32, Sign)]) -> SpanRandomizers {
         let composed = ComposedRandomizer::for_protocol(k, 1.0);
         let mut group = SpanRandomizers::new(l, &composed);
-        group.draw_lane(&composed, &mut StdRng::seed_from_u64(seed), seed);
+        group.draw_lane(&composed, &mut StdRng::seed_from_u64(seed), seed, sums);
         group
     }
 
@@ -725,49 +834,59 @@ mod tests {
 
     #[test]
     fn span_lanes_reject_exhaustion_and_excess_nonzeros() {
-        let mut group = one_lane(1, 1, 8);
-        group.fill_span_events(&[(0, Sign::Plus)], |_, _| {});
-        let msg = panic_message(|| group.fill_span_events(&[], |_, _| {}));
+        // Exhaustion is an emission past L.
+        let mut group = one_lane(1, 1, 8, &[(0, Sign::Plus)]);
+        group.fill_span(|_, _| {});
+        let msg = panic_message(|| group.fill_span(|_, _| {}));
         assert!(msg.contains("longer than declared L"), "{msg}");
 
-        let mut group = one_lane(4, 1, 10);
-        group.fill_span_events(&[(0, Sign::Plus)], |_, _| {});
-        let msg = panic_message(|| group.fill_span_events(&[(0, Sign::Minus)], |_, _| {}));
-        assert!(msg.contains("more than k"), "{msg}");
-
+        // More than k non-zero sums are refused when the lane is added,
+        // before any draw.
         let composed = ComposedRandomizer::for_protocol(1, 1.0);
-        let mut group = one_lane(4, 1, 11);
-        group.fill_span_events(&[], |_, _| {});
-        let msg = panic_message(|| group.draw_lane(&composed, &mut StdRng::seed_from_u64(1), 1));
+        let mut group = SpanRandomizers::new(4, &composed);
+        let mut rng = StdRng::seed_from_u64(10);
+        let untouched = rng.clone().next_u64();
+        let msg = panic_message(|| {
+            group.draw_lane(
+                &composed,
+                &mut rng,
+                10,
+                &[(0, Sign::Plus), (1, Sign::Minus)],
+            )
+        });
+        assert!(msg.contains("more than k"), "{msg}");
+        assert_eq!(rng.next_u64(), untouched, "a refused lane draws nothing");
+        assert!(group.is_empty());
+
+        let mut group = one_lane(4, 1, 11, &[]);
+        group.fill_span(|_, _| {});
+        let msg =
+            panic_message(|| group.draw_lane(&composed, &mut StdRng::seed_from_u64(1), 1, &[]));
         assert!(msg.contains("before the first span"), "{msg}");
     }
 
     #[test]
-    fn span_events_reject_unsorted_and_out_of_range_lanes() {
+    fn lane_sums_reject_unsorted_and_out_of_range_spans() {
         let composed = ComposedRandomizer::for_protocol(2, 1.0);
-        let group = |lanes: u64| {
-            let mut g = SpanRandomizers::new(4, &composed);
-            for i in 0..lanes {
-                g.draw_lane(&composed, &mut StdRng::seed_from_u64(i), i);
-            }
-            g
-        };
         let ascending = "strictly ascending";
-        for (lanes, events, expect) in [
-            // Out of order within one 64-lane chunk, and across chunks.
+        let past_l = "longer than declared L";
+        for (l, spans, expect) in [
+            // Out of order within one 64-span block, and across blocks.
             (100, vec![5, 3], ascending),
             (100, vec![70, 3], ascending),
-            // A repeated lane would spend two b̃ entries in one span.
+            // A repeated span would spend two b̃ entries in one span.
             (100, vec![3, 3], ascending),
-            (100, vec![100], "out of range"),
-            (65, vec![64, 70], "out of range"),
-            (3, vec![1, 64], "out of range"),
-            (0, vec![0], "out of range"),
+            (100, vec![100], past_l),
+            (65, vec![64, 70], past_l),
+            (3, vec![1, 64], past_l),
+            (1, vec![1], past_l),
         ] {
-            let mut g = group(lanes);
-            let events: Vec<(u32, Sign)> = events.into_iter().map(|i| (i, Sign::Plus)).collect();
-            let msg = panic_message(|| g.fill_span_events(&events, |_, _| {}));
-            assert!(msg.contains(expect), "{lanes} lanes, {events:?}: {msg}");
+            let mut g = SpanRandomizers::new(l, &composed);
+            let sums: Vec<(u32, Sign)> = spans.into_iter().map(|s| (s, Sign::Plus)).collect();
+            let msg = panic_message(|| {
+                g.draw_lane(&composed, &mut StdRng::seed_from_u64(l as u64), 0, &sums)
+            });
+            assert!(msg.contains(expect), "L = {l}, {sums:?}: {msg}");
         }
     }
 

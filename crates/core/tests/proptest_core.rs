@@ -219,34 +219,22 @@ proptest! {
 
     /// The batched span randomizer is bit-for-bit the per-report
     /// randomizer: over random lane counts (past one 64-lane word),
-    /// sequence lengths (past one 64-span counter block), sparsity
-    /// budgets, privacy levels and k-sparse ternary inputs, every lane
-    /// draws the `b̃` `FutureRand::init_keyed` draws and every emitted
-    /// sign matches `FutureRand::next` draw for draw.
+    /// sequence lengths (across several 64-span counter blocks),
+    /// sparsity budgets (small, and around the 64-coordinate line where
+    /// `b̃` stops being one Floyd bitmask and the hash-set Floyd takes
+    /// over), privacy levels and k-sparse ternary inputs, every lane
+    /// makes the `b̃` draws `FutureRand::init_keyed` makes and every
+    /// emitted sign matches `FutureRand::next` draw for draw.
     #[test]
     fn span_randomizers_match_future_rand_bit_for_bit(
         lanes in 1usize..150,
-        l in 1usize..140,
-        k in 1usize..6,
+        l in 1usize..=200,
+        k in (0usize..9).prop_map(|i| [1, 2, 3, 4, 5, 63, 64, 65, 70][i]),
         eps in 0.05f64..=1.0,
         seed in 0u64..1_000_000,
         density in 0.0f64..=0.5,
     ) {
         use rtf_core::randomizer::SpanRandomizers;
-
-        let composed = ComposedRandomizer::for_protocol(k, eps);
-        let mut spans = SpanRandomizers::new(l, &composed);
-        let mut ms = Vec::with_capacity(lanes);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for i in 0..lanes {
-            let init_rng =
-                StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let key = rng.random::<u64>();
-            let (mut lane_rng, mut client_rng) = (init_rng.clone(), init_rng);
-            spans.draw_lane(&composed, &mut lane_rng, key);
-            ms.push(FutureRand::init_keyed(l, &composed, &mut client_rng, key));
-            prop_assert_eq!(lane_rng.random::<u64>(), client_rng.random::<u64>());
-        }
 
         // k-sparse ternary inputs per lane at the drawn density.
         let mut data = StdRng::seed_from_u64(!seed);
@@ -264,6 +252,25 @@ proptest! {
             }
         }
 
+        let composed = ComposedRandomizer::for_protocol(k, eps);
+        let mut spans = SpanRandomizers::new(l, &composed);
+        let mut ms = Vec::with_capacity(lanes);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (i, lane) in inputs.iter().enumerate() {
+            let init_rng =
+                StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let key = rng.random::<u64>();
+            let sums: Vec<(u32, Sign)> = lane
+                .iter()
+                .enumerate()
+                .filter_map(|(t, x)| x.sign().map(|v| (t as u32, v)))
+                .collect();
+            let (mut lane_rng, mut client_rng) = (init_rng.clone(), init_rng);
+            spans.draw_lane(&composed, &mut lane_rng, key, &sums);
+            ms.push(FutureRand::init_keyed(l, &composed, &mut client_rng, key));
+            prop_assert_eq!(lane_rng.random::<u64>(), client_rng.random::<u64>());
+        }
+
         // t-major / lane-minor: the exact emission order of the span
         // drivers, so index loops are the honest spelling here.
         let mut expect = Vec::with_capacity(lanes * l);
@@ -274,13 +281,8 @@ proptest! {
             }
         }
         let mut got = Vec::with_capacity(lanes * l);
-        for t in 0..l {
-            let events: Vec<(u32, Sign)> = inputs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, lane)| lane[t].sign().map(|v| (i as u32, v)))
-                .collect();
-            spans.fill_span_events(&events, |bits, count| {
+        for _ in 0..l {
+            spans.fill_span(|bits, count| {
                 got.extend((0..count).map(|off| Sign::from_bool((bits >> off) & 1 == 1)));
             });
         }

@@ -35,7 +35,7 @@
 //! describe; this is `O(n·k)`, negligible beside a run.
 
 use crate::message::{OrderAnnouncement, ReportMsg, WireStats};
-use crate::outcome::Outcome;
+use crate::outcome::{Outcome, StageTimings};
 use rtf_core::accumulator::{Accumulator, AccumulatorKind, AnyAccumulator};
 use rtf_core::client::{Client, Clients};
 use rtf_core::composed::ComposedRandomizer;
@@ -48,6 +48,7 @@ use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
 use rtf_runtime::{ExecMode, SignLane, WorkerPool};
 use rtf_streams::population::Population;
+use std::time::Instant;
 
 /// The pinned benchmark signature of the event engine: runs
 /// [`sequential`] or [`batched`] under the paper's table. Kept for
@@ -69,15 +70,17 @@ pub fn run_event_driven_schema(
 }
 
 /// One order group's client state in the batched/streaming pipelines,
-/// struct-of-arrays: parallel lanes of user ids, a precomputed
-/// span-event schedule, and one shared [`SpanRandomizers`] arena.
+/// struct-of-arrays: parallel lanes of user ids and one shared
+/// [`SpanRandomizers`] holding every lane's key and sent bits.
 ///
-/// Construction ([`build_order_groups`]) draws every lane's `b̃` straight
-/// into the arena — no per-client `FutureRand` or heap vector. A span
-/// emission ([`emit_span`](Self::emit_span)) is one randomizer pass
-/// over the span's sparse event list, filling the packed [`SignLane`]
-/// word by word — bit-identical to stepping each lane's [`Client`] with
-/// `observe` at every period of the span.
+/// Construction ([`build_order_groups`]) walks each user's change times
+/// once into the lane's non-zero span sums and resolves them against the
+/// lane's `b̃` as it is drawn, so the group keeps only the bit each lane
+/// sends at each non-zero span — no per-client `FutureRand`, `b̃` arena
+/// or per-span event list. A span emission
+/// ([`emit_span`](Self::emit_span)) fills the packed [`SignLane`] one
+/// row copy per 64 lanes — bit-identical to stepping each lane's
+/// [`Client`] with `observe` at every period of the span.
 ///
 /// Public because the span-native scenario engine
 /// (`rtf_scenarios::engine`) drives the same groups through its fault
@@ -90,15 +93,6 @@ pub struct SpanGroup {
     /// valid after [`emit_span`](Self::emit_span), consumed via
     /// `ReportBatch::extend_packed` or masked span folds.
     pub signs: SignLane,
-    /// The group's non-zero span sums, precomputed at build: entry
-    /// `span_events[t / stride − 1]` lists `(lane, ±1)`, lanes
-    /// ascending, for exactly the lanes whose partial sum over the span
-    /// ending at `t` is non-zero. The population is static, so walking
-    /// each user's change times **once** here replaces summing each
-    /// lane's derivative over every span — the former hottest load in
-    /// the repo: a million scattered change arrays chased per period,
-    /// for sums that are ~90% zero.
-    span_events: Vec<Vec<(u32, Sign)>>,
     spans: SpanRandomizers,
     /// The group's reporting stride `2^h`.
     stride: u64,
@@ -117,15 +111,16 @@ impl SpanGroup {
 
     /// Emits the whole group's reports for the span ending at period `t`
     /// into [`signs`](Self::signs): every lane's counter-stream bit, 64
-    /// lanes per word, with this span's precomputed events overwritten
-    /// by their `b̃` bits — exactly the bits each lane's [`Client`] would
-    /// report at `t` when stepped with `observe` at every period.
+    /// lanes per word, except at the lane's non-zero spans, where it is
+    /// the bit resolved against `b̃` at build — exactly the bits each
+    /// lane's [`Client`] would report at `t` when stepped with `observe`
+    /// at every period.
     ///
     /// # Panics
     /// Panics unless `t` is the group's next span boundary — a
     /// non-empty group must emit at **every** boundary, in order, or the
-    /// shared randomizer arena falls out of lockstep with the clients
-    /// (and another span's events would be emitted).
+    /// shared randomizer falls out of lockstep with the clients (and
+    /// another span's bits would be emitted).
     pub fn emit_span(&mut self, t: u64) {
         let span = self.spans.position();
         assert_eq!(
@@ -134,14 +129,8 @@ impl SpanGroup {
             "span boundary out of lockstep"
         );
         self.signs.clear();
-        let SpanGroup {
-            signs,
-            spans,
-            span_events,
-            ..
-        } = self;
-        let events = span_events.get(span).map_or(&[][..], Vec::as_slice);
-        spans.fill_span_events(events, |bits, count| signs.push_bits(bits, count));
+        let SpanGroup { signs, spans, .. } = self;
+        spans.fill_span(|bits, count| signs.push_bits(bits, count));
     }
 }
 
@@ -156,10 +145,13 @@ impl SpanGroup {
 /// paths build the same clients through [`Clients`]. Both must consume
 /// per-user RNG identically for the batched ≡ streaming ≡ sequential
 /// proofs to hold: each client's order and `b̃` come from its seed
-/// node's rng, in the order `FutureRand::init_keyed` draws them, with
-/// `b̃` written straight into its group's lane arena
-/// ([`SpanRandomizers::draw_lane`]). The seed schema has one value; the
-/// parameter stays for callers that name it.
+/// node's rng, in the order `FutureRand::init_keyed` draws them. The
+/// population is static, so each user's change times are walked
+/// **once**, into the lane's non-zero span sums, which
+/// [`SpanRandomizers::draw_lane`] resolves against `b̃` as it is drawn.
+/// Each group's columns are reserved from the shard size up front. The
+/// seed schema has one value; the parameter stays for callers that name
+/// it.
 pub fn build_order_groups(
     params: &ProtocolParams,
     population: &Population,
@@ -170,55 +162,61 @@ pub fn build_order_groups(
 ) -> Vec<SpanGroup> {
     let orders = params.num_orders() as usize;
     let d = params.d();
+    // Orders are uniform, so a group holds Binomial(users, 1/orders)
+    // lanes: reserve four standard deviations over the mean, each with
+    // room for its `k` non-zero sums. A group that outgrows it still
+    // grows; unused room is never touched, and a rebuild in the same
+    // process reuses the pages instead of faulting in fresh ones.
+    let mean = users.len() / orders;
+    let lanes = mean + 4 * (mean as f64).sqrt() as usize + 64;
     let mut groups: Vec<SpanGroup> = (0..orders)
-        .map(|h| SpanGroup {
-            users: Vec::new(),
-            signs: SignLane::new(),
-            span_events: vec![Vec::new(); params.sequence_len(h as u32)],
-            spans: SpanRandomizers::new(params.sequence_len(h as u32), &composed[h]),
-            stride: 1u64 << h,
+        .map(|h| {
+            let l = params.sequence_len(h as u32);
+            let mut spans = SpanRandomizers::new(l, &composed[h]);
+            spans.reserve(lanes, lanes * composed[h].k());
+            SpanGroup {
+                users: Vec::with_capacity(lanes),
+                signs: SignLane::new(),
+                spans,
+                stride: 1u64 << h,
+            }
         })
         .collect();
+    let mut sums: Vec<(u32, Sign)> = Vec::new();
     for u in users {
         let node = root.child(u as u64);
         let mut rng = node.rng();
         let h = Client::<FutureRand>::sample_order(params, &mut rng) as usize;
         let group = &mut groups[h];
-        let lane = group.users.len() as u32;
         group.users.push(u as u32);
-        group
-            .spans
-            .draw_lane(&composed[h], &mut rng, fastseed::client_key(&node));
         // One pass over the user's (sorted) change times builds the
         // lane's non-zero span sums: a span's sum is the parity flip of
         // the change count across it (`st(end) − st(start − 1)`, each
         // the parity of its prefix) — exactly the running sum a `Client`
         // stepped with `observe` at every period holds at each boundary,
-        // computed once instead of once per period. Users are walked in
-        // ascending order, so every span's event list is lane-ascending.
-        let stride = group.stride;
-        let stream = population.stream(u);
-        let changes = stream.change_times();
+        // computed once instead of once per period. Change times lie in
+        // `1..=d`, and the stride is `2^h`, so spans are shifts.
+        let changes = population.stream(u).change_times();
+        sums.clear();
         let mut i = 0usize;
         let mut parity_before = false;
         while i < changes.len() && changes[i] <= d {
-            let span_end = changes[i].div_ceil(stride) * stride;
+            let span = (changes[i] - 1) >> h;
+            let span_end = (span + 1) << h;
             let mut count = 0u64;
             while i < changes.len() && changes[i] <= span_end {
                 i += 1;
                 count += 1;
             }
-            let parity_after = parity_before ^ (count % 2 == 1);
-            let v = match (parity_before, parity_after) {
-                (false, true) => Some(Sign::Plus),
-                (true, false) => Some(Sign::Minus),
-                _ => None,
-            };
-            if let Some(v) = v {
-                group.span_events[(span_end / stride - 1) as usize].push((lane, v));
+            if count % 2 == 1 {
+                // The prefix parity flips: up from 0 is +1, down is −1.
+                sums.push((span as u32, Sign::from_bool(!parity_before)));
+                parity_before = !parity_before;
             }
-            parity_before = parity_after;
         }
+        group
+            .spans
+            .draw_lane(&composed[h], &mut rng, fastseed::client_key(&node), &sums);
     }
     groups
 }
@@ -300,12 +298,21 @@ struct ShardRun {
     /// Heap bytes of this shard's per-period accumulators after the
     /// horizon completed.
     acc_bytes: u64,
+    /// This shard's build and span-walk seconds.
+    stages: StageTimings,
+    /// When this shard's emission finished.
+    finished: Instant,
 }
 
 /// The event engine's batched multi-worker pipeline on `workers` (≥ 1)
 /// workers, under the per-order randomizer `table`: contiguous user
 /// shards, columnar report batches, shard accumulators merged in
 /// shard-index order.
+///
+/// The outcome carries its [`StageTimings`]: `emission_s` is the pool
+/// phase, `build_s` and `span_walk_s` come from the shard whose emission
+/// finished last, and `ingest_s` is the serial registration, absorb and
+/// period close. Merge, pre-walk and fabrication stay zero.
 ///
 /// # Panics
 /// Panics if a setting names a removed value, the population does not
@@ -324,12 +331,16 @@ pub fn batched(
     let d = params.d();
     let orders = params.num_orders() as usize;
     let pool = WorkerPool::new(workers);
+    let mut timings = StageTimings::default();
 
+    let emission_start = Instant::now();
     let shards: Vec<ShardRun> = pool.map_shards(params.n(), |shard| {
+        let mut stages = StageTimings::default();
         let mut wire = WireStats::default();
         for _ in shard.range() {
             wire.record_announcement();
         }
+        let build_start = Instant::now();
         let mut groups = build_order_groups(
             params,
             population,
@@ -339,7 +350,9 @@ pub fn batched(
             SeedSchema::V2Fast,
         );
         let group_sizes: Vec<usize> = groups.iter().map(SpanGroup::len).collect();
+        stages.build_s = build_start.elapsed().as_secs_f64();
 
+        let span_walk_start = Instant::now();
         let mut per_period: Vec<AnyAccumulator> =
             (0..d).map(|_| AnyAccumulator::new(orders)).collect();
         for t in 1..=d {
@@ -352,9 +365,8 @@ pub fn batched(
                     continue;
                 }
                 // The whole order-h interval ending at t, one columnar
-                // pass: partial sums off the span-event schedule, one
-                // randomizer sweep, then a masked-popcount fold of the
-                // packed span
+                // pass: one row copy per 64 lanes off the transposed
+                // counter block, then a popcount fold of the packed span
                 // straight into the accumulator. A group span is one
                 // constant-order run by construction, so there is no
                 // batch to materialise and re-scan: the per-order totals
@@ -369,6 +381,7 @@ pub fn batched(
             }
             wire.record_report_batch(rows);
         }
+        stages.span_walk_s = span_walk_start.elapsed().as_secs_f64();
 
         let acc_bytes: u64 = per_period.iter().map(|a| a.heap_bytes() as u64).sum();
         ShardRun {
@@ -376,11 +389,19 @@ pub fn batched(
             group_sizes,
             wire,
             acc_bytes,
+            stages,
+            finished: Instant::now(),
         }
     });
+    timings.emission_s = emission_start.elapsed().as_secs_f64();
+    if let Some(last) = shards.iter().max_by_key(|sh| sh.finished) {
+        timings.build_s = last.stages.build_s;
+        timings.span_walk_s = last.stages.span_walk_s;
+    }
 
     // Deterministic merge: shard-index order, exactly the order
     // `map_shards` returned.
+    let ingest_start = Instant::now();
     let mut server = Server::for_table(*params, table);
     let mut wire = WireStats::default();
     let mut acc_bytes = 0u64;
@@ -402,12 +423,14 @@ pub fn batched(
         }
         estimates.push(server.end_of_period(t));
     }
+    timings.ingest_s = ingest_start.elapsed().as_secs_f64();
 
     Outcome {
         estimates,
         group_sizes: server.group_sizes().to_vec(),
         wire,
         acc_bytes,
+        stages: Some(timings),
         ..Outcome::default()
     }
 }

@@ -52,10 +52,10 @@ impl FaultCounts {
     }
 }
 
-/// Wall-clock decomposition of one checked-engine run into three stages
-/// that run one after another and add up to the run's wall time.
+/// Wall-clock decomposition of one engine run into three stages that run
+/// one after another and add up to the run's wall time.
 ///
-/// In batched mode:
+/// In the checked engine's batched mode:
 /// - `emission_s` is the shard fan-out: client build, the fault
 ///   pre-walk with its tally of honest residue verdicts, routing each
 ///   Byzantine fabrication to its recipient's roster shard in mailbox
@@ -72,15 +72,22 @@ impl FaultCounts {
 /// they sum to at most `emission_s`: what is left is that shard's wait
 /// for a pool thread and the fan-out's own overhead.
 ///
-/// In sequential mode `emission_s` is client build plus per-period
-/// emission, `merge_s` stays zero (one mailbox needs no merge), `ingest_s`
-/// is checked ingestion plus period close, and the sub-stages stay zero.
+/// In the checked engine's sequential mode `emission_s` is client build
+/// plus per-period emission, `merge_s` stays zero (one mailbox needs no
+/// merge), `ingest_s` is checked ingestion plus period close, and the
+/// sub-stages stay zero.
+///
+/// In the event engine's batched mode `emission_s` is the pool phase,
+/// `build_s` and `span_walk_s` come from the shard that finished last,
+/// `ingest_s` is the serial registration, absorb and period close, and
+/// `merge_s`, `prewalk_s` and `fabricate_s` stay zero. Its sequential
+/// and live modes carry no stages.
 ///
 /// Exists to make cross-mode and cross-worker-count comparisons
 /// diagnosable — a slower parallel(2) than parallel(1) at large `n` is a
 /// very different bug depending on which stage grew. `scripts/perf_gate.py`
-/// checks the stages are present on every scenario bench row and sum to
-/// the row's elapsed time.
+/// checks the stages are present on every scenario bench row and every
+/// batched event row, and sum to the row's elapsed time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Seconds in emission (client state machines, fault layer, and in
@@ -134,7 +141,7 @@ pub struct Outcome {
     /// every flushed shard. Zero on the checked engine.
     pub acc_bytes: u64,
     /// Per-stage wall clock of the checked engine's sequential and
-    /// batched modes.
+    /// batched modes and of the event engine's batched mode.
     pub stages: Option<StageTimings>,
     /// The ingestion service's accounting, in live mode.
     pub ingest: Option<IngestStats>,

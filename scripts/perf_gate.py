@@ -29,9 +29,10 @@ pass (adding coverage is not a regression) — but at least one row must
 match per engine/backend, otherwise the comparison is vacuous and the
 gate fails.
 
-Scenario-engine rows additionally carry a per-stage wall-clock
-decomposition (`stage_emit_s` / `stage_merge_s` / `stage_ingest_s`, on
-sequential and parallel rows alike). On parallel rows, emit is the shard
+Scenario-engine rows and batched (`mode` parallel) event rows
+additionally carry a per-stage wall-clock decomposition (`stage_emit_s`
+/ `stage_merge_s` / `stage_ingest_s`, on sequential and parallel
+scenario rows alike). On parallel rows, emit is the shard
 fan-out including the fault pre-walk's tally of honest residue verdicts
 and routing each Byzantine fabrication to its recipient's roster shard,
 merge is the pool phase (per roster shard, the fabrication merge and the
@@ -39,9 +40,10 @@ checked ladder, fused, plus the residue verdict corrections of the
 clients an accepted fabrication impersonated), and ingest is
 registration plus the serial absorb of tallies and folds and the period
 close; on sequential rows merge is zero and ingest is the whole checked
-ladder. Every **fresh**
-scenario row must
-carry all three — a missing field means the bench silently stopped
+ladder. On batched event rows emit is the pool phase (client build and
+span walk per shard), merge is zero, and ingest is registration plus
+the serial absorb and period close. Sequential and live event rows carry
+no stages and are exempt. Every **fresh** staged row must carry all three — a missing field means the bench silently stopped
 attributing time — and their sum, taken from the same median
 repetition as `elapsed_s`, must land within 20% of `elapsed_s`
 (unattributed time hiding outside the stage timers is exactly the kind
@@ -49,11 +51,13 @@ of regression the decomposition exists to surface). The sum check is
 skipped below --wall-floor, where the residue is clock noise; presence
 is still required.
 
-Fresh **batched** scenario rows (`mode` parallel) further split the
-emission stage into the sub-stages of the shard whose emission finished
-last: `stage_build_s` (client build), `stage_prewalk_s` (the fault
-pre-walk), `stage_fabricate_s` (Byzantine fabrications) and
-`stage_span_walk_s` (the span walk). All four must be present, and
+Fresh **batched** staged rows (`mode` parallel, scenario and event
+alike) further split the emission stage into the sub-stages of the shard
+whose emission finished last: `stage_build_s` (client build),
+`stage_prewalk_s` (the fault pre-walk), `stage_fabricate_s` (Byzantine
+fabrications) and `stage_span_walk_s` (the span walk); the event engine
+has no fault layer, so its pre-walk and fabrication stay zero. All four
+must be present, and
 since they time part of the emission stage, their sum must not exceed
 `stage_emit_s` by more than the same 20% (skipped below --wall-floor).
 
@@ -74,10 +78,12 @@ KINDS = {
         "exact": ("reports",),
         "loose": ("elapsed_s",),
         "group": "engine",
-        # Scenario rows must decompose their wall-clock into stages; the
-        # stage sum is validated against elapsed_s (see module doc).
+        # Scenario rows and batched event rows must decompose their
+        # wall-clock into stages; the stage sum is validated against
+        # elapsed_s (see module doc). Each (engine, mode) pair names the
+        # staged rows, None matching every mode.
         "stages": {
-            "group_value": "scenario",
+            "rows": (("scenario", None), ("event", "parallel")),
             "fields": ("stage_emit_s", "stage_merge_s", "stage_ingest_s"),
             "tolerance": 0.20,
             # Batched rows split emission further; the parts sum to at
@@ -105,6 +111,14 @@ def row_key(row, fields):
     return tuple(row[f] for f in fields)
 
 
+def is_staged(row, spec):
+    """Whether `row` must carry the stage decomposition of spec["stages"]."""
+    return any(
+        row.get(spec["group"]) == group and mode in (None, row.get("mode"))
+        for group, mode in spec["stages"]["rows"]
+    )
+
+
 def fmt_key(key):
     return "/".join(str(k) for k in key)
 
@@ -129,7 +143,7 @@ def compare(baseline, fresh, spec, wall_factor, wall_floor):
         # baseline matching — a NEW row with broken stage timings is
         # still broken.
         stages = spec.get("stages")
-        if stages is not None and frow.get(spec["group"]) == stages["group_value"]:
+        if stages is not None and is_staged(frow, spec):
             absent = [f for f in stages["fields"] if f not in frow]
             if absent:
                 regressions += 1
@@ -225,7 +239,7 @@ def compare(baseline, fresh, spec, wall_factor, wall_floor):
 
 
 def check_parts(table, key, frow, stages, wall_floor):
-    """Checks a batched scenario row's emission sub-stages: all present,
+    """Checks a batched staged row's emission sub-stages: all present,
     and summing to at most the emission stage plus the tolerance.
     Appends to `table` and returns the number of regressions."""
     absent = [f for f in stages["parts"] if f not in frow]
@@ -361,10 +375,10 @@ def self_test():
     _, reg, _ = compare(tiny_staged, tiny_staged, spec, 10.0, 0.05)
     assert reg == 0, "sub-floor rows must skip the stage-sum ratio"
 
-    # Event rows never carried stages and must stay exempt — and the
-    # stage check applies to NEW fresh rows too (no baseline needed).
+    # Sequential event rows carry no stages and must stay exempt — and
+    # the stage check applies to NEW fresh rows too (no baseline needed).
     table, reg, _ = compare(staged, rows(("event", 0, 100, 1.0)), spec, 10.0, 0.05)
-    assert reg == 0, "event rows are exempt from stage checks"
+    assert reg == 0, "sequential event rows are exempt from stage checks"
     table, reg, _ = compare(
         rows(("event", 0, 100, 1.0)), stageless, spec, 10.0, 0.05
     )
@@ -404,7 +418,47 @@ def self_test():
     _, reg, _ = compare(split, near, spec, 10.0, 0.05)
     assert reg == 0, "sub-stages within the tolerance must pass"
 
-    print("self-test PASS: 7 gate-logic checks")
+    # 8. Batched event rows carry the same stages: emission (build and
+    #    span walk; pre-walk and fabrication zero), a zero merge, and
+    #    ingest. The stage sum and the sub-stage sum are checked as on
+    #    scenario rows; sequential and live event rows stay exempt.
+    def event_batched(elapsed, emit, ingest, parts):
+        data = batched(elapsed, parts)
+        r = data["results"][0]
+        r["engine"] = "event"
+        r["stage_emit_s"], r["stage_merge_s"], r["stage_ingest_s"] = emit, 0.0, ingest
+        return data
+
+    event_split = event_batched(1.0, 0.9, 0.08, (0.5, 0.0, 0.0, 0.38))  # 0.98; 0.88 of 0.9
+    _, reg, missing = compare(event_split, event_split, spec, 10.0, 0.05)
+    assert reg == 0 and not missing, "a consistent batched event row must pass"
+
+    drifted = event_batched(1.0, 0.4, 0.08, (0.2, 0.0, 0.0, 0.18))  # sum 0.48 of 1.0
+    table, reg, _ = compare(event_split, drifted, spec, 10.0, 0.05)
+    assert reg == 1 and any(
+        r[5] == "STAGE-SUM-DRIFT" for r in table
+    ), "a batched event row whose stages drift off elapsed_s must fire"
+
+    overfull = event_batched(1.0, 0.9, 0.08, (0.7, 0.0, 0.0, 0.5))  # 1.2 of 0.9: +33%
+    table, reg, _ = compare(event_split, overfull, spec, 10.0, 0.05)
+    assert reg == 1 and any(
+        r[5] == "SUBSTAGE-SUM-EXCEEDS" for r in table
+    ), "a batched event row whose sub-stages exceed its emission stage must fire"
+
+    unstaged = rows(("event", 1, 100, 1.0))
+    unstaged["results"][0]["mode"] = "parallel"
+    table, reg, _ = compare(event_split, unstaged, spec, 10.0, 0.05)
+    assert reg == 2 and {r[1] for r in table if r[5] == "MISSING-STAGES"} == {
+        "stages",
+        "sub-stages",
+    }, "a batched event row without stages or sub-stages must fire on both"
+
+    live = rows(("event", 1, 100, 1.0))
+    live["results"][0]["mode"] = "live"
+    _, reg, _ = compare(live, live, spec, 10.0, 0.05)
+    assert reg == 0, "live event rows are exempt from stage checks"
+
+    print("self-test PASS: 8 gate-logic checks")
     return 0
 
 

@@ -109,8 +109,9 @@ fn privacy_holds_under_every_supported_epsilon_shape() {
 /// output law. For each `(k, change times)` case, many users share the
 /// one change pattern over `d` periods; `build_order_groups` builds them
 /// exactly as every batched engine does (order and `b̃` from each user's
-/// seed node, keys from `client_key` over neighbouring nodes, `b̃` drawn
-/// into the lane arena), and `emit_span` emits them span by span. The
+/// seed node, keys from `client_key` over neighbouring nodes, each lane's
+/// non-zero span sums resolved against its `b̃`), and `emit_span` emits
+/// them span by span. The
 /// order-0 lanes' report strings are gated against
 /// `futurerand_output_pmf` by chi-square and total-variation distance.
 /// This ties the ε the audit certifies to the bits the engines emit.
