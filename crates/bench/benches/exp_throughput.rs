@@ -42,6 +42,13 @@
 //! which removes the thrash (and with it the anomaly) instead of merely
 //! diagnosing it.
 //!
+//! Every row also records `population_bytes`, the heap bytes of the
+//! population it ran on (`Population::heap_bytes`, counted by capacity):
+//! one change-time column, `n + 1` offsets and `d` true counts, a pure
+//! function of `(n, d, k, seed)` that the perf gate compares exactly and
+//! CI bounds by `8·(n + 1) + 8·k·n + 8·d`, so a heap vector per user
+//! cannot come back unnoticed.
+//!
 //! The streaming ingestion service is measured alongside the offline
 //! modes (`"mode": "live"` rows): the same schedule served through
 //! bounded per-worker mailboxes with period-close flushes — the
@@ -79,6 +86,9 @@ struct Measurement {
     engine: &'static str,
     n: usize,
     d: u64,
+    k: usize,
+    /// Heap bytes of the population the row ran on.
+    population_bytes: usize,
     /// JSON mode label: `sequential`, `parallel`, or `live`.
     mode: &'static str,
     /// Worker count (0 for the sequential reference).
@@ -132,6 +142,8 @@ fn measure(
         engine,
         n: spec.params.n(),
         d: spec.params.d(),
+        k: spec.params.k(),
+        population_bytes: spec.population.heap_bytes(),
         mode,
         workers,
         elapsed_s,
@@ -279,17 +291,20 @@ fn main() {
             None => String::new(),
         };
         json.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"n\": {}, \"d\": {}, \"mode\": \"{}\", \"workers\": {}, \
-             \"elapsed_s\": {:.6}, \"repeats\": {REPEATS}, \"elapsed_spread_s\": {:.6}, \
-             \"reports\": {}, \"reports_per_s\": {:.1}, \"speedup_vs_sequential\": {:.4}{}}}{}\n",
+            "    {{\"engine\": \"{}\", \"n\": {}, \"d\": {}, \"k\": {}, \"mode\": \"{}\", \
+             \"workers\": {}, \"elapsed_s\": {:.6}, \"repeats\": {REPEATS}, \
+             \"elapsed_spread_s\": {:.6}, \"reports\": {}, \"population_bytes\": {}, \
+             \"reports_per_s\": {:.1}, \"speedup_vs_sequential\": {:.4}{}}}{}\n",
             m.engine,
             m.n,
             m.d,
+            m.k,
             m.mode,
             m.workers,
             m.elapsed_s,
             m.elapsed_spread_s,
             m.reports,
+            m.population_bytes,
             m.reports_per_s,
             speedup,
             stage_fields,

@@ -3,25 +3,26 @@
 //! The composed randomizer's resampling branch needs a uniformly random
 //! string at a given Hamming distance `w` from a base string — i.e. a
 //! uniformly random `w`-subset of the `k` coordinate positions to flip.
-//! [`sample_subset`] implements Floyd's algorithm: `O(w)` expected time and
+//! [`Subset::draw`] implements Floyd's algorithm: `O(w)` expected time and
 //! memory, independent of `k`, which matters because `k` may be large while
 //! the annulus keeps `w` near `k·p`.
 //!
-//! For a ground set of at most 64 elements (every client's `b̃` at
-//! `k ≤ 64`, and every population over `d ≤ 64` periods) the chosen set
-//! lives in a `u64` bitmask: the same draws in the same order, no hashing
-//! and, in [`flip_random_subset`], no allocation. Larger sets keep a
-//! `HashSet`.
+//! A [`Subset`] makes every draw when it is built and then yields the
+//! chosen set ascending. For a ground set of at most 64 elements (every
+//! client's `b̃` at `k ≤ 64`, and every population over `d ≤ 64` periods)
+//! the set lives in a `u64` bitmask it owns: the same draws in the same
+//! order, no hashing and no allocation. Larger sets keep a `HashSet` and
+//! own the sorted `Vec`. [`sample_subset`] and [`flip_random_subset`] read
+//! one.
 
 use rand::Rng;
 use std::collections::HashSet;
 
 /// Floyd's draws over `{0, …, n−1}` for `n ≤ 64`, the chosen set as a
-/// bitmask. Draw for draw the sequence [`sample_subset`] makes for any
+/// bitmask. Draw for draw the sequence the `HashSet` path makes for any
 /// `n`: none when `w == 0` or `w == n`.
 fn subset_mask<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> u64 {
-    debug_assert!(n <= 64);
-    assert!(w <= n, "cannot sample {w} elements from a set of {n}");
+    debug_assert!(n <= 64 && w <= n);
     if w == n {
         return u64::MAX.checked_shr((64 - n) as u32).unwrap_or(0);
     }
@@ -37,48 +38,85 @@ fn subset_mask<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> u64 {
     mask
 }
 
-/// The set bits of `mask`, ascending.
-fn mask_bits(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            i
-        })
-    })
+/// A uniformly random `w`-element subset of `{0, …, n−1}`, drawn in full
+/// by [`draw`](Self::draw) and yielded in ascending order (callers iterate
+/// it against coordinate vectors or append it as sorted change times).
+///
+/// Holds the chosen set's remaining bits for `n ≤ 64`, or its sorted
+/// elements for larger `n`; iterating draws nothing, so the caller's rng is
+/// free inside the loop.
+#[derive(Debug, Clone)]
+pub struct Subset {
+    mask: u64,
+    sorted: std::vec::IntoIter<usize>,
 }
 
-/// Draws a uniformly random `w`-element subset of `{0, …, n−1}`.
-///
-/// The returned indices are sorted ascending (callers iterate them against
-/// coordinate vectors; sorted order makes that cache-friendly and the output
-/// deterministic given the chosen set).
+impl Subset {
+    /// Draws the subset with Floyd's algorithm: for `j = n−w … n−1`, insert
+    /// a uniform `t ∈ {0..j}`, or `j` itself on a collision.
+    ///
+    /// # Panics
+    /// Panics if `w > n`.
+    pub fn draw<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> Self {
+        assert!(w <= n, "cannot sample {w} elements from a set of {n}");
+        if n <= 64 {
+            return Subset {
+                mask: subset_mask(n, w, rng),
+                sorted: Vec::new().into_iter(),
+            };
+        }
+        let sorted = if w == 0 {
+            Vec::new()
+        } else if w == n {
+            (0..n).collect()
+        } else {
+            let mut chosen: HashSet<usize> = HashSet::with_capacity(w * 2);
+            for j in (n - w)..n {
+                let t = rng.random_range(0..=j);
+                if !chosen.insert(t) {
+                    chosen.insert(j);
+                }
+            }
+            let mut out: Vec<usize> = chosen.into_iter().collect();
+            out.sort_unstable();
+            out
+        };
+        Subset {
+            mask: 0,
+            sorted: sorted.into_iter(),
+        }
+    }
+}
+
+impl Iterator for Subset {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.mask != 0 {
+            let i = self.mask.trailing_zeros() as usize;
+            self.mask &= self.mask - 1;
+            Some(i)
+        } else {
+            self.sorted.next()
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.mask.count_ones() as usize + self.sorted.len();
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Subset {}
+
+/// Draws a uniformly random `w`-element subset of `{0, …, n−1}`, sorted
+/// ascending: [`Subset::draw`] collected.
 ///
 /// # Panics
 /// Panics if `w > n`.
 pub fn sample_subset<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> Vec<usize> {
-    if n <= 64 {
-        return mask_bits(subset_mask(n, w, rng)).collect();
-    }
-    assert!(w <= n, "cannot sample {w} elements from a set of {n}");
-    if w == 0 {
-        return Vec::new();
-    }
-    if w == n {
-        return (0..n).collect();
-    }
-    // Floyd's algorithm: for j = n−w .. n−1, insert a uniform t ∈ {0..j};
-    // on collision insert j itself. Produces uniform w-subsets.
-    let mut chosen: HashSet<usize> = HashSet::with_capacity(w * 2);
-    for j in (n - w)..n {
-        let t = rng.random_range(0..=j);
-        if !chosen.insert(t) {
-            chosen.insert(j);
-        }
-    }
-    let mut out: Vec<usize> = chosen.into_iter().collect();
-    out.sort_unstable();
-    out
+    Subset::draw(n, w, rng).collect()
 }
 
 /// Flips the signs of `base` at a uniformly random `w`-subset of positions,
@@ -90,14 +128,8 @@ pub fn sample_subset<R: Rng + ?Sized>(n: usize, w: usize, rng: &mut R) -> Vec<us
 /// # Panics
 /// Panics if `w > base.len()`.
 pub fn flip_random_subset<R: Rng + ?Sized>(base: &mut [crate::sign::Sign], w: usize, rng: &mut R) {
-    if base.len() <= 64 {
-        for i in mask_bits(subset_mask(base.len(), w, rng)) {
-            base[i] = base[i].flipped();
-        }
-    } else {
-        for i in sample_subset(base.len(), w, rng) {
-            base[i] = base[i].flipped();
-        }
+    for i in Subset::draw(base.len(), w, rng) {
+        base[i] = base[i].flipped();
     }
 }
 

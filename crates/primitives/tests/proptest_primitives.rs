@@ -6,7 +6,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use rtf_primitives::logspace::{ln_binomial, ln_factorial, log_add_exp, log_sum_exp, LogSumExp};
 use rtf_primitives::seeding::{splitmix64, SeedSequence};
 use rtf_primitives::sign::{Sign, Ternary};
-use rtf_primitives::subset::{flip_random_subset, sample_subset};
+use rtf_primitives::subset::{flip_random_subset, sample_subset, Subset};
 use std::collections::HashSet;
 
 proptest! {
@@ -113,7 +113,7 @@ proptest! {
 }
 
 /// Floyd's algorithm over a `HashSet`, for any `n` — the reference the
-/// bitmask path of [`sample_subset`] (`n ≤ 64`) must match draw for draw.
+/// bitmask path of [`Subset`] (`n ≤ 64`) must match draw for draw.
 fn floyd_reference(n: usize, w: usize, rng: &mut StdRng) -> Vec<usize> {
     if w == 0 {
         return Vec::new();
@@ -138,8 +138,10 @@ proptest! {
 
     /// For every `n ≤ 64` and every `w ≤ n`, the bitmask subset is the
     /// `HashSet` reference's subset and leaves the rng where the
-    /// reference leaves it; `flip_random_subset` flips exactly those
-    /// positions with the same draws.
+    /// reference leaves it, whether `sample_subset` collects it or a
+    /// [`Subset`] yields it (all draws made before the first element);
+    /// `flip_random_subset` flips exactly those positions with the same
+    /// draws.
     #[test]
     fn bitmask_subsets_match_the_hashset_reference(seed in 0u64..u64::MAX) {
         for n in 0..=64usize {
@@ -151,6 +153,12 @@ proptest! {
                 let mut a = start.clone();
                 prop_assert_eq!(sample_subset(n, w, &mut a), expect.clone(), "n={} w={}", n, w);
                 prop_assert_eq!(a.next_u64(), next, "rng state, n={} w={}", n, w);
+
+                let mut b = start.clone();
+                let subset = Subset::draw(n, w, &mut b);
+                prop_assert_eq!(b.next_u64(), next, "iterator rng state, n={} w={}", n, w);
+                prop_assert_eq!(subset.len(), w, "iterator length, n={} w={}", n, w);
+                prop_assert_eq!(subset.collect::<Vec<_>>(), expect.clone(), "iterator, n={} w={}", n, w);
 
                 let base: Vec<Sign> = (0..n).map(|i| Sign::from_bool(i % 3 == 0)).collect();
                 let mut flipped = base.clone();

@@ -19,9 +19,16 @@
 
 use crate::stream::BoolStream;
 use rand::Rng;
-use rtf_primitives::subset::sample_subset;
+use rtf_primitives::subset::Subset;
 
 /// A source of `k`-sparse longitudinal Boolean streams.
+///
+/// [`generate_into`](Self::generate_into) is the one required draw: it
+/// appends one user's change times to a caller's buffer, which is how
+/// [`Population::generate`](crate::population::Population::generate)
+/// fills its change-time column without a heap vector per user.
+/// [`generate`](Self::generate) wraps it into an owned [`BoolStream`]
+/// with the same draws.
 pub trait StreamGenerator {
     /// The horizon length `d` of generated streams.
     fn d(&self) -> u64;
@@ -30,16 +37,39 @@ pub trait StreamGenerator {
     /// `change_count() ≤ k`.
     fn k(&self) -> usize;
 
+    /// Draws one user stream and appends its change times (strictly
+    /// increasing, each in `[1..d]`) to `out`.
+    fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>);
+
     /// Draws one user stream.
-    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream;
+    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream {
+        let mut change_times = Vec::new();
+        self.generate_into(rng, &mut change_times);
+        BoolStream::from_change_times(self.d(), change_times)
+    }
 }
 
-/// Helper: sorted distinct change times — a uniform `c`-subset of `[1..d]`.
-fn uniform_change_times<R: Rng + ?Sized>(d: u64, c: usize, rng: &mut R) -> Vec<u64> {
-    sample_subset(d as usize, c, rng)
-        .into_iter()
-        .map(|i| (i + 1) as u64)
-        .collect()
+/// The opportunity/segment scheme of the trend generators: `k` change
+/// opportunities, a uniform subset of `[1..d]`, all drawn first; then at
+/// each opportunity `t`, ascending, the user holds 1 with probability
+/// `curve(t)` (clamped to `[0, 1]`), and a change is recorded only when
+/// the held value flips. So every user changes at most `k` times.
+fn trend_into<R: Rng + ?Sized>(
+    d: u64,
+    k: usize,
+    curve: impl Fn(u64) -> f64,
+    rng: &mut R,
+    out: &mut Vec<u64>,
+) {
+    let mut current = false; // st_u[0] = 0
+    for i in Subset::draw(d as usize, k, rng) {
+        let t = i as u64 + 1;
+        let next = rng.random::<f64>() < curve(t).clamp(0.0, 1.0);
+        if next != current {
+            out.push(t);
+            current = next;
+        }
+    }
 }
 
 /// Change times scattered uniformly over the horizon.
@@ -77,11 +107,11 @@ impl StreamGenerator for UniformChanges {
     fn k(&self) -> usize {
         self.k
     }
-    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream {
+    fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
         let c = (0..self.k)
             .filter(|_| rng.random::<f64>() < self.density)
             .count();
-        BoolStream::from_change_times(self.d, uniform_change_times(self.d, c, rng))
+        out.extend(Subset::draw(self.d as usize, c, rng).map(|i| i as u64 + 1));
     }
 }
 
@@ -116,14 +146,10 @@ impl StreamGenerator for BurstyChanges {
     fn k(&self) -> usize {
         self.k
     }
-    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream {
+    fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
         let start = rng.random_range(0..=(self.d - self.burst_len));
         let c = rng.random_range(0..=self.k);
-        let times: Vec<u64> = sample_subset(self.burst_len as usize, c, rng)
-            .into_iter()
-            .map(|i| start + (i + 1) as u64)
-            .collect();
-        BoolStream::from_change_times(self.d, times)
+        out.extend(Subset::draw(self.burst_len as usize, c, rng).map(|i| start + i as u64 + 1));
     }
 }
 
@@ -155,14 +181,14 @@ impl StreamGenerator for PeriodicToggle {
     fn k(&self) -> usize {
         self.k
     }
-    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream {
+    fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
         let phase = rng.random_range(1..=self.period.min(self.d));
-        let times: Vec<u64> = (0..)
-            .map(|i| phase + i * self.period)
-            .take_while(|&t| t <= self.d)
-            .take(self.k)
-            .collect();
-        BoolStream::from_change_times(self.d, times)
+        out.extend(
+            (0..)
+                .map(|i| phase + i * self.period)
+                .take_while(|&t| t <= self.d)
+                .take(self.k),
+        );
     }
 }
 
@@ -207,13 +233,11 @@ impl StreamGenerator for AdversarialAligned {
     fn k(&self) -> usize {
         self.k
     }
-    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream {
+    fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
         let c = rng.random_range(0..=self.k);
-        let times: Vec<u64> = sample_subset(self.block_len as usize, c, rng)
-            .into_iter()
-            .map(|i| self.block_start + i as u64)
-            .collect();
-        BoolStream::from_change_times(self.d, times)
+        out.extend(
+            Subset::draw(self.block_len as usize, c, rng).map(|i| self.block_start + i as u64),
+        );
     }
 }
 
@@ -253,20 +277,8 @@ impl<F: Fn(u64) -> f64> StreamGenerator for TrendingPopulation<F> {
     fn k(&self) -> usize {
         self.k
     }
-    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream {
-        // Segment boundaries: k change opportunities.
-        let opportunities = uniform_change_times(self.d, self.k, rng);
-        let mut change_times = Vec::new();
-        let mut current = false; // st_u[0] = 0
-        for &t in &opportunities {
-            let p = (self.curve)(t).clamp(0.0, 1.0);
-            let next = rng.random::<f64>() < p;
-            if next != current {
-                change_times.push(t);
-                current = next;
-            }
-        }
-        BoolStream::from_change_times(self.d, change_times)
+    fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
+        trend_into(self.d, self.k, &self.curve, rng, out);
     }
 }
 
@@ -327,20 +339,8 @@ impl StreamGenerator for WaveTrend {
     fn k(&self) -> usize {
         self.k
     }
-    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream {
-        // Same opportunity/segment scheme as TrendingPopulation, so the
-        // k-sparsity bound holds by construction.
-        let opportunities = uniform_change_times(self.d, self.k, rng);
-        let mut change_times = Vec::new();
-        let mut current = false;
-        for &t in &opportunities {
-            let next = rng.random::<f64>() < self.curve(t);
-            if next != current {
-                change_times.push(t);
-                current = next;
-            }
-        }
-        BoolStream::from_change_times(self.d, change_times)
+    fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
+        trend_into(self.d, self.k, |t| self.curve(t), rng, out);
     }
 }
 
@@ -371,11 +371,9 @@ impl StreamGenerator for StaticPopulation {
     fn k(&self) -> usize {
         1
     }
-    fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BoolStream {
+    fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
         if rng.random::<f64>() < self.p_one {
-            BoolStream::from_change_times(self.d, vec![1])
-        } else {
-            BoolStream::all_zero(self.d)
+            out.push(1);
         }
     }
 }

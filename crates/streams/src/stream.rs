@@ -6,9 +6,35 @@
 //! changes is `‖X_u‖₀`, the quantity bounded by `k` throughout the paper,
 //! and all queries the protocol needs — `st_u[t]`, `X_u[t]`, partial sums
 //! `S_u(I)` — are `O(log k)` via binary search.
+//!
+//! Every read goes through [`StreamRef`], a borrowed `(d, &[u64])` view:
+//! an owned [`BoolStream`] lends one, and so does each user of a
+//! [`Population`](crate::population::Population), whose change times
+//! live in one shared column.
 
 use rtf_dyadic::interval::DyadicInterval;
 use rtf_primitives::sign::Ternary;
+
+/// Checks what makes a change-time list valid on `[1..d]`: strictly
+/// increasing, each time in `[1..d]`.
+///
+/// # Panics
+/// Panics if a change time is out of range or the list is not strictly
+/// increasing.
+pub(crate) fn check_change_times(d: u64, change_times: &[u64]) {
+    for w in change_times.windows(2) {
+        assert!(
+            w[0] < w[1],
+            "change times must be strictly increasing, got {} then {}",
+            w[0],
+            w[1]
+        );
+    }
+    if let (Some(&first), Some(&last)) = (change_times.first(), change_times.last()) {
+        assert!(first >= 1, "change times are 1-based");
+        assert!(last <= d, "change time {last} beyond horizon {d}");
+    }
+}
 
 /// A user's Boolean value sequence over `[1..d]`, stored as change times.
 ///
@@ -30,18 +56,7 @@ impl BoolStream {
     /// increasing.
     pub fn from_change_times(d: u64, change_times: Vec<u64>) -> Self {
         assert!(d >= 1, "horizon must be non-empty");
-        for w in change_times.windows(2) {
-            assert!(
-                w[0] < w[1],
-                "change times must be strictly increasing, got {} then {}",
-                w[0],
-                w[1]
-            );
-        }
-        if let (Some(&first), Some(&last)) = (change_times.first(), change_times.last()) {
-            assert!(first >= 1, "change times are 1-based");
-            assert!(last <= d, "change time {last} beyond horizon {d}");
-        }
+        check_change_times(d, &change_times);
         BoolStream { d, change_times }
     }
 
@@ -68,6 +83,12 @@ impl BoolStream {
         Self::from_change_times(d, Vec::new())
     }
 
+    /// The borrowed view every read goes through.
+    #[inline]
+    pub fn view(&self) -> StreamRef<'_> {
+        StreamRef::new(self.d, &self.change_times)
+    }
+
     /// The horizon length `d`.
     #[inline]
     pub fn d(&self) -> u64 {
@@ -82,6 +103,60 @@ impl BoolStream {
 
     /// `‖X_u‖₀` — the number of value changes, the quantity the protocol
     /// bounds by `k`.
+    #[inline]
+    pub fn change_count(&self) -> usize {
+        self.change_times.len()
+    }
+
+    /// `st_u[t]` for `t ∈ [0..d]` ([`StreamRef::value_at`]).
+    ///
+    /// # Panics
+    /// Panics if `t > d`.
+    pub fn value_at(&self, t: u64) -> bool {
+        self.view().value_at(t)
+    }
+
+    /// The full value sequence (`result[t−1] = st_u[t]`).
+    pub fn values(&self) -> Vec<bool> {
+        self.view().values()
+    }
+
+    /// The discrete derivative `X_u` (Definition 3.1), borrowing this
+    /// stream's change-time list.
+    pub fn derivative(&self) -> Derivative<'_> {
+        self.view().derivative()
+    }
+}
+
+/// A borrowed view of one user's stream: the horizon `d` and the change
+/// times, which an owned [`BoolStream`] or a population's change-time
+/// column holds. Copyable; every read of a stream is a method here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamRef<'a> {
+    d: u64,
+    change_times: &'a [u64],
+}
+
+impl<'a> StreamRef<'a> {
+    /// A view of change times its owner has already checked.
+    #[inline]
+    pub(crate) fn new(d: u64, change_times: &'a [u64]) -> Self {
+        StreamRef { d, change_times }
+    }
+
+    /// The horizon length `d`.
+    #[inline]
+    pub fn d(&self) -> u64 {
+        self.d
+    }
+
+    /// The change times (strictly increasing, 1-based).
+    #[inline]
+    pub fn change_times(&self) -> &'a [u64] {
+        self.change_times
+    }
+
+    /// `‖X_u‖₀` — the number of value changes.
     #[inline]
     pub fn change_count(&self) -> usize {
         self.change_times.len()
@@ -113,24 +188,25 @@ impl BoolStream {
         out
     }
 
-    /// The discrete derivative `X_u` (Definition 3.1), borrowing this
-    /// stream's change-time list.
-    pub fn derivative(&self) -> Derivative<'_> {
+    /// The discrete derivative `X_u` (Definition 3.1) over this view's
+    /// change times.
+    #[inline]
+    pub fn derivative(self) -> Derivative<'a> {
         Derivative { stream: self }
     }
 }
 
-/// The discrete derivative `X_u ∈ {−1, 0, 1}^d` of a [`BoolStream`]
+/// The discrete derivative `X_u ∈ {−1, 0, 1}^d` of a stream
 /// (Definition 3.1): `X_u[t] = st_u[t] − st_u[t−1]`.
 ///
 /// Because `st_u[0] = 0`, the non-zeros of `X_u` are exactly the change
 /// times, alternating `+1, −1, +1, …` starting with `+1`.
 #[derive(Debug, Clone, Copy)]
 pub struct Derivative<'a> {
-    stream: &'a BoolStream,
+    stream: StreamRef<'a>,
 }
 
-impl Derivative<'_> {
+impl<'a> Derivative<'a> {
     /// The horizon length `d`.
     #[inline]
     pub fn d(&self) -> u64 {
@@ -162,14 +238,14 @@ impl Derivative<'_> {
 
     /// The support `supp(X_u)` — exactly the change times.
     #[inline]
-    pub fn support(&self) -> &[u64] {
-        &self.stream.change_times
+    pub fn support(&self) -> &'a [u64] {
+        self.stream.change_times
     }
 
     /// `‖X_u‖₀`.
     #[inline]
     pub fn nonzero_count(&self) -> usize {
-        self.stream.change_times.len()
+        self.stream.change_count()
     }
 
     /// The dyadic partial sum `S_u(I) = Σ_{t ∈ I} X_u[t]` (Definition 3.4).
@@ -203,37 +279,33 @@ impl Derivative<'_> {
         }
         out
     }
-}
 
-impl<'a> Derivative<'a> {
     /// A streaming cursor over this derivative: [`DerivativeCursor::next_at`]
     /// yields `X_u[t]` for ascending `t` in `O(1)` amortised, replacing
     /// the per-period binary search of [`at`](Self::at) on loops that
     /// sweep every period anyway (the reference client schedule). The
-    /// cursor borrows the underlying stream, not this (freely copyable)
-    /// derivative view, so it outlives the view expression.
+    /// cursor borrows the underlying change times, not this (freely
+    /// copyable) derivative view, so it outlives the view expression.
     pub fn cursor(&self) -> DerivativeCursor<'a> {
         DerivativeCursor {
-            changes: &self.stream.change_times,
+            stream: self.stream,
             idx: 0,
             last_t: 0,
-            d: self.stream.d,
         }
     }
 }
 
 /// A streaming cursor over one derivative (see [`Derivative::cursor`]).
 ///
-/// Holds only a borrowed change-time slice and an index, so a million
-/// cursors cost a million `(&[u64], usize)` pairs and each step is a
-/// single predictable comparison — the reference client schedule
+/// Holds only a [`StreamRef`] and an index, so a million cursors cost a
+/// million `(d, &[u64], usize)` triples and each step is a single
+/// predictable comparison — the reference client schedule
 /// (`rtf_core::client::Clients`) keeps one per client state machine.
 #[derive(Debug, Clone)]
 pub struct DerivativeCursor<'a> {
-    changes: &'a [u64],
+    stream: StreamRef<'a>,
     idx: usize,
     last_t: u64,
-    d: u64,
 }
 
 impl DerivativeCursor<'_> {
@@ -244,13 +316,14 @@ impl DerivativeCursor<'_> {
     #[inline]
     pub fn next_at(&mut self, t: u64) -> Ternary {
         debug_assert!(
-            t == self.last_t + 1 && t <= self.d,
+            t == self.last_t + 1 && t <= self.stream.d,
             "cursor periods must ascend: expected {}, got {t} (d = {})",
             self.last_t + 1,
-            self.d
+            self.stream.d
         );
         self.last_t = t;
-        if self.idx < self.changes.len() && self.changes[self.idx] == t {
+        let changes = self.stream.change_times;
+        if self.idx < changes.len() && changes[self.idx] == t {
             let x = if self.idx % 2 == 0 {
                 Ternary::Plus
             } else {

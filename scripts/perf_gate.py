@@ -6,10 +6,12 @@ Compares a freshly generated bench JSON (a `--smoke` run of
 same schema. The bench box and CI hardware differ, so the gate splits
 fields by nature:
 
-* **deterministic work counts** (`reports`) and **bytes** (`acc_bytes`)
-  are pure functions of (code, n, d, k, seed) and must match the
-  baseline **exactly** — any drift is a semantic change that must be
-  reviewed via a baseline regeneration, not slipped in silently;
+* **deterministic work counts** (`reports`) and **bytes** (`acc_bytes`
+  of the backends grid, `population_bytes` of every throughput row: the
+  population's heap counted by capacity) are pure functions of (code,
+  n, d, k, seed) and must match the baseline **exactly** — any drift is
+  a semantic change that must be reviewed via a baseline regeneration,
+  not slipped in silently;
 * **wall-clock** (`elapsed_s`) is the median of a row's three timed
   repetitions, each a whole run after one untimed warm-up
   (`exp_throughput` also records `repeats` and `elapsed_spread_s`, the
@@ -75,7 +77,7 @@ import sys
 KINDS = {
     "throughput": {
         "key": ("engine", "n", "d", "mode", "workers"),
-        "exact": ("reports",),
+        "exact": ("reports", "population_bytes"),
         "loose": ("elapsed_s",),
         "group": "engine",
         # Scenario rows and batched event rows must decompose their
@@ -297,6 +299,7 @@ def self_test():
                     "mode": "sequential",
                     "workers": w,
                     "reports": r,
+                    "population_bytes": 4096,
                     "elapsed_s": s,
                 }
                 for (e, w, r, s) in triples
@@ -312,6 +315,15 @@ def self_test():
     doctored = rows(("event", 0, 101, 1.0))
     _, reg, _ = compare(base, doctored, spec, 10.0, 0.05)
     assert reg == 1, "exact mismatch must fire"
+
+    # 2b. So does a population-bytes drift (say, a heap vector per user
+    #     coming back), with the work count unchanged.
+    grown = rows(("event", 0, 100, 1.0))
+    grown["results"][0]["population_bytes"] += 32
+    table, reg, _ = compare(base, grown, spec, 10.0, 0.05)
+    assert reg == 1 and any(
+        r[1] == "population_bytes" and r[5] == "EXACT-MISMATCH" for r in table
+    ), "population_bytes mismatch must fire"
 
     # 3. A >factor wall-clock regression fires.
     slow = rows(("event", 0, 100, 20.0))
