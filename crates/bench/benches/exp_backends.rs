@@ -10,7 +10,11 @@
 //! The run also measures the **bit-packed sign-lane fold**
 //! (`ReportBatch::fold_into`: word-at-a-time popcounts over `SignLane`
 //! runs vs one decoded sign per row), asserted bit-identical to the row
-//! reference first and recorded under `fold_packed`.
+//! reference first and recorded under `fold_packed`, and the **frame
+//! batch** of the untrusted path under `frame_batch`: the heap bytes per
+//! row of an honest batch (payload columns only) and of a fabrication
+//! batch (every provenance column held), and the time to push them and
+//! to merge them into mailbox order.
 //!
 //! Machine-readable output: `BENCH_backends.json` at the repository
 //! root (validated by the CI smoke step and enforced as a baseline by
@@ -26,7 +30,7 @@ use rtf_core::accumulator::{Accumulator, DenseAccumulator};
 use rtf_core::params::ProtocolParams;
 use rtf_primitives::seeding::SeedSequence;
 use rtf_primitives::sign::Sign;
-use rtf_runtime::{ReportBatch, SignLane};
+use rtf_runtime::{Frame, FrameBatch, ReportBatch, SignLane};
 use rtf_scenarios::{run, Mode, RunSpec};
 use rtf_streams::generator::UniformChanges;
 use rtf_streams::population::Population;
@@ -156,6 +160,57 @@ fn main() {
          per-row {packed_row_s:.4}s vs word-at-a-time {packed_word_s:.4}s => {packed_speedup:.2}x"
     );
 
+    // Frame batches: 4096 honest frames (emitted in their claimed period
+    // by their claimed sender) hold only the payload columns; as many
+    // fabrications (foreign ids, claimed periods off their emission
+    // period, Byzantine) hold every provenance column too. Both are in
+    // mailbox order, so the merge walks them as two runs.
+    let frame_rows = 4_096u32;
+    let honest = |i: u32| Frame {
+        emitted: 1 + i / 1024,
+        emitter: i % 1024,
+        user: i % 1024,
+        t: 1 + i / 1024,
+        bit: i % 3 == 0,
+        byzantine: false,
+    };
+    let fabricated = |i: u32| Frame {
+        user: (i * 7 + 3) % 1024,
+        t: 1 + i % 4,
+        byzantine: true,
+        ..honest(i)
+    };
+    let fill = |frame: &dyn Fn(u32) -> Frame| {
+        let mut batch = FrameBatch::new();
+        for i in 0..frame_rows {
+            batch.push(frame(i));
+        }
+        batch
+    };
+    let start = Instant::now();
+    let mut frame_batches = (FrameBatch::new(), FrameBatch::new());
+    for _ in 0..fold_repeats {
+        frame_batches = std::hint::black_box((fill(&honest), fill(&fabricated)));
+    }
+    let frame_push_s = start.elapsed().as_secs_f64().max(1e-9);
+    let (honest_batch, fabricated_batch) = frame_batches;
+    let start = Instant::now();
+    for _ in 0..fold_repeats {
+        let merged = FrameBatch::merge_sorted([&honest_batch, &fabricated_batch])
+            .map(std::hint::black_box)
+            .count();
+        assert_eq!(merged, 2 * frame_rows as usize, "the merge lost frames");
+    }
+    let frame_merge_s = start.elapsed().as_secs_f64().max(1e-9);
+    let per_row = |batch: &FrameBatch| batch.heap_bytes() as f64 / batch.len() as f64;
+    let (honest_row_bytes, fabricated_row_bytes) =
+        (per_row(&honest_batch), per_row(&fabricated_batch));
+    println!(
+        "frame batches ({frame_rows} rows x {fold_repeats}): honest {honest_row_bytes:.1} B/row, \
+         fabrications {fabricated_row_bytes:.1} B/row; pushes {frame_push_s:.4}s, \
+         merges {frame_merge_s:.4}s"
+    );
+
     // Machine-readable output at the repository root.
     let hardware_threads = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -189,7 +244,13 @@ fn main() {
         "  \"fold_packed\": {{\"backend\": \"dense\", \"rows\": {fold_rows}, \
          \"orders\": {fold_orders}, \"repeats\": {fold_repeats}, \
          \"per_row_s\": {packed_row_s:.6}, \"word_s\": {packed_word_s:.6}, \
-         \"speedup\": {packed_speedup:.4}}}\n"
+         \"speedup\": {packed_speedup:.4}}},\n"
+    ));
+    json.push_str(&format!(
+        "  \"frame_batch\": {{\"rows\": {frame_rows}, \"repeats\": {fold_repeats}, \
+         \"honest_bytes_per_row\": {honest_row_bytes:.4}, \
+         \"fabrication_bytes_per_row\": {fabricated_row_bytes:.4}, \
+         \"push_s\": {frame_push_s:.6}, \"merge_s\": {frame_merge_s:.6}}}\n"
     ));
     json.push_str("}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_backends.json");

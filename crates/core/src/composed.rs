@@ -16,7 +16,7 @@
 //!   cross-validate them.
 //!
 //! The weight-class path is what `FutureRand::init` and the engines' span
-//! randomizer use ([`sample_for_all_ones_into`](ComposedRandomizer::sample_for_all_ones_into)):
+//! randomizer use ([`sample_flips`](ComposedRandomizer::sample_flips)):
 //! its cost is `O(k)` with *no* retry loop, it reuses the per-`(k, ε̃)`
 //! tables across all users, and for `k ≤ 64` it allocates nothing.
 
@@ -29,7 +29,7 @@ use rtf_primitives::binomial::BinomialSampler;
 use rtf_primitives::logspace::ln_binomial;
 use rtf_primitives::rr::BasicRandomizer;
 use rtf_primitives::sign::Sign;
-use rtf_primitives::subset::flip_random_subset;
+use rtf_primitives::subset::{flip_random_subset, Subset};
 
 /// Which `ε̃` a per-order randomizer table uses — the one choice that
 /// fixes every order's `c_gap`, so the clients' randomizers and the
@@ -57,9 +57,9 @@ impl RandomizerTable {
 
 /// The composed randomizer `R̃`, reusable across users for one `(k, ε̃)`.
 ///
-/// [`sample_for_all_ones_into`](Self::sample_for_all_ones_into) writes a
-/// client's `b̃` into caller storage, so the engines draw every client's
-/// `b̃` into one reused scratch buffer without allocating.
+/// [`sample_flips`](Self::sample_flips) draws a client's `b̃` as the set
+/// of its `−1` coordinates, so the engines resolve every client's `b̃`
+/// without writing it out or allocating.
 #[derive(Debug, Clone)]
 pub struct ComposedRandomizer {
     k: usize,
@@ -215,25 +215,28 @@ impl ComposedRandomizer {
         self.outside_classes[self.outside_alias.sample(rng)]
     }
 
-    /// `b̃ = R̃(1^k)` — the pre-computation of `M.init` (Algorithm 3,
-    /// line 10), via the weight-class path, written into `out` (the
-    /// scratch of [`SpanRandomizers`](crate::randomizer::SpanRandomizers)
-    /// or a client's own vector). Allocation-free for `k ≤ 64`.
-    ///
-    /// # Panics
-    /// Panics unless `out.len() == k`.
-    pub fn sample_for_all_ones_into<R: Rng + ?Sized>(&self, out: &mut [Sign], rng: &mut R) {
-        assert_eq!(out.len(), self.k, "b̃ takes k slots");
+    /// The flip set of `b̃ = R̃(1^k)` — the coordinates where `b̃` is
+    /// `−1`: the output distance `w`
+    /// ([`sample_output_distance`](Self::sample_output_distance)), then a
+    /// uniform `w`-subset of the `k` coordinates ([`Subset::draw`]).
+    /// Every `b̃` draw goes through it, so
+    /// [`SpanRandomizers`](crate::randomizer::SpanRandomizers) lanes, which
+    /// test its members directly, and
+    /// [`sample_for_all_ones`](Self::sample_for_all_ones) make the same
+    /// draws. Allocation-free for `k ≤ 64`.
+    pub fn sample_flips<R: Rng + ?Sized>(&self, rng: &mut R) -> Subset {
         let w = self.sample_output_distance(rng);
-        out.fill(Sign::Plus);
-        flip_random_subset(out, w, rng);
+        Subset::draw(self.k, w, rng)
     }
 
-    /// [`sample_for_all_ones_into`](Self::sample_for_all_ones_into) into a
-    /// fresh vector.
+    /// `b̃ = R̃(1^k)` — the pre-computation of `M.init` (Algorithm 3,
+    /// line 10), via the weight-class path: `+1` except at
+    /// [`sample_flips`](Self::sample_flips)' members.
     pub fn sample_for_all_ones<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Sign> {
         let mut out = vec![Sign::Plus; self.k];
-        self.sample_for_all_ones_into(&mut out, rng);
+        for i in self.sample_flips(rng) {
+            out[i] = Sign::Minus;
+        }
         out
     }
 }

@@ -244,8 +244,6 @@ pub struct SpanRandomizers {
     /// One entry per non-zero span sum, spans ascending within a lane:
     /// `span << 1 | bit`, bit `1` ⇔ the lane sends `+1` there.
     events: Vec<u32>,
-    /// The `k` slots each new lane's `b̃` is drawn into, reused across lanes.
-    scratch: Vec<Sign>,
     /// The current 64-span block, transposed per 64-lane chunk: with
     /// `height` the block's spans below `L` (at most 64), word
     /// `height·c + s` holds chunk `c`'s signs at span `64·block + s`, bit
@@ -269,7 +267,6 @@ impl SpanRandomizers {
             keys: Vec::new(),
             offsets: vec![0],
             events: Vec::new(),
-            scratch: vec![Sign::Plus; composed.k()],
             rows: Vec::new(),
         }
     }
@@ -317,12 +314,28 @@ impl SpanRandomizers {
             }
             floor = span + 1;
         }
-        composed.sample_for_all_ones_into(&mut self.scratch, rng);
-        self.events.extend(
-            sums.iter()
-                .zip(&self.scratch)
-                .map(|(&(span, v), &b)| span << 1 | u32::from(v * b == Sign::Plus)),
-        );
+        // `b̃[j]` is −1 exactly at the flip set's members, so the `j`-th sum
+        // sends `v` unless `j` is one of them.
+        let sent =
+            |span: u32, v: Sign, flipped: bool| span << 1 | u32::from((v == Sign::Plus) != flipped);
+        let flips = composed.sample_flips(rng);
+        match flips.as_mask() {
+            // k ≤ 64 (or an empty set): one bit test per sum.
+            Some(mask) => self
+                .events
+                .extend(sums.iter().enumerate().map(|(j, &(span, v))| {
+                    sent(span, v, mask.checked_shr(j as u32).unwrap_or(0) & 1 == 1)
+                })),
+            // The members ascend, as the sums' indices do.
+            None => {
+                let mut flips = flips.peekable();
+                self.events.extend(
+                    sums.iter()
+                        .enumerate()
+                        .map(|(j, &(span, v))| sent(span, v, flips.next_if_eq(&j).is_some())),
+                );
+            }
+        }
         let end = u32::try_from(self.events.len()).expect("span event table exceeds u32 offsets");
         self.offsets.push(end);
         self.keys.push(key);
@@ -730,19 +743,25 @@ mod tests {
                 _ => Ternary::Zero,
             }
         });
-        // At k > 64 a lane's 65th and later non-zeros spend b̃[64..]:
-        // lane i is non-zero at its first 68 + i spans (k = 70).
-        let composed = ComposedRandomizer::for_protocol(70, 1.0);
-        let clients = (0..3u64)
-            .map(|i| (StdRng::seed_from_u64(70 + i), 0x7000 + i))
-            .collect();
-        assert_span_events_match_per_report(&composed, 100, clients, |lane, t| {
-            match (t < 68 + lane, t % 2) {
-                (false, _) => Ternary::Zero,
-                (true, 0) => Ternary::Plus,
-                (true, _) => Ternary::Minus,
-            }
-        });
+        // At k = 64 a lane's b̃ is one whole Floyd bitmask; at k > 64 its
+        // flip set is held sorted and a lane's 65th and later non-zeros
+        // spend b̃[64..]. Lane i is non-zero at its first k − 2 + i spans,
+        // so the last lane spends the whole of b̃ (k = 64, 65) or stops
+        // short of it (k = 70). The helper also checks each lane leaves
+        // its rng where `FutureRand::init_keyed` leaves it.
+        for k in [64usize, 65, 70] {
+            let composed = ComposedRandomizer::for_protocol(k, 1.0);
+            let clients = (0..3u64)
+                .map(|i| (StdRng::seed_from_u64(k as u64 + i), 0x7000 + i))
+                .collect();
+            assert_span_events_match_per_report(&composed, 100, clients, |lane, t| {
+                match (t + 2 < k + lane, t % 2) {
+                    (false, _) => Ternary::Zero,
+                    (true, 0) => Ternary::Plus,
+                    (true, _) => Ternary::Minus,
+                }
+            });
+        }
     }
 
     #[test]

@@ -86,6 +86,14 @@ impl Subset {
             sorted: sorted.into_iter(),
         }
     }
+
+    /// The elements left to yield as a bitmask, bit `i` for element `i`,
+    /// when none is held in the sorted list — always for a ground set of
+    /// at most 64 elements, so a caller can test membership directly.
+    #[inline]
+    pub fn as_mask(&self) -> Option<u64> {
+        self.sorted.as_slice().is_empty().then_some(self.mask)
+    }
 }
 
 impl Iterator for Subset {

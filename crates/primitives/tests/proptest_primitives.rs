@@ -139,7 +139,8 @@ proptest! {
     /// For every `n ≤ 64` and every `w ≤ n`, the bitmask subset is the
     /// `HashSet` reference's subset and leaves the rng where the
     /// reference leaves it, whether `sample_subset` collects it or a
-    /// [`Subset`] yields it (all draws made before the first element);
+    /// [`Subset`] yields it (all draws made before the first element) or
+    /// lends it as a bitmask (`as_mask`);
     /// `flip_random_subset` flips exactly those positions with the same
     /// draws.
     #[test]
@@ -158,6 +159,8 @@ proptest! {
                 let subset = Subset::draw(n, w, &mut b);
                 prop_assert_eq!(b.next_u64(), next, "iterator rng state, n={} w={}", n, w);
                 prop_assert_eq!(subset.len(), w, "iterator length, n={} w={}", n, w);
+                let mask = expect.iter().fold(0u64, |m, &i| m | 1 << i);
+                prop_assert_eq!(subset.as_mask(), Some(mask), "mask, n={} w={}", n, w);
                 prop_assert_eq!(subset.collect::<Vec<_>>(), expect.clone(), "iterator, n={} w={}", n, w);
 
                 let base: Vec<Sign> = (0..n).map(|i| Sign::from_bool(i % 3 == 0)).collect();

@@ -12,12 +12,16 @@
 //!
 //! * [`ReportBatch`] — the honest schedule: `{user, order, sign}` rows
 //!   for one period, folded into the accumulator by the worker itself;
-//! * [`FrameBatch`] — the fault-injected schedule: delivered frames with
+//! * [`FrameBatch`] — the fault-injected schedule: delivered frames as
+//!   payload columns `{user, t, bit}` (what the checked ladder reads) with
 //!   their *emission* provenance `(emitted period, emitting user)`, so
 //!   shard batches can be merged into exactly the sequential engine's
 //!   mailbox order before checked ingestion (acceptance under
 //!   impersonation depends on frame order, so the merge must reproduce
-//!   it bit-for-bit).
+//!   it bit-for-bit). Provenance and the Byzantine flag default to the
+//!   payload (`emitted = t`, `emitter = user`, not Byzantine) and are
+//!   stored per row only once some row differs, so an honest frame takes
+//!   9 bytes.
 
 use rtf_core::accumulator::Accumulator;
 use rtf_core::snapshot::{SnapReader, SnapWriter, SnapshotError};
@@ -344,24 +348,108 @@ impl ReportBatch {
     }
 }
 
-/// Delivered frames for one period, struct-of-arrays, with emission
-/// provenance for deterministic cross-shard ordering.
+/// A provenance column: it repeats a per-row default (a payload column
+/// or a constant) until the first row that differs, and only then holds
+/// rows of its own. Whether it holds them is fixed for a batch's
+/// lifetime once set, so the branch in [`get`](Self::get) is constant
+/// per batch.
+#[derive(Debug, Clone, Default)]
+struct Provenance<T>(Option<Vec<T>>);
+
+impl<T: Copy + PartialEq> Provenance<T> {
+    /// The column built from every row's value, or none if each equals
+    /// its default.
+    fn from_rows(rows: Vec<T>, defaults: impl Iterator<Item = T>) -> Self {
+        Provenance((!rows.iter().copied().eq(defaults)).then_some(rows))
+    }
+
+    /// Row `i`'s own value, or `None` while the column repeats its
+    /// default (which the caller reads only then).
+    #[inline]
+    fn get(&self, i: usize) -> Option<T> {
+        self.0.as_ref().map(|rows| rows[i])
+    }
+
+    /// The column's own rows, materialized from the defaults of the rows
+    /// so far with room for `cap` rows. Out of line: it runs at most
+    /// once per batch, and keeps [`push`](Self::push) small enough to
+    /// inline into a producer's loop.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, cap: usize, defaults: impl Iterator<Item = T>) -> &mut Vec<T> {
+        self.0.get_or_insert_with(|| {
+            let mut rows = Vec::with_capacity(cap);
+            rows.extend(defaults);
+            rows
+        })
+    }
+
+    /// Appends one row whose default is `default`; `defaults` yields the
+    /// defaults of the rows before it and is read only if this is the
+    /// first differing row.
+    #[inline]
+    fn push(&mut self, value: T, default: T, cap: usize, defaults: impl Iterator<Item = T>) {
+        match &mut self.0 {
+            Some(rows) => rows.push(value),
+            None if value == default => {}
+            None => self.materialize(cap, defaults).push(value),
+        }
+    }
+
+    /// Appends `other`'s rows; `mine` and `theirs` yield the row defaults
+    /// of either side.
+    fn append(
+        &mut self,
+        other: &Self,
+        cap: usize,
+        mine: impl Iterator<Item = T>,
+        theirs: impl Iterator<Item = T>,
+    ) {
+        match (&mut self.0, &other.0) {
+            (None, None) => {}
+            (Some(rows), None) => rows.extend(theirs),
+            (_, Some(their_rows)) => self.materialize(cap, mine).extend_from_slice(their_rows),
+        }
+    }
+
+    /// Heap bytes of the column's own rows, counted by capacity.
+    fn heap_bytes(&self) -> usize {
+        self.0
+            .as_ref()
+            .map_or(0, |rows| rows.capacity() * std::mem::size_of::<T>())
+    }
+}
+
+/// Delivered frames for one period, struct-of-arrays.
+///
+/// Every row stores its **payload** — the claimed sender, the claimed
+/// reporting period and the report bit, all the checked ladder reads —
+/// in three columns. The emission **provenance** `(emitted period,
+/// emitting client)`, which orders shard batches into the sequential
+/// engine's mailbox, and the Byzantine flag default to what an honest
+/// frame carries: `emitted = t`, `emitter = user`, `byzantine = false`.
+/// Each becomes a column of its own, sized to the batch, only when the
+/// first row that differs is pushed or appended. So honest traffic (on
+/// time, delayed or retransmitted) takes 9 bytes a frame, and a batch
+/// with fabrications at most 18.
 #[derive(Debug, Clone)]
 pub struct FrameBatch {
-    /// Emission period of each frame (the mailbox's primary sort key).
-    emitted: Vec<u32>,
-    /// The client that put the frame on the wire (secondary sort key —
-    /// *not* necessarily the user id inside the frame: Byzantine clients
-    /// impersonate).
-    emitter: Vec<u32>,
     /// The frame's claimed sender.
     users: Vec<u32>,
     /// The frame's claimed reporting period.
     periods: Vec<u32>,
     /// The frame's report bit (`true` = +1).
     bits: Vec<bool>,
-    /// Whether the emitting client is Byzantine (accounting only).
-    byzantine: Vec<bool>,
+    /// Emission period of each frame (the mailbox's primary sort key);
+    /// defaults to the claimed period.
+    emitted: Provenance<u32>,
+    /// The client that put the frame on the wire (secondary sort key —
+    /// *not* necessarily the user id inside the frame: Byzantine clients
+    /// impersonate); defaults to the claimed sender.
+    emitter: Provenance<u32>,
+    /// Whether the emitting client is Byzantine (accounting only);
+    /// defaults to `false`.
+    byzantine: Provenance<bool>,
     /// Whether rows are known ascending by `(emitted, emitter)` —
     /// maintained on every mutation, so mailbox order is checked in O(1)
     /// (the ingestion service's submit contract, the run precondition of
@@ -372,12 +460,12 @@ pub struct FrameBatch {
 impl Default for FrameBatch {
     fn default() -> Self {
         FrameBatch {
-            emitted: Vec::new(),
-            emitter: Vec::new(),
             users: Vec::new(),
             periods: Vec::new(),
             bits: Vec::new(),
-            byzantine: Vec::new(),
+            emitted: Provenance::default(),
+            emitter: Provenance::default(),
+            byzantine: Provenance::default(),
             // An empty batch is vacuously in mailbox order.
             sorted: true,
         }
@@ -410,32 +498,64 @@ impl FrameBatch {
     /// Appends one frame row.
     #[inline]
     pub fn push(&mut self, frame: Frame) {
-        if self.sorted {
-            if let Some(i) = self.len().checked_sub(1) {
-                if (frame.emitted, frame.emitter) < (self.emitted[i], self.emitter[i]) {
-                    self.sorted = false;
-                }
-            }
+        let row = self.len();
+        if self.sorted && row > 0 && (frame.emitted, frame.emitter) < self.key(row - 1) {
+            self.sorted = false;
         }
-        self.emitted.push(frame.emitted);
-        self.emitter.push(frame.emitter);
         self.users.push(frame.user);
         self.periods.push(frame.t);
         self.bits.push(frame.bit);
-        self.byzantine.push(frame.byzantine);
+        let cap = self.users.capacity();
+        let (users, periods) = (&self.users[..row], &self.periods[..row]);
+        self.emitted
+            .push(frame.emitted, frame.t, cap, periods.iter().copied());
+        self.emitter
+            .push(frame.emitter, frame.user, cap, users.iter().copied());
+        self.byzantine.push(
+            frame.byzantine,
+            false,
+            cap,
+            std::iter::repeat(false).take(row),
+        );
     }
 
     /// The frame at row `i` (column reads, no intermediate storage).
     #[inline]
     pub fn frame(&self, i: usize) -> Frame {
+        let (user, t) = (self.users[i], self.periods[i]);
         Frame {
-            emitted: self.emitted[i],
-            emitter: self.emitter[i],
-            user: self.users[i],
-            t: self.periods[i],
+            emitted: self.emitted.get(i).unwrap_or(t),
+            emitter: self.emitter.get(i).unwrap_or(user),
+            user,
+            t,
             bit: self.bits[i],
-            byzantine: self.byzantine[i],
+            byzantine: self.byzantine.get(i).unwrap_or(false),
         }
+    }
+
+    /// Row `i`'s mailbox key `(emitted, emitter)`.
+    #[inline]
+    pub(crate) fn key(&self, i: usize) -> (u32, u32) {
+        (
+            self.emitted.get(i).unwrap_or_else(|| self.periods[i]),
+            self.emitter.get(i).unwrap_or_else(|| self.users[i]),
+        )
+    }
+
+    /// Each row's payload `(user, t, bit)` in row order — the claimed
+    /// sender, the claimed period and the report bit, which is all the
+    /// checked ladder reads.
+    pub fn payload(&self) -> impl ExactSizeIterator<Item = (u32, u32, bool)> + '_ {
+        self.users
+            .iter()
+            .zip(&self.periods)
+            .zip(&self.bits)
+            .map(|((&user, &t), &bit)| (user, t, bit))
+    }
+
+    /// Each row's claimed sender, in row order.
+    pub(crate) fn users(&self) -> &[u32] {
+        &self.users
     }
 
     /// Whether rows are known ascending by `(emitted, emitter)`: mailbox
@@ -454,6 +574,18 @@ impl FrameBatch {
         self.users.is_empty()
     }
 
+    /// Heap bytes held by the batch, counted by capacity: 9 a row for the
+    /// payload, plus 4, 4 and 1 a row for each provenance column some row
+    /// made the batch hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.users.capacity() * std::mem::size_of::<u32>()
+            + self.periods.capacity() * std::mem::size_of::<u32>()
+            + self.bits.capacity() * std::mem::size_of::<bool>()
+            + self.emitted.heap_bytes()
+            + self.emitter.heap_bytes()
+            + self.byzantine.heap_bytes()
+    }
+
     /// Appends every frame of `other`, preserving row order — how an
     /// ingestion worker accumulates the batches streamed into its mailbox
     /// over one period.
@@ -461,22 +593,33 @@ impl FrameBatch {
         if other.is_empty() {
             return;
         }
+        let rows = self.len();
         if self.sorted {
-            let boundary_ok = match self.len().checked_sub(1) {
-                Some(i) => {
-                    (other.emitted[0], other.emitter[0]) >= (self.emitted[i], self.emitter[i])
-                }
-                None => true,
-            };
-            self.sorted = other.sorted && boundary_ok;
+            self.sorted = other.sorted && (rows == 0 || self.key(rows - 1) <= other.key(0));
         }
-        self.reserve(other.len());
-        self.emitted.extend_from_slice(&other.emitted);
-        self.emitter.extend_from_slice(&other.emitter);
         self.users.extend_from_slice(&other.users);
         self.periods.extend_from_slice(&other.periods);
         self.bits.extend_from_slice(&other.bits);
-        self.byzantine.extend_from_slice(&other.byzantine);
+        let cap = self.users.capacity();
+        let (users, periods) = (&self.users[..rows], &self.periods[..rows]);
+        self.emitted.append(
+            &other.emitted,
+            cap,
+            periods.iter().copied(),
+            other.periods.iter().copied(),
+        );
+        self.emitter.append(
+            &other.emitter,
+            cap,
+            users.iter().copied(),
+            other.users.iter().copied(),
+        );
+        self.byzantine.append(
+            &other.byzantine,
+            cap,
+            std::iter::repeat(false).take(rows),
+            std::iter::repeat(false).take(other.len()),
+        );
     }
 
     /// Iterates frames in row order.
@@ -508,24 +651,17 @@ impl FrameBatch {
         MailboxMerge { runs, heads }
     }
 
-    fn reserve(&mut self, rows: usize) {
-        self.emitted.reserve(rows);
-        self.emitter.reserve(rows);
-        self.users.reserve(rows);
-        self.periods.reserve(rows);
-        self.bits.reserve(rows);
-        self.byzantine.reserve(rows);
-    }
-
-    /// Serializes the batch (one shared row count, then each column) —
-    /// used by the ingestion service to persist open-period journals.
+    /// Serializes the batch (one shared row count, then each of the six
+    /// columns in full, provenance included, whether or not the batch
+    /// holds it) — used by the ingestion service to persist open-period
+    /// journals.
     pub fn write_state(&self, w: &mut SnapWriter) {
         w.usize(self.len());
-        for &e in &self.emitted {
-            w.u32(e);
+        for (i, &t) in self.periods.iter().enumerate() {
+            w.u32(self.emitted.get(i).unwrap_or(t));
         }
-        for &e in &self.emitter {
-            w.u32(e);
+        for (i, &u) in self.users.iter().enumerate() {
+            w.u32(self.emitter.get(i).unwrap_or(u));
         }
         for &u in &self.users {
             w.u32(u);
@@ -536,13 +672,14 @@ impl FrameBatch {
         for &b in &self.bits {
             w.bool(b);
         }
-        for &b in &self.byzantine {
-            w.bool(b);
+        for i in 0..self.len() {
+            w.bool(self.byzantine.get(i).unwrap_or(false));
         }
     }
 
     /// Rebuilds a batch from bytes written by
-    /// [`write_state`](Self::write_state).
+    /// [`write_state`](Self::write_state), keeping a provenance column
+    /// only if some row differs from its default.
     ///
     /// # Errors
     /// A typed [`SnapshotError`] on truncation or a malformed boolean
@@ -574,12 +711,12 @@ impl FrameBatch {
         let sorted =
             (1..rows).all(|i| (emitted[i - 1], emitter[i - 1]) <= (emitted[i], emitter[i]));
         Ok(FrameBatch {
-            emitted,
-            emitter,
+            emitted: Provenance::from_rows(emitted, periods.iter().copied()),
+            emitter: Provenance::from_rows(emitter, users.iter().copied()),
+            byzantine: Provenance::from_rows(byzantine, std::iter::repeat(false).take(rows)),
             users,
             periods,
             bits,
-            byzantine,
             sorted,
         })
     }
@@ -604,8 +741,7 @@ impl MailboxMerge<'_> {
     pub fn next_row(&mut self) -> Option<(usize, usize)> {
         let mut best: Option<(usize, (u32, u32))> = None;
         for (h, &(r, i)) in self.heads.iter().enumerate() {
-            let run = self.runs[r];
-            let key = (run.emitted[i], run.emitter[i]);
+            let key = self.runs[r].key(i);
             let better = match best {
                 Some((_, k)) => key < k,
                 None => true,

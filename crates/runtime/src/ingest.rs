@@ -347,12 +347,11 @@ impl FrameIntake {
     fn classify(&mut self, roster: &mut RosterSlice, closed: u64, batch: &FrameBatch) {
         let mut shard = roster.shard();
         self.outcomes.reserve(batch.len());
-        for frame in batch.iter() {
-            let bit = if frame.bit { Sign::Plus } else { Sign::Minus };
-            let claim = u64::from(frame.t);
-            let verdict = shard.classify(frame.user, claim, bit, 0, closed, &mut self.tally);
+        for (user, t, bit) in batch.payload() {
+            let bit = if bit { Sign::Plus } else { Sign::Minus };
+            let verdict = shard.classify(user, u64::from(t), bit, 0, closed, &mut self.tally);
             if verdict == Delivery::Accepted {
-                self.accepted.push(frame.user);
+                self.accepted.push(user);
             }
             self.outcomes.push(verdict);
         }
@@ -396,32 +395,28 @@ fn check_route(
     last: Option<(u32, u32)>,
     batch: &FrameBatch,
 ) -> Result<Option<(u32, u32)>, String> {
-    let key = |i: usize| {
-        let f = batch.frame(i);
-        (f.emitted, f.emitter)
-    };
     let Some(end) = batch.len().checked_sub(1) else {
         return Ok(last);
     };
     if !batch.is_sorted() {
         return Err("frames are not in mailbox order".into());
     }
-    if let Some(last) = last.filter(|&last| key(0) < last) {
+    if let Some(last) = last.filter(|&last| batch.key(0) < last) {
         return Err(format!(
             "frames start at {:?}, before the worker's last frame {last:?}",
-            key(0)
+            batch.key(0)
         ));
     }
     // A worker that owns every id takes any frame.
     if ids.start > 0 || ids.end < n {
-        for i in 0..batch.len() {
-            let user = batch.frame(i).user as usize;
+        for &user in batch.users() {
+            let user = user as usize;
             if user < n && !ids.contains(&user) {
                 return Err(format!("a frame claims wire id {user}, outside {ids:?}"));
             }
         }
     }
-    Ok(Some(key(end)))
+    Ok(Some(batch.key(end)))
 }
 
 /// One live ingestion worker: mailbox sender, flush receiver, thread.
@@ -548,10 +543,10 @@ fn worker_loop(
 pub fn replay_frames_checked(server: &mut Server, t: u64, frames: &FrameBatch) -> Vec<Delivery> {
     assert_open_period(server, t);
     frames
-        .iter()
-        .map(|frame| {
-            let bit = if frame.bit { Sign::Plus } else { Sign::Minus };
-            server.ingest_checked(frame.user, u64::from(frame.t), bit)
+        .payload()
+        .map(|(user, t, bit)| {
+            let bit = if bit { Sign::Plus } else { Sign::Minus };
+            server.ingest_checked(user, u64::from(t), bit)
         })
         .collect()
 }

@@ -8,10 +8,13 @@ fields by nature:
 
 * **deterministic work counts** (`reports`) and **bytes** (`acc_bytes`
   of the backends grid, `population_bytes` of every throughput row: the
-  population's heap counted by capacity) are pure functions of (code,
-  n, d, k, seed) and must match the baseline **exactly** — any drift is
-  a semantic change that must be reviewed via a baseline regeneration,
-  not slipped in silently;
+  population's heap counted by capacity, and the backends file's
+  `frame_batch` micro-row, `honest_bytes_per_row` and
+  `fabrication_bytes_per_row`: a frame batch's heap by capacity) are
+  pure functions of (code, n, d, k, seed) and must match the baseline
+  **exactly** — any drift is a semantic change that must be reviewed
+  via a baseline regeneration, not slipped in silently. A micro-row the
+  baseline has and the fresh file lacks fails as MISSING;
 * **wall-clock** (`elapsed_s`) is the median of a row's three timed
   repetitions, each a whole run after one untimed warm-up
   (`exp_throughput` also records `repeats` and `elapsed_spread_s`, the
@@ -105,6 +108,8 @@ KINDS = {
         "exact": ("reports", "acc_bytes"),
         "loose": ("elapsed_s",),
         "group": "backend",
+        # Top-level micro-rows and their exact fields.
+        "micro": {"frame_batch": ("honest_bytes_per_row", "fabrication_bytes_per_row")},
     },
 }
 
@@ -231,6 +236,9 @@ def compare(baseline, fresh, spec, wall_factor, wall_floor):
                 (fmt_key(key), field, f"{b:.4f}", f"{f_:.4f}", f"{ratio:.2f}x", status)
             )
 
+    for name, fields in spec.get("micro", {}).items():
+        regressions += compare_micro(table, name, fields, baseline, fresh)
+
     unmeasured = [k for k in base_rows if k not in fresh_rows]
     for key in unmeasured:
         table.append((fmt_key(key), "-", "-", "-", "-", "not measured"))
@@ -238,6 +246,27 @@ def compare(baseline, fresh, spec, wall_factor, wall_floor):
     groups = {r[spec["group"]] for r in baseline["results"]}
     missing_groups = groups - matched_groups
     return table, regressions, missing_groups
+
+
+def compare_micro(table, name, fields, baseline, fresh):
+    """Compares the exact `fields` of the top-level micro-row `name`.
+    A baseline without the row gates nothing; a fresh file without it
+    (or a field of it) fails. Appends to `table` and returns the number
+    of regressions."""
+    brow = baseline.get(name)
+    if brow is None:
+        return 0
+    frow = fresh.get(name, {})
+    regressions = 0
+    for field in fields:
+        b, f_ = brow[field], frow.get(field)
+        if f_ is None:
+            status, delta = "MISSING", "-"
+        else:
+            status, delta = ("ok" if b == f_ else "EXACT-MISMATCH"), str(f_ - b)
+        regressions += status != "ok"
+        table.append((name, field, str(b), str(f_), delta, status))
+    return regressions
 
 
 def check_parts(table, key, frow, stages, wall_floor):
@@ -470,7 +499,42 @@ def self_test():
     _, reg, _ = compare(live, live, spec, 10.0, 0.05)
     assert reg == 0, "live event rows are exempt from stage checks"
 
-    print("self-test PASS: 8 gate-logic checks")
+    # 9. The backends file's frame_batch micro-row: its byte fields are
+    #    exact (a provenance column held for honest frames again must
+    #    fail), and a fresh file without the row fails.
+    backends = KINDS["backends"]
+    grid = {
+        "results": [
+            {"backend": "dense", "n": 1, "d": 1, "reports": 10, "acc_bytes": 64, "elapsed_s": 1.0}
+        ],
+        "frame_batch": {
+            "rows": 4096,
+            "honest_bytes_per_row": 9.0,
+            "fabrication_bytes_per_row": 18.0,
+            "push_s": 0.01,
+        },
+    }
+    _, reg, missing = compare(grid, grid, backends, 10.0, 0.05)
+    assert reg == 0 and not missing, "identical frame_batch rows must pass"
+    timed = json.loads(json.dumps(grid))
+    timed["frame_batch"]["push_s"] = 0.5
+    _, reg, _ = compare(grid, timed, backends, 10.0, 0.05)
+    assert reg == 0, "frame_batch timings are not gated"
+    widened = json.loads(json.dumps(grid))
+    widened["frame_batch"]["honest_bytes_per_row"] = 17.0
+    table, reg, _ = compare(grid, widened, backends, 10.0, 0.05)
+    assert reg == 1 and any(
+        r[0] == "frame_batch" and r[1] == "honest_bytes_per_row" and r[5] == "EXACT-MISMATCH"
+        for r in table
+    ), "a doctored honest_bytes_per_row must fire"
+    dropped = json.loads(json.dumps(grid))
+    del dropped["frame_batch"]
+    table, reg, _ = compare(grid, dropped, backends, 10.0, 0.05)
+    assert reg == 2 and all(
+        r[5] == "MISSING" for r in table if r[0] == "frame_batch"
+    ), "a fresh file without the frame_batch row must fire"
+
+    print("self-test PASS: 9 gate-logic checks")
     return 0
 
 
