@@ -702,7 +702,17 @@ impl Server {
     /// Must be called once per period, in order, after all of that
     /// period's reports have been ingested.
     pub fn end_of_period(&mut self, t: u64) -> f64 {
-        self.assert_closes(t);
+        assert_eq!(
+            t,
+            self.current_t + 1,
+            "periods must close in order: expected {}, got {t}",
+            self.current_t + 1
+        );
+        assert!(
+            t <= self.params.d(),
+            "period {t} beyond horizon d = {}",
+            self.params.d()
+        );
         if !self.roster.is_empty() {
             let mut row = std::mem::take(&mut self.current_delivery);
             row.t = t;
@@ -723,54 +733,6 @@ impl Server {
         let estimate = self.frontier.prefix_sum(t, |&v| v);
         self.estimates.push(estimate);
         estimate
-    }
-
-    /// Panics unless `t` is the next period to close and on the horizon.
-    fn assert_closes(&self, t: u64) {
-        assert_eq!(
-            t,
-            self.current_t + 1,
-            "periods must close in order: expected {}, got {t}",
-            self.current_t + 1
-        );
-        assert!(
-            t <= self.params.d(),
-            "period {t} beyond horizon d = {}",
-            self.params.d()
-        );
-    }
-
-    /// Period-close finalisation hook for streaming ingestion fronts:
-    /// absorbs every worker shard flushed for period `t` (in the caller's
-    /// iteration order — the deterministic merge order), then closes the
-    /// period exactly like [`end_of_period`](Self::end_of_period) and
-    /// returns `â[t]`.
-    ///
-    /// `t` and every shard's shape are checked before anything is
-    /// absorbed, so a failed call leaves the server as it was.
-    ///
-    /// # Errors
-    /// Returns the first [`AccumulatorError`] of a mismatched shard.
-    ///
-    /// # Panics
-    /// Panics like `end_of_period` if `t` is out of order or off-horizon.
-    pub fn close_period_with_shards<'a, I>(
-        &mut self,
-        t: u64,
-        shards: I,
-    ) -> Result<f64, AccumulatorError>
-    where
-        I: IntoIterator<Item = &'a AnyAccumulator>,
-    {
-        self.assert_closes(t);
-        let shards: Vec<&AnyAccumulator> = shards.into_iter().collect();
-        for shard in &shards {
-            self.validate_shard(shard)?;
-        }
-        for shard in shards {
-            self.absorb_shard(shard)?;
-        }
-        Ok(self.end_of_period(t))
     }
 
     /// All estimates `â[1..t]` produced so far (`estimates()[t−1] = â[t]`).
@@ -797,25 +759,6 @@ impl Server {
     /// The per-order scale factors `(1 + log d)/c_gap(h)` (diagnostic).
     pub fn scales(&self) -> &[f64] {
         &self.scale
-    }
-
-    /// Checks that a worker shard could merge into this server — same
-    /// shape — **without** mutating anything.
-    ///
-    /// This is what lets a streaming front validate *every* shard of a
-    /// period before committing *any* of them, keeping its close-path
-    /// error handling transactional.
-    ///
-    /// # Errors
-    /// The same [`AccumulatorError`] the merge would have returned.
-    pub fn validate_shard(&self, shard: &AnyAccumulator) -> Result<(), AccumulatorError> {
-        if shard.orders() != self.acc.orders() {
-            return Err(AccumulatorError::ShapeMismatch {
-                expected: self.acc.orders(),
-                got: shard.orders(),
-            });
-        }
-        Ok(())
     }
 
     /// Serializes the complete server state — parameters, scales, group
@@ -1431,74 +1374,6 @@ mod tests {
     }
 
     #[test]
-    fn close_period_with_shards_equals_absorb_then_close() {
-        use crate::accumulator::Accumulator;
-        let p = params();
-        let mut split = Server::new(p, &[1.0; 4]);
-        let mut hooked = Server::new(p, &[1.0; 4]);
-        for _ in 0..4 {
-            split.register_user(0);
-            hooked.register_user(0);
-        }
-        for t in 1..=8u64 {
-            let mut s1 = split.new_shard();
-            let mut s2 = split.new_shard();
-            s1.record(0, Sign::Plus);
-            s1.record(0, Sign::Minus);
-            s2.record(0, Sign::Plus);
-            s2.record(0, Sign::Plus);
-            split.absorb_shard(&s1).unwrap();
-            split.absorb_shard(&s2).unwrap();
-            let direct = split.end_of_period(t);
-            let via_hook = hooked
-                .close_period_with_shards(t, [&s1, &s2])
-                .expect("matching shards merge");
-            assert_eq!(via_hook, direct, "t = {t}");
-        }
-        assert_eq!(split.reports_ingested(), hooked.reports_ingested());
-
-        // A misshapen shard aborts before the period close: the horizon
-        // position is unchanged and the period can still be closed.
-        let foreign = AnyAccumulator::new(9);
-        let mut fresh = Server::new(p, &[1.0; 4]);
-        assert!(fresh.close_period_with_shards(1, [&foreign]).is_err());
-        assert_eq!(fresh.estimates().len(), 0, "no period closed on error");
-        assert!(fresh.close_period_with_shards(1, []).is_ok());
-
-        // Neither a misshapen second shard nor a misnumbered close may
-        // absorb anything: after each failure the server matches an
-        // untouched one, and the next correct close publishes the same.
-        let mut good = hooked.new_shard();
-        good.record(0, Sign::Plus);
-        good.record(1, Sign::Minus);
-        let mut untouched = Server::new(p, &[1.0; 4]);
-        let mut failed = Server::new(p, &[1.0; 4]);
-        for _ in 0..4 {
-            untouched.register_user(0);
-            failed.register_user(0);
-        }
-        assert_eq!(
-            failed.close_period_with_shards(1, [&good, &foreign]),
-            Err(AccumulatorError::ShapeMismatch {
-                expected: 4,
-                got: 9
-            })
-        );
-        assert_eq!(failed.reports_ingested(), untouched.reports_ingested());
-        let misnumbered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            failed.close_period_with_shards(2, [&good])
-        }));
-        assert!(misnumbered.is_err(), "a misnumbered close must panic");
-        assert_eq!(failed.reports_ingested(), untouched.reports_ingested());
-        assert_eq!(
-            failed.close_period_with_shards(1, [&good]).unwrap(),
-            untouched.close_period_with_shards(1, [&good]).unwrap()
-        );
-        assert_eq!(failed.reports_ingested(), untouched.reports_ingested());
-        assert_eq!(failed.accumulator(), untouched.accumulator());
-    }
-
-    #[test]
     fn absorb_shard_rejects_mismatches_with_typed_errors() {
         let mut server = Server::for_future_rand(params());
         // Wrong shape: a shard sized for a different horizon.
@@ -1531,19 +1406,6 @@ mod tests {
         }
         assert!(server.delivery_log().is_empty());
         assert_eq!(server.roster.capacity(), 0, "no roster allocated");
-    }
-
-    #[test]
-    fn validate_shard_mirrors_absorb_without_mutating() {
-        let server = Server::for_future_rand(params());
-        assert_eq!(
-            server.validate_shard(&AnyAccumulator::new(9)),
-            Err(AccumulatorError::ShapeMismatch {
-                expected: 4,
-                got: 9
-            })
-        );
-        assert!(server.validate_shard(&server.new_shard()).is_ok());
     }
 
     /// Drives a server mid-horizon through the checked path (roster,
@@ -1624,6 +1486,29 @@ mod tests {
         server.write_snapshot(&mut w);
         let bytes = w.finish();
         assert!(SnapReader::new(&bytes[..bytes.len() / 2]).is_err());
+        // An accumulator of another shape than the horizon's is Corrupt, so
+        // no restored server absorbs a shard cut to a foreign shape.
+        let p = params();
+        let orders = p.num_orders() as usize;
+        let mut w = SnapWriter::new();
+        w.usize(p.n());
+        w.u64(p.d());
+        w.usize(p.k());
+        w.f64(p.epsilon());
+        w.f64(p.beta());
+        for _ in 0..orders {
+            w.f64(1.0);
+        }
+        for _ in 0..orders {
+            w.usize(0);
+        }
+        AnyAccumulator::new(orders + 1).write_state(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            Server::read_snapshot(&mut r).unwrap_err(),
+            SnapshotError::Corrupt("accumulator shape off the horizon")
+        );
     }
 
     /// A checked-path server mid-period 4 with a gappy roster (ids

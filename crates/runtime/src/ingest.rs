@@ -21,20 +21,20 @@
 //!   [`submit_frames`](IngestService::submit_frames) checks on the
 //!   caller's thread that each frame reaches the worker owning the id it
 //!   claims, in mailbox order.
-//! * **Bounded mailboxes with backpressure.** Every mailbox is a bounded
-//!   channel of [`LiveConfig::mailbox_cap`] batches (`RTF_MAILBOX_CAP`).
-//!   A full mailbox **blocks the producer** — messages are never dropped
-//!   and never reordered, so the observable outcome is independent of
-//!   how far ahead producers run. Backpressure changes timing, never
-//!   values.
+//! * **Bounded mailboxes with backpressure.** Every mailbox is a
+//!   `std::sync::mpsc::sync_channel` of [`LiveConfig::mailbox_cap`]
+//!   batches. A full mailbox **blocks the producer** — messages are
+//!   never dropped and never reordered, so the observable outcome is
+//!   independent of how far ahead producers run. Backpressure changes
+//!   timing, never values.
 //! * **Period-close flush.** [`close_period`](IngestService::close_period)
 //!   first checks that it names the open period (a misnumbered close
 //!   panics before it touches a worker, so it loses nothing), then
 //!   barriers every worker and collects its shard accumulator and
-//!   classified frames **in worker index order**. It only absorbs: it
-//!   validates every shard, commits each worker's accepted ids into the
-//!   server's roster, adds the tallies and finalises the period via
-//!   [`Server::close_period_with_shards`]. A verdict reads only its
+//!   classified frames **in worker index order**. It only absorbs: for
+//!   each worker in turn it commits the accepted ids into the server's
+//!   roster and absorbs the tally and the shard, then finalises the
+//!   period via [`Server::end_of_period`]. A verdict reads only its
 //!   sender's roster slot and the open period, and every worker sees its
 //!   own ids' frames in mailbox order, so streaming execution is
 //!   value-for-value identical to batched and sequential execution
@@ -77,7 +77,6 @@ use crate::batch::{FrameBatch, ReportBatch};
 use crate::pool::partition;
 #[cfg(doc)]
 use crate::pool::shard_of;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use rtf_core::accumulator::{Accumulator, AccumulatorError, AnyAccumulator};
 use rtf_core::server::{CheckedTally, Delivery, RosterSlice, Server};
 use rtf_core::snapshot::{SnapReader, SnapWriter, SnapshotError};
@@ -85,10 +84,11 @@ use rtf_primitives::sign::Sign;
 use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default mailbox capacity when `RTF_MAILBOX_CAP` is unset.
+/// Default mailbox capacity, in batches.
 ///
 /// Deliberately small: with the live drivers' 4096-row chunks, 32
 /// batches bound the in-flight rows per worker to ~128K — enough to
@@ -104,31 +104,6 @@ pub const DEFAULT_MAILBOX_CAP: usize = 32;
 /// published estimate, which a virtualised host can stretch to tens of
 /// microseconds.
 const FLUSH_POLL: Duration = Duration::from_micros(250);
-
-/// Parses a mailbox capacity: `None`/empty means
-/// [`DEFAULT_MAILBOX_CAP`]; `0` clamps to 1 (a mailbox must admit the
-/// flush barrier).
-///
-/// # Panics
-/// Panics on an unparsable non-empty value, like the other `RTF_*`
-/// selectors — a typo in CI must fail loudly.
-pub fn parse_mailbox_cap(value: Option<&str>) -> usize {
-    match value {
-        None => DEFAULT_MAILBOX_CAP,
-        Some(v) if v.trim().is_empty() => DEFAULT_MAILBOX_CAP,
-        Some(v) => v
-            .trim()
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("unparsable RTF_MAILBOX_CAP {v:?}; expected an integer"))
-            .max(1),
-    }
-}
-
-/// Reads the mailbox capacity from the `RTF_MAILBOX_CAP` environment
-/// variable (see [`parse_mailbox_cap`]).
-pub fn mailbox_cap_from_env() -> usize {
-    parse_mailbox_cap(std::env::var("RTF_MAILBOX_CAP").ok().as_deref())
-}
 
 /// A mid-horizon worker failure to inject: after period `period`'s
 /// traffic has been submitted (but before the period closes), worker
@@ -178,20 +153,20 @@ pub struct LiveConfig {
 }
 
 impl LiveConfig {
-    /// A config for `workers` workers with the environment's mailbox
-    /// capacity (`RTF_MAILBOX_CAP`), a 4096-row chunk, and no injected
-    /// failure.
+    /// A config for `workers` workers with [`DEFAULT_MAILBOX_CAP`]-batch
+    /// mailboxes, a 4096-row chunk, and no injected failure.
     pub fn new(workers: usize) -> Self {
         LiveConfig {
             workers: workers.max(1),
-            mailbox_cap: mailbox_cap_from_env(),
+            mailbox_cap: DEFAULT_MAILBOX_CAP,
             chunk_rows: 4096,
             kills: Vec::new(),
             restarts: Vec::new(),
         }
     }
 
-    /// Sets the mailbox capacity (0 clamps to 1).
+    /// Sets the mailbox capacity (0 clamps to 1: a capacity-0 channel
+    /// would be a rendezvous, not a mailbox).
     pub fn with_mailbox_cap(mut self, cap: usize) -> Self {
         self.mailbox_cap = cap.max(1);
         self
@@ -229,13 +204,6 @@ impl LiveConfig {
             mid_period: false,
         });
         self
-    }
-
-    /// Total number of injected faults (kills + restarts) — what
-    /// [`IngestStats::recoveries`] + [`IngestStats::restarts`] must sum
-    /// to after a run on a horizon that contains them all.
-    pub fn fault_count(&self) -> usize {
-        self.kills.len() + self.restarts.len()
     }
 
     /// Panics unless every configured fault lands on the horizon
@@ -422,7 +390,7 @@ fn check_route(
 /// One live ingestion worker: mailbox sender, flush receiver, thread.
 /// Dropping a slot stops its worker.
 struct WorkerSlot {
-    tx: Option<Sender<WorkerMsg>>,
+    tx: Option<SyncSender<WorkerMsg>>,
     flushes: Receiver<ShardFlush>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -434,8 +402,8 @@ impl WorkerSlot {
         template: AnyAccumulator,
         start: WorkerStart,
     ) -> Self {
-        let (tx, rx) = bounded::<WorkerMsg>(mailbox_cap);
-        let (flush_tx, flushes) = unbounded::<ShardFlush>();
+        let (tx, rx) = sync_channel::<WorkerMsg>(mailbox_cap);
+        let (flush_tx, flushes) = channel::<ShardFlush>();
         let handle = std::thread::Builder::new()
             .name(format!("rtf-ingest-{index}"))
             .spawn(move || worker_loop(rx, flush_tx, template, start))
@@ -593,8 +561,7 @@ pub struct IngestStats {
     /// Workers killed and recovered.
     pub recoveries: u64,
     /// Journal batches replayed into replacement workers — by
-    /// single-worker recovery, by whole-service restarts, and by the
-    /// journal-rebuild path of an aborted period close.
+    /// single-worker recovery and by whole-service restarts.
     pub replayed_batches: u64,
     /// Cumulative heap bytes of every flushed shard accumulator — the
     /// live counterpart of the event engine's `Outcome::acc_bytes`.
@@ -738,23 +705,15 @@ impl IngestService {
         Ok(service)
     }
 
-    /// What worker `w` classifies from: the server's closed-period slots
-    /// of the ids it owns.
-    fn worker_start(&self, w: usize) -> WorkerStart {
-        WorkerStart {
+    /// A fresh worker `w` at the server's closed-period state: it
+    /// classifies from the server's closed-period slots of the ids it
+    /// owns.
+    fn spawn(&self, w: usize) -> WorkerSlot {
+        let start = WorkerStart {
             roster: self.server.roster_slice(self.slices[w].clone()),
             closed: self.server.estimates().len() as u64,
-        }
-    }
-
-    /// A fresh worker `w` at the server's closed-period state.
-    fn spawn(&self, w: usize) -> WorkerSlot {
-        WorkerSlot::spawn(
-            w,
-            self.mailbox_cap,
-            self.server.new_shard(),
-            self.worker_start(w),
-        )
+        };
+        WorkerSlot::spawn(w, self.mailbox_cap, self.server.new_shard(), start)
     }
 
     /// Replays worker `w`'s open-period journal into its mailbox and
@@ -845,16 +804,10 @@ impl IngestService {
     /// into mailbox order.
     ///
     /// # Errors
-    /// Returns [`AccumulatorError`] if a flushed shard does not match the
-    /// server's shape (impossible unless the service is misused —
-    /// shards are cut from the server itself). The failure is
-    /// **transactional**: every shard is validated *before* any id is
-    /// committed or any tally or accumulator absorbed, and every worker is
-    /// then rebuilt from the server's closed-period roster and its
-    /// journal (as [`kill_worker`](Self::kill_worker) rebuilds one), so on
-    /// `Err` the service is exactly where it was before the call —
-    /// journals intact, delivery log untouched, stats unadvanced except
-    /// [`IngestStats::replayed_batches`].
+    /// Never: the call returns `Ok` or panics. Every shard is cut by
+    /// [`Server::new_shard`] from the server it merges into, and a
+    /// restored server refuses an accumulator of another shape, so
+    /// absorbing a shard cannot fail.
     ///
     /// # Panics
     /// Panics unless `t` is the open period. The check runs before the
@@ -874,31 +827,16 @@ impl IngestService {
             .map(|w| self.workers[w].await_flush(w))
             .collect();
 
-        // Validate every shard before mutating ANY state, so a bad shard
-        // cannot leave the server holding part of a period the journal
-        // still claims.
-        let server = &self.server;
-        if let Err(err) = flushes
-            .iter()
-            .try_for_each(|flush| server.validate_shard(&flush.acc))
-        {
-            // The barrier opened the next period in every worker; rebuild
-            // each from the server's closed-period roster and its journal.
-            for w in 0..self.workers.len() {
-                self.stats.replayed_batches += self.rebuild(w);
-            }
-            return Err(err);
-        }
-
         let server = &mut self.server;
         for flush in &flushes {
             server.commit_accepted(&flush.intake.accepted);
             server.absorb_checked(&flush.intake.tally);
+            server
+                .absorb_shard(&flush.acc)
+                .expect("every shard is cut from the server it merges into");
             self.stats.flushed_acc_bytes += flush.acc.heap_bytes() as u64;
         }
-        let estimate = server
-            .close_period_with_shards(t, flushes.iter().map(|flush| &flush.acc))
-            .expect("every shard validated before the merge");
+        let estimate = server.end_of_period(t);
         for (entries, last) in self.journal.iter_mut().zip(&mut self.last_key) {
             entries.clear();
             *last = None;
@@ -927,17 +865,10 @@ impl IngestService {
     /// raw configured index without its own wrap-around copy.
     pub fn kill_worker(&mut self, worker: usize) {
         let worker = worker % self.workers.len();
+        self.workers[worker].stop();
+        self.workers[worker] = self.spawn(worker);
         self.stats.recoveries += 1;
-        self.stats.replayed_batches += self.rebuild(worker);
-    }
-
-    /// Replaces worker `w` with a fresh one at the server's closed-period
-    /// state and replays its journal into it; returns the batches
-    /// replayed.
-    fn rebuild(&mut self, w: usize) -> u64 {
-        self.workers[w].stop();
-        self.workers[w] = self.spawn(w);
-        self.replay(w)
+        self.stats.replayed_batches += self.replay(worker);
     }
 
     /// Serializes the whole service — worker count, mailbox capacity,
@@ -1193,7 +1124,6 @@ impl From<SnapshotError> for SnapshotFileError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtf_core::accumulator::AnyAccumulator;
     use rtf_core::params::ProtocolParams;
 
     fn params() -> ProtocolParams {
@@ -1666,23 +1596,11 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_cap_parsing() {
-        assert_eq!(parse_mailbox_cap(None), DEFAULT_MAILBOX_CAP);
-        assert_eq!(parse_mailbox_cap(Some("")), DEFAULT_MAILBOX_CAP);
-        assert_eq!(parse_mailbox_cap(Some("  ")), DEFAULT_MAILBOX_CAP);
-        assert_eq!(parse_mailbox_cap(Some("7")), 7);
-        assert_eq!(parse_mailbox_cap(Some(" 42 ")), 42);
-        assert_eq!(parse_mailbox_cap(Some("0")), 1, "0 clamps to 1");
-        assert!(std::panic::catch_unwind(|| parse_mailbox_cap(Some("lots"))).is_err());
-    }
-
-    #[test]
     fn live_config_builders() {
         let cfg = LiveConfig::new(0);
         assert_eq!(cfg.workers, 1, "0 workers clamps to 1");
         assert!(cfg.kills.is_empty());
         assert!(cfg.restarts.is_empty());
-        assert_eq!(cfg.fault_count(), 0);
         let cfg = LiveConfig::new(4)
             .with_mailbox_cap(0)
             .with_chunk_rows(0)
@@ -1718,7 +1636,6 @@ mod tests {
                 }
             ]
         );
-        assert_eq!(cfg.fault_count(), 4);
     }
 
     #[test]
@@ -1758,57 +1675,6 @@ mod tests {
         let (_, stats) = svc.finish();
         assert_eq!(stats.recoveries, 1);
         assert_eq!(stats.replayed_batches, 1);
-    }
-
-    #[test]
-    fn failed_close_aborts_cleanly_and_the_service_recovers() {
-        use rtf_core::accumulator::AccumulatorError;
-        // Force the AccumulatorError path: replace worker 0 with one
-        // whose shard template has the wrong order count, so its flush
-        // cannot merge into the server.
-        let expect = reference_estimates();
-        let server = trusted_server(12);
-        let mut svc = IngestService::new(server, 2, 4);
-        svc.workers[0] = WorkerSlot::spawn(0, 4, AnyAccumulator::new(9), svc.worker_start(0));
-        svc.submit_reports(0, batch_for(1, 0..6));
-        svc.submit_reports(1, batch_for(1, 6..12));
-
-        let err = svc.close_period(1).unwrap_err();
-        assert_eq!(
-            err,
-            AccumulatorError::ShapeMismatch {
-                expected: 4,
-                got: 9
-            }
-        );
-        // The abort must be clean: nothing closed, nothing ingested,
-        // journals still hold the open period.
-        assert_eq!(svc.stats().periods, 0);
-        assert_eq!(svc.stats().flushed_acc_bytes, 0);
-        assert_eq!(svc.journal[0].len(), 1, "journal not truncated on abort");
-        assert_eq!(svc.journal[1].len(), 1, "journal not truncated on abort");
-        {
-            let server = &svc.server;
-            assert!(server.estimates().is_empty(), "no period closed");
-            assert_eq!(server.reports_ingested(), 0, "no frame/shard consumed");
-            assert!(server.delivery_log().is_empty());
-        }
-
-        // The abort rebuilt every worker from the server, replacing the
-        // poisoned one, and replayed both journals; the close then
-        // succeeds and the whole horizon completes value-for-value with
-        // the reference.
-        assert_eq!(svc.stats().replayed_batches, 2);
-        let mut estimates = vec![svc.close_period(1).unwrap().estimate];
-        for t in 2..=8u64 {
-            svc.submit_reports(0, batch_for(t, 0..6));
-            svc.submit_reports(1, batch_for(t, 6..12));
-            estimates.push(svc.close_period(t).unwrap().estimate);
-        }
-        assert_eq!(estimates, expect, "service coherent after aborted close");
-        let (_, stats) = svc.finish();
-        assert_eq!(stats.periods, 8);
-        assert_eq!(stats.recoveries, 0, "an aborted close is not a kill");
     }
 
     #[test]

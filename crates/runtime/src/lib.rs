@@ -10,8 +10,8 @@
 //! * [`mode`] — [`ExecMode`]: `Sequential` (the legacy single-threaded
 //!   reference schedule) vs `Parallel(workers)` (the batched pipeline);
 //!   `RTF_WORKERS` selects the default at runtime;
-//! * [`pool`] — [`WorkerPool`]: a fixed-size pool (vendored crossbeam
-//!   channels + scoped threads) whose sharded maps return results in
+//! * [`pool`] — [`WorkerPool`]: a fixed-size pool (a locked job
+//!   injector + scoped threads) whose sharded maps return results in
 //!   shard-index order, making every downstream reduction
 //!   schedule-independent;
 //! * [`batch`] — columnar `{user, order, sign}` report batches that
@@ -19,13 +19,12 @@
 //!   into mergeable shard accumulators;
 //! * [`ingest`] — [`IngestService`]: the long-running streaming
 //!   ingestion front — per-period batch intake into bounded per-worker
-//!   mailboxes (backpressure blocks producers, never drops), untrusted
-//!   frames classified on arrival by the worker owning the claimed id,
-//!   shard accumulators and checked tallies absorbed by the server at
-//!   period close, a
-//!   delivery-log journal that replays a killed worker's open period
-//!   into its replacement exactly (`RTF_MAILBOX_CAP` sizes the
-//!   mailboxes), and whole-service snapshot/restore — a versioned,
+//!   `std::sync::mpsc` mailboxes (backpressure blocks producers, never
+//!   drops), untrusted frames classified on arrival by the worker owning
+//!   the claimed id, shard accumulators and checked tallies absorbed by
+//!   the server at period close, a delivery-log journal that replays a
+//!   killed worker's open period into its replacement exactly, and
+//!   whole-service snapshot/restore — a versioned,
 //!   checksummed byte format covering server state, stats, and open
 //!   journals, so a killed process resumes bit-identically
 //!   (`RTF_SNAPSHOT_DIR` gates the file-backed convenience wrappers).

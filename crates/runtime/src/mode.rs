@@ -62,11 +62,6 @@ impl ExecMode {
             ExecMode::Parallel(w) => w.max(1),
         }
     }
-
-    /// Whether this mode uses the batched multi-worker pipeline.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, ExecMode::Parallel(_))
-    }
 }
 
 impl std::fmt::Display for ExecMode {
@@ -85,9 +80,7 @@ mod tests {
     #[test]
     fn workers_and_flags() {
         assert_eq!(ExecMode::Sequential.workers(), 1);
-        assert!(!ExecMode::Sequential.is_parallel());
         assert_eq!(ExecMode::Parallel(4).workers(), 4);
-        assert!(ExecMode::Parallel(4).is_parallel());
         // Degenerate Parallel(0) clamps to one worker.
         assert_eq!(ExecMode::Parallel(0).workers(), 1);
     }

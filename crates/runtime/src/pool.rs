@@ -9,14 +9,14 @@
 //! makes every pipeline built on the pool value-for-value reproducible
 //! for any worker count.
 //!
-//! Mechanics: one shared crossbeam channel acts as the job injector
-//! (workers pull indices until it drains — dynamic load balancing for
-//! free), and a `Mutex<Vec<Option<T>>>` collects results by index.
+//! Mechanics: a `Mutex` over the enumerated items acts as the job
+//! injector (each worker locks it only to take its next job, until it
+//! drains — dynamic load balancing for free), and a
+//! `Mutex<Vec<Option<T>>>` collects results by index.
 //! Workers are scoped threads (`std::thread::scope`), so jobs may borrow
 //! the caller's data without `Arc`, and each is joined by its handle, so
 //! a map returns only after its threads have exited.
 
-use crate::mode::ExecMode;
 use std::sync::Mutex;
 
 /// One contiguous slice of the item space, assigned to one worker.
@@ -110,11 +110,6 @@ impl WorkerPool {
         }
     }
 
-    /// The pool matching an [`ExecMode`]'s worker count.
-    pub fn for_mode(mode: ExecMode) -> Self {
-        WorkerPool::new(mode.workers())
-    }
-
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.workers
@@ -122,8 +117,8 @@ impl WorkerPool {
 
     /// Maps every index in `0..jobs` through `map`, fanning out over the
     /// pool, and returns the results **in index order**. Jobs are pulled
-    /// from a shared injector channel, so long and short jobs balance
-    /// across workers without affecting the result order.
+    /// from a shared injector, so long and short jobs balance across
+    /// workers without affecting the result order.
     pub fn map_indexed<T, F>(&self, jobs: usize, map: F) -> Vec<T>
     where
         F: Fn(usize) -> T + Sync,
@@ -134,8 +129,8 @@ impl WorkerPool {
 
     /// Maps every item through `map(index, item)`, fanning out over the
     /// pool, and returns the results **in index order**. Items move into
-    /// their jobs through the injector channel, so each reaches exactly
-    /// one job by value — a job may own a `&mut` borrow, such as one
+    /// their jobs through the injector, so each reaches exactly one job
+    /// by value — a job may own a `&mut` borrow, such as one
     /// slice of a roster split by `rtf_core::server::Server::roster_shards`.
     pub fn map_owned<I, T, F>(&self, items: Vec<I>, map: F) -> Vec<T>
     where
@@ -154,11 +149,7 @@ impl WorkerPool {
         let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
         slots.resize_with(jobs, || None);
         let results = Mutex::new(slots);
-        let (tx, rx) = crossbeam::channel::unbounded::<(usize, I)>();
-        for job in items.into_iter().enumerate() {
-            tx.send(job).map_err(|_| ()).expect("receiver alive");
-        }
-        drop(tx);
+        let injector = Mutex::new(items.into_iter().enumerate());
 
         // Every worker is joined by its handle before the call returns.
         // The scope alone returns once the job closures finish, while their
@@ -169,11 +160,13 @@ impl WorkerPool {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers.min(jobs))
                 .map(|_| {
-                    let rx = rx.clone();
-                    let results = &results;
-                    let map = &map;
-                    scope.spawn(move || {
-                        while let Ok((i, item)) = rx.recv() {
+                    scope.spawn(|| {
+                        // The lock is held only while the next job is
+                        // taken, never while it runs.
+                        let jobs = std::iter::from_fn(|| {
+                            injector.lock().expect("no job runs under the lock").next()
+                        });
+                        for (i, item) in jobs {
                             let value = map(i, item);
                             results.lock().expect("no job panics under the lock")[i] = Some(value);
                         }

@@ -6,8 +6,9 @@
 //!   every period, each shard's due reports are chunked into columnar
 //!   batches and streamed into the owning worker's bounded mailbox
 //!   (blocking when full — backpressure, never loss), and the period is
-//!   closed by flushing every worker's shard accumulator into the server
-//!   via `Server::close_period_with_shards`.
+//!   closed by absorbing every worker's shard accumulator into the server
+//!   in worker order (`Server::absorb_shard`) before
+//!   `Server::end_of_period`.
 //! * [`checked`] drives the checked engine's emission schedule — the same
 //!   reference clients ([`Clients`](rtf_core::client::Clients)) stepped
 //!   in the same order, and the fault plan's `ClientPlan::emit` asked at

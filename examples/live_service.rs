@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! cargo run --release --example live_service
-//! # knobs: RTF_WORKERS=8 RTF_MAILBOX_CAP=4 ...
+//! # knob: RTF_WORKERS=8 ...
 //! ```
 
 use randomize_future::prelude::*;
@@ -35,7 +35,7 @@ fn main() {
     let params = ProtocolParams::new(n, d, k, 1.0, 0.05).expect("valid parameters");
     let workers = ExecMode::from_env_or_parallel().workers();
     let kill_at = d / 2;
-    // LiveConfig::new already reads RTF_MAILBOX_CAP for the mailboxes.
+    // LiveConfig::new sizes the mailboxes at DEFAULT_MAILBOX_CAP batches.
     let config = LiveConfig::new(workers).with_kill(workers - 1, kill_at);
 
     println!(
